@@ -80,6 +80,11 @@ let or_die = function
     prerr_endline ("lcmm: " ^ msg);
     exit 1
 
+(* Every --json document: indented, newline-terminated. *)
+let write_json path doc =
+  Lcmm.Report.write_text_file ~path
+    (Dnn_serial.Json.to_string ~indent:2 doc ^ "\n")
+
 (* Planner parallelism: --domains N runs the planner fan-outs (liveness,
    DNNK compensation, per-tenant replans) on an N-domain pool.  The
    output is byte-identical to the sequential run, so golden comparisons
@@ -680,12 +685,7 @@ let runtime_cmd =
     match json_path with
     | None -> ()
     | Some path ->
-      let oc = open_out path in
-      output_string oc
-        (Dnn_serial.Json.to_string ~indent:2
-           (Lcmm_runtime.Report.to_json report));
-      output_char oc '\n';
-      close_out oc;
+      write_json path (Lcmm_runtime.Report.to_json report);
       Printf.printf "wrote %s\n" path
   in
   Cmd.v
@@ -755,7 +755,7 @@ let serve_cmd =
       Lcmm_service.Plan_cache.create ~max_entries:cache_entries
         ~max_bytes:(cache_mb * 1024 * 1024) ?persist_dir:cache_dir ()
     in
-    let pool = Lcmm_service.Pool.create ~domains:workers () in
+    let pool = Lcmm.Pool.create ~domains:workers () in
     let engine = Lcmm_service.Engine.create ~cache ~pool ?deadline_ms () in
     let timing = not no_timing in
     Fun.protect
@@ -890,8 +890,8 @@ let tier_socket_dir () =
 let spawn_tier ~shards ~workers ~vnodes ~max_inflight ~cache_entries
     ~cache_mb ~cache_dir ~deadline_ms ~router_cache_entries ~router_cache_mb
     ~timing ?retries ?retry_backoff_ms ?hedge_ms ?hedge_quantile
-    ?call_timeout_ms ?probe_interval_ms ?chaos ?breaker_threshold
-    ?breaker_cooldown_s ~socket_dir () =
+    ?call_timeout_ms ?probe_interval_ms ?chaos ?breaker_threshold ~socket_dir
+    () =
   if shards < 1 then or_die (Error "shards must be >= 1");
   if workers < 1 then or_die (Error "workers must be >= 1");
   let spawned = ref [] in
@@ -917,7 +917,7 @@ let spawn_tier ~shards ~workers ~vnodes ~max_inflight ~cache_entries
     in
     match
       Lcmm_tier.Shard.spawn ~name ~socket ~max_inflight ?breaker_threshold
-        ?breaker_cooldown_s (Array.of_list argv)
+        (Array.of_list argv)
     with
     | Ok s ->
       spawned := s :: !spawned;
@@ -1003,17 +1003,6 @@ let probe_interval_arg =
   Arg.(
     value & opt (some float) None & info [ "probe-interval-ms" ] ~docv:"MS" ~doc)
 
-let breaker_threshold_arg =
-  let doc = "Consecutive transport failures that open a shard's breaker." in
-  Arg.(value & opt (some int) None & info [ "breaker-threshold" ] ~docv:"N" ~doc)
-
-let breaker_cooldown_arg =
-  let doc = "Milliseconds an opened shard breaker stays open." in
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "breaker-cooldown-ms" ] ~docv:"MS" ~doc)
-
 let shards_arg =
   let doc = "Number of backend shard processes." in
   Arg.(value & opt int 2 & info [ "shards" ] ~doc)
@@ -1084,8 +1073,7 @@ let tier_cmd =
   let run () shards workers vnodes max_inflight socket cache_entries cache_mb
       cache_dir router_cache_entries router_cache_mb no_timing deadline_ms
       socket_dir chaos_spec retries retry_backoff_ms hedge_ms hedge_quantile
-      call_timeout_ms probe_interval_ms breaker_threshold breaker_cooldown_ms
-      drain_timeout_s =
+      call_timeout_ms probe_interval_ms drain_timeout_s =
     if cache_entries < 1 then or_die (Error "cache-entries must be >= 1");
     if cache_mb < 1 then or_die (Error "cache-mb must be >= 1");
     (match deadline_ms with
@@ -1114,9 +1102,6 @@ let tier_cmd =
         ~cache_mb ~cache_dir ~deadline_ms ~router_cache_entries
         ~router_cache_mb ~timing:(not no_timing) ~retries ~retry_backoff_ms
         ?hedge_ms ?hedge_quantile ?call_timeout_ms ?probe_interval_ms ?chaos
-        ?breaker_threshold
-        ?breaker_cooldown_s:(Option.map (fun ms -> ms /. 1e3)
-                               breaker_cooldown_ms)
         ~socket_dir ()
     in
     (* The shard processes and socket files must die with the tier —
@@ -1193,8 +1178,7 @@ let tier_cmd =
       $ cache_dir_arg $ router_cache_entries_arg $ router_cache_mb_arg
       $ no_timing_arg $ deadline_arg $ socket_dir_arg $ chaos_arg
       $ retries_arg $ retry_backoff_arg $ hedge_ms_arg $ hedge_quantile_arg
-      $ call_timeout_arg $ probe_interval_arg $ breaker_threshold_arg
-      $ breaker_cooldown_arg $ drain_timeout_arg)
+      $ call_timeout_arg $ probe_interval_arg $ drain_timeout_arg)
 
 let bench_serve_cmd =
   let shard_counts_arg =
@@ -1303,10 +1287,7 @@ let bench_serve_cmd =
                  tiers) );
           ("slo_pass", Json.Bool slo_pass) ]
     in
-    let oc = open_out json_path in
-    output_string oc (Json.to_string ~indent:2 doc);
-    output_char oc '\n';
-    close_out oc;
+    write_json json_path doc;
     Printf.printf "wrote %s (slo_pass: %b)\n" json_path slo_pass
   in
   Cmd.v
@@ -1545,10 +1526,7 @@ let bench_chaos_cmd =
               ( "chaos_pass",
                 Json.Bool (availability_pass && integrity_pass) ) ]
         in
-        let oc = open_out json_path in
-        output_string oc (Json.to_string ~indent:2 doc);
-        output_char oc '\n';
-        close_out oc;
+        write_json json_path doc;
         Printf.printf
           "wrote %s (availability_pass: %b, integrity_pass: %b, fingerprint: \
            %s)\n"
@@ -1689,10 +1667,7 @@ let bench_fusion_cmd =
                 ("models_total", Json.Int (List.length Models.Zoo.all));
                 ("total_ddr_bytes_saved", Json.Int saved) ] ) ]
     in
-    let oc = open_out json_path in
-    output_string oc (Json.to_string ~indent:2 doc);
-    output_char oc '\n';
-    close_out oc;
+    write_json json_path doc;
     Printf.printf "wrote %s (fusion wins DDR on %d/%d models, %d bytes saved)\n"
       json_path wins
       (List.length Models.Zoo.all)

@@ -73,6 +73,19 @@ dune exec bin/lcmm_cli.exe -- runtime --tenants alexnet:2,squeezenet:1 \
 grep -q '"fault_spec"' BENCH_fault_smoke.json
 grep -q '"faults"' BENCH_fault_smoke.json
 grep -q '"retries"' BENCH_fault_smoke.json
+# The same run pins the fault path byte for byte — stall and backoff
+# floats included — at one and two planner domains, and over three DRAM
+# channels.
+golden_diff test/golden/runtime_faults.golden.json BENCH_fault_smoke.json
+dune exec bin/lcmm_cli.exe -- runtime --tenants alexnet:2,squeezenet:1 \
+  --faults 'seed=42,stall:0.1:0.3,fail:0.05,droop@2:5:0.5,bankloss@3:4m' \
+  --domains 2 --json _build/runtime_faults_par.json > /dev/null
+golden_diff test/golden/runtime_faults.golden.json _build/runtime_faults_par.json
+dune exec bin/lcmm_cli.exe -- runtime --tenants alexnet:2,squeezenet:1 \
+  --faults 'seed=42,stall:0.1:0.3,fail:0.05,droop@2:5:0.5,bankloss@3:4m' \
+  --channels 3 --json _build/runtime_faults_ch3.json > /dev/null
+golden_diff test/golden/runtime_faults_channels3.golden.json \
+  _build/runtime_faults_ch3.json
 # The all-quiet spec must reproduce the fault-free report bit for bit.
 dune exec bin/lcmm_cli.exe -- runtime --tenants alexnet:2,squeezenet:1 \
   --json BENCH_nofault_a.json > /dev/null

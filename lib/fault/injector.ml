@@ -81,13 +81,14 @@ let planned_failures t ~key =
     loop 0
   end
 
-(* Capped exponential backoff with seeded jitter (1x–2x the nominal
-   delay) before retry number [attempt] (0-based). *)
+let capped_backoff ~base ~cap ~attempt =
+  Float.min (base *. (2. ** float_of_int attempt)) cap
+
+(* The capped exponential delay with seeded jitter (1x–2x nominal). *)
 let backoff_seconds t ~key ~attempt =
   let s = t.spec in
-  let nominal = s.Spec.backoff_base *. (2. ** float_of_int attempt) in
-  let nominal = Float.min nominal s.Spec.backoff_cap in
-  nominal *. (1. +. draw t ~key ~salt:(64 + attempt))
+  capped_backoff ~base:s.Spec.backoff_base ~cap:s.Spec.backoff_cap ~attempt
+  *. (1. +. draw t ~key ~salt:(64 + attempt))
 
 (* Effective bandwidth multiplier at [now]: overlapping droop windows
    take the most severe factor. *)

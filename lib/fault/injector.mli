@@ -33,9 +33,14 @@ val planned_failures : t -> key:int -> int
     one past the retry budget: a cap-valued draw exhausts the retries
     and aborts the owning tenant. *)
 
+val capped_backoff : base:float -> cap:float -> attempt:int -> float
+(** The one retry schedule: [min (base *. 2 ** attempt) cap] before
+    retry number [attempt] (0-based).  Board transfers jitter it
+    ({!backoff_seconds}); the serving tier's router uses it as is. *)
+
 val backoff_seconds : t -> key:int -> attempt:int -> float
-(** Capped exponential backoff with seeded jitter (1x–2x nominal)
-    before retry number [attempt] (0-based). *)
+(** {!capped_backoff} over the spec's [backoff=BASE:CAP] with seeded
+    jitter (1x–2x nominal) before retry number [attempt] (0-based). *)
 
 val droop_factor : t -> now:float -> float
 (** Effective bandwidth multiplier at [now]; overlapping droop windows

@@ -548,6 +548,11 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
         priority = inputs.(x.owner).priority; rank = x.xrank }
     in
     let chosen =
+      (* A measured fast path, not dead code: the grouped branch below
+         gives byte-identical output at one channel, but taking it
+         there slowed the runtime-mix benchmark's median latency by
+         about 6% (23.0 -> 24.5 ms, nine of nine paired runs on a
+         2-vCPU x86-64 Xeon). *)
       if channels = 1 then
         Scheduler.eligible scheduler (List.map pending_of eligible_jobs)
       else begin

@@ -6,30 +6,19 @@ let src = Logs.Src.create "lcmm.service" ~doc:"Plan-compilation service"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-(* Per-op circuit breaker.  Consecutive service-side failures (internal
-   errors, deadline misses — never client mistakes) trip the op open;
-   while open, requests are shed immediately with a structured
-   "unavailable" error instead of queueing onto a pool that keeps
-   failing.  After the cooldown one probe is let through (half-open);
-   its outcome closes or re-opens the circuit. *)
-type breaker_state = Closed | Open of float (* shed until *) | Half_open
-
-type breaker = {
-  mutable bstate : breaker_state;
-  mutable failures : int;  (* consecutive counted failures *)
-  mutable trips : int;
-  mutable shed : int;
-}
-
+(* Per-op circuit breaker ({!Breaker}).  Consecutive service-side
+   failures (internal errors, deadline misses — never client mistakes)
+   trip the op open; while open, requests are shed immediately with a
+   structured "unavailable" error instead of queueing onto a pool that
+   keeps failing.  After the cooldown one probe is let through. *)
 type t = {
   plan_cache : Plan_cache.t;
-  worker_pool : Pool.t;
+  worker_pool : Lcmm.Pool.t;
   meters : Metrics.t;
   default_deadline_ms : float option;
-  breakers : (string, breaker) Hashtbl.t;
+  breakers : (string, Breaker.t) Hashtbl.t;
   breaker_mutex : Mutex.t;
-  breaker_threshold : int;
-  breaker_cooldown_s : float;
+  new_breaker : unit -> Breaker.t;
 }
 
 let create ?cache ?pool ?metrics ?deadline_ms ?(breaker_threshold = 5)
@@ -38,54 +27,50 @@ let create ?cache ?pool ?metrics ?deadline_ms ?(breaker_threshold = 5)
   | Some ms when ms <= 0. ->
     invalid_arg "Engine.create: deadline_ms must be positive"
   | _ -> ());
-  if breaker_threshold < 1 then
-    invalid_arg "Engine.create: breaker_threshold must be >= 1";
-  if breaker_cooldown_ms <= 0. then
-    invalid_arg "Engine.create: breaker_cooldown_ms must be positive";
+  let new_breaker () =
+    Breaker.create ~threshold:breaker_threshold
+      ~cooldown_s:(breaker_cooldown_ms /. 1e3)
+  in
+  (* Reject bad breaker parameters now, not on the first compute. *)
+  ignore (new_breaker ());
   { plan_cache = (match cache with Some c -> c | None -> Plan_cache.create ());
-    worker_pool = (match pool with Some p -> p | None -> Pool.create ());
+    worker_pool = (match pool with Some p -> p | None -> Lcmm.Pool.create ());
     meters = (match metrics with Some m -> m | None -> Metrics.create ());
     default_deadline_ms = deadline_ms;
     breakers = Hashtbl.create 8;
     breaker_mutex = Mutex.create ();
-    breaker_threshold;
-    breaker_cooldown_s = breaker_cooldown_ms /. 1e3 }
+    new_breaker }
 
-let with_breakers t fn =
-  Mutex.lock t.breaker_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.breaker_mutex) fn
-
+(* Called under [breaker_mutex]. *)
 let breaker_of t op =
-  match Hashtbl.find_opt t.breakers op with
-  | Some b -> b
-  | None ->
-    let b = { bstate = Closed; failures = 0; trips = 0; shed = 0 } in
+  match Hashtbl.find t.breakers op with
+  | b -> b
+  | exception Not_found ->
+    let b = t.new_breaker () in
     Hashtbl.add t.breakers op b;
     b
 
-(* [Some msg] when the request must be shed without running. *)
+(* [Some msg] when the request must be shed without running.  The
+   breaker calls cannot raise, so the lock needs no [Fun.protect]. *)
 let breaker_admit t op =
   let now = Unix.gettimeofday () in
-  with_breakers t (fun () ->
-      let b = breaker_of t op in
-      match b.bstate with
-      | Closed -> None
-      | Open until when now >= until ->
-        b.bstate <- Half_open;  (* this request is the probe *)
-        None
-      | Open until ->
-        b.shed <- b.shed + 1;
-        Some
-          (Printf.sprintf
-             "unavailable: %s circuit open after %d consecutive failures; \
-              retry in %.0f ms"
-             op b.failures
-             (Float.max 1. ((until -. now) *. 1e3)))
-      | Half_open ->
-        b.shed <- b.shed + 1;
-        Some
-          (Printf.sprintf
-             "unavailable: %s circuit half-open, probe in flight" op))
+  Mutex.lock t.breaker_mutex;
+  let b = breaker_of t op in
+  let decision = Breaker.admit b ~now in
+  let failures = Breaker.failures b in
+  Mutex.unlock t.breaker_mutex;
+  match decision with
+  | Breaker.Pass | Breaker.Probe -> None
+  | Breaker.Shed_open left ->
+    Some
+      (Printf.sprintf
+         "unavailable: %s circuit open after %d consecutive failures; \
+          retry in %.0f ms"
+         op failures
+         (Float.max 1. (left *. 1e3)))
+  | Breaker.Shed_probing ->
+    Some
+      (Printf.sprintf "unavailable: %s circuit half-open, probe in flight" op)
 
 (* Only service-side failures count against the breaker; a client
    mistake (unknown model, bad spec) proves the service is answering. *)
@@ -94,51 +79,35 @@ let breaker_counts msg =
   || String.starts_with ~prefix:"deadline exceeded" msg
 
 let breaker_record t op outcome =
-  let counted_failure =
+  let failed =
     match outcome with Ok _ -> false | Error msg -> breaker_counts msg
   in
   let now = Unix.gettimeofday () in
-  with_breakers t (fun () ->
-      let b = breaker_of t op in
-      if counted_failure then begin
-        b.failures <- b.failures + 1;
-        match b.bstate with
-        | Half_open ->
-          b.bstate <- Open (now +. t.breaker_cooldown_s);
-          b.trips <- b.trips + 1
-        | Closed when b.failures >= t.breaker_threshold ->
-          b.bstate <- Open (now +. t.breaker_cooldown_s);
-          b.trips <- b.trips + 1
-        | Closed | Open _ -> ()
-      end
-      else begin
-        (* Success — or a client error, which still proves liveness —
-           closes the circuit and clears the streak. *)
-        b.bstate <- Closed;
-        b.failures <- 0
-      end)
+  Mutex.lock t.breaker_mutex;
+  Breaker.record (breaker_of t op) ~now ~failed;
+  Mutex.unlock t.breaker_mutex
 
 let breakers_json t =
-  with_breakers t (fun () ->
-      let entries =
-        Hashtbl.fold (fun op b acc -> (op, b) :: acc) t.breakers []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
-      Json.Obj
-        (List.map
-           (fun (op, b) ->
-             ( op,
-               Json.Obj
-                 [ ( "state",
-                     Json.String
-                       (match b.bstate with
-                       | Closed -> "closed"
-                       | Open _ -> "open"
-                       | Half_open -> "half_open") );
-                   ("failures", Json.Int b.failures);
-                   ("trips", Json.Int b.trips);
-                   ("shed", Json.Int b.shed) ] ))
-           entries))
+  Mutex.lock t.breaker_mutex;
+  let entries =
+    Hashtbl.fold
+      (fun op b acc ->
+        ( op,
+          Json.Obj
+            [ ( "state",
+                Json.String
+                  (match Breaker.state b with
+                  | `Closed -> "closed"
+                  | `Open -> "open"
+                  | `Half_open -> "half_open") );
+              ("failures", Json.Int (Breaker.failures b));
+              ("trips", Json.Int (Breaker.trips b));
+              ("shed", Json.Int (Breaker.shed b)) ] )
+        :: acc)
+      t.breakers []
+  in
+  Mutex.unlock t.breaker_mutex;
+  Json.Obj (List.sort (fun (a, _) (b, _) -> compare a b) entries)
 
 type cache_status = Hit | Miss | Uncached
 
@@ -361,15 +330,15 @@ let models_payload () =
        Models.Zoo.all)
 
 let stats_payload t =
-  let busy = Pool.busy t.worker_pool in
+  let busy = Lcmm.Pool.busy t.worker_pool in
   Json.Obj
     [ ("cache", Plan_cache.stats_json t.plan_cache);
       ( "pool",
         Json.Obj
-          [ ("domains", Json.Int (Pool.size t.worker_pool));
+          [ ("domains", Json.Int (Lcmm.Pool.size t.worker_pool));
             ("busy", Json.Int busy);
-            ("queued", Json.Int (Pool.queued t.worker_pool));
-            ("restarts", Json.Int (Pool.restarts t.worker_pool)) ] );
+            ("queued", Json.Int (Lcmm.Pool.queued t.worker_pool));
+            ("restarts", Json.Int (Lcmm.Pool.restarts t.worker_pool)) ] );
       ("breakers", breakers_json t);
       ("metrics", Metrics.snapshot t.meters);
       (* Cumulative planner pass times (process-wide, microseconds)
@@ -579,7 +548,7 @@ let handle t (env : P.envelope) =
           with
           | Some msg -> Error (shed_response t sub msg)
           | None ->
-            Ok (Pool.submit t.worker_pool (fun () -> handle_leaf t sub)))
+            Ok (Lcmm.Pool.submit t.worker_pool (fun () -> handle_leaf t sub)))
         subs
     in
     let responses =
@@ -600,12 +569,12 @@ let handle t (env : P.envelope) =
             in
             match sub_ms with
             | None -> (
-              match Pool.await fut with
+              match Lcmm.Pool.await fut with
               | Ok r -> record r
               | Error e -> raise e)
             | Some ms -> (
               let remaining = (ms /. 1e3) -. (Unix.gettimeofday () -. t0) in
-              match Pool.await_within ~seconds:remaining fut with
+              match Lcmm.Pool.await_within ~seconds:remaining fut with
               | Some (Ok r) -> record r
               | Some (Error e) -> raise e
               | None ->
@@ -636,11 +605,11 @@ let handle t (env : P.envelope) =
         r
       in
       match deadline_ms with
-      | None -> record (Pool.run t.worker_pool (fun () -> handle_leaf t env))
+      | None -> record (Lcmm.Pool.run t.worker_pool (fun () -> handle_leaf t env))
       | Some ms -> (
         let t0 = Unix.gettimeofday () in
-        let fut = Pool.submit t.worker_pool (fun () -> handle_leaf t env) in
-        match Pool.await_within ~seconds:(ms /. 1e3) fut with
+        let fut = Lcmm.Pool.submit t.worker_pool (fun () -> handle_leaf t env) in
+        match Lcmm.Pool.await_within ~seconds:(ms /. 1e3) fut with
         | Some (Ok r) -> record r
         | Some (Error e) -> raise e
         | None ->
@@ -732,4 +701,4 @@ let pool t = t.worker_pool
 
 let metrics t = t.meters
 
-let shutdown t = Pool.shutdown t.worker_pool
+let shutdown t = Lcmm.Pool.shutdown t.worker_pool

@@ -11,24 +11,25 @@
 type t
 
 val create :
-  ?cache:Plan_cache.t -> ?pool:Pool.t -> ?metrics:Metrics.t ->
+  ?cache:Plan_cache.t -> ?pool:Lcmm.Pool.t -> ?metrics:Metrics.t ->
   ?deadline_ms:float -> ?breaker_threshold:int ->
   ?breaker_cooldown_ms:float -> unit -> t
 (** Missing components are created with their defaults (256-entry
-    in-memory cache, [Pool.create ()] sized pool).  [deadline_ms] is the
-    default per-request compute budget applied when a request carries no
-    ["deadline_ms"] of its own; omitted = wait forever.  Raises
-    [Invalid_argument] when non-positive.
+    in-memory cache, [Lcmm.Pool.create ()] sized pool).  [deadline_ms]
+    is the default per-request compute budget applied when a request
+    carries no ["deadline_ms"] of its own; omitted = wait forever.
+    Raises [Invalid_argument] when non-positive.
 
     Each compute op ([compile], [simulate], [run]) sits behind its own
-    circuit breaker: [breaker_threshold] (default 5) consecutive
+    {!Breaker}: [breaker_threshold] (default 5) consecutive
     service-side failures — internal errors or deadline misses, never
     client mistakes — trip the op open, and until
     [breaker_cooldown_ms] (default 1000) has passed every request for
     it is shed immediately with a structured ["unavailable"] error.
-    After the cooldown one probe request is admitted; its outcome
-    closes or re-opens the circuit.  [stats] and [models] are never
-    shed.  Raises [Invalid_argument] for a threshold below 1 or a
+    After the cooldown exactly one probe request is admitted (others
+    are shed as "half-open, probe in flight"); its outcome closes or
+    re-opens the circuit.  [stats] and [models] are never shed.
+    Raises [Invalid_argument] for a threshold below 1 or a
     non-positive cooldown. *)
 
 type cache_status = Hit | Miss | Uncached
@@ -90,7 +91,7 @@ val stats_payload : t -> Dnn_serial.Json.t
 
 val cache : t -> Plan_cache.t
 
-val pool : t -> Pool.t
+val pool : t -> Lcmm.Pool.t
 
 val metrics : t -> Metrics.t
 

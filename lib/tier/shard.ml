@@ -2,6 +2,8 @@ let src = Logs.Src.create "lcmm.tier.shard" ~doc:"Tier shard supervisor"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
+module Breaker = Lcmm_service.Breaker
+
 type error =
   | Overloaded of string  (* shed at the shard's in-flight gate *)
   | Unavailable of string  (* circuit open, no attempt made *)
@@ -33,17 +35,11 @@ type t = {
   backend : backend;
   mutex : Mutex.t;
   max_inflight : int;
-  (* Circuit breaker over transport failures: [breaker_threshold]
-     consecutive failures open the circuit for [breaker_cooldown_s];
-     after that one probe call is admitted and its outcome closes or
-     re-opens it.  An active health probe ({!probe}) short-circuits the
-     wait by closing the circuit on a successful roundtrip. *)
-  breaker_threshold : int;
-  breaker_cooldown_s : float;
+  (* Circuit breaker over transport failures, guarded by [mutex].  An
+     active health probe ({!probe}) short-circuits the cooldown by
+     closing the circuit on a successful roundtrip. *)
+  breaker : Breaker.t;
   mutable inflight : int;
-  mutable consecutive_failures : int;
-  mutable open_until : float;
-  mutable tripped : bool;  (* circuit opened at least once, not yet re-closed *)
   mutable calls : int;
   mutable failures : int;
   mutable probes : int;
@@ -57,20 +53,14 @@ let make ?(breaker_threshold = default_breaker_threshold)
     ?(breaker_cooldown_s = default_breaker_cooldown_s) name backend
     max_inflight =
   if max_inflight < 1 then invalid_arg "Shard: max_inflight must be >= 1";
-  if breaker_threshold < 1 then
-    invalid_arg "Shard: breaker_threshold must be >= 1";
-  if breaker_cooldown_s <= 0. then
-    invalid_arg "Shard: breaker_cooldown_s must be positive";
   { name;
     backend;
     mutex = Mutex.create ();
     max_inflight;
-    breaker_threshold;
-    breaker_cooldown_s;
+    breaker =
+      Breaker.create ~threshold:breaker_threshold
+        ~cooldown_s:breaker_cooldown_s;
     inflight = 0;
-    consecutive_failures = 0;
-    open_until = 0.;
-    tripped = false;
     calls = 0;
     failures = 0;
     probes = 0 }
@@ -152,14 +142,13 @@ let start_process ~socket argv =
     (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
     e
 
-let spawn ~name ~socket ?(max_inflight = 64) ?breaker_threshold
-    ?breaker_cooldown_s argv =
+let spawn ~name ~socket ?(max_inflight = 64) ?breaker_threshold argv =
   match start_process ~socket argv with
   | Error _ as e -> e
   | Ok (pid, conn) ->
     Log.info (fun m -> m "shard %s up: pid %d on %s" name pid socket);
     Ok
-      (make ?breaker_threshold ?breaker_cooldown_s name
+      (make ?breaker_threshold name
          (Proc { socket; argv; pid; idle = [ conn ]; restarts = 0 })
          max_inflight)
 
@@ -284,80 +273,78 @@ let attempt t ?timeout_s line =
          pooled connection to a restarted process. *)
       attempt_proc t ?timeout_s p line)
 
-let trip_if_needed t =
-  if t.consecutive_failures >= t.breaker_threshold then begin
-    t.open_until <- Unix.gettimeofday () +. t.breaker_cooldown_s;
-    t.tripped <- true
-  end
-
-let record_outcome t ok =
-  with_lock t (fun () ->
-      t.calls <- t.calls + 1;
-      if ok then begin
-        t.consecutive_failures <- 0;
-        t.tripped <- false
-      end
-      else begin
-        t.failures <- t.failures + 1;
-        t.consecutive_failures <- t.consecutive_failures + 1;
-        trip_if_needed t
-      end)
+(* Called under the shard mutex. *)
+let record t ~failed =
+  if failed then t.failures <- t.failures + 1;
+  Breaker.record t.breaker ~now:(Unix.gettimeofday ()) ~failed
 
 (* A transport-level success whose *content* the router rejected
    (corrupted or mismatched reply): charge it to the breaker like a
    failure, without double-counting the call. *)
-let penalize t =
-  with_lock t (fun () ->
-      t.failures <- t.failures + 1;
-      t.consecutive_failures <- t.consecutive_failures + 1;
-      trip_if_needed t)
+let penalize t = with_lock t (fun () -> record t ~failed:true)
 
+(* The in-flight gate is checked before the breaker, so a call the
+   breaker admits (above all the half-open probe) always runs and
+   always reports its outcome.  A full gate still answers from the
+   breaker's state: [Unavailable] while the circuit is not closed, so
+   the router fails over instead of treating a dead owner as merely
+   busy. *)
 let call ?timeout_s t line =
+  let unavailable () =
+    Error
+      (Unavailable (Printf.sprintf "unavailable: shard %s circuit open" t.name))
+  in
   let admitted =
     with_lock t (fun () ->
-        if Unix.gettimeofday () < t.open_until then
-          Error
-            (Unavailable
-               (Printf.sprintf "unavailable: shard %s circuit open" t.name))
-        else if t.inflight >= t.max_inflight then
-          Error
-            (Overloaded
-               (Printf.sprintf
-                  "overloaded: shard %s at %d in-flight requests" t.name
-                  t.max_inflight))
-        else begin
-          t.inflight <- t.inflight + 1;
-          Ok ()
-        end)
+        if t.inflight >= t.max_inflight then
+          if Breaker.state t.breaker <> `Closed then unavailable ()
+          else
+            Error
+              (Overloaded
+                 (Printf.sprintf
+                    "overloaded: shard %s at %d in-flight requests" t.name
+                    t.max_inflight))
+        else
+          match Breaker.admit t.breaker ~now:(Unix.gettimeofday ()) with
+          | Breaker.Pass | Breaker.Probe ->
+            t.inflight <- t.inflight + 1;
+            Ok ()
+          | Breaker.Shed_open _ | Breaker.Shed_probing -> unavailable ())
+  in
+  let finish ok =
+    with_lock t (fun () ->
+        t.inflight <- t.inflight - 1;
+        t.calls <- t.calls + 1;
+        record t ~failed:(not ok))
   in
   match admitted with
   | Error _ as e -> e
-  | Ok () ->
-    let result =
-      Fun.protect
-        ~finally:(fun () -> with_lock t (fun () -> t.inflight <- t.inflight - 1))
-        (fun () -> attempt t ?timeout_s line)
-    in
-    (match result with
+  | Ok () -> (
+    match attempt t ?timeout_s line with
     | Ok response ->
-      record_outcome t true;
+      finish true;
       Ok response
     | Error msg ->
-      record_outcome t false;
-      Error (Transport (Printf.sprintf "shard %s: %s" t.name msg)))
-
-let healthy t =
-  with_lock t (fun () -> Unix.gettimeofday () >= t.open_until)
+      finish false;
+      Error (Transport (Printf.sprintf "shard %s: %s" t.name msg))
+    | exception e ->
+      finish false;
+      raise e)
 
 (* Tri-state health as the prober sees it: [`Down] while the circuit is
    open; [`Suspect] once the cooldown expires (the classic half-open
    probation — failures on record, recovery unproven) or while recent
-   failures accumulate under a still-closed circuit; [`Up] otherwise. *)
-let state t =
-  with_lock t (fun () ->
-      if Unix.gettimeofday () < t.open_until then `Down
-      else if t.tripped || t.consecutive_failures > 0 then `Suspect
-      else `Up)
+   failures accumulate under a still-closed circuit; [`Up] otherwise.
+   Called under the shard mutex. *)
+let health t ~now =
+  let b = t.breaker in
+  if Breaker.cooldown_left b ~now > 0. then `Down
+  else if Breaker.state b <> `Closed || Breaker.failures b > 0 then `Suspect
+  else `Up
+
+let state t = with_lock t (fun () -> health t ~now:(Unix.gettimeofday ()))
+
+let healthy t = state t <> `Down
 
 let state_name = function `Up -> "up" | `Suspect -> "suspect" | `Down -> "down"
 
@@ -374,17 +361,12 @@ let probe ?timeout_s t =
   with_lock t (fun () -> t.probes <- t.probes + 1);
   match attempt t ?timeout_s probe_line with
   | Ok _ ->
-    with_lock t (fun () ->
-        t.consecutive_failures <- 0;
-        t.tripped <- false;
-        t.open_until <- 0.);
+    with_lock t (fun () -> record t ~failed:false);
     true
   | Error _ ->
     with_lock t (fun () ->
         t.failures <- t.failures + 1;
-        t.consecutive_failures <- t.consecutive_failures + 1;
-        t.open_until <- Unix.gettimeofday () +. t.breaker_cooldown_s;
-        t.tripped <- true);
+        Breaker.fail_probe t.breaker ~now:(Unix.gettimeofday ()));
     false
 
 let restarts t =
@@ -393,18 +375,13 @@ let restarts t =
 let stats_json t =
   let open Dnn_serial.Json in
   with_lock t (fun () ->
-      let now = Unix.gettimeofday () in
-      let st =
-        if now < t.open_until then `Down
-        else if t.tripped || t.consecutive_failures > 0 then `Suspect
-        else `Up
-      in
+      let st = health t ~now:(Unix.gettimeofday ()) in
       Obj
         [ ("name", String t.name);
           ( "backend",
             String (match t.backend with Local _ -> "local" | Proc _ -> "proc")
           );
-          ("healthy", Bool (now >= t.open_until));
+          ("healthy", Bool (st <> `Down));
           ("state", String (state_name st));
           ("inflight", Int t.inflight);
           ("max_inflight", Int t.max_inflight);

@@ -1,6 +1,7 @@
 (** One backend shard as the router sees it: a supervised worker
     process (or in-process handler) behind an in-flight gate and a
-    transport circuit breaker.
+    transport circuit breaker ({!Lcmm_service.Breaker}, the same state
+    machine the service's per-op breakers use).
 
     Process shards speak the NDJSON protocol over a Unix socket.  The
     supervisor owns the child's whole lifecycle: it spawns it with
@@ -14,18 +15,19 @@
     [`Suspect] once the cooldown expires with recovery unproven (the
     half-open probation) or while failures accumulate under a closed
     circuit; [`Up] otherwise.  The passive path recovers through the
-    cooldown plus one successful call; the active {!probe} promotes a
-    shard the moment it answers again. *)
+    cooldown plus one successful probe call; the active {!probe}
+    promotes a shard the moment it answers again. *)
 
 type t
 
 type error =
   | Overloaded of string
       (** Shed without an attempt: the shard already has [max_inflight]
-          calls in flight. *)
+          calls in flight and its circuit is closed. *)
   | Unavailable of string
       (** Shed without an attempt: the shard's circuit is open after
-          repeated transport failures. *)
+          repeated transport failures, or half-open with its one probe
+          call in flight (whether or not the in-flight gate is full). *)
   | Transport of string
       (** The call was attempted (twice — one retry on a fresh
           connection) and failed. *)
@@ -42,12 +44,12 @@ val local :
 
 val spawn :
   name:string -> socket:string -> ?max_inflight:int ->
-  ?breaker_threshold:int -> ?breaker_cooldown_s:float -> string array ->
-  (t, string) result
+  ?breaker_threshold:int -> string array -> (t, string) result
 (** [spawn ~name ~socket argv] starts [argv] (argv.(0) is the program
     path) as a child process, expecting it to bind and serve [socket];
     waits up to 10 s for the socket to come up.  A stale socket file is
-    removed before the child starts. *)
+    removed before the child starts.  The breaker cools down for the
+    default 2 s. *)
 
 val name : t -> string
 
@@ -59,9 +61,16 @@ val call : ?timeout_s:float -> t -> string -> (string, error) result
     is discarded, never pooled.  In-process shards cannot be
     interrupted and ignore the timeout.  [breaker_threshold]
     consecutive transport failures open the circuit for
-    [breaker_cooldown_s]; then one probe call is admitted and its
-    outcome closes or re-opens it.  A dead child is reaped and
-    respawned transparently on the next call. *)
+    [breaker_cooldown_s]; then exactly one probe call is admitted —
+    concurrent calls are shed as [Unavailable] until it returns — and
+    its outcome closes or re-opens the circuit.  Every admitted call
+    reports its outcome when it returns, even after the circuit tripped
+    under it: a late success closes the circuit, a late failure is
+    counted without extending the cooldown.  The in-flight gate is
+    checked first and a call at a full gate never reaches the breaker:
+    it is [Unavailable] while the circuit is not closed and
+    [Overloaded] otherwise.  A dead child is reaped and respawned
+    transparently on the next call. *)
 
 val penalize : t -> unit
 (** Charge the breaker with a failure for a call that succeeded at the
@@ -79,7 +88,8 @@ val state_name : [ `Up | `Suspect | `Down ] -> string
 val probe : ?timeout_s:float -> t -> bool
 (** Active health probe: one [stats] roundtrip, bypassing both the
     in-flight gate and the open circuit.  Success closes the circuit
-    immediately (down/suspect -> up); failure re-arms the cooldown. *)
+    immediately (down/suspect -> up); failure opens it for a fresh
+    cooldown whatever the failure streak. *)
 
 val restarts : t -> int
 (** Crash-restarts performed so far (always 0 for local shards). *)

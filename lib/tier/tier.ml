@@ -574,9 +574,8 @@ let route t (env : P.envelope) digest =
               if k > 0 then begin
                 count t (fun c -> c.retries <- c.retries + 1);
                 let back =
-                  Float.min
-                    (t.retry_backoff_s *. (2. ** float_of_int (k - 1)))
-                    (t.retry_backoff_s *. 8.)
+                  Fault.Injector.capped_backoff ~base:t.retry_backoff_s
+                    ~cap:(t.retry_backoff_s *. 8.) ~attempt:(k - 1)
                 in
                 let back =
                   match remaining_ms () with

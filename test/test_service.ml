@@ -103,34 +103,34 @@ let test_cache_key_stability () =
 (* --- Pool --- *)
 
 let test_pool_map () =
-  let pool = Svc.Pool.create ~domains:3 () in
+  let pool = Lcmm.Pool.create ~domains:3 () in
   Fun.protect
-    ~finally:(fun () -> Svc.Pool.shutdown pool)
+    ~finally:(fun () -> Lcmm.Pool.shutdown pool)
     (fun () ->
       let xs = List.init 50 Fun.id in
-      let squares = Svc.Pool.map_list pool (fun x -> x * x) xs in
+      let squares = Lcmm.Pool.map_list pool (fun x -> x * x) xs in
       Alcotest.(check (list int)) "order preserved" (List.map (fun x -> x * x) xs) squares;
-      Alcotest.(check int) "size" 3 (Svc.Pool.size pool))
+      Alcotest.(check int) "size" 3 (Lcmm.Pool.size pool))
 
 let test_pool_exceptions () =
-  let pool = Svc.Pool.create ~domains:2 () in
+  let pool = Lcmm.Pool.create ~domains:2 () in
   Fun.protect
-    ~finally:(fun () -> Svc.Pool.shutdown pool)
+    ~finally:(fun () -> Lcmm.Pool.shutdown pool)
     (fun () ->
-      (match Svc.Pool.await (Svc.Pool.submit pool (fun () -> failwith "boom")) with
+      (match Lcmm.Pool.await (Lcmm.Pool.submit pool (fun () -> failwith "boom")) with
       | Error (Failure msg) -> Alcotest.(check string) "exception carried" "boom" msg
       | Error _ -> Alcotest.fail "wrong exception"
       | Ok () -> Alcotest.fail "expected failure");
       (* The worker survives a failed job. *)
-      Alcotest.(check int) "worker alive" 7 (Svc.Pool.run pool (fun () -> 7)))
+      Alcotest.(check int) "worker alive" 7 (Lcmm.Pool.run pool (fun () -> 7)))
 
 let test_pool_shutdown_rejects () =
-  let pool = Svc.Pool.create ~domains:1 () in
-  Svc.Pool.shutdown pool;
-  Svc.Pool.shutdown pool;  (* idempotent *)
+  let pool = Lcmm.Pool.create ~domains:1 () in
+  Lcmm.Pool.shutdown pool;
+  Lcmm.Pool.shutdown pool;  (* idempotent *)
   Alcotest.check_raises "submit after shutdown"
     (Invalid_argument "Pool.submit: pool is shut down") (fun () ->
-      ignore (Svc.Pool.submit pool (fun () -> ())))
+      ignore (Lcmm.Pool.submit pool (fun () -> ())))
 
 (* --- Protocol --- *)
 
@@ -213,7 +213,7 @@ let test_options_roundtrip () =
 (* --- Engine integration --- *)
 
 let with_engine ?cache ~domains fn =
-  let pool = Svc.Pool.create ~domains () in
+  let pool = Lcmm.Pool.create ~domains () in
   let engine = Svc.Engine.create ?cache ~pool () in
   Fun.protect ~finally:(fun () -> Svc.Engine.shutdown engine) (fun () -> fn engine)
 
@@ -503,20 +503,20 @@ let test_engine_deadline () =
         (field_exn "ok" warm))
 
 let test_pool_await_within () =
-  let pool = Svc.Pool.create ~domains:1 () in
+  let pool = Lcmm.Pool.create ~domains:1 () in
   Fun.protect
-    ~finally:(fun () -> Svc.Pool.shutdown pool)
+    ~finally:(fun () -> Lcmm.Pool.shutdown pool)
     (fun () ->
-      let slow = Svc.Pool.submit pool (fun () -> Unix.sleepf 0.2; 11) in
-      (match Svc.Pool.await_within ~seconds:0.02 slow with
+      let slow = Lcmm.Pool.submit pool (fun () -> Unix.sleepf 0.2; 11) in
+      (match Lcmm.Pool.await_within ~seconds:0.02 slow with
       | None -> ()
       | Some _ -> Alcotest.fail "expected a timeout");
       (* The job was not cancelled: a blocking await still collects it. *)
-      (match Svc.Pool.await slow with
+      (match Lcmm.Pool.await slow with
       | Ok n -> Alcotest.(check int) "late result intact" 11 n
       | Error e -> Alcotest.failf "await failed: %s" (Printexc.to_string e));
       (* A settled future answers immediately, budget or not. *)
-      match Svc.Pool.await_within ~seconds:0.001 slow with
+      match Lcmm.Pool.await_within ~seconds:0.001 slow with
       | Some (Ok 11) -> ()
       | _ -> Alcotest.fail "settled future should answer")
 
@@ -602,34 +602,89 @@ let contains needle msg =
   scan 0
 
 let test_pool_crash_restart () =
-  let pool = Svc.Pool.create ~domains:1 () in
+  let pool = Lcmm.Pool.create ~domains:1 () in
   Fun.protect
-    ~finally:(fun () -> Svc.Pool.shutdown pool)
+    ~finally:(fun () -> Lcmm.Pool.shutdown pool)
     (fun () ->
       (* A crash-class exception still answers the caller (no hang)... *)
       (match
-         Svc.Pool.await
-           (Svc.Pool.submit pool (fun () ->
-                raise (Svc.Pool.Worker_crash "simulated OOM")))
+         Lcmm.Pool.await
+           (Lcmm.Pool.submit pool (fun () ->
+                raise (Lcmm.Pool.Worker_crash "simulated OOM")))
        with
-      | Error (Svc.Pool.Worker_crash msg) ->
+      | Error (Lcmm.Pool.Worker_crash msg) ->
         Alcotest.(check string) "crash reason carried" "simulated OOM" msg
       | Error e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
       | Ok () -> Alcotest.fail "expected a crash");
       (* ...then unwinds the worker loop, which the supervisor restarts:
          the next job is answered by the reborn worker. *)
-      Alcotest.(check int) "pool still serves" 9 (Svc.Pool.run pool (fun () -> 9));
-      Alcotest.(check int) "restart counted" 1 (Svc.Pool.restarts pool);
+      Alcotest.(check int) "pool still serves" 9 (Lcmm.Pool.run pool (fun () -> 9));
+      Alcotest.(check int) "restart counted" 1 (Lcmm.Pool.restarts pool);
       (* Stack_overflow is crash-class too, and survivable the same way. *)
-      (match Svc.Pool.await (Svc.Pool.submit pool (fun () -> raise Stack_overflow)) with
+      (match Lcmm.Pool.await (Lcmm.Pool.submit pool (fun () -> raise Stack_overflow)) with
       | Error Stack_overflow -> ()
       | Error e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
       | Ok () -> Alcotest.fail "expected Stack_overflow");
-      Alcotest.(check int) "still serving" 4 (Svc.Pool.run pool (fun () -> 4));
-      Alcotest.(check int) "second restart" 2 (Svc.Pool.restarts pool))
+      Alcotest.(check int) "still serving" 4 (Lcmm.Pool.run pool (fun () -> 4));
+      Alcotest.(check int) "second restart" 2 (Lcmm.Pool.restarts pool))
+
+(* The breaker state machine on a fake clock: closed -> open at the
+   threshold -> exactly one probe once the cooldown is over -> re-open
+   on a failed probe -> close on a successful one. *)
+let test_breaker_state_machine () =
+  let module B = Svc.Breaker in
+  let b = B.create ~threshold:2 ~cooldown_s:1. in
+  let admission = function
+    | B.Pass -> "pass"
+    | B.Probe -> "probe"
+    | B.Shed_open left -> Printf.sprintf "open %.2f" left
+    | B.Shed_probing -> "probing"
+  in
+  let admit now = admission (B.admit b ~now) in
+  let state () =
+    match B.state b with
+    | `Closed -> "closed"
+    | `Open -> "open"
+    | `Half_open -> "half_open"
+  in
+  Alcotest.(check string) "closed admits" "pass" (admit 0.);
+  B.record b ~now:0. ~failed:true;
+  Alcotest.(check string) "one failure stays closed" "closed" (state ());
+  B.record b ~now:10. ~failed:true;
+  Alcotest.(check string) "threshold trips" "open" (state ());
+  Alcotest.(check int) "one trip" 1 (B.trips b);
+  Alcotest.(check string) "open sheds with time left" "open 0.75"
+    (admit 10.25);
+  Alcotest.(check (float 1e-9)) "cooldown left" 0.5
+    (B.cooldown_left b ~now:10.5);
+  Alcotest.(check (float 0.)) "cooldown over" 0. (B.cooldown_left b ~now:11.);
+  Alcotest.(check string) "first call after cooldown probes" "probe"
+    (admit 11.);
+  Alcotest.(check string) "second concurrent call is shed" "probing"
+    (admit 11.1);
+  Alcotest.(check string) "half-open" "half_open" (state ());
+  B.record b ~now:12. ~failed:true;
+  Alcotest.(check string) "failed probe re-opens" "open" (state ());
+  Alcotest.(check int) "second trip" 2 (B.trips b);
+  Alcotest.(check string) "fresh cooldown" "open 0.50" (admit 12.5);
+  Alcotest.(check string) "next probe" "probe" (admit 13.);
+  B.record b ~now:13.5 ~failed:false;
+  Alcotest.(check string) "successful probe closes" "closed" (state ());
+  Alcotest.(check int) "streak cleared" 0 (B.failures b);
+  Alcotest.(check int) "sheds counted" 3 (B.shed b);
+  Alcotest.(check string) "closed admits again" "pass" (admit 13.6);
+  (* Out-of-band health checks: a failed one opens the circuit whatever
+     the streak, a successful one closes it at once. *)
+  B.fail_probe b ~now:20.;
+  Alcotest.(check string) "failed health check opens" "open" (state ());
+  B.record b ~now:20.5 ~failed:false;
+  Alcotest.(check string) "health check closes" "closed" (state ());
+  Alcotest.check_raises "threshold below 1"
+    (Invalid_argument "Breaker.create: threshold must be >= 1") (fun () ->
+      ignore (B.create ~threshold:0 ~cooldown_s:1.))
 
 let test_engine_circuit_breaker () =
-  let pool = Svc.Pool.create ~domains:1 () in
+  let pool = Lcmm.Pool.create ~domains:1 () in
   let engine =
     Svc.Engine.create ~pool ~breaker_threshold:2 ~breaker_cooldown_ms:400. ()
   in
@@ -1002,6 +1057,8 @@ let suite =
     Alcotest.test_case "request deadlines" `Quick test_engine_deadline;
     Alcotest.test_case "pool await_within" `Quick test_pool_await_within;
     Alcotest.test_case "pool crash restart" `Quick test_pool_crash_restart;
+    Alcotest.test_case "breaker state machine" `Quick
+      test_breaker_state_machine;
     Alcotest.test_case "circuit breaker" `Quick test_engine_circuit_breaker;
     Alcotest.test_case "cache quarantine" `Quick test_cache_quarantine;
     Alcotest.test_case "percentile estimator" `Quick test_percentile_estimator;

@@ -174,6 +174,56 @@ let test_shard_breaker_half_open_sequence () =
     (Shard.state_name (Shard.state shard));
   Alcotest.(check bool) "healthy again" true (Shard.healthy shard)
 
+(* Half-open admits exactly one call: while the probe call is parked
+   in the handler, a concurrent call is shed as [Unavailable] without
+   reaching the handler. *)
+let test_shard_half_open_single_probe () =
+  let failing = ref true in
+  let entered = Atomic.make 0 in
+  let release = Mutex.create () in
+  let handler _line =
+    if !failing then failwith "boom"
+    else begin
+      Atomic.incr entered;
+      (* Parks until the main thread releases it. *)
+      Mutex.lock release;
+      Mutex.unlock release;
+      ok_line (Json.Int 1)
+    end
+  in
+  let shard =
+    Shard.local ~name:"s" ~breaker_threshold:3 ~breaker_cooldown_s:0.15
+      handler
+  in
+  for _ = 1 to 3 do
+    ignore (Shard.call shard "x")
+  done;
+  Alcotest.(check string) "open" "down" (Shard.state_name (Shard.state shard));
+  Thread.delay 0.2;
+  failing := false;
+  Mutex.lock release;
+  let run_call () =
+    let result = ref None in
+    (Thread.create (fun () -> result := Some (Shard.call shard "x")) (), result)
+  in
+  let probe_thread, probe_result = run_call () in
+  Thread.delay 0.1;
+  let second_thread, second_result = run_call () in
+  Thread.delay 0.1;
+  Mutex.unlock release;
+  Thread.join probe_thread;
+  Thread.join second_thread;
+  (match !probe_result with
+  | Some (Ok _) -> ()
+  | _ -> Alcotest.fail "expected the probe call to succeed");
+  (match !second_result with
+  | Some (Error (Shard.Unavailable _)) -> ()
+  | _ -> Alcotest.fail "expected the concurrent call to be shed");
+  Alcotest.(check int) "only the probe reached the handler" 1
+    (Atomic.get entered);
+  Alcotest.(check string) "closed by the probe" "up"
+    (Shard.state_name (Shard.state shard))
+
 (* The active probe closes an open circuit without waiting out the
    cooldown — the recovery path a drained or idle tier depends on. *)
 let test_shard_probe_recovers () =
@@ -201,6 +251,80 @@ let test_shard_probe_recovers () =
   | Error e ->
     Alcotest.failf "call after recovery: %s" (Shard.error_message e)
 
+(* A shard whose one call is parked in [handler] until [release] is
+   unlocked; returns the shard, the parked call's thread and its result. *)
+let park_one_call ~release ?breaker_cooldown_s handler =
+  let entered = Atomic.make false in
+  let parked _line =
+    Atomic.set entered true;
+    Mutex.lock release;
+    Mutex.unlock release;
+    handler ()
+  in
+  let shard =
+    Shard.local ~name:"s" ~max_inflight:1 ~breaker_threshold:1
+      ?breaker_cooldown_s parked
+  in
+  Mutex.lock release;
+  let result = ref None in
+  let thread =
+    Thread.create (fun () -> result := Some (Shard.call shard "x")) ()
+  in
+  while not (Atomic.get entered) do
+    Thread.delay 0.01
+  done;
+  (shard, thread, result)
+
+(* A full gate answers from the breaker: [Overloaded] while the circuit
+   is closed, [Unavailable] once it is open, so the router fails over
+   around a dead owner instead of shedding.  The parked call, admitted
+   before the trip, closes the circuit when it succeeds late. *)
+let test_shard_full_gate_open_circuit () =
+  let release = Mutex.create () in
+  let shard, thread, result =
+    park_one_call ~release ~breaker_cooldown_s:60. (fun () ->
+        ok_line (Json.Int 1))
+  in
+  (match Shard.call shard "y" with
+  | Error (Shard.Overloaded _) -> ()
+  | Ok _ | Error _ -> Alcotest.fail "expected overloaded at a closed circuit");
+  Shard.penalize shard;
+  Alcotest.(check string) "open" "down" (Shard.state_name (Shard.state shard));
+  (match Shard.call shard "y" with
+  | Error (Shard.Unavailable _) -> ()
+  | Ok _ | Error _ -> Alcotest.fail "expected unavailable at an open circuit");
+  Mutex.unlock release;
+  Thread.join thread;
+  (match !result with
+  | Some (Ok _) -> ()
+  | _ -> Alcotest.fail "expected the parked call to succeed");
+  Alcotest.(check string) "late success closes the circuit" "up"
+    (Shard.state_name (Shard.state shard))
+
+(* A call admitted before the trip that fails late is counted, but does
+   not extend the cooldown the trip started. *)
+let test_shard_late_failure_keeps_cooldown () =
+  let release = Mutex.create () in
+  let shard, thread, result =
+    park_one_call ~release ~breaker_cooldown_s:0.3 (fun () -> failwith "boom")
+  in
+  Shard.penalize shard;
+  let tripped = Unix.gettimeofday () in
+  Thread.delay 0.15;
+  Mutex.unlock release;
+  Thread.join thread;
+  (match !result with
+  | Some (Error (Shard.Transport _)) -> ()
+  | _ -> Alcotest.fail "expected the parked call to fail");
+  let left = tripped +. 0.4 -. Unix.gettimeofday () in
+  if left > 0. then Thread.delay left;
+  Alcotest.(check string) "cooldown ran from the trip" "suspect"
+    (Shard.state_name (Shard.state shard));
+  Alcotest.check json_t "both failures counted" (Json.Int 2)
+    (match Json.member "failures" (Shard.stats_json shard) with
+    | Ok v -> v
+    | Error msg -> Alcotest.fail msg)
+
 (* --- tier routing over in-process shards --- *)
 
 (* Engines are expensive to spin up (domains); each test builds the
@@ -208,7 +332,7 @@ let test_shard_probe_recovers () =
 let with_engines n fn =
   let engines =
     List.init n (fun _ ->
-        Svc.Engine.create ~pool:(Svc.Pool.create ~domains:1 ()) ())
+        Svc.Engine.create ~pool:(Lcmm.Pool.create ~domains:1 ()) ())
   in
   Fun.protect
     ~finally:(fun () -> List.iter Svc.Engine.shutdown engines)
@@ -694,8 +818,14 @@ let suite =
     Alcotest.test_case
       "shard: breaker walks closed->open->half-open->closed" `Quick
       test_shard_breaker_half_open_sequence;
+    Alcotest.test_case "shard: half-open admits exactly one probe call"
+      `Quick test_shard_half_open_single_probe;
     Alcotest.test_case "shard: active probe closes the circuit" `Quick
       test_shard_probe_recovers;
+    Alcotest.test_case "shard: full gate at an open circuit is unavailable"
+      `Quick test_shard_full_gate_open_circuit;
+    Alcotest.test_case "shard: late failure keeps the trip's cooldown"
+      `Quick test_shard_late_failure_keeps_cooldown;
     Alcotest.test_case "tier: front LRU and shard cache tiers" `Quick
       test_tier_cache_tiers;
     Alcotest.test_case "tier: peer fill after resharding, with backfill"
