@@ -1,12 +1,18 @@
 (* lcmm: command-line front end for the LCMM reproduction.
 
-   Subcommands: models, summary, roofline, allocate, simulate, compare,
-   dot, export, info, schedule, trace, traffic, sensitivity, serve.
-   Each mirrors one way a user would interrogate the framework;
-   bench/main.exe is the separate harness that regenerates the paper's
-   tables and figures wholesale. *)
+   Subcommands:
+   - one model at a time: models, summary, roofline, allocate, plan,
+     simulate, compare, dot, export, info, schedule, trace, traffic,
+     sensitivity;
+   - several models on one board: runtime;
+   - serving plans: serve (one process), tier (sharded over serve
+     children);
+   - checking and measuring: check (differential fuzzing) and bench
+     (every paper table and figure plus the extension benches; see
+     bench.ml). *)
 
 open Cmdliner
+open Common
 
 (* Every subcommand takes the logging flags: -v/-vv raise the level to
    info/debug (pass-level logs from Framework.plan, request logs from
@@ -73,17 +79,6 @@ let build_model name =
       (Printf.sprintf "unknown model %S; known: %s" name
          (String.concat ", "
             (List.map (fun e -> e.Models.Zoo.model_name) Models.Zoo.all)))
-
-let or_die = function
-  | Ok v -> v
-  | Error msg ->
-    prerr_endline ("lcmm: " ^ msg);
-    exit 1
-
-(* Every --json document: indented, newline-terminated. *)
-let write_json path doc =
-  Lcmm.Report.write_text_file ~path
-    (Dnn_serial.Json.to_string ~indent:2 doc ^ "\n")
 
 (* Planner parallelism: --domains N runs the planner fan-outs (liveness,
    DNNK compensation, per-tenant replans) on an N-domain pool.  The
@@ -530,13 +525,6 @@ let runtime_cmd =
           ~doc:"DDR channels to schedule over (>= 1).  1 is the aggregate \
                 fluid-bus model; 0 means the device's DDR bank count.")
   in
-  let schedule_rounds_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "schedule-rounds" ]
-          ~doc:"Plan/schedule co-iteration bound for the optimized \
-                scheduler.")
-  in
   let partition_arg =
     let cv =
       policy_conv ~what:"partition policy" ~known:"equal, demand"
@@ -632,13 +620,11 @@ let runtime_cmd =
     in
     Arg.(value & flag & info [ "fusion" ] ~doc)
   in
-  let run () mix dtype device arbitration scheduler channels schedule_rounds
-      partition overcommit stagger_ms seed json_path faults fusion domains =
+  let run () mix dtype device arbitration scheduler channels partition
+      overcommit stagger_ms seed json_path faults fusion domains =
     if overcommit <= 0. then or_die (Error "overcommit must be positive");
     if stagger_ms < 0. then or_die (Error "stagger-ms must be non-negative");
     if channels < 0 then or_die (Error "channels must be >= 0");
-    if schedule_rounds < 1 then
-      or_die (Error "schedule-rounds must be >= 1");
     let channels =
       if channels = 0 then Fpga.Device.ddr_channels device else channels
     in
@@ -673,8 +659,8 @@ let runtime_cmd =
     in
     let options =
       { Lcmm_runtime.Runtime.default_options with
-        dtype; device; arbitration; scheduler; channels; schedule_rounds;
-        partition; overcommit; faults;
+        dtype; device; arbitration; scheduler; channels; partition;
+        overcommit; faults;
         fw_options = { Lcmm.Framework.default_options with fusion } }
     in
     let report =
@@ -698,9 +684,9 @@ let runtime_cmd =
           scheduler.")
     Term.(
       const run $ log_arg $ tenants_arg $ dtype_arg $ device_arg
-      $ arbitration_arg $ scheduler_arg $ channels_arg $ schedule_rounds_arg
-      $ partition_arg $ overcommit_arg $ stagger_arg $ seed_arg $ json_arg
-      $ faults_arg $ fusion_arg $ domains_arg)
+      $ arbitration_arg $ scheduler_arg $ channels_arg $ partition_arg
+      $ overcommit_arg $ stagger_arg $ seed_arg $ json_arg $ faults_arg
+      $ fusion_arg $ domains_arg)
 
 let serve_cmd =
   let socket_arg =
@@ -859,83 +845,6 @@ let check_cmd =
       $ replay_arg $ save_dir_arg)
 
 (* --- sharded tier --- *)
-
-let rm_rf_sockets dir =
-  (* Only what the tier itself created: socket files and the (then
-     empty) socket directory. *)
-  match Sys.readdir dir with
-  | entries ->
-    Array.iter
-      (fun e ->
-        let p = Filename.concat dir e in
-        if Filename.check_suffix e ".sock" then
-          try Unix.unlink p with Unix.Unix_error _ | Sys_error _ -> ())
-      entries;
-    (try Unix.rmdir dir with Unix.Unix_error _ | Sys_error _ -> ())
-  | exception Sys_error _ -> ()
-
-let tier_socket_dir () =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "lcmm-tier-%d" (Unix.getpid ()))
-  in
-  (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  dir
-
-(* Spawn [shards] copies of this very binary as `lcmm serve --socket ...`
-   children and build the router over them.  Returns the tier and a
-   cleanup closure (idempotent: kill + reap every child, remove every
-   socket file). *)
-let spawn_tier ~shards ~workers ~vnodes ~max_inflight ~cache_entries
-    ~cache_mb ~cache_dir ~deadline_ms ~router_cache_entries ~router_cache_mb
-    ~timing ?retries ?retry_backoff_ms ?hedge_ms ?hedge_quantile
-    ?call_timeout_ms ?probe_interval_ms ?chaos ?breaker_threshold ~socket_dir
-    () =
-  if shards < 1 then or_die (Error "shards must be >= 1");
-  if workers < 1 then or_die (Error "workers must be >= 1");
-  let spawned = ref [] in
-  let cleanup () =
-    List.iter Lcmm_tier.Shard.stop !spawned;
-    spawned := [];
-    rm_rf_sockets socket_dir
-  in
-  let shard_of i =
-    let name = Printf.sprintf "shard-%d" i in
-    let socket = Filename.concat socket_dir (name ^ ".sock") in
-    let argv =
-      [ Sys.executable_name; "serve"; "--socket"; socket; "--workers";
-        string_of_int workers; "--cache-entries"; string_of_int cache_entries;
-        "--cache-mb"; string_of_int cache_mb ]
-      @ (match cache_dir with
-        | None -> []
-        | Some dir -> [ "--cache-dir"; Filename.concat dir name ])
-      @
-      match deadline_ms with
-      | None -> []
-      | Some ms -> [ "--deadline-ms"; string_of_float ms ]
-    in
-    match
-      Lcmm_tier.Shard.spawn ~name ~socket ~max_inflight ?breaker_threshold
-        (Array.of_list argv)
-    with
-    | Ok s ->
-      spawned := s :: !spawned;
-      s
-    | Error msg ->
-      cleanup ();
-      or_die (Error msg)
-  in
-  let shard_list = List.init shards shard_of in
-  let ring =
-    Lcmm_tier.Ring.create ~vnodes (List.map Lcmm_tier.Shard.name shard_list)
-  in
-  let tier =
-    Lcmm_tier.Tier.create ~router_cache_entries ~router_cache_mb ?deadline_ms
-      ~timing ?retries ?retry_backoff_ms ?hedge_ms ?hedge_quantile
-      ?call_timeout_ms ?probe_interval_ms ?chaos ~ring ~shards:shard_list ()
-  in
-  (tier, cleanup)
 
 (* The --chaos / --faults spec syntax shared by the tier and the chaos
    bench; a malformed spec is a CLI error (cmdliner exits 124) carrying
@@ -1180,512 +1089,26 @@ let tier_cmd =
       $ retries_arg $ retry_backoff_arg $ hedge_ms_arg $ hedge_quantile_arg
       $ call_timeout_arg $ probe_interval_arg $ drain_timeout_arg)
 
-let bench_serve_cmd =
-  let shard_counts_arg =
-    let doc = "Comma-separated shard counts to bench (e.g. 1,2,4)." in
-    Arg.(value & opt string "1,2,4" & info [ "shard-counts" ] ~doc)
-  in
-  let rps_arg =
-    let doc = "Offered request rate of the measured run." in
-    Arg.(value & opt float 200. & info [ "rps" ] ~doc)
-  in
-  let duration_arg =
-    let doc = "Seconds per load step." in
-    Arg.(value & opt float 2. & info [ "duration" ] ~doc)
-  in
-  let slo_arg =
-    let doc = "p99 latency SLO in milliseconds (gates slo_pass)." in
-    Arg.(value & opt float 250. & info [ "slo-p99-ms" ] ~doc)
-  in
-  let threads_arg =
-    let doc = "Load-generator sender threads." in
-    Arg.(value & opt int 8 & info [ "threads" ] ~doc)
-  in
-  let sat_steps_arg =
-    let doc = "Maximum rate doublings in the saturation search." in
-    Arg.(value & opt int 4 & info [ "sat-steps" ] ~doc)
-  in
-  let mix_models_arg =
-    let doc = "Zoo models in the request mix (smallest first)." in
-    Arg.(value & opt int 4 & info [ "mix-models" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Write the report to $(docv)." in
-    Arg.(value & opt string "BENCH_serve.json" & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let run () shard_counts workers rps duration slo_p99_ms threads sat_steps
-      mix_models json_path =
-    let counts =
-      String.split_on_char ',' shard_counts
-      |> List.filter_map (fun s ->
-             let s = String.trim s in
-             if s = "" then None else Some s)
-      |> List.map (fun s ->
-             match int_of_string_opt s with
-             | Some n when n >= 1 -> n
-             | _ -> or_die (Error (Printf.sprintf "bad shard count %S" s)))
-    in
-    if counts = [] then or_die (Error "no shard counts given");
-    if rps <= 0. then or_die (Error "rps must be positive");
-    if duration <= 0. then or_die (Error "duration must be positive");
-    let mix = Lcmm_tier.Loadgen.zoo_mix ~models:mix_models () in
-    let bench_tier n =
-      Printf.eprintf "bench serve: %d shard(s)...\n%!" n;
-      let socket_dir = tier_socket_dir () in
-      let tier, cleanup =
-        spawn_tier ~shards:n ~workers ~vnodes:64 ~max_inflight:64
-          ~cache_entries:256 ~cache_mb:64 ~cache_dir:None ~deadline_ms:None
-          ~router_cache_entries:512 ~router_cache_mb:64 ~timing:false
-          ~socket_dir ()
-      in
-      Fun.protect ~finally:cleanup (fun () ->
-          let handler = Lcmm_tier.Tier.handle_line tier in
-          (* Warm every plan once so the measured run exercises the
-             serving path, not first-compile cost. *)
-          List.iter (fun line -> ignore (handler line)) mix;
-          let measured =
-            Lcmm_tier.Loadgen.run ~handler ~mix ~rps ~duration_s:duration
-              ~threads ()
-          in
-          let saturation_rps, steps =
-            Lcmm_tier.Loadgen.find_saturation ~handler ~mix ~start_rps:rps
-              ~duration_s:duration ~slo_p99_ms ~threads ~max_steps:sat_steps
-              ()
-          in
-          Printf.eprintf
-            "  %d shard(s): p50 %.2f ms  p99 %.2f ms  p999 %.2f ms  \
-             saturation %.0f rps\n%!"
-            n measured.Lcmm_tier.Loadgen.p50_ms
-            measured.Lcmm_tier.Loadgen.p99_ms
-            measured.Lcmm_tier.Loadgen.p999_ms saturation_rps;
-          (n, measured, saturation_rps, steps))
-    in
-    let tiers = List.map bench_tier counts in
-    let slo_pass =
-      List.for_all
-        (fun (_, m, _, _) -> m.Lcmm_tier.Loadgen.p99_ms <= slo_p99_ms)
-        tiers
-    in
-    let module Json = Dnn_serial.Json in
-    let doc =
-      Json.Obj
-        [ ("experiment", Json.String "serve");
-          ("slo_p99_ms", Json.Float slo_p99_ms);
-          ("mix_requests", Json.Int (List.length mix));
-          ( "tiers",
-            Json.List
-              (List.map
-                 (fun (n, m, saturation_rps, steps) ->
-                   Json.Obj
-                     [ ("shards", Json.Int n);
-                       ("measured", Lcmm_tier.Loadgen.result_to_json m);
-                       ("saturation_rps", Json.Float saturation_rps);
-                       ( "ladder",
-                         Json.List
-                           (List.map Lcmm_tier.Loadgen.result_to_json steps)
-                       ) ])
-                 tiers) );
-          ("slo_pass", Json.Bool slo_pass) ]
-    in
-    write_json json_path doc;
-    Printf.printf "wrote %s (slo_pass: %b)\n" json_path slo_pass
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Open-loop load benchmark of the sharded tier: drive a zoo-sampled \
-          request mix at a configured RPS against each shard count, report \
-          p50/p99/p999 latency and the saturation RPS ladder to a JSON file \
-          with a p99 SLO verdict.")
-    Term.(
-      const run $ log_arg $ shard_counts_arg $ tier_workers_arg $ rps_arg
-      $ duration_arg $ slo_arg $ threads_arg $ sat_steps_arg $ mix_models_arg
-      $ json_arg)
-
-(* bench chaos: the zoo mix through a deliberately faulty tier, over a
-   ladder of fault intensities.  The report answers three questions:
-   how much availability the resilience layer preserves (retries,
-   hedges, failover), whether any fault ever reached a client as a
-   silently wrong answer (every success is compared byte-for-byte
-   against a fault-free reference), and whether the injection itself is
-   reproducible (a digest over the per-rung fault/recovery counters —
-   two runs with the same spec and seed must produce the same
-   fingerprint). *)
-let bench_chaos_cmd =
-  let chaos_spec_arg =
-    let doc =
-      "Transport-fault spec driven through the intensity ladder (the \
-       probabilities scale, the magnitudes do not)."
-    in
-    Arg.(
-      value
-      & opt fault_spec_conv
-          (match
-             Fault.Spec.of_string
-               "seed=42,delay:0.08:40,hang:0.02,trunc:0.02,corrupt:0.02,reset:0.03"
-           with
-          | Ok s -> s
-          | Error _ -> Fault.Spec.empty)
-      & info [ "chaos" ] ~docv:"SPEC" ~doc)
-  in
-  let intensities_arg =
-    let doc =
-      "Comma-separated probability multipliers, one bench rung each."
-    in
-    Arg.(value & opt string "0.25,0.5,1.0" & info [ "intensities" ] ~doc)
-  in
-  let requests_arg =
-    let doc = "Requests per rung (driven single-threaded, unpaced)." in
-    Arg.(value & opt int 300 & info [ "requests" ] ~doc)
-  in
-  let mix_models_arg =
-    let doc = "Zoo models in the request mix (smallest first)." in
-    Arg.(value & opt int 4 & info [ "mix-models" ] ~doc)
-  in
-  let availability_floor_arg =
-    let doc = "Availability the middle rung must meet (gates chaos_pass)." in
-    Arg.(value & opt float 0.99 & info [ "availability-floor" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Write the report to $(docv)." in
-    Arg.(
-      value & opt string "BENCH_chaos.json" & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let run () spec intensities workers shards retries hedge_ms call_timeout_ms
-      requests mix_models availability_floor json_path =
-    if not (Fault.Spec.has_transport_faults spec) then
-      or_die (Error "the --chaos spec has no transport clauses");
-    if requests < 1 then or_die (Error "requests must be >= 1");
-    let intensities =
-      String.split_on_char ',' intensities
-      |> List.filter_map (fun s ->
-             let s = String.trim s in
-             if s = "" then None else Some s)
-      |> List.map (fun s ->
-             match float_of_string_opt s with
-             | Some f when f > 0. -> f
-             | _ -> or_die (Error (Printf.sprintf "bad intensity %S" s)))
-    in
-    if intensities = [] then or_die (Error "no intensities given");
-    let module Json = Dnn_serial.Json in
-    let module Tier = Lcmm_tier.Tier in
-    let module Loadgen = Lcmm_tier.Loadgen in
-    let mix = Loadgen.zoo_mix ~models:mix_models () in
-    (* The fault-free reference: an in-process engine rendering
-       canonical (timing-free) responses — exactly the bytes the tier
-       must re-render when it answers the same request correctly.
-       [stats] answers are tier-specific and exempt. *)
-    let reference_engine = Lcmm_service.Engine.create () in
-    let reference_tbl = Hashtbl.create 16 in
-    List.iter
-      (fun line ->
-        match Json.of_string line with
-        | Ok doc
-          when Json.member_opt "op" doc = Some (Json.String "stats") ->
-          ()
-        | _ ->
-          Hashtbl.replace reference_tbl line
-            (Lcmm_service.Engine.handle_line ~timing:false reference_engine
-               line))
-      mix;
-    Lcmm_service.Engine.shutdown reference_engine;
-    let socket_dir = tier_socket_dir () in
-    (* Determinism over realism for the breaker: a huge threshold keeps
-       injected failures from tripping circuits whose open/close timing
-       would couple the counters to the wall clock. *)
-    let tier, cleanup =
-      spawn_tier ~shards ~workers ~vnodes:64 ~max_inflight:64
-        ~cache_entries:256 ~cache_mb:64 ~cache_dir:None ~deadline_ms:None
-        ~router_cache_entries:1 ~router_cache_mb:1 ~timing:false ~retries
-        ~hedge_ms ~call_timeout_ms ~breaker_threshold:1_000_000 ~socket_dir ()
-    in
-    Fun.protect ~finally:cleanup (fun () ->
-        let handler = Tier.handle_line tier in
-        (* Warm the shard caches fault-free so rung traffic measures
-           the serving path; the router cache is minimal (1 entry) so
-           warm requests cannot short-circuit later rungs away from the
-           wire the chaos injector sits on. *)
-        List.iter (fun line -> ignore (handler line)) mix;
-        let counters_before = ref (Tier.counter_list tier) in
-        let delta after =
-          List.map
-            (fun (k, v) ->
-              let v0 =
-                match List.assoc_opt k !counters_before with
-                | Some v0 -> v0
-                | None -> 0
-              in
-              (k, v - v0))
-            after
-        in
-        let bench_rung intensity =
-          Printf.eprintf "bench chaos: intensity %.2f...\n%!" intensity;
-          let rung_spec = Fault.Spec.scale_transport spec intensity in
-          let chaos =
-            match Lcmm_tier.Chaos.create rung_spec with
-            | Some c -> c
-            | None -> or_die (Error "scaled spec lost its transport clauses")
-          in
-          Tier.set_chaos tier (Some chaos);
-          let measured =
-            Loadgen.run ~handler ~mix ~rps:(float_of_int requests)
-              ~duration_s:1.0 ~threads:1
-              ~reference:(fun line -> Hashtbl.find_opt reference_tbl line)
-              ()
-          in
-          Tier.set_chaos tier None;
-          let after = Tier.counter_list tier in
-          let tier_delta = delta after in
-          counters_before := after;
-          let availability =
-            float_of_int measured.Loadgen.ok
-            /. float_of_int (max 1 measured.Loadgen.sent)
-          in
-          Printf.eprintf
-            "  intensity %.2f: availability %.4f  p99 %.2f ms  divergent %d\n%!"
-            intensity availability measured.Loadgen.p99_ms
-            measured.Loadgen.divergent;
-          (intensity, rung_spec, measured, availability,
-           Lcmm_tier.Chaos.counter_list chaos, tier_delta)
-        in
-        let rungs = List.map bench_rung intensities in
-        (* The reproducibility fingerprint: every injected-fault and
-           recovery counter of every rung, in a canonical rendering.
-           Same spec + seed + request stream => same digest. *)
-        let fingerprint =
-          rungs
-          |> List.map (fun (intensity, _, m, _, chaos_counters, tier_delta) ->
-                 Printf.sprintf "%.4f|%s|%s|ok=%d;err=%d;div=%d" intensity
-                   (String.concat ";"
-                      (List.map
-                         (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-                         chaos_counters))
-                   (String.concat ";"
-                      (List.map
-                         (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-                         (List.filter
-                            (fun (k, _) ->
-                              List.mem k
-                                [ "retries"; "hedges"; "hedge_wins";
-                                  "invalid_replies" ])
-                            tier_delta)))
-                   m.Loadgen.ok m.Loadgen.errors m.Loadgen.divergent)
-          |> String.concat "\n"
-          |> Dnn_serial.Codec.digest_string
-        in
-        let mid_availability =
-          let n = List.length rungs in
-          match List.nth_opt rungs (n / 2) with
-          | Some (_, _, _, a, _, _) -> a
-          | None -> 0.
-        in
-        let divergent_total =
-          List.fold_left
-            (fun acc (_, _, m, _, _, _) -> acc + m.Loadgen.divergent)
-            0 rungs
-        in
-        let availability_pass = mid_availability >= availability_floor in
-        let integrity_pass = divergent_total = 0 in
-        let doc =
-          Json.Obj
-            [ ("experiment", Json.String "chaos");
-              ("spec", Json.String (Fault.Spec.to_string spec));
-              ("requests_per_rung", Json.Int requests);
-              ("shards", Json.Int shards);
-              ("retries", Json.Int retries);
-              ("hedge_ms", Json.Float hedge_ms);
-              ("call_timeout_ms", Json.Float call_timeout_ms);
-              ( "rungs",
-                Json.List
-                  (List.map
-                     (fun ( intensity, rung_spec, m, availability,
-                            chaos_counters, tier_delta ) ->
-                       Json.Obj
-                         [ ("intensity", Json.Float intensity);
-                           ( "spec",
-                             Json.String (Fault.Spec.to_string rung_spec) );
-                           ("availability", Json.Float availability);
-                           ("measured", Loadgen.result_to_json m);
-                           ( "injected",
-                             Json.Obj
-                               (List.map
-                                  (fun (k, v) -> (k, Json.Int v))
-                                  chaos_counters) );
-                           ( "tier",
-                             Json.Obj
-                               (List.map
-                                  (fun (k, v) -> (k, Json.Int v))
-                                  tier_delta) ) ])
-                     rungs) );
-              ("mid_availability", Json.Float mid_availability);
-              ("availability_floor", Json.Float availability_floor);
-              ("divergent_total", Json.Int divergent_total);
-              ("counter_fingerprint", Json.String fingerprint);
-              ("availability_pass", Json.Bool availability_pass);
-              ("integrity_pass", Json.Bool integrity_pass);
-              ( "chaos_pass",
-                Json.Bool (availability_pass && integrity_pass) ) ]
-        in
-        write_json json_path doc;
-        Printf.printf
-          "wrote %s (availability_pass: %b, integrity_pass: %b, fingerprint: \
-           %s)\n"
-          json_path availability_pass integrity_pass fingerprint)
-  in
-  let shards_arg =
-    let doc = "Backend shard processes." in
-    Arg.(value & opt int 2 & info [ "shards" ] ~doc)
-  in
-  let retries_arg =
-    let doc = "Retry budget per candidate shard." in
-    Arg.(value & opt int 2 & info [ "retries" ] ~doc)
-  in
-  let hedge_ms_arg =
-    let doc = "Hedge threshold in milliseconds." in
-    Arg.(value & opt float 150. & info [ "hedge-ms" ] ~doc)
-  in
-  let call_timeout_arg =
-    let doc = "Per-call reply timeout in milliseconds." in
-    Arg.(value & opt float 250. & info [ "call-timeout-ms" ] ~doc)
-  in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:
-         "Chaos soak of the sharded tier: drive the zoo mix through a \
-          seeded transport-fault injector over an intensity ladder; report \
-          availability, tail latency, injected-fault and recovery counters, \
-          verify every successful response byte-identical to a fault-free \
-          reference, and fingerprint the counters for reproducibility.")
-    Term.(
-      const run $ log_arg $ chaos_spec_arg $ intensities_arg
-      $ tier_workers_arg $ shards_arg $ retries_arg $ hedge_ms_arg
-      $ call_timeout_arg $ requests_arg $ mix_models_arg
-      $ availability_floor_arg $ json_arg)
-
-let bench_fusion_cmd =
-  let json_arg =
-    let doc = "Write the report to $(docv)." in
-    Arg.(
-      value & opt string "BENCH_fusion.json" & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let run () dtype json_path domains =
-    let module F = Lcmm.Framework in
-    let module Fz = Lcmm_fusion.Fusion in
-    let module Seg = Lcmm_fusion.Segmentation in
-    let module Json = Dnn_serial.Json in
-    let options = { F.default_options with F.fusion = true } in
-    let rows, wins, saved =
-      with_pool domains (fun pool ->
-          List.fold_left
-            (fun (rows, wins, saved) e ->
-              let name = e.Models.Zoo.model_name in
-              let model, g = or_die (build_model name) in
-              let c = F.compare_designs ~options ?pool ~model dtype g in
-              let base = c.F.lcmm_plan in
-              let fz = Fz.apply ?pool base in
-              let capacity = Accel.Config.sram_budget_bytes base.F.config in
-              let tile =
-                Lcmm.Policies.run base.F.metric ~dtype ~capacity_bytes:capacity
-                  [] Lcmm.Policies.Stream_tile
-              in
-              let tile_traffic =
-                Lcmm.Traffic.of_allocation base.F.metric
-                  ~on_chip:tile.Lcmm.Policies.on_chip
-              in
-              let umm_traffic = Lcmm.Traffic.umm base.F.metric in
-              let lcmm_ddr = Lcmm.Traffic.total_bytes fz.Fz.base_traffic in
-              let fusion_ddr = Lcmm.Traffic.total_bytes fz.Fz.traffic in
-              Printf.eprintf
-                "bench fusion: %-12s LCMM %.3f ms / %d B  ->  +fusion %.3f \
-                 ms / %d B (%d seg, %d streamed)\n\
-                 %!"
-                model
-                (base.F.predicted_latency *. 1e3)
-                lcmm_ddr
-                (fz.Fz.predicted_latency *. 1e3)
-                fusion_ddr
-                (List.length fz.Fz.segments)
-                (List.length fz.Fz.streamed);
-              let row =
-                Json.Obj
-                  [ ("model", Json.String model);
-                    ( "umm",
-                      Json.Obj
-                        [ ( "latency_ms",
-                            Json.Float
-                              (c.F.umm.F.latency_seconds *. 1e3) );
-                          ( "ddr_bytes",
-                            Json.Int (Lcmm.Traffic.total_bytes umm_traffic) )
-                        ] );
-                    ( "lcmm",
-                      Json.Obj
-                        [ ( "latency_ms",
-                            Json.Float (base.F.predicted_latency *. 1e3) );
-                          ("ddr_bytes", Json.Int lcmm_ddr);
-                          ("sram_bytes", Json.Int base.F.tensor_sram_bytes) ]
-                    );
-                    ( "lcmm_fusion",
-                      Json.Obj
-                        [ ( "latency_ms",
-                            Json.Float (fz.Fz.predicted_latency *. 1e3) );
-                          ("ddr_bytes", Json.Int fusion_ddr);
-                          ("ddr_bytes_saved", Json.Int (Fz.ddr_bytes_saved fz));
-                          ("segments", Json.Int (List.length fz.Fz.segments));
-                          ( "fused_nodes",
-                            Json.Int
-                              (List.fold_left
-                                 (fun a (s : Seg.segment) ->
-                                   a + s.Seg.last - s.Seg.first + 1)
-                                 0 fz.Fz.segments) );
-                          ( "streamed_weights",
-                            Json.Int (List.length fz.Fz.streamed) );
-                          ("fifo_bytes", Json.Int fz.Fz.fifo_bytes);
-                          ("peak_sram_bytes", Json.Int fz.Fz.peak_sram_bytes)
-                        ] );
-                    ( "stream_tile",
-                      Json.Obj
-                        [ ( "latency_ms",
-                            Json.Float (tile.Lcmm.Policies.latency *. 1e3) );
-                          ( "ddr_bytes",
-                            Json.Int (Lcmm.Traffic.total_bytes tile_traffic) );
-                          ( "feasible",
-                            Json.Bool tile.Lcmm.Policies.feasible ) ] ) ]
-              in
-              ( row :: rows,
-                (if fusion_ddr < lcmm_ddr then wins + 1 else wins),
-                saved + Fz.ddr_bytes_saved fz ))
-            ([], 0, 0) Models.Zoo.all)
-    in
-    let doc =
-      Json.Obj
-        [ ("experiment", Json.String "fusion");
-          ("dtype", Json.String (Tensor.Dtype.to_string dtype));
-          ("models", Json.List (List.rev rows));
-          ( "summary",
-            Json.Obj
-              [ ("fusion_ddr_wins", Json.Int wins);
-                ("models_total", Json.Int (List.length Models.Zoo.all));
-                ("total_ddr_bytes_saved", Json.Int saved) ] ) ]
-    in
-    write_json json_path doc;
-    Printf.printf "wrote %s (fusion wins DDR on %d/%d models, %d bytes saved)\n"
-      json_path wins
-      (List.length Models.Zoo.all)
-      saved
-  in
-  Cmd.v
-    (Cmd.info "fusion"
-       ~doc:
-         "Benchmark LCMM against LCMM plus fused-layer segments and weight \
-          streaming, and against the TGPA-style stream-tile design, across \
-          the model zoo; write per-model latency and DDR traffic to a JSON \
-          report.")
-    Term.(const run $ log_arg $ dtype_arg $ json_arg $ domains_arg)
-
 let bench_cmd =
-  Cmd.group
-    (Cmd.info "bench" ~doc:"Load benchmarks against the serving stack.")
-    [ bench_serve_cmd; bench_chaos_cmd; bench_fusion_cmd ]
+  let names_arg =
+    let doc = "Experiments to run (default: all of them)." in
+    Arg.(value & pos_all string [] & info [] ~docv:"EXP" ~doc)
+  in
+  let json_arg =
+    let doc =
+      "Write the experiment's JSON report to $(docv); needs exactly one \
+       EXP that has one."
+    in
+    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH" ~doc)
+  in
+  let run () names json = Bench.run ~json names in
+  Cmd.v
+    (Cmd.info "bench"
+       ~doc:
+         ("Regenerate the paper's tables and figures and run the extension \
+           benches: "
+         ^ String.concat " " (List.map fst Bench.experiments)))
+    Term.(const run $ log_arg $ names_arg $ json_arg)
 
 let () =
   let info = Cmd.info "lcmm" ~doc:"Layer-conscious memory management for FPGA DNN accelerators" in

@@ -23,12 +23,13 @@ dune runtest
 
 echo "== bench smoke: table1 --json =="
 out=BENCH_table1.json
-dune exec bench/main.exe -- table1 --json "$out" > /dev/null
+dune exec bin/lcmm_cli.exe -- bench table1 --json "$out" > /dev/null
 # The emitted document must parse and carry the expected shape.
 grep -q '"experiment": "table1"' "$out"
 grep -q '"average_speedup"' "$out"
 grep -q '"umm_ms"' "$out"
 grep -q '"lcmm_ms"' "$out"
+golden_diff test/golden/bench_table1.golden.json "$out"
 echo "wrote $out"
 
 echo "== tier-2: differential fuzzing (lcmm check) =="
@@ -38,6 +39,23 @@ mkdir -p _build/check-cases
 dune exec bin/lcmm_cli.exe -- check --seed 7 --count 500 \
   --save-dir _build/check-cases
 
+echo "== bench: --json argument errors are one-line CLI errors =="
+# --json names one output file, so it needs exactly one experiment and
+# that experiment must produce a document; an unknown experiment is an
+# error too.  Each is rejected before anything runs.
+for args in "table1 faults --json _build/bench_reject.json" \
+            "table2 --json _build/bench_reject.json" "bogus"; do
+  status=0
+  _build/default/bin/lcmm_cli.exe bench $args > _build/bench_reject.out \
+    2> _build/bench_reject.err || status=$?
+  [ "$status" -ne 0 ]
+  [ ! -s _build/bench_reject.out ]
+  [ "$(wc -l < _build/bench_reject.err)" -eq 1 ]
+  grep -q '^lcmm: ' _build/bench_reject.err
+done
+[ ! -e _build/bench_reject.json ]
+grep -q 'known: .*fusion' _build/bench_reject.err
+
 echo "== tier-2: multi-tenant runtime smoke =="
 dune exec bin/lcmm_cli.exe -- runtime --tenants alexnet:2,vgg:1 --seed 7 \
   --json BENCH_runtime_smoke.json > /dev/null
@@ -46,7 +64,7 @@ grep -q '"bandwidth_timeline"' BENCH_runtime_smoke.json
 
 echo "== tier-2: multi-tenant benchmark --json =="
 out=BENCH_runtime.json
-dune exec bench/main.exe -- runtime --json "$out" > /dev/null
+dune exec bin/lcmm_cli.exe -- bench runtime --json "$out" > /dev/null
 grep -q '"experiment": "runtime"' "$out"
 grep -q '"edf_makespan_ms"' "$out"
 grep -q '"greedy_makespan_ms"' "$out"
@@ -62,6 +80,7 @@ fi
 awk -F': ' '/"priority_mix_count"/ { p = $2 + 0 }
             /"hp_reduced_count"/ { h = $2 + 0 }
             END { exit (p > 0 && 2 * h >= p) ? 0 : 1 }' "$out"
+golden_diff test/golden/bench_runtime.golden.json "$out"
 echo "wrote $out"
 
 echo "== tier-2: seeded fault-injection smoke =="
@@ -100,15 +119,16 @@ dune exec bin/lcmm_cli.exe -- check --seed 11 --count 120 --oracle degraded \
 
 echo "== tier-2: fault-intensity benchmark --json =="
 out=BENCH_faults.json
-dune exec bench/main.exe -- faults --json "$out" > /dev/null
+dune exec bin/lcmm_cli.exe -- bench faults --json "$out" > /dev/null
 grep -q '"experiment": "faults"' "$out"
 grep -q '"degradation"' "$out"
 grep -q '"evicted_bytes"' "$out"
+golden_diff test/golden/bench_faults.golden.json "$out"
 echo "wrote $out"
 
 echo "== tier-2: planner perf benchmark --json =="
 out=BENCH_perf.json
-dune exec bench/main.exe -- perf --json "$out" > /dev/null
+dune exec bin/lcmm_cli.exe -- bench perf --json "$out" > /dev/null
 grep -q '"experiment": "perf"' "$out"
 grep -q '"icd_speedup_1k"' "$out"
 grep -q '"plans_per_sec"' "$out"
@@ -178,8 +198,7 @@ fi
 
 echo "== tier-2: serve load benchmark --json + p99 SLO gate =="
 out=BENCH_serve.json
-dune exec bin/lcmm_cli.exe -- bench serve --shard-counts 1,2,4 \
-  --rps 100 --duration 1 --sat-steps 3 --json "$out" 2> /dev/null > /dev/null
+dune exec bin/lcmm_cli.exe -- bench serve --json "$out" 2> /dev/null > /dev/null
 grep -q '"experiment": "serve"' "$out"
 grep -q '"p999_ms"' "$out"
 grep -q '"saturation_rps"' "$out"
@@ -252,6 +271,7 @@ grep -q '"experiment": "fusion"' "$out"
 grep -q '"lcmm_fusion"' "$out"
 grep -q '"stream_tile"' "$out"
 awk -F': ' '/"fusion_ddr_wins"/ { exit ($2 + 0 >= 1) ? 0 : 1 }' "$out"
+golden_diff test/golden/bench_fusion.golden.json "$out"
 echo "wrote $out"
 
 echo "== tier-2: chaos off is byte-identical =="

@@ -15,7 +15,6 @@ type options = {
   arbitration : Arbiter.t;
   scheduler : Scheduler.t;
   channels : int;
-  schedule_rounds : int;
   partition : Partition.policy;
   overcommit : float;
   min_grant_bytes : int;
@@ -30,13 +29,14 @@ let default_options =
     arbitration = Arbiter.Fair_share;
     scheduler = Scheduler.Edf;
     channels = 1;
-    schedule_rounds = 3;
     partition = Partition.Equal;
     overcommit = 4.0;
     min_grant_bytes = Admission.default_min_grant;
     fw_options = F.default_options;
     faults = None;
   }
+
+let schedule_rounds = 3
 
 (* One compiled model, shared by every replica of the same zoo name: the
    LCMM design point, the unconstrained plan and its isolated run, and
@@ -396,14 +396,13 @@ let run ?pool options specs =
               (i, grant, plan, iso))
           plans
       in
-      let rounds_bound = max 1 options.schedule_rounds in
       let best = ref None in
       let history = ref [] in
       let converged = ref false in
       let plans = ref admitted in
       let prev_scales = ref (Array.map (fun _ -> 1.) admitted) in
       let round = ref 0 in
-      while !round < rounds_bound && not !converged do
+      while !round < schedule_rounds && not !converged do
         let outcome = search !plans in
         history := outcome.Optimizer.result.Engine.makespan :: !history;
         let improved =
@@ -432,7 +431,7 @@ let run ?pool options specs =
               scales !prev_scales
           then converged := true
           else begin
-            if !round + 1 < rounds_bound then
+            if !round + 1 < schedule_rounds then
               plans := replan_scaled !plans scales;
             prev_scales := scales
           end

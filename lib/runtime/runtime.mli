@@ -33,12 +33,6 @@ type options = {
           {!Lcmm.Channels.assign} (or the plan's own assignment when the
           planner ran at the same width) and each channel carries an
           equal bandwidth stripe. *)
-  schedule_rounds : int;
-      (** Plan/schedule co-iteration bound for the [optimized]
-          scheduler: each round searches a schedule, feeds per-tenant
-          slowdowns back as planner stall scales, and replans; stops
-          early when a round fails to improve or the scales reach a
-          fixpoint.  Ignored by [greedy]/[edf]. *)
   partition : Partition.policy;
   overcommit : float;       (** Admission bandwidth over-subscription. *)
   min_grant_bytes : int;    (** Smallest useful SRAM share. *)
@@ -55,8 +49,14 @@ type options = {
 
 val default_options : options
 (** I16 on the VU9P, fair-share arbitration, EDF scheduling, one
-    channel, 3 schedule rounds, equal partitioning, 4x bandwidth
-    overcommit, one-block minimum grant, no faults. *)
+    channel, equal partitioning, 4x bandwidth overcommit, one-block
+    minimum grant, no faults. *)
+
+val schedule_rounds : int
+(** Plan/schedule co-iteration bound for the [optimized] scheduler (3):
+    each round searches a schedule, feeds per-tenant slowdowns back as
+    planner stall scales, and replans; stops early when a round fails to
+    improve or the scales reach a fixpoint.  Ignored by [greedy]/[edf]. *)
 
 val run : ?pool:Lcmm.Pool.t -> options -> spec list -> Report.t
 (** Admit, partition, compile and co-simulate the tenants.  Specs with

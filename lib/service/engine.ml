@@ -301,7 +301,6 @@ let run_payload (spec : P.run_spec) ~digest specs =
       arbitration = spec.P.arbitration;
       scheduler = spec.P.scheduler;
       channels = spec.P.run_channels;
-      schedule_rounds = Lcmm_runtime.Runtime.default_options.schedule_rounds;
       partition = spec.P.sram_partition;
       overcommit = spec.P.overcommit;
       min_grant_bytes = Lcmm_runtime.Admission.default_min_grant;

@@ -410,7 +410,7 @@ let test_optimized_never_worse () =
         Alcotest.(check bool) (label ^ " rounds within bound") true
           (s.Rt.Report.sched_rounds >= 1
           && s.Rt.Report.sched_rounds
-             <= Rt.Runtime.default_options.Rt.Runtime.schedule_rounds);
+             <= Rt.Runtime.schedule_rounds);
         Alcotest.(check int) (label ^ " history per round")
           s.Rt.Report.sched_rounds
           (List.length s.Rt.Report.sched_history_ms);
