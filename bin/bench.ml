@@ -1463,7 +1463,6 @@ let chaos () =
 let fusion () =
   header "Fusion: LCMM vs LCMM + fused segments / weight streaming (16-bit)";
   let module Fz = Lcmm_fusion.Fusion in
-  let module Seg = Lcmm_fusion.Segmentation in
   let dtype = Tensor.Dtype.I16 in
   let options = { F.default_options with F.fusion = true } in
   let rows, wins, saved =
@@ -1523,12 +1522,7 @@ let fusion () =
                     ("ddr_bytes", Json.Int fusion_ddr);
                     ("ddr_bytes_saved", Json.Int (Fz.ddr_bytes_saved fz));
                     ("segments", Json.Int (List.length fz.Fz.segments));
-                    ( "fused_nodes",
-                      Json.Int
-                        (List.fold_left
-                           (fun a (s : Seg.segment) ->
-                             a + s.Seg.last - s.Seg.first + 1)
-                           0 fz.Fz.segments) );
+                    ("fused_nodes", Json.Int (Fz.fused_nodes fz));
                     ( "streamed_weights",
                       Json.Int (List.length fz.Fz.streamed) );
                     ("fifo_bytes", Json.Int fz.Fz.fifo_bytes);

@@ -42,11 +42,9 @@ let tier_socket_dir () =
    socket file). *)
 let spawn_tier ~shards ~workers ~vnodes ~max_inflight ~cache_entries
     ~cache_mb ~cache_dir ~deadline_ms ~router_cache_entries ~router_cache_mb
-    ~timing ?retries ?retry_backoff_ms ?hedge_ms ?hedge_quantile
-    ?call_timeout_ms ?probe_interval_ms ?chaos ?breaker_threshold ~socket_dir
-    () =
+    ~timing ?retries ?retry_backoff_ms ?hedge_ms ?call_timeout_ms ?chaos
+    ?breaker_threshold ~socket_dir () =
   if shards < 1 then or_die (Error "shards must be >= 1");
-  if workers < 1 then or_die (Error "workers must be >= 1");
   let spawned = ref [] in
   let cleanup () =
     List.iter Lcmm_tier.Shard.stop !spawned;
@@ -85,8 +83,8 @@ let spawn_tier ~shards ~workers ~vnodes ~max_inflight ~cache_entries
   in
   let tier =
     Lcmm_tier.Tier.create ~router_cache_entries ~router_cache_mb ?deadline_ms
-      ~timing ?retries ?retry_backoff_ms ?hedge_ms ?hedge_quantile
-      ?call_timeout_ms ?probe_interval_ms ?chaos ~ring ~shards:shard_list ()
+      ~timing ?retries ?retry_backoff_ms ?hedge_ms ?call_timeout_ms ?chaos
+      ~ring ~shards:shard_list ()
   in
   (tier, cleanup)
 

@@ -225,9 +225,7 @@ let plan_cmd =
         "fusion: %d segments (%d nodes fused), %d streamed weights, FIFO %d \
          bytes@."
         (List.length fz.Fz.segments)
-        (List.fold_left
-           (fun a (s : Seg.segment) -> a + s.Seg.last - s.Seg.first + 1)
-           0 fz.Fz.segments)
+        (Fz.fused_nodes fz)
         (List.length fz.Fz.streamed)
         fz.Fz.fifo_bytes;
       List.iter
@@ -472,6 +470,18 @@ let dot_cmd =
   Cmd.v (Cmd.info "dot" ~doc:"Export the graph as Graphviz")
     Term.(const run $ log_arg $ model_arg $ out_arg)
 
+(* The spec syntax shared by runtime --faults and tier --chaos; a
+   malformed spec is a CLI error (cmdliner exits 124) carrying the
+   parser's clause-and-position diagnosis. *)
+let fault_spec_conv =
+  let parse s =
+    match Fault.Spec.of_string s with
+    | Ok spec -> Ok spec
+    | Error msg -> Error (`Msg msg)
+  in
+  Arg.conv
+    (parse, fun ppf s -> Format.pp_print_string ppf (Fault.Spec.to_string s))
+
 let runtime_cmd =
   let tenants_arg =
     let doc =
@@ -545,8 +555,8 @@ let runtime_cmd =
     Arg.(
       value & opt float 0.
       & info [ "stagger-ms" ]
-          ~doc:"Arrival stagger: tenant $(i) arrives at $(i) times this many \
-                milliseconds.")
+          ~doc:"Arrival stagger: tenant $(i,i) arrives at $(i,i) times this \
+                many milliseconds.")
   in
   let seed_arg =
     Arg.(
@@ -562,28 +572,19 @@ let runtime_cmd =
       & info [ "json" ] ~docv:"PATH" ~doc:"Also write the report as JSON.")
   in
   let faults_arg =
-    let cv =
-      let parse s =
-        match Fault.Spec.of_string s with
-        | Ok spec -> Ok spec
-        | Error msg -> Error (`Msg msg)
-      in
-      Arg.conv
-        (parse, fun ppf s -> Format.pp_print_string ppf (Fault.Spec.to_string s))
-    in
     Arg.(
       value
-      & opt (some cv) None
+      & opt (some fault_spec_conv) None
       & info [ "faults" ] ~docv:"SPEC"
           ~doc:
             "Seeded fault injection, e.g. \
-             $(b,seed=42,droop\\@2:3:0.5,stall:0.05:0.2,fail:0.02,bankloss\\@4:256k). \
-             Clauses: $(b,seed=N), $(b,droop\\@T:DUR:FACTOR) (DDR bandwidth \
+             $(b,seed=42,droop@2:3:0.5,stall:0.05:0.2,fail:0.02,bankloss@4:256k). \
+             Clauses: $(b,seed=N), $(b,droop@T:DUR:FACTOR) (DDR bandwidth \
              droop window, ms), $(b,stall:PROB:MS) (transient transfer \
              stalls), $(b,fail:PROB) (transfer failures, retried with capped \
              exponential backoff), $(b,retries=N), $(b,backoff=BASE:CAP) \
-             (ms), $(b,bankloss\\@T:BYTES[:TENANT]) (SRAM bank loss, \
-             triggering degraded-mode replanning), $(b,abort\\@T:TENANT).  A \
+             (ms), $(b,bankloss@T:BYTES[:TENANT]) (SRAM bank loss, \
+             triggering degraded-mode replanning), $(b,abort@T:TENANT).  A \
              spec with no active fault source reproduces the fault-free run \
              bit for bit.")
   in
@@ -658,9 +659,8 @@ let runtime_cmd =
         entries
     in
     let options =
-      { Lcmm_runtime.Runtime.default_options with
-        dtype; device; arbitration; scheduler; channels; partition;
-        overcommit; faults;
+      { Lcmm_runtime.Runtime.dtype; device; arbitration; scheduler; channels;
+        partition; overcommit; faults;
         fw_options = { Lcmm.Framework.default_options with fusion } }
     in
     let report =
@@ -688,55 +688,70 @@ let runtime_cmd =
       $ overcommit_arg $ stagger_arg $ seed_arg $ json_arg $ faults_arg
       $ fusion_arg $ domains_arg)
 
+(* --- flags shared by serve and tier --- *)
+
+(* A tier shard is one serve process, so the per-process flags below
+   mean the same under both commands: the tier passes them on to every
+   shard it spawns. *)
+
+let socket_arg =
+  let doc =
+    "Listen on a Unix domain socket at $(docv) instead of stdin/stdout."
+  in
+  Arg.(value & opt (some string) None & info [ "s"; "socket" ] ~docv:"PATH" ~doc)
+
+let workers_arg =
+  let doc = "Worker domains compiling plans in parallel, per serve process." in
+  Arg.(value & opt int 2 & info [ "w"; "workers" ] ~doc)
+
+let cache_entries_arg =
+  let doc =
+    "Maximum plan-cache entries per serve process before LRU eviction."
+  in
+  Arg.(value & opt int 256 & info [ "cache-entries" ] ~doc)
+
+let cache_mb_arg =
+  let doc =
+    "Maximum plan-cache payload megabytes per serve process before LRU \
+     eviction."
+  in
+  Arg.(value & opt int 64 & info [ "cache-mb" ] ~doc)
+
+let no_timing_arg =
+  let doc =
+    "Canonical responses: omit the cache and elapsed_ms fields, making each \
+     response a pure function of its request (a tier answers byte for byte \
+     what a single serve process answers)."
+  in
+  Arg.(value & flag & info [ "no-timing" ] ~doc)
+
+let deadline_arg =
+  let doc =
+    "Default per-request compute budget in milliseconds for requests that \
+     carry no deadline_ms field of their own; a request that runs past it \
+     answers with a structured deadline error instead of stalling its \
+     connection."
+  in
+  Arg.(value & opt (some float) None & info [ "deadline-ms" ] ~docv:"MS" ~doc)
+
+let check_service_args ~workers ~cache_entries ~cache_mb ~deadline_ms =
+  if workers < 1 then or_die (Error "workers must be >= 1");
+  if cache_entries < 1 then or_die (Error "cache-entries must be >= 1");
+  if cache_mb < 1 then or_die (Error "cache-mb must be >= 1");
+  match deadline_ms with
+  | Some ms when ms <= 0. -> or_die (Error "deadline-ms must be positive")
+  | _ -> ()
+
 let serve_cmd =
-  let socket_arg =
-    let doc =
-      "Listen on a Unix domain socket at $(docv) instead of stdin/stdout."
-    in
-    Arg.(value & opt (some string) None & info [ "s"; "socket" ] ~docv:"PATH" ~doc)
-  in
-  let workers_arg =
-    let doc = "Worker domains compiling plans in parallel." in
-    Arg.(value & opt int 2 & info [ "w"; "workers" ] ~doc)
-  in
-  let cache_entries_arg =
-    let doc = "Maximum plan-cache entries before LRU eviction." in
-    Arg.(value & opt int 256 & info [ "cache-entries" ] ~doc)
-  in
-  let cache_mb_arg =
-    let doc = "Maximum plan-cache payload megabytes before LRU eviction." in
-    Arg.(value & opt int 64 & info [ "cache-mb" ] ~doc)
-  in
   let cache_dir_arg =
     let doc =
       "Persist cached plans to $(docv) as JSON and rewarm from it on restart."
     in
     Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
   in
-  let no_timing_arg =
-    let doc =
-      "Canonical responses: omit the cache and elapsed_ms fields, making each \
-       response a pure function of its request (reproducible transcripts)."
-    in
-    Arg.(value & flag & info [ "no-timing" ] ~doc)
-  in
-  let deadline_arg =
-    let doc =
-      "Default per-request compute budget in milliseconds; a request that \
-       runs past it answers with a structured deadline error instead of \
-       stalling its connection.  Requests may override with their own \
-       deadline_ms field."
-    in
-    Arg.(value & opt (some float) None & info [ "deadline-ms" ] ~docv:"MS" ~doc)
-  in
   let run () socket workers cache_entries cache_mb cache_dir no_timing
       deadline_ms =
-    if workers < 1 then or_die (Error "workers must be >= 1");
-    if cache_entries < 1 then or_die (Error "cache-entries must be >= 1");
-    if cache_mb < 1 then or_die (Error "cache-mb must be >= 1");
-    (match deadline_ms with
-    | Some ms when ms <= 0. -> or_die (Error "deadline-ms must be positive")
-    | _ -> ());
+    check_service_args ~workers ~cache_entries ~cache_mb ~deadline_ms;
     let cache =
       Lcmm_service.Plan_cache.create ~max_entries:cache_entries
         ~max_bytes:(cache_mb * 1024 * 1024) ?persist_dir:cache_dir ()
@@ -846,22 +861,10 @@ let check_cmd =
 
 (* --- sharded tier --- *)
 
-(* The --chaos / --faults spec syntax shared by the tier and the chaos
-   bench; a malformed spec is a CLI error (cmdliner exits 124) carrying
-   the parser's clause-and-position diagnosis. *)
-let fault_spec_conv =
-  let parse s =
-    match Fault.Spec.of_string s with
-    | Ok spec -> Ok spec
-    | Error msg -> Error (`Msg msg)
-  in
-  Arg.conv
-    (parse, fun ppf s -> Format.pp_print_string ppf (Fault.Spec.to_string s))
-
 let chaos_arg =
   let doc =
     "Seeded transport-fault injection on the router->shard path, e.g. \
-     $(b,seed=42,delay:0.1:40,hang:0.02,trunc:0.02,corrupt:0.02,reset:0.05,slowshard\\@0:3).  \
+     $(b,seed=42,delay:0.1:40,hang:0.02,trunc:0.02,corrupt:0.02,reset:0.05,slowshard@0:3).  \
      A spec with no transport clauses (or no --chaos at all) leaves the \
      tier's output byte-identical to a fault-free run."
   in
@@ -888,13 +891,6 @@ let hedge_ms_arg =
   in
   Arg.(value & opt (some float) None & info [ "hedge-ms" ] ~docv:"MS" ~doc)
 
-let hedge_quantile_arg =
-  let doc =
-    "Adaptive hedging: hedge once the primary exceeds this quantile (in \
-     (0,1), e.g. 0.95) of observed compute-call latency."
-  in
-  Arg.(value & opt (some float) None & info [ "hedge-quantile" ] ~docv:"Q" ~doc)
-
 let call_timeout_arg =
   let doc =
     "Per-call reply timeout in milliseconds on every shard connection; a \
@@ -903,22 +899,9 @@ let call_timeout_arg =
   in
   Arg.(value & opt (some float) None & info [ "call-timeout-ms" ] ~docv:"MS" ~doc)
 
-let probe_interval_arg =
-  let doc =
-    "Background health-probe interval in milliseconds: every non-up shard \
-     gets a stats roundtrip that can close its breaker without waiting for \
-     live traffic."
-  in
-  Arg.(
-    value & opt (some float) None & info [ "probe-interval-ms" ] ~docv:"MS" ~doc)
-
 let shards_arg =
   let doc = "Number of backend shard processes." in
   Arg.(value & opt int 2 & info [ "shards" ] ~doc)
-
-let tier_workers_arg =
-  let doc = "Worker domains per shard." in
-  Arg.(value & opt int 2 & info [ "w"; "workers" ] ~doc)
 
 let vnodes_arg =
   let doc = "Virtual nodes per shard on the hash ring." in
@@ -932,24 +915,9 @@ let max_inflight_arg =
   Arg.(value & opt int 64 & info [ "max-inflight" ] ~doc)
 
 let tier_cmd =
-  let socket_arg =
-    let doc =
-      "Serve the tier's front on a Unix domain socket at $(docv) instead of \
-       stdin/stdout."
-    in
-    Arg.(value & opt (some string) None & info [ "s"; "socket" ] ~docv:"PATH" ~doc)
-  in
-  let cache_entries_arg =
-    let doc = "Maximum plan-cache entries per shard." in
-    Arg.(value & opt int 256 & info [ "cache-entries" ] ~doc)
-  in
-  let cache_mb_arg =
-    let doc = "Maximum plan-cache payload megabytes per shard." in
-    Arg.(value & opt int 64 & info [ "cache-mb" ] ~doc)
-  in
   let cache_dir_arg =
     let doc =
-      "Root of the shards' disk caches: shard $(i)i gets $(docv)/shard-$(i)i."
+      "Root of the shards' disk caches: shard $(i,i) gets $(docv)/shard-$(i,i)."
     in
     Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
   in
@@ -961,33 +929,15 @@ let tier_cmd =
     let doc = "Maximum router front-cache megabytes." in
     Arg.(value & opt int 64 & info [ "router-cache-mb" ] ~doc)
   in
-  let no_timing_arg =
-    let doc =
-      "Canonical responses: omit the cache and elapsed_ms fields (byte-exact \
-       with a single-process serve answering the same requests)."
-    in
-    Arg.(value & flag & info [ "no-timing" ] ~doc)
-  in
-  let deadline_arg =
-    let doc =
-      "Default per-request compute budget in milliseconds, injected into \
-       forwarded requests that carry none of their own."
-    in
-    Arg.(value & opt (some float) None & info [ "deadline-ms" ] ~docv:"MS" ~doc)
-  in
   let socket_dir_arg =
     let doc = "Directory for the shard sockets (default: a fresh temp dir)." in
     Arg.(value & opt (some string) None & info [ "socket-dir" ] ~docv:"DIR" ~doc)
   in
   let run () shards workers vnodes max_inflight socket cache_entries cache_mb
       cache_dir router_cache_entries router_cache_mb no_timing deadline_ms
-      socket_dir chaos_spec retries retry_backoff_ms hedge_ms hedge_quantile
-      call_timeout_ms probe_interval_ms drain_timeout_s =
-    if cache_entries < 1 then or_die (Error "cache-entries must be >= 1");
-    if cache_mb < 1 then or_die (Error "cache-mb must be >= 1");
-    (match deadline_ms with
-    | Some ms when ms <= 0. -> or_die (Error "deadline-ms must be positive")
-    | _ -> ());
+      socket_dir chaos_spec retries retry_backoff_ms hedge_ms call_timeout_ms
+      drain_timeout_s =
+    check_service_args ~workers ~cache_entries ~cache_mb ~deadline_ms;
     if retries < 0 then or_die (Error "retries must be >= 0");
     if drain_timeout_s <= 0. then
       or_die (Error "drain-timeout-s must be positive");
@@ -1010,8 +960,7 @@ let tier_cmd =
       spawn_tier ~shards ~workers ~vnodes ~max_inflight ~cache_entries
         ~cache_mb ~cache_dir ~deadline_ms ~router_cache_entries
         ~router_cache_mb ~timing:(not no_timing) ~retries ~retry_backoff_ms
-        ?hedge_ms ?hedge_quantile ?call_timeout_ms ?probe_interval_ms ?chaos
-        ~socket_dir ()
+        ?hedge_ms ?call_timeout_ms ?chaos ~socket_dir ()
     in
     (* The shard processes and socket files must die with the tier —
        on EOF, on an uncaught error, and on SIGTERM/SIGINT (exit runs
@@ -1079,15 +1028,14 @@ let tier_cmd =
           over N supervised serve processes, with a router-side LRU, \
           shard-local disk caches, peer cache fill between shards, per-shard \
           circuit breakers, overload shedding, retries, hedging, deadline \
-          propagation, health probes, graceful SIGTERM drain and seeded \
-          chaos injection.")
+          propagation, graceful SIGTERM drain and seeded chaos injection.")
     Term.(
-      const run $ log_arg $ shards_arg $ tier_workers_arg $ vnodes_arg
+      const run $ log_arg $ shards_arg $ workers_arg $ vnodes_arg
       $ max_inflight_arg $ socket_arg $ cache_entries_arg $ cache_mb_arg
       $ cache_dir_arg $ router_cache_entries_arg $ router_cache_mb_arg
       $ no_timing_arg $ deadline_arg $ socket_dir_arg $ chaos_arg
-      $ retries_arg $ retry_backoff_arg $ hedge_ms_arg $ hedge_quantile_arg
-      $ call_timeout_arg $ probe_interval_arg $ drain_timeout_arg)
+      $ retries_arg $ retry_backoff_arg $ hedge_ms_arg $ call_timeout_arg
+      $ drain_timeout_arg)
 
 let bench_cmd =
   let names_arg =

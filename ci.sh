@@ -274,6 +274,17 @@ awk -F': ' '/"fusion_ddr_wins"/ { exit ($2 + 0 >= 1) ? 0 : 1 }' "$out"
 golden_diff test/golden/bench_fusion.golden.json "$out"
 echo "wrote $out"
 
+echo "== tier-2: runtime fusion path vs committed golden (1 and 2 domains) =="
+# `lcmm runtime --fusion` is the only caller of the runtime's fusion
+# hook: its report is pinned byte for byte at one and two planner
+# domains.
+for d in 1 2; do
+  dune exec bin/lcmm_cli.exe -- runtime --tenants alexnet:2,squeezenet:1 \
+    --fusion --domains "$d" --json _build/runtime_fusion_d$d.json > /dev/null
+  golden_diff test/golden/runtime_fusion.golden.json \
+    _build/runtime_fusion_d$d.json
+done
+
 echo "== tier-2: chaos off is byte-identical =="
 # The whole resilience layer (retries, hedging, call timeouts, checksum
 # validation) plus a quiet chaos spec (seed only, no transport clauses)

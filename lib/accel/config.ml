@@ -20,8 +20,8 @@ let default_freq dtype style =
   | Tensor.Dtype.F32, Lcmm -> 160.
 
 let make ?(device = Fpga.Device.vu9p) ?(ddr_efficiency = 0.70)
-    ?(burst_overhead = 2e-7) ?(aux_ops_per_cycle = 256) ?(dsp_fraction = 0.83)
-    ?tile ?freq_mhz ?(fused_eltwise = false) ~style dtype =
+    ?(burst_overhead = 2e-7) ?(dsp_fraction = 0.83) ?tile ?freq_mhz
+    ?(fused_eltwise = false) ~style dtype =
   let pe = Pe_array.default_for device dtype ~dsp_fraction in
   let tile =
     match tile with
@@ -32,7 +32,7 @@ let make ?(device = Fpga.Device.vu9p) ?(ddr_efficiency = 0.70)
     match freq_mhz with Some f -> f | None -> default_freq dtype style
   in
   { device; dtype; pe; tile; freq_mhz; ddr_efficiency; burst_overhead;
-    aux_ops_per_cycle; fused_eltwise }
+    aux_ops_per_cycle = 256; fused_eltwise }
 
 let interface_bandwidth c =
   Fpga.Device.interface_bandwidth c.device *. c.ddr_efficiency

@@ -38,11 +38,12 @@ val default_freq : Tensor.Dtype.t -> style -> float
 
 val make :
   ?device:Fpga.Device.t -> ?ddr_efficiency:float -> ?burst_overhead:float ->
-  ?aux_ops_per_cycle:int -> ?dsp_fraction:float -> ?tile:Tiling.t ->
-  ?freq_mhz:float -> ?fused_eltwise:bool -> style:style -> Tensor.Dtype.t -> t
+  ?dsp_fraction:float -> ?tile:Tiling.t -> ?freq_mhz:float ->
+  ?fused_eltwise:bool -> style:style -> Tensor.Dtype.t -> t
 (** Build a design point with the defaults used throughout the
     reproduction: VU9P, 83 % DSP budget, the default PE array for the
-    precision, a 32x64x28x28 tile and the table frequency. *)
+    precision, a 32x64x28x28 tile, the table frequency and 256 auxiliary
+    ops per cycle. *)
 
 val interface_bandwidth : t -> float
 (** Effective bytes/s of each of the three DDR interfaces. *)

@@ -41,7 +41,6 @@ type ctx = {
   pdg : Prefetch.t option;
   vbufs : Vbuffer.t list;
   capacity_bytes : int;
-  exact_node_budget : int;
   umm_total : float;
   (* The allocator runs are shared across oracles but only forced by the
      ones that need them. *)
@@ -59,8 +58,10 @@ let never_share a b = is_weight_item a <> is_weight_item b
 let fresh_interference ctx =
   Interference.build ~never_share ~items:ctx.items ~intervals:ctx.intervals ()
 
-let make_ctx ?(dtype = Tensor.Dtype.I16) ?(capacity_fraction = 0.5)
-    ?(exact_node_budget = 30_000) g =
+(* Search-node bound of the exact solver. *)
+let exact_node_budget = 30_000
+
+let make_ctx ?(dtype = Tensor.Dtype.I16) ?(capacity_fraction = 0.5) g =
   let config = Accel.Config.make ~style:Accel.Config.Lcmm dtype in
   let profiles = Latency.profile_graph config g in
   let metric = Metric.build g profiles in
@@ -119,7 +120,6 @@ let make_ctx ?(dtype = Tensor.Dtype.I16) ?(capacity_fraction = 0.5)
     pdg;
     vbufs;
     capacity_bytes;
-    exact_node_budget;
     umm_total = Latency.umm_total profiles;
     dnnk_table;
     dnnk_iterative;

@@ -13,7 +13,6 @@ type ctx
 val make_ctx :
   ?dtype:Tensor.Dtype.t ->
   ?capacity_fraction:float ->
-  ?exact_node_budget:int ->
   Dnn_graph.Graph.t ->
   ctx
 (** Build the shared context: profiles, metric tables, eligible items,

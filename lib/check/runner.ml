@@ -48,13 +48,12 @@ let oracle_message (o : Oracle.t) ~dtype ~capacity_fraction g =
   | exception e -> "raised " ^ Printexc.to_string e
 
 let run ?(oracles = Oracle.all) ?save_dir ?(max_nodes = default_max_nodes)
-    ?(progress = fun _ -> ()) ~seed ~count () =
+    ~seed ~count () =
   if count < 0 then invalid_arg "Runner.run: negative count";
   if max_nodes < 1 then invalid_arg "Runner.run: max_nodes < 1";
   Option.iter ensure_dir save_dir;
   let failures = ref [] in
   for index = 0 to count - 1 do
-    progress index;
     let st = Random.State.make [| seed; index; 0x1c44 |] in
     let family = List.nth Gen.families (Random.State.int st (List.length Gen.families)) in
     let nodes = 1 + Random.State.int st max_nodes in

@@ -30,7 +30,6 @@ val run :
   ?oracles:Oracle.t list ->
   ?save_dir:string ->
   ?max_nodes:int ->
-  ?progress:(int -> unit) ->
   seed:int ->
   count:int ->
   unit ->
@@ -39,8 +38,7 @@ val run :
     each graph; the per-case precision and capacity pressure are drawn
     from the case RNG.  With [save_dir], each (shrunk) failure is
     written there as [case-<seed>-<index>-<oracle>.json]; the directory
-    is created when missing.  [progress] is called with the case index
-    before each case. *)
+    is created when missing. *)
 
 val replay :
   ?oracles:Oracle.t list -> path:string -> unit -> (outcome, string) result

@@ -14,14 +14,13 @@ let block_items metric ~block =
          | Metric.Feature_value v -> in_block v
          | Metric.Weight_of n | Metric.Weight_slice { node = n; _ } -> in_block n)
 
-let sweep ?(progress = fun _ -> ()) metric ~dtype ~total_macs ~blocks =
+let sweep metric ~dtype ~total_macs ~blocks =
   let n = List.length blocks in
   if n > 20 then invalid_arg "Design_space.sweep: too many blocks";
   let arr = Array.of_list blocks in
   let total = 1 lsl n in
   let points = ref [] in
   for mask = 0 to total - 1 do
-    progress mask;
     let items = ref [] in
     for i = 0 to n - 1 do
       if mask land (1 lsl i) <> 0 then items := snd arr.(i) @ !items

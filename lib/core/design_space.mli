@@ -21,8 +21,8 @@ val block_items :
 (** Pinnable items whose producing node carries the given block tag. *)
 
 val sweep :
-  ?progress:(int -> unit) -> Metric.t -> dtype:Tensor.Dtype.t ->
-  total_macs:int -> blocks:(string * Metric.item list) list -> point list
+  Metric.t -> dtype:Tensor.Dtype.t -> total_macs:int ->
+  blocks:(string * Metric.item list) list -> point list
 (** Evaluate every subset of the given blocks (2^n points — keep n small,
     the paper's case is 14).  Raises [Invalid_argument] beyond 20
     blocks. *)

@@ -338,8 +338,11 @@ let chunks k xs =
     split [] xs
   end
 
-let allocate ?(compensation = Table_approx) ?(rounds = 4) ?workspace:ws ?pool
-    metric ~capacity_bytes vbufs =
+(* Bound on {!Exact_iterative} refinement rounds. *)
+let rounds = 4
+
+let allocate ?(compensation = Table_approx) ?workspace:ws ?pool metric
+    ~capacity_bytes vbufs =
   if capacity_bytes < 0 then invalid_arg "Dnnk.allocate: negative capacity";
   let ws = match ws with Some ws -> ws | None -> workspace () in
   let capacity = capacity_bytes / block_bytes in

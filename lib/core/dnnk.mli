@@ -56,10 +56,10 @@ val blocks_of_bytes : int -> int
 (** Size in whole blocks, rounding up. *)
 
 val allocate :
-  ?compensation:compensation -> ?rounds:int -> ?workspace:workspace ->
-  ?pool:Pool.t -> Metric.t -> capacity_bytes:int -> Vbuffer.t list -> result
-(** Run the allocator.  [rounds] (default 4) bounds {!Exact_iterative}
-    refinement.  [workspace] (fresh by default) carries memos and DP
+  ?compensation:compensation -> ?workspace:workspace -> ?pool:Pool.t ->
+  Metric.t -> capacity_bytes:int -> Vbuffer.t list -> result
+(** Run the allocator.  {!Exact_iterative} refinement runs at most 4
+    rounds.  [workspace] (fresh by default) carries memos and DP
     arrays across repeated calls against the same metric; reusing one
     warm-starts unchanged compensation rows.  [pool] parallelizes the
     per-row constant analysis across domains (the result is

@@ -27,21 +27,19 @@ let tile_for ~umm_tile ~lcmm_tile = function
   | Accel.Config.Umm -> umm_tile
   | Accel.Config.Lcmm -> lcmm_tile
 
-let ddr_efficiency_sweep ?(values = [ 0.4; 0.5; 0.6; 0.7; 0.8; 0.9; 1.0 ])
-    ?umm_tile ?lcmm_tile dtype g =
+let ddr_efficiency_sweep ?umm_tile ?lcmm_tile dtype g =
   let make_config style value =
     Accel.Config.make ?tile:(tile_for ~umm_tile ~lcmm_tile style)
       ~ddr_efficiency:value ~style dtype
   in
-  sweep ~make_config g values
+  sweep ~make_config g [ 0.4; 0.5; 0.6; 0.7; 0.8; 0.9; 1.0 ]
 
-let burst_overhead_sweep ?(values = [ 0.; 1e-7; 2e-7; 4e-7; 7e-7; 1e-6 ])
-    ?umm_tile ?lcmm_tile dtype g =
+let burst_overhead_sweep ?umm_tile ?lcmm_tile dtype g =
   let make_config style value =
     Accel.Config.make ?tile:(tile_for ~umm_tile ~lcmm_tile style)
       ~burst_overhead:value ~style dtype
   in
-  sweep ~make_config g values
+  sweep ~make_config g [ 0.; 1e-7; 2e-7; 4e-7; 7e-7; 1e-6 ]
 
 let pp_points ppf label points =
   Format.fprintf ppf "%12s %10s %10s %8s@." label "UMM ms" "LCMM ms" "speedup";

@@ -15,18 +15,18 @@ type point = {
 }
 
 val ddr_efficiency_sweep :
-  ?values:float list -> ?umm_tile:Accel.Tiling.t -> ?lcmm_tile:Accel.Tiling.t ->
-  Tensor.Dtype.t -> Dnn_graph.Graph.t -> point list
-(** Sweep achieved/theoretical DDR bandwidth (default 0.4..1.0).  Lower
-    efficiency means a more memory-bound baseline and a larger LCMM win.
-    Tile shapes can be pinned per style (pass the DSE winners) so the
-    sweep isolates the memory system from re-tiling effects; the default
-    tile is used otherwise. *)
+  ?umm_tile:Accel.Tiling.t -> ?lcmm_tile:Accel.Tiling.t -> Tensor.Dtype.t ->
+  Dnn_graph.Graph.t -> point list
+(** Sweep achieved/theoretical DDR bandwidth over 0.4..1.0 in steps of
+    0.1.  Lower efficiency means a more memory-bound baseline and a
+    larger LCMM win.  Tile shapes can be pinned per style (pass the DSE
+    winners) so the sweep isolates the memory system from re-tiling
+    effects; the default tile is used otherwise. *)
 
 val burst_overhead_sweep :
-  ?values:float list -> ?umm_tile:Accel.Tiling.t -> ?lcmm_tile:Accel.Tiling.t ->
-  Tensor.Dtype.t -> Dnn_graph.Graph.t -> point list
-(** Sweep per-transaction overhead in seconds (default 0..1 µs). *)
+  ?umm_tile:Accel.Tiling.t -> ?lcmm_tile:Accel.Tiling.t -> Tensor.Dtype.t ->
+  Dnn_graph.Graph.t -> point list
+(** Sweep per-transaction overhead in seconds over 0..1 µs. *)
 
 val pp_points : Format.formatter -> string -> point list -> unit
 (** Aligned table with the given knob label. *)

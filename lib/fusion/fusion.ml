@@ -9,19 +9,15 @@ let log_src = Logs.Src.create "lcmm.fusion" ~doc:"Fused segments and streaming"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type options = {
-  max_segment : int;
-  fifo_blocks : int;
-  streaming : bool;
-  fusing : bool;
-}
+(* Longest fuse group the segmentation search considers. *)
+let max_segment = 8
 
-let default_options =
-  { max_segment = 8; fifo_blocks = 4; streaming = true; fusing = true }
+(* Streaming FIFO footprint in {!Dnnk.block_bytes} blocks (128 KiB),
+   charged once when any weight streams. *)
+let fifo_blocks = 4
 
 type t = {
   base : F.plan;
-  options : options;
   segments : Segmentation.segment list;
   streamed : int list;
   fifo_bytes : int;
@@ -39,9 +35,14 @@ let active t = t.segments <> [] || t.streamed <> []
 let ddr_bytes_saved t =
   Traffic.total_bytes t.base_traffic - Traffic.total_bytes t.traffic
 
-let inert ?(segmentation_us = 0.) options (base : F.plan) base_traffic =
+let fused_nodes t =
+  List.fold_left
+    (fun a (s : Segmentation.segment) ->
+      a + s.Segmentation.last - s.Segmentation.first + 1)
+    0 t.segments
+
+let inert ?(segmentation_us = 0.) (base : F.plan) base_traffic =
   { base;
-    options;
     segments = [];
     streamed = [];
     fifo_bytes = 0;
@@ -53,10 +54,10 @@ let inert ?(segmentation_us = 0.) options (base : F.plan) base_traffic =
     peak_sram_bytes = base.F.tensor_sram_bytes;
     segmentation_us }
 
-let apply ?(options = default_options) ?pool (base : F.plan) =
+let apply ?pool (base : F.plan) =
   let on_chip = base.F.allocation.Dnnk.on_chip in
   let base_traffic = Traffic.of_allocation base.F.metric ~on_chip in
-  if not base.F.options.F.fusion then inert options base base_traffic
+  if not base.F.options.F.fusion then inert base base_traffic
   else begin
     let t0 = Unix.gettimeofday () in
     let metric = base.F.metric in
@@ -78,24 +79,21 @@ let apply ?(options = default_options) ?pool (base : F.plan) =
        beside the plan's resident tensors. *)
     let is_streamed = Array.make n false in
     let streamed, fifo_bytes =
-      if not options.streaming then ([], 0)
+      let cands = ref [] in
+      for i = n - 1 downto 0 do
+        let p = profiles.(i) in
+        if
+          metric.Metric.slices.(i) = 1
+          && p.Latency.wt_term > 0.
+          && p.Latency.wt_load_once < p.Latency.wt_term
+          && not (Metric.Item_set.mem (Metric.Weight_of i) on_chip)
+        then cands := i :: !cands
+      done;
+      let fifo = fifo_blocks * Dnnk.block_bytes in
+      if !cands = [] || used + fifo > capacity_bytes then ([], 0)
       else begin
-        let cands = ref [] in
-        for i = n - 1 downto 0 do
-          let p = profiles.(i) in
-          if
-            metric.Metric.slices.(i) = 1
-            && p.Latency.wt_term > 0.
-            && p.Latency.wt_load_once < p.Latency.wt_term
-            && not (Metric.Item_set.mem (Metric.Weight_of i) on_chip)
-          then cands := i :: !cands
-        done;
-        let fifo = options.fifo_blocks * Dnnk.block_bytes in
-        if !cands = [] || used + fifo > capacity_bytes then ([], 0)
-        else begin
-          List.iter (fun i -> is_streamed.(i) <- true) !cands;
-          (!cands, fifo)
-        end
+        List.iter (fun i -> is_streamed.(i) <- true) !cands;
+        (!cands, fifo)
       end
     in
     (* --- segmentation ---------------------------------------------------
@@ -107,12 +105,10 @@ let apply ?(options = default_options) ?pool (base : F.plan) =
       else Sim.Fused.effective_metric ~streamed:(fun i -> is_streamed.(i)) metric
     in
     let seg =
-      if not options.fusing then Segmentation.empty
-      else
-        Segmentation.search ?pool ~max_segment:options.max_segment
-          ~headroom_bytes:(capacity_bytes - used - fifo_bytes)
-          ~tile_th:base.F.config.Config.tile.Accel.Tiling.th
-          ~dtype:base.F.config.Config.dtype streamed_metric ~on_chip
+      Segmentation.search ?pool ~max_segment
+        ~headroom_bytes:(capacity_bytes - used - fifo_bytes)
+        ~tile_th:base.F.config.Config.tile.Accel.Tiling.th
+        ~dtype:base.F.config.Config.dtype streamed_metric ~on_chip
     in
     let segments = seg.Segmentation.segments in
     (* --- exact re-evaluation -------------------------------------------- *)
@@ -150,7 +146,7 @@ let apply ?(options = default_options) ?pool (base : F.plan) =
        the two ever drift — in which case no decision beats a wrong
        one. *)
     if fused_latency > base.F.predicted_latency +. 1e-15 then
-      inert ~segmentation_us options base base_traffic
+      inert ~segmentation_us base base_traffic
     else begin
       let traffic = Traffic.of_allocation eff_metric ~on_chip:eff_on_chip in
       let widest =
@@ -170,7 +166,6 @@ let apply ?(options = default_options) ?pool (base : F.plan) =
                (Traffic.total_bytes base_traffic - Traffic.total_bytes traffic)
             /. 1e6));
       { base;
-        options;
         segments;
         streamed;
         fifo_bytes;

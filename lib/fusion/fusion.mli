@@ -20,20 +20,8 @@
     fusion-off planning is byte-identical to a build without this
     library.  Decisions are deterministic at any [?pool] size. *)
 
-type options = {
-  max_segment : int;  (** Longest fuse group considered (default 8). *)
-  fifo_blocks : int;
-      (** Streaming FIFO footprint in {!Lcmm.Dnnk.block_bytes} blocks,
-          charged once when any weight streams (default 4 = 128 KiB). *)
-  streaming : bool;   (** Consider the stream residency (default on). *)
-  fusing : bool;      (** Run the segmentation search (default on). *)
-}
-
-val default_options : options
-
 type t = {
   base : Lcmm.Framework.plan;
-  options : options;
   segments : Segmentation.segment list;
   streamed : int list;  (** Node ids whose spilled weight streams. *)
   fifo_bytes : int;     (** 0 when nothing streams. *)
@@ -50,8 +38,10 @@ type t = {
   segmentation_us : float;
 }
 
-val apply : ?options:options -> ?pool:Lcmm.Pool.t -> Lcmm.Framework.plan -> t
-(** Run the pass.  Inert unless [base.options.fusion]; never returns a
+val apply : ?pool:Lcmm.Pool.t -> Lcmm.Framework.plan -> t
+(** Run the pass: fuse groups of up to 8 nodes, and a streaming FIFO of
+    4 {!Lcmm.Dnnk.block_bytes} blocks (128 KiB) when it fits beside the
+    resident tensors.  Inert unless [base.options.fusion]; never returns a
     plan slower than the base (a safety net drops every decision if the
     exact re-evaluation ever disagreed with the search's pricing).
     Records its wall clock as [segmentation_us] in
@@ -71,6 +61,9 @@ val fingerprint : t -> string
     fusion decision (segments with members/scales/slabs, streamed ids,
     FIFO bytes, fused latency and traffic at full float precision) —
     the parallel-determinism property digests this. *)
+
+val fused_nodes : t -> int
+(** Nodes covered by the fused segments. *)
 
 val ddr_bytes_saved : t -> int
 (** Base minus fused total DDR bytes per inference; >= 0. *)

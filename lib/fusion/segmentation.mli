@@ -45,8 +45,6 @@ type result = {
   evaluated : int;          (** Legal candidate segments costed. *)
 }
 
-val empty : result
-
 val search :
   ?pool:Lcmm.Pool.t ->
   max_segment:int ->

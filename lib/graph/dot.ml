@@ -2,9 +2,9 @@ let escape s =
   String.concat "" (List.map (function '"' -> "\\\"" | c -> String.make 1 c)
                       (List.init (String.length s) (String.get s)))
 
-let to_dot ?(graph_name = "dnn") g =
+let to_dot g =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Printf.sprintf "digraph %s {\n  rankdir=TB;\n" graph_name);
+  Buffer.add_string buf "digraph dnn {\n  rankdir=TB;\n";
   let emit_node nd =
     let shape = Graph.output_shape g nd.Graph.id in
     Buffer.add_string buf
@@ -31,8 +31,8 @@ let to_dot ?(graph_name = "dnn") g =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let write_file ?graph_name ~path g =
+let write_file ~path g =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_dot ?graph_name g))
+    (fun () -> output_string oc (to_dot g))

@@ -2,8 +2,8 @@
     debugging.  Nodes are labelled with operator mnemonic and output
     shape; block tags become subgraph clusters. *)
 
-val to_dot : ?graph_name:string -> Graph.t -> string
-(** Render the graph as a Graphviz [digraph] document. *)
+val to_dot : Graph.t -> string
+(** Render the graph as a Graphviz [digraph dnn] document. *)
 
-val write_file : ?graph_name:string -> path:string -> Graph.t -> unit
+val write_file : path:string -> Graph.t -> unit
 (** Write {!to_dot} output to [path]. *)

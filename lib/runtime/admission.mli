@@ -28,10 +28,6 @@ type decision =
   | Queued of { reason : string }
   | Rejected of { reason : string }
 
-val default_min_grant : int
-(** One DNNK allocation block — below this a partition cannot hold any
-    pinned tensor at all. *)
-
 val decide :
   ?min_grant_bytes:int ->
   partition:Partition.policy ->
@@ -42,5 +38,7 @@ val decide :
   decision array
 (** Decisions index-aligned with the demands (which must be in priority
     order, highest first).  Admitted grants always sum to at most
-    [budget_bytes].  Raises [Invalid_argument] when [overcommit <= 0] or
+    [budget_bytes].  [min_grant_bytes] defaults to one DNNK allocation
+    block — below it a partition cannot hold any pinned tensor at all.
+    Raises [Invalid_argument] when [overcommit <= 0] or
     [min_grant_bytes < 0]. *)

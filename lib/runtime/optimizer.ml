@@ -111,7 +111,9 @@ type beam_state = {
   order : (int * int * int) list;  (* reversed (owner, target, kind) *)
 }
 
-let beam_orders ~beam_width ~channels ~channel_of
+let beam_width = 4
+
+let beam_orders ~channels ~channel_of
     (profiles : transfer array array) =
   let tcount = Array.length profiles in
   let total = Array.fold_left (fun a p -> a + Array.length p) 0 profiles in
@@ -192,7 +194,7 @@ let rank_of_order order =
     | Some r -> r
     | None -> infinity
 
-let search ?pool ?(beam_width = 4) ?(hp_first = false) ~arbitration ~channels
+let search ?pool ?(hp_first = false) ~arbitration ~channels
     ?assign ?(make_faults = fun () -> None) ~isos
     (inputs : Engine.tenant_input array) =
   let channels = max 1 channels in
@@ -207,7 +209,7 @@ let search ?pool ?(beam_width = 4) ?(hp_first = false) ~arbitration ~channels
   (* Candidate orders: beam results plus deterministic heuristics.
      Deduped by order so identical proposals evaluate once. *)
   let orders =
-    beam_orders ~beam_width ~channels ~channel_of profiles
+    beam_orders ~channels ~channel_of profiles
     @ [ (* High-priority tenants drain first; EDF inside a class.  The
            candidate that targets contended-mix slowdown directly. *)
         sorted_order

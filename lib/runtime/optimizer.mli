@@ -24,7 +24,6 @@ type outcome = {
 
 val search :
   ?pool:Lcmm.Pool.t ->
-  ?beam_width:int ->
   ?hp_first:bool ->
   arbitration:Arbiter.t ->
   channels:int ->
@@ -38,7 +37,7 @@ val search :
     the static release/deadline estimates and the slowdown denominator.
     [make_faults] is called once per candidate evaluation so each gets a
     fresh injector (fault decisions are seed+key pure, so candidates
-    see identical fault schedules).  [beam_width] defaults to 4.
+    see identical fault schedules).  The beam search keeps 4 states.
 
     Only candidates whose makespan is at or below [min(greedy, edf)] are
     selectable.  Within that set, [hp_first] (default false; the runtime

@@ -17,7 +17,6 @@ type options = {
   channels : int;
   partition : Partition.policy;
   overcommit : float;
-  min_grant_bytes : int;
   fw_options : F.options;
   faults : Fault.Spec.t option;
 }
@@ -31,7 +30,6 @@ let default_options =
     channels = 1;
     partition = Partition.Equal;
     overcommit = 4.0;
-    min_grant_bytes = Admission.default_min_grant;
     fw_options = F.default_options;
     faults = None;
   }
@@ -168,9 +166,8 @@ let run ?pool options specs =
       | c -> c)
     order;
   let decisions_sorted =
-    Admission.decide ~min_grant_bytes:options.min_grant_bytes
-      ~partition:options.partition ~budget_bytes ~board_bandwidth
-      ~overcommit:options.overcommit
+    Admission.decide ~partition:options.partition ~budget_bytes
+      ~board_bandwidth ~overcommit:options.overcommit
       (Array.map (fun i -> compiled.(i).demand) order)
   in
   let decisions = Array.make n (Admission.Queued { reason = "" }) in

@@ -35,7 +35,6 @@ type options = {
           equal bandwidth stripe. *)
   partition : Partition.policy;
   overcommit : float;       (** Admission bandwidth over-subscription. *)
-  min_grant_bytes : int;    (** Smallest useful SRAM share. *)
   fw_options : Lcmm.Framework.options;
   faults : Fault.Spec.t option;
       (** Seeded fault injection.  [None] — or a spec with no active
@@ -49,8 +48,9 @@ type options = {
 
 val default_options : options
 (** I16 on the VU9P, fair-share arbitration, EDF scheduling, one
-    channel, equal partitioning, 4x bandwidth overcommit, one-block
-    minimum grant, no faults. *)
+    channel, equal partitioning, 4x bandwidth overcommit, no faults.
+    Admission grants every tenant at least one DNNK block (or its whole
+    demand, if smaller). *)
 
 val schedule_rounds : int
 (** Plan/schedule co-iteration bound for the [optimized] scheduler (3):

@@ -53,10 +53,6 @@ let record t ~now ~failed =
     | Closed | Open _ -> ()
   end
 
-let fail_probe t ~now =
-  t.failures <- t.failures + 1;
-  trip t ~now
-
 let state t =
   match t.state with
   | Closed -> `Closed

@@ -30,17 +30,13 @@ val admit : t -> now:float -> admission
     circuit stays half-open. *)
 
 val record : t -> now:float -> failed:bool -> unit
-(** Report an admitted call's (or a successful out-of-band health
-    check's) outcome.  Success closes the circuit whatever its state and
-    clears the streak — also the late success of a call admitted before
-    the circuit tripped.  A failure extends the streak; it trips the
-    circuit when it reaches the threshold or when it is the probe's.  A
-    failure while the circuit is open (a call admitted before the trip)
-    is counted but does not extend the cooldown. *)
-
-val fail_probe : t -> now:float -> unit
-(** Count a failure and open the circuit for a fresh cooldown whatever
-    the state (an out-of-band health check failed). *)
+(** Report an admitted call's outcome.  Success closes the circuit
+    whatever its state and clears the streak — also the late success of
+    a call admitted before the circuit tripped.  A failure extends the
+    streak; it trips the circuit when it reaches the threshold or when
+    it is the probe's.  A failure while the circuit is open (a call
+    admitted before the trip) is counted but does not extend the
+    cooldown. *)
 
 val state : t -> [ `Closed | `Open | `Half_open ]
 (** The raw state: a circuit whose cooldown has expired stays [`Open]

@@ -177,16 +177,10 @@ let fusion_fields = function
   | None -> []
   | Some fz ->
     let module Fz = Lcmm_fusion.Fusion in
-    let module Seg = Lcmm_fusion.Segmentation in
     [ ( "fusion",
         Json.Obj
           [ ("segments", Json.Int (List.length fz.Fz.segments));
-            ( "fused_nodes",
-              Json.Int
-                (List.fold_left
-                   (fun a (s : Seg.segment) ->
-                     a + s.Seg.last - s.Seg.first + 1)
-                   0 fz.Fz.segments) );
+            ("fused_nodes", Json.Int (Fz.fused_nodes fz));
             ("streamed_weights", Json.Int (List.length fz.Fz.streamed));
             ("fifo_bytes", Json.Int fz.Fz.fifo_bytes);
             ("ddr_bytes_saved", Json.Int (Fz.ddr_bytes_saved fz));
@@ -303,7 +297,6 @@ let run_payload (spec : P.run_spec) ~digest specs =
       channels = spec.P.run_channels;
       partition = spec.P.sram_partition;
       overcommit = spec.P.overcommit;
-      min_grant_bytes = Lcmm_runtime.Admission.default_min_grant;
       fw_options = spec.P.run_options;
       faults = spec.P.faults }
   in

@@ -30,7 +30,9 @@ let worst_waiting_weight run on_chip =
       else best)
     None run.Engine.timings
 
-let run ?(max_iterations = 16) ?prefetch metric ~on_chip =
+let max_iterations = 16
+
+let run ?prefetch metric ~on_chip =
   let simulate set = Engine.simulate ?prefetch metric ~on_chip:set in
   let initial = simulate on_chip in
   let rec loop set best_run unpinned iterations =

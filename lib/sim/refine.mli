@@ -19,8 +19,8 @@ type outcome = {
 }
 
 val run :
-  ?max_iterations:int -> ?prefetch:Lcmm.Prefetch.t -> Lcmm.Metric.t ->
+  ?prefetch:Lcmm.Prefetch.t -> Lcmm.Metric.t ->
   on_chip:Lcmm.Metric.Item_set.t -> outcome
-(** Refine the allocation under the simulator.  Never returns a worse
-    simulated total than the input allocation's.  [max_iterations]
-    defaults to 16. *)
+(** Refine the allocation under the simulator, evicting at most 16
+    weights.  Never returns a worse simulated total than the input
+    allocation's. *)

@@ -9,10 +9,10 @@
    sequence — the property the chaos bench's reproducibility gate
    checks.
 
-   Only digest-addressed request traffic draws faults: health probes,
-   stats broadcasts and drain flushes carry no chaos key and pass
-   untouched (they measure or repair real state; faulting them would
-   couple recovery speed to the fault schedule). *)
+   Only digest-addressed request traffic draws faults: stats broadcasts
+   and drain flushes carry no chaos key and pass untouched (they
+   measure or save real state; faulting them would couple it to the
+   fault schedule). *)
 
 module Spec = Fault.Spec
 module Injector = Fault.Injector

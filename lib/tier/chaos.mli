@@ -5,8 +5,8 @@
     digest, occurrence number, attempt), so a request stream under a
     spec replays the identical fault sequence regardless of wall clock
     or thread interleaving.  The tier consults it on every
-    digest-addressed shard call; health probes, stats broadcasts and
-    drain flushes carry no key and are never faulted. *)
+    digest-addressed shard call; stats broadcasts and drain flushes
+    carry no key and are never faulted. *)
 
 type t
 

@@ -35,14 +35,10 @@ type t = {
   backend : backend;
   mutex : Mutex.t;
   max_inflight : int;
-  (* Circuit breaker over transport failures, guarded by [mutex].  An
-     active health probe ({!probe}) short-circuits the cooldown by
-     closing the circuit on a successful roundtrip. *)
-  breaker : Breaker.t;
+  breaker : Breaker.t;  (* over transport failures, guarded by [mutex] *)
   mutable inflight : int;
   mutable calls : int;
   mutable failures : int;
-  mutable probes : int;
 }
 
 let default_breaker_threshold = 3
@@ -62,8 +58,7 @@ let make ?(breaker_threshold = default_breaker_threshold)
         ~cooldown_s:breaker_cooldown_s;
     inflight = 0;
     calls = 0;
-    failures = 0;
-    probes = 0 }
+    failures = 0 }
 
 let local ~name ?(max_inflight = 64) ?breaker_threshold ?breaker_cooldown_s
     handler =
@@ -331,10 +326,10 @@ let call ?timeout_s t line =
       finish false;
       raise e)
 
-(* Tri-state health as the prober sees it: [`Down] while the circuit is
-   open; [`Suspect] once the cooldown expires (the classic half-open
-   probation — failures on record, recovery unproven) or while recent
-   failures accumulate under a still-closed circuit; [`Up] otherwise.
+(* Tri-state health: [`Down] while the circuit is open; [`Suspect]
+   once the cooldown expires (the classic half-open probation —
+   failures on record, recovery unproven) or while recent failures
+   accumulate under a still-closed circuit; [`Up] otherwise.
    Called under the shard mutex. *)
 let health t ~now =
   let b = t.breaker in
@@ -347,27 +342,6 @@ let state t = with_lock t (fun () -> health t ~now:(Unix.gettimeofday ()))
 let healthy t = state t <> `Down
 
 let state_name = function `Up -> "up" | `Suspect -> "suspect" | `Down -> "down"
-
-let probe_line =
-  Dnn_serial.Json.to_string
-    (Dnn_serial.Json.Obj [ ("op", Dnn_serial.Json.String "stats") ])
-
-(* Active health probe: one [stats] roundtrip, bypassing both the
-   in-flight gate and the open circuit (probing a down shard is the
-   point).  Success closes the circuit immediately — the prober
-   promotes a shard down -> suspect -> up faster than the passive
-   cooldown-and-retry path — while failure re-arms the cooldown. *)
-let probe ?timeout_s t =
-  with_lock t (fun () -> t.probes <- t.probes + 1);
-  match attempt t ?timeout_s probe_line with
-  | Ok _ ->
-    with_lock t (fun () -> record t ~failed:false);
-    true
-  | Error _ ->
-    with_lock t (fun () ->
-        t.failures <- t.failures + 1;
-        Breaker.fail_probe t.breaker ~now:(Unix.gettimeofday ()));
-    false
 
 let restarts t =
   match t.backend with Local _ -> 0 | Proc p -> with_lock t (fun () -> p.restarts)
@@ -387,7 +361,6 @@ let stats_json t =
           ("max_inflight", Int t.max_inflight);
           ("calls", Int t.calls);
           ("failures", Int t.failures);
-          ("probes", Int t.probes);
           ( "restarts",
             Int (match t.backend with Local _ -> 0 | Proc p -> p.restarts) ) ])
 

@@ -14,9 +14,8 @@
     Health is tri-state.  [`Down] while the breaker's circuit is open;
     [`Suspect] once the cooldown expires with recovery unproven (the
     half-open probation) or while failures accumulate under a closed
-    circuit; [`Up] otherwise.  The passive path recovers through the
-    cooldown plus one successful probe call; the active {!probe}
-    promotes a shard the moment it answers again. *)
+    circuit; [`Up] otherwise.  A shard recovers through the cooldown
+    plus one successful probe call. *)
 
 type t
 
@@ -84,12 +83,6 @@ val state : t -> [ `Up | `Suspect | `Down ]
 (** Tri-state health (see the module doc). *)
 
 val state_name : [ `Up | `Suspect | `Down ] -> string
-
-val probe : ?timeout_s:float -> t -> bool
-(** Active health probe: one [stats] roundtrip, bypassing both the
-    in-flight gate and the open circuit.  Success closes the circuit
-    immediately (down/suspect -> up); failure opens it for a fresh
-    cooldown whatever the failure streak. *)
 
 val restarts : t -> int
 (** Crash-restarts performed so far (always 0 for local shards). *)

@@ -6,7 +6,6 @@ module Wire = Dnn_serial.Wire
 module P = Lcmm_service.Protocol
 module Engine = Lcmm_service.Engine
 module Lru = Lcmm_service.Lru
-module Metrics = Lcmm_service.Metrics
 
 type counters = {
   mutable requests : int;  (* leaf requests routed by digest *)
@@ -35,15 +34,11 @@ type t = {
   deadline_ms : float option;
   retries : int;
   retry_backoff_s : float;
-  hedge_s : float option;  (* fixed hedge threshold *)
-  hedge_quantile : float option;  (* adaptive threshold off the reservoir *)
+  hedge_s : float option;  (* hedge threshold *)
   call_timeout_s : float option;
-  reservoir : Metrics.Reservoir.t;  (* compute-call latencies, seconds *)
   mutable chaos : Chaos.t option;
   mutable draining : bool;
   mutable inflight : int;
-  mutable stop_prober : bool;
-  mutable prober : Thread.t option;
   c : counters;
 }
 
@@ -55,44 +50,12 @@ let count t bump = with_lock t (fun () -> bump t.c)
 
 let shard t name = Hashtbl.find t.by_name name
 
-(* The background prober gives failed shards a way back to [`Up]
-   between requests: passive recovery needs live traffic to hit the
-   half-open circuit, which a drained or lightly loaded tier may never
-   send.  Only non-[`Up] shards are probed — healthy shards prove
-   themselves on every call. *)
-let prober_loop t interval_s () =
-  let rec sleep remaining =
-    if remaining > 0. && not t.stop_prober then begin
-      Unix.sleepf (Float.min 0.05 remaining);
-      sleep (remaining -. 0.05)
-    end
-  in
-  while not t.stop_prober do
-    sleep interval_s;
-    if not t.stop_prober then
-      List.iter
-        (fun s ->
-          if Shard.state s <> `Up then begin
-            let recovered = Shard.probe ?timeout_s:t.call_timeout_s s in
-            Log.debug (fun m ->
-                m "probe %s -> %s" (Shard.name s)
-                  (if recovered then "recovered" else "still failing"))
-          end)
-        t.shards
-  done
-
 let create ?(router_cache_entries = 512) ?(router_cache_mb = 64)
     ?deadline_ms ?(timing = true) ?(retries = 0) ?(retry_backoff_ms = 25.)
-    ?hedge_ms ?hedge_quantile ?call_timeout_ms ?probe_interval_ms ?chaos
-    ~ring ~shards () =
+    ?hedge_ms ?call_timeout_ms ?chaos ~ring ~shards () =
   if retries < 0 then invalid_arg "Tier.create: retries must be >= 0";
   if retry_backoff_ms < 0. then
     invalid_arg "Tier.create: retry_backoff_ms must be >= 0";
-  Option.iter
-    (fun q ->
-      if q <= 0. || q >= 1. then
-        invalid_arg "Tier.create: hedge_quantile must be in (0, 1)")
-    hedge_quantile;
   Option.iter
     (fun ms ->
       if ms <= 0. then invalid_arg "Tier.create: hedge_ms must be positive")
@@ -112,50 +75,37 @@ let create ?(router_cache_entries = 512) ?(router_cache_mb = 64)
         | None -> invalid_arg ("Tier.create: no shard named " ^ name))
       (Ring.shards ring)
   in
-  let t =
-    { ring;
-      by_name;
-      shards;
-      lru =
-        Lru.create ~max_entries:router_cache_entries
-          ~max_bytes:(router_cache_mb * 1024 * 1024);
-      mutex = Mutex.create ();
-      timing;
-      deadline_ms;
-      retries;
-      retry_backoff_s = retry_backoff_ms /. 1e3;
-      hedge_s = Option.map (fun ms -> ms /. 1e3) hedge_ms;
-      hedge_quantile;
-      call_timeout_s = Option.map (fun ms -> ms /. 1e3) call_timeout_ms;
-      reservoir = Metrics.Reservoir.create ~capacity:512 ~seed:1 ();
-      chaos;
-      draining = false;
-      inflight = 0;
-      stop_prober = false;
-      prober = None;
-      c =
-        { requests = 0;
-          router_hits = 0;
-          shard_hits = 0;
-          peer_probes = 0;
-          peer_fills = 0;
-          computes = 0;
-          shed = 0;
-          errors = 0;
-          retries = 0;
-          hedges = 0;
-          hedge_wins = 0;
-          invalid = 0;
-          deadline = 0;
-          flushed = 0 } }
-  in
-  (match probe_interval_ms with
-  | None -> ()
-  | Some ms ->
-    if ms <= 0. then
-      invalid_arg "Tier.create: probe_interval_ms must be positive";
-    t.prober <- Some (Thread.create (prober_loop t (ms /. 1e3)) ()));
-  t
+  { ring;
+    by_name;
+    shards;
+    lru =
+      Lru.create ~max_entries:router_cache_entries
+        ~max_bytes:(router_cache_mb * 1024 * 1024);
+    mutex = Mutex.create ();
+    timing;
+    deadline_ms;
+    retries;
+    retry_backoff_s = retry_backoff_ms /. 1e3;
+    hedge_s = Option.map (fun ms -> ms /. 1e3) hedge_ms;
+    call_timeout_s = Option.map (fun ms -> ms /. 1e3) call_timeout_ms;
+    chaos;
+    draining = false;
+    inflight = 0;
+    c =
+      { requests = 0;
+        router_hits = 0;
+        shard_hits = 0;
+        peer_probes = 0;
+        peer_fills = 0;
+        computes = 0;
+        shed = 0;
+        errors = 0;
+        retries = 0;
+        hedges = 0;
+        hedge_wins = 0;
+        invalid = 0;
+        deadline = 0;
+        flushed = 0 } }
 
 let set_chaos t chaos = with_lock t (fun () -> t.chaos <- chaos)
 
@@ -378,20 +328,6 @@ let classify_attempt t s ~digest = function
 
 (* --- hedged calls --- *)
 
-let hedge_threshold_s t =
-  match t.hedge_s with
-  | Some _ as fixed -> fixed
-  | None -> (
-    match t.hedge_quantile with
-    | None -> None
-    | Some q ->
-      with_lock t (fun () ->
-          if Metrics.Reservoir.count t.reservoir < 20 then None
-          else Some (Metrics.Reservoir.percentile t.reservoir q)))
-
-let record_latency t seconds =
-  with_lock t (fun () -> Metrics.Reservoir.add t.reservoir seconds)
-
 (* Race the primary against [hedge] once the primary has been quiet for
    the hedge threshold.  A polling race, not a pipe-based one: each
    finisher posts into a mutex-guarded slot and the coordinator polls
@@ -405,7 +341,7 @@ let record_latency t seconds =
    both racers up front so the chaos draws do not depend on thread
    scheduling. *)
 let hedged_call t ctx ~digest ~primary ~hedge line =
-  match (hedge, hedge_threshold_s t) with
+  match (hedge, t.hedge_s) with
   | None, _ | _, None ->
     classify_attempt t primary ~digest (shard_call t ctx primary line)
   | Some hedge_shard, Some threshold ->
@@ -589,10 +525,7 @@ let route t (env : P.envelope) digest =
                 let line =
                   forward_line t env ~digest ~remaining_ms:(remaining_ms ())
                 in
-                let call_t0 = Unix.gettimeofday () in
-                let reply = hedged_call t ctx ~digest ~primary:s ~hedge line in
-                record_latency t (Unix.gettimeofday () -. call_t0);
-                match reply with
+                match hedged_call t ctx ~digest ~primary:s ~hedge line with
                 | RValid payload ->
                   lru_store t digest payload;
                   render_ok t env ~cache:"miss" ~t0 payload
@@ -885,8 +818,4 @@ let drain ?timeout_s t =
 
 let shards t = t.shards
 
-let shutdown t =
-  t.stop_prober <- true;
-  Option.iter Thread.join t.prober;
-  t.prober <- None;
-  List.iter Shard.stop t.shards
+let shutdown t = List.iter Shard.stop t.shards

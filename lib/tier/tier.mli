@@ -22,20 +22,16 @@
     {- {b Retries}: [retries] re-sends per candidate shard after
        transport failures or invalid replies, with doubling backoff
        capped at 8x the base and at the remaining deadline.}
-    {- {b Hedging}: when a compute attempt has been quiet for [hedge_ms]
-       (or the [hedge_quantile] of observed call latency), the same
-       request races the next shard in ring order; the first reply that
-       passes validation wins.}
+    {- {b Hedging}: when a compute attempt has been quiet for [hedge_ms],
+       the same request races the next shard in ring order; the first
+       reply that passes validation wins.}
     {- {b Deadlines}: the forwarded envelope carries the budget
        remaining now, not the original figure — probes, backoff and
        earlier attempts all spend from the same purse, and an expired
        budget is answered [deadline exceeded] by the router itself.}
-    {- {b Health probes}: with [probe_interval_ms], a background thread
-       probes every non-[`Up] shard ({!Shard.probe}) so shards recover
-       without waiting for live traffic to test the half-open circuit.}
     {- {b Chaos}: a {!Chaos.t} interposes seeded transport faults on
-       every digest-addressed shard call (and only those — health
-       probes, stats and drain flushes pass untouched).}}
+       every digest-addressed shard call (and only those — stats and
+       drain flushes pass untouched).}}
 
     With [timing] off and the resilience knobs at their defaults the
     rendered responses are byte-identical to a single-process
@@ -46,20 +42,18 @@ type t
 val create :
   ?router_cache_entries:int -> ?router_cache_mb:int -> ?deadline_ms:float ->
   ?timing:bool -> ?retries:int -> ?retry_backoff_ms:float ->
-  ?hedge_ms:float -> ?hedge_quantile:float -> ?call_timeout_ms:float ->
-  ?probe_interval_ms:float -> ?chaos:Chaos.t -> ring:Ring.t ->
-  shards:Shard.t list -> unit -> t
+  ?hedge_ms:float -> ?call_timeout_ms:float -> ?chaos:Chaos.t ->
+  ring:Ring.t -> shards:Shard.t list -> unit -> t
 (** Router over [shards]; every name in [ring] must have a shard
     (raises [Invalid_argument] otherwise).  The front LRU holds up to
     [router_cache_entries] (default 512) payloads within
     [router_cache_mb] (default 64) MiB.  [deadline_ms] is the default
     budget for requests that carry none of their own.  [retries]
     (default 0) extra attempts per candidate with [retry_backoff_ms]
-    (default 25) base backoff; [hedge_ms] or [hedge_quantile] (in
-    (0,1)) enable hedging; [call_timeout_ms] bounds every shard call
-    (also the time an injected hang burns); [probe_interval_ms] starts
-    the background health prober.  Raises [Invalid_argument] on
-    non-positive knobs ([retries]/[retry_backoff_ms] may be 0). *)
+    (default 25) base backoff; [hedge_ms] enables hedging;
+    [call_timeout_ms] bounds every shard call (also the time an
+    injected hang burns).  Raises [Invalid_argument] on non-positive
+    knobs ([retries]/[retry_backoff_ms] may be 0). *)
 
 val set_chaos : t -> Chaos.t option -> unit
 (** Swap the chaos injector at runtime (the bench resets counters per
@@ -115,5 +109,5 @@ val shards : t -> Shard.t list
 (** In ring order. *)
 
 val shutdown : t -> unit
-(** Stop the health prober, then every shard ({!Shard.stop}):
-    terminate, reap, remove socket files. *)
+(** Stop every shard ({!Shard.stop}): terminate, reap, remove socket
+    files. *)

@@ -158,6 +158,42 @@ let test_apply_never_slower () =
         (Fusion.ddr_bytes_saved fz >= 0))
     [ Helpers.chain (); Helpers.diamond (); Helpers.inception_snippet () ]
 
+(* The streaming FIFO (4 blocks, 128 KiB) is charged only when it fits
+   beside the plan's resident tensors: the same spilled weights stream
+   under the full budget and do not under a 3-block capacity. *)
+let test_streaming_fifo_gate () =
+  let g = Models.Alexnet.build () in
+  let cfg = Helpers.default_config ~dtype () in
+  let plan capacity_override =
+    F.plan
+      ~options:{ F.default_options with F.fusion = true; capacity_override }
+      cfg g
+  in
+  let candidates (p : F.plan) =
+    let m = p.F.metric in
+    List.filter
+      (fun i ->
+        let pr = m.Metric.profiles.(i) in
+        m.Metric.slices.(i) = 1
+        && pr.Accel.Latency.wt_term > 0.
+        && pr.Accel.Latency.wt_load_once < pr.Accel.Latency.wt_term
+        && not
+             (Metric.Item_set.mem (Metric.Weight_of i)
+                p.F.allocation.Lcmm.Dnnk.on_chip))
+      (List.init (Array.length m.Metric.profiles) Fun.id)
+  in
+  let roomy = plan None in
+  let fz = Fusion.apply roomy in
+  Alcotest.(check bool) "room: weights stream" true (fz.Fusion.streamed <> []);
+  Alcotest.(check (list int)) "room: every candidate streams"
+    (candidates roomy) fz.Fusion.streamed;
+  Alcotest.(check int) "room: FIFO is 4 blocks" 131072 fz.Fusion.fifo_bytes;
+  let tight = plan (Some (3 * Lcmm.Dnnk.block_bytes)) in
+  Alcotest.(check bool) "tight: candidates exist" true (candidates tight <> []);
+  let fz = Fusion.apply tight in
+  Alcotest.(check (list int)) "tight: nothing streams" [] fz.Fusion.streamed;
+  Alcotest.(check int) "tight: no FIFO" 0 fz.Fusion.fifo_bytes
+
 let prop_parallel_fusion_deterministic =
   let gen = QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 8 40)) in
   Helpers.qtest ~count:25 "fusion with ~pool is byte-identical at 1/2/4/8"
@@ -192,4 +228,6 @@ let suite =
     Alcotest.test_case "fusion off is inert" `Quick test_apply_inert_when_off;
     Alcotest.test_case "fusion never slows a plan" `Quick
       test_apply_never_slower;
+    Alcotest.test_case "streaming FIFO only when it fits" `Quick
+      test_streaming_fifo_gate;
     prop_parallel_fusion_deterministic ]

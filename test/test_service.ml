@@ -673,12 +673,6 @@ let test_breaker_state_machine () =
   Alcotest.(check int) "streak cleared" 0 (B.failures b);
   Alcotest.(check int) "sheds counted" 3 (B.shed b);
   Alcotest.(check string) "closed admits again" "pass" (admit 13.6);
-  (* Out-of-band health checks: a failed one opens the circuit whatever
-     the streak, a successful one closes it at once. *)
-  B.fail_probe b ~now:20.;
-  Alcotest.(check string) "failed health check opens" "open" (state ());
-  B.record b ~now:20.5 ~failed:false;
-  Alcotest.(check string) "health check closes" "closed" (state ());
   Alcotest.check_raises "threshold below 1"
     (Invalid_argument "Breaker.create: threshold must be >= 1") (fun () ->
       ignore (B.create ~threshold:0 ~cooldown_s:1.))

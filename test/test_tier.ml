@@ -224,33 +224,6 @@ let test_shard_half_open_single_probe () =
   Alcotest.(check string) "closed by the probe" "up"
     (Shard.state_name (Shard.state shard))
 
-(* The active probe closes an open circuit without waiting out the
-   cooldown — the recovery path a drained or idle tier depends on. *)
-let test_shard_probe_recovers () =
-  let failing = ref true in
-  let handler _line =
-    if !failing then failwith "boom" else ok_line (Json.Int 1)
-  in
-  let shard =
-    Shard.local ~name:"s" ~breaker_threshold:2 ~breaker_cooldown_s:60.
-      handler
-  in
-  for _ = 1 to 2 do
-    ignore (Shard.call shard "x")
-  done;
-  Alcotest.(check string) "down" "down" (Shard.state_name (Shard.state shard));
-  Alcotest.(check bool) "probe fails while broken" false (Shard.probe shard);
-  Alcotest.(check string) "still down" "down"
-    (Shard.state_name (Shard.state shard));
-  failing := false;
-  Alcotest.(check bool) "probe succeeds" true (Shard.probe shard);
-  Alcotest.(check string) "promoted straight to up" "up"
-    (Shard.state_name (Shard.state shard));
-  match Shard.call shard "x" with
-  | Ok _ -> ()
-  | Error e ->
-    Alcotest.failf "call after recovery: %s" (Shard.error_message e)
-
 (* A shard whose one call is parked in [handler] until [release] is
    unlocked; returns the shard, the parked call's thread and its result. *)
 let park_one_call ~release ?breaker_cooldown_s handler =
@@ -820,8 +793,6 @@ let suite =
       test_shard_breaker_half_open_sequence;
     Alcotest.test_case "shard: half-open admits exactly one probe call"
       `Quick test_shard_half_open_single_probe;
-    Alcotest.test_case "shard: active probe closes the circuit" `Quick
-      test_shard_probe_recovers;
     Alcotest.test_case "shard: full gate at an open circuit is unavailable"
       `Quick test_shard_full_gate_open_circuit;
     Alcotest.test_case "shard: late failure keeps the trip's cooldown"
