@@ -80,6 +80,43 @@ let test_pivot_compensation_counts_once () =
   Alcotest.(check (float 1e-12)) "DP latency is exact for its choice" exact
     r.Dnnk.predicted_latency
 
+(* Buffers from the coloring pass never share an item, so only a
+   hand-built input reaches the allocator's shared-item fallback (owner
+   table last-writer-wins, membership by list scan).  Feature value 2
+   sits in two multi-member buffers next to the singletons, at a
+   capacity that forces the DP.  The chosen ids and the exact latency
+   bits are pinned. *)
+let test_shared_item_fallback_pinned () =
+  let _, m = Helpers.metric_of (Helpers.inception_snippet ()) in
+  let singles = singleton_vbufs m in
+  let sized id items =
+    Vbuffer.make ~vbuf_id:id
+      ~sized_members:
+        (List.map (fun it -> (it, Metric.item_size_bytes dtype m it)) items)
+  in
+  let n = List.length singles in
+  let vbufs =
+    singles
+    @ [ sized n [ Metric.Feature_value 2; Metric.Weight_of 3 ];
+        sized (n + 1) [ Metric.Feature_value 4; Metric.Feature_value 2 ] ]
+  in
+  List.iter
+    (fun (compensation, capacity_bytes, ids, bits) ->
+      let r = Dnnk.allocate ~compensation m ~capacity_bytes vbufs in
+      let chosen =
+        List.sort compare (List.map (fun vb -> vb.Vbuffer.vbuf_id) r.Dnnk.chosen)
+      in
+      Alcotest.(check (list int)) "chosen ids" ids chosen;
+      Alcotest.(check int64) "latency bits" bits
+        (Int64.bits_of_float r.Dnnk.predicted_latency))
+    [ (Dnnk.Table_approx, 1024 * 1024, [ 0; 2; 4; 7; 9; 10; 11 ],
+       4541140220162887710L);
+      (Dnnk.Table_approx, 512 * 1024, [ 2; 7; 9 ], 4542882998269661032L);
+      (Dnnk.Exact_iterative, 1024 * 1024, [ 0; 2; 4; 7; 9; 10; 11 ],
+       4541140220162887710L);
+      (Dnnk.Exact_iterative, 512 * 1024, [ 0; 2; 4; 7; 10 ],
+       4542135290243206671L) ]
+
 let both_variants f =
   List.iter f [ Dnnk.Table_approx; Dnnk.Exact_iterative ]
 
@@ -153,6 +190,7 @@ let suite =
     Alcotest.test_case "negative capacity" `Quick test_negative_capacity_rejected;
     Alcotest.test_case "blocks of bytes" `Quick test_blocks_of_bytes;
     Alcotest.test_case "pivot compensation" `Quick test_pivot_compensation_counts_once;
+    Alcotest.test_case "shared-item fallback pinned" `Quick test_shared_item_fallback_pinned;
     Alcotest.test_case "variants vs enumeration" `Quick test_variants_match_exact_enumeration;
     prop_never_worse_than_umm;
     prop_capacity_monotone;
