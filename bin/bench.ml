@@ -1061,6 +1061,11 @@ let faults_experiment () =
    silently regressing. *)
 let perf_sizes = [ 64; 256; 1024; 4096; 16384 ]
 
+(* Skip-family (DenseNet-style) graphs: few nodes, very wide fan-in, so
+   the time goes to DNNK's Eq. 1 folds rather than to the graph passes.
+   The same seeds as the skip graphs perfbench's plan-scale plans. *)
+let perf_skip_sizes = [ 256; 384; 512 ]
+
 (* interference + coloring + dnnk microseconds, pre-optimization.  The
    16384 entry is extrapolated, not measured: the pre-optimization
    pipeline was never run at that scale, so the constant extends the
@@ -1077,7 +1082,7 @@ let perf_baseline_icd_us = function
 let perf_experiment () =
   header
     "Planner throughput: per-pass wall time on seeded random graphs \
-     (mixed-family Gen, 16-bit, quarter SRAM budget)";
+     (mixed- and skip-family Gen, 16-bit, quarter SRAM budget)";
   let time f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
@@ -1145,17 +1150,17 @@ let perf_experiment () =
         ("dnnk_us", dnnk_us); ("splitting_us", splitting_us) ],
       interference_us +. coloring_us +. dnnk_us )
   in
-  Printf.printf "%7s %7s %6s %6s | %12s %12s %9s | %10s\n" "nodes" "items"
-    "vbufs" "reps" "icd us" "baseline us" "speedup" "plans/s";
+  Printf.printf "%6s %7s %7s %6s %6s | %12s %12s %9s | %10s\n" "family"
+    "nodes" "items" "vbufs" "reps" "icd us" "baseline us" "speedup" "plans/s";
   let rows =
     List.map
-      (fun nodes ->
+      (fun (family, nodes) ->
         let st = Random.State.make [| 2026; nodes |] in
-        let g = Check.Gen.sized_graph ~family:Check.Gen.Mixed st ~nodes in
+        let g = Check.Gen.sized_graph ~family st ~nodes in
         let reps =
           if nodes >= 16384 then 1
           else if nodes >= 4096 then 2
-          else if nodes >= 1024 then 3
+          else if nodes >= 1024 || family = Check.Gen.Skip then 3
           else 10
         in
         (* Best-of-reps: wall-clock noise only ever inflates a run, so the
@@ -1170,38 +1175,55 @@ let perf_experiment () =
           | _ -> best := Some (items, vbufs, passes, icd)
         done;
         let items, vbufs, passes, icd = Option.get !best in
-        let baseline = perf_baseline_icd_us nodes in
-        let speedup = baseline /. icd in
+        (* The pre-optimization constants cover the mixed rows only. *)
+        let baseline =
+          if family = Check.Gen.Mixed then Some (perf_baseline_icd_us nodes)
+          else None
+        in
+        let speedup = Option.map (fun b -> b /. icd) baseline in
         let plans_per_sec = float_of_int reps *. 1e6 /. !total_us in
-        Printf.printf "%7d %7d %6d %6d | %12.0f %12.0f %8.1fx | %10.2f\n%!"
-          nodes items vbufs reps icd baseline speedup plans_per_sec;
-        (nodes, Dnn_graph.Graph.node_count g, items, vbufs, passes, icd,
-         baseline, speedup, plans_per_sec))
-      perf_sizes
+        let or_dash fmt = function
+          | Some v -> Printf.sprintf fmt v
+          | None -> "-"
+        in
+        Printf.printf "%6s %7d %7d %6d %6d | %12.0f %12s %9s | %10.2f\n%!"
+          (Check.Gen.family_name family) nodes items vbufs reps icd
+          (or_dash "%.0f" baseline) (or_dash "%.1fx" speedup) plans_per_sec;
+        (family, nodes, Dnn_graph.Graph.node_count g, items, vbufs, passes,
+         icd, baseline, speedup, plans_per_sec))
+      (List.map (fun n -> (Check.Gen.Mixed, n)) perf_sizes
+      @ List.map (fun n -> (Check.Gen.Skip, n)) perf_skip_sizes)
   in
   let speedup_1k =
     List.fold_left
-      (fun acc (nodes, _, _, _, _, _, _, speedup, _) ->
-        if nodes = 1024 then speedup else acc)
+      (fun acc (_, nodes, _, _, _, _, _, _, speedup, _) ->
+        match speedup with
+        | Some x when nodes = 1024 -> x
+        | Some _ | None -> acc)
       nan rows
   in
   Printf.printf
     "interference+coloring+dnnk at 1k nodes: %.1fx over pre-optimization\n"
     speedup_1k;
   let row_json
-      (nodes, graph_nodes, items, vbufs, passes, icd, baseline, speedup,
-       plans_per_sec) =
+      (family, nodes, graph_nodes, items, vbufs, passes, icd, baseline,
+       speedup, plans_per_sec) =
+    let optional name = function
+      | Some v -> [ (name, Json.Float v) ]
+      | None -> []
+    in
     Json.Obj
-      [ ("nodes", Json.Int nodes);
-        ("graph_nodes", Json.Int graph_nodes);
-        ("items", Json.Int items);
-        ("vbufs", Json.Int vbufs);
-        ( "pass_us",
-          Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) passes) );
-        ("icd_us", Json.Float icd);
-        ("baseline_icd_us", Json.Float baseline);
-        ("icd_speedup", Json.Float speedup);
-        ("plans_per_sec", Json.Float plans_per_sec) ]
+      ([ ("family", Json.String (Check.Gen.family_name family));
+         ("nodes", Json.Int nodes);
+         ("graph_nodes", Json.Int graph_nodes);
+         ("items", Json.Int items);
+         ("vbufs", Json.Int vbufs);
+         ( "pass_us",
+           Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) passes) );
+         ("icd_us", Json.Float icd) ]
+      @ optional "baseline_icd_us" baseline
+      @ optional "icd_speedup" speedup
+      @ [ ("plans_per_sec", Json.Float plans_per_sec) ])
   in
   Json.Obj
     [ ("experiment", Json.String "perf");

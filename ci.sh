@@ -139,6 +139,13 @@ grep -q '"plans_per_sec"' "$out"
 awk -F': ' '/"icd_speedup_1k"/ { exit ($2 + 0 >= 20.0) ? 0 : 1 }' "$out"
 # The benchmark must carry the 16k-node scale row.
 grep -q '"nodes": 16384' "$out"
+# Skip-family (DenseNet-style) rows time DNNK where the fan-in is wide.
+# The 512-node row's DNNK pass must stay within 60 ms; evaluating Eq. 1
+# over boxed items and hash lookups took ~200 ms there.
+grep -q '"family": "skip"' "$out"
+awk -F': ' '/"family"/ { fam = $2 } /"nodes"/ { n = $2 + 0 }
+            /"dnnk_us"/ && fam ~ /"skip"/ && n == 512 { seen = 1; us = $2 + 0 }
+            END { exit (seen && us <= 60000) ? 0 : 1 }' "$out"
 echo "wrote $out"
 
 echo "== tier-2: sharded tier vs single-process serve (byte-exact) =="

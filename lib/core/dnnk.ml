@@ -69,8 +69,15 @@ type row_entry = {
    re-runs the allocator up to 16 times over near-identical buffer
    sets): per-member-list memos of affected nodes, static gains and the
    full compensation row state, plus the DP arrays, which are zeroed
-   rather than reallocated.  A workspace is only valid against the
-   metric it first ran with. *)
+   rather than reallocated, and three arrays over the metric's dense
+   item indices, sized once:
+
+   - [owner]: the DP row owning each item, -1 for none;
+   - [mark], [extra]: item sets as stamps — an item is in the set of
+     stamp [s] when its slot holds [s], so a fresh stamp is an empty
+     set and nothing is ever cleared.
+
+   A workspace is only valid against the metric it first ran with. *)
 type workspace = {
   affected_memo : (Metric.item list, int array) Hashtbl.t;
   static_gain_memo : (Metric.item list, float) Hashtbl.t;
@@ -80,6 +87,10 @@ type workspace = {
   mutable dp_rows : bool array array;
   mutable gain_buf : float array;
   mutable key_buf : int array;
+  mutable owner : int array;
+  mutable mark : int array;
+  mutable extra : int array;
+  mutable stamp : int;
 }
 
 let workspace () =
@@ -90,7 +101,28 @@ let workspace () =
     dp_curr = [||];
     dp_rows = [||];
     gain_buf = [||];
-    key_buf = [||] }
+    key_buf = [||];
+    owner = [||];
+    mark = [||];
+    extra = [||];
+    stamp = 0 }
+
+(* A stamp no slot of [mark] or [extra] holds yet. *)
+let fresh_stamp ws =
+  ws.stamp <- ws.stamp + 1;
+  ws.stamp
+
+(* [mark] holding exactly the members of [vbufs] under a fresh stamp;
+   returns the membership test. *)
+let mark_vbufs ws metric vbufs =
+  let mark = ws.mark and s = fresh_stamp ws in
+  List.iter
+    (fun vb ->
+      List.iter
+        (fun it -> mark.(Metric.item_index metric it) <- s)
+        vb.Vbuffer.members)
+    vbufs;
+  fun i -> mark.(i) = s
 
 let block_bytes = Fpga.Resource.uram_bytes
 
@@ -102,17 +134,17 @@ let items_of_vbufs vbufs =
 let set_of_vbufs vbufs =
   Metric.Item_set.of_list (items_of_vbufs vbufs)
 
-let finish metric ~capacity_blocks vbufs chosen_ids =
+let finish ws metric ~capacity_blocks vbufs chosen_ids =
   let chosen_tbl = Hashtbl.create (2 * List.length chosen_ids + 1) in
   List.iter (fun id -> Hashtbl.replace chosen_tbl id ()) chosen_ids;
   let chosen, spilled =
     List.partition (fun vb -> Hashtbl.mem chosen_tbl vb.Vbuffer.vbuf_id) vbufs
   in
-  let on_chip = set_of_vbufs chosen in
   { chosen;
     spilled;
-    on_chip;
-    predicted_latency = Metric.total_latency metric ~on_chip;
+    on_chip = set_of_vbufs chosen;
+    predicted_latency =
+      Metric.total_latency_ix metric ~on:(mark_vbufs ws metric chosen);
     capacity_blocks;
     used_blocks =
       List.fold_left
@@ -137,8 +169,9 @@ let static_gain_of_vbuf ws metric vb =
   match Hashtbl.find_opt ws.static_gain_memo members with
   | Some gain -> gain
   | None ->
+    let on = mark_vbufs ws metric [ vb ] in
     let gain =
-      Metric.marginal_gain_many metric ~on_chip:Metric.Item_set.empty members
+      Metric.static_gain_ix metric ~on (affected_nodes_of_vbuf ws metric vb)
     in
     Hashtbl.add ws.static_gain_memo members gain;
     gain
@@ -222,18 +255,25 @@ let knapsack_dp ws ~capacity ~sizes ~row_gain =
    spilled buffer whose marginal gain against the chosen set is positive.
    This recovers value the max-structure hides from per-row compensation
    (a term only pays off once its node's larger terms are also pinned). *)
-let sweep_up metric ~capacity_blocks result =
+let sweep_up ws metric ~capacity_blocks result =
+  let extra = ws.extra in
   let rec loop result =
     let free = capacity_blocks - result.used_blocks in
+    let on = mark_vbufs ws metric result.chosen in
     let candidate =
       List.filter_map
         (fun vb ->
           let blocks = blocks_of_bytes vb.Vbuffer.size_bytes in
           if blocks > free then None
           else
+            let s = fresh_stamp ws in
+            List.iter
+              (fun it -> extra.(Metric.item_index metric it) <- s)
+              vb.Vbuffer.members;
             let gain =
-              Metric.marginal_gain_many metric ~on_chip:result.on_chip
-                vb.Vbuffer.members
+              Metric.gain_ix metric ~before:on
+                ~after:(fun i -> on i || extra.(i) = s)
+                (affected_nodes_of_vbuf ws metric vb)
             in
             if gain > 1e-15 then Some (gain, vb) else None)
         result.spilled
@@ -258,7 +298,8 @@ let sweep_up metric ~capacity_blocks result =
             List.filter (fun vb -> vb.Vbuffer.vbuf_id <> best.Vbuffer.vbuf_id)
               result.spilled;
           on_chip;
-          predicted_latency = Metric.total_latency metric ~on_chip;
+          predicted_latency =
+            Metric.total_latency_ix metric ~on:(mark_vbufs ws metric chosen);
           used_blocks = result.used_blocks + blocks_of_bytes best.Vbuffer.size_bytes }
   in
   loop result
@@ -345,6 +386,8 @@ let allocate ?(compensation = Table_approx) ?workspace:ws ?pool metric
     ~capacity_bytes vbufs =
   if capacity_bytes < 0 then invalid_arg "Dnnk.allocate: negative capacity";
   let ws = match ws with Some ws -> ws | None -> workspace () in
+  let n_items = Metric.item_count metric in
+  if Array.length ws.mark < n_items then ws.mark <- Array.make n_items 0;
   let capacity = capacity_bytes / block_bytes in
   (* Process buffers in decreasing static-gain order: the row-memo
      compensation then sees a node's dominant terms before its minor
@@ -360,32 +403,40 @@ let allocate ?(compensation = Table_approx) ?workspace:ws ?pool metric
   let total_blocks = Array.fold_left ( + ) 0 sizes in
   if total_blocks <= capacity then
     (* Everything fits: pinning all of it dominates any subset. *)
-    finish metric ~capacity_blocks:capacity vbufs
+    finish ws metric ~capacity_blocks:capacity vbufs
       (List.map (fun vb -> vb.Vbuffer.vbuf_id) vbufs)
   else
   let affected = Array.map (affected_nodes_of_vbuf ws metric) vbuf_arr in
+  if Array.length ws.owner < n_items then begin
+    ws.owner <- Array.make n_items (-1);
+    ws.extra <- Array.make n_items 0
+  end
+  else Array.fill ws.owner 0 n_items (-1);
   (* Which DP row owns each item, for compensation lookups.  Buffers
      from the coloring pass never share an item; should a hand-built
      input violate that, membership tests fall back to list scans so the
      last-writer-wins owner table stays a pure compensation index. *)
-  let owner = Hashtbl.create 256 in
+  let owner = ws.owner in
+  let members_ix =
+    Array.map
+      (fun vb -> List.map (Metric.item_index metric) vb.Vbuffer.members)
+      vbuf_arr
+  in
   let shared_items = ref false in
   Array.iteri
-    (fun i vb ->
+    (fun i ixs ->
       List.iter
-        (fun it ->
-          (match Hashtbl.find_opt owner it with
-          | Some j when j <> i -> shared_items := true
-          | Some _ | None -> ());
-          Hashtbl.replace owner it i)
-        vb.Vbuffer.members)
-    vbuf_arr;
+        (fun ix ->
+          let o = owner.(ix) in
+          if o >= 0 && o <> i then shared_items := true;
+          owner.(ix) <- i)
+        ixs)
+    members_ix;
   let member_test index =
-    if !shared_items then fun item -> List.mem item vbuf_arr.(index).Vbuffer.members
-    else fun item ->
-      match Hashtbl.find_opt owner item with
-      | Some k -> k = index
-      | None -> false
+    if !shared_items then
+      let ixs = members_ix.(index) in
+      fun ix -> List.mem ix ixs
+    else fun ix -> owner.(ix) = index
   in
   match compensation with
   | Table_approx ->
@@ -399,7 +450,6 @@ let allocate ?(compensation = Table_approx) ?workspace:ws ?pool metric
        constants and gain tables is bit-exact.  Shared-item inputs skip
        the cache: their owner table is order-dependent. *)
     let earlier_seen = Array.make n false in
-    let on_false _ = false in
     let node_deps = Array.make n [||] in
     let row_deps = Array.make n [||] in
     let dummy_entry =
@@ -422,15 +472,15 @@ let allocate ?(compensation = Table_approx) ?workspace:ws ?pool metric
       let rows_rev = ref [] in
       for k = 0 to m - 1 do
         let acc = ref [] in
-        Metric.iter_queried_items metric aff.(k) (fun item ->
-            match Hashtbl.find_opt owner item with
-            | Some o when o < index ->
+        Metric.iter_queried_ix metric aff.(k) (fun ix ->
+            let o = owner.(ix) in
+            if o >= 0 && o < index then begin
               if not (List.mem o !acc) then acc := o :: !acc;
               if not earlier_seen.(o) then begin
                 earlier_seen.(o) <- true;
                 rows_rev := o :: !rows_rev
               end
-            | Some _ | None -> ());
+            end);
         if !acc <> [] then nd.(k) <- Array.of_list (List.rev !acc)
       done;
       let deps = Array.of_list (List.rev !rows_rev) in
@@ -505,8 +555,8 @@ let allocate ?(compensation = Table_approx) ?workspace:ws ?pool metric
       let m = Array.length aff in
       for k = 0 to m - 1 do
         if not e.dep_flags.(k) then begin
-          e.const_without.(k) <- Metric.node_latency_pred metric ~on:on_false aff.(k);
-          e.const_with.(k) <- Metric.node_latency_pred metric ~on:members_only aff.(k)
+          e.const_without.(k) <- Metric.umm_latency metric aff.(k);
+          e.const_with.(k) <- Metric.node_latency_ix metric ~on:members_only aff.(k)
         end
       done;
       let total = ref 0. in
@@ -530,16 +580,15 @@ let allocate ?(compensation = Table_approx) ?workspace:ws ?pool metric
       let nd = node_deps.(index).(k) in
       let compute () =
         let members_only = member_test index in
-        let recorded item =
-          match Hashtbl.find_opt owner item with
-          | Some o when o < index -> pbuf_table.(o + 1).(col)
-          | Some _ | None -> false
+        let recorded ix =
+          let o = owner.(ix) in
+          o >= 0 && o < index && pbuf_table.(o + 1).(col)
         in
         let node = affected.(index).(k) in
-        let p1 = Metric.node_latency_pred metric ~on:recorded node in
+        let p1 = Metric.node_latency_ix metric ~on:recorded node in
         let p2 =
-          Metric.node_latency_pred metric
-            ~on:(fun it -> recorded it || members_only it)
+          Metric.node_latency_ix metric
+            ~on:(fun ix -> recorded ix || members_only ix)
             node
         in
         (p1, p2)
@@ -653,37 +702,40 @@ let allocate ?(compensation = Table_approx) ?workspace:ws ?pool metric
       | Row_direct _ | Row_hash _ | Row_wide -> Fill_gains (fill index)
     in
     let chosen = knapsack_dp ws ~capacity ~sizes ~row_gain in
-    sweep_up metric ~capacity_blocks:capacity
-      (finish metric ~capacity_blocks:capacity vbufs
+    sweep_up ws metric ~capacity_blocks:capacity
+      (finish ws metric ~capacity_blocks:capacity vbufs
          (List.map (fun i -> vbuf_arr.(i).Vbuffer.vbuf_id) chosen))
   | Exact_iterative ->
     (* Round 0 seeds with static (empty-allocation) gains; later rounds
        re-measure each buffer against the previous winner minus itself. *)
     let gains = Array.make n 0. in
+    let extra = ws.extra in
     let seed baseline =
+      let on = mark_vbufs ws metric baseline in
       Array.iteri
-        (fun i vb ->
-          let without_self =
-            List.fold_left
-              (fun acc it -> Metric.Item_set.remove it acc)
-              baseline vb.Vbuffer.members
-          in
-          gains.(i) <- Metric.marginal_gain_many metric ~on_chip:without_self vb.Vbuffer.members)
-        vbuf_arr
+        (fun i ixs ->
+          let s = fresh_stamp ws in
+          List.iter (fun ix -> extra.(ix) <- s) ixs;
+          gains.(i) <-
+            Metric.gain_ix metric
+              ~before:(fun ix -> on ix && extra.(ix) <> s)
+              ~after:(fun ix -> on ix || extra.(ix) = s)
+              affected.(i))
+        members_ix
     in
     let run () =
       let row_gain index = Const_gain gains.(index) in
       let chosen = knapsack_dp ws ~capacity ~sizes ~row_gain in
-      sweep_up metric ~capacity_blocks:capacity
-        (finish metric ~capacity_blocks:capacity vbufs
+      sweep_up ws metric ~capacity_blocks:capacity
+        (finish ws metric ~capacity_blocks:capacity vbufs
            (List.map (fun i -> vbuf_arr.(i).Vbuffer.vbuf_id) chosen))
     in
-    seed Metric.Item_set.empty;
+    seed [];
     let best = ref (run ()) in
     let continue = ref true in
     let round = ref 1 in
     while !continue && !round < rounds do
-      seed !best.on_chip;
+      seed !best.chosen;
       let next = run () in
       if next.predicted_latency < !best.predicted_latency -. 1e-12 then best := next
       else continue := false;

@@ -30,7 +30,8 @@ type workspace
     affected-node sets, static gains and compensation row state (the
     constants and gain tables of every virtual buffer the workspace has
     seen, keyed by member list), plus the DP arrays, which are cleared
-    rather than reallocated on reuse.  The splitting loop re-runs the
+    rather than reallocated on reuse, and the row-owner and membership
+    arrays over the metric's dense item indices, sized once.  The splitting loop re-runs the
     allocator many times over near-identical buffer sets and passes one
     workspace through all of them; rows whose earlier-owner dependency
     structure is unchanged warm-start from their cached tables, which
@@ -64,8 +65,9 @@ val allocate :
     warm-starts unchanged compensation rows.  [pool] parallelizes the
     per-row constant analysis across domains (the result is
     byte-identical to the sequential run — rows fill disjoint,
-    position-addressed slots).  Raises [Invalid_argument] on negative
-    capacity. *)
+    position-addressed slots).  Every member of [vbufs] must be an item
+    of [metric] (see {!Metric.item_index}).  Raises [Invalid_argument]
+    on negative capacity. *)
 
 val evict_to_capacity :
   Metric.t -> capacity_bytes:int -> result -> result * Vbuffer.t list

@@ -17,38 +17,134 @@ end)
 type t = {
   graph : G.t;
   profiles : Latency.profile array;
-  affected : (item, int list) Hashtbl.t;
   slices : int array;
+  node_count : int;
+  item_count : int;
+  slice_base : int array;
+  slice_node : int array;
+  affected : int list array;
+  if_ids : int array array;
+  if_secs : float array array;
+  umm : float array;
 }
 
+(* Dense item index: feature value [v] is [v], the weight of node [n]
+   is [node_count + n], and the slices of every sliced node follow from
+   [2 * node_count] on, in node order.  [-1] for an item the metric does
+   not know (a node out of range, or a slice that does not match the
+   node's slicing). *)
+let index_opt t = function
+  | Feature_value v -> if v >= 0 && v < t.node_count then v else -1
+  | Weight_of n -> if n >= 0 && n < t.node_count then t.node_count + n else -1
+  | Weight_slice { node; index; of_k } ->
+    if
+      node >= 0 && node < t.node_count && t.slices.(node) > 1
+      && of_k = t.slices.(node) && index >= 0 && index < of_k
+    then t.slice_base.(node) + index
+    else -1
+
+let item_count t = t.item_count
+
+let item_index t item =
+  let i = index_opt t item in
+  if i < 0 then invalid_arg "Metric.item_index: item outside the metric";
+  i
+
+let item_of_index t i =
+  let n = t.node_count in
+  if i < n then Feature_value i
+  else if i < 2 * n then Weight_of (i - n)
+  else
+    let node = t.slice_node.(i - (2 * n)) in
+    Weight_slice
+      { node; index = i - t.slice_base.(node); of_k = t.slices.(node) }
+
+let fmax (a : float) b = if a >= b then a else b
+
+(* Eq. 1 with fractional weight residency: the streamed share of a sliced
+   weight tensor scales its transfer term.  [fmax] is [Stdlib.max]
+   specialised to floats (same comparison, same result). *)
+let node_latency_ix t ~on id =
+  let p = t.profiles.(id) in
+  let k = t.slices.(id) in
+  let wt_time =
+    if p.Latency.wt_term <= 0. then 0.
+    else if k = 1 then if on (t.node_count + id) then 0. else p.Latency.wt_term
+    else begin
+      let base = t.slice_base.(id) in
+      let off = ref 0 in
+      for index = 0 to k - 1 do
+        if not (on (base + index)) then incr off
+      done;
+      p.Latency.wt_term *. float_of_int !off /. float_of_int k
+    end
+  in
+  let ids = t.if_ids.(id) and secs = t.if_secs.(id) in
+  let if_time = ref 0. in
+  for j = 0 to Array.length ids - 1 do
+    if not (on ids.(j)) then if_time := !if_time +. secs.(j)
+  done;
+  let of_time = if on id then 0. else p.Latency.of_term in
+  fmax p.Latency.latc (fmax !if_time (fmax wt_time of_time))
+
+let terms_of f terms = Array.of_list (List.map f terms)
+
 let build ?(weight_slices = fun _ -> 1) graph profiles =
-  let affected = Hashtbl.create 256 in
-  let slices = Array.make (Array.length profiles) 1 in
+  let node_count = Array.length profiles in
+  let slices = Array.make node_count 1 in
+  let slice_base = Array.make node_count 0 in
+  let next = ref (2 * node_count) in
   Array.iter
     (fun p ->
       let id = p.Latency.node_id in
       if p.Latency.wt_term > 0. then begin
         let k = max 1 (weight_slices id) in
         slices.(id) <- k;
-        if k = 1 then Hashtbl.replace affected (Weight_of id) [ id ]
-        else
-          for index = 0 to k - 1 do
-            Hashtbl.replace affected (Weight_slice { node = id; index; of_k = k }) [ id ]
-          done
+        if k > 1 then begin
+          slice_base.(id) <- !next;
+          next := !next + k
+        end
       end)
+    profiles;
+  let item_count = !next in
+  let slice_node = Array.make (item_count - (2 * node_count)) 0 in
+  let affected = Array.make item_count [] in
+  Array.iter
+    (fun p ->
+      let id = p.Latency.node_id in
+      if p.Latency.wt_term > 0. then
+        if slices.(id) = 1 then affected.(node_count + id) <- [ id ]
+        else
+          for index = 0 to slices.(id) - 1 do
+            slice_node.(slice_base.(id) + index - (2 * node_count)) <- id;
+            affected.(slice_base.(id) + index) <- [ id ]
+          done)
     profiles;
   (* A feature value affects its producer (output stream) and every
      consumer (input stream). *)
   for v = 0 to G.node_count graph - 1 do
     if Values.is_value graph v then begin
       let consumers = Values.consumers graph v in
-      let nodes =
-        if profiles.(v).Latency.of_term > 0. then v :: consumers else consumers
-      in
-      if nodes <> [] then Hashtbl.replace affected (Feature_value v) nodes
+      affected.(v) <-
+        (if profiles.(v).Latency.of_term > 0. then v :: consumers
+         else consumers)
     end
   done;
-  { graph; profiles; affected; slices }
+  let t =
+    { graph;
+      profiles;
+      slices;
+      node_count;
+      item_count;
+      slice_base;
+      slice_node;
+      affected;
+      if_ids = Array.map (fun p -> terms_of fst p.Latency.if_terms) profiles;
+      if_secs = Array.map (fun p -> terms_of snd p.Latency.if_terms) profiles;
+      umm = [||] }
+  in
+  let off_chip _ = false in
+  { t with umm = Array.init node_count (node_latency_ix t ~on:off_chip) }
 
 let weight_bytes dtype t n =
   match G.weight_shape t.graph n with
@@ -62,66 +158,56 @@ let item_size_bytes dtype t = function
     (weight_bytes dtype t node + of_k - 1) / of_k
 
 let affected_nodes t item =
-  match Hashtbl.find_opt t.affected item with Some l -> l | None -> []
+  let i = index_opt t item in
+  if i < 0 then [] else t.affected.(i)
 
-(* Eq. 1 with fractional weight residency: the streamed share of a sliced
-   weight tensor scales its transfer term. *)
-let node_latency_pred t ~on id =
-  let p = t.profiles.(id) in
-  let k = t.slices.(id) in
-  let wt_time =
-    if p.Latency.wt_term <= 0. then 0.
-    else if k = 1 then if on (Weight_of id) then 0. else p.Latency.wt_term
-    else begin
-      let off = ref 0 in
-      for index = 0 to k - 1 do
-        if not (on (Weight_slice { node = id; index; of_k = k })) then incr off
-      done;
-      p.Latency.wt_term *. float_of_int !off /. float_of_int k
-    end
-  in
-  let if_time =
-    List.fold_left
-      (fun acc (v, seconds) -> if on (Feature_value v) then acc else acc +. seconds)
-      0. p.Latency.if_terms
-  in
-  let of_time = if on (Feature_value id) then 0. else p.Latency.of_term in
-  max p.Latency.latc (max if_time (max wt_time of_time))
+let umm_latency t id = t.umm.(id)
 
-(* The exact item set [node_latency_pred] queries for a node, in query
-   order.  DNNK's compensation tables key their memo bits on this set,
-   and warm-started workspaces rely on the order being a pure function
-   of the metric — keep it in lockstep with [node_latency_pred]. *)
-let iter_queried_items t id f =
-  let p = t.profiles.(id) in
+(* The item indices [node_latency_ix] queries for a node, in query
+   order: weight, input features, output.  DNNK's compensation tables
+   key their memo bits on this enumeration, and warm-started workspaces
+   rely on the order being a pure function of the metric. *)
+let iter_queried_ix t id f =
   let k = t.slices.(id) in
-  if p.Latency.wt_term > 0. then begin
-    if k = 1 then f (Weight_of id)
+  if t.profiles.(id).Latency.wt_term > 0. then begin
+    if k = 1 then f (t.node_count + id)
     else
       for index = 0 to k - 1 do
-        f (Weight_slice { node = id; index; of_k = k })
+        f (t.slice_base.(id) + index)
       done
   end;
-  List.iter (fun (v, _) -> f (Feature_value v)) p.Latency.if_terms;
-  f (Feature_value id)
+  Array.iter f t.if_ids.(id);
+  f id
 
-let node_latency t ~on_chip id =
-  node_latency_pred t ~on:(fun item -> Item_set.mem item on_chip) id
-
-let total_latency t ~on_chip =
+let total_latency_ix t ~on =
   let sum = ref 0. in
-  for id = 0 to Array.length t.profiles - 1 do
-    sum := !sum +. node_latency t ~on_chip id
+  for id = 0 to t.node_count - 1 do
+    sum := !sum +. node_latency_ix t ~on id
   done;
   !sum
 
-let marginal_gain t ~on_chip item =
-  let nodes = affected_nodes t item in
-  let with_item = Item_set.add item on_chip in
-  List.fold_left
-    (fun acc id ->
-      acc +. node_latency t ~on_chip id -. node_latency t ~on_chip:with_item id)
-    0. nodes
+let gain_ix t ~before ~after nodes =
+  let acc = ref 0. in
+  for k = 0 to Array.length nodes - 1 do
+    let id = nodes.(k) in
+    acc :=
+      !acc +. node_latency_ix t ~on:before id -. node_latency_ix t ~on:after id
+  done;
+  !acc
+
+let static_gain_ix t ~on nodes =
+  let acc = ref 0. in
+  for k = 0 to Array.length nodes - 1 do
+    let id = nodes.(k) in
+    acc := !acc +. t.umm.(id) -. node_latency_ix t ~on id
+  done;
+  !acc
+
+let mem_pred t on_chip i = Item_set.mem (item_of_index t i) on_chip
+
+let node_latency t ~on_chip id = node_latency_ix t ~on:(mem_pred t on_chip) id
+
+let total_latency t ~on_chip = total_latency_ix t ~on:(mem_pred t on_chip)
 
 let marginal_gain_many t ~on_chip items =
   let nodes =
@@ -130,20 +216,18 @@ let marginal_gain_many t ~on_chip items =
   let with_items =
     List.fold_left (fun acc it -> Item_set.add it acc) on_chip items
   in
-  List.fold_left
-    (fun acc id ->
-      acc +. node_latency t ~on_chip id -. node_latency t ~on_chip:with_items id)
-    0. nodes
+  gain_ix t ~before:(mem_pred t on_chip) ~after:(mem_pred t with_items)
+    (Array.of_list nodes)
 
-(* Eq. 2 against the all-off-chip state: per affected node, the node's
-   UMM latency minus its latency with only this item pinned. *)
-let static_reduction t item = marginal_gain t ~on_chip:Item_set.empty item
+let marginal_gain t ~on_chip item =
+  gain_ix t ~before:(mem_pred t on_chip)
+    ~after:(mem_pred t (Item_set.add item on_chip))
+    (Array.of_list (affected_nodes t item))
 
 let eligible_items t ~memory_bound_only =
   let memory_bound = Array.map Latency.is_memory_bound t.profiles in
-  let qualifies item =
-    (not memory_bound_only)
-    || List.exists (fun id -> memory_bound.(id)) (affected_nodes t item)
+  let qualifies nodes =
+    (not memory_bound_only) || List.exists (fun id -> memory_bound.(id)) nodes
   in
   let is_input v =
     match (G.node t.graph v).G.op with
@@ -152,17 +236,18 @@ let eligible_items t ~memory_bound_only =
     | Dnn_graph.Op.Concat | Dnn_graph.Op.Upsample _ | Dnn_graph.Op.Dense _ ->
       false
   in
-  Hashtbl.fold
-    (fun item _nodes acc ->
-      let keep =
-        match item with
-        | Feature_value v ->
-          (not (is_input v)) && Values.consumers t.graph v <> [] && qualifies item
-        | Weight_of _ | Weight_slice _ -> qualifies item
-      in
-      if keep then item :: acc else acc)
-    t.affected []
-  |> List.sort compare
+  let acc = ref [] in
+  for i = t.item_count - 1 downto 0 do
+    let nodes = t.affected.(i) in
+    let keep =
+      nodes <> []
+      && qualifies nodes
+      && (i >= t.node_count
+         || ((not (is_input i)) && Values.consumers t.graph i <> []))
+    in
+    if keep then acc := item_of_index t i :: !acc
+  done;
+  List.sort compare !acc
 
 let pp_item ppf = function
   | Feature_value v -> Format.fprintf ppf "f%d" v

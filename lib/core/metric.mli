@@ -23,10 +23,24 @@ module Item_set : Set.S with type elt = item
 type t = private {
   graph : Dnn_graph.Graph.t;
   profiles : Accel.Latency.profile array;
-  affected : (item, int list) Hashtbl.t;
-      (** Nodes whose Eq. 1 latency depends on each item. *)
   slices : int array;
       (** Weight slicing granularity per node (1 = whole tensor). *)
+  node_count : int;
+  item_count : int;
+      (** Size of the dense item index space (see {!item_index}). *)
+  slice_base : int array;
+      (** Per sliced node, the dense index of its slice 0. *)
+  slice_node : int array;
+      (** Per slice (dense index minus [2 * node_count]), its node. *)
+  affected : int list array;
+      (** Per dense item index, the nodes whose Eq. 1 latency depends on
+          the item ([[]] for items no node queries). *)
+  if_ids : int array array;
+  if_secs : float array array;
+      (** Per node, {!Accel.Latency.profile.if_terms} as two flat arrays
+          (value ids, seconds), in the same order. *)
+  umm : float array;
+      (** Per node, its Eq. 1 latency with every item off chip. *)
 }
 
 val build :
@@ -42,18 +56,54 @@ val item_size_bytes : Tensor.Dtype.t -> t -> item -> int
 val affected_nodes : t -> item -> int list
 (** Nodes whose latency changes when the item's placement changes. *)
 
+(** {2 Dense evaluation}
+
+    Every item of a metric has a dense index in [0, item_count): feature
+    value [v] is [v], the weight of node [n] is [node_count + n], and the
+    slices of sliced nodes follow in node order.  The index forms below
+    are what allocators' inner loops use: a predicate over [int], flat
+    term arrays, no boxed items. *)
+
+val item_count : t -> int
+
+val item_index : t -> item -> int
+(** Dense index of an item.  Raises [Invalid_argument] on an item the
+    metric does not know: a node out of range, or a [Weight_slice] that
+    does not match the node's slicing. *)
+
+val node_latency_ix : t -> on:(int -> bool) -> int -> float
+(** Eq. 1 latency of one node, with [on] deciding which dense item
+    indices are on chip.  The single Eq. 1 evaluator: every other latency
+    function of this module goes through it. *)
+
+val umm_latency : t -> int -> float
+(** [node_latency_ix ~on:(fun _ -> false)], cached per node. *)
+
+val iter_queried_ix : t -> int -> (int -> unit) -> unit
+(** [iter_queried_ix t id f] calls [f] on exactly the item indices
+    {!node_latency_ix} queries for node [id], in query order (weight,
+    input features, output).  DNNK's compensation tables derive their
+    memo-key bit layout from this enumeration; it is a pure function of
+    the metric. *)
+
+val total_latency_ix : t -> on:(int -> bool) -> float
+(** Whole-network latency (sequential node execution) under [on]. *)
+
+val gain_ix :
+  t -> before:(int -> bool) -> after:(int -> bool) -> int array -> float
+(** [gain_ix t ~before ~after nodes] sums, over [nodes] in order, each
+    node's latency under [before] minus its latency under [after]. *)
+
+val static_gain_ix : t -> on:(int -> bool) -> int array -> float
+(** [gain_ix] from the all-off-chip state, reading the cached UMM
+    latencies.  With [nodes] the sorted affected nodes of the items [on]
+    marks, this is bit for bit
+    [marginal_gain_many ~on_chip:Item_set.empty] of those items. *)
+
+(** {2 Item-set evaluation} *)
+
 val node_latency : t -> on_chip:Item_set.t -> int -> float
 (** Eq. 1 latency of one node under the allocation. *)
-
-val node_latency_pred : t -> on:(item -> bool) -> int -> float
-(** Like {!node_latency} with the allocation as a predicate — the hot
-    path of DNNK's inner loop, avoiding set construction. *)
-
-val iter_queried_items : t -> int -> (item -> unit) -> unit
-(** [iter_queried_items t id f] calls [f] on exactly the items
-    {!node_latency_pred} queries for node [id], in query order.  DNNK's
-    compensation tables derive their memo-key bit layout from this
-    enumeration; it is a pure function of the metric. *)
 
 val total_latency : t -> on_chip:Item_set.t -> float
 (** Whole-network latency (sequential node execution). *)
@@ -63,11 +113,6 @@ val marginal_gain : t -> on_chip:Item_set.t -> item -> float
 
 val marginal_gain_many : t -> on_chip:Item_set.t -> item list -> float
 (** Latency saved by adding all the items together. *)
-
-val static_reduction : t -> item -> float
-(** The paper's Eq. 2: the item's latency reduction computed against the
-    all-off-chip state, per affected node with the next-largest term as
-    the post-removal latency.  Used to seed DNNK's approximate tables. *)
 
 val eligible_items :
   t -> memory_bound_only:bool -> item list

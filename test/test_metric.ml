@@ -56,8 +56,9 @@ let test_gain_many_joint () =
 
 let test_static_reduction_is_eq2 () =
   let _, m = fixture () in
-  (* For a node whose largest term is the weight stream, Eq. 2 says the
-     reduction is (wt - next largest term). *)
+  (* Eq. 2 is the marginal gain against the all-off-chip state.  For a
+     node whose largest term is the weight stream, it is (wt - next
+     largest term). *)
   let p = m.Metric.profiles.(3) in
   let if_sum = List.fold_left (fun a (_, t) -> a +. t) 0. p.Latency.if_terms in
   let others = List.sort compare [ p.Latency.latc; if_sum; p.Latency.of_term ] in
@@ -65,7 +66,8 @@ let test_static_reduction_is_eq2 () =
   if p.Latency.wt_term > next then
     Alcotest.(check (float 1e-12)) "eq2"
       (p.Latency.wt_term -. next)
-      (Metric.static_reduction m (Metric.Weight_of 3))
+      (Metric.marginal_gain m ~on_chip:Metric.Item_set.empty
+         (Metric.Weight_of 3))
 
 let test_eligibility () =
   let _, m = fixture () in
@@ -135,6 +137,63 @@ let prop_joint_gain_dominates_solo =
           Metric.marginal_gain m ~on_chip:Metric.Item_set.empty it <= joint +. 1e-9)
         items)
 
+(* The dense evaluator against the item-set one, bit for bit: every
+   node's Eq. 1 latency under a random on-chip set, and the static gain
+   of random item groups (DNNK's sort key), on graphs of every generator
+   family with whole and 3-way sliced weights. *)
+let prop_dense_matches_item_sets =
+  let bits = Int64.bits_of_float in
+  let families = Array.of_list Check.Gen.families in
+  Helpers.qtest ~count:60 "dense Eq. 1 = item-set Eq. 1, bit for bit"
+    QCheck2.Gen.(
+      quad (int_range 0 (Array.length families - 1)) (oneofl [ 1; 3 ])
+        (int_range 4 60) int)
+    (fun (fam, slices, max_nodes, seed) ->
+      let st = Random.State.make [| seed |] in
+      let g = Check.Gen.graph ~family:families.(fam) st ~max_nodes in
+      let m =
+        Metric.build ~weight_slices:(fun _ -> slices) g
+          (Latency.profile_graph (Helpers.default_config ()) g)
+      in
+      let items =
+        Array.of_list (Metric.eligible_items m ~memory_bound_only:false)
+      in
+      let n_items = Array.length items in
+      let picks k =
+        List.init k (fun _ -> items.(Random.State.int st n_items))
+      in
+      let mark_of members =
+        let mark = Array.make (Metric.item_count m) false in
+        List.iter (fun it -> mark.(Metric.item_index m it) <- true) members;
+        Array.get mark
+      in
+      let node_ok on_chip id =
+        let on = mark_of (Metric.Item_set.elements on_chip) in
+        bits (Metric.node_latency_ix m ~on id)
+        = bits (Metric.node_latency m ~on_chip id)
+        && bits (Metric.umm_latency m id)
+           = bits (Metric.node_latency m ~on_chip:Metric.Item_set.empty id)
+      in
+      let static_ok members =
+        let nodes =
+          List.concat_map (Metric.affected_nodes m) members
+          |> List.sort_uniq compare |> Array.of_list
+        in
+        bits (Metric.static_gain_ix m ~on:(mark_of members) nodes)
+        = bits
+            (Metric.marginal_gain_many m ~on_chip:Metric.Item_set.empty
+               members)
+      in
+      n_items = 0
+      || begin
+        let on_chip =
+          Metric.Item_set.of_list (picks (Random.State.int st (n_items + 1)))
+        in
+        List.for_all (node_ok on_chip) (List.init m.Metric.node_count Fun.id)
+        && List.for_all static_ok
+             (List.init 8 (fun _ -> picks (1 + Random.State.int st 3)))
+      end)
+
 let suite =
   [ Alcotest.test_case "affected nodes" `Quick test_affected_nodes;
     Alcotest.test_case "total latency = UMM when empty" `Quick test_total_latency_matches_umm;
@@ -145,4 +204,5 @@ let suite =
     Alcotest.test_case "eligibility" `Quick test_eligibility;
     Alcotest.test_case "item sizes" `Quick test_item_sizes;
     prop_latency_monotone;
-    prop_joint_gain_dominates_solo ]
+    prop_joint_gain_dominates_solo;
+    prop_dense_matches_item_sets ]
