@@ -33,17 +33,27 @@ let mem t i =
 
 let reset t = Array.fill t.words 0 (Array.length t.words) 0
 
+let copy t = { t with words = Array.copy t.words }
+
+let check_widths name dst src =
+  if dst.width <> src.width then
+    invalid_arg (Printf.sprintf "Bitset.%s: width mismatch" name)
+
+let copy_into ~dst src =
+  check_widths "copy_into" dst src;
+  Array.blit src.words 0 dst.words 0 (Array.length src.words)
+
 let union_into ~dst src =
-  if dst.width <> src.width then invalid_arg "Bitset.union_into: width mismatch";
+  check_widths "union_into" dst src;
   for w = 0 to Array.length dst.words - 1 do
     dst.words.(w) <- dst.words.(w) lor src.words.(w)
   done
 
-let inter_empty a b =
-  if a.width <> b.width then invalid_arg "Bitset.inter_empty: width mismatch";
-  let n = Array.length a.words in
-  let rec go w = w >= n || (a.words.(w) land b.words.(w) = 0 && go (w + 1)) in
-  go 0
+let diff_into ~dst src =
+  check_widths "diff_into" dst src;
+  for w = 0 to Array.length dst.words - 1 do
+    dst.words.(w) <- dst.words.(w) land lnot src.words.(w)
+  done
 
 (* Kernighan's trick: one iteration per set bit. *)
 let popcount_word x =

@@ -1,8 +1,8 @@
 (** Fixed-width packed bitsets over native ints.
 
-    The planner's hot paths (interference adjacency rows, coloring
-    partition masks, DNNK chosen sets) all reduce to word-parallel bit
-    tests over these. *)
+    The planner's graph passes (interference adjacency rows and their
+    prefix fills, coloring's per-buffer conflict masks) reduce to
+    word-parallel operations and single bit tests over these. *)
 
 type t
 
@@ -20,11 +20,19 @@ val mem : t -> int -> bool
 val reset : t -> unit
 (** Clear every bit in place. *)
 
-val union_into : dst:t -> t -> unit
-(** [union_into ~dst src] ors [src] into [dst]; widths must match. *)
+val copy : t -> t
+(** A fresh set with the same bits. *)
 
-val inter_empty : t -> t -> bool
-(** Whether the two sets are disjoint, one word at a time. *)
+val copy_into : dst:t -> t -> unit
+(** [copy_into ~dst src] makes [dst] hold exactly the bits of [src]. *)
+
+val union_into : dst:t -> t -> unit
+(** [union_into ~dst src] ors [src] into [dst]. *)
+
+val diff_into : dst:t -> t -> unit
+(** [diff_into ~dst src] clears in [dst] every bit set in [src].  The
+    three in-place operations run one word at a time and raise
+    [Invalid_argument] when the widths differ. *)
 
 val cardinal : t -> int
 (** Population count. *)

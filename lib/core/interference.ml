@@ -5,12 +5,13 @@ module Pair_set = Set.Make (struct
 end)
 
 (* Adjacency is materialised once at [build] into packed bitset rows:
-   lifespan overlaps come from a sweep-line over start-sorted intervals
-   (O(n log n + edges)), [never_share_class] partitions are or-ed in as
-   whole class masks, and the generic [never_share] predicate (used by
-   small differential-test graphs) falls back to a pairwise fill.
-   [conflict]/[degree] are then plain word-parallel bit tests with no
-   closure calls on the query path. *)
+   lifespan overlaps are filled a word at a time from two growing prefix
+   sets (O(n log n + n^2 / w) words, independent of the edge count),
+   [never_share_class] partitions are or-ed in as whole class masks, and
+   the generic [never_share] predicate (used by small differential-test
+   graphs) falls back to a pairwise fill.  [conflict]/[degree] are then
+   plain word-parallel bit tests with no closure calls on the query
+   path. *)
 type t = {
   items : Metric.item array;
   intervals : Liveness.interval array;
@@ -19,12 +20,25 @@ type t = {
   mutable false_edges : Pair_set.t;
 }
 
+let sorted_by key n =
+  let order = Array.init n Fun.id in
+  Array.sort (fun a b -> Int.compare (key a) (key b)) order;
+  order
+
+(* Fills empty rows.  For well-formed intervals, [j] overlaps [i] exactly
+   when [start_j <= end_i] and not [end_j < start_i], so row [i] is the
+   first set minus the second minus [i] itself.  Both sets are prefixes
+   of a sorted order: one pass in ascending end order grows
+   [{j : start_j <= end_i}] and copies it into each row, a second in
+   ascending start order grows [{j : end_j < start_i}] and subtracts it.
+   The only transient state is one bitset and the two orders. *)
 let fill_overlaps rows intervals =
   let n = Array.length intervals in
+  let start_of i = intervals.(i).Liveness.start_pos in
+  let end_of i = intervals.(i).Liveness.end_pos in
   let valid = ref true in
   for i = 0 to n - 1 do
-    if intervals.(i).Liveness.end_pos < intervals.(i).Liveness.start_pos then
-      valid := false
+    if end_of i < start_of i then valid := false
   done;
   if not !valid then
     (* Degenerate hand-built intervals: keep the naive quadratic fill. *)
@@ -37,39 +51,29 @@ let fill_overlaps rows intervals =
       done
     done
   else begin
-    let order = Array.init n (fun i -> i) in
-    Array.sort
-      (fun a b ->
-        compare intervals.(a).Liveness.start_pos intervals.(b).Liveness.start_pos)
-      order;
-    (* Sweep in ascending start order.  [active] holds earlier intervals
-       whose end has not passed the current start; each survivor overlaps
-       the current interval, so the per-step compaction cost is charged
-       to emitted edges. *)
-    let active = ref (Array.make 16 0) in
-    let active_len = ref 0 in
+    let by_start = sorted_by start_of n in
+    let by_end = sorted_by end_of n in
+    let prefix = Bitset.create n in
+    let next = ref 0 in
     Array.iter
       (fun i ->
-        let start = intervals.(i).Liveness.start_pos in
-        let kept = ref 0 in
-        for k = 0 to !active_len - 1 do
-          let j = !active.(k) in
-          if intervals.(j).Liveness.end_pos >= start then begin
-            !active.(!kept) <- j;
-            incr kept;
-            Bitset.set rows.(i) j;
-            Bitset.set rows.(j) i
-          end
+        while !next < n && start_of by_start.(!next) <= end_of i do
+          Bitset.set prefix by_start.(!next);
+          incr next
         done;
-        active_len := !kept;
-        if !active_len = Array.length !active then begin
-          let grown = Array.make (2 * Array.length !active) 0 in
-          Array.blit !active 0 grown 0 !active_len;
-          active := grown
-        end;
-        !active.(!active_len) <- i;
-        incr active_len)
-      order
+        Bitset.copy_into ~dst:rows.(i) prefix)
+      by_end;
+    Bitset.reset prefix;
+    next := 0;
+    Array.iter
+      (fun i ->
+        while !next < n && end_of by_end.(!next) < start_of i do
+          Bitset.set prefix by_end.(!next);
+          incr next
+        done;
+        Bitset.diff_into ~dst:rows.(i) prefix;
+        Bitset.clear rows.(i) i)
+      by_start
   end
 
 let fill_classes rows items classify =

@@ -5,9 +5,10 @@
     *false* interference edges between chosen non-overlapping pairs to
     force them into different virtual buffers.
 
-    Adjacency is materialised once at [build] into packed bitset rows
-    (sweep-line over start-sorted intervals), so [conflict] and [degree]
-    are word-parallel bit tests rather than per-query closure calls. *)
+    Adjacency is materialised once at [build] into packed bitset rows,
+    filled a word at a time from prefix sets of the start- and
+    end-sorted intervals, so [conflict] and [degree] are bit tests and
+    popcounts rather than per-query closure calls. *)
 
 type t
 
