@@ -146,6 +146,15 @@ grep -q '"family": "skip"' "$out"
 awk -F': ' '/"family"/ { fam = $2 } /"nodes"/ { n = $2 + 0 }
             /"dnnk_us"/ && fam ~ /"skip"/ && n == 512 { seen = 1; us = $2 + 0 }
             END { exit (seen && us <= 60000) ? 0 : 1 }' "$out"
+# The 4096-node mixed row times the passes a splitting trial repeats.
+# Coloring must stay within 18 ms, interference within 11 ms and the
+# splitting loop within 130 ms; per-edge bit sets, member scans and a
+# closure-built DNNK term read ~19, ~36 and ~195 ms there.
+awk -F': ' '/"family"/ { fam = $2 } /"nodes"/ { n = $2 + 0 }
+            fam ~ /"mixed"/ && n == 4096 && /"coloring_us"/ { seen++; c = $2 + 0 }
+            fam ~ /"mixed"/ && n == 4096 && /"interference_us"/ { seen++; i = $2 + 0 }
+            fam ~ /"mixed"/ && n == 4096 && /"splitting_us"/ { seen++; s = $2 + 0 }
+            END { exit (seen == 3 && c <= 18000 && i <= 11000 && s <= 130000) ? 0 : 1 }' "$out"
 echo "wrote $out"
 
 echo "== tier-2: sharded tier vs single-process serve (byte-exact) =="
