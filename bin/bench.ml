@@ -1081,7 +1081,7 @@ let perf_baseline_icd_us = function
 
 let perf_experiment () =
   header
-    "Planner throughput: per-pass wall time on seeded random graphs \
+    "Planner throughput: per-pass and tile-DSE wall time on seeded random graphs \
      (mixed- and skip-family Gen, 16-bit, quarter SRAM budget)";
   let time f =
     let t0 = Unix.gettimeofday () in
@@ -1150,8 +1150,9 @@ let perf_experiment () =
         ("dnnk_us", dnnk_us); ("splitting_us", splitting_us) ],
       interference_us +. coloring_us +. dnnk_us )
   in
-  Printf.printf "%6s %7s %7s %6s %6s | %12s %12s %9s | %10s\n" "family"
-    "nodes" "items" "vbufs" "reps" "icd us" "baseline us" "speedup" "plans/s";
+  Printf.printf "%6s %7s %7s %6s %6s | %12s %12s %9s | %10s | %10s\n" "family"
+    "nodes" "items" "vbufs" "reps" "icd us" "baseline us" "speedup" "plans/s"
+    "dse us";
   let rows =
     List.map
       (fun (family, nodes) ->
@@ -1175,6 +1176,15 @@ let perf_experiment () =
           | _ -> best := Some (items, vbufs, passes, icd)
         done;
         let items, vbufs, passes, icd = Option.get !best in
+        (* The tile DSE a compile runs before planning, timed on its own so
+           the plan numbers above stay the planner's. *)
+        let dse = ref infinity in
+        for _ = 1 to reps do
+          let _, elapsed =
+            time (fun () -> Accel.Dse.run ~style:Accel.Config.Lcmm dtype g)
+          in
+          dse := Float.min !dse elapsed
+        done;
         (* The pre-optimization constants cover the mixed rows only. *)
         let baseline =
           if family = Check.Gen.Mixed then Some (perf_baseline_icd_us nodes)
@@ -1186,17 +1196,17 @@ let perf_experiment () =
           | Some v -> Printf.sprintf fmt v
           | None -> "-"
         in
-        Printf.printf "%6s %7d %7d %6d %6d | %12.0f %12s %9s | %10.2f\n%!"
+        Printf.printf "%6s %7d %7d %6d %6d | %12.0f %12s %9s | %10.2f | %10.0f\n%!"
           (Check.Gen.family_name family) nodes items vbufs reps icd
-          (or_dash "%.0f" baseline) (or_dash "%.1fx" speedup) plans_per_sec;
+          (or_dash "%.0f" baseline) (or_dash "%.1fx" speedup) plans_per_sec !dse;
         (family, nodes, Dnn_graph.Graph.node_count g, items, vbufs, passes,
-         icd, baseline, speedup, plans_per_sec))
+         icd, baseline, speedup, plans_per_sec, !dse))
       (List.map (fun n -> (Check.Gen.Mixed, n)) perf_sizes
       @ List.map (fun n -> (Check.Gen.Skip, n)) perf_skip_sizes)
   in
   let speedup_1k =
     List.fold_left
-      (fun acc (_, nodes, _, _, _, _, _, _, speedup, _) ->
+      (fun acc (_, nodes, _, _, _, _, _, _, speedup, _, _) ->
         match speedup with
         | Some x when nodes = 1024 -> x
         | Some _ | None -> acc)
@@ -1207,7 +1217,7 @@ let perf_experiment () =
     speedup_1k;
   let row_json
       (family, nodes, graph_nodes, items, vbufs, passes, icd, baseline,
-       speedup, plans_per_sec) =
+       speedup, plans_per_sec, dse) =
     let optional name = function
       | Some v -> [ (name, Json.Float v) ]
       | None -> []
@@ -1223,7 +1233,7 @@ let perf_experiment () =
          ("icd_us", Json.Float icd) ]
       @ optional "baseline_icd_us" baseline
       @ optional "icd_speedup" speedup
-      @ [ ("plans_per_sec", Json.Float plans_per_sec) ])
+      @ [ ("plans_per_sec", Json.Float plans_per_sec); ("dse_us", Json.Float dse) ])
   in
   Json.Obj
     [ ("experiment", Json.String "perf");

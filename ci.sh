@@ -155,6 +155,16 @@ awk -F': ' '/"family"/ { fam = $2 } /"nodes"/ { n = $2 + 0 }
             fam ~ /"mixed"/ && n == 4096 && /"interference_us"/ { seen++; i = $2 + 0 }
             fam ~ /"mixed"/ && n == 4096 && /"splitting_us"/ { seen++; s = $2 + 0 }
             END { exit (seen == 3 && c <= 18000 && i <= 11000 && s <= 130000) ? 0 : 1 }' "$out"
+# The tile DSE sweeps its 180 design points from one per-graph table:
+# within 30 ms on the 1024-node mixed row and 100 ms on the 512-node skip
+# row, where a whole latency profile per design point read ~102 and
+# ~1072 ms.
+awk -F': ' '/"family"/ { fam = $2 } /"nodes"/ { n = $2 + 0 }
+            /"dse_us"/ && fam ~ /"mixed"/ && n == 1024 { seen = 1; us = $2 + 0 }
+            END { exit (seen && us <= 30000) ? 0 : 1 }' "$out"
+awk -F': ' '/"family"/ { fam = $2 } /"nodes"/ { n = $2 + 0 }
+            /"dse_us"/ && fam ~ /"skip"/ && n == 512 { seen = 1; us = $2 + 0 }
+            END { exit (seen && us <= 100000) ? 0 : 1 }' "$out"
 echo "wrote $out"
 
 echo "== tier-2: sharded tier vs single-process serve (byte-exact) =="

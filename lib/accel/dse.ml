@@ -13,23 +13,40 @@ let candidate_tiles () =
         [ 16; 32; 64 ])
     [ 16; 32; 64 ]
 
-let run ?(device = Fpga.Device.vu9p) ?tiles ~style dtype g =
-  let tiles = match tiles with Some t -> t | None -> candidate_tiles () in
+let run ?(device = Fpga.Device.vu9p) ~style dtype g =
+  let tiles = Array.of_list (candidate_tiles ()) in
+  let table = Latency.table dtype ~fused_eltwise:false g in
+  (* A node's compute time depends only on the PE array (one per DSP
+     fraction) and its streaming time only on the tile, so each is swept
+     once and every candidate is a fold over the two.  A tile is swept the
+     first time one of its candidates fits. *)
+  let streaming = Array.make (Array.length tiles) None in
+  let streaming_of i cfg =
+    match streaming.(i) with
+    | Some s -> s
+    | None ->
+      let s = Latency.streaming_times cfg table in
+      streaming.(i) <- Some s;
+      s
+  in
   (* Large parts close timing with the full 83 % DSP budget; smaller parts
      (or LUT-hungry precisions) need a smaller array, so the sweep also
      descends the DSP-budget ladder. *)
-  let tiles =
-    List.concat_map
-      (fun fraction -> List.map (fun t -> (fraction, t)) tiles)
-      [ 0.83; 0.6; 0.4; 0.25; 0.12 ]
-  in
-  let evaluate (dsp_fraction, tile) =
-    let cfg = Config.make ~device ~dsp_fraction ~tile ~style dtype in
-    let resources = Config.compute_resources cfg in
-    if not (Fpga.Resource.fits resources ~within:device.Fpga.Device.total) then None
-    else
-      let umm_latency = Latency.umm_total (Latency.profile_graph cfg g) in
-      Some { config = cfg; umm_latency; resources }
+  let evaluate_fraction dsp_fraction =
+    let base = Config.make ~device ~dsp_fraction ~style dtype in
+    let compute = lazy (Latency.compute_times base table) in
+    List.init (Array.length tiles) (fun i ->
+        let cfg = { base with Config.tile = tiles.(i) } in
+        let resources = Config.compute_resources cfg in
+        if not (Fpga.Resource.fits resources ~within:device.Fpga.Device.total)
+        then None
+        else
+          let umm_latency =
+            Latency.umm_total_of_times ~compute:(Lazy.force compute)
+              ~streaming:(streaming_of i cfg)
+          in
+          Some { config = cfg; umm_latency; resources })
+    |> List.filter_map Fun.id
   in
   let better a b =
     if a.umm_latency < b.umm_latency then a
@@ -40,6 +57,6 @@ let run ?(device = Fpga.Device.vu9p) ?tiles ~style dtype g =
     then a
     else b
   in
-  match List.filter_map evaluate tiles with
+  match List.concat_map evaluate_fraction [ 0.83; 0.6; 0.4; 0.25; 0.12 ] with
   | [] -> invalid_arg "Dse.run: no tile configuration fits the device"
   | first :: rest -> List.fold_left better first rest

@@ -18,7 +18,11 @@ val candidate_tiles : unit -> Tiling.t list
     7..56. *)
 
 val run :
-  ?device:Fpga.Device.t -> ?tiles:Tiling.t list -> style:Config.style ->
+  ?device:Fpga.Device.t -> style:Config.style ->
   Tensor.Dtype.t -> Dnn_graph.Graph.t -> result
-(** Explore and return the best design point for the graph.  Raises
-    [Invalid_argument] when no candidate fits the device. *)
+(** Explore the {!candidate_tiles} at five DSP budgets and return the
+    best design point for the graph.  Compute and streaming times are
+    swept once per PE array and once per tile ({!Latency.compute_times},
+    {!Latency.streaming_times}), so each candidate's latency is one fold,
+    equal bit for bit to [Latency.umm_total (Latency.profile_graph config
+    g)].  Raises [Invalid_argument] when no candidate fits the device. *)

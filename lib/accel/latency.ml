@@ -17,88 +17,89 @@ type profile = {
   of_stream_bytes : int;
 }
 
-let cycles_to_seconds cfg cycles =
-  float_of_int cycles /. (cfg.Config.freq_mhz *. 1e6)
+(* The inputs of Eq. 1 that no design parameter changes, compiled once per
+   graph, dtype and fusion setting.  A design point then only supplies the
+   PE array and clock (compute terms) or the tile, bandwidth and burst
+   overhead (streaming terms); no term depends on both. *)
 
-(* Compute seconds for one node on this design. *)
-let compute_seconds cfg g id =
-  let nd = G.node g id in
-  match nd.G.op with
-  | Op.Input _ | Op.Concat -> 0.
-  | Op.Conv { groups; kernel = kh, kw; out_channels; _ } ->
-    let out = G.output_shape g id in
-    let hw =
-      match Shape.as_feature out with
-      | Some f -> f.Shape.height * f.Shape.width
-      | None -> 1
+(* A node's compute work: MAC-array passes or auxiliary element ops. *)
+type compute =
+  | Free
+  | Macs of { groups : int; m : int; c : int; hw : int; k2 : int }
+  | Aux of int
+
+(* The dimensions the outer tile loops of a node iterate over. *)
+type tile_dims =
+  | Conv_dims of {
+      out_channels : int;
+      out_h : int;
+      out_w : int;
+      kernel : int * int;
+      in_channels : int option;  (* when the single input is a feature map *)
+    }
+  | Conv_flat  (* a conv whose output is not a feature map *)
+  | Dense_dims of int  (* output features *)
+  | Flat
+
+type node_inputs = {
+  compute : compute;
+  dims : tile_dims;
+  transfers : bool;  (* false for Input and Concat: they move nothing *)
+  of_value : int option;
+  sources : int array;  (* streamed source values, after fusion *)
+  source_bytes : int array;
+  wt_bytes : int;
+  of_bytes : int;  (* 0 when the write-back is fused away *)
+}
+
+type table = {
+  dtype : Tensor.Dtype.t;
+  fused_eltwise : bool;
+  inputs : node_inputs array;
+}
+
+(* Compute work and tile-loop dimensions of one node. *)
+let node_work g id op =
+  match op with
+  | Op.Input _ | Op.Concat -> (Free, Flat)
+  | Op.Conv { groups; kernel = (kh, kw) as kernel; out_channels; _ } ->
+    let feature_in =
+      match G.input_shapes g id with
+      | [ shape ] -> Shape.as_feature shape
+      | [] | _ :: _ :: _ -> None
     in
     let in_channels =
-      match G.input_shapes g id with
-      | [ shape ] -> (
-        match Shape.as_feature shape with Some f -> f.Shape.channels | None -> 0)
-      | [] | _ :: _ :: _ -> 0
+      match feature_in with Some f -> f.Shape.channels | None -> 0
     in
-    let per_group =
-      Pe_array.conv_cycles cfg.Config.pe ~m:(out_channels / groups)
-        ~c:(in_channels / groups) ~hw ~k2:(kh * kw)
+    let hw, dims =
+      match Shape.as_feature (G.output_shape g id) with
+      | Some out ->
+        ( out.Shape.height * out.Shape.width,
+          Conv_dims
+            { out_channels = out.Shape.channels; out_h = out.Shape.height;
+              out_w = out.Shape.width; kernel;
+              in_channels = Option.map (fun f -> f.Shape.channels) feature_in } )
+      | None -> (1, Conv_flat)
     in
-    cycles_to_seconds cfg (groups * per_group)
+    ( Macs
+        { groups; m = out_channels / groups; c = in_channels / groups; hw;
+          k2 = kh * kw },
+      dims )
   | Op.Dense { out_features } ->
     let in_features =
       match G.input_shapes g id with
       | [ shape ] -> Shape.elements shape
       | [] | _ :: _ :: _ -> 0
     in
-    let cycles =
-      Pe_array.conv_cycles cfg.Config.pe ~m:out_features ~c:in_features ~hw:1 ~k2:1
-    in
-    cycles_to_seconds cfg cycles
-  | Op.Pool _ | Op.Eltwise_add | Op.Upsample _ ->
-    let ops = G.aux_ops g id in
-    let cycles = (ops + cfg.Config.aux_ops_per_cycle - 1) / cfg.Config.aux_ops_per_cycle in
-    cycles_to_seconds cfg cycles
-
-(* DDR transaction counts per interface for the node's outer tile loops. *)
-let node_transactions cfg g id =
-  let nd = G.node g id in
-  match nd.G.op with
-  | Op.Conv _ -> (
-    match
-      Shape.as_feature (G.output_shape g id),
-      (match G.input_shapes g id with [ s ] -> Shape.as_feature s | _ -> None)
-    with
-    | Some out, Some input ->
-      Tiling.transactions cfg.Config.tile ~out_channels:out.Shape.channels
-        ~in_channels:input.Shape.channels ~out_h:out.Shape.height
-        ~out_w:out.Shape.width
-    | (None | Some _), _ -> { Tiling.if_txn = 1; wt_txn = 1; of_txn = 1 })
-  | Op.Dense { out_features } ->
-    let nm = (out_features + cfg.Config.tile.Tiling.tm - 1) / cfg.Config.tile.Tiling.tm in
-    { Tiling.if_txn = nm; wt_txn = nm; of_txn = 1 }
-  | Op.Input _ | Op.Pool _ | Op.Eltwise_add | Op.Concat | Op.Upsample _ ->
-    { Tiling.if_txn = 1; wt_txn = 0; of_txn = 1 }
-
-let node_trips cfg g id =
-  let nd = G.node g id in
-  match nd.G.op with
-  | Op.Conv { kernel; _ } -> (
-    match Shape.as_feature (G.output_shape g id) with
-    | Some f ->
-      Tiling.trips cfg.Config.tile ~out_channels:f.Shape.channels
-        ~out_h:f.Shape.height ~out_w:f.Shape.width ~kernel
-    | None -> { Tiling.if_trips = 1; wt_trips = 1; halo = 1.0 })
-  | Op.Dense { out_features } ->
-    (* Output-channel groups of the dense layer; weights stream once. *)
-    let nm = (out_features + cfg.Config.tile.Tiling.tm - 1) / cfg.Config.tile.Tiling.tm in
-    { Tiling.if_trips = nm; wt_trips = 1; halo = 1.0 }
-  | Op.Input _ | Op.Pool _ | Op.Eltwise_add | Op.Concat | Op.Upsample _ ->
-    { Tiling.if_trips = 1; wt_trips = 1; halo = 1.0 }
+    ( Macs { groups = 1; m = out_features; c = in_features; hw = 1; k2 = 1 },
+      Dense_dims out_features )
+  | Op.Pool _ | Op.Eltwise_add | Op.Upsample _ -> (Aux (G.aux_ops g id), Flat)
 
 (* With eltwise fusion, a value whose only consumer is the very next node
    and that node is an element-wise add is consumed from the producing
    layer's drain: its write-back and its re-read both disappear. *)
-let fused_into_next cfg g v =
-  cfg.Config.fused_eltwise
+let fused_into_next ~fused_eltwise g v =
+  fused_eltwise
   && (match Values.consumers g v with
      | [ c ] when c = v + 1 -> (
        match (G.node g c).G.op with
@@ -107,80 +108,179 @@ let fused_into_next cfg g v =
        | Op.Dense _ -> false)
      | _ -> false)
 
-let profile_node cfg g id =
-  let nd = G.node g id in
-  let bw = Config.interface_bandwidth cfg in
-  let dtype = cfg.Config.dtype in
-  let latc = compute_seconds cfg g id in
-  match nd.G.op with
+let node_inputs dtype ~fused_eltwise g id =
+  let op = (G.node g id).G.op in
+  let compute, dims = node_work g id op in
+  match op with
   | Op.Input _ | Op.Concat ->
-    { node_id = id; latc; if_terms = []; wt_term = 0.; wt_load_once = 0.;
-      of_term = 0.;
-      of_value = (match nd.G.op with Op.Input _ -> Some id | _ -> None);
-      if_stream_bytes = []; wt_stream_bytes = 0; wt_once_bytes = 0;
-      of_stream_bytes = 0 }
+    { compute; dims; transfers = false;
+      of_value = (match op with Op.Input _ -> Some id | _ -> None);
+      sources = [||]; source_bytes = [||]; wt_bytes = 0; of_bytes = 0 }
   | Op.Conv _ | Op.Dense _ | Op.Pool _ | Op.Eltwise_add | Op.Upsample _ ->
-    let trips = node_trips cfg g id in
-    let txn = node_transactions cfg g id in
-    let ovh = cfg.Config.burst_overhead in
+    let sources = Values.source_values g id in
     let sources =
-      List.filter (fun v -> not (fused_into_next cfg g v)) (Values.source_values g id)
+      Array.of_list
+        (if fused_eltwise then
+           List.filter (fun v -> not (fused_into_next ~fused_eltwise g v)) sources
+         else sources)
     in
-    (* Tile-load overhead of the input interface, split across the node's
-       source values (convs read one value; element-wise nodes read each
-       of theirs in one streaming pass). *)
-    let if_ovh_each =
-      match sources with
-      | [] -> 0.
-      | _ :: _ -> float_of_int txn.Tiling.if_txn *. ovh /. float_of_int (List.length sources)
-    in
-    let if_entries =
-      List.map
-        (fun v ->
-          let bytes = Shape.size_bytes dtype (G.output_shape g v) in
-          let streamed_bytes =
-            int_of_float
-              (float_of_int (bytes * trips.Tiling.if_trips) *. trips.Tiling.halo)
-          in
-          let streamed =
-            (float_of_int streamed_bytes /. bw) +. if_ovh_each
-          in
-          (v, streamed, streamed_bytes))
-        sources
-    in
-    let if_terms = List.map (fun (v, s, _) -> (v, s)) if_entries in
-    let if_stream_bytes = List.map (fun (v, _, b) -> (v, b)) if_entries in
-    let wt_bytes =
-      match G.weight_shape g id with
-      | None -> 0
-      | Some shape -> Shape.size_bytes dtype shape
-    in
-    let wt_load_once =
-      if wt_bytes = 0 then 0. else (float_of_int wt_bytes /. bw) +. ovh
-    in
-    let wt_term =
-      if wt_bytes = 0 then 0.
-      else
-        float_of_int (wt_bytes * trips.Tiling.wt_trips) /. bw
-        +. (float_of_int txn.Tiling.wt_txn *. ovh)
-    in
-    let of_bytes =
-      if fused_into_next cfg g id then 0
-      else Shape.size_bytes dtype (G.output_shape g id)
-    in
-    { node_id = id; latc; if_terms; wt_term; wt_load_once;
-      of_term =
-        (if of_bytes = 0 then 0.
-         else
-           (float_of_int of_bytes /. bw) +. (float_of_int txn.Tiling.of_txn *. ovh));
-      of_value = Some id;
-      if_stream_bytes;
-      wt_stream_bytes = wt_bytes * trips.Tiling.wt_trips;
-      wt_once_bytes = wt_bytes;
-      of_stream_bytes = of_bytes }
+    { compute; dims; transfers = true; of_value = Some id; sources;
+      source_bytes =
+        Array.map (fun v -> Shape.size_bytes dtype (G.output_shape g v)) sources;
+      wt_bytes =
+        (match G.weight_shape g id with
+        | None -> 0
+        | Some shape -> Shape.size_bytes dtype shape);
+      of_bytes =
+        (if fused_into_next ~fused_eltwise g id then 0
+         else Shape.size_bytes dtype (G.output_shape g id)) }
 
+let table dtype ~fused_eltwise g =
+  { dtype; fused_eltwise;
+    inputs = Array.init (G.node_count g) (node_inputs dtype ~fused_eltwise g) }
+
+let check_table cfg t =
+  if cfg.Config.dtype <> t.dtype || cfg.Config.fused_eltwise <> t.fused_eltwise
+  then invalid_arg "Latency: table compiled for another dtype or fusion setting"
+
+(* --- Eq. 1 terms.  Each one is computed here and nowhere else. --- *)
+
+(* Monomorphic [Stdlib.max]: the same selection, without the polymorphic
+   comparison. *)
+let fmax (a : float) b = if a >= b then a else b
+
+(* Double buffering overlaps compute with the three streaming interfaces. *)
+let streaming ~if_time ~wt_time ~of_time = fmax if_time (fmax wt_time of_time)
+
+let overlap latc stream = fmax latc stream
+
+(* Compute seconds for one node on this design. *)
+let latc cfg n =
+  let cycles =
+    match n.compute with
+    | Free -> 0
+    | Macs { groups; m; c; hw; k2 } ->
+      groups * Pe_array.conv_cycles cfg.Config.pe ~m ~c ~hw ~k2
+    | Aux ops ->
+      (ops + cfg.Config.aux_ops_per_cycle - 1) / cfg.Config.aux_ops_per_cycle
+  in
+  float_of_int cycles /. (cfg.Config.freq_mhz *. 1e6)
+
+let trips tile = function
+  | Conv_dims { out_channels; out_h; out_w; kernel; _ } ->
+    Tiling.trips tile ~out_channels ~out_h ~out_w ~kernel
+  | Dense_dims out_features ->
+    (* Output-channel groups of the dense layer; weights stream once. *)
+    let nm = (out_features + tile.Tiling.tm - 1) / tile.Tiling.tm in
+    { Tiling.if_trips = nm; wt_trips = 1; halo = 1.0 }
+  | Conv_flat | Flat -> { Tiling.if_trips = 1; wt_trips = 1; halo = 1.0 }
+
+(* DDR transaction counts per interface for the node's outer tile loops. *)
+let transactions tile = function
+  | Conv_dims { out_channels; out_h; out_w; in_channels = Some in_channels; _ } ->
+    Tiling.transactions tile ~out_channels ~in_channels ~out_h ~out_w
+  | Conv_dims { in_channels = None; _ } | Conv_flat ->
+    { Tiling.if_txn = 1; wt_txn = 1; of_txn = 1 }
+  | Dense_dims out_features ->
+    let nm = (out_features + tile.Tiling.tm - 1) / tile.Tiling.tm in
+    { Tiling.if_txn = nm; wt_txn = nm; of_txn = 1 }
+  | Flat -> { Tiling.if_txn = 1; wt_txn = 0; of_txn = 1 }
+
+(* Tile-load overhead of the input interface, split across the node's
+   source values (convs read one value; element-wise nodes read each of
+   theirs in one streaming pass). *)
+let if_ovh_each ~ovh txn n =
+  match Array.length n.sources with
+  | 0 -> 0.
+  | count -> float_of_int txn.Tiling.if_txn *. ovh /. float_of_int count
+
+let if_stream_bytes trips bytes =
+  int_of_float (float_of_int (bytes * trips.Tiling.if_trips) *. trips.Tiling.halo)
+
+let if_term ~bw ~ovh_each streamed_bytes =
+  (float_of_int streamed_bytes /. bw) +. ovh_each
+
+let wt_term ~bw ~ovh trips txn n =
+  if n.wt_bytes = 0 then 0.
+  else
+    float_of_int (n.wt_bytes * trips.Tiling.wt_trips) /. bw
+    +. (float_of_int txn.Tiling.wt_txn *. ovh)
+
+let wt_load_once ~bw ~ovh n =
+  if n.wt_bytes = 0 then 0. else (float_of_int n.wt_bytes /. bw) +. ovh
+
+let of_term ~bw ~ovh txn n =
+  if n.of_bytes = 0 then 0.
+  else (float_of_int n.of_bytes /. bw) +. (float_of_int txn.Tiling.of_txn *. ovh)
+
+(* --- The table's two consumers: per-node profiles and design sweeps. --- *)
+
+let profile_of cfg ~bw n id =
+  let latc = latc cfg n in
+  if not n.transfers then
+    { node_id = id; latc; if_terms = []; wt_term = 0.; wt_load_once = 0.;
+      of_term = 0.; of_value = n.of_value; if_stream_bytes = [];
+      wt_stream_bytes = 0; wt_once_bytes = 0; of_stream_bytes = 0 }
+  else
+    let tile = cfg.Config.tile and ovh = cfg.Config.burst_overhead in
+    let trips = trips tile n.dims and txn = transactions tile n.dims in
+    let ovh_each = if_ovh_each ~ovh txn n in
+    let terms = ref [] and streamed = ref [] in
+    for k = Array.length n.sources - 1 downto 0 do
+      let v = n.sources.(k) in
+      let bytes = if_stream_bytes trips n.source_bytes.(k) in
+      terms := (v, if_term ~bw ~ovh_each bytes) :: !terms;
+      streamed := (v, bytes) :: !streamed
+    done;
+    { node_id = id; latc; if_terms = !terms;
+      wt_term = wt_term ~bw ~ovh trips txn n;
+      wt_load_once = wt_load_once ~bw ~ovh n;
+      of_term = of_term ~bw ~ovh txn n;
+      of_value = n.of_value;
+      if_stream_bytes = !streamed;
+      wt_stream_bytes = n.wt_bytes * trips.Tiling.wt_trips;
+      wt_once_bytes = n.wt_bytes;
+      of_stream_bytes = n.of_bytes }
+
+(* Each node's inputs are compiled as [table] compiles them, then dropped:
+   one profile pass needs no table to outlive it. *)
 let profile_graph cfg g =
-  Array.init (G.node_count g) (fun id -> profile_node cfg g id)
+  let dtype = cfg.Config.dtype and fused_eltwise = cfg.Config.fused_eltwise in
+  let bw = Config.interface_bandwidth cfg in
+  Array.init (G.node_count g) (fun id ->
+      profile_of cfg ~bw (node_inputs dtype ~fused_eltwise g id) id)
+
+let compute_times cfg t =
+  check_table cfg t;
+  Array.map (latc cfg) t.inputs
+
+(* UMM streaming time of one node: every source, the weights and the
+   write-back go to DDR.  The source terms fold in source order from 0.,
+   as [node_latency] folds them. *)
+let umm_streaming_time ~bw ~ovh tile n =
+  if not n.transfers then 0.
+  else
+    let trips = trips tile n.dims and txn = transactions tile n.dims in
+    let ovh_each = if_ovh_each ~ovh txn n in
+    let if_time = ref 0. in
+    Array.iter
+      (fun bytes ->
+        if_time := !if_time +. if_term ~bw ~ovh_each (if_stream_bytes trips bytes))
+      n.source_bytes;
+    streaming ~if_time:!if_time ~wt_time:(wt_term ~bw ~ovh trips txn n)
+      ~of_time:(of_term ~bw ~ovh txn n)
+
+let streaming_times cfg t =
+  check_table cfg t;
+  let bw = Config.interface_bandwidth cfg and ovh = cfg.Config.burst_overhead in
+  Array.map (umm_streaming_time ~bw ~ovh cfg.Config.tile) t.inputs
+
+let umm_total_of_times ~compute ~streaming:stream =
+  let acc = ref 0. in
+  for i = 0 to Array.length compute - 1 do
+    acc := !acc +. overlap compute.(i) stream.(i)
+  done;
+  !acc
 
 let node_latency p ~if_on_chip ~wt_on_chip ~of_on_chip =
   let if_time =
@@ -190,7 +290,7 @@ let node_latency p ~if_on_chip ~wt_on_chip ~of_on_chip =
   in
   let wt_time = if wt_on_chip then 0. else p.wt_term in
   let of_time = if of_on_chip then 0. else p.of_term in
-  max p.latc (max if_time (max wt_time of_time))
+  overlap p.latc (streaming ~if_time ~wt_time ~of_time)
 
 let umm_node_latency p =
   node_latency p ~if_on_chip:(fun _ -> false) ~wt_on_chip:false ~of_on_chip:false

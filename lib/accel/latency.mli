@@ -29,10 +29,38 @@ type profile = {
   of_stream_bytes : int;           (** DDR bytes written back. *)
 }
 
-val profile_node : Config.t -> Dnn_graph.Graph.t -> int -> profile
-
 val profile_graph : Config.t -> Dnn_graph.Graph.t -> profile array
 (** One profile per node, indexed by node id. *)
+
+(** {2 Design sweeps}
+
+    A node's UMM latency is [max latc streaming]: [latc] depends only on
+    the PE array and clock, the streaming time only on the tile, the
+    bandwidth and the burst overhead.  A sweep over design points
+    therefore compiles the graph's design-independent inputs once and
+    evaluates each half per distinct parameter set.  Both halves use the
+    arithmetic {!profile_graph} uses, so the totals are bit-identical to
+    [umm_total (profile_graph cfg g)]. *)
+
+type table
+(** Per-node shapes, source values and byte sizes of one graph, for one
+    dtype and fusion setting. *)
+
+val table : Tensor.Dtype.t -> fused_eltwise:bool -> Dnn_graph.Graph.t -> table
+
+val compute_times : Config.t -> table -> float array
+(** Each node's compute seconds on the config's PE array and clock.
+    Raises [Invalid_argument] when the config's dtype or fusion setting
+    is not the table's. *)
+
+val streaming_times : Config.t -> table -> float array
+(** Each node's UMM streaming seconds (the slowest of its input, weight
+    and output interfaces) on the config's tile, bandwidth and burst
+    overhead.  Raises like {!compute_times}. *)
+
+val umm_total_of_times : compute:float array -> streaming:float array -> float
+(** Whole-network UMM latency from the two sweeps, summed in node order:
+    equal, bit for bit, to [umm_total] of the matching profiles. *)
 
 val node_latency :
   profile -> if_on_chip:(int -> bool) -> wt_on_chip:bool -> of_on_chip:bool ->

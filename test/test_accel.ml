@@ -164,6 +164,101 @@ let test_dse () =
   Alcotest.(check bool) "dse at least as good" true
     (r.Accel.Dse.umm_latency <= fixed_lat +. 1e-12)
 
+(* The per-candidate DSE the table-driven sweep replaced: one whole
+   profile per design point.  Kept here as the reference the sweep must
+   match bit for bit. *)
+let reference_dse ~device ~style dtype g =
+  let candidates =
+    List.concat_map
+      (fun dsp_fraction ->
+        List.map (fun t -> (dsp_fraction, t)) (Accel.Dse.candidate_tiles ()))
+      [ 0.83; 0.6; 0.4; 0.25; 0.12 ]
+  in
+  let evaluate (dsp_fraction, tile) =
+    let cfg = Config.make ~device ~dsp_fraction ~tile ~style dtype in
+    let resources = Config.compute_resources cfg in
+    if not (Fpga.Resource.fits resources ~within:device.Fpga.Device.total) then
+      None
+    else
+      let umm_latency = Latency.umm_total (Latency.profile_graph cfg g) in
+      Some { Accel.Dse.config = cfg; umm_latency; resources }
+  in
+  let better a b =
+    let open Accel.Dse in
+    if a.umm_latency < b.umm_latency then a
+    else if b.umm_latency < a.umm_latency then b
+    else if
+      Tiling.buffer_bytes dtype a.config.Config.tile
+      <= Tiling.buffer_bytes dtype b.config.Config.tile
+    then a
+    else b
+  in
+  match List.filter_map evaluate candidates with
+  | [] -> invalid_arg "Dse.run: no tile configuration fits the device"
+  | first :: rest -> List.fold_left better first rest
+
+let test_dse_bit_exact () =
+  let outcome f = match f () with r -> Ok r | exception Invalid_argument m -> Error m in
+  let check_case label ~device ~style dtype g =
+    match
+      ( outcome (fun () -> reference_dse ~device ~style dtype g),
+        outcome (fun () -> Accel.Dse.run ~device ~style dtype g) )
+    with
+    | Ok want, Ok got ->
+      let open Accel.Dse in
+      Alcotest.(check bool) (label ^ ": config") true (want.config = got.config);
+      Alcotest.(check bool) (label ^ ": resources") true
+        (want.resources = got.resources);
+      Alcotest.(check int64) (label ^ ": latency bits")
+        (Int64.bits_of_float want.umm_latency)
+        (Int64.bits_of_float got.umm_latency);
+      (* The table's two consumers agree: profiles rebuilt on the chosen
+         design sum to the sweep's total. *)
+      Alcotest.(check int64) (label ^ ": profiles agree")
+        (Int64.bits_of_float got.umm_latency)
+        (Int64.bits_of_float
+           (Latency.umm_total (Latency.profile_graph got.config g)))
+    | Error want, Error got -> Alcotest.(check string) (label ^ ": error") want got
+    | Ok _, Error m -> Alcotest.failf "%s: sweep raised %s" label m
+    | Error m, Ok _ -> Alcotest.failf "%s: reference raised %s" label m
+  in
+  let dtypes = [ Dtype.I8; Dtype.I16; Dtype.F32 ] in
+  let styles = [ Config.Umm; Config.Lcmm ] in
+  let each_design label ~devices g =
+    List.iter
+      (fun device ->
+        List.iter
+          (fun dtype ->
+            List.iter
+              (fun style ->
+                check_case
+                  (Printf.sprintf "%s %s %s %s" label device.Fpga.Device.device_name
+                     (Dtype.to_string dtype)
+                     (match style with Config.Umm -> "umm" | Config.Lcmm -> "lcmm"))
+                  ~device ~style dtype g)
+              styles)
+          dtypes)
+      devices
+  in
+  (* The smaller parts exercise the fits filter. *)
+  List.iter
+    (fun e ->
+      each_design e.Models.Zoo.model_name
+        ~devices:Fpga.Device.[ vu9p; zu9eg; u250 ]
+        (e.Models.Zoo.build ()))
+    Models.Zoo.all;
+  List.iter
+    (fun family ->
+      List.iter
+        (fun nodes ->
+          let st = Random.State.make [| 19; nodes |] in
+          each_design
+            (Printf.sprintf "%s-%d" (Check.Gen.family_name family) nodes)
+            ~devices:[ Fpga.Device.vu9p ]
+            (Check.Gen.sized_graph ~family st ~nodes))
+        (match family with Check.Gen.Skip -> [ 48; 160 ] | _ -> [ 64; 400 ]))
+    Check.Gen.families
+
 let test_fused_eltwise () =
   let g = Helpers.diamond () in
   let plain = Config.make ~style:Config.Umm Dtype.I16 in
@@ -214,5 +309,6 @@ let suite =
     Alcotest.test_case "memory bound count" `Quick test_memory_bound_count;
     Alcotest.test_case "roofline" `Quick test_roofline;
     Alcotest.test_case "dse" `Quick test_dse;
+    Alcotest.test_case "dse sweep bit-exact" `Quick test_dse_bit_exact;
     Alcotest.test_case "fused eltwise" `Quick test_fused_eltwise;
     prop_umm_upper_bound ]

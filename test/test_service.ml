@@ -459,12 +459,16 @@ let test_engine_run_op () =
 
 let test_engine_deadline () =
   with_engine ~domains:1 (fun engine ->
-      (* A 1 ms budget on a cold VGG-16 compile cannot be met: the
-         response is a structured deadline error, not a stall. *)
+      (* A 1 us budget on a cold ResNet-152 compile cannot be met (the
+         hand-off to the worker alone takes longer): the response is a
+         structured deadline error, not a stall.  (ResNet-152, not VGG-16:
+         the first job on a fresh pool can hold up the awaiting thread's
+         first poll for a few milliseconds, longer than a VGG-16 compile
+         takes.) *)
       let timed_out =
         result_of_line
           (handle_line engine
-             {|{"op":"compile","id":9,"model":"vgg16","deadline_ms":1}|})
+             {|{"op":"compile","id":9,"model":"resnet152","deadline_ms":0.001}|})
       in
       Alcotest.check json_t "deadline error flagged" (Json.Bool false)
         (field_exn "ok" timed_out);
@@ -489,7 +493,7 @@ let test_engine_deadline () =
          cache, so an unbudgeted retry succeeds. *)
       let retry =
         result_of_line
-          (handle_line engine {|{"op":"compile","model":"vgg16"}|})
+          (handle_line engine {|{"op":"compile","model":"resnet152"}|})
       in
       Alcotest.check json_t "retry succeeds" (Json.Bool true)
         (field_exn "ok" retry);
@@ -497,7 +501,7 @@ let test_engine_deadline () =
       let warm =
         result_of_line
           (handle_line engine
-             {|{"op":"compile","model":"vgg16","deadline_ms":60000}|})
+             {|{"op":"compile","model":"resnet152","deadline_ms":60000}|})
       in
       Alcotest.check json_t "warm hit within budget" (Json.Bool true)
         (field_exn "ok" warm))
@@ -685,13 +689,15 @@ let test_engine_circuit_breaker () =
   Fun.protect
     ~finally:(fun () -> Svc.Engine.shutdown engine)
     (fun () ->
-      (* Distinct option digests force cold compiles; a 1 ms budget on a
-         cold VGG-16 compile is a guaranteed deadline miss — a counted
-         failure.  (VGG-16, not alexnet: a warm process can plan small
-         models inside 1 ms, which would dodge the miss.) *)
+      (* Distinct option digests force cold compiles; a 1 us budget on a
+         cold ResNet-152 compile is a guaranteed deadline miss — a counted
+         failure.  (ResNet-152, not a smaller model: a warm process can
+         plan VGG-16 inside 1 ms, and the first job on a fresh pool can
+         hold up the awaiting thread's first poll for a few milliseconds;
+         either would dodge the miss.) *)
       let miss slices =
         Printf.sprintf
-          {|{"op":"compile","model":"vgg16","deadline_ms":1,"options":{"weight_slices":%d}}|}
+          {|{"op":"compile","model":"resnet152","deadline_ms":0.001,"options":{"weight_slices":%d}}|}
           slices
       in
       let r1 = result_of_line (handle_line engine (miss 2)) in
