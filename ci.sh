@@ -167,6 +167,16 @@ awk -F': ' '/"family"/ { fam = $2 } /"nodes"/ { n = $2 + 0 }
             END { exit (seen && us <= 100000) ? 0 : 1 }' "$out"
 echo "wrote $out"
 
+echo "== tier-2: wide-row DNNK on a 536-node skip graph =="
+# The skip rows above all fit their SRAM, so they never reach the DP.
+# This graph does, with compensation rows and nodes too wide for their
+# memos.  The plan must finish within 25 s (2.7 s on a 2-vCPU host)
+# and keep its digest.
+dune build ./perfbench/main.exe
+skip_out=$(timeout 25 ./_build/default/perfbench/main.exe --plan-skip 536)
+echo "$skip_out"
+echo "$skip_out" | grep -q 'plan digest eaf8301c98bb670de2fc331367a213e6$'
+
 echo "== tier-2: sharded tier vs single-process serve (byte-exact) =="
 # One compile per zoo model; with timing off every response is a pure
 # function of its request, so a 2-shard tier must answer byte-for-byte

@@ -508,15 +508,16 @@ let check_dnnk_vs_exact ctx =
         else Ok ())
       [ ("table", table); ("iterative", iterative) ]
 
-(* --- incremental DNNK: a warm workspace never changes the answer --- *)
+(* --- incremental DNNK: a reused workspace never changes the answer --- *)
 
-(* The DP workspace memoizes per-buffer compensation rows across calls,
-   invalidating a cached row only when its earlier-owner dependencies
-   changed.  That reuse must be invisible: after any single-buffer
-   perturbation of the input (splitting one buffer in two, or dropping
-   one), allocating with a workspace warmed on the *original* buffer
-   list must reproduce the cold run on the perturbed list decision for
-   decision and bit for bit in the objective. *)
+(* The DP workspace is scratch (DP arrays, gain and key buffers, the
+   generation-cleared row memo, stamp arrays) that the splitting loop
+   reuses across calls on near-identical inputs.  That reuse must be
+   invisible: after any single-buffer perturbation of the input
+   (splitting one buffer in two, or dropping one), allocating with a
+   workspace already used on the *original* buffer list must reproduce
+   the cold run on the perturbed list decision for decision and bit for
+   bit in the objective — stale scratch must never leak into a call. *)
 let check_dnnk_incremental ctx =
   let metric = ctx.metric and capacity_bytes = ctx.capacity_bytes in
   let size_of = Hashtbl.create 64 in
@@ -559,8 +560,8 @@ let check_dnnk_incremental ctx =
                ctx.vbufs ))
   in
   let warm = Dnnk.workspace () in
-  (* Warm the workspace on the unperturbed input once; every perturbed
-     run below then reuses whatever rows survive invalidation. *)
+  (* Use the workspace on the unperturbed input once; every perturbed
+     run below then starts from the scratch that run left behind. *)
   let _ = Dnnk.allocate ~workspace:warm metric ~capacity_bytes ctx.vbufs in
   let ids l = List.map (fun vb -> vb.Vbuffer.vbuf_id) l |> List.sort compare in
   iter_result
@@ -585,8 +586,8 @@ let check_dnnk_incremental ctx =
               hot.Dnnk.used_blocks cold.Dnnk.used_blocks
           else Ok ()
         in
-        (* Bit-exact, not epsilon-close: memoized rows must reproduce the
-           cold fold's float arithmetic term for term. *)
+        (* Bit-exact, not epsilon-close: the reused run must reproduce
+           the cold fold's float arithmetic term for term. *)
         if hot.Dnnk.predicted_latency <> cold.Dnnk.predicted_latency then
           fail "%s: warm objective %.17g, cold %.17g" label
             hot.Dnnk.predicted_latency cold.Dnnk.predicted_latency
@@ -1141,7 +1142,7 @@ let all =
       doc = "DNNK never beats, and stays near, the branch-and-bound optimum";
       check = check_dnnk_vs_exact };
     { name = "dnnk-incremental";
-      doc = "a warm DP workspace reproduces the cold run bit for bit";
+      doc = "a reused DP workspace reproduces the cold run bit for bit";
       check = check_dnnk_incremental };
     { name = "splitting";
       doc = "buffer splitting never increases the predicted latency";

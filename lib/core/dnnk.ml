@@ -9,17 +9,19 @@ type result = {
   used_blocks : int;
 }
 
-(* --- compensation memos ----------------------------------------------
+(* --- compensation state ---------------------------------------------
 
-   Per-row state for the Table_approx gain: the affected nodes split
-   into column-independent ones (both predicate evaluations are
-   constants) and dependent ones, which read [pbuf_table] bits of
-   earlier DP rows at the source column.  Gains are memoized at two
-   granularities:
+   Per-row state for the Table_approx gain, built afresh by every
+   allocator call: the affected nodes split into column-independent
+   ones (both predicate evaluations are constants) and dependent ones,
+   which read [pbuf_table] bits of earlier DP rows at the source column.
+   Gains are memoized at two granularities:
 
-   - per dependent *node*, keyed on the packed bits of just the earlier
-     rows that node's queries can reach (widths are tiny — a node
-     queries its weight, its input features and its output), and
+   - per dependent *node*, in a direct table indexed by the packed bits
+     of just the earlier rows that node's queries can reach (widths are
+     tiny — a node queries its weight, its input features and its
+     output); a node reaching more than [node_direct_bits] rows is
+     evaluated unmemoized, and
    - per *row*, keyed on the packed bits of every earlier row the whole
      row can reach, so a repeated bit pattern costs one lookup.  A row
      is filled once per DP call and sees at most one key per column, so
@@ -27,56 +29,39 @@ type result = {
      table in the workspace, emptied per row by a generation bump.
 
    Rows too wide for a single-int row key fall back to per-column
-   accumulation through the node memos — still cheap, because each
-   node's key stays narrow even when the row's union of dependencies is
-   wide.  Every memoized value is a pure function of its key bits (the
-   unmemoized fold reads identical state and produces identical
-   floats), which is what makes reuse — across columns and whole
-   allocator re-runs — bit-exact. *)
+   accumulation through the node memos.  Every memoized value is a pure
+   function of its key bits (the unmemoized fold reads identical state
+   and produces identical floats), which is what makes reuse across
+   columns bit-exact. *)
 
 let max_key_bits = Sys.int_size - 2
 let node_direct_bits = 8
 
-type node_memo =
-  | Node_const
-  | Node_direct of { p1 : float array; p2 : float array }  (* NaN = empty *)
-  | Node_hash of (int, float * float) Hashtbl.t
-  | Node_wide
+(* A dependent node's (p1, p2) pairs by key; NaN in [p1] = empty. *)
+type node_memo = { p1 : float array; p2 : float array }
 
-(* The cacheable half of a row's compensation state.  [earlier_members]
-   identifies the earlier-owner rows *by member list, in discovery
-   order*: a warm workspace may only reuse the entry when a fresh
-   discovery finds structurally equal member lists in the same order,
-   because then every memo bit position denotes the same allocation
-   question and every cached float is still the value the cold fold
-   would compute.  Absolute row indices are per-run and recomputed. *)
-type row_entry = {
-  earlier_members : Metric.item list array;
-  node_widths : int array;
-  dep_flags : bool array;
+(* A row's column-independent nodes: each one's gain terms, and their
+   difference summed in node order (the whole gain of a row with no
+   dependent node). *)
+type row_consts = {
   const_without : float array;
   const_with : float array;
-  mutable const_total : float;
-  node_memos : node_memo array;
+  const_total : float;
 }
 
-(* Scratch state shared across allocator calls (the splitting loop
-   re-runs the allocator up to 16 times over near-identical buffer
-   sets): per-member-list memos of affected nodes, static gains and the
-   full compensation row state, plus the DP arrays, which are zeroed
-   rather than reallocated, and three arrays over the metric's dense
-   item indices, sized once:
+(* Scratch reused across allocator calls (the splitting loop re-runs
+   the allocator up to 16 times over near-identical buffer sets): the
+   DP arrays, which are zeroed rather than reallocated, the gain and
+   row-key buffers, the generation-cleared row memo, and three arrays
+   over the metric's dense item indices, grown on demand:
 
    - [owner]: the DP row owning each item, -1 for none;
    - [mark], [extra]: item sets as stamps — an item is in the set of
      stamp [s] when its slot holds [s], so a fresh stamp is an empty
      set and nothing is ever cleared.
 
-   A workspace is only valid against the metric it first ran with. *)
+   No value survives a call, so one workspace serves any metric. *)
 type workspace = {
-  affected_memo : (Metric.item list, int array) Hashtbl.t;
-  static_gain_memo : (Metric.item list, float) Hashtbl.t;
-  row_cache : (Metric.item list, row_entry) Hashtbl.t;
   mutable dp_prev : float array;
   mutable dp_curr : float array;
   mutable dp_rows : bool array array;
@@ -93,10 +78,7 @@ type workspace = {
 }
 
 let workspace () =
-  { affected_memo = Hashtbl.create 64;
-    static_gain_memo = Hashtbl.create 64;
-    row_cache = Hashtbl.create 64;
-    dp_prev = [||];
+  { dp_prev = [||];
     dp_curr = [||];
     dp_rows = [||];
     gain_buf = [||];
@@ -137,47 +119,32 @@ let items_of_vbufs vbufs =
 let set_of_vbufs vbufs =
   Metric.Item_set.of_list (items_of_vbufs vbufs)
 
-let finish ws metric ~capacity_blocks vbufs chosen_ids =
+(* The result granting SRAM to the buffers whose ids are in
+   [chosen_ids], plus the spilled [(buffer, affected nodes)] rows in
+   [rows] order for {!sweep_up}. *)
+let finish ws metric ~capacity_blocks rows chosen_ids =
   let chosen_tbl = Hashtbl.create (2 * List.length chosen_ids + 1) in
   List.iter (fun id -> Hashtbl.replace chosen_tbl id ()) chosen_ids;
-  let chosen, spilled =
-    List.partition (fun vb -> Hashtbl.mem chosen_tbl vb.Vbuffer.vbuf_id) vbufs
+  let chosen, pending =
+    List.partition (fun (vb, _) -> Hashtbl.mem chosen_tbl vb.Vbuffer.vbuf_id) rows
   in
-  { chosen;
-    spilled;
-    on_chip = set_of_vbufs chosen;
-    predicted_latency =
-      Metric.total_latency_ix metric ~on:(mark_vbufs ws metric chosen);
-    capacity_blocks;
-    used_blocks =
-      List.fold_left
-        (fun acc vb -> acc + blocks_of_bytes vb.Vbuffer.size_bytes)
-        0 chosen }
+  let chosen = List.map fst chosen in
+  ( { chosen;
+      spilled = List.map fst pending;
+      on_chip = set_of_vbufs chosen;
+      predicted_latency =
+        Metric.total_latency_ix metric ~on:(mark_vbufs ws metric chosen);
+      capacity_blocks;
+      used_blocks =
+        List.fold_left
+          (fun acc vb -> acc + blocks_of_bytes vb.Vbuffer.size_bytes)
+          0 chosen },
+    pending )
 
 (* Nodes whose latency any member of the buffer influences. *)
-let affected_nodes_of_vbuf ws metric vb =
-  let members = vb.Vbuffer.members in
-  match Hashtbl.find_opt ws.affected_memo members with
-  | Some nodes -> nodes
-  | None ->
-    let nodes =
-      List.concat_map (Metric.affected_nodes metric) members
-      |> List.sort_uniq compare |> Array.of_list
-    in
-    Hashtbl.add ws.affected_memo members nodes;
-    nodes
-
-let static_gain_of_vbuf ws metric vb =
-  let members = vb.Vbuffer.members in
-  match Hashtbl.find_opt ws.static_gain_memo members with
-  | Some gain -> gain
-  | None ->
-    let on = mark_vbufs ws metric [ vb ] in
-    let gain =
-      Metric.static_gain_ix metric ~on (affected_nodes_of_vbuf ws metric vb)
-    in
-    Hashtbl.add ws.static_gain_memo members gain;
-    gain
+let affected_nodes_of_vbuf metric vb =
+  List.concat_map (Metric.affected_nodes metric) vb.Vbuffer.members
+  |> List.sort_uniq compare |> Array.of_list
 
 (* A dependent node's memo key at one column: bit [b] is the placement
    bit of its [b]-th earlier row [deps.(b)] (pbuf_table row [o + 1]). *)
@@ -266,15 +233,16 @@ let knapsack_dp ws ~capacity ~sizes ~row_gain =
 (* Greedy repair after the DP: while spare capacity remains, pull back any
    spilled buffer whose marginal gain against the chosen set is positive.
    This recovers value the max-structure hides from per-row compensation
-   (a term only pays off once its node's larger terms are also pinned). *)
-let sweep_up ws metric ~capacity_blocks result =
+   (a term only pays off once its node's larger terms are also pinned).
+   [pending] pairs each spilled buffer with its affected nodes. *)
+let sweep_up ws metric ~capacity_blocks (result, pending) =
   let extra = ws.extra in
-  let rec loop result =
+  let rec loop result pending =
     let free = capacity_blocks - result.used_blocks in
     let on = mark_vbufs ws metric result.chosen in
     let candidate =
       List.filter_map
-        (fun vb ->
+        (fun (vb, affected) ->
           let blocks = blocks_of_bytes vb.Vbuffer.size_bytes in
           if blocks > free then None
           else
@@ -285,10 +253,10 @@ let sweep_up ws metric ~capacity_blocks result =
             let gain =
               Metric.gain_ix metric ~before:on
                 ~after:(fun i -> on i || extra.(i) = s)
-                (affected_nodes_of_vbuf ws metric vb)
+                affected
             in
             if gain > 1e-15 then Some (gain, vb) else None)
-        result.spilled
+        pending
     in
     match candidate with
     | [] -> result
@@ -303,18 +271,22 @@ let sweep_up ws metric ~capacity_blocks result =
           (fun acc it -> Metric.Item_set.add it acc)
           result.on_chip best.Vbuffer.members
       in
+      let pending =
+        List.filter
+          (fun (vb, _) -> vb.Vbuffer.vbuf_id <> best.Vbuffer.vbuf_id)
+          pending
+      in
       loop
         { result with
           chosen;
-          spilled =
-            List.filter (fun vb -> vb.Vbuffer.vbuf_id <> best.Vbuffer.vbuf_id)
-              result.spilled;
+          spilled = List.map fst pending;
           on_chip;
           predicted_latency =
             Metric.total_latency_ix metric ~on:(mark_vbufs ws metric chosen);
           used_blocks = result.used_blocks + blocks_of_bytes best.Vbuffer.size_bytes }
+        pending
   in
-  loop result
+  loop result pending
 
 (* Degraded-mode eviction: the inverse of the knapsack.  When capacity
    shrinks under a live allocation (an SRAM bank drops out), drop chosen
@@ -370,27 +342,6 @@ let evict_to_capacity metric ~capacity_bytes result =
   let result, evicted = loop result [] in
   ({ result with capacity_blocks }, evicted)
 
-(* Split a work list into at most [k] contiguous chunks for the pool. *)
-let chunks k xs =
-  let len = List.length xs in
-  if len = 0 then []
-  else begin
-    let per = (len + k - 1) / k in
-    let rec take n acc = function
-      | [] -> (List.rev acc, [])
-      | rest when n = 0 -> (List.rev acc, rest)
-      | x :: rest -> take (n - 1) (x :: acc) rest
-    in
-    let rec split acc xs =
-      match xs with
-      | [] -> List.rev acc
-      | _ ->
-        let chunk, rest = take per [] xs in
-        split (chunk :: acc) rest
-    in
-    split [] xs
-  end
-
 (* Bound on {!Exact_iterative} refinement rounds. *)
 let rounds = 4
 
@@ -403,22 +354,35 @@ let allocate ?(compensation = Table_approx) ?workspace:ws ?pool metric
   let capacity = capacity_bytes / block_bytes in
   (* Process buffers in decreasing static-gain order: the row-memo
      compensation then sees a node's dominant terms before its minor
-     ones. *)
-  let vbufs =
-    List.map (fun vb -> (static_gain_of_vbuf ws metric vb, vb)) vbufs
+     ones.  Each buffer keeps its affected nodes for the DP rows and the
+     sweep-up. *)
+  let rows =
+    List.map
+      (fun vb ->
+        let affected = affected_nodes_of_vbuf metric vb in
+        let on = mark_vbufs ws metric [ vb ] in
+        (Metric.static_gain_ix metric ~on affected, (vb, affected)))
+      vbufs
     |> List.stable_sort (fun (a, _) (b, _) -> compare b a)
     |> List.map snd
   in
-  let vbuf_arr = Array.of_list vbufs in
+  let vbuf_arr = Array.of_list (List.map fst rows) in
+  let affected = Array.of_list (List.map snd rows) in
   let n = Array.length vbuf_arr in
   let sizes = Array.map (fun vb -> blocks_of_bytes vb.Vbuffer.size_bytes) vbuf_arr in
   let total_blocks = Array.fold_left ( + ) 0 sizes in
   if total_blocks <= capacity then
     (* Everything fits: pinning all of it dominates any subset. *)
-    finish ws metric ~capacity_blocks:capacity vbufs
-      (List.map (fun vb -> vb.Vbuffer.vbuf_id) vbufs)
+    fst
+      (finish ws metric ~capacity_blocks:capacity rows
+         (List.map (fun (vb, _) -> vb.Vbuffer.vbuf_id) rows))
   else
-  let affected = Array.map (affected_nodes_of_vbuf ws metric) vbuf_arr in
+  (* The swept-up result choosing DP rows [chosen]. *)
+  let settle chosen =
+    sweep_up ws metric ~capacity_blocks:capacity
+      (finish ws metric ~capacity_blocks:capacity rows
+         (List.map (fun i -> vbuf_arr.(i).Vbuffer.vbuf_id) chosen))
+  in
   if Array.length ws.owner < n_items then begin
     ws.owner <- Array.make n_items (-1);
     ws.extra <- Array.make n_items 0
@@ -454,14 +418,7 @@ let allocate ?(compensation = Table_approx) ?workspace:ws ?pool metric
   | Table_approx ->
     (* Phase A (sequential, cheap): per row, enumerate each affected
        node's queried items to find which earlier DP rows its gain can
-       read at all, compiling each item's code on the way, then try to
-       warm-start the row from the workspace cache.  A cached entry is
-       valid only when the freshly discovered earlier rows carry the
-       same member lists in the same order (and the per-node key widths
-       agree) — then every memo bit denotes the same question as when
-       the entry was built, and reusing its constants and node memos is
-       bit-exact.  Shared-item inputs skip the cache: their owner table
-       is order-dependent. *)
+       read at all, compiling each item's code on the way. *)
     let earlier_seen = Array.make n false in
     (* [node_seen.(o) = stamp]: row [o] is already among the current
        node's earlier rows (a fresh stamp per node, nothing cleared). *)
@@ -470,18 +427,6 @@ let allocate ?(compensation = Table_approx) ?workspace:ws ?pool metric
     let node_deps = Array.make n [||] in
     let node_codes = Array.make n [||] in
     let row_deps = Array.make n [||] in
-    let dummy_entry =
-      { earlier_members = [||];
-        node_widths = [||];
-        dep_flags = [||];
-        const_without = [||];
-        const_with = [||];
-        const_total = 0.;
-        node_memos = [||] }
-    in
-    let entries = Array.make n dummy_entry in
-    let cacheable = not !shared_items in
-    let fresh = ref [] in
     for index = 0 to n - 1 do
       let aff = affected.(index) in
       let m = Array.length aff in
@@ -523,84 +468,40 @@ let allocate ?(compensation = Table_approx) ?workspace:ws ?pool metric
       Array.iter (fun o -> earlier_seen.(o) <- false) deps;
       node_deps.(index) <- nd;
       node_codes.(index) <- codes;
-      row_deps.(index) <- deps;
-      let members = vbuf_arr.(index).Vbuffer.members in
-      let earlier_members =
-        Array.map (fun o -> vbuf_arr.(o).Vbuffer.members) deps
-      in
-      let node_widths = Array.map Array.length nd in
-      let valid e =
-        Array.length e.dep_flags = m
-        && Array.length e.earlier_members = Array.length earlier_members
-        && e.node_widths = node_widths
-        && (let ok = ref true in
-            Array.iteri
-              (fun b ms -> if ms <> e.earlier_members.(b) then ok := false)
-              earlier_members;
-            !ok)
-      in
-      match
-        if cacheable then Hashtbl.find_opt ws.row_cache members else None
-      with
-      | Some e when valid e -> entries.(index) <- e
-      | Some _ | None ->
-        let dep_flags = Array.map (fun d -> Array.length d > 0) nd in
-        let node_memos =
-          Array.map
-            (fun d ->
-              let w = Array.length d in
-              if w = 0 then Node_const
-              else if w <= node_direct_bits then
-                Node_direct
-                  { p1 = Array.make (1 lsl w) Float.nan;
-                    p2 = Array.make (1 lsl w) 0. }
-              else if w <= max_key_bits then Node_hash (Hashtbl.create 16)
-              else Node_wide)
-            nd
-        in
-        let e =
-          { earlier_members;
-            node_widths;
-            dep_flags;
-            const_without = Array.make m 0.;
-            const_with = Array.make m 0.;
-            const_total = 0.;
-            node_memos }
-        in
-        entries.(index) <- e;
-        if cacheable then Hashtbl.replace ws.row_cache members e;
-        fresh := index :: !fresh
+      row_deps.(index) <- deps
     done;
-    let fresh = List.rev !fresh in
-    (* Phase B: column-independent constants of the fresh rows.  Rows
-       write disjoint entries and only read the metric and the owner
-       table, so chunks run on the pool; results are position-addressed,
-       making the parallel fill order-independent. *)
-    let compute_consts index =
-      let e = entries.(index) in
-      let aff = affected.(index) in
-      let members_only = member_test index in
-      let m = Array.length aff in
-      for k = 0 to m - 1 do
-        if not e.dep_flags.(k) then begin
-          e.const_without.(k) <- Metric.umm_latency metric aff.(k);
-          e.const_with.(k) <- Metric.node_latency_ix metric ~on:members_only aff.(k)
-        end
-      done;
-      let total = ref 0. in
-      for k = 0 to m - 1 do
-        if not e.dep_flags.(k) then
-          total := !total +. e.const_without.(k) -. e.const_with.(k)
-      done;
-      e.const_total <- !total
+    (* Phase B: the column-independent constants of every row.  A row
+       only reads the metric and the owner table, so rows run on the
+       pool. *)
+    let consts =
+      Pool.init pool n (fun index ->
+          let aff = affected.(index) in
+          let deps = node_deps.(index) in
+          let members_only = member_test index in
+          let m = Array.length aff in
+          let const_without = Array.make m 0. in
+          let const_with = Array.make m 0. in
+          let total = ref 0. in
+          for k = 0 to m - 1 do
+            if Array.length deps.(k) = 0 then begin
+              const_without.(k) <- Metric.umm_latency metric aff.(k);
+              const_with.(k) <- Metric.node_latency_ix metric ~on:members_only aff.(k);
+              total := !total +. const_without.(k) -. const_with.(k)
+            end
+          done;
+          { const_without; const_with; const_total = !total })
     in
-    (match pool with
-    | None -> List.iter compute_consts fresh
-    | Some pool ->
-      ignore
-        (Pool.map_list pool
-           (fun chunk -> List.iter compute_consts chunk)
-           (chunks (4 * Pool.size pool) fresh)));
+    let node_memos =
+      Array.map
+        (Array.map (fun d ->
+             let w = Array.length d in
+             if w = 0 || w > node_direct_bits then None
+             else
+               Some
+                 { p1 = Array.make (1 lsl w) Float.nan;
+                   p2 = Array.make (1 lsl w) 0. }))
+        node_deps
+    in
     (* Scratch for one dependent node's (p1, p2) compensation pair. *)
     let pair = Array.make 2 0. in
     (* Whole-row gain at one column, accumulated in the exact node order
@@ -609,11 +510,8 @@ let allocate ?(compensation = Table_approx) ?workspace:ws ?pool metric
        node's packed earlier-row bits, evaluated by its compiled codes
        on a memo miss. *)
     let row_gain_at index col pbuf_table =
-      let e = entries.(index) in
-      let dep = e.dep_flags in
-      let cw = e.const_without in
-      let cm = e.const_with in
-      let memos = e.node_memos in
+      let { const_without = cw; const_with = cm; _ } = consts.(index) in
+      let memos = node_memos.(index) in
       let aff = affected.(index) in
       let deps = node_deps.(index) in
       let codes = node_codes.(index) in
@@ -622,11 +520,11 @@ let allocate ?(compensation = Table_approx) ?workspace:ws ?pool metric
           ~bits:pbuf_table ~col pair
       in
       let acc = ref 0. in
-      for k = 0 to Array.length dep - 1 do
-        if dep.(k) then begin
+      for k = 0 to Array.length aff - 1 do
+        if Array.length deps.(k) > 0 then begin
           (match memos.(k) with
-          | Node_const | Node_wide -> eval k
-          | Node_direct { p1; p2 } ->
+          | None -> eval k
+          | Some { p1; p2 } ->
             let key = node_key deps.(k) pbuf_table col in
             let v1 = p1.(key) in
             if Float.is_nan v1 then begin
@@ -637,16 +535,7 @@ let allocate ?(compensation = Table_approx) ?workspace:ws ?pool metric
             else begin
               pair.(0) <- v1;
               pair.(1) <- p2.(key)
-            end
-          | Node_hash tbl -> (
-            let key = node_key deps.(k) pbuf_table col in
-            match Hashtbl.find_opt tbl key with
-            | Some (v1, v2) ->
-              pair.(0) <- v1;
-              pair.(1) <- v2
-            | None ->
-              eval k;
-              Hashtbl.add tbl key (pair.(0), pair.(1))));
+            end);
           acc := !acc +. pair.(0) -. pair.(1)
         end
         else acc := !acc +. cw.(k) -. cm.(k)
@@ -712,13 +601,10 @@ let allocate ?(compensation = Table_approx) ?workspace:ws ?pool metric
     in
     let row_gain index =
       if Array.length row_deps.(index) = 0 then
-        Const_gain entries.(index).const_total
+        Const_gain consts.(index).const_total
       else Fill_gains (fill index)
     in
-    let chosen = knapsack_dp ws ~capacity ~sizes ~row_gain in
-    sweep_up ws metric ~capacity_blocks:capacity
-      (finish ws metric ~capacity_blocks:capacity vbufs
-         (List.map (fun i -> vbuf_arr.(i).Vbuffer.vbuf_id) chosen))
+    settle (knapsack_dp ws ~capacity ~sizes ~row_gain)
   | Exact_iterative ->
     (* Round 0 seeds with static (empty-allocation) gains; later rounds
        re-measure each buffer against the previous winner minus itself. *)
@@ -739,10 +625,7 @@ let allocate ?(compensation = Table_approx) ?workspace:ws ?pool metric
     in
     let run () =
       let row_gain index = Const_gain gains.(index) in
-      let chosen = knapsack_dp ws ~capacity ~sizes ~row_gain in
-      sweep_up ws metric ~capacity_blocks:capacity
-        (finish ws metric ~capacity_blocks:capacity vbufs
-           (List.map (fun i -> vbuf_arr.(i).Vbuffer.vbuf_id) chosen))
+      settle (knapsack_dp ws ~capacity ~sizes ~row_gain)
     in
     seed [];
     let best = ref (run ()) in

@@ -26,18 +26,15 @@
 type compensation = Table_approx | Exact_iterative
 
 type workspace
-(** Scratch state shared across allocator calls: memoized per-buffer
-    affected-node sets, static gains and compensation row state (the
-    constants and gain tables of every virtual buffer the workspace has
-    seen, keyed by member list), plus the DP arrays, which are cleared
-    rather than reallocated on reuse, and the row-owner and membership
-    arrays over the metric's dense item indices, sized once.  The splitting loop re-runs the
-    allocator many times over near-identical buffer sets and passes one
-    workspace through all of them; rows whose earlier-owner dependency
-    structure is unchanged warm-start from their cached tables, which
-    is bit-exact because every cached float is a pure function of its
-    memo-key bits.  A workspace is only valid against the metric it
-    first ran with. *)
+(** Scratch arrays reused across allocator calls: the DP arrays, which
+    are cleared rather than reallocated on reuse, the gain and row-key
+    buffers, the per-row memo table (emptied per row by a generation
+    bump), and the row-owner and membership arrays over the metric's
+    dense item indices, grown on demand.  The splitting loop re-runs the
+    allocator many times and passes one workspace through all of them
+    to skip the reallocation.  Every call builds its compensation state
+    afresh, so a workspace holds no answer from an earlier call and is
+    valid against any metric. *)
 
 val workspace : unit -> workspace
 
@@ -60,12 +57,10 @@ val allocate :
   ?compensation:compensation -> ?workspace:workspace -> ?pool:Pool.t ->
   Metric.t -> capacity_bytes:int -> Vbuffer.t list -> result
 (** Run the allocator.  {!Exact_iterative} refinement runs at most 4
-    rounds.  [workspace] (fresh by default) carries memos and DP
-    arrays across repeated calls against the same metric; reusing one
-    warm-starts unchanged compensation rows.  [pool] parallelizes the
-    per-row constant analysis across domains (the result is
-    byte-identical to the sequential run — rows fill disjoint,
-    position-addressed slots).  Every member of [vbufs] must be an item
+    rounds.  [workspace] (fresh by default) lends its scratch arrays;
+    the result never depends on it.  [pool] parallelizes the per-row
+    constant analysis across domains (the result is byte-identical to
+    the sequential run — see {!Pool.init}).  Every member of [vbufs] must be an item
     of [metric] (see {!Metric.item_index}).  Raises [Invalid_argument]
     on negative capacity. *)
 

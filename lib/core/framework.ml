@@ -155,32 +155,6 @@ let helped_and_bound metric on_chip =
     profiles;
   (!helped, !bound)
 
-(* Order-preserving parallel map over an array: contiguous chunks run
-   as pool jobs, each returning its sub-array, concatenated in chunk
-   order — the result is positionally identical to [Array.map]. *)
-let par_map pool f arr =
-  match pool with
-  | None -> Array.map f arr
-  | Some pool ->
-    let n = Array.length arr in
-    if n = 0 then [||]
-    else begin
-      let pieces = min n (4 * Pool.size pool) in
-      let per = (n + pieces - 1) / pieces in
-      let ranges =
-        List.init pieces (fun p ->
-            let lo = p * per in
-            (lo, min per (n - lo)))
-        |> List.filter (fun (_, len) -> len > 0)
-      in
-      let parts =
-        Pool.map_list pool
-          (fun (lo, len) -> Array.init len (fun i -> f arr.(lo + i)))
-          ranges
-      in
-      Array.concat parts
-    end
-
 let plan ?(options = default_options) ?(stall_scale = 1.) ?pool config g =
   Log.info (fun m ->
       m "plan: %d nodes, %s, device %s" (G.node_count g)
@@ -235,7 +209,8 @@ let plan ?(options = default_options) ?(stall_scale = 1.) ?pool config g =
   in
   let intervals =
     timed liveness_us (fun () ->
-        par_map pool (Liveness.item_interval g ~prefetch_source) items)
+        Pool.init pool (Array.length items) (fun i ->
+            Liveness.item_interval g ~prefetch_source items.(i)))
   in
   Log.info (fun m ->
       m "passes 1+2 (liveness, prefetch): %d eligible items, %d prefetch targets"

@@ -219,8 +219,7 @@ let umm_latency t id = t.umm.(id)
 
 (* The item indices [node_latency_ix] queries for a node, in query
    order: weight, input features, output.  DNNK's compensation tables
-   key their memo bits on this enumeration, and warm-started workspaces
-   rely on the order being a pure function of the metric. *)
+   key their memo bits on this enumeration. *)
 let map_queried_ix t id f =
   let k = t.slices.(id) in
   let weights = if t.profiles.(id).Latency.wt_term > 0. then k else 0 in

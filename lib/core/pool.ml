@@ -220,6 +220,23 @@ let map_list t f xs =
       wait ())
     futures
 
+(* Contiguous index ranges, at most four per worker, each filling its
+   own piece; the pieces are concatenated in range order, so the result
+   is positionally identical to [Array.init] at any domain count. *)
+let init pool n f =
+  match pool with
+  | None -> Array.init n f
+  | Some _ when n = 0 -> [||]
+  | Some t ->
+    let pieces = min n (4 * size t) in
+    let per = (n + pieces - 1) / pieces in
+    let ranges =
+      List.init pieces (fun p -> (p * per, min per (n - (p * per))))
+      |> List.filter (fun (_, len) -> len > 0)
+    in
+    Array.concat
+      (map_list t (fun (lo, len) -> Array.init len (fun i -> f (lo + i))) ranges)
+
 let busy t =
   Mutex.lock t.mutex;
   let n = t.busy_count in

@@ -57,6 +57,12 @@ val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
     The caller only blocks once the queue is empty, at which point its
     remaining futures are necessarily running on other domains. *)
 
+val init : t option -> int -> (int -> 'a) -> 'a array
+(** [init pool n f] is [Array.init n f]; with a pool, contiguous index
+    ranges run as {!map_list} jobs.  Each range fills its own piece and
+    the pieces concatenate in order, so the array is identical at any
+    domain count; [f] must only write state its own index owns. *)
+
 val help_one : t -> bool
 (** Steal one queued job and run it on the calling thread; [false] when
     the queue was empty.  Exposed for custom waiting loops. *)

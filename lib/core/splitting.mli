@@ -33,5 +33,5 @@ val run :
     [initial] (the DNNK result for the current coloring of
     [interference]).  The interference graph is mutated (false edges
     accumulate).  [max_iterations] defaults to 16; [workspace] lets the
-    re-allocation rounds warm-start from shared DNNK memos and DP
-    arrays; [pool] is passed through to {!Dnnk.allocate}. *)
+    re-allocation rounds share one set of DNNK scratch arrays; [pool]
+    is passed through to {!Dnnk.allocate}. *)

@@ -24,32 +24,6 @@ type result = {
 
 let empty = { segments = []; total_benefit = 0.; evaluated = 0 }
 
-(* Order-preserving parallel map over start positions, mirroring
-   Framework's internal [par_map]: contiguous chunks fill disjoint,
-   position-addressed slots, so the candidate lists — and everything
-   downstream — are byte-identical at any domain count. *)
-let par_init pool n f =
-  match pool with
-  | None -> Array.init n f
-  | Some pool ->
-    if n = 0 then [||]
-    else begin
-      let pieces = min n (4 * Pool.size pool) in
-      let per = (n + pieces - 1) / pieces in
-      let ranges =
-        List.init pieces (fun p ->
-            let lo = p * per in
-            (lo, min per (n - lo)))
-        |> List.filter (fun (_, len) -> len > 0)
-      in
-      let parts =
-        Pool.map_list pool
-          (fun (lo, len) -> Array.init len (fun i -> f (lo + i)))
-          ranges
-      in
-      Array.concat parts
-    end
-
 (* Double-buffered row-stripe footprint of one internal value: the
    consumer works tile_th output rows at a time, so 2 x tile_th rows of
    the value suffice between producer and consumer — capped at the full
@@ -203,7 +177,7 @@ let search ?pool ~max_segment ~headroom_bytes ~tile_th ~dtype metric ~on_chip =
         List.rev !acc
       end
     in
-    let per_start = par_init pool n candidates_at in
+    let per_start = Pool.init pool n candidates_at in
     let evaluated = Array.fold_left (fun a l -> a + List.length l) 0 per_start in
     (* Candidates ending at each position, in increasing-[first] order,
        for the cut DP below. *)

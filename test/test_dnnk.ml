@@ -117,6 +117,29 @@ let test_shared_item_fallback_pinned () =
       (Dnnk.Exact_iterative, 512 * 1024, [ 0; 2; 4; 7; 10 ],
        4542135290243206671L) ]
 
+(* A workspace is scratch only: one workspace carried across graphs and
+   capacities must answer every call exactly as a cold run does. *)
+let test_workspace_reuse_across_metrics () =
+  let ws = Dnnk.workspace () in
+  let ids r =
+    List.sort compare (List.map (fun vb -> vb.Vbuffer.vbuf_id) r.Dnnk.chosen)
+  in
+  List.iter
+    (fun model ->
+      let _, m = Helpers.metric_of (Models.Zoo.build model) in
+      let vbufs = singleton_vbufs m in
+      List.iter
+        (fun capacity_bytes ->
+          let label = Printf.sprintf "%s at %d KiB" model (capacity_bytes / 1024) in
+          let cold = Dnnk.allocate m ~capacity_bytes vbufs in
+          let warm = Dnnk.allocate ~workspace:ws m ~capacity_bytes vbufs in
+          Alcotest.(check (list int)) (label ^ ": chosen ids") (ids cold) (ids warm);
+          Alcotest.(check int64) (label ^ ": latency bits")
+            (Int64.bits_of_float cold.Dnnk.predicted_latency)
+            (Int64.bits_of_float warm.Dnnk.predicted_latency))
+        [ 1024 * 1024; 4 * 1024 * 1024 ])
+    [ "alexnet"; "vgg16"; "resnet50"; "googlenet" ]
+
 let both_variants f =
   List.iter f [ Dnnk.Table_approx; Dnnk.Exact_iterative ]
 
@@ -192,6 +215,8 @@ let suite =
     Alcotest.test_case "pivot compensation" `Quick test_pivot_compensation_counts_once;
     Alcotest.test_case "shared-item fallback pinned" `Quick test_shared_item_fallback_pinned;
     Alcotest.test_case "variants vs enumeration" `Quick test_variants_match_exact_enumeration;
+    Alcotest.test_case "workspace reuse across metrics" `Quick
+      test_workspace_reuse_across_metrics;
     prop_never_worse_than_umm;
     prop_capacity_monotone;
     prop_matches_exact_on_random ]
