@@ -1054,30 +1054,15 @@ let faults_experiment () =
       ("rows", Json.List (List.map row_json rows)) ]
 
 (* Planner throughput tracking: per-pass wall time and whole plans/sec
-   on seeded Gen graphs well past zoo scale.  The baseline constants are
-   the identical pipeline (same seeds, same quarter-budget capacity)
-   measured at the pre-optimization commit, so icd_speedup tracks the
-   packed-bitset interference / indexed-DNNK work across PRs instead of
-   silently regressing. *)
+   on seeded Gen graphs well past zoo scale.  Each run is one
+   [Framework.plan] call, and its per-pass columns are that plan's own
+   pass times. *)
 let perf_sizes = [ 64; 256; 1024; 4096; 16384 ]
 
 (* Skip-family (DenseNet-style) graphs: few nodes, very wide fan-in, so
    the time goes to DNNK's Eq. 1 folds rather than to the graph passes.
    The same seeds as the skip graphs perfbench's plan-scale plans. *)
 let perf_skip_sizes = [ 256; 384; 512 ]
-
-(* interference + coloring + dnnk microseconds, pre-optimization.  The
-   16384 entry is extrapolated, not measured: the pre-optimization
-   pipeline was never run at that scale, so the constant extends the
-   measured 1024->4096 growth (a factor of 11.92 per 4x nodes, i.e.
-   ~n^1.79) one more step from the 4096 measurement. *)
-let perf_baseline_icd_us = function
-  | 64 -> 158.
-  | 256 -> 1389.
-  | 1024 -> 311_519.
-  | 4096 -> 3_712_192.
-  | 16384 -> 44_250_000.
-  | _ -> nan
 
 let perf_experiment () =
   header
@@ -1090,69 +1075,16 @@ let perf_experiment () =
   in
   let dtype = Tensor.Dtype.I16 in
   let cfg = Accel.Config.make ~style:Accel.Config.Lcmm dtype in
-  let capacity_bytes = Accel.Config.sram_budget_bytes cfg / 4 in
-  let never_share_class = function
-    | Metric.Weight_of _ | Metric.Weight_slice _ -> 1
-    | Metric.Feature_value _ -> 0
+  let options =
+    { F.default_options with
+      F.capacity_override = Some (Accel.Config.sram_budget_bytes cfg / 4) }
   in
-  (* One full pipeline run, mirroring Framework.plan pass for pass so the
-     per-pass numbers are attributable to the library passes themselves. *)
-  let run_once g =
-    let profiles = Accel.Latency.profile_graph cfg g in
-    let metric = Metric.build g profiles in
-    let items =
-      Array.of_list (Metric.eligible_items metric ~memory_bound_only:true)
-    in
-    let sizes = Array.map (Metric.item_size_bytes dtype metric) items in
-    let weight_targets =
-      Array.to_list items
-      |> List.filter_map (function
-           | Metric.Weight_of n | Metric.Weight_slice { node = n; _ } -> Some n
-           | Metric.Feature_value _ -> None)
-      |> List.sort_uniq compare
-    in
-    let pdg, prefetch_us =
-      time (fun () ->
-          if weight_targets = [] then None
-          else
-            Some
-              (Lcmm.Prefetch.build metric ~targets:weight_targets
-                 ~node_latency:(fun id ->
-                   Accel.Latency.umm_node_latency profiles.(id))))
-    in
-    let prefetch_source n =
-      match pdg with None -> None | Some p -> Lcmm.Prefetch.source_of p n
-    in
-    let intervals, liveness_us =
-      time (fun () ->
-          Array.map (Lcmm.Liveness.item_interval g ~prefetch_source) items)
-    in
-    let interference, interference_us =
-      time (fun () ->
-          Lcmm.Interference.build ~never_share_class ~items ~intervals ())
-    in
-    let vbufs, coloring_us =
-      time (fun () -> Lcmm.Coloring.color interference ~sizes)
-    in
-    let workspace = Dnnk.workspace () in
-    let initial, dnnk_us =
-      time (fun () -> Dnnk.allocate ~workspace metric ~capacity_bytes vbufs)
-    in
-    let _, splitting_us =
-      time (fun () ->
-          Lcmm.Splitting.run ~workspace metric interference ~sizes
-            ~capacity_bytes initial)
-    in
-    ( Array.length items,
-      List.length vbufs,
-      [ ("prefetch_us", prefetch_us); ("liveness_us", liveness_us);
-        ("interference_us", interference_us); ("coloring_us", coloring_us);
-        ("dnnk_us", dnnk_us); ("splitting_us", splitting_us) ],
-      interference_us +. coloring_us +. dnnk_us )
+  let icd_us (p : F.plan) =
+    let t = p.F.pass_times in
+    t.F.interference_us +. t.F.coloring_us +. t.F.dnnk_us
   in
-  Printf.printf "%6s %7s %7s %6s %6s | %12s %12s %9s | %10s | %10s\n" "family"
-    "nodes" "items" "vbufs" "reps" "icd us" "baseline us" "speedup" "plans/s"
-    "dse us";
+  Printf.printf "%6s %7s %7s %6s %6s | %12s | %10s | %10s\n" "family" "nodes"
+    "items" "vbufs" "reps" "icd us" "plans/s" "dse us";
   let rows =
     List.map
       (fun (family, nodes) ->
@@ -1169,13 +1101,17 @@ let perf_experiment () =
         let best = ref None in
         let total_us = ref 0. in
         for _ = 1 to reps do
-          let (items, vbufs, passes, icd), elapsed = time (fun () -> run_once g) in
+          let p, elapsed = time (fun () -> F.plan ~options cfg g) in
           total_us := !total_us +. elapsed;
           match !best with
-          | Some (_, _, _, best_icd) when best_icd <= icd -> ()
-          | _ -> best := Some (items, vbufs, passes, icd)
+          | Some b when icd_us b <= icd_us p -> ()
+          | _ -> best := Some p
         done;
-        let items, vbufs, passes, icd = Option.get !best in
+        let p = Option.get !best in
+        let items =
+          List.length (Metric.eligible_items p.F.metric ~memory_bound_only:true)
+        in
+        let vbufs = List.length p.F.vbufs in
         (* The tile DSE a compile runs before planning, timed on its own so
            the plan numbers above stay the planner's. *)
         let dse = ref infinity in
@@ -1185,61 +1121,31 @@ let perf_experiment () =
           in
           dse := Float.min !dse elapsed
         done;
-        (* The pre-optimization constants cover the mixed rows only. *)
-        let baseline =
-          if family = Check.Gen.Mixed then Some (perf_baseline_icd_us nodes)
-          else None
-        in
-        let speedup = Option.map (fun b -> b /. icd) baseline in
         let plans_per_sec = float_of_int reps *. 1e6 /. !total_us in
-        let or_dash fmt = function
-          | Some v -> Printf.sprintf fmt v
-          | None -> "-"
-        in
-        Printf.printf "%6s %7d %7d %6d %6d | %12.0f %12s %9s | %10.2f | %10.0f\n%!"
-          (Check.Gen.family_name family) nodes items vbufs reps icd
-          (or_dash "%.0f" baseline) (or_dash "%.1fx" speedup) plans_per_sec !dse;
-        (family, nodes, Dnn_graph.Graph.node_count g, items, vbufs, passes,
-         icd, baseline, speedup, plans_per_sec, !dse))
+        Printf.printf "%6s %7d %7d %6d %6d | %12.0f | %10.2f | %10.0f\n%!"
+          (Check.Gen.family_name family) nodes items vbufs reps (icd_us p)
+          plans_per_sec !dse;
+        Json.Obj
+          [ ("family", Json.String (Check.Gen.family_name family));
+            ("nodes", Json.Int nodes);
+            ("graph_nodes", Json.Int (Dnn_graph.Graph.node_count g));
+            ("items", Json.Int items);
+            ("vbufs", Json.Int vbufs);
+            ( "pass_us",
+              Json.Obj
+                (List.map
+                   (fun (k, v) -> (k, Json.Float v))
+                   (F.pass_times_assoc p.F.pass_times)) );
+            ("icd_us", Json.Float (icd_us p));
+            ("plans_per_sec", Json.Float plans_per_sec);
+            ("dse_us", Json.Float !dse) ])
       (List.map (fun n -> (Check.Gen.Mixed, n)) perf_sizes
       @ List.map (fun n -> (Check.Gen.Skip, n)) perf_skip_sizes)
-  in
-  let speedup_1k =
-    List.fold_left
-      (fun acc (_, nodes, _, _, _, _, _, _, speedup, _, _) ->
-        match speedup with
-        | Some x when nodes = 1024 -> x
-        | Some _ | None -> acc)
-      nan rows
-  in
-  Printf.printf
-    "interference+coloring+dnnk at 1k nodes: %.1fx over pre-optimization\n"
-    speedup_1k;
-  let row_json
-      (family, nodes, graph_nodes, items, vbufs, passes, icd, baseline,
-       speedup, plans_per_sec, dse) =
-    let optional name = function
-      | Some v -> [ (name, Json.Float v) ]
-      | None -> []
-    in
-    Json.Obj
-      ([ ("family", Json.String (Check.Gen.family_name family));
-         ("nodes", Json.Int nodes);
-         ("graph_nodes", Json.Int graph_nodes);
-         ("items", Json.Int items);
-         ("vbufs", Json.Int vbufs);
-         ( "pass_us",
-           Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) passes) );
-         ("icd_us", Json.Float icd) ]
-      @ optional "baseline_icd_us" baseline
-      @ optional "icd_speedup" speedup
-      @ [ ("plans_per_sec", Json.Float plans_per_sec); ("dse_us", Json.Float dse) ])
   in
   Json.Obj
     [ ("experiment", Json.String "perf");
       ("seed", Json.Int 2026);
-      ("icd_speedup_1k", Json.Float speedup_1k);
-      ("rows", Json.List (List.map row_json rows)) ]
+      ("rows", Json.List rows) ]
 
 (* ------------------------------------------------------------------ *)
 (* The sharded serving tier.  Both benches spawn `lcmm serve` children

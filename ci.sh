@@ -130,13 +130,13 @@ echo "== tier-2: planner perf benchmark --json =="
 out=BENCH_perf.json
 dune exec bin/lcmm_cli.exe -- bench perf --json "$out" > /dev/null
 grep -q '"experiment": "perf"' "$out"
-grep -q '"icd_speedup_1k"' "$out"
 grep -q '"plans_per_sec"' "$out"
-# The interference+coloring+dnnk time at 1k nodes must hold the recorded
-# >= 20x speedup over the pre-optimization pipeline (baseline constants
-# are embedded in the benchmark; the bar was raised from 5x by the
-# incremental/memoized DNNK work).
-awk -F': ' '/"icd_speedup_1k"/ { exit ($2 + 0 >= 20.0) ? 0 : 1 }' "$out"
+# The interference+coloring+dnnk time on the 1024-node mixed row must
+# stay within 15575.95 us: 20x under the 311519 us that pipeline took
+# before the packed-bitset interference and indexed DNNK work.
+awk -F': ' '/"family"/ { fam = $2 } /"nodes"/ { n = $2 + 0 }
+            /"icd_us"/ && fam ~ /"mixed"/ && n == 1024 { seen = 1; us = $2 + 0 }
+            END { exit (seen && us <= 15575.95) ? 0 : 1 }' "$out"
 # The benchmark must carry the 16k-node scale row.
 grep -q '"nodes": 16384' "$out"
 # Skip-family (DenseNet-style) rows time DNNK where the fan-in is wide.

@@ -131,12 +131,6 @@ let capacity_fraction ctx = ctx.capacity_fraction
 let umm_total ctx = ctx.umm_total
 let capacity_bytes ctx = ctx.capacity_bytes
 
-let dnnk_result ctx = function
-  | Dnnk.Table_approx -> Lazy.force ctx.dnnk_table
-  | Dnnk.Exact_iterative -> Lazy.force ctx.dnnk_iterative
-
-let exact_result ctx = Lazy.force ctx.exact
-
 let eps ctx = rel_eps *. Float.max 1e-6 ctx.umm_total
 
 let fail fmt = Format.kasprintf (fun msg -> Error msg) fmt
@@ -1106,15 +1100,6 @@ let check_schedule_conserve ctx =
       opt.ROptimizer.result.REngine.makespan greedy.REngine.makespan
       edf.REngine.makespan
   else Ok ()
-
-let optimality_gaps ctx =
-  let exact = Lazy.force ctx.exact in
-  if (not exact.Exact.proven_optimal) || exact.Exact.latency <= 0. then []
-  else
-    List.map
-      (fun (name, r) ->
-        (name, ((Lazy.force r).Dnnk.predicted_latency /. exact.Exact.latency) -. 1.))
-      [ ("table", ctx.dnnk_table); ("iterative", ctx.dnnk_iterative) ]
 
 type t = {
   name : string;

@@ -35,18 +35,6 @@ val umm_total : ctx -> float
 val capacity_bytes : ctx -> int
 (** The derived absolute allocator capacity. *)
 
-val dnnk_result : ctx -> Lcmm.Dnnk.compensation -> Lcmm.Dnnk.result
-(** The shared (memoized) allocator run of the given variant. *)
-
-val exact_result : ctx -> Lcmm.Exact.result
-(** The shared (memoized) branch-and-bound run. *)
-
-val optimality_gaps : ctx -> (string * float) list
-(** Relative DNNK-over-optimum gap of each allocator variant
-    ([("table", g); ("iterative", g)] with [g = dnnk/exact - 1]), when
-    the exact solver proved optimality on this context; [[]] when the
-    search was truncated.  The measurement behind [dnnk_slack]. *)
-
 type t = {
   name : string;  (** Stable identifier, accepted by [lcmm check --oracle]. *)
   doc : string;   (** One-line statement of the invariant. *)

@@ -42,7 +42,6 @@ type pass_times = {
   splitting_us : float;
   segmentation_us : float;
   channel_assign_us : float;
-  schedule_us : float;
 }
 
 let zero_pass_times =
@@ -53,8 +52,7 @@ let zero_pass_times =
     dnnk_us = 0.;
     splitting_us = 0.;
     segmentation_us = 0.;
-    channel_assign_us = 0.;
-    schedule_us = 0. }
+    channel_assign_us = 0. }
 
 let add_pass_times a b =
   { liveness_us = a.liveness_us +. b.liveness_us;
@@ -64,8 +62,7 @@ let add_pass_times a b =
     dnnk_us = a.dnnk_us +. b.dnnk_us;
     splitting_us = a.splitting_us +. b.splitting_us;
     segmentation_us = a.segmentation_us +. b.segmentation_us;
-    channel_assign_us = a.channel_assign_us +. b.channel_assign_us;
-    schedule_us = a.schedule_us +. b.schedule_us }
+    channel_assign_us = a.channel_assign_us +. b.channel_assign_us }
 
 let pass_times_assoc t =
   [ ("liveness_us", t.liveness_us);
@@ -75,25 +72,7 @@ let pass_times_assoc t =
     ("dnnk_us", t.dnnk_us);
     ("splitting_us", t.splitting_us);
     ("segmentation_us", t.segmentation_us);
-    ("channel_assign_us", t.channel_assign_us);
-    ("schedule_us", t.schedule_us) ]
-
-(* Process-wide cumulative per-pass wall clock, so long-running hosts
-   (the plan service's stats op) can attribute planner time without
-   tracking individual plans.  Worker domains plan concurrently. *)
-let cumulative_mutex = Mutex.create ()
-let cumulative_pass_times = ref zero_pass_times
-
-let record_pass_times t =
-  Mutex.lock cumulative_mutex;
-  cumulative_pass_times := add_pass_times !cumulative_pass_times t;
-  Mutex.unlock cumulative_mutex
-
-let pass_times_total () =
-  Mutex.lock cumulative_mutex;
-  let t = !cumulative_pass_times in
-  Mutex.unlock cumulative_mutex;
-  t
+    ("channel_assign_us", t.channel_assign_us) ]
 
 let timed cell f =
   let t0 = Unix.gettimeofday () in
@@ -378,10 +357,8 @@ let plan ?(options = default_options) ?(stall_scale = 1.) ?pool config g =
       dnnk_us = !dnnk_us;
       splitting_us = !splitting_us;
       segmentation_us = 0.;
-      channel_assign_us = !channel_assign_us;
-      schedule_us = 0. }
+      channel_assign_us = !channel_assign_us }
   in
-  record_pass_times pass_times;
   { config;
     options;
     metric;

@@ -49,26 +49,17 @@ type pass_times = {
       (** The fusion segmentation pre-pass; 0 for base plans. *)
   channel_assign_us : float;
       (** The DDR channel-assignment pass; 0 at 1 channel. *)
-  schedule_us : float;
-      (** The runtime's DRAM schedule search; 0 for pure plans —
-          {!Lcmm_runtime} records it via {!record_pass_times}. *)
 }
-(** Per-pass wall-clock microseconds for one planner run. *)
+(** Per-pass wall-clock microseconds for one planner run.  The only
+    pass clock: {!plan} fills it for the run that made the plan, and a
+    caller that wants totals (the service's stats op) sums the plans it
+    computed with {!add_pass_times}. *)
 
 val zero_pass_times : pass_times
 val add_pass_times : pass_times -> pass_times -> pass_times
 
-val record_pass_times : pass_times -> unit
-(** Fold one run's pass times into the process-wide cumulative clock —
-    {!plan} calls this itself; external passes (fusion segmentation)
-    call it to appear in {!pass_times_total}. *)
-
 val pass_times_assoc : pass_times -> (string * float) list
 (** Stable field-name/value pairs, for reports and the service stats. *)
-
-val pass_times_total : unit -> pass_times
-(** Process-wide cumulative per-pass wall clock across every plan run so
-    far (all domains); the service's stats op reports it. *)
 
 type plan = {
   config : Accel.Config.t;

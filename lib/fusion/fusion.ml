@@ -140,7 +140,6 @@ let apply ?pool (base : F.plan) =
       Metric.total_latency eff_metric ~on_chip:eff_on_chip +. stalls
     in
     let segmentation_us = (Unix.gettimeofday () -. t0) *. 1e6 in
-    F.record_pass_times { F.zero_pass_times with F.segmentation_us };
     (* Safety net: the segment pricing and the effective-metric
        evaluation are the same arithmetic, so this cannot fire unless
        the two ever drift — in which case no decision beats a wrong

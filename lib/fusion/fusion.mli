@@ -35,7 +35,7 @@ type t = {
   base_traffic : Lcmm.Traffic.t;  (** DDR bytes of the base plan. *)
   peak_sram_bytes : int;
       (** Base tensor grant + FIFO + widest segment's slabs. *)
-  segmentation_us : float;
+  segmentation_us : float;  (** Wall clock of the pass; 0 when inert. *)
 }
 
 val apply : ?pool:Lcmm.Pool.t -> Lcmm.Framework.plan -> t
@@ -44,8 +44,7 @@ val apply : ?pool:Lcmm.Pool.t -> Lcmm.Framework.plan -> t
     resident tensors.  Inert unless [base.options.fusion]; never returns a
     plan slower than the base (a safety net drops every decision if the
     exact re-evaluation ever disagreed with the search's pricing).
-    Records its wall clock as [segmentation_us] in
-    {!Lcmm.Framework.pass_times_total}. *)
+    Its wall clock is reported only in the result's [segmentation_us]. *)
 
 val active : t -> bool
 (** True when the pass decided anything (a segment or a stream). *)

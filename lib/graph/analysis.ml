@@ -19,23 +19,9 @@ let total_bytes v = v.if_bytes + v.wt_bytes + v.of_bytes
 
 let ops g id = (2 * Graph.macs g id) + Graph.aux_ops g id
 
-let total_ops g =
-  let sum = ref 0 in
-  for id = 0 to Graph.node_count g - 1 do
-    sum := !sum + ops g id
-  done;
-  !sum
-
 let op_intensity dtype g id =
   let bytes = total_bytes (volumes dtype g id) in
   if bytes = 0 then infinity else float_of_int (ops g id) /. float_of_int bytes
-
-let largest_value_bytes dtype g =
-  let best = ref 0 in
-  for id = 0 to Graph.node_count g - 1 do
-    best := max !best (value_bytes dtype g id)
-  done;
-  !best
 
 let total_feature_bytes dtype g =
   let sum = ref 0 in

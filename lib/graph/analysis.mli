@@ -19,9 +19,6 @@ val total_bytes : volumes -> int
 val ops : Graph.t -> int -> int
 (** Total arithmetic operations of a node: [2 * macs + aux_ops]. *)
 
-val total_ops : Graph.t -> int
-(** Sum of {!ops} over the graph. *)
-
 val op_intensity : Tensor.Dtype.t -> Graph.t -> int -> float
 (** Operations per off-chip byte; [infinity] for nodes that move no
     data (never happens for valid graphs, but total volume 0 is mapped
@@ -32,10 +29,6 @@ val value_bytes : Tensor.Dtype.t -> Graph.t -> int -> int
 
 val weight_bytes : Tensor.Dtype.t -> Graph.t -> int -> int
 (** Size of the node's weight tensor; 0 when it has none. *)
-
-val largest_value_bytes : Tensor.Dtype.t -> Graph.t -> int
-(** Footprint of the biggest feature value — a lower bound on any on-chip
-    feature buffer. *)
 
 val total_feature_bytes : Tensor.Dtype.t -> Graph.t -> int
 (** Sum of all feature value footprints. *)

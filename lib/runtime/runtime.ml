@@ -217,19 +217,7 @@ let run ?pool options specs =
   let partitioned i grant =
     let c = compiled.(i) in
     if grant >= c.base.F.tensor_sram_bytes then (c.base, c.base_iso)
-    else
-      let key = (specs.(i).model, grant) in
-      match Hashtbl.find_opt replan key with
-      | Some pi -> pi
-      | None ->
-          let p =
-            maybe_fuse
-              (F.plan_partitioned ~options:options.fw_options
-                 ~capacity_bytes:grant c.config specs.(i).graph)
-          in
-          let pi = (p, isolated p) in
-          Hashtbl.add replan key pi;
-          pi
+    else Hashtbl.find replan (specs.(i).model, grant)
   in
   let admitted = ref [] in
   Array.iteri
@@ -242,14 +230,6 @@ let run ?pool options specs =
     decisions;
   let admitted = Array.of_list (List.rev !admitted) in
   let channels = max 1 options.channels in
-  let channel_assign_us = ref 0. in
-  let schedule_us = ref 0. in
-  let timed cell f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    cell := !cell +. ((Unix.gettimeofday () -. t0) *. 1e6);
-    r
-  in
   (* Static channel map per admitted tenant: the plan's own assignment
      when the planner already ran the pass at this width, else computed
      here.  [None] at one channel keeps the engine on the aggregate
@@ -258,15 +238,14 @@ let run ?pool options specs =
     if channels <= 1 then None
     else begin
       let assignments =
-        timed channel_assign_us (fun () ->
-            Array.map
-              (fun (_, _, (plan : F.plan), _) ->
-                match plan.F.channel_assignment with
-                | Some a when a.Lcmm.Channels.channels = channels -> a
-                | _ ->
-                  Lcmm.Channels.assign ~channels plan.F.metric
-                    ~on_chip:plan.F.allocation.Lcmm.Dnnk.on_chip)
-              plans)
+        Array.map
+          (fun (_, _, (plan : F.plan), _) ->
+            match plan.F.channel_assignment with
+            | Some a when a.Lcmm.Channels.channels = channels -> a
+            | _ ->
+              Lcmm.Channels.assign ~channels plan.F.metric
+                ~on_chip:plan.F.allocation.Lcmm.Dnnk.on_chip)
+          plans
       in
       Some
         (fun ~owner ~target kind ->
@@ -333,13 +312,12 @@ let run ?pool options specs =
          expensive, shifting the prune and the UMM safety net), replan,
          and search again — bounded rounds, keeping the best round. *)
       let search plans =
-        timed schedule_us (fun () ->
-            Optimizer.search ?pool
-              ~hp_first:(options.arbitration = Arbiter.Priority)
-              ~arbitration:options.arbitration ~channels
-              ?assign:(assign_of plans) ~make_faults
-              ~isos:(Array.map (fun (_, _, _, iso) -> iso) plans)
-              (inputs_of plans))
+        Optimizer.search ?pool
+          ~hp_first:(options.arbitration = Arbiter.Priority)
+          ~arbitration:options.arbitration ~channels ?assign:(assign_of plans)
+          ~make_faults
+          ~isos:(Array.map (fun (_, _, _, iso) -> iso) plans)
+          (inputs_of plans)
       in
       let scales_of plans (outcome : Optimizer.outcome) =
         Array.mapi
@@ -453,13 +431,6 @@ let run ?pool options specs =
       in
       (outcome.Optimizer.result, final_plans, schedule)
   in
-  if !schedule_us > 0. || !channel_assign_us > 0. then
-    F.record_pass_times
-      {
-        F.zero_pass_times with
-        F.schedule_us = !schedule_us;
-        channel_assign_us = !channel_assign_us;
-      };
   let run_of = Hashtbl.create 8 in
   Array.iteri
     (fun k (i, grant, plan, iso) ->

@@ -19,6 +19,9 @@ type t = {
   breakers : (string, Breaker.t) Hashtbl.t;
   breaker_mutex : Mutex.t;
   new_breaker : unit -> Breaker.t;
+  pass_clock : F.pass_times Atomic.t;
+      (* Summed pass times of the plans this engine's compile/simulate
+         misses computed; the stats op reports it. *)
 }
 
 let create ?cache ?pool ?metrics ?deadline_ms ?(breaker_threshold = 5)
@@ -39,7 +42,8 @@ let create ?cache ?pool ?metrics ?deadline_ms ?(breaker_threshold = 5)
     default_deadline_ms = deadline_ms;
     breakers = Hashtbl.create 8;
     breaker_mutex = Mutex.create ();
-    new_breaker }
+    new_breaker;
+    pass_clock = Atomic.make F.zero_pass_times }
 
 (* Called under [breaker_mutex]. *)
 let breaker_of t op =
@@ -187,12 +191,29 @@ let fusion_fields = function
             ("peak_sram_bytes", Json.Int fz.Fz.peak_sram_bytes);
             ("latency_ms", Json.Float (fz.Fz.predicted_latency *. 1e3)) ] ) ]
 
-let compile_payload (spec : P.compile_spec) ~digest g =
+let rec charge_pass_times t times =
+  let cur = Atomic.get t.pass_clock in
+  if not (Atomic.compare_and_set t.pass_clock cur (F.add_pass_times cur times))
+  then charge_pass_times t times
+
+(* The planning both compile and simulate run: the design comparison,
+   then the fusion pass when asked for.  The base plan's pass times,
+   plus the fusion pass's own when it ran, go on this engine's clock. *)
+let planned_comparison t (spec : P.compile_spec) g =
   let c =
     F.compare_designs ~options:spec.P.options ~device:spec.P.device
       ~model:(P.target_name spec.P.target) spec.P.dtype g
   in
+  let base_times = c.F.lcmm_plan.F.pass_times in
   let c, fz = fused_comparison c g in
+  let segmentation_us =
+    match fz with None -> 0. | Some fz -> fz.Lcmm_fusion.Fusion.segmentation_us
+  in
+  charge_pass_times t { base_times with F.segmentation_us };
+  (c, fz)
+
+let compile_payload t (spec : P.compile_spec) ~digest g =
+  let c, fz = planned_comparison t spec g in
   let plan = c.F.lcmm_plan in
   let helped, bound = F.helped_layers plan in
   Json.Obj
@@ -209,12 +230,8 @@ let compile_payload (spec : P.compile_spec) ~digest g =
         ("options", P.options_to_json spec.P.options) ]
     @ fusion_fields fz)
 
-let simulate_payload (spec : P.compile_spec) ~digest ~images g =
-  let c =
-    F.compare_designs ~options:spec.P.options ~device:spec.P.device
-      ~model:(P.target_name spec.P.target) spec.P.dtype g
-  in
-  let c, fz = fused_comparison c g in
+let simulate_payload t (spec : P.compile_spec) ~digest ~images g =
+  let c, fz = planned_comparison t spec g in
   let plan = c.F.lcmm_plan in
   let metric = plan.F.metric in
   let on_chip = plan.F.allocation.Lcmm.Dnnk.on_chip in
@@ -333,14 +350,11 @@ let stats_payload t =
             ("restarts", Json.Int (Lcmm.Pool.restarts t.worker_pool)) ] );
       ("breakers", breakers_json t);
       ("metrics", Metrics.snapshot t.meters);
-      (* Cumulative planner pass times (process-wide, microseconds)
-         across every plan compiled so far, cache misses included. *)
       ( "pass_times_us",
         Json.Obj
           (List.map
              (fun (k, v) -> (k, Json.Float v))
-             (Lcmm.Framework.pass_times_assoc
-                (Lcmm.Framework.pass_times_total ()))) ) ]
+             (F.pass_times_assoc (Atomic.get t.pass_clock))) ) ]
 
 (* --- request execution --- *)
 
@@ -448,14 +462,14 @@ let handle_leaf t (env : P.envelope) =
         | Error msg -> (Uncached, Error msg)
         | Ok g ->
           let digest = compile_digest spec g in
-          through_cache t ~digest (fun () -> compile_payload spec ~digest g))
+          through_cache t ~digest (fun () -> compile_payload t spec ~digest g))
       | P.Simulate (spec, images) -> (
         match resolve_graph spec with
         | Error msg -> (Uncached, Error msg)
         | Ok g ->
           let digest = simulate_digest spec ~images g in
           through_cache t ~digest (fun () ->
-              simulate_payload spec ~digest ~images g))
+              simulate_payload t spec ~digest ~images g))
       | P.Run spec -> (
         match resolve_tenants spec with
         | Error msg -> (Uncached, Error msg)

@@ -86,8 +86,12 @@ val handle_line : ?timing:bool -> t -> string -> string
     request alone. *)
 
 val stats_payload : t -> Dnn_serial.Json.t
-(** The [stats] response body: cache counters, pool occupancy, request
-    metrics. *)
+(** The [stats] response body: cache counters, pool occupancy, breaker
+    states, request metrics, and [pass_times_us] — the per-pass sum of
+    {!Lcmm.Framework.pass_times} over the plans this engine's own
+    [compile]/[simulate] misses computed (fusion's [segmentation_us]
+    included when it ran).  [run] requests and other engines in the
+    process do not count. *)
 
 val cache : t -> Plan_cache.t
 

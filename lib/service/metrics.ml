@@ -109,10 +109,6 @@ let record t ~op ~ok ~seconds =
         t.error_count <- t.error_count + 1
       end)
 
-let requests_total t = with_lock t (fun () -> t.requests)
-
-let errors_total t = with_lock t (fun () -> t.error_count)
-
 let snapshot t =
   with_lock t (fun () ->
       let ops =

@@ -45,10 +45,6 @@ val create : unit -> t
 
 val record : t -> op:string -> ok:bool -> seconds:float -> unit
 
-val requests_total : t -> int
-
-val errors_total : t -> int
-
 val snapshot : t -> Dnn_serial.Json.t
 (** [{"requests": N, "errors": N, "by_op": {op: {"count", "errors",
     "total_ms", "max_ms", "p50_ms", "p99_ms", "p999_ms"}}}].

@@ -56,7 +56,3 @@ let to_string t = Format.asprintf "%a" pp t
 let as_feature = function
   | Feature f -> Some f
   | Filter _ | Vector _ -> None
-
-let as_filter = function
-  | Filter f -> Some f
-  | Feature _ | Vector _ -> None

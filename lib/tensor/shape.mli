@@ -53,6 +53,3 @@ val to_string : t -> string
 
 val as_feature : t -> feature option
 (** [Some f] when the shape is a feature map. *)
-
-val as_filter : t -> filter option
-(** [Some f] when the shape is a filter. *)

@@ -232,9 +232,14 @@ let result_of_line line =
 
 let test_engine_compile_cache_hit () =
   with_engine ~domains:2 (fun engine ->
-      (* ResNet-152: a cold compile long enough that the 5x margin below
-         is not at the mercy of scheduling noise. *)
-      let request = {|{"op":"compile","id":1,"model":"resnet152","dtype":"i16"}|} in
+      (* DenseNet-121 at a 2 MiB budget with sliced weights and fusion:
+         a cold compile of tens of milliseconds even in a process that
+         earlier suites warmed up, so the 5x margin below is not at the
+         mercy of scheduling noise.  A hit still rebuilds and digests
+         the graph (a millisecond or two). *)
+      let request =
+        {|{"op":"compile","id":1,"model":"densenet121","options":{"capacity_override":2097152,"weight_slices":8,"fusion":true}}|}
+      in
       let t0 = Unix.gettimeofday () in
       let first = result_of_line (handle_line engine request) in
       let cold_s = Unix.gettimeofday () -. t0 in
@@ -263,6 +268,35 @@ let test_engine_compile_cache_hit () =
       let pool_stats = field_exn "pool" (field_exn "result" stats) in
       Alcotest.check json_t "two domains" (Json.Int 2)
         (field_exn "domains" pool_stats))
+
+(* Each engine's stats count only the plans it computed itself: a
+   compile on one engine leaves another engine's pass times at zero. *)
+let test_engine_pass_times_per_engine () =
+  with_engine ~domains:1 (fun a ->
+      with_engine ~domains:1 (fun b ->
+          let pass_times engine =
+            let stats = result_of_line (handle_line engine {|{"op":"stats"}|}) in
+            match field_exn "pass_times_us" (field_exn "result" stats) with
+            | Json.Obj fields ->
+              List.map
+                (fun (k, v) ->
+                  match Json.to_float v with
+                  | Ok us -> (k, us)
+                  | Error msg -> Alcotest.failf "pass_times_us.%s: %s" k msg)
+                fields
+            | _ -> Alcotest.fail "pass_times_us is not an object"
+          in
+          let compiled =
+            result_of_line
+              (handle_line a {|{"op":"compile","model":"alexnet"}|})
+          in
+          Alcotest.check json_t "A compiled" (Json.Bool true)
+            (field_exn "ok" compiled);
+          List.iter
+            (fun (k, us) -> Alcotest.(check (float 0.)) ("B " ^ k) 0. us)
+            (pass_times b);
+          Alcotest.(check bool) "A dnnk_us > 0" true
+            (List.assoc "dnnk_us" (pass_times a) > 0.)))
 
 let test_engine_simulate_and_errors () =
   with_engine ~domains:1 (fun engine ->
@@ -1049,6 +1083,8 @@ let suite =
     Alcotest.test_case "protocol rejects" `Quick test_protocol_rejects;
     Alcotest.test_case "options round-trip" `Quick test_options_roundtrip;
     Alcotest.test_case "compile cache hit" `Quick test_engine_compile_cache_hit;
+    Alcotest.test_case "pass times per engine" `Quick
+      test_engine_pass_times_per_engine;
     Alcotest.test_case "simulate and errors" `Quick test_engine_simulate_and_errors;
     Alcotest.test_case "checksum round-trip" `Quick test_engine_checksum;
     Alcotest.test_case "parallel determinism" `Quick test_engine_parallel_determinism;
