@@ -33,9 +33,6 @@ type t = {
           of the paper streams adds like any layer. *)
 }
 
-val default_freq : Tensor.Dtype.t -> style -> float
-(** The frequency table (MHz) mirroring the paper's Table 1. *)
-
 val make :
   ?device:Fpga.Device.t -> ?ddr_efficiency:float -> ?burst_overhead:float ->
   ?dsp_fraction:float -> ?tile:Tiling.t -> ?freq_mhz:float ->
@@ -47,9 +44,6 @@ val make :
 
 val interface_bandwidth : t -> float
 (** Effective bytes/s of each of the three DDR interfaces. *)
-
-val macs_per_second : t -> float
-(** Peak sustained MAC rate of the PE array. *)
 
 val peak_ops : t -> float
 (** Peak arithmetic rate in ops/s (2 ops per MAC). *)

@@ -19,10 +19,6 @@ type t = private {
 val make : tm:int -> tn:int -> th:int -> tw:int -> t
 (** Raises [Invalid_argument] on non-positive dimensions. *)
 
-val max_kernel : int
-(** Kernel extent the tile input buffers are provisioned for (7, the
-    largest kernel in the benchmark suite). *)
-
 val buffer_bytes : Tensor.Dtype.t -> t -> int
 (** Total tile-buffer footprint: double-buffered input, weight and output
     tiles. *)

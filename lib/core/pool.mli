@@ -5,7 +5,7 @@
     independent compile/simulate requests — and the independent
     per-row/per-tenant pieces inside one planner run — are safe to run
     on separate domains with no coordination beyond this queue.  The
-    parallel-determinism property test in [test/test_parallel.ml] pins
+    parallel-determinism property test in [test/test_framework.ml] pins
     down that plans computed through a pool are byte-identical to
     sequential ones.
 
@@ -62,10 +62,6 @@ val init : t option -> int -> (int -> 'a) -> 'a array
     ranges run as {!map_list} jobs.  Each range fills its own piece and
     the pieces concatenate in order, so the array is identical at any
     domain count; [f] must only write state its own index owns. *)
-
-val help_one : t -> bool
-(** Steal one queued job and run it on the calling thread; [false] when
-    the queue was empty.  Exposed for custom waiting loops. *)
 
 val busy : t -> int
 (** Workers currently executing a job. *)

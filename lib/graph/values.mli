@@ -8,9 +8,6 @@
     that traffic, liveness and allocation all work on real storage
     values. *)
 
-val is_transparent : Op.t -> bool
-(** True exactly for [Concat]. *)
-
 val source_values : Graph.t -> int -> int list
 (** Value ids (producing node ids, never transparent nodes) whose data the
     given node reads, resolved through transparent predecessors.  Order

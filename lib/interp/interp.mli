@@ -20,10 +20,6 @@ type value = {
 val value_of_shape : Tensor.Shape.t -> f:(int -> float) -> value
 (** Build a value by indexing [f] over the flat element range. *)
 
-val synthetic_weights : Dnn_graph.Graph.t -> seed:int -> int -> value option
-(** Deterministic pseudo-random weights for a node ([None] when it has
-    none); different seeds give different parameter sets. *)
-
 val synthetic_input : Dnn_graph.Graph.t -> seed:int -> value
 (** Deterministic input image for the graph's [Input] node. *)
 
@@ -31,7 +27,8 @@ val run :
   ?weights:(int -> value option) -> Dnn_graph.Graph.t -> input:value ->
   value array
 (** Execute the graph; result [i] is node [i]'s output value.  [weights]
-    defaults to {!synthetic_weights} with seed 0.  Raises
+    defaults to deterministic pseudo-random weights (seed 0) for every
+    node that has any.  Raises
     [Invalid_argument] on shape mismatches (which indicate a bug: shapes
     were already inferred). *)
 

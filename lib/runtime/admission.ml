@@ -8,16 +8,12 @@ type decision =
   | Queued of { reason : string }
   | Rejected of { reason : string }
 
-let default_min_grant = Lcmm.Dnnk.block_bytes
+(* A tenant requires the smaller of its demand and one DNNK block, below
+   which a partition holds no pinned tensor at all: a tenant that pins
+   nothing (demand 0) is admissible with a zero grant. *)
+let required d = min d.sram_bytes Lcmm.Dnnk.block_bytes
 
-(* A tenant only *requires* SRAM up to what it would use: a tenant that
-   pins nothing (demand 0) is admissible with a zero grant. *)
-let required ~min_grant_bytes d = min d.sram_bytes min_grant_bytes
-
-let decide ?(min_grant_bytes = default_min_grant) ~partition ~budget_bytes
-    ~board_bandwidth ~overcommit demands =
-  if min_grant_bytes < 0 then
-    invalid_arg "Admission.decide: negative min_grant_bytes";
+let decide ~partition ~budget_bytes ~board_bandwidth ~overcommit demands =
   if overcommit <= 0. then invalid_arg "Admission.decide: overcommit must be > 0";
   let n = Array.length demands in
   let decisions = Array.make n (Queued { reason = "not considered" }) in
@@ -34,7 +30,7 @@ let decide ?(min_grant_bytes = default_min_grant) ~partition ~budget_bytes
     let sram_ok = ref true in
     Array.iteri
       (fun k i ->
-        if grants.(k) < required ~min_grant_bytes demands.(i) then
+        if grants.(k) < required demands.(i) then
           sram_ok := false)
       idx;
     let sram_ok = !sram_ok in
@@ -46,13 +42,13 @@ let decide ?(min_grant_bytes = default_min_grant) ~partition ~budget_bytes
   in
   for i = 0 to n - 1 do
     let d = demands.(i) in
-    if budget_bytes < required ~min_grant_bytes d then
+    if budget_bytes < required d then
       decisions.(i) <-
         Rejected
           { reason =
               Printf.sprintf
                 "SRAM demand needs at least %d bytes but the board budget is %d"
-                (required ~min_grant_bytes d) budget_bytes }
+                (required d) budget_bytes }
     else begin
       let candidate = !admitted @ [ i ] in
       match feasible candidate with

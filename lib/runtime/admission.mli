@@ -7,9 +7,11 @@
     only while the whole admitted set stays feasible:
 
     - the SRAM partition over the admitted set must grant every member
-      at least [min(demand, min_grant_bytes)] — partitions never
-      over-commit the budget (see {!Partition.split}) and never shrink
-      an admitted tenant below its minimum useful share;
+      at least [min(demand, Lcmm.Dnnk.block_bytes)] — one DNNK
+      allocation block, below which a partition cannot hold any pinned
+      tensor.  Partitions never over-commit the budget (see
+      {!Partition.split}) and never shrink an admitted tenant below this
+      minimum useful share;
     - the summed bandwidth demand must stay within [overcommit] times
       the board bandwidth (a lone tenant is exempt — with nobody to
       contend with it merely runs at its isolated speed).
@@ -29,7 +31,6 @@ type decision =
   | Rejected of { reason : string }
 
 val decide :
-  ?min_grant_bytes:int ->
   partition:Partition.policy ->
   budget_bytes:int ->
   board_bandwidth:float ->
@@ -38,7 +39,4 @@ val decide :
   decision array
 (** Decisions index-aligned with the demands (which must be in priority
     order, highest first).  Admitted grants always sum to at most
-    [budget_bytes].  [min_grant_bytes] defaults to one DNNK allocation
-    block — below it a partition cannot hold any pinned tensor at all.
-    Raises [Invalid_argument] when [overcommit <= 0] or
-    [min_grant_bytes < 0]. *)
+    [budget_bytes].  Raises [Invalid_argument] when [overcommit <= 0]. *)

@@ -334,6 +334,9 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
         else begin
           let wait = start -. ts.clock in
           ts.prefetch_wait <- ts.prefetch_wait +. wait;
+          (* The node's stall before it starts, as the isolated engine
+             reports it; the Executing stage's timings write keeps it. *)
+          ts.timings.(id) <- { ts.timings.(id) with Sim.Engine.wait };
           let p = ts.profiles.(id) in
           let on_chip = ts.cur_on_chip in
           let if_t = NM.if_time ~on_chip p in
@@ -385,27 +388,6 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
           ts.stage <- Entering;
           true
         end)
-  in
-  (* Record the stall of a node before it starts (matching the isolated
-     engine's [wait] field): stash it when the Awaiting stage resolves.
-     The timings write above preserves it. *)
-  let note_wait ts id wait =
-    ts.timings.(id) <- { ts.timings.(id) with Sim.Engine.wait }
-  in
-  (* Wire note_wait into the Awaiting transition without duplicating the
-     stage logic: wrap progress. *)
-  let progress ts =
-    match ts.stage with
-    | Awaiting id ->
-      let before_clock = ts.clock in
-      let changed = progress ts in
-      (if changed then
-         match ts.stage with
-         | Executing e when e.exec_id = id ->
-           note_wait ts id (e.exec_start -. before_clock)
-         | _ -> ());
-      changed
-    | _ -> progress ts
   in
   (* Hard tenant abort: drop every queued and in-flight transfer, pin
      the clock at the abort instant and finish the tenant.  Executed

@@ -36,16 +36,6 @@ let default_options =
 
 let schedule_rounds = 3
 
-(* One compiled model, shared by every replica of the same zoo name: the
-   LCMM design point, the unconstrained plan and its isolated run, and
-   the resource appetite the admission controller sees. *)
-type compiled = {
-  config : Config.t;
-  base : F.plan;
-  base_iso : Sim.Engine.run;
-  demand : Admission.demand;
-}
-
 let used_bytes (p : F.plan) =
   p.F.allocation.Lcmm.Dnnk.used_blocks * Lcmm.Dnnk.block_bytes
 
@@ -65,31 +55,21 @@ let isolated (p : F.plan) =
   Sim.Engine.simulate ?prefetch:p.F.prefetch p.F.metric
     ~on_chip:p.F.allocation.Lcmm.Dnnk.on_chip
 
-let compile_model options g =
-  let dse =
-    Accel.Dse.run ~device:options.device ~style:Config.Lcmm options.dtype g
-  in
-  let config = dse.Accel.Dse.config in
-  let base = maybe_fuse (F.plan ~options:options.fw_options config g) in
-  let base_iso = isolated base in
+(* The resource appetite the admission controller sees for a model:
+   the SRAM its unconstrained plan pins and the average DDR bandwidth
+   of its isolated run. *)
+let demand_of ((base : F.plan), (iso : Sim.Engine.run)) =
   let traffic =
     Lcmm.Traffic.of_allocation base.F.metric
       ~on_chip:base.F.allocation.Lcmm.Dnnk.on_chip
   in
   let bandwidth =
-    if base_iso.Sim.Engine.total > 0. then
-      float_of_int (Lcmm.Traffic.total_bytes traffic)
-      /. base_iso.Sim.Engine.total
+    if iso.Sim.Engine.total > 0. then
+      float_of_int (Lcmm.Traffic.total_bytes traffic) /. iso.Sim.Engine.total
     else 0.
   in
-  {
-    config;
-    base;
-    base_iso;
-    demand =
-      { Admission.sram_bytes = max (used_bytes base) base.F.tensor_sram_bytes;
-        bandwidth };
-  }
+  { Admission.sram_bytes = max (used_bytes base) base.F.tensor_sram_bytes;
+    bandwidth }
 
 (* Isolated-schedule slack for EDF deadlines: how far the PDG source's
    start precedes the target's start when the tenant runs alone. *)
@@ -121,29 +101,74 @@ let run ?pool options specs =
   in
   let specs = Array.of_list specs in
   let n = Array.length specs in
-  let cache : (string, compiled) Hashtbl.t = Hashtbl.create 8 in
-  (* Each distinct model compiles once; the distinct compiles are
-     independent, so they fan out on the pool.  Results land in the
-     cache keyed by model name, making the fill order irrelevant — the
-     report is byte-identical to the sequential run. *)
-  let unique_specs =
-    let seen = Hashtbl.create 8 in
-    Array.to_list specs
-    |> List.filter (fun s ->
-           if Hashtbl.mem seen s.model then false
-           else begin
-             Hashtbl.add seen s.model ();
-             true
-           end)
+  let graph_of = Hashtbl.create 8 in
+  Array.iter
+    (fun s ->
+      if not (Hashtbl.mem graph_of s.model) then
+        Hashtbl.add graph_of s.model s.graph)
+    specs;
+  (* Every plan the run consumes, keyed by (model, grant, stall scale):
+     [(m, None, 1.)] is the model's design point and unconstrained plan,
+     [(m, Some g, s)] its replan at SRAM grant [g] with unhidden stalls
+     scaled by [s].  Each phase lists the keys it needs and [solve]s
+     them: keys already solved or repeated are dropped, the rest are
+     independent and fan out on the pool, and results land by key — so
+     the report is byte-identical to the sequential run whichever domain
+     solved which key. *)
+  let solved :
+      (string * int option * float, F.plan * Sim.Engine.run) Hashtbl.t =
+    Hashtbl.create 8
   in
-  List.iter
-    (fun (model, c) -> Hashtbl.add cache model c)
-    (pool_map (fun s -> (s.model, compile_model options s.graph)) unique_specs);
-  let compiled = Array.map (fun s -> Hashtbl.find cache s.model) specs in
+  let base_key m = (m, None, 1.) in
+  let base m = fst (Hashtbl.find solved (base_key m)) in
+  let solve_key (m, grant, scale) =
+    let g = Hashtbl.find graph_of m in
+    let p =
+      match grant with
+      | None ->
+        let dse =
+          Accel.Dse.run ~device:options.device ~style:Config.Lcmm
+            options.dtype g
+        in
+        F.plan ~options:options.fw_options dse.Accel.Dse.config g
+      | Some grant ->
+        F.plan_partitioned ~options:options.fw_options ~stall_scale:scale
+          ~capacity_bytes:grant (base m).F.config g
+    in
+    let p = maybe_fuse p in
+    (p, isolated p)
+  in
+  let solve keys =
+    let fresh =
+      List.filter
+        (fun k -> not (Hashtbl.mem solved k))
+        (List.sort_uniq compare keys)
+    in
+    List.iter2 (Hashtbl.add solved) fresh (pool_map solve_key fresh)
+  in
+  (* A scale-1 grant covering the unconstrained plan's footprint reuses
+     it verbatim — with one tenant this is always the case, which is
+     what makes the single-tenant run reproduce [lcmm sim] exactly. *)
+  let key_of i grant scale =
+    let m = specs.(i).model in
+    if scale = 1. && grant >= (base m).F.tensor_sram_bytes then base_key m
+    else (m, Some grant, scale)
+  in
+  let tenant i grant key =
+    let plan, iso = Hashtbl.find solved key in
+    (i, grant, plan, iso)
+  in
+  solve (Hashtbl.fold (fun m _ acc -> base_key m :: acc) graph_of []);
+  let demand = Hashtbl.create 8 in
+  Hashtbl.iter
+    (fun m _ ->
+      Hashtbl.add demand m (demand_of (Hashtbl.find solved (base_key m))))
+    graph_of;
+  let configs = Array.map (fun s -> (base s.model).F.config) specs in
   let budget_bytes =
     Array.fold_left
-      (fun acc c -> min acc (Config.sram_budget_bytes c.config))
-      max_int compiled
+      (fun acc c -> min acc (Config.sram_budget_bytes c))
+      max_int configs
     |> fun b -> if n = 0 then 0 else b
   in
   (* Three DDR interfaces (if/wt/of) share the board; the admission
@@ -152,8 +177,8 @@ let run ?pool options specs =
     if n = 0 then 0.
     else
       Array.fold_left
-        (fun acc c -> Float.min acc (Config.interface_bandwidth c.config))
-        Float.max_float compiled
+        (fun acc c -> Float.min acc (Config.interface_bandwidth c))
+        Float.max_float configs
       *. 3.
   in
   (* The admission controller wants demands in priority order (stable on
@@ -168,67 +193,25 @@ let run ?pool options specs =
   let decisions_sorted =
     Admission.decide ~partition:options.partition ~budget_bytes
       ~board_bandwidth ~overcommit:options.overcommit
-      (Array.map (fun i -> compiled.(i).demand) order)
+      (Array.map (fun i -> Hashtbl.find demand specs.(i).model) order)
   in
   let decisions = Array.make n (Admission.Queued { reason = "" }) in
   Array.iteri (fun rank i -> decisions.(i) <- decisions_sorted.(rank)) order;
-  (* Compile each admitted tenant against its partition share.  A grant
-     covering the unconstrained plan's whole budget reuses it verbatim —
-     with one tenant this is always the case, which is what makes the
-     single-tenant run reproduce [lcmm sim] exactly. *)
-  let replan : (string * int, F.plan * Sim.Engine.run) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  (* Pre-solve the distinct (model, grant) replans in parallel: they
-     are the expensive admitted-tenant compiles, mutually independent,
-     and keyed deterministically, so [partitioned] below always hits
-     the table regardless of which domain solved which tenant. *)
-  let replan_keys =
-    let seen = Hashtbl.create 8 in
-    let acc = ref [] in
-    Array.iteri
-      (fun i d ->
-        match d with
+  (* Plan each admitted tenant against its partition share. *)
+  let admitted =
+    List.filter_map
+      (fun i ->
+        match decisions.(i) with
         | Admission.Admitted { grant_bytes } ->
-            let c = compiled.(i) in
-            if grant_bytes < c.base.F.tensor_sram_bytes then begin
-              let key = (specs.(i).model, grant_bytes) in
-              if not (Hashtbl.mem seen key) then begin
-                Hashtbl.add seen key ();
-                acc := (i, grant_bytes) :: !acc
-              end
-            end
-        | _ -> ())
-      decisions;
-    List.rev !acc
+          Some (i, grant_bytes, key_of i grant_bytes 1.)
+        | _ -> None)
+      (List.init n Fun.id)
   in
-  List.iter
-    (fun (key, pi) -> Hashtbl.add replan key pi)
-    (pool_map
-       (fun (i, grant) ->
-         let c = compiled.(i) in
-         let p =
-           maybe_fuse
-             (F.plan_partitioned ~options:options.fw_options
-                ~capacity_bytes:grant c.config specs.(i).graph)
-         in
-         ((specs.(i).model, grant), (p, isolated p)))
-       replan_keys);
-  let partitioned i grant =
-    let c = compiled.(i) in
-    if grant >= c.base.F.tensor_sram_bytes then (c.base, c.base_iso)
-    else Hashtbl.find replan (specs.(i).model, grant)
+  solve (List.map (fun (_, _, key) -> key) admitted);
+  let admitted =
+    Array.of_list
+      (List.map (fun (i, grant, key) -> tenant i grant key) admitted)
   in
-  let admitted = ref [] in
-  Array.iteri
-    (fun i d ->
-      match d with
-      | Admission.Admitted { grant_bytes } ->
-          let plan, iso = partitioned i grant_bytes in
-          admitted := (i, grant_bytes, plan, iso) :: !admitted
-      | _ -> ())
-    decisions;
-  let admitted = Array.of_list (List.rev !admitted) in
   let channels = max 1 options.channels in
   (* Static channel map per admitted tenant: the plan's own assignment
      when the planner already ran the pass at this width, else computed
@@ -330,46 +313,20 @@ let run ?pool options specs =
           plans
       in
       (* Replan a tenant only when contention actually scaled its
-         stalls; distinct (model, grant, scale) solves fan out once. *)
+         stalls; a tenant whose scale stayed at 1 keeps its plan. *)
       let replan_scaled plans scales =
-        let keyed =
-          let seen = Hashtbl.create 8 in
-          let acc = ref [] in
-          Array.iteri
+        let keys =
+          Array.mapi
             (fun k (i, grant, _, _) ->
-              if scales.(k) > 1. +. 1e-9 then begin
-                let key = (specs.(i).model, grant, scales.(k)) in
-                if not (Hashtbl.mem seen key) then begin
-                  Hashtbl.add seen key ();
-                  acc := (key, (i, grant, scales.(k))) :: !acc
-                end
-              end)
-            plans;
-          List.rev !acc
+              if scales.(k) > 1. +. 1e-9 then Some (key_of i grant scales.(k))
+              else None)
+            plans
         in
-        let solved = Hashtbl.create 8 in
-        List.iter
-          (fun (key, pi) -> Hashtbl.add solved key pi)
-          (pool_map
-             (fun (key, (i, grant, scale)) ->
-               let c = compiled.(i) in
-               let p =
-                 maybe_fuse
-                   (F.plan_partitioned ~options:options.fw_options
-                      ~stall_scale:scale ~capacity_bytes:grant c.config
-                      specs.(i).graph)
-               in
-               (key, (p, isolated p)))
-             keyed);
-        Array.mapi
-          (fun k (i, grant, plan, iso) ->
-            if scales.(k) <= 1. +. 1e-9 then (i, grant, plan, iso)
-            else
-              let plan, iso =
-                Hashtbl.find solved (specs.(i).model, grant, scales.(k))
-              in
-              (i, grant, plan, iso))
-          plans
+        solve (List.filter_map Fun.id (Array.to_list keys));
+        Array.map2
+          (fun key ((i, grant, _, _) as t) ->
+            match key with None -> t | Some key -> tenant i grant key)
+          keys plans
       in
       let best = ref None in
       let history = ref [] in
@@ -440,32 +397,20 @@ let run ?pool options specs =
     Array.to_list
       (Array.mapi
          (fun i s ->
-           let demand_bytes = compiled.(i).demand.Admission.sram_bytes in
+           let demand_bytes =
+             (Hashtbl.find demand s.model).Admission.sram_bytes
+           in
            match decisions.(i) with
-           | Admission.Rejected { reason } ->
+           | (Admission.Rejected { reason } | Admission.Queued { reason }) as d
+             ->
                {
                  Report.name = s.name;
                  model = s.model;
                  priority = s.priority;
-                 status = Report.Rejected reason;
-                 arrival_ms = s.arrival *. 1e3;
-                 grant_bytes = 0;
-                 demand_bytes;
-                 sram_used_bytes = 0;
-                 isolated_ms = 0.;
-                 latency_ms = 0.;
-                 finish_ms = 0.;
-                 slowdown = 0.;
-                 prefetch_wait_ms = 0.;
-                 ddr_mb = 0.;
-                 faults = Report.no_faults;
-               }
-           | Admission.Queued { reason } ->
-               {
-                 Report.name = s.name;
-                 model = s.model;
-                 priority = s.priority;
-                 status = Report.Queued reason;
+                 status =
+                   (match d with
+                   | Admission.Rejected _ -> Report.Rejected reason
+                   | _ -> Report.Queued reason);
                  arrival_ms = s.arrival *. 1e3;
                  grant_bytes = 0;
                  demand_bytes;

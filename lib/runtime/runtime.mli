@@ -59,10 +59,14 @@ val schedule_rounds : int
     improve or the scales reach a fixpoint.  Ignored by [greedy]/[edf]. *)
 
 val run : ?pool:Lcmm.Pool.t -> options -> spec list -> Report.t
-(** Admit, partition, compile and co-simulate the tenants.  Specs with
-    the same [model] share one design-space exploration and base plan;
-    deterministic for a fixed spec list.  [pool] parallelizes the
-    per-model compiles and the per-grant partitioned replans across
-    domains; the report is byte-identical to the sequential run (both
-    fan-outs fill tables keyed deterministically by model / (model,
-    grant)). *)
+(** Admit, partition, compile and co-simulate the tenants;
+    deterministic for a fixed spec list.  Every plan comes from one
+    table keyed by (model, grant, stall scale), filled in three phases:
+    the distinct models (design-space exploration plus unconstrained
+    plan, from the first spec naming the model), the admitted tenants'
+    grants, and — under the [optimized] scheduler — each round's
+    contention-scaled replans.  A key is solved at most once per run,
+    and a scale-1 grant covering the base plan's footprint reuses the
+    base plan.  [pool] fans each phase's unsolved keys out across
+    domains; results are stored by key, so the report is byte-identical
+    to the sequential run. *)

@@ -1,22 +1,4 @@
-module Config = Accel.Config
 module F = Lcmm.Framework
-
-let f = Printf.sprintf "%.17g"
-
-let config_fingerprint (c : Config.t) =
-  String.concat "|"
-    [ c.Config.device.Fpga.Device.device_name;
-      Tensor.Dtype.to_string c.Config.dtype;
-      Printf.sprintf "pe:%dx%dx%d" c.Config.pe.Accel.Pe_array.tm_unroll
-        c.Config.pe.Accel.Pe_array.tn_unroll c.Config.pe.Accel.Pe_array.tsp_unroll;
-      Printf.sprintf "tile:%dx%dx%dx%d" c.Config.tile.Accel.Tiling.tm
-        c.Config.tile.Accel.Tiling.tn c.Config.tile.Accel.Tiling.th
-        c.Config.tile.Accel.Tiling.tw;
-      "freq:" ^ f c.Config.freq_mhz;
-      "ddr-eff:" ^ f c.Config.ddr_efficiency;
-      "burst:" ^ f c.Config.burst_overhead;
-      "aux:" ^ string_of_int c.Config.aux_ops_per_cycle;
-      "fused:" ^ string_of_bool c.Config.fused_eltwise ]
 
 let options_fingerprint (o : F.options) =
   String.concat "|"
@@ -45,11 +27,6 @@ let options_fingerprint (o : F.options) =
 
 let hash parts =
   Digest.to_hex (Digest.string (String.concat "\x00" parts))
-
-let digest ?(extra = []) ~config ~options g =
-  hash
-    (Dnn_serial.Codec.to_string ~pretty:false g
-    :: config_fingerprint config :: options_fingerprint options :: extra)
 
 let request_digest ?(extra = []) ~dtype ~device ~options g =
   hash

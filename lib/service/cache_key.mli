@@ -2,24 +2,10 @@
 
     A key is the hex MD5 of a canonical byte string covering everything
     the four LCMM passes read: the serialized graph ({!Dnn_serial.Codec}
-    compact form), the accelerator design point (or, for requests that
-    run the DSE themselves, the DSE inputs: dtype + device), and the
-    {!Lcmm.Framework.options}.  Two requests collide iff the passes
-    would compute the identical plan — the passes are pure functions of
-    exactly these inputs. *)
-
-val config_fingerprint : Accel.Config.t -> string
-(** Canonical rendering of every field of a design point.  Floats are
-    printed with ["%.17g"], so distinct values never alias. *)
-
-val options_fingerprint : Lcmm.Framework.options -> string
-(** Canonical rendering of every framework option. *)
-
-val digest :
-  ?extra:string list -> config:Accel.Config.t ->
-  options:Lcmm.Framework.options -> Dnn_graph.Graph.t -> string
-(** Key for a plan of a fixed design point.  [extra] folds in
-    request-specific parameters (operation name, batch size, ...). *)
+    compact form), the DSE inputs that fix the accelerator design point
+    (dtype + device), and every {!Lcmm.Framework.options} field.  Two
+    requests collide iff the passes would compute the identical plan —
+    the passes are pure functions of exactly these inputs. *)
 
 val request_digest :
   ?extra:string list -> dtype:Tensor.Dtype.t -> device:Fpga.Device.t ->

@@ -12,12 +12,9 @@
     through them.  Handlers must be thread-safe and must return a
     newline-terminated response line ({!Engine.handle_line} is both). *)
 
-val serve_channels :
-  ?timing:bool -> Engine.t -> in_channel -> out_channel -> unit
-(** Read request lines until end of input, answering each on [oc].
-    Blank lines are skipped; unreadable input ends the loop. *)
-
 val serve_channels_with : (string -> string) -> in_channel -> out_channel -> unit
+(** Read request lines until end of input, answering each on the output
+    channel.  Blank lines are skipped; unreadable input ends the loop. *)
 
 val serve_stdio : ?timing:bool -> Engine.t -> unit
 

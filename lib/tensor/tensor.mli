@@ -36,5 +36,3 @@ val equal : t -> t -> bool
 (** Identity: same [id] and [kind]. *)
 
 val pp : Format.formatter -> t -> unit
-
-val pp_kind : Format.formatter -> kind -> unit

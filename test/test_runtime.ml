@@ -251,7 +251,7 @@ let test_admission_never_overcommits () =
   for _ = 1 to 200 do
     let n = 1 + rand 6 in
     let budget = rand 4_000_000 in
-    let min_grant = 32_768 in
+    let min_grant = Lcmm.Dnnk.block_bytes in
     let demands =
       Array.init n (fun _ ->
           { Rt.Admission.sram_bytes = rand 2_000_000;
@@ -260,7 +260,7 @@ let test_admission_never_overcommits () =
     List.iter
       (fun partition ->
         let decisions =
-          Rt.Admission.decide ~min_grant_bytes:min_grant ~partition
+          Rt.Admission.decide ~partition
             ~budget_bytes:budget ~board_bandwidth:50e9 ~overcommit:4.0 demands
         in
         let granted = ref 0 in
@@ -478,6 +478,40 @@ let test_optimizer_deterministic () =
   Alcotest.(check string) "chosen candidate stable" c1 c2;
   Alcotest.(check string) "report json byte-identical" j1 j2
 
+(* The plan/schedule co-iteration's solves fan out on the pool, the
+   contention-scaled replans included: a two-domain run must render the
+   sequential report byte for byte.  Two priority levels under priority
+   arbitration slow the mix enough to reach a second round, so the
+   scaled replans are exercised, not just the admission-time ones. *)
+let test_optimized_parallel_deterministic () =
+  let specs =
+    replicas "alexnet" 2
+    @ List.init 2 (fun k ->
+          spec ~priority:1 "squeezenet" k (Models.Zoo.build "squeezenet"))
+  in
+  let once ?pool () =
+    Rt.Runtime.run ?pool
+      { Rt.Runtime.default_options with
+        scheduler = Rt.Scheduler.Optimized;
+        arbitration = Rt.Arbiter.Priority }
+      specs
+  in
+  let json report = Dnn_serial.Json.to_string (Rt.Report.to_json report) in
+  let seq = once () in
+  let par =
+    let pool = Lcmm.Pool.create ~domains:2 () in
+    Fun.protect
+      ~finally:(fun () -> Lcmm.Pool.shutdown pool)
+      (fun () -> once ~pool ())
+  in
+  (match seq.Rt.Report.schedule with
+  | Some s ->
+    Alcotest.(check bool) "scaled replans ran (>= 2 rounds)" true
+      (s.Rt.Report.sched_rounds >= 2)
+  | None -> Alcotest.fail "optimized run without schedule telemetry");
+  Alcotest.(check string) "1 vs 2 domains byte-identical" (json seq)
+    (json par)
+
 (* --- report plumbing --- *)
 
 let test_report_json_shape () =
@@ -535,4 +569,6 @@ let suite =
       test_optimized_hp_slowdown;
     Alcotest.test_case "optimizer deterministic" `Slow
       test_optimizer_deterministic;
+    Alcotest.test_case "optimized 1 vs 2 domains byte-identical" `Slow
+      test_optimized_parallel_deterministic;
     Alcotest.test_case "report json shape" `Quick test_report_json_shape ]

@@ -83,22 +83,14 @@ let test_cache_key_stability () =
       ("coloring", { o with F.coloring = Lcmm.Coloring.First_fit });
       ("capacity_override", { o with F.capacity_override = Some 1024 });
       ("weight_slices", { o with F.weight_slices = 4 });
+      ("fusion", { o with F.fusion = true });
       ("channels", { o with F.channels = 4 }) ]
   in
   List.iter
     (fun (name, opts) ->
       distinct (name ^ " perturbation")
         (key g1 opts Tensor.Dtype.I16 Fpga.Device.vu9p))
-    perturbed;
-  (* The config-keyed variant distinguishes design points too. *)
-  let cfg = Accel.Config.make ~style:Accel.Config.Lcmm Tensor.Dtype.I16 in
-  let cfg' = Accel.Config.make ~ddr_efficiency:0.5 ~style:Accel.Config.Lcmm Tensor.Dtype.I16 in
-  Alcotest.(check bool) "config digest stable" true
-    (Svc.Cache_key.digest ~config:cfg ~options:o g1
-    = Svc.Cache_key.digest ~config:cfg ~options:o g2);
-  Alcotest.(check bool) "config perturbation" true
-    (Svc.Cache_key.digest ~config:cfg ~options:o g1
-    <> Svc.Cache_key.digest ~config:cfg' ~options:o g1)
+    perturbed
 
 (* --- Pool --- *)
 
