@@ -321,6 +321,19 @@ for d in 1 2; do
     _build/runtime_fusion_d$d.json
 done
 
+echo "== tier-2: optimized runtime vs committed golden (1 and 2 domains) =="
+# The optimized scheduler's plan/schedule co-iteration under priority
+# arbitration, with fusion and two DDR channels: its report is pinned
+# byte for byte at one and two planner domains.
+for d in 1 2; do
+  dune exec bin/lcmm_cli.exe -- runtime \
+    --tenants squeezenet:2:0,inception_v4:2:1 --scheduler optimized \
+    --arbitration priority --fusion --channels 2 --domains "$d" \
+    --json _build/runtime_optimized_d$d.json > /dev/null
+  golden_diff test/golden/runtime_optimized.golden.json \
+    _build/runtime_optimized_d$d.json
+done
+
 echo "== tier-2: chaos off is byte-identical =="
 # The whole resilience layer (retries, hedging, call timeouts, checksum
 # validation) plus a quiet chaos spec (seed only, no transport clauses)

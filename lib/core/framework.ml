@@ -134,7 +134,31 @@ let helped_and_bound metric on_chip =
     profiles;
   (!helped, !bound)
 
-let plan ?(options = default_options) ?(stall_scale = 1.) ?pool config g =
+(* The planner runs in three stages so a caller that replans one model
+   at several SRAM grants or stall scales (the multi-tenant runtime)
+   repeats only the stages whose inputs changed.  [plan] is their
+   composition. *)
+type prepared = {
+  pr_config : Config.t;
+  pr_options : options;
+  pr_metric : Metric.t;
+  pr_items : Metric.item array;
+  pr_sizes : int array;
+  pr_intervals : Liveness.interval array;
+  pr_pdg : Prefetch.t option;
+  pr_times : pass_times;
+}
+
+type allocated = {
+  al_prepared : prepared;
+  al_options : options;
+  al_vbufs : Vbuffer.t list;
+  al_allocation : Dnnk.result;
+  al_splitting_iterations : int;
+  al_times : pass_times;
+}
+
+let prepare ?(options = default_options) ?pool config g =
   Log.info (fun m ->
       m "plan: %d nodes, %s, device %s" (G.node_count g)
         (Tensor.Dtype.to_string config.Config.dtype)
@@ -172,9 +196,7 @@ let plan ?(options = default_options) ?(stall_scale = 1.) ?pool config g =
          | Metric.Feature_value _ -> None)
     |> List.sort_uniq compare
   in
-  let liveness_us = ref 0. and interference_us = ref 0. in
-  let coloring_us = ref 0. and prefetch_us = ref 0. in
-  let dnnk_us = ref 0. and splitting_us = ref 0. in
+  let liveness_us = ref 0. and prefetch_us = ref 0. in
   let pdg =
     if weight_targets = [] then None
     else
@@ -195,9 +217,34 @@ let plan ?(options = default_options) ?(stall_scale = 1.) ?pool config g =
       m "passes 1+2 (liveness, prefetch): %d eligible items, %d prefetch targets"
         (Array.length items)
         (List.length weight_targets));
+  { pr_config = config;
+    pr_options = options;
+    pr_metric = metric;
+    pr_items = items;
+    pr_sizes = sizes;
+    pr_intervals = intervals;
+    pr_pdg = pdg;
+    pr_times =
+      { zero_pass_times with
+        liveness_us = !liveness_us;
+        prefetch_us = !prefetch_us } }
+
+let allocate ?pool ?capacity_bytes pr =
+  let options =
+    match capacity_bytes with
+    | None -> pr.pr_options
+    | Some cap ->
+      if cap < 0 then invalid_arg "Framework.allocate: negative capacity";
+      { pr.pr_options with capacity_override = Some cap }
+  in
+  let metric = pr.pr_metric and items = pr.pr_items and sizes = pr.pr_sizes in
+  let interference_us = ref 0. and coloring_us = ref 0. in
+  let dnnk_us = ref 0. and splitting_us = ref 0. in
+  (* Built afresh for every allocation: splitting mutates it. *)
   let interference =
     timed interference_us (fun () ->
-        Interference.build ~never_share_class ~items ~intervals ())
+        Interference.build ~never_share_class ~items
+          ~intervals:pr.pr_intervals ())
   in
   let vbufs =
     timed coloring_us (fun () ->
@@ -211,7 +258,7 @@ let plan ?(options = default_options) ?(stall_scale = 1.) ?pool config g =
                items))
   in
   let capacity_bytes =
-    let budget = Config.sram_budget_bytes config in
+    let budget = Config.sram_budget_bytes pr.pr_config in
     match options.capacity_override with
     | None -> budget
     | Some cap -> min cap budget
@@ -241,6 +288,22 @@ let plan ?(options = default_options) ?(stall_scale = 1.) ?pool config g =
     end
     else (initial, 0, vbufs)
   in
+  { al_prepared = pr;
+    al_options = options;
+    al_vbufs = vbufs;
+    al_allocation = allocation;
+    al_splitting_iterations = splitting_iterations;
+    al_times =
+      { pr.pr_times with
+        interference_us = !interference_us;
+        coloring_us = !coloring_us;
+        dnnk_us = !dnnk_us;
+        splitting_us = !splitting_us } }
+
+let finish ?(stall_scale = 1.) al =
+  let pr = al.al_prepared and options = al.al_options in
+  let metric = pr.pr_metric and pdg = pr.pr_pdg in
+  let splitting_iterations = al.al_splitting_iterations in
   (* DNNK values weight pinning by its Eq. 1 reduction, but a pinned
      weight whose PDG source leaves too little headroom also costs its
      unhidden stall.  Prune chosen buffers whose stalls outweigh their
@@ -307,7 +370,7 @@ let plan ?(options = default_options) ?(stall_scale = 1.) ?pool config g =
             allocation.Dnnk.used_blocks
             - Dnnk.blocks_of_bytes worst.Vbuffer.size_bytes }
   in
-  let allocation = prune allocation in
+  let allocation = prune al.al_allocation in
   (* Safety net: a plan must never lose to its own baseline.  Greedy
      pruning can in principle strand a jointly-bad group (gains are
      superadditive), so fall back to the empty allocation if the stall
@@ -317,12 +380,12 @@ let plan ?(options = default_options) ?(stall_scale = 1.) ?pool config g =
       allocation.Dnnk.predicted_latency
       +. scaled (unhidden_stalls pdg allocation.Dnnk.on_chip)
     in
-    if total > Latency.umm_total profiles +. 1e-15 then
+    if total > Latency.umm_total metric.Metric.profiles +. 1e-15 then
       { allocation with
         Dnnk.chosen = [];
         spilled = allocation.Dnnk.chosen @ allocation.Dnnk.spilled;
         on_chip = Metric.Item_set.empty;
-        predicted_latency = Latency.umm_total profiles;
+        predicted_latency = Latency.umm_total metric.Metric.profiles;
         used_blocks = 0 }
     else allocation
   in
@@ -349,20 +412,10 @@ let plan ?(options = default_options) ?(stall_scale = 1.) ?pool config g =
             (Channels.assign ~channels:options.channels metric
                ~on_chip:allocation.Dnnk.on_chip))
   in
-  let pass_times =
-    { liveness_us = !liveness_us;
-      interference_us = !interference_us;
-      coloring_us = !coloring_us;
-      prefetch_us = !prefetch_us;
-      dnnk_us = !dnnk_us;
-      splitting_us = !splitting_us;
-      segmentation_us = 0.;
-      channel_assign_us = !channel_assign_us }
-  in
-  { config;
+  { config = pr.pr_config;
     options;
     metric;
-    vbufs;
+    vbufs = al.al_vbufs;
     allocation;
     prefetch = pdg;
     splitting_iterations;
@@ -370,14 +423,13 @@ let plan ?(options = default_options) ?(stall_scale = 1.) ?pool config g =
     pol = (if bound = 0 then 1. else float_of_int helped /. float_of_int bound);
     tensor_sram_bytes = allocation.Dnnk.used_blocks * Dnnk.block_bytes;
     channel_assignment;
-    pass_times }
+    pass_times = { al.al_times with channel_assign_us = !channel_assign_us } }
 
-let plan_partitioned ?(options = default_options) ?stall_scale ?pool
-    ~capacity_bytes config g =
-  if capacity_bytes < 0 then
-    invalid_arg "Framework.plan_partitioned: negative capacity";
-  plan ~options:{ options with capacity_override = Some capacity_bytes }
-    ?stall_scale ?pool config g
+let plan ?options ?pool config g =
+  finish (allocate ?pool (prepare ?options ?pool config g))
+
+let plan_partitioned ?options ?pool ~capacity_bytes config g =
+  finish (allocate ?pool ~capacity_bytes (prepare ?options ?pool config g))
 
 (* Degraded-mode replanning for a board whose SRAM shrank under a live
    plan (bank loss).  Two steps, mirroring the paper's spill reasoning

@@ -51,9 +51,12 @@ type pass_times = {
       (** The DDR channel-assignment pass; 0 at 1 channel. *)
 }
 (** Per-pass wall-clock microseconds for one planner run.  The only
-    pass clock: {!plan} fills it for the run that made the plan, and a
-    caller that wants totals (the service's stats op) sums the plans it
-    computed with {!add_pass_times}. *)
+    pass clock: the stages that made a plan fill it ({!prepare} the
+    liveness and prefetch passes, {!allocate} interference through
+    splitting, {!finish} channel assignment), and a caller that wants
+    totals (the service's stats op) sums the plans it computed with
+    {!add_pass_times}.  Plans finished from a shared stage value all
+    report that stage's times. *)
 
 val zero_pass_times : pass_times
 val add_pass_times : pass_times -> pass_times -> pass_times
@@ -77,31 +80,75 @@ type plan = {
   pass_times : pass_times;         (** Wall-clock breakdown of this run. *)
 }
 
-val plan :
-  ?options:options -> ?stall_scale:float -> ?pool:Pool.t -> Accel.Config.t ->
-  Dnn_graph.Graph.t -> plan
-(** Run LCMM for a fixed design point.  [pool] parallelizes the
-    liveness scan and DNNK's per-row compensation analysis across
-    domains; the resulting plan is byte-identical to the sequential one
-    (parallel pieces fill disjoint, position-addressed slots — see
-    {!fingerprint}).
+(** {2 Planner stages}
+
+    The planner runs in three stages.  {!plan} and {!plan_partitioned}
+    are their composition; a caller that replans one model at several
+    SRAM grants or stall scales (the multi-tenant runtime) keeps the
+    earlier stages' values and repeats only the later ones.  Every
+    stage is pure in its inputs and never mutates a value it is given,
+    so one [prepared] may feed any number of [allocate] calls and one
+    [allocated] any number of [finish] calls, from any domain and in
+    any order: each result is byte-identical to the one the composed
+    call makes. *)
+
+type prepared
+(** Everything that depends on the design point, the graph and the
+    options but not on the SRAM capacity or the stall scale: the
+    latency profile, the metric (Eq. 1 tables), the eligible items and
+    their sizes, the weight PDG (pass 2) and the items' lifespans
+    (pass 1's liveness).  Every plan finished from one [prepared]
+    shares its physical metric and PDG. *)
+
+type allocated
+(** A prepared model allocated at one capacity: interference graph,
+    coloring (passes 1–2), DNNK (pass 3) and buffer splitting (pass 4),
+    before the stall prune. *)
+
+val prepare :
+  ?options:options -> ?pool:Pool.t -> Accel.Config.t -> Dnn_graph.Graph.t ->
+  prepared
+(** Profile, metric, items, PDG and liveness.  [pool] parallelizes the
+    liveness scan. *)
+
+val allocate : ?pool:Pool.t -> ?capacity_bytes:int -> prepared -> allocated
+(** Build a fresh interference graph (splitting mutates it), color it,
+    run DNNK and splitting.  [capacity_bytes] caps the tensor-buffer
+    budget as [capacity_override = Some capacity_bytes] would, and the
+    finished plan carries its options with that override; omitted, the
+    prepared options' own override (or the design's budget) applies.
+    [pool] parallelizes DNNK's per-row compensation analysis.  Raises
+    [Invalid_argument] on a negative capacity. *)
+
+val finish : ?stall_scale:float -> allocated -> plan
+(** The post-DNNK stall prune, its UMM safety net and channel
+    assignment (when [options.channels > 1]).
 
     [stall_scale] (default 1.0) multiplies every unhidden prefetch
-    stall in the post-DNNK prune and its UMM safety net — the
-    plan↔schedule co-iteration's re-cost hook: the runtime observes how
-    much DDR contention inflates a tenant's transfers and replans with
-    stalls scaled up accordingly.  At the default 1.0 the scaling is
-    skipped outright and the plan is bit-identical to one planned
-    without the argument. *)
+    stall in the prune and the safety net — the plan↔schedule
+    co-iteration's re-cost hook: the runtime observes how much DDR
+    contention inflates a tenant's transfers and finishes its plan
+    again with stalls scaled up accordingly.  At the default 1.0 the
+    scaling is skipped outright and the plan is bit-identical to
+    {!plan}'s.  The plan's [pass_times] cover the three stages that
+    made it, shared stages included. *)
+
+val plan :
+  ?options:options -> ?pool:Pool.t -> Accel.Config.t -> Dnn_graph.Graph.t ->
+  plan
+(** Run LCMM for a fixed design point: [finish (allocate (prepare ..))].
+    [pool] parallelizes the liveness scan and DNNK's per-row
+    compensation analysis across domains; the resulting plan is
+    byte-identical to the sequential one (parallel pieces fill disjoint,
+    position-addressed slots — see {!fingerprint}). *)
 
 val plan_partitioned :
-  ?options:options -> ?stall_scale:float -> ?pool:Pool.t ->
-  capacity_bytes:int -> Accel.Config.t -> Dnn_graph.Graph.t -> plan
-(** Run LCMM with the tensor-buffer budget capped at [capacity_bytes] —
-    the multi-tenant runtime's entry point, compiling each tenant
-    against its SRAM partition share rather than the whole board.
-    Equivalent to [plan] with [capacity_override = Some capacity_bytes];
-    raises [Invalid_argument] when the capacity is negative. *)
+  ?options:options -> ?pool:Pool.t -> capacity_bytes:int ->
+  Accel.Config.t -> Dnn_graph.Graph.t -> plan
+(** Run LCMM with the tensor-buffer budget capped at [capacity_bytes]:
+    [finish (allocate ~capacity_bytes (prepare ..))], which is [plan]
+    with [capacity_override = Some capacity_bytes].  Raises
+    [Invalid_argument] when the capacity is negative. *)
 
 type degraded = {
   evicted : Vbuffer.t list;      (** Buffers spilled by the emergency pass. *)

@@ -110,42 +110,55 @@ let run ?pool options specs =
   (* Every plan the run consumes, keyed by (model, grant, stall scale):
      [(m, None, 1.)] is the model's design point and unconstrained plan,
      [(m, Some g, s)] its replan at SRAM grant [g] with unhidden stalls
-     scaled by [s].  Each phase lists the keys it needs and [solve]s
-     them: keys already solved or repeated are dropped, the rest are
-     independent and fan out on the pool, and results land by key — so
-     the report is byte-identical to the sequential run whichever domain
-     solved which key. *)
+     scaled by [s].  The planner's stage values are kept too, one
+     [prepared] per model and one [allocated] per (model, grant), so a
+     scaled key only reruns [finish] and every plan of a model shares
+     one metric and one PDG.  Each phase lists the keys it needs and
+     [solve]s them: per stage, values already held or repeated are
+     dropped, the rest are independent and fan out on the pool, and
+     results land by key on the calling domain — so the report is
+     byte-identical to the sequential run whichever domain solved
+     which key. *)
+  let prepared : (string, F.prepared) Hashtbl.t = Hashtbl.create 8 in
+  let allocated : (string * int option, F.allocated) Hashtbl.t =
+    Hashtbl.create 8
+  in
   let solved :
       (string * int option * float, F.plan * Sim.Engine.run) Hashtbl.t =
     Hashtbl.create 8
   in
-  let base_key m = (m, None, 1.) in
-  let base m = fst (Hashtbl.find solved (base_key m)) in
-  let solve_key (m, grant, scale) =
-    let g = Hashtbl.find graph_of m in
-    let p =
-      match grant with
-      | None ->
-        let dse =
-          Accel.Dse.run ~device:options.device ~style:Config.Lcmm
-            options.dtype g
-        in
-        F.plan ~options:options.fw_options dse.Accel.Dse.config g
-      | Some grant ->
-        F.plan_partitioned ~options:options.fw_options ~stall_scale:scale
-          ~capacity_bytes:grant (base m).F.config g
+  let fill tbl f keys =
+    let fresh =
+      List.filter
+        (fun k -> not (Hashtbl.mem tbl k))
+        (List.sort_uniq compare keys)
     in
-    let p = maybe_fuse p in
+    List.iter2 (Hashtbl.add tbl) fresh (pool_map f fresh)
+  in
+  let prepare m =
+    let g = Hashtbl.find graph_of m in
+    let dse =
+      Accel.Dse.run ~device:options.device ~style:Config.Lcmm options.dtype g
+    in
+    F.prepare ~options:options.fw_options dse.Accel.Dse.config g
+  in
+  let allocate (m, grant) =
+    F.allocate ?capacity_bytes:grant (Hashtbl.find prepared m)
+  in
+  let finish (m, grant, scale) =
+    let p =
+      maybe_fuse
+        (F.finish ~stall_scale:scale (Hashtbl.find allocated (m, grant)))
+    in
     (p, isolated p)
   in
   let solve keys =
-    let fresh =
-      List.filter
-        (fun k -> not (Hashtbl.mem solved k))
-        (List.sort_uniq compare keys)
-    in
-    List.iter2 (Hashtbl.add solved) fresh (pool_map solve_key fresh)
+    fill prepared prepare (List.map (fun (m, _, _) -> m) keys);
+    fill allocated allocate (List.map (fun (m, grant, _) -> (m, grant)) keys);
+    fill solved finish keys
   in
+  let base_key m = (m, None, 1.) in
+  let base m = fst (Hashtbl.find solved (base_key m)) in
   (* A scale-1 grant covering the unconstrained plan's footprint reuses
      it verbatim — with one tenant this is always the case, which is
      what makes the single-tenant run reproduce [lcmm sim] exactly. *)
@@ -328,6 +341,25 @@ let run ?pool options specs =
             match key with None -> t | Some key -> tenant i grant key)
           keys plans
       in
+      (* [search] is deterministic in its engine inputs, so a round
+         whose inputs repeat the previous round's reuses its outcome.
+         Plans finished from one [prepared] share metric and PDG, hence
+         [==]; the isolated run, EDF slack and transfer profile follow
+         from those and the on-chip set.  Faults opt out: the degrade
+         callback closes over the whole plan.  Fused plans carry fresh
+         metrics, so they never match. *)
+      let same_inputs prev plans =
+        injector = None
+        && Array.for_all2
+             (fun (_, _, (a : F.plan), _) (_, _, (b : F.plan), _) ->
+               a.F.metric == b.F.metric
+               && Option.equal ( == ) a.F.prefetch b.F.prefetch
+               && Lcmm.Metric.Item_set.equal a.F.allocation.Lcmm.Dnnk.on_chip
+                    b.F.allocation.Lcmm.Dnnk.on_chip
+               && a.F.channel_assignment = b.F.channel_assignment)
+             prev plans
+      in
+      let previous = ref None in
       let best = ref None in
       let history = ref [] in
       let converged = ref false in
@@ -335,7 +367,12 @@ let run ?pool options specs =
       let prev_scales = ref (Array.map (fun _ -> 1.) admitted) in
       let round = ref 0 in
       while !round < schedule_rounds && not !converged do
-        let outcome = search !plans in
+        let outcome =
+          match !previous with
+          | Some (outcome, prev) when same_inputs prev !plans -> outcome
+          | _ -> search !plans
+        in
+        previous := Some (outcome, !plans);
         history := outcome.Optimizer.result.Engine.makespan :: !history;
         let improved =
           match !best with

@@ -56,7 +56,18 @@ val schedule_rounds : int
 (** Plan/schedule co-iteration bound for the [optimized] scheduler (3):
     each round searches a schedule, feeds per-tenant slowdowns back as
     planner stall scales, and replans; stops early when a round fails to
-    improve or the scales reach a fixpoint.  Ignored by [greedy]/[edf]. *)
+    improve or the scales reach a fixpoint.  Ignored by [greedy]/[edf].
+
+    A round whose engine inputs equal the previous round's reuses that
+    round's {!Optimizer.outcome} instead of searching again —
+    {!Optimizer.search} is deterministic in them, so the report is
+    unchanged and still counts the round, its makespan and the
+    convergence.  Inputs are equal when, for every admitted tenant, the
+    new plan has the same physical metric and PDG ([==]), an
+    [Item_set.equal] on-chip set and an equal channel assignment.
+    Fault injection opts out (the degrade callback closes over the
+    whole plan), and so, by the [==] test, does fusion (each fused plan
+    carries a fresh effective metric). *)
 
 val run : ?pool:Lcmm.Pool.t -> options -> spec list -> Report.t
 (** Admit, partition, compile and co-simulate the tenants;
@@ -67,6 +78,11 @@ val run : ?pool:Lcmm.Pool.t -> options -> spec list -> Report.t
     grants, and — under the [optimized] scheduler — each round's
     contention-scaled replans.  A key is solved at most once per run,
     and a scale-1 grant covering the base plan's footprint reuses the
-    base plan.  [pool] fans each phase's unsolved keys out across
-    domains; results are stored by key, so the report is byte-identical
-    to the sequential run. *)
+    base plan.  Plans are built from the planner's stages
+    ({!Lcmm.Framework.prepare}, [allocate], [finish]) and the stage
+    values are kept too — one prepared model per model, one allocation
+    per (model, grant) — so a scaled key reruns only [finish], fusion
+    and the isolated simulation.  [pool] fans each stage's missing
+    values out across domains; results are stored by key on the
+    calling domain, so the report is byte-identical to the sequential
+    run. *)

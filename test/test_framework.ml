@@ -175,6 +175,68 @@ let prop_on_chip_items_are_eligible =
       in
       Metric.Item_set.subset p.F.allocation.Dnnk.on_chip eligible)
 
+(* The staged planner.  golden/plan_scaled.golden pins, per zoo model
+   at its LCMM design point, the plan fingerprint at the full SRAM
+   budget and at a quarter of it, with unhidden stalls scaled by 1,
+   1.25, 4 and 1000 — recorded from the single-call planner before it
+   was split into prepare / allocate / finish.  Here one [prepared] per
+   model and one [allocated] per budget are finished at every scale:
+   the digests must match, finishing in the reverse order must give the
+   same fingerprints, every plan of a model must share its metric and
+   PDG, and at least one model must prune at scale 1000 — a scaled
+   finish that ignored its scale would leave every digest equal to the
+   scale-1 one and fail that case. *)
+let test_staged_scaled () =
+  let scales = [ 1.; 1.25; 4.; 1e3 ] in
+  let pruned = ref 0 in
+  let lines =
+    List.concat_map
+      (fun (e : Models.Zoo.entry) ->
+        let g = e.Models.Zoo.build () in
+        let config =
+          (Accel.Dse.run ~style:Accel.Config.Lcmm Tensor.Dtype.I16 g)
+            .Accel.Dse.config
+        in
+        let budget = Accel.Config.sram_budget_bytes config in
+        let prepared = F.prepare config g in
+        List.concat_map
+          (fun divisor ->
+            let key = Printf.sprintf "%s/b%d" e.Models.Zoo.model_name divisor in
+            let al = F.allocate ~capacity_bytes:(budget / divisor) prepared in
+            let finish s = F.finish ~stall_scale:s al in
+            let forward = List.map finish scales in
+            let backward = List.rev_map finish (List.rev scales) in
+            let first = List.hd forward in
+            List.iter2
+              (fun a b ->
+                if F.fingerprint a <> F.fingerprint b then
+                  Alcotest.failf "%s: finishing order changed a plan" key;
+                if
+                  not
+                    (a.F.metric == first.F.metric
+                    && Option.equal ( == ) a.F.prefetch first.F.prefetch)
+                then Alcotest.failf "%s: plans do not share metric and PDG" key)
+              forward backward;
+            let on_chip p = p.F.allocation.Dnnk.on_chip in
+            let at_1 = on_chip first and at_1e3 = on_chip (List.nth forward 3) in
+            if Metric.Item_set.subset at_1e3 at_1
+               && not (Metric.Item_set.equal at_1e3 at_1)
+            then incr pruned;
+            List.map2
+              (fun s p ->
+                Printf.sprintf "%s/s%g %s" key s
+                  (Dnn_serial.Codec.digest_string (F.fingerprint p)))
+              scales forward)
+          [ 1; 4 ])
+      Models.Zoo.all
+  in
+  let expected = Helpers.read_lines "golden/plan_scaled.golden" in
+  Alcotest.(check int) "case count" (List.length expected) (List.length lines);
+  List.iter2
+    (fun e a -> if e <> a then Alcotest.failf "plan changed: want %s, got %s" e a)
+    expected lines;
+  Alcotest.(check bool) "a plan prunes at scale 1000" true (!pruned > 0)
+
 let suite =
   [ Alcotest.test_case "plan improves" `Quick test_plan_improves;
     Alcotest.test_case "option toggles" `Quick test_option_toggles;
@@ -182,6 +244,8 @@ let suite =
     Alcotest.test_case "memory-bound-only filter" `Quick test_memory_bound_only_filter;
     Alcotest.test_case "compare designs" `Quick test_compare_designs_shape;
     Alcotest.test_case "helped layers" `Quick test_helped_layers_consistent;
+    Alcotest.test_case "staged plans at stall scales pinned" `Quick
+      test_staged_scaled;
     prop_plan_never_worse_than_umm;
     prop_parallel_plan_deterministic;
     prop_channel_assignment_deterministic;

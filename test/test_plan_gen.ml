@@ -73,13 +73,8 @@ let case_lines () =
        g);
   List.rev !lines
 
-let read_lines path =
-  In_channel.with_open_text path In_channel.input_all
-  |> String.split_on_char '\n'
-  |> List.filter (fun l -> l <> "")
-
 let test_pinned () =
-  let expected = read_lines golden_file in
+  let expected = Helpers.read_lines golden_file in
   let actual = case_lines () in
   Alcotest.(check int) "case count" (List.length expected) (List.length actual);
   List.iter2

@@ -30,6 +30,18 @@ let compile model =
   in
   (g, plan, iso)
 
+(* The runtime's EDF slack: the isolated-schedule distance from a
+   target's PDG source start to its own start. *)
+let slack_of (p : F.plan) (iso : Sim.Engine.run) target =
+  match p.F.prefetch with
+  | None -> 0.
+  | Some pdg -> (
+    match Lcmm.Prefetch.source_of pdg target with
+    | Some s ->
+      iso.Sim.Engine.timings.(target).Sim.Engine.start
+      -. iso.Sim.Engine.timings.(s).Sim.Engine.start
+    | None -> 0.)
+
 let spec ?(priority = 0) ?(arrival = 0.) model k g =
   { Rt.Runtime.name = Printf.sprintf "%s#%d" model k;
     model;
@@ -60,16 +72,7 @@ let admitted report =
    arithmetic drift in the shared-bus path would show up here. *)
 let check_engine_exact model =
   let _, plan, iso = compile model in
-  let slack target =
-    match plan.F.prefetch with
-    | None -> 0.
-    | Some pdg -> (
-      match Lcmm.Prefetch.source_of pdg target with
-      | Some s ->
-        iso.Sim.Engine.timings.(target).Sim.Engine.start
-        -. iso.Sim.Engine.timings.(s).Sim.Engine.start
-      | None -> 0.)
-  in
+  let slack = slack_of plan iso in
   List.iter
     (fun (arbitration, scheduler) ->
       let result =
@@ -512,6 +515,350 @@ let test_optimized_parallel_deterministic () =
   Alcotest.(check string) "1 vs 2 domains byte-identical" (json seq)
     (json par)
 
+(* --- search reuse --- *)
+
+(* A test-local copy of the plan/schedule co-iteration as it stood
+   before rounds could reuse a search: every round searches, every plan
+   is planned from scratch (no stage shared between plans, so no two
+   plans share a metric), and the scaled replans are recomputed each
+   time they are needed.  Admission does not depend on the
+   co-iteration, so the admitted set, grants and demands are read from
+   the report under test; every field the co-iteration decides (plans,
+   isolated and contended runs, makespan, timelines, schedule
+   telemetry) is recomputed here. *)
+let reference_optimized (options : Rt.Runtime.options) specs
+    (report : Rt.Report.t) =
+  let specs = Array.of_list specs in
+  let fault_spec =
+    match options.Rt.Runtime.faults with
+    | Some s when not (Fault.Spec.has_board_faults s) -> None
+    | f -> f
+  in
+  let fw = options.Rt.Runtime.fw_options in
+  let maybe_fuse (p : F.plan) =
+    if p.F.options.F.fusion then
+      Lcmm_fusion.Fusion.effective_plan (Lcmm_fusion.Fusion.apply p)
+    else p
+  in
+  let isolated (p : F.plan) =
+    Sim.Engine.simulate ?prefetch:p.F.prefetch p.F.metric
+      ~on_chip:p.F.allocation.Lcmm.Dnnk.on_chip
+  in
+  let used_bytes (p : F.plan) =
+    p.F.allocation.Lcmm.Dnnk.used_blocks * Lcmm.Dnnk.block_bytes
+  in
+  let bases = Hashtbl.create 8 in
+  let base (s : Rt.Runtime.spec) =
+    match Hashtbl.find_opt bases s.Rt.Runtime.model with
+    | Some p -> p
+    | None ->
+      let dse =
+        Accel.Dse.run ~device:options.Rt.Runtime.device
+          ~style:Accel.Config.Lcmm options.Rt.Runtime.dtype s.Rt.Runtime.graph
+      in
+      let p = F.plan ~options:fw dse.Accel.Dse.config s.Rt.Runtime.graph in
+      Hashtbl.add bases s.Rt.Runtime.model p;
+      p
+  in
+  let plan_at i grant scale =
+    let s = specs.(i) in
+    let b = base s in
+    let p =
+      if scale = 1. && grant >= b.F.tensor_sram_bytes then b
+      else
+        F.finish ~stall_scale:scale
+          (F.allocate ~capacity_bytes:grant
+             (F.prepare ~options:fw b.F.config s.Rt.Runtime.graph))
+    in
+    let p = maybe_fuse p in
+    (i, grant, p, isolated p)
+  in
+  let admitted =
+    List.concat
+      (List.mapi
+         (fun i (t : Rt.Report.tenant_report) ->
+           match t.Rt.Report.status with
+           | Rt.Report.Admitted | Rt.Report.Aborted _ ->
+             [ plan_at i t.Rt.Report.grant_bytes 1. ]
+           | Rt.Report.Queued _ | Rt.Report.Rejected _ -> [])
+         report.Rt.Report.tenants)
+    |> Array.of_list
+  in
+  let channels = max 1 options.Rt.Runtime.channels in
+  let assign_of plans =
+    if channels <= 1 then None
+    else begin
+      let assignments =
+        Array.map
+          (fun (_, _, (plan : F.plan), _) ->
+            match plan.F.channel_assignment with
+            | Some a when a.Lcmm.Channels.channels = channels -> a
+            | _ ->
+              Lcmm.Channels.assign ~channels plan.F.metric
+                ~on_chip:plan.F.allocation.Lcmm.Dnnk.on_chip)
+          plans
+      in
+      Some
+        (fun ~owner ~target kind ->
+          let cls =
+            match kind with
+            | Rt.Engine.Prefetch_load | Rt.Engine.Demand_load ->
+              Lcmm.Channels.Wt_load
+            | Rt.Engine.Weight_stream_x -> Lcmm.Channels.Wt_stream
+          in
+          Lcmm.Channels.channel_for assignments.(owner) cls target)
+    end
+  in
+  let inputs_of plans =
+    Array.map
+      (fun (i, grant, (plan : F.plan), iso) ->
+        let s = specs.(i) in
+        { Rt.Engine.label = s.Rt.Runtime.name;
+          metric = plan.F.metric;
+          on_chip = plan.F.allocation.Lcmm.Dnnk.on_chip;
+          prefetch = plan.F.prefetch;
+          arrival = s.Rt.Runtime.arrival;
+          priority = s.Rt.Runtime.priority;
+          slack = slack_of plan iso;
+          replan =
+            Option.map
+              (fun _ ~lost_bytes ->
+                let surviving = max 0 (grant - lost_bytes) in
+                let d =
+                  F.degrade ~surviving_bytes:surviving plan s.Rt.Runtime.graph
+                in
+                let replanned = maybe_fuse d.F.replanned in
+                Some
+                  { Rt.Engine.deg_on_chip =
+                      replanned.F.allocation.Lcmm.Dnnk.on_chip;
+                    deg_prefetch = replanned.F.prefetch;
+                    deg_pinned_bytes = used_bytes replanned;
+                    deg_evicted_bytes = d.F.evicted_bytes;
+                    deg_surviving_bytes = surviving })
+              fault_spec })
+      plans
+  in
+  let arbitration = options.Rt.Runtime.arbitration in
+  let search plans =
+    Rt.Optimizer.search ~hp_first:(arbitration = Rt.Arbiter.Priority)
+      ~arbitration ~channels ?assign:(assign_of plans)
+      ~make_faults:(fun () -> Option.map Fault.Injector.create fault_spec)
+      ~isos:(Array.map (fun (_, _, _, iso) -> iso) plans)
+      (inputs_of plans)
+  in
+  let scales_of plans (outcome : Rt.Optimizer.outcome) =
+    Array.mapi
+      (fun k (_, _, _, (iso : Sim.Engine.run)) ->
+        let tr = outcome.Rt.Optimizer.result.Rt.Engine.tenants.(k) in
+        if iso.Sim.Engine.total > 0. then
+          Float.max 1. (tr.Rt.Engine.latency /. iso.Sim.Engine.total)
+        else 1.)
+      plans
+  in
+  let best = ref None and history = ref [] and converged = ref false in
+  let plans = ref admitted in
+  let prev_scales = ref (Array.map (fun _ -> 1.) admitted) in
+  let round = ref 0 in
+  while !round < Rt.Runtime.schedule_rounds && not !converged do
+    let outcome = search !plans in
+    let m = outcome.Rt.Optimizer.result.Rt.Engine.makespan in
+    history := m :: !history;
+    let improved =
+      match !best with
+      | None -> true
+      | Some ((bo : Rt.Optimizer.outcome), _) ->
+        let bm = bo.Rt.Optimizer.result.Rt.Engine.makespan in
+        m < bm
+        || (m = bm && outcome.Rt.Optimizer.hp_slowdown < bo.Rt.Optimizer.hp_slowdown)
+    in
+    if improved then best := Some (outcome, !plans);
+    if !round > 0 && not improved then converged := true
+    else begin
+      let scales = scales_of !plans outcome in
+      if
+        Array.for_all2 (fun s p -> Float.abs (s -. p) <= 1e-9) scales !prev_scales
+      then converged := true
+      else begin
+        if !round + 1 < Rt.Runtime.schedule_rounds then
+          plans :=
+            Array.mapi
+              (fun k ((i, grant, _, _) as t) ->
+                if scales.(k) > 1. +. 1e-9 then plan_at i grant scales.(k) else t)
+              !plans;
+        prev_scales := scales
+      end
+    end;
+    incr round
+  done;
+  let outcome, final = Option.get !best in
+  let sim = outcome.Rt.Optimizer.result in
+  let runs = Hashtbl.create 8 in
+  Array.iteri
+    (fun k (i, _, plan, iso) ->
+      Hashtbl.add runs i (plan, iso, sim.Rt.Engine.tenants.(k)))
+    final;
+  let tenants =
+    List.mapi
+      (fun i (t : Rt.Report.tenant_report) ->
+        match Hashtbl.find_opt runs i with
+        | None -> t
+        | Some (plan, (iso : Sim.Engine.run), (tr : Rt.Engine.tenant_run)) ->
+          let iso_total = iso.Sim.Engine.total in
+          let f = tr.Rt.Engine.faults in
+          { t with
+            Rt.Report.status =
+              (match f.Rt.Engine.aborted with
+              | Some reason -> Rt.Report.Aborted reason
+              | None -> Rt.Report.Admitted);
+            sram_used_bytes =
+              (match f.Rt.Engine.pinned_after with
+              | Some b -> b
+              | None -> used_bytes plan);
+            isolated_ms = iso_total *. 1e3;
+            latency_ms = tr.Rt.Engine.latency *. 1e3;
+            finish_ms = tr.Rt.Engine.finish *. 1e3;
+            slowdown =
+              (if iso_total > 0. then tr.Rt.Engine.latency /. iso_total else 1.);
+            prefetch_wait_ms = tr.Rt.Engine.prefetch_wait *. 1e3;
+            ddr_mb = tr.Rt.Engine.ddr_bytes /. 1e6;
+            faults = f })
+      report.Rt.Report.tenants
+  in
+  let makespan = sim.Rt.Engine.makespan in
+  { report with
+    Rt.Report.makespan_ms = makespan *. 1e3;
+    bus_busy_fraction =
+      (if makespan > 0. then
+         List.fold_left
+           (fun acc (seg : Rt.Engine.segment) ->
+             acc
+             +. ((seg.Rt.Engine.seg_end -. seg.Rt.Engine.seg_start)
+                *. Float.min 1. seg.Rt.Engine.utilization))
+           0. sim.Rt.Engine.timeline
+         /. makespan
+       else 0.);
+    tenants;
+    timeline = sim.Rt.Engine.timeline;
+    channels;
+    channel_timelines = sim.Rt.Engine.channel_timelines;
+    schedule =
+      Some
+        { Rt.Report.sched_rounds = !round;
+          sched_history_ms = List.rev_map (fun m -> m *. 1e3) !history;
+          sched_converged = !converged;
+          sched_chosen = outcome.Rt.Optimizer.chosen;
+          sched_candidates =
+            List.map (fun (l, m) -> (l, m *. 1e3)) outcome.Rt.Optimizer.candidates } }
+
+(* A co-iteration round whose engine inputs repeat the previous round's
+   reuses its search instead of running it again.  The report must not
+   notice: on every mix, at one and two domains, [Runtime.run]'s JSON
+   equals the always-search reference byte for byte.  The mixes cover
+   both arbitrations, mixes whose second round repeats its inputs,
+   fusion with two channels (fresh fused metrics: never reused), the ci
+   fault spec (faults opt out of reuse), and a generated fan graph whose
+   scaled replan prunes a prefetch: its second round searches new
+   inputs and improves, its third repeats the second's. *)
+let test_search_reuse_exact () =
+  let mix parts =
+    List.concat_map
+      (fun (model, count, priority) ->
+        let g = Models.Zoo.build model in
+        List.init count (fun k -> spec ~priority model k g))
+      parts
+  in
+  let optimized ?(channels = 1) ?(fusion = false) ?faults arbitration =
+    { Rt.Runtime.default_options with
+      scheduler = Rt.Scheduler.Optimized;
+      arbitration;
+      channels;
+      fw_options = { F.default_options with F.fusion };
+      faults }
+  in
+  let ci_faults =
+    match
+      Fault.Spec.of_string
+        "seed=42,stall:0.1:0.3,fail:0.05,droop@2:5:0.5,bankloss@3:4m"
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let fair = Rt.Arbiter.Fair_share and prio = Rt.Arbiter.Priority in
+  let fan =
+    let g =
+      Check.Gen.sized_graph ~family:Check.Gen.Fan
+        (Random.State.make [| 3; 96 |])
+        ~nodes:96
+    in
+    List.init 4 (fun k -> spec "fan96" k g)
+  in
+  (match (Rt.Runtime.run (optimized fair) fan).Rt.Report.schedule with
+  | Some s ->
+    Alcotest.(check int) "fan/96 x4 runs three rounds" 3 s.Rt.Report.sched_rounds
+  | None -> Alcotest.fail "optimized run without schedule telemetry");
+  let cases =
+    [ ("resnet50 x2", optimized fair, mix [ ("resnet50", 2, 0) ]);
+      ( "googlenet!x2 + alexnet x2", optimized prio,
+        mix [ ("googlenet", 2, 0); ("alexnet", 2, 1) ] );
+      ( "squeezenet!x2 + inception_v4 x2", optimized prio,
+        mix [ ("squeezenet", 2, 0); ("inception_v4", 2, 1) ] );
+      ( "mobilenet_v2! + resnet50 + vgg16", optimized prio,
+        mix [ ("mobilenet_v2", 1, 0); ("resnet50", 1, 1); ("vgg16", 1, 1) ] );
+      ( "squeezenet!x2 + alexnet, fusion, 2 channels",
+        optimized ~channels:2 ~fusion:true prio,
+        mix [ ("squeezenet", 2, 0); ("alexnet", 1, 1) ] );
+      ( "alexnet x2 + squeezenet, ci faults", optimized ~faults:ci_faults fair,
+        mix [ ("alexnet", 2, 0); ("squeezenet", 1, 0) ] );
+      ("gen fan/96 x4", optimized fair, fan) ]
+  in
+  let json r = Dnn_serial.Json.to_string (Rt.Report.to_json r) in
+  let pool = Lcmm.Pool.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Lcmm.Pool.shutdown pool)
+    (fun () ->
+      List.iter
+        (fun (label, options, specs) ->
+          let seq = Rt.Runtime.run options specs in
+          let expected = json (reference_optimized options specs seq) in
+          Alcotest.(check string) (label ^ ", 1 domain") expected (json seq);
+          Alcotest.(check string) (label ^ ", 2 domains") expected
+            (json (Rt.Runtime.run ~pool options specs)))
+        cases)
+
+(* Reuse rests on [Optimizer.search] being a function of its inputs:
+   two calls on equal inputs return equal outcomes, with and without a
+   pool. *)
+let test_search_equal_inputs () =
+  let _, g_plan, g_iso = compile "googlenet" in
+  let _, a_plan, a_iso = compile "alexnet" in
+  let tenants = [| (g_plan, g_iso, 0); (g_plan, g_iso, 0); (a_plan, a_iso, 1) |] in
+  let inputs () =
+    Array.mapi
+      (fun k ((plan : F.plan), (iso : Sim.Engine.run), priority) ->
+        { Rt.Engine.label = Printf.sprintf "t%d" k;
+          metric = plan.F.metric;
+          on_chip = plan.F.allocation.Lcmm.Dnnk.on_chip;
+          prefetch = plan.F.prefetch;
+          arrival = 0.;
+          priority;
+          slack = slack_of plan iso;
+          replan = None })
+      tenants
+  in
+  let isos = Array.map (fun (_, iso, _) -> iso) tenants in
+  let search ?pool () =
+    Rt.Optimizer.search ?pool ~hp_first:true ~arbitration:Rt.Arbiter.Priority
+      ~channels:1 ~isos (inputs ())
+  in
+  let first = search () in
+  Alcotest.(check bool) "equal outcomes without a pool" true (first = search ());
+  let pool = Lcmm.Pool.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Lcmm.Pool.shutdown pool)
+    (fun () ->
+      Alcotest.(check bool) "equal outcomes on a pool" true
+        (first = search ~pool () && search ~pool () = search ~pool ()))
+
 (* --- report plumbing --- *)
 
 let test_report_json_shape () =
@@ -571,4 +918,8 @@ let suite =
       test_optimizer_deterministic;
     Alcotest.test_case "optimized 1 vs 2 domains byte-identical" `Slow
       test_optimized_parallel_deterministic;
+    Alcotest.test_case "search reuse = always-search reference" `Slow
+      test_search_reuse_exact;
+    Alcotest.test_case "search equal inputs, equal outcomes" `Slow
+      test_search_equal_inputs;
     Alcotest.test_case "report json shape" `Quick test_report_json_shape ]
