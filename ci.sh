@@ -334,6 +334,19 @@ for d in 1 2; do
     _build/runtime_optimized_d$d.json
 done
 
+echo "== tier-2: optimized runtime under faults vs committed golden (1 and 2 domains) =="
+# The schedule search under the ci fault spec: every candidate run
+# replays the same seeded faults and the bank loss degrades one tenant
+# mid-run.  Pinned byte for byte at one and two planner domains.
+for d in 1 2; do
+  dune exec bin/lcmm_cli.exe -- runtime --tenants alexnet:2,squeezenet:1 \
+    --scheduler optimized \
+    --faults 'seed=42,stall:0.1:0.3,fail:0.05,droop@2:5:0.5,bankloss@3:4m' \
+    --domains "$d" --json _build/runtime_optimized_faults_d$d.json > /dev/null
+  golden_diff test/golden/runtime_optimized_faults.golden.json \
+    _build/runtime_optimized_faults_d$d.json
+done
+
 echo "== tier-2: chaos off is byte-identical =="
 # The whole resilience layer (retries, hedging, call timeouts, checksum
 # validation) plus a quiet chaos spec (seed only, no transport clauses)

@@ -99,9 +99,11 @@ type xfer = {
   mutable eta : float;     (* projected finish under [rate]; infinity at 0 *)
   mutable finished : bool;
   mutable finished_at : float;
+  pending : Scheduler.pending;  (* the scheduler's view, fixed at creation *)
+  contender : int * int;        (* the arbiter's (key, priority) *)
 }
 
-(* --- per-tenant execution state --- *)
+(* --- node execution --- *)
 
 type exec = {
   exec_id : int;
@@ -109,7 +111,32 @@ type exec = {
   exec_if : float;
   exec_of : float;
   exec_stream : xfer option;
+  (* Eq. 1 outcome, fixed once the streamed weights (if any) are in:
+     [exec_finish] is nan until then. *)
+  mutable exec_finish : float;
+  mutable exec_binding : NM.binding;
 }
+
+(* The executing node's finish: infinity while its streamed weights are
+   in flight, then Eq. 1 over its components, worked out once. *)
+let node_finish latc e =
+  if Float.is_nan e.exec_finish then
+    match e.exec_stream with
+    | Some x when not x.finished -> infinity
+    | _ ->
+      let wt_component =
+        match e.exec_stream with
+        | None -> 0.
+        | Some x -> x.finished_at -. e.exec_start
+      in
+      let binding, duration =
+        NM.duration_and_binding ~latc ~if_time:e.exec_if
+          ~wt_component ~of_time:e.exec_of
+      in
+      e.exec_binding <- binding;
+      e.exec_finish <- e.exec_start +. duration;
+      e.exec_finish
+  else e.exec_finish
 
 type stage =
   | Entering           (* release node [next]'s transfers at [clock] *)
@@ -117,13 +144,74 @@ type stage =
   | Executing of exec
   | Finished
 
-type tstate = {
+(* --- compiled tenant tables --- *)
+
+(* Every per-node fact the state machine reads that depends only on the
+   plan: Eq. 1 components, pinned fractions and the transfers each node
+   releases.  Built once from (metric, on-chip set, PDG) and never
+   written after; a run copies the two fields a bank loss rewrites. *)
+type compiled = {
   input : tenant_input;
-  index : int;
   profiles : Latency.profile array;
-  count : int;
+  frac : float array;          (* pinned fraction of each node's weight *)
+  once_bytes : float array;    (* DDR bytes of loading the pinned part *)
+  demand : float option array; (* demand load due absent a prefetch edge *)
+  streamed : float array;      (* streamed seconds of the unpinned part *)
+  stream_bytes : float array;
+  if_time : float array;
+  of_time : float array;
+  if_bytes : float array;
+  of_bytes : float array;
   released : Lcmm.Prefetch.edge list array;
   edge_flags : bool array;
+}
+
+let tables input ~on_chip ~prefetch =
+  let metric = input.metric in
+  let profiles = metric.Metric.profiles in
+  let n = Array.length profiles in
+  let frac = Array.init n (NM.pinned_fraction metric ~on_chip) in
+  let released = NM.released_edges ?prefetch metric ~on_chip n in
+  let no_edge = Array.make n false in
+  let per_node f = Array.map f profiles in
+  { input;
+    profiles;
+    frac;
+    once_bytes =
+      Array.mapi
+        (fun id (p : Latency.profile) ->
+          float_of_int p.Latency.wt_once_bytes *. frac.(id))
+        profiles;
+    demand = per_node (NM.demand_load metric ~on_chip ~has_edge:no_edge);
+    streamed =
+      Array.mapi
+        (fun id (p : Latency.profile) -> p.Latency.wt_term *. (1. -. frac.(id)))
+        profiles;
+    stream_bytes =
+      Array.mapi
+        (fun id (p : Latency.profile) ->
+          float_of_int p.Latency.wt_stream_bytes *. (1. -. frac.(id)))
+        profiles;
+    if_time = per_node (NM.if_time ~on_chip);
+    of_time = per_node (NM.of_time ~on_chip);
+    if_bytes = per_node (fun p -> float_of_int (NM.if_stream_bytes ~on_chip p));
+    of_bytes = per_node (fun p -> float_of_int (NM.of_stream_bytes ~on_chip p));
+    released;
+    edge_flags = NM.has_edge released n }
+
+let compile input =
+  tables input ~on_chip:input.on_chip ~prefetch:input.prefetch
+
+(* --- per-run tenant state --- *)
+
+type tstate = {
+  index : int;
+  count : int;
+  (* The tables the tenant runs under: the compiled input's until a bank
+     loss swaps in the degraded plan's. *)
+  mutable tab : compiled;
+  released : Lcmm.Prefetch.edge list array;  (* per-run copy *)
+  edge_flags : bool array;                   (* per-run copy *)
   weight_ready : float array;
   pending_w : int array;
   timings : Sim.Engine.node_timing array;
@@ -135,10 +223,6 @@ type tstate = {
   mutable prefetch_wait : float;
   mutable wt_busy : float;
   mutable ddr : float;
-  (* Degraded-mode state: the plan the tenant currently runs under.
-     Identical to [input]'s until a bank loss swaps it. *)
-  mutable cur_on_chip : Metric.Item_set.t;
-  mutable cur_prefetch : Lcmm.Prefetch.t option;
   mutable lost_bytes : int;
   (* Fault counters. *)
   mutable retries : int;
@@ -150,23 +234,13 @@ type tstate = {
   mutable aborted : string option;
 }
 
-let fraction ts id = NM.pinned_fraction ts.input.metric ~on_chip:ts.cur_on_chip id
-
-let pinned ts id = NM.pinned_weight ts.input.metric ~on_chip:ts.cur_on_chip id
-
-let init_tenant index (input : tenant_input) =
-  let profiles = input.metric.Metric.profiles in
-  let n = Array.length profiles in
-  let released =
-    NM.released_edges ?prefetch:input.prefetch input.metric
-      ~on_chip:input.on_chip n
-  in
-  { input;
-    index;
-    profiles;
+let init_tenant index (c : compiled) =
+  let n = Array.length c.profiles in
+  { index;
     count = n;
-    released;
-    edge_flags = NM.has_edge released n;
+    tab = c;
+    released = Array.copy c.released;
+    edge_flags = Array.copy c.edge_flags;
     weight_ready = Array.make n 0.;
     pending_w = Array.make n 0;
     timings =
@@ -177,12 +251,10 @@ let init_tenant index (input : tenant_input) =
     current = None;
     stage = Entering;
     next = 0;
-    clock = input.arrival;
+    clock = c.input.arrival;
     prefetch_wait = 0.;
     wt_busy = 0.;
     ddr = 0.;
-    cur_on_chip = input.on_chip;
-    cur_prefetch = input.prefetch;
     lost_bytes = 0;
     retries = 0;
     stall_events = 0;
@@ -192,7 +264,10 @@ let init_tenant index (input : tenant_input) =
     surviving = None;
     aborted = None }
 
-let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
+let is_finished ts = match ts.stage with Finished -> true | _ -> false
+
+let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
+    compiled =
   let channels = max 1 channels in
   (* Channel of a transfer: the assignment callback's pick, clamped;
      everything lands on channel 0 when unassigned or single-channel —
@@ -209,7 +284,8 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
   let rank_of ~owner ~target kind =
     match rank with None -> 0. | Some f -> f ~owner ~target kind
   in
-  let tenants = Array.mapi init_tenant inputs in
+  let tenants = Array.mapi init_tenant compiled in
+  let priority_of owner = compiled.(owner).input.priority in
   (* Tenants whose wake-up candidates may have changed since the last
      heap flush.  Every mutation that can move a candidate time sets the
      owner's flag; [flush_dirty] re-pushes candidates before each
@@ -249,14 +325,18 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
         (Fault.Injector.stall_seconds inj ~key,
          Fault.Injector.planned_failures inj ~key)
     in
+    let priority = priority_of ts.index in
+    let xrank = rank_of ~owner:ts.index ~target kind in
     let x =
       { key; owner = ts.index; target; kind;
         channel = channel_of ~owner:ts.index ~target kind;
-        xrank = rank_of ~owner:ts.index ~target kind;
+        xrank;
         load; bytes; released_at = !now; started_at = -1.;
         deadline; stall; fails; attempt = 0; blocked_until = 0.;
         work = load; rate = 0.; settled = 0.; eta = infinity;
-        finished = false; finished_at = 0. }
+        finished = false; finished_at = 0.;
+        pending = { Scheduler.key; deadline; priority; rank = xrank };
+        contender = (key, priority) }
     in
     all_xfers := x :: !all_xfers;
     Queue.add x ts.queue;
@@ -265,25 +345,31 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
     | Weight_stream_x -> ());
     x
   in
-  (* Move queue heads onto the (per-tenant serial) channel. *)
-  let start_jobs () =
-    Array.fold_left
-      (fun changed ts ->
-        if ts.current = None && not (Queue.is_empty ts.queue) then begin
-          let x = Queue.pop ts.queue in
-          x.settled <- !now;
-          if x.stall > 0. then begin
-            (* Injected head-of-channel stall: the transfer holds the
-               channel but is ineligible until the stall passes. *)
-            x.blocked_until <- !now +. x.stall;
-            ts.stall_events <- ts.stall_events + 1
-          end;
-          ts.current <- Some x;
-          dirty.(ts.index) <- true;
-          true
-        end
-        else changed)
-      false tenants
+  (* Apply a per-tenant step to every tenant in index order; whether any
+     of them changed something. *)
+  let sweep step =
+    let changed = ref false in
+    for i = 0 to Array.length tenants - 1 do
+      if step tenants.(i) then changed := true
+    done;
+    !changed
+  in
+  (* Move the queue head onto the tenant's (serial) channel. *)
+  let start_job ts =
+    if Option.is_none ts.current && not (Queue.is_empty ts.queue) then begin
+      let x = Queue.pop ts.queue in
+      x.settled <- !now;
+      if x.stall > 0. then begin
+        (* Injected head-of-channel stall: the transfer holds the
+           channel but is ineligible until the stall passes. *)
+        x.blocked_until <- !now +. x.stall;
+        ts.stall_events <- ts.stall_events + 1
+      end;
+      ts.current <- Some x;
+      dirty.(ts.index) <- true;
+      true
+    end
+    else false
   in
   (* One zero-time step of a tenant's node state machine; returns whether
      it made progress.  The arithmetic below mirrors Sim.Engine.simulate
@@ -300,32 +386,28 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
       end
       else begin
         let id = ts.next in
+        let tab = ts.tab in
         List.iter
           (fun e ->
             let target = e.Lcmm.Prefetch.target in
-            let frac = fraction ts target in
             ignore
               (enqueue ts ~kind:Prefetch_load ~target
-                 ~load:(e.Lcmm.Prefetch.load_seconds *. frac)
-                 ~bytes:(float_of_int ts.profiles.(target).Latency.wt_once_bytes *. frac)
-                 ~deadline:(ts.clock +. ts.input.slack target)))
+                 ~load:(e.Lcmm.Prefetch.load_seconds *. tab.frac.(target))
+                 ~bytes:tab.once_bytes.(target)
+                 ~deadline:(ts.clock +. tab.input.slack target)))
           ts.released.(id);
-        (match
-           NM.demand_load ts.input.metric ~on_chip:ts.cur_on_chip
-             ~has_edge:ts.edge_flags ts.profiles.(id)
-         with
-        | None -> ()
-        | Some load ->
+        (match tab.demand.(id) with
+        | Some load when not ts.edge_flags.(id) ->
           ignore
             (enqueue ts ~kind:Demand_load ~target:id ~load
-               ~bytes:(float_of_int ts.profiles.(id).Latency.wt_once_bytes
-                      *. fraction ts id)
-               ~deadline:ts.clock));
+               ~bytes:tab.once_bytes.(id) ~deadline:ts.clock)
+        | Some _ | None -> ());
         ts.stage <- Awaiting id;
         true
       end
     | Awaiting id ->
-      let is_pinned = pinned ts id in
+      let tab = ts.tab in
+      let is_pinned = tab.frac.(id) > 0. in
       if is_pinned && ts.pending_w.(id) > 0 then false
       else begin
         let ready = if is_pinned then ts.weight_ready.(id) else 0. in
@@ -337,57 +419,38 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
           (* The node's stall before it starts, as the isolated engine
              reports it; the Executing stage's timings write keeps it. *)
           ts.timings.(id) <- { ts.timings.(id) with Sim.Engine.wait };
-          let p = ts.profiles.(id) in
-          let on_chip = ts.cur_on_chip in
-          let if_t = NM.if_time ~on_chip p in
-          let of_t = NM.of_time ~on_chip p in
-          let streamed = p.Latency.wt_term *. (1. -. fraction ts id) in
+          let streamed = tab.streamed.(id) in
           let stream =
             if streamed <= 0. then None
             else
               Some
                 (enqueue ts ~kind:Weight_stream_x ~target:id ~load:streamed
-                   ~bytes:(float_of_int p.Latency.wt_stream_bytes
-                          *. (1. -. fraction ts id))
-                   ~deadline:start)
+                   ~bytes:tab.stream_bytes.(id) ~deadline:start)
           in
           ts.stage <-
             Executing
-              { exec_id = id; exec_start = start; exec_if = if_t;
-                exec_of = of_t; exec_stream = stream };
+              { exec_id = id; exec_start = start; exec_if = tab.if_time.(id);
+                exec_of = tab.of_time.(id); exec_stream = stream;
+                exec_finish = Float.nan; exec_binding = NM.Compute };
           true
         end
       end
-    | Executing e -> (
-      match e.exec_stream with
-      | Some x when not x.finished -> false
-      | _ ->
-        let wt_component =
-          match e.exec_stream with
-          | None -> 0.
-          | Some x -> x.finished_at -. e.exec_start
-        in
-        let p = ts.profiles.(e.exec_id) in
-        let binding, duration =
-          NM.duration_and_binding ~latc:p.Latency.latc ~if_time:e.exec_if
-            ~wt_component ~of_time:e.exec_of
-        in
-        let finish = e.exec_start +. duration in
-        if finish > !now then false
-        else begin
-          let on_chip = ts.cur_on_chip in
-          ts.timings.(e.exec_id) <-
-            { Sim.Engine.node_id = e.exec_id; start = e.exec_start; finish;
-              wait = ts.timings.(e.exec_id).Sim.Engine.wait; binding };
-          ts.ddr <-
-            ts.ddr
-            +. float_of_int (NM.if_stream_bytes ~on_chip p)
-            +. float_of_int (NM.of_stream_bytes ~on_chip p);
-          ts.clock <- finish;
-          ts.next <- e.exec_id + 1;
-          ts.stage <- Entering;
-          true
-        end)
+    | Executing e ->
+      let tab = ts.tab in
+      let finish = node_finish tab.profiles.(e.exec_id).Latency.latc e in
+      if finish > !now then false
+      else begin
+        ts.timings.(e.exec_id) <-
+          { Sim.Engine.node_id = e.exec_id; start = e.exec_start; finish;
+            wait = ts.timings.(e.exec_id).Sim.Engine.wait;
+            binding = e.exec_binding };
+        ts.ddr <-
+          ts.ddr +. tab.if_bytes.(e.exec_id) +. tab.of_bytes.(e.exec_id);
+        ts.clock <- finish;
+        ts.next <- e.exec_id + 1;
+        ts.stage <- Entering;
+        true
+      end
   in
   (* Hard tenant abort: drop every queued and in-flight transfer, pin
      the clock at the abort instant and finish the tenant.  Executed
@@ -409,7 +472,7 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
      future nodes refetch under the new plan — prefetched when the new
      PDG still releases them, demand-loaded otherwise. *)
   let degrade ts =
-    match ts.input.replan with
+    match ts.tab.input.replan with
     | None ->
       abort ts
         (Printf.sprintf "bank loss (%d bytes) without replan support"
@@ -435,8 +498,10 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
         (match ts.current with
         | Some x when not (keep x) -> ts.current <- None
         | _ -> ());
-        ts.cur_on_chip <- d.deg_on_chip;
-        ts.cur_prefetch <- d.deg_prefetch;
+        (* The degraded plan's tables, rebuilt for this run alone: the
+           compiled input other runs share is never written. *)
+        ts.tab <-
+          tables ts.tab.input ~on_chip:d.deg_on_chip ~prefetch:d.deg_prefetch;
         (* A tenant caught between release and execution re-enters its
            node: the weights it was waiting for were just cancelled. *)
         (match ts.stage with
@@ -452,14 +517,10 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
           | Finished -> ts.count
           | Awaiting _ -> assert false
         in
-        let released =
-          NM.released_edges ?prefetch:d.deg_prefetch ts.input.metric
-            ~on_chip:d.deg_on_chip ts.count
-        in
         Array.iteri
-          (fun s edges ->
-            ts.released.(s) <- (if s < resume then [] else edges))
-          released;
+          (fun src edges ->
+            ts.released.(src) <- (if src < resume then [] else edges))
+          ts.tab.released;
         let flags = NM.has_edge ts.released ts.count in
         Array.blit flags 0 ts.edge_flags 0 ts.count;
         Array.fill ts.pending_w 0 ts.count 0;
@@ -477,120 +538,70 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
       | None -> []
       | Some inj -> Fault.Injector.events inj)
   in
-  let fire_due_events () =
-    let fired = ref false in
-    let rec loop () =
-      match !pending_events with
-      | ev :: rest when Fault.Injector.event_time ev <= !now ->
-        pending_events := rest;
-        fired := true;
-        (match ev with
-        | Fault.Injector.Bank_loss { tenant; bytes; _ } ->
-          if tenant >= 0 && tenant < Array.length tenants then begin
-            let ts = tenants.(tenant) in
-            if ts.stage <> Finished then begin
-              ts.lost_bytes <- ts.lost_bytes + bytes;
-              degrade ts
-            end
+  let rec fire_due_events () =
+    match !pending_events with
+    | ev :: rest when Fault.Injector.event_time ev <= !now ->
+      pending_events := rest;
+      (match ev with
+      | Fault.Injector.Bank_loss { tenant; bytes; _ } ->
+        if tenant >= 0 && tenant < Array.length tenants then begin
+          let ts = tenants.(tenant) in
+          if not (is_finished ts) then begin
+            ts.lost_bytes <- ts.lost_bytes + bytes;
+            degrade ts
           end
-        | Fault.Injector.Abort { tenant; at } ->
-          if tenant >= 0 && tenant < Array.length tenants then begin
-            let ts = tenants.(tenant) in
-            if ts.stage <> Finished then
-              abort ts
-                (Printf.sprintf "injected abort at %.3f ms" (at *. 1e3))
-          end);
-        loop ()
-      | _ -> ()
-    in
-    loop ();
-    !fired
+        end
+      | Fault.Injector.Abort { tenant; at } ->
+        if tenant >= 0 && tenant < Array.length tenants then begin
+          let ts = tenants.(tenant) in
+          if not (is_finished ts) then
+            abort ts (Printf.sprintf "injected abort at %.3f ms" (at *. 1e3))
+        end);
+      ignore (fire_due_events ());
+      true
+    | _ -> false
   in
-  let on_chip_jobs () =
-    Array.to_list tenants
-    |> List.filter_map (fun ts ->
-           match ts.current with
-           | Some x when not x.finished -> Some x
-           | _ -> None)
+  (* The transfer a tenant holds its channel with, if unfinished. *)
+  let on_channel ts =
+    match ts.current with
+    | Some x as held when not x.finished -> held
+    | Some _ | None -> None
   in
-  (* Scheduler picks the eligible subset per DDR channel, the arbiter
-     splits that channel's bandwidth stripe over it; everything else is
-     preempted (rate 0, channel still held).  With one channel the
-     grouping collapses to a single call over all pending transfers —
-     float for float the pre-channel aggregate bus. *)
+  (* The transfers bound to [channel] that are eligible for bandwidth
+     (not stalled or backing off) and pass [keep], mapped by [f], in
+     tenant order — the order the scheduler and arbiter always saw. *)
+  let collect channel keep f =
+    let acc = ref [] in
+    for i = Array.length tenants - 1 downto 0 do
+      match on_channel tenants.(i) with
+      | Some x when x.channel = channel && x.blocked_until <= !now && keep x ->
+        acc := f x :: !acc
+      | Some _ | None -> ()
+    done;
+    !acc
+  in
+  (* The scheduler picks the eligible subset per DDR channel and the
+     arbiter splits that channel's bandwidth stripe over it; everything
+     else is preempted (rate 0, channel still held).  Rates stay
+     fractions of the full aggregate bandwidth, so the ETA math below is
+     the same at any width; at one channel the stripe is 1 and this is
+     the pre-channel aggregate bus, float for float. *)
   let assign_rates () =
-    let jobs = on_chip_jobs () in
-    (* Stalled / backing-off transfers hold their channel but are not
-       eligible for bandwidth until the block passes. *)
-    let eligible_jobs =
-      List.filter (fun x -> x.blocked_until <= !now) jobs
-    in
-    let pending_of x =
-      { Scheduler.key = x.key; deadline = x.deadline;
-        priority = inputs.(x.owner).priority; rank = x.xrank }
-    in
-    let chosen =
-      (* A measured fast path, not dead code: the grouped branch below
-         gives byte-identical output at one channel, but taking it
-         there slowed the runtime-mix benchmark's median latency by
-         about 6% (23.0 -> 24.5 ms, nine of nine paired runs on a
-         2-vCPU x86-64 Xeon). *)
-      if channels = 1 then
-        Scheduler.eligible scheduler (List.map pending_of eligible_jobs)
-      else begin
-        (* Group by channel preserving arrival order, schedule each
-           channel independently. *)
-        let by_ch = Array.make channels [] in
+    let ctbl = !chosen_tbl and rtbl = !rate_tbl in
+    let stripe = 1. /. float_of_int channels in
+    for c = 0 to channels - 1 do
+      (match collect c (fun _ -> true) (fun x -> x.pending) with
+      | [] -> ()
+      | ps ->
         List.iter
-          (fun x -> by_ch.(x.channel) <- x :: by_ch.(x.channel))
-          eligible_jobs;
-        let acc = ref [] in
-        for c = channels - 1 downto 0 do
-          match by_ch.(c) with
-          | [] -> ()
-          | js ->
-            let ps = List.rev_map pending_of js in
-            acc := Scheduler.eligible scheduler ps @ !acc
-        done;
-        !acc
-      end
-    in
-    (* Membership and rate lookups go through key-indexed tables instead
-       of [List.mem]/[List.assoc_opt]; entries are cleared again at the
-       end of the round so stale keys always read as not-chosen/0. *)
-    let ctbl = !chosen_tbl in
-    List.iter (fun k -> ctbl.(k) <- true) chosen;
-    let contenders =
-      List.filter_map
-        (fun x ->
-          if ctbl.(x.key) then Some (x.key, inputs.(x.owner).priority)
-          else None)
-        eligible_jobs
-    in
-    let rtbl = !rate_tbl in
-    (if channels = 1 then Arbiter.rates_into arbitration contenders rtbl
-     else begin
-       (* Arbitrate each channel's contenders separately, then scale by
-          the channel's 1/C bandwidth stripe: rates stay fractions of
-          the full aggregate bandwidth, so downstream ETA math is
-          untouched. *)
-       let by_ch = Array.make channels [] in
-       List.iter
-         (fun x -> if ctbl.(x.key) then by_ch.(x.channel) <- x :: by_ch.(x.channel))
-         eligible_jobs;
-       let stripe = 1. /. float_of_int channels in
-       Array.iter
-         (fun js ->
-           match js with
-           | [] -> ()
-           | _ ->
-             let cs =
-               List.rev_map (fun x -> (x.key, inputs.(x.owner).priority)) js
-             in
-             Arbiter.rates_into arbitration cs rtbl;
-             List.iter (fun (k, _) -> rtbl.(k) <- rtbl.(k) *. stripe) cs)
-         by_ch
-     end);
+          (fun k -> ctbl.(k) <- true)
+          (Scheduler.eligible scheduler ps));
+      match collect c (fun x -> ctbl.(x.key)) (fun x -> x.contender) with
+      | [] -> ()
+      | cs ->
+        Arbiter.rates_into arbitration cs rtbl;
+        List.iter (fun (k, _) -> rtbl.(k) <- rtbl.(k) *. stripe) cs
+    done;
     (* A DDR droop window scales every granted rate; multiplying by the
        1.0 no-fault factor is skipped outright so the fault-free float
        path stays bit-identical. *)
@@ -599,8 +610,10 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
       | None -> 1.
       | Some inj -> Fault.Injector.droop_factor inj ~now:!now
     in
-    List.iter
-      (fun x ->
+    for i = 0 to Array.length tenants - 1 do
+      match on_channel tenants.(i) with
+      | None -> ()
+      | Some x ->
         let r = rtbl.(x.key) in
         let r = if factor = 1. then r else r *. factor in
         if r <> x.rate then begin
@@ -617,86 +630,85 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
             (if r > 0. then (if x.work <= 0. then !now else !now +. (x.work /. r))
              else infinity);
           dirty.(x.owner) <- true
-        end)
-      jobs;
-    List.iter (fun k -> ctbl.(k) <- false) chosen;
-    List.iter (fun (k, _) -> rtbl.(k) <- 0.) contenders
+        end;
+        (* Clear this round's key-indexed entries: stale keys always
+           read as not-chosen and rate 0. *)
+        ctbl.(x.key) <- false;
+        rtbl.(x.key) <- 0.
+    done
   in
-  let complete_due () =
-    Array.fold_left
-      (fun changed ts ->
-        match ts.current with
-        | Some x when (not x.finished) && x.rate > 0. && x.eta <= !now ->
-          dirty.(ts.index) <- true;
-          if x.attempt < x.fails then begin
-            (* Transient failure: the attempt's bytes moved over the bus
-               but the payload is bad.  Retry after a capped exponential
-               backoff with seeded jitter; past the retry budget the
-               tenant aborts. *)
-            let at = x.eta in
-            x.attempt <- x.attempt + 1;
-            ts.wt_busy <- ts.wt_busy +. x.load;
-            ts.ddr <- ts.ddr +. x.bytes;
-            (match faults with
-            | Some inj when x.attempt <= Fault.Injector.max_retries inj ->
-              ts.retries <- ts.retries + 1;
-              x.work <- x.load;
-              x.settled <- at;
-              x.rate <- 0.;
-              x.eta <- infinity;
-              x.blocked_until <-
-                at
-                +. Fault.Injector.backoff_seconds inj ~key:x.key
-                     ~attempt:(x.attempt - 1)
-            | Some _ | None ->
-              abort ts
-                (Printf.sprintf
-                   "transfer to node %d failed %d times (retry budget \
-                    exhausted)"
-                   x.target x.attempt));
-            true
-          end
-          else begin
-            x.finished <- true;
-            x.finished_at <- x.eta;
-            x.work <- 0.;
-            ts.current <- None;
-            ts.wt_busy <- ts.wt_busy +. x.load;
-            ts.ddr <- ts.ddr +. x.bytes;
-            (match x.kind with
-            | Prefetch_load ->
-              ts.weight_ready.(x.target) <- x.finished_at;
-              ts.pending_w.(x.target) <- ts.pending_w.(x.target) - 1
-            | Demand_load ->
-              ts.weight_ready.(x.target) <-
-                max ts.weight_ready.(x.target) x.finished_at;
-              ts.pending_w.(x.target) <- ts.pending_w.(x.target) - 1
-            | Weight_stream_x -> ());
-            true
-          end
-        | _ -> changed)
-      false tenants
+  let complete_due ts =
+    match ts.current with
+    | Some x when (not x.finished) && x.rate > 0. && x.eta <= !now ->
+      dirty.(ts.index) <- true;
+      if x.attempt < x.fails then begin
+        (* Transient failure: the attempt's bytes moved over the bus
+           but the payload is bad.  Retry after a capped exponential
+           backoff with seeded jitter; past the retry budget the
+           tenant aborts. *)
+        let at = x.eta in
+        x.attempt <- x.attempt + 1;
+        ts.wt_busy <- ts.wt_busy +. x.load;
+        ts.ddr <- ts.ddr +. x.bytes;
+        (match faults with
+        | Some inj when x.attempt <= Fault.Injector.max_retries inj ->
+          ts.retries <- ts.retries + 1;
+          x.work <- x.load;
+          x.settled <- at;
+          x.rate <- 0.;
+          x.eta <- infinity;
+          x.blocked_until <-
+            at
+            +. Fault.Injector.backoff_seconds inj ~key:x.key
+                 ~attempt:(x.attempt - 1)
+        | Some _ | None ->
+          abort ts
+            (Printf.sprintf
+               "transfer to node %d failed %d times (retry budget \
+                exhausted)"
+               x.target x.attempt));
+        true
+      end
+      else begin
+        x.finished <- true;
+        x.finished_at <- x.eta;
+        x.work <- 0.;
+        ts.current <- None;
+        ts.wt_busy <- ts.wt_busy +. x.load;
+        ts.ddr <- ts.ddr +. x.bytes;
+        (match x.kind with
+        | Prefetch_load ->
+          ts.weight_ready.(x.target) <- x.finished_at;
+          ts.pending_w.(x.target) <- ts.pending_w.(x.target) - 1
+        | Demand_load ->
+          ts.weight_ready.(x.target) <-
+            max ts.weight_ready.(x.target) x.finished_at;
+          ts.pending_w.(x.target) <- ts.pending_w.(x.target) - 1
+        | Weight_stream_x -> ());
+        true
+      end
+    | _ -> false
   in
   let all_finished () =
-    Array.for_all (fun ts -> ts.stage = Finished) tenants
+    Array.for_all is_finished tenants
+  in
+  let step ts =
+    if progress ts then begin
+      dirty.(ts.index) <- true;
+      true
+    end
+    else false
   in
   (* Exhaust every zero-time transition at the current instant. *)
   let settle_instant () =
     let continue = ref true in
     while !continue do
-      let c = ref false in
-      if fire_due_events () then c := true;
-      Array.iter
-        (fun ts ->
-          if progress ts then begin
-            dirty.(ts.index) <- true;
-            c := true
-          end)
-        tenants;
-      if start_jobs () then c := true;
+      let fired = fire_due_events () in
+      let stepped = sweep step in
+      let started = sweep start_job in
       assign_rates ();
-      if complete_due () then c := true;
-      continue := !c
+      let completed = sweep complete_due in
+      continue := fired || stepped || started || completed
     done
   in
   (* Wake-up candidates per tenant, exactly the times the old linear
@@ -706,21 +718,7 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
   let stage_candidate ts =
     match ts.stage with
     | Entering -> ts.clock
-    | Executing e -> (
-      match e.exec_stream with
-      | Some x when not x.finished -> infinity
-      | _ ->
-        let wt_component =
-          match e.exec_stream with
-          | None -> 0.
-          | Some x -> x.finished_at -. e.exec_start
-        in
-        let p = ts.profiles.(e.exec_id) in
-        let _, duration =
-          NM.duration_and_binding ~latc:p.Latency.latc ~if_time:e.exec_if
-            ~wt_component ~of_time:e.exec_of
-        in
-        e.exec_start +. duration)
+    | Executing e -> node_finish ts.tab.profiles.(e.exec_id).Latency.latc e
     | Awaiting _ | Finished -> infinity
   in
   let xfer_candidate ts =
@@ -778,16 +776,23 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
     !best
   in
   let utilization () =
-    List.fold_left (fun acc x -> acc +. x.rate) 0. (on_chip_jobs ())
+    Array.fold_left
+      (fun acc ts ->
+        match on_channel ts with Some x -> acc +. x.rate | None -> acc)
+      0. tenants
   in
   (* Per-channel summed rates, in the same full-bandwidth units as the
      aggregate timeline: the channel timelines always sum to it, and at
      one channel [channel_utilization ().(0)] IS the aggregate value
-     (same left-to-right float fold over the same job list). *)
+     (same left-to-right float fold over the same transfers). *)
   let channel_utilization () =
     let u = Array.make channels 0. in
-    List.iter (fun x -> u.(x.channel) <- u.(x.channel) +. x.rate)
-      (on_chip_jobs ());
+    Array.iter
+      (fun ts ->
+        match on_channel ts with
+        | Some x -> u.(x.channel) <- u.(x.channel) +. x.rate
+        | None -> ())
+      tenants;
     u
   in
   let guard = ref 0 in
@@ -816,10 +821,10 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
   let runs =
     Array.map
       (fun ts ->
-        { label = ts.input.label;
+        { label = ts.tab.input.label;
           timings = ts.timings;
           finish = ts.clock;
-          latency = ts.clock -. ts.input.arrival;
+          latency = ts.clock -. ts.tab.input.arrival;
           prefetch_wait = ts.prefetch_wait;
           wt_channel_busy = ts.wt_busy;
           ddr_bytes = ts.ddr;
@@ -868,3 +873,7 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
   in
   { tenants = runs; makespan; timeline; channels; channel_timelines;
     transfers }
+
+let run ~arbitration ~scheduler ?channels ?assign ?rank ?faults inputs =
+  run_compiled ~arbitration ~scheduler ?channels ?assign ?rank ?faults
+    (Array.map compile inputs)

@@ -28,7 +28,14 @@
     mode (evict + replan via its [replan] callback, resume from the
     current node), and abort events finish a tenant early.  With no
     injector every fault path is skipped and the engine is exactly the
-    fault-free one. *)
+    fault-free one.
+
+    A run reads each tenant through its {!compiled} tables: every
+    per-node fact that depends only on the plan, worked out once from
+    (metric, on-chip set, PDG).  {!run} compiles its inputs and runs
+    them; a caller that runs the same tenants many times (the schedule
+    optimizer scores every candidate order against one input set)
+    compiles once and calls {!run_compiled}. *)
 
 type degraded_plan = {
   deg_on_chip : Lcmm.Metric.Item_set.t;
@@ -119,6 +126,48 @@ type result = {
           [channel_timelines.(0) = timeline] exactly. *)
   transfers : xfer_log list;  (** Every transfer created, in key order. *)
 }
+
+type compiled = private {
+  input : tenant_input;
+  profiles : Accel.Latency.profile array;   (** The metric's profiles. *)
+  frac : float array;
+      (** Pinned fraction of each node's weight tensor; the node's
+          weight counts as pinned when it is [> 0.]. *)
+  once_bytes : float array;    (** DDR bytes of loading the pinned part. *)
+  demand : float option array;
+      (** Demand load due at node entry when no released prefetch edge
+          targets the node ({!Sim.Node_model.demand_load}). *)
+  streamed : float array;      (** Streamed seconds of the unpinned part. *)
+  stream_bytes : float array;  (** Its DDR bytes. *)
+  if_time : float array;       (** Input-streaming seconds. *)
+  of_time : float array;       (** Output write-back seconds. *)
+  if_bytes : float array;      (** Input-stream DDR bytes. *)
+  of_bytes : float array;      (** Output write-back DDR bytes. *)
+  released : Lcmm.Prefetch.edge list array;
+      (** Per source node, the prefetch edges released at its start. *)
+  edge_flags : bool array;     (** Whether a released edge targets the node. *)
+}
+(** One tenant's plan, compiled.  Every array is indexed by node id,
+    computed with {!Sim.Node_model}'s functions (so the floats are the
+    isolated engine's), and never written after {!compile} returns:
+    one value can back any number of runs, on any number of domains.
+
+    What a run mutates is its own: per-node pending-transfer counts
+    and weight-ready times, the transfer queues, and copies of
+    [released] and [edge_flags].  An SRAM bank loss builds the degraded
+    plan's tables for that tenant inside that run and truncates its
+    copy of [released] to the nodes not yet entered; the compiled
+    value is untouched. *)
+
+val compile : tenant_input -> compiled
+
+val run_compiled :
+  arbitration:Arbiter.t -> scheduler:Scheduler.t -> ?channels:int ->
+  ?assign:(owner:int -> target:int -> kind -> int) ->
+  ?rank:(owner:int -> target:int -> kind -> float) ->
+  ?faults:Fault.Injector.t -> compiled array -> result
+(** {!run} over compiled tenants: [run ... inputs] is
+    [run_compiled ... (Array.map compile inputs)]. *)
 
 val run :
   arbitration:Arbiter.t -> scheduler:Scheduler.t -> ?channels:int ->

@@ -1,6 +1,3 @@
-module NM = Sim.Node_model
-module Latency = Accel.Latency
-
 (* DRAM communication-schedule search (SoMa-style).
 
    The space it explores is transfer *order*: which pending transfer
@@ -18,11 +15,17 @@ module Latency = Accel.Latency
      deadline), plus deterministic heuristic orders (priority-first,
      least-laxity) that capture deliberate early/late placement.
 
-   Every candidate is then *evaluated exactly* by [Engine.run] — the
+   Every candidate is then *evaluated exactly* by the engine — the
    beam's timeline model is only used to propose orders, never to score
    the winner — and the best (makespan, then high-priority slowdown,
    then candidate index) wins.  Candidate evaluation fans out on the
-   domain pool. *)
+   domain pool.
+
+   All candidates run the same tenants, so a search compiles each
+   tenant once ([Engine.compile]) and the transfer profiles and every
+   candidate run ([Engine.run_compiled]) read those tables, shared
+   read-only across the pool's domains.  The tables live for one
+   search: nothing is kept between calls. *)
 
 type transfer = {
   t_owner : int;
@@ -54,40 +57,32 @@ let kind_int = function
 (* Static transfer profile of one tenant, mirroring the engine's
    enqueue points with isolated-schedule times standing in for the
    contended ones (the engine itself remains the ground truth). *)
-let profile_tenant ~channels index (input : Engine.tenant_input)
+let profile_tenant ~channels index (c : Engine.compiled)
     (iso : Sim.Engine.run) =
-  let metric = input.Engine.metric in
-  let on_chip = input.Engine.on_chip in
-  let profiles = metric.Lcmm.Metric.profiles in
-  let n = Array.length profiles in
-  let released =
-    NM.released_edges ?prefetch:input.Engine.prefetch metric ~on_chip n
-  in
-  let has_edge = NM.has_edge released n in
+  let input = c.Engine.input in
   let stripe = float_of_int (max 1 channels) in
   let acc = ref [] in
-  for id = 0 to n - 1 do
+  for id = 0 to Array.length c.Engine.profiles - 1 do
     let entry = input.Engine.arrival +. iso.Sim.Engine.timings.(id).Sim.Engine.start in
     List.iter
       (fun e ->
         let target = e.Lcmm.Prefetch.target in
-        let frac = NM.pinned_fraction metric ~on_chip target in
         acc :=
           { t_owner = index; t_target = target; t_kind = Engine.Prefetch_load;
             t_release = entry;
-            t_dur = e.Lcmm.Prefetch.load_seconds *. frac *. stripe;
+            t_dur =
+              e.Lcmm.Prefetch.load_seconds *. c.Engine.frac.(target) *. stripe;
             t_deadline = entry +. input.Engine.slack target }
           :: !acc)
-      released.(id);
-    (match NM.demand_load metric ~on_chip ~has_edge profiles.(id) with
-    | None -> ()
-    | Some load ->
+      c.Engine.released.(id);
+    (match c.Engine.demand.(id) with
+    | Some load when not c.Engine.edge_flags.(id) ->
       acc :=
         { t_owner = index; t_target = id; t_kind = Engine.Demand_load;
           t_release = entry; t_dur = load *. stripe; t_deadline = entry }
-        :: !acc);
-    let frac = NM.pinned_fraction metric ~on_chip id in
-    let streamed = profiles.(id).Latency.wt_term *. (1. -. frac) in
+        :: !acc
+    | Some _ | None -> ());
+    let streamed = c.Engine.streamed.(id) in
     if streamed > 0. then
       acc :=
         { t_owner = index; t_target = id; t_kind = Engine.Weight_stream_x;
@@ -198,7 +193,13 @@ let search ?pool ?(hp_first = false) ~arbitration ~channels
     ?assign ?(make_faults = fun () -> None) ~isos
     (inputs : Engine.tenant_input array) =
   let channels = max 1 channels in
-  let profiles = Array.mapi (fun i input -> profile_tenant ~channels i input isos.(i)) inputs in
+  (* Every candidate runs the same tenants: compile them once, for this
+     search only, and share the tables read-only across the candidate
+     runs (and the pool's domains). *)
+  let compiled = Array.map Engine.compile inputs in
+  let profiles =
+    Array.mapi (fun i c -> profile_tenant ~channels i c isos.(i)) compiled
+  in
   let channel_of (x : transfer) =
     match assign with
     | None -> 0
@@ -255,8 +256,8 @@ let search ?pool ?(hp_first = false) ~arbitration ~channels
          searched
   in
   let evaluate cand =
-    Engine.run ~arbitration ~scheduler:cand.cand_scheduler ~channels ?assign
-      ?rank:cand.cand_rank ?faults:(make_faults ()) inputs
+    Engine.run_compiled ~arbitration ~scheduler:cand.cand_scheduler ~channels
+      ?assign ?rank:cand.cand_rank ?faults:(make_faults ()) compiled
   in
   let results =
     match pool with

@@ -4,13 +4,18 @@
     transfer profiles (per-channel busy timelines, minimizing exposed
     stall) plus deterministic heuristic orders (high-priority-first,
     least-laxity, shortest-first), evaluates every candidate *exactly*
-    with {!Engine.run} alongside the [Greedy] and [Edf] baselines, and
+    with the engine alongside the [Greedy] and [Edf] baselines, and
     returns the best by (makespan, then high-priority-tenant slowdown,
     then candidate index).  Because the baselines are in the portfolio,
     the chosen schedule's makespan is [<= min(greedy, edf)] by
     construction — the invariant the ci gate and the schedule-conserve
     oracle check.  Deterministic for fixed inputs; candidate evaluation
-    fans out on the domain pool when one is given. *)
+    fans out on the domain pool when one is given.
+
+    Each call compiles its tenants once ({!Engine.compile}); the
+    transfer profiles and every candidate run ({!Engine.run_compiled})
+    read those tables, shared read-only across the pool's domains.
+    Nothing is kept between calls. *)
 
 type outcome = {
   result : Engine.result;          (** The winning candidate's exact run. *)

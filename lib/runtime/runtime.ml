@@ -46,10 +46,24 @@ let used_bytes (p : F.plan) =
    effective metric and extended allocation price segment-internal
    transfers at zero and streamed weights at their steady-state DDR
    rate.  With the flag off the plan passes through untouched. *)
-let maybe_fuse (p : F.plan) =
-  if p.F.options.F.fusion then
-    Lcmm_fusion.Fusion.effective_plan (Lcmm_fusion.Fusion.apply p)
-  else p
+let fuse (p : F.plan) =
+  if p.F.options.F.fusion then Some (Lcmm_fusion.Fusion.apply p) else None
+
+let effective p = function
+  | Some t -> Lcmm_fusion.Fusion.effective_plan t
+  | None -> p
+
+let maybe_fuse p = effective p (fuse p)
+
+(* One solved plan key: the plan the engine runs, the planner's plan it
+   came from, the fusion pass's decisions on it (when fusion is on;
+   otherwise [plan] is [unfused]), and the engine plan's isolated run. *)
+type solution = {
+  plan : F.plan;
+  unfused : F.plan;
+  fused : Lcmm_fusion.Fusion.t option;
+  iso : Sim.Engine.run;
+}
 
 let isolated (p : F.plan) =
   Sim.Engine.simulate ?prefetch:p.F.prefetch p.F.metric
@@ -58,7 +72,7 @@ let isolated (p : F.plan) =
 (* The resource appetite the admission controller sees for a model:
    the SRAM its unconstrained plan pins and the average DDR bandwidth
    of its isolated run. *)
-let demand_of ((base : F.plan), (iso : Sim.Engine.run)) =
+let demand_of { plan = base; iso; _ } =
   let traffic =
     Lcmm.Traffic.of_allocation base.F.metric
       ~on_chip:base.F.allocation.Lcmm.Dnnk.on_chip
@@ -123,8 +137,7 @@ let run ?pool options specs =
   let allocated : (string * int option, F.allocated) Hashtbl.t =
     Hashtbl.create 8
   in
-  let solved :
-      (string * int option * float, F.plan * Sim.Engine.run) Hashtbl.t =
+  let solved : (string * int option * float, solution) Hashtbl.t =
     Hashtbl.create 8
   in
   let fill tbl f keys =
@@ -146,11 +159,12 @@ let run ?pool options specs =
     F.allocate ?capacity_bytes:grant (Hashtbl.find prepared m)
   in
   let finish (m, grant, scale) =
-    let p =
-      maybe_fuse
-        (F.finish ~stall_scale:scale (Hashtbl.find allocated (m, grant)))
+    let unfused =
+      F.finish ~stall_scale:scale (Hashtbl.find allocated (m, grant))
     in
-    (p, isolated p)
+    let fused = fuse unfused in
+    let plan = effective unfused fused in
+    { plan; unfused; fused; iso = isolated plan }
   in
   let solve keys =
     fill prepared prepare (List.map (fun (m, _, _) -> m) keys);
@@ -158,7 +172,7 @@ let run ?pool options specs =
     fill solved finish keys
   in
   let base_key m = (m, None, 1.) in
-  let base m = fst (Hashtbl.find solved (base_key m)) in
+  let base m = (Hashtbl.find solved (base_key m)).plan in
   (* A scale-1 grant covering the unconstrained plan's footprint reuses
      it verbatim — with one tenant this is always the case, which is
      what makes the single-tenant run reproduce [lcmm sim] exactly. *)
@@ -167,10 +181,7 @@ let run ?pool options specs =
     if scale = 1. && grant >= (base m).F.tensor_sram_bytes then base_key m
     else (m, Some grant, scale)
   in
-  let tenant i grant key =
-    let plan, iso = Hashtbl.find solved key in
-    (i, grant, plan, iso)
-  in
+  let tenant i grant key = (i, grant, Hashtbl.find solved key) in
   solve (Hashtbl.fold (fun m _ acc -> base_key m :: acc) graph_of []);
   let demand = Hashtbl.create 8 in
   Hashtbl.iter
@@ -235,7 +246,7 @@ let run ?pool options specs =
     else begin
       let assignments =
         Array.map
-          (fun (_, _, (plan : F.plan), _) ->
+          (fun (_, _, { plan; _ }) ->
             match plan.F.channel_assignment with
             | Some a when a.Lcmm.Channels.channels = channels -> a
             | _ ->
@@ -256,7 +267,7 @@ let run ?pool options specs =
   in
   let inputs_of plans =
     Array.map
-      (fun (i, grant, (plan : F.plan), iso) ->
+      (fun (i, grant, { plan; iso; _ }) ->
         {
           Engine.label = specs.(i).name;
           metric = plan.F.metric;
@@ -312,12 +323,12 @@ let run ?pool options specs =
           ~hp_first:(options.arbitration = Arbiter.Priority)
           ~arbitration:options.arbitration ~channels ?assign:(assign_of plans)
           ~make_faults
-          ~isos:(Array.map (fun (_, _, _, iso) -> iso) plans)
+          ~isos:(Array.map (fun (_, _, s) -> s.iso) plans)
           (inputs_of plans)
       in
       let scales_of plans (outcome : Optimizer.outcome) =
         Array.mapi
-          (fun k (_, _, _, iso) ->
+          (fun k (_, _, { iso; _ }) ->
             let iso_total = iso.Sim.Engine.total in
             let tr = outcome.Optimizer.result.Engine.tenants.(k) in
             if iso_total > 0. then
@@ -330,33 +341,44 @@ let run ?pool options specs =
       let replan_scaled plans scales =
         let keys =
           Array.mapi
-            (fun k (i, grant, _, _) ->
+            (fun k (i, grant, _) ->
               if scales.(k) > 1. +. 1e-9 then Some (key_of i grant scales.(k))
               else None)
             plans
         in
         solve (List.filter_map Fun.id (Array.to_list keys));
         Array.map2
-          (fun key ((i, grant, _, _) as t) ->
+          (fun key ((i, grant, _) as t) ->
             match key with None -> t | Some key -> tenant i grant key)
           keys plans
       in
       (* [search] is deterministic in its engine inputs, so a round
          whose inputs repeat the previous round's reuses its outcome.
-         Plans finished from one [prepared] share metric and PDG, hence
-         [==]; the isolated run, EDF slack and transfer profile follow
-         from those and the on-chip set.  Faults opt out: the degrade
-         callback closes over the whole plan.  Fused plans carry fresh
-         metrics, so they never match. *)
+         The engine inputs follow from each tenant's pre-fusion plan —
+         its metric and PDG (plans finished from one [prepared] share
+         them, hence [==]), on-chip set and channel assignment — and,
+         with fusion on, from the fusion pass's decisions on it: the
+         effective metric is the pre-fusion one rescaled by the
+         segments and streamed weights, and the effective on-chip set
+         adds the segments' internal values.  Faults opt out: the
+         degrade callback closes over the whole plan. *)
+      let same_decisions (a : Lcmm_fusion.Fusion.t) (b : Lcmm_fusion.Fusion.t) =
+        a.Lcmm_fusion.Fusion.segments = b.Lcmm_fusion.Fusion.segments
+        && a.Lcmm_fusion.Fusion.streamed = b.Lcmm_fusion.Fusion.streamed
+      in
+      let same_solution a b =
+        let (pa : F.plan) = a.unfused and (pb : F.plan) = b.unfused in
+        pa.F.metric == pb.F.metric
+        && Option.equal ( == ) pa.F.prefetch pb.F.prefetch
+        && Lcmm.Metric.Item_set.equal pa.F.allocation.Lcmm.Dnnk.on_chip
+             pb.F.allocation.Lcmm.Dnnk.on_chip
+        && pa.F.channel_assignment = pb.F.channel_assignment
+        && Option.equal same_decisions a.fused b.fused
+      in
       let same_inputs prev plans =
         injector = None
         && Array.for_all2
-             (fun (_, _, (a : F.plan), _) (_, _, (b : F.plan), _) ->
-               a.F.metric == b.F.metric
-               && Option.equal ( == ) a.F.prefetch b.F.prefetch
-               && Lcmm.Metric.Item_set.equal a.F.allocation.Lcmm.Dnnk.on_chip
-                    b.F.allocation.Lcmm.Dnnk.on_chip
-               && a.F.channel_assignment = b.F.channel_assignment)
+             (fun (_, _, a) (_, _, b) -> same_solution a b)
              prev plans
       in
       let previous = ref None in
@@ -427,7 +449,7 @@ let run ?pool options specs =
   in
   let run_of = Hashtbl.create 8 in
   Array.iteri
-    (fun k (i, grant, plan, iso) ->
+    (fun k (i, grant, { plan; iso; _ }) ->
       Hashtbl.replace run_of i (grant, plan, iso, sim.Engine.tenants.(k)))
     admitted;
   let tenants =

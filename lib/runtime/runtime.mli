@@ -63,11 +63,11 @@ val schedule_rounds : int
     {!Optimizer.search} is deterministic in them, so the report is
     unchanged and still counts the round, its makespan and the
     convergence.  Inputs are equal when, for every admitted tenant, the
-    new plan has the same physical metric and PDG ([==]), an
-    [Item_set.equal] on-chip set and an equal channel assignment.
-    Fault injection opts out (the degrade callback closes over the
-    whole plan), and so, by the [==] test, does fusion (each fused plan
-    carries a fresh effective metric). *)
+    new pre-fusion plan has the same physical metric and PDG ([==]), an
+    [Item_set.equal] on-chip set and an equal channel assignment, and —
+    with fusion on — the fusion pass chose the same segments and
+    streamed weights on it.  Fault injection opts out (the degrade
+    callback closes over the whole plan). *)
 
 val run : ?pool:Lcmm.Pool.t -> options -> spec list -> Report.t
 (** Admit, partition, compile and co-simulate the tenants;

@@ -61,14 +61,17 @@ let of_time ~on_chip (p : Latency.profile) =
   if Metric.Item_set.mem (Metric.Feature_value p.Latency.node_id) on_chip then 0.
   else p.Latency.of_term
 
+(* Compute first, then each component in Eq. 1 order; a component
+   takes over only when strictly larger, so ties keep the earlier one. *)
 let duration_and_binding ~latc ~if_time ~wt_component ~of_time =
-  let components =
-    [ (Compute, latc); (Input_stream, if_time);
-      (Weight_stream, wt_component); (Output_stream, of_time) ]
-  in
-  List.fold_left
-    (fun (bb, bd) (b, d) -> if d > bd then (b, d) else (bb, bd))
-    (Compute, latc) components
+  let binding = ref Compute and best = ref latc in
+  if if_time > !best then begin binding := Input_stream; best := if_time end;
+  if wt_component > !best then begin
+    binding := Weight_stream;
+    best := wt_component
+  end;
+  if of_time > !best then begin binding := Output_stream; best := of_time end;
+  (!binding, !best)
 
 let if_stream_bytes ~on_chip (p : Latency.profile) =
   List.fold_left

@@ -859,6 +859,242 @@ let test_search_equal_inputs () =
       Alcotest.(check bool) "equal outcomes on a pool" true
         (first = search ~pool () && search ~pool () = search ~pool ()))
 
+(* --- engine exactness golden --- *)
+
+(* golden/engine_runs.golden pins [Engine.run] and [Optimizer.search]
+   bit for bit over four zoo mixes, each planned at an equal share of
+   the SRAM budget.  Per mix: greedy, EDF and the optimized scheduler
+   under a fixed reversed-node rank, under fair-share and priority
+   arbitration, over one, two and three DDR channels, with no faults
+   and with the ci fault spec (whose bank loss degrades tenant 0).
+   Each engine line is a digest of the whole result: per-tenant node
+   timings, finish, DDR bytes and fault counters, the aggregate and
+   per-channel timelines and the transfer log, floats printed as [%h].
+   Each search line carries the chosen label, the winner's digest and
+   every candidate's makespan. *)
+let engine_golden_lines () =
+  let degraded = ref 0 in
+  let ci_faults =
+    match
+      Fault.Spec.of_string
+        "seed=42,stall:0.1:0.3,fail:0.05,droop@2:5:0.5,bankloss@3:4m"
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let mixes =
+    [ ("alexnet x2", [ ("alexnet", 0); ("alexnet", 1) ]);
+      ("squeezenet! + googlenet", [ ("squeezenet", 0); ("googlenet", 1) ]);
+      ( "alexnet! + squeezenet x2",
+        [ ("alexnet", 0); ("squeezenet", 1); ("squeezenet", 1) ] );
+      ( "googlenet!x2 + alexnet",
+        [ ("googlenet", 0); ("googlenet", 0); ("alexnet", 1) ] ) ]
+  in
+  let used_bytes (p : F.plan) =
+    p.F.allocation.Lcmm.Dnnk.used_blocks * Lcmm.Dnnk.block_bytes
+  in
+  let compiled = Hashtbl.create 8 in
+  let tenants_of parts =
+    let share = List.length parts in
+    List.mapi
+      (fun k (model, priority) ->
+        let g, base, _ =
+          match Hashtbl.find_opt compiled model with
+          | Some c -> c
+          | None ->
+            let c = compile model in
+            Hashtbl.add compiled model c;
+            c
+        in
+        let grant =
+          Accel.Config.sram_budget_bytes base.F.config / share
+        in
+        let plan =
+          if grant >= base.F.tensor_sram_bytes then base
+          else F.plan_partitioned ~capacity_bytes:grant base.F.config g
+        in
+        let iso =
+          Sim.Engine.simulate ?prefetch:plan.F.prefetch plan.F.metric
+            ~on_chip:plan.F.allocation.Lcmm.Dnnk.on_chip
+        in
+        (Printf.sprintf "%s#%d" model k, g, grant, priority, plan, iso))
+      parts
+    |> Array.of_list
+  in
+  let inputs_of ~faulty tenants =
+    Array.map
+      (fun (label, g, grant, priority, (plan : F.plan), iso) ->
+        { Rt.Engine.label;
+          metric = plan.F.metric;
+          on_chip = plan.F.allocation.Lcmm.Dnnk.on_chip;
+          prefetch = plan.F.prefetch;
+          arrival = 0.;
+          priority;
+          slack = slack_of plan iso;
+          replan =
+            (if not faulty then None
+             else
+               Some
+                 (fun ~lost_bytes ->
+                   let surviving = max 0 (grant - lost_bytes) in
+                   let d = F.degrade ~surviving_bytes:surviving plan g in
+                   let r = d.F.replanned in
+                   Some
+                     { Rt.Engine.deg_on_chip = r.F.allocation.Lcmm.Dnnk.on_chip;
+                       deg_prefetch = r.F.prefetch;
+                       deg_pinned_bytes = used_bytes r;
+                       deg_evicted_bytes = d.F.evicted_bytes;
+                       deg_surviving_bytes = surviving })) })
+      tenants
+  in
+  let assign_of channels tenants =
+    if channels = 1 then None
+    else begin
+      let a =
+        Array.map
+          (fun (_, _, _, _, (plan : F.plan), _) ->
+            Lcmm.Channels.assign ~channels plan.F.metric
+              ~on_chip:plan.F.allocation.Lcmm.Dnnk.on_chip)
+          tenants
+      in
+      Some
+        (fun ~owner ~target kind ->
+          let cls =
+            match kind with
+            | Rt.Engine.Prefetch_load | Rt.Engine.Demand_load ->
+              Lcmm.Channels.Wt_load
+            | Rt.Engine.Weight_stream_x -> Lcmm.Channels.Wt_stream
+          in
+          Lcmm.Channels.channel_for a.(owner) cls target)
+    end
+  in
+  let digest (r : Rt.Engine.result) =
+    let b = Buffer.create 4096 in
+    let f x = Printf.bprintf b "%h " x in
+    let i x = Printf.bprintf b "%d " x in
+    let opt_i = function None -> i (-1) | Some x -> i x in
+    let seg (s : Rt.Engine.segment) =
+      f s.Rt.Engine.seg_start; f s.Rt.Engine.seg_end; f s.Rt.Engine.utilization
+    in
+    let kind = function
+      | Rt.Engine.Prefetch_load -> 0
+      | Rt.Engine.Demand_load -> 1
+      | Rt.Engine.Weight_stream_x -> 2
+    in
+    let binding = function
+      | Sim.Engine.Compute -> 0
+      | Sim.Engine.Input_stream -> 1
+      | Sim.Engine.Weight_stream -> 2
+      | Sim.Engine.Output_stream -> 3
+    in
+    Array.iter
+      (fun (t : Rt.Engine.tenant_run) ->
+        Printf.bprintf b "%s " t.Rt.Engine.label;
+        Array.iter
+          (fun (n : Sim.Engine.node_timing) ->
+            i n.Sim.Engine.node_id; f n.Sim.Engine.start; f n.Sim.Engine.finish;
+            f n.Sim.Engine.wait; i (binding n.Sim.Engine.binding))
+          t.Rt.Engine.timings;
+        f t.Rt.Engine.finish; f t.Rt.Engine.latency; f t.Rt.Engine.prefetch_wait;
+        f t.Rt.Engine.wt_channel_busy; f t.Rt.Engine.ddr_bytes;
+        let q = t.Rt.Engine.faults in
+        i q.Rt.Engine.retries; i q.Rt.Engine.stalls; i q.Rt.Engine.degraded;
+        i q.Rt.Engine.evicted_bytes; opt_i q.Rt.Engine.pinned_after;
+        opt_i q.Rt.Engine.surviving_bytes;
+        Printf.bprintf b "%s\n" (Option.value q.Rt.Engine.aborted ~default:"-"))
+      r.Rt.Engine.tenants;
+    f r.Rt.Engine.makespan;
+    List.iter seg r.Rt.Engine.timeline;
+    i r.Rt.Engine.channels;
+    Array.iter (fun segs -> Buffer.add_char b '|'; List.iter seg segs)
+      r.Rt.Engine.channel_timelines;
+    List.iter
+      (fun (x : Rt.Engine.xfer_log) ->
+        i x.Rt.Engine.log_owner; i x.Rt.Engine.log_target;
+        i (kind x.Rt.Engine.log_kind); i x.Rt.Engine.log_channel;
+        f x.Rt.Engine.log_bytes; f x.Rt.Engine.log_load;
+        f x.Rt.Engine.log_deadline; f x.Rt.Engine.log_released;
+        f x.Rt.Engine.log_started; f x.Rt.Engine.log_finished)
+      r.Rt.Engine.transfers;
+    Dnn_serial.Codec.digest_string (Buffer.contents b)
+  in
+  let rank ~owner ~target kind =
+    let k =
+      match kind with
+      | Rt.Engine.Prefetch_load -> 0
+      | Rt.Engine.Demand_load -> 1
+      | Rt.Engine.Weight_stream_x -> 2
+    in
+    float_of_int ((-target * 3) - k) +. (0.25 *. float_of_int owner)
+  in
+  let lines =
+    List.concat_map
+      (fun (mix, parts) ->
+        let tenants = tenants_of parts in
+        let isos = Array.map (fun (_, _, _, _, _, iso) -> iso) tenants in
+        List.concat_map
+          (fun (arb_label, arbitration) ->
+            List.concat_map
+              (fun channels ->
+                let assign = assign_of channels tenants in
+                List.concat_map
+                  (fun (fault_label, spec) ->
+                    let faulty = Option.is_some spec in
+                    let inputs = inputs_of ~faulty tenants in
+                    let make_faults () = Option.map Fault.Injector.create spec in
+                    let key what =
+                      Printf.sprintf "%s/%s/%s/c%d/%s" mix what arb_label channels
+                        fault_label
+                    in
+                    let runs =
+                      List.map
+                        (fun (label, scheduler, rank) ->
+                          let r =
+                            Rt.Engine.run ~arbitration ~scheduler ~channels
+                              ?assign ?rank ?faults:(make_faults ()) inputs
+                          in
+                          if
+                            Array.exists
+                              (fun (t : Rt.Engine.tenant_run) ->
+                                t.Rt.Engine.faults.Rt.Engine.degraded > 0)
+                              r.Rt.Engine.tenants
+                          then incr degraded;
+                          Printf.sprintf "%s %s" (key label) (digest r))
+                        [ ("greedy", Rt.Scheduler.Greedy, None);
+                          ("edf", Rt.Scheduler.Edf, None);
+                          ("optimized", Rt.Scheduler.Optimized, Some rank) ]
+                    in
+                    let o =
+                      Rt.Optimizer.search
+                        ~hp_first:(arbitration = Rt.Arbiter.Priority)
+                        ~arbitration ~channels ?assign ~make_faults ~isos inputs
+                    in
+                    let search =
+                      Printf.sprintf "%s chosen=%s %s %s" (key "search")
+                        o.Rt.Optimizer.chosen (digest o.Rt.Optimizer.result)
+                        (String.concat " "
+                           (List.map
+                              (fun (l, m) -> Printf.sprintf "%s:%h" l m)
+                              o.Rt.Optimizer.candidates))
+                    in
+                    runs @ [ search ])
+                  [ ("quiet", None); ("faults", Some ci_faults) ])
+              [ 1; 2; 3 ])
+          [ ("fair", Rt.Arbiter.Fair_share); ("priority", Rt.Arbiter.Priority) ])
+      mixes
+  in
+  (lines, !degraded)
+
+let test_engine_golden () =
+  let lines, degraded = engine_golden_lines () in
+  let expected = Helpers.read_lines "golden/engine_runs.golden" in
+  Alcotest.(check int) "line count" (List.length expected) (List.length lines);
+  List.iter2
+    (fun e a ->
+      if e <> a then Alcotest.failf "engine run changed: want %s, got %s" e a)
+    expected lines;
+  Alcotest.(check bool) "a faulted run degrades" true (degraded > 0)
+
 (* --- report plumbing --- *)
 
 let test_report_json_shape () =
@@ -922,4 +1158,5 @@ let suite =
       test_search_reuse_exact;
     Alcotest.test_case "search equal inputs, equal outcomes" `Slow
       test_search_equal_inputs;
+    Alcotest.test_case "engine runs pinned" `Quick test_engine_golden;
     Alcotest.test_case "report json shape" `Quick test_report_json_shape ]
