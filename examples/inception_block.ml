@@ -63,8 +63,10 @@ let () =
     | Lcmm.Metric.Weight_of _ | Lcmm.Metric.Weight_slice _ -> true
     | Lcmm.Metric.Feature_value _ -> false
   in
-  let never_share a b = is_weight a <> is_weight b in
-  let interference = Lcmm.Interference.build ~never_share ~items ~intervals () in
+  let never_share_class item = if is_weight item then 1 else 0 in
+  let interference =
+    Lcmm.Interference.build ~never_share_class ~items ~intervals ()
+  in
   let sizes = Array.map (Lcmm.Metric.item_size_bytes dtype metric) items in
   let vbufs = Lcmm.Coloring.color interference ~sizes in
   Format.printf "== virtual buffers after coloring ==@.";

@@ -53,10 +53,15 @@ let is_weight_item = function
   | Metric.Weight_of _ | Metric.Weight_slice _ -> true
   | Metric.Feature_value _ -> false
 
+(* The planner's buffer-pool partition; [check_interference] checks
+   the rows built from it against the pairwise rule [never_share]. *)
+let never_share_class item = if is_weight_item item then 1 else 0
+
 let never_share a b = is_weight_item a <> is_weight_item b
 
 let fresh_interference ctx =
-  Interference.build ~never_share ~items:ctx.items ~intervals:ctx.intervals ()
+  Interference.build ~never_share_class ~items:ctx.items
+    ~intervals:ctx.intervals ()
 
 (* Search-node bound of the exact solver. *)
 let exact_node_budget = 30_000
@@ -88,7 +93,7 @@ let make_ctx ?(dtype = Tensor.Dtype.I16) ?(capacity_fraction = 0.5) g =
   in
   let intervals = Array.map (Liveness.item_interval g ~prefetch_source) items in
   let interference =
-    Interference.build ~never_share ~items ~intervals ()
+    Interference.build ~never_share_class ~items ~intervals ()
   in
   let vbufs = Coloring.color ~strategy:Coloring.Min_growth interference ~sizes in
   let total_bytes =

@@ -6,12 +6,10 @@ end)
 
 (* Adjacency is materialised once at [build] into packed bitset rows:
    lifespan overlaps are filled a word at a time from two growing prefix
-   sets (O(n log n + n^2 / w) words, independent of the edge count),
-   [never_share_class] partitions are or-ed in as whole class masks, and
-   the generic [never_share] predicate (used by small differential-test
-   graphs) falls back to a pairwise fill.  [conflict]/[degree] are then
-   plain word-parallel bit tests with no closure calls on the query
-   path. *)
+   sets (O(n log n + n^2 / w) words, independent of the edge count)
+   and [never_share_class] partitions are or-ed in as whole class
+   masks.  [conflict]/[degree] are then plain word-parallel bit tests
+   with no closure calls on the query path. *)
 type t = {
   items : Metric.item array;
   intervals : Liveness.interval array;
@@ -100,18 +98,7 @@ let fill_classes rows items classify =
           masks)
       classes
 
-let fill_pairwise rows items never_share =
-  let n = Array.length items in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if never_share items.(i) items.(j) then begin
-        Bitset.set rows.(i) j;
-        Bitset.set rows.(j) i
-      end
-    done
-  done
-
-let build ?never_share ?never_share_class ~items ~intervals () =
+let build ?never_share_class ~items ~intervals () =
   if Array.length items <> Array.length intervals then
     invalid_arg "Interference.build: mismatched array lengths";
   let n = Array.length items in
@@ -119,9 +106,6 @@ let build ?never_share ?never_share_class ~items ~intervals () =
   fill_overlaps rows intervals;
   (match never_share_class with
   | Some classify -> fill_classes rows items classify
-  | None -> ());
-  (match never_share with
-  | Some pred -> fill_pairwise rows items pred
   | None -> ());
   let index = Hashtbl.create (2 * n) in
   (* First occurrence wins, matching a forward linear scan. *)

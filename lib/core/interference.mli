@@ -13,17 +13,13 @@
 type t
 
 val build :
-  ?never_share:(Metric.item -> Metric.item -> bool) ->
   ?never_share_class:(Metric.item -> int) ->
   items:Metric.item array -> intervals:Liveness.interval array -> unit -> t
 (** Raises [Invalid_argument] when the arrays differ in length.
-    [never_share] marks structurally incompatible pairs (e.g. a feature
-    and a weight tensor, which live in separate buffer pools) as
-    permanently conflicting regardless of lifespans; it is evaluated
-    pairwise at build time.  [never_share_class] expresses the same
-    constraint as a partition — items in *different* classes always
-    conflict — and is folded in with whole-row mask unions, which is the
-    fast path the planner uses. *)
+    [never_share_class] partitions the items by buffer pool: items in
+    *different* classes (e.g. a feature and a weight tensor, which live
+    in separate pools) always conflict, regardless of lifespans.  It is
+    folded in with whole-row mask unions. *)
 
 val item_count : t -> int
 

@@ -44,26 +44,15 @@ let used_bytes (p : F.plan) =
    compile, per-grant replan, degraded-mode replan — is the effective
    plan of the fusion pass.  The engine needs no fusion knowledge: the
    effective metric and extended allocation price segment-internal
-   transfers at zero and streamed weights at their steady-state DDR
+   transfers at zero and weight streaming at its steady-state DDR
    rate.  With the flag off the plan passes through untouched. *)
-let fuse (p : F.plan) =
-  if p.F.options.F.fusion then Some (Lcmm_fusion.Fusion.apply p) else None
+let maybe_fuse (p : F.plan) =
+  if p.F.options.F.fusion then
+    Lcmm_fusion.Fusion.effective_plan (Lcmm_fusion.Fusion.apply p)
+  else p
 
-let effective p = function
-  | Some t -> Lcmm_fusion.Fusion.effective_plan t
-  | None -> p
-
-let maybe_fuse p = effective p (fuse p)
-
-(* One solved plan key: the plan the engine runs, the planner's plan it
-   came from, the fusion pass's decisions on it (when fusion is on;
-   otherwise [plan] is [unfused]), and the engine plan's isolated run. *)
-type solution = {
-  plan : F.plan;
-  unfused : F.plan;
-  fused : Lcmm_fusion.Fusion.t option;
-  iso : Sim.Engine.run;
-}
+(* One solved plan key: the plan the engine runs and its isolated run. *)
+type solution = { plan : F.plan; iso : Sim.Engine.run }
 
 let isolated (p : F.plan) =
   Sim.Engine.simulate ?prefetch:p.F.prefetch p.F.metric
@@ -72,7 +61,7 @@ let isolated (p : F.plan) =
 (* The resource appetite the admission controller sees for a model:
    the SRAM its unconstrained plan pins and the average DDR bandwidth
    of its isolated run. *)
-let demand_of { plan = base; iso; _ } =
+let demand_of { plan = base; iso } =
   let traffic =
     Lcmm.Traffic.of_allocation base.F.metric
       ~on_chip:base.F.allocation.Lcmm.Dnnk.on_chip
@@ -159,12 +148,11 @@ let run ?pool options specs =
     F.allocate ?capacity_bytes:grant (Hashtbl.find prepared m)
   in
   let finish (m, grant, scale) =
-    let unfused =
-      F.finish ~stall_scale:scale (Hashtbl.find allocated (m, grant))
+    let plan =
+      maybe_fuse
+        (F.finish ~stall_scale:scale (Hashtbl.find allocated (m, grant)))
     in
-    let fused = fuse unfused in
-    let plan = effective unfused fused in
-    { plan; unfused; fused; iso = isolated plan }
+    { plan; iso = isolated plan }
   in
   let solve keys =
     fill prepared prepare (List.map (fun (m, _, _) -> m) keys);
@@ -267,7 +255,7 @@ let run ?pool options specs =
   in
   let inputs_of plans =
     Array.map
-      (fun (i, grant, { plan; iso; _ }) ->
+      (fun (i, grant, { plan; iso }) ->
         {
           Engine.label = specs.(i).name;
           metric = plan.F.metric;
@@ -352,28 +340,21 @@ let run ?pool options specs =
             match key with None -> t | Some key -> tenant i grant key)
           keys plans
       in
-      (* [search] is deterministic in its engine inputs, so a round
-         whose inputs repeat the previous round's reuses its outcome.
-         The engine inputs follow from each tenant's pre-fusion plan —
-         its metric and PDG (plans finished from one [prepared] share
-         them, hence [==]), on-chip set and channel assignment — and,
-         with fusion on, from the fusion pass's decisions on it: the
-         effective metric is the pre-fusion one rescaled by the
-         segments and streamed weights, and the effective on-chip set
-         adds the segments' internal values.  Faults opt out: the
-         degrade callback closes over the whole plan. *)
-      let same_decisions (a : Lcmm_fusion.Fusion.t) (b : Lcmm_fusion.Fusion.t) =
-        a.Lcmm_fusion.Fusion.segments = b.Lcmm_fusion.Fusion.segments
-        && a.Lcmm_fusion.Fusion.streamed = b.Lcmm_fusion.Fusion.streamed
-      in
-      let same_solution a b =
-        let (pa : F.plan) = a.unfused and (pb : F.plan) = b.unfused in
-        pa.F.metric == pb.F.metric
-        && Option.equal ( == ) pa.F.prefetch pb.F.prefetch
-        && Lcmm.Metric.Item_set.equal pa.F.allocation.Lcmm.Dnnk.on_chip
-             pb.F.allocation.Lcmm.Dnnk.on_chip
-        && pa.F.channel_assignment = pb.F.channel_assignment
-        && Option.equal same_decisions a.fused b.fused
+      (* [search] is deterministic in its engine inputs, and a round
+         that does not improve ends the loop, so a round whose plans
+         equal the best (previous) round's reuses its outcome.  Equal
+         means what the engine reads: the metric ([==], else equal in
+         content — fusion rebuilds it), the PDG ([==]: every plan of a
+         model shares the prepared one), the on-chip set and the channel
+         assignment; the isolated runs and EDF slack follow from them.
+         Faults opt out: the degrade callback closes over the whole
+         plan. *)
+      let same_solution { plan = a; _ } { plan = b; _ } =
+        (a.F.metric == b.F.metric || a.F.metric = b.F.metric)
+        && Option.equal ( == ) a.F.prefetch b.F.prefetch
+        && Lcmm.Metric.Item_set.equal a.F.allocation.Lcmm.Dnnk.on_chip
+             b.F.allocation.Lcmm.Dnnk.on_chip
+        && a.F.channel_assignment = b.F.channel_assignment
       in
       let same_inputs prev plans =
         injector = None
@@ -381,7 +362,6 @@ let run ?pool options specs =
              (fun (_, _, a) (_, _, b) -> same_solution a b)
              prev plans
       in
-      let previous = ref None in
       let best = ref None in
       let history = ref [] in
       let converged = ref false in
@@ -390,11 +370,10 @@ let run ?pool options specs =
       let round = ref 0 in
       while !round < schedule_rounds && not !converged do
         let outcome =
-          match !previous with
+          match !best with
           | Some (outcome, prev) when same_inputs prev !plans -> outcome
           | _ -> search !plans
         in
-        previous := Some (outcome, !plans);
         history := outcome.Optimizer.result.Engine.makespan :: !history;
         let improved =
           match !best with
@@ -449,7 +428,7 @@ let run ?pool options specs =
   in
   let run_of = Hashtbl.create 8 in
   Array.iteri
-    (fun k (i, grant, { plan; iso; _ }) ->
+    (fun k (i, grant, { plan; iso }) ->
       Hashtbl.replace run_of i (grant, plan, iso, sim.Engine.tenants.(k)))
     admitted;
   let tenants =

@@ -5,9 +5,9 @@
     compiles every distinct model once (DSE + unconstrained LCMM plan),
     asks {!Admission} which tenants fit the board, splits the tensor
     SRAM budget across the admitted set with {!Partition}, re-runs the
-    LCMM framework per tenant against its share
-    ({!Lcmm.Framework.plan_partitioned}), and co-simulates the admitted
-    plans under shared DDR bandwidth with {!Engine}.
+    LCMM framework's allocation per tenant against its share
+    ({!Lcmm.Framework.allocate}), and co-simulates the admitted plans
+    under shared DDR bandwidth with {!Engine}.
 
     With a single tenant the partition grants the whole budget, the
     unconstrained plan is reused verbatim, and the reported latency
@@ -58,16 +58,15 @@ val schedule_rounds : int
     planner stall scales, and replans; stops early when a round fails to
     improve or the scales reach a fixpoint.  Ignored by [greedy]/[edf].
 
-    A round whose engine inputs equal the previous round's reuses that
-    round's {!Optimizer.outcome} instead of searching again —
-    {!Optimizer.search} is deterministic in them, so the report is
-    unchanged and still counts the round, its makespan and the
-    convergence.  Inputs are equal when, for every admitted tenant, the
-    new pre-fusion plan has the same physical metric and PDG ([==]), an
-    [Item_set.equal] on-chip set and an equal channel assignment, and —
-    with fusion on — the fusion pass chose the same segments and
-    streamed weights on it.  Fault injection opts out (the degrade
-    callback closes over the whole plan). *)
+    A round whose plans equal the previous round's reuses that round's
+    {!Optimizer.outcome} instead of searching again —
+    {!Optimizer.search} is deterministic in its engine inputs, so the
+    report is unchanged and still counts the round, its makespan and
+    the convergence.  Plans are equal when, for every admitted tenant,
+    the plan the engine runs has the same metric ([==], else structural
+    [=]: fusion rebuilds it), the same PDG ([==]), an [Item_set.equal]
+    on-chip set and an equal channel assignment.  Fault injection opts
+    out (the degrade callback closes over the whole plan). *)
 
 val run : ?pool:Lcmm.Pool.t -> options -> spec list -> Report.t
 (** Admit, partition, compile and co-simulate the tenants;

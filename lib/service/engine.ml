@@ -529,6 +529,39 @@ let breaker_guarded (env : P.envelope) =
   | P.Compile _ | P.Simulate _ | P.Run _ -> true
   | P.Batch _ | P.Stats | P.Models | P.Cache_get _ | P.Cache_put _ -> false
 
+(* Admit a request past its op's breaker and hand it to the pool; a
+   request the breaker sheds never reaches the pool. *)
+let dispatch t (env : P.envelope) =
+  match
+    if breaker_guarded env then breaker_admit t (P.op_name env.P.request)
+    else None
+  with
+  | Some msg -> Error (shed_response t env msg)
+  | None -> Ok (Lcmm.Pool.submit t.worker_pool (fun () -> handle_leaf t env))
+
+(* Wait for a dispatched request and record its outcome with its op's
+   breaker.  A deadline of [ms] is measured from [t0]; past it the
+   request answers with a timeout response. *)
+let collect t ~t0 ~deadline_ms (env : P.envelope) = function
+  | Error shed -> shed
+  | Ok fut -> (
+    let record r =
+      if breaker_guarded env then
+        breaker_record t (P.op_name env.P.request) r.outcome;
+      r
+    in
+    match deadline_ms with
+    | None -> (
+      match Lcmm.Pool.await fut with Ok r -> record r | Error e -> raise e)
+    | Some ms -> (
+      let remaining = (ms /. 1e3) -. (Unix.gettimeofday () -. t0) in
+      match Lcmm.Pool.await_within ~seconds:remaining fut with
+      | Some (Ok r) -> record r
+      | Some (Error e) -> raise e
+      | None ->
+        record
+          (timeout_response t env ~elapsed_s:(Unix.gettimeofday () -. t0) ~ms)))
+
 let handle t (env : P.envelope) =
   let deadline_ms =
     match env.P.deadline_ms with
@@ -542,52 +575,16 @@ let handle t (env : P.envelope) =
        deadlines are measured from the batch's start (the batch budget
        bounds the whole fan-out); a sub may carry its own override. *)
     let t0 = Unix.gettimeofday () in
-    (* A sub-request shed by its op's breaker never reaches the pool;
-       everything else fans out as before. *)
-    let futures =
-      List.map
-        (fun (sub : P.envelope) ->
-          match
-            if breaker_guarded sub then
-              breaker_admit t (P.op_name sub.P.request)
-            else None
-          with
-          | Some msg -> Error (shed_response t sub msg)
-          | None ->
-            Ok (Lcmm.Pool.submit t.worker_pool (fun () -> handle_leaf t sub)))
-        subs
-    in
+    let futures = List.map (dispatch t) subs in
     let responses =
       List.map2
         (fun (sub : P.envelope) fut ->
-          let record r =
-            if breaker_guarded sub then
-              breaker_record t (P.op_name sub.P.request) r.outcome;
-            r
+          let deadline_ms =
+            match sub.P.deadline_ms with
+            | Some ms -> Some ms
+            | None -> deadline_ms
           in
-          match fut with
-          | Error shed -> shed
-          | Ok fut -> (
-            let sub_ms =
-              match sub.P.deadline_ms with
-              | Some ms -> Some ms
-              | None -> deadline_ms
-            in
-            match sub_ms with
-            | None -> (
-              match Lcmm.Pool.await fut with
-              | Ok r -> record r
-              | Error e -> raise e)
-            | Some ms -> (
-              let remaining = (ms /. 1e3) -. (Unix.gettimeofday () -. t0) in
-              match Lcmm.Pool.await_within ~seconds:remaining fut with
-              | Some (Ok r) -> record r
-              | Some (Error e) -> raise e
-              | None ->
-                record
-                  (timeout_response t sub
-                     ~elapsed_s:(Unix.gettimeofday () -. t0)
-                     ~ms))))
+          collect t ~t0 ~deadline_ms sub fut)
         subs futures
     in
     let elapsed_s = Unix.gettimeofday () -. t0 in
@@ -601,28 +598,9 @@ let handle t (env : P.envelope) =
       outcome = Ok Json.Null;  (* rendered from [subs] *)
       subs = responses;
       checksum = env.P.checksum }
-  | P.Compile _ | P.Simulate _ | P.Run _ -> (
-    let op = P.op_name env.P.request in
-    match breaker_admit t op with
-    | Some msg -> shed_response t env msg
-    | None -> (
-      let record r =
-        breaker_record t op r.outcome;
-        r
-      in
-      match deadline_ms with
-      | None -> record (Lcmm.Pool.run t.worker_pool (fun () -> handle_leaf t env))
-      | Some ms -> (
-        let t0 = Unix.gettimeofday () in
-        let fut = Lcmm.Pool.submit t.worker_pool (fun () -> handle_leaf t env) in
-        match Lcmm.Pool.await_within ~seconds:(ms /. 1e3) fut with
-        | Some (Ok r) -> record r
-        | Some (Error e) -> raise e
-        | None ->
-          record
-            (timeout_response t env
-               ~elapsed_s:(Unix.gettimeofday () -. t0)
-               ~ms))))
+  | P.Compile _ | P.Simulate _ | P.Run _ ->
+    let t0 = Unix.gettimeofday () in
+    collect t ~t0 ~deadline_ms env (dispatch t env)
   (* Cache probes and seeds are cheap table lookups; like stats they run
      on the caller thread and bypass breakers and deadlines, so peer
      fill keeps working while a shard's compute path is tripped. *)

@@ -2,9 +2,8 @@
    graphs, the optimized adjacency rows (word-wise prefix overlap fill
    plus class-mask never-share folding) must agree pair for pair with the
    naive definition — [Liveness.overlaps] on the item intervals, or a
-   cross-pool (feature vs weight) pair.  Both the pairwise-predicate and
-   the partition-class build paths are checked against the same oracle,
-   and against each other. *)
+   cross-pool (feature vs weight) pair, built with the planner's
+   partition classes. *)
 
 module Metric = Lcmm.Metric
 module Liveness = Lcmm.Liveness
@@ -49,8 +48,7 @@ let items_and_intervals ?(prefetch = false) g =
 
 let check_graph ~case items intervals =
   let n = Array.length items in
-  let by_pred = Interference.build ~never_share ~items ~intervals () in
-  let by_class = Interference.build ~never_share_class ~items ~intervals () in
+  let g = Interference.build ~never_share_class ~items ~intervals () in
   for i = 0 to n - 1 do
     let expected_degree = ref 0 in
     for j = 0 to n - 1 do
@@ -60,34 +58,29 @@ let check_graph ~case items intervals =
            || never_share items.(i) items.(j))
       in
       if expected then incr expected_degree;
-      if Interference.conflict by_pred i j <> expected then
-        Alcotest.failf "case %d: predicate build disagrees at (%d,%d)" case i j;
-      if Interference.conflict by_class i j <> expected then
-        Alcotest.failf "case %d: class build disagrees at (%d,%d)" case i j
+      if Interference.conflict g i j <> expected then
+        Alcotest.failf "case %d: build disagrees at (%d,%d)" case i j
     done;
-    if Interference.degree by_pred i <> !expected_degree then
-      Alcotest.failf "case %d: predicate degree mismatch at %d" case i;
-    if Interference.degree by_class i <> !expected_degree then
-      Alcotest.failf "case %d: class degree mismatch at %d" case i
+    if Interference.degree g i <> !expected_degree then
+      Alcotest.failf "case %d: degree mismatch at %d" case i
   done;
   (* False edges fold into the rows incrementally: forcing apart the
-     first non-conflicting pair must flip conflict/degree on both
-     builds without disturbing any other pair. *)
+     first non-conflicting pair must flip its conflict and degree. *)
   let free = ref None in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      if !free = None && not (Interference.conflict by_pred i j) then
+      if !free = None && not (Interference.conflict g i j) then
         free := Some (i, j)
     done
   done;
   match !free with
   | None -> ()
   | Some (i, j) ->
-    let d_i = Interference.degree by_pred i in
-    Interference.add_false_edge by_pred i j;
-    if not (Interference.conflict by_pred i j && Interference.conflict by_pred j i)
+    let d_i = Interference.degree g i in
+    Interference.add_false_edge g i j;
+    if not (Interference.conflict g i j && Interference.conflict g j i)
     then Alcotest.failf "case %d: false edge (%d,%d) not reflected" case i j;
-    if Interference.degree by_pred i <> d_i + 1 then
+    if Interference.degree g i <> d_i + 1 then
       Alcotest.failf "case %d: false edge (%d,%d) degree not bumped" case i j
 
 let test_oracle () =

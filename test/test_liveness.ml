@@ -79,8 +79,8 @@ let test_never_share () =
     | Metric.Weight_of _ | Metric.Weight_slice _ -> true
     | Metric.Feature_value _ -> false
   in
-  let never a b = is_weight a <> is_weight b in
-  let g = Lcmm.Interference.build ~never_share:never ~items ~intervals () in
+  let never_share_class item = if is_weight item then 1 else 0 in
+  let g = Lcmm.Interference.build ~never_share_class ~items ~intervals () in
   Alcotest.(check bool) "cross-kind conflict despite disjoint lifespans" true
     (Lcmm.Interference.conflict g 0 1)
 

@@ -53,6 +53,15 @@ let replicas model n =
   let g = Models.Zoo.build model in
   List.init n (fun k -> spec model k g)
 
+(* [(model, replicas, priority)] parts; the replicas of a model share
+   one graph. *)
+let mix parts =
+  List.concat_map
+    (fun (model, count, priority) ->
+      let g = Models.Zoo.build model in
+      List.init count (fun k -> spec ~priority model k g))
+    parts
+
 let run_mix ?(scheduler = Rt.Scheduler.Edf)
     ?(arbitration = Rt.Arbiter.Fair_share) ?(channels = 1) specs =
   Rt.Runtime.run
@@ -755,18 +764,13 @@ let reference_optimized (options : Rt.Runtime.options) specs
    notice: on every mix, at one and two domains, [Runtime.run]'s JSON
    equals the always-search reference byte for byte.  The mixes cover
    both arbitrations, mixes whose second round repeats its inputs,
-   fusion with two channels (fresh fused metrics: never reused), the ci
-   fault spec (faults opt out of reuse), and a generated fan graph whose
-   scaled replan prunes a prefetch: its second round searches new
-   inputs and improves, its third repeats the second's. *)
+   fusion with two channels (each round's fused metrics are fresh but
+   equal in content, so the squeezenet + inception_v4 mix reuses its
+   first search), the ci fault spec (faults opt out of reuse), and a
+   generated fan graph whose scaled replan prunes a prefetch: its
+   second round searches new inputs and improves, its third repeats
+   the second's. *)
 let test_search_reuse_exact () =
-  let mix parts =
-    List.concat_map
-      (fun (model, count, priority) ->
-        let g = Models.Zoo.build model in
-        List.init count (fun k -> spec ~priority model k g))
-      parts
-  in
   let optimized ?(channels = 1) ?(fusion = false) ?faults arbitration =
     { Rt.Runtime.default_options with
       scheduler = Rt.Scheduler.Optimized;
@@ -804,6 +808,9 @@ let test_search_reuse_exact () =
         mix [ ("squeezenet", 2, 0); ("inception_v4", 2, 1) ] );
       ( "mobilenet_v2! + resnet50 + vgg16", optimized prio,
         mix [ ("mobilenet_v2", 1, 0); ("resnet50", 1, 1); ("vgg16", 1, 1) ] );
+      ( "squeezenet!x2 + inception_v4 x2, fusion, 2 channels",
+        optimized ~channels:2 ~fusion:true prio,
+        mix [ ("squeezenet", 2, 0); ("inception_v4", 2, 1) ] );
       ( "squeezenet!x2 + alexnet, fusion, 2 channels",
         optimized ~channels:2 ~fusion:true prio,
         mix [ ("squeezenet", 2, 0); ("alexnet", 1, 1) ] );
@@ -1095,6 +1102,46 @@ let test_engine_golden () =
     expected lines;
   Alcotest.(check bool) "a faulted run degrades" true (degraded > 0)
 
+(* --- runtime report goldens --- *)
+
+(* The two committed runtime reports the reuse rule can move, as
+   [lcmm runtime --json] writes them, at one and two planner domains:
+   [--tenants alexnet:2,squeezenet:1 --fusion] and [--tenants
+   squeezenet:2:0,inception_v4:2:1 --scheduler optimized --arbitration
+   priority --fusion --channels 2]. *)
+let test_runtime_goldens () =
+  let fusion ?(channels = 1) ?(scheduler = Rt.Scheduler.Edf)
+      ?(arbitration = Rt.Arbiter.Fair_share) () =
+    { Rt.Runtime.default_options with
+      scheduler;
+      arbitration;
+      channels;
+      fw_options = { F.default_options with F.fusion = true } }
+  in
+  let cases =
+    [ ( "golden/runtime_fusion.golden.json", fusion (),
+        mix [ ("alexnet", 2, 0); ("squeezenet", 1, 0) ] );
+      ( "golden/runtime_optimized.golden.json",
+        fusion ~channels:2 ~scheduler:Rt.Scheduler.Optimized
+          ~arbitration:Rt.Arbiter.Priority (),
+        mix [ ("squeezenet", 2, 0); ("inception_v4", 2, 1) ] ) ]
+  in
+  let json r =
+    Dnn_serial.Json.to_string ~indent:2 (Rt.Report.to_json r) ^ "\n"
+  in
+  let pool = Lcmm.Pool.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Lcmm.Pool.shutdown pool)
+    (fun () ->
+      List.iter
+        (fun (path, options, specs) ->
+          let expected = In_channel.with_open_text path In_channel.input_all in
+          Alcotest.(check string) (path ^ ", 1 domain") expected
+            (json (Rt.Runtime.run options specs));
+          Alcotest.(check string) (path ^ ", 2 domains") expected
+            (json (Rt.Runtime.run ~pool options specs)))
+        cases)
+
 (* --- report plumbing --- *)
 
 let test_report_json_shape () =
@@ -1159,4 +1206,5 @@ let suite =
     Alcotest.test_case "search equal inputs, equal outcomes" `Slow
       test_search_equal_inputs;
     Alcotest.test_case "engine runs pinned" `Quick test_engine_golden;
+    Alcotest.test_case "runtime goldens pinned" `Quick test_runtime_goldens;
     Alcotest.test_case "report json shape" `Quick test_report_json_shape ]
