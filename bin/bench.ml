@@ -1059,9 +1059,12 @@ let faults_experiment () =
    pass times. *)
 let perf_sizes = [ 64; 256; 1024; 4096; 16384 ]
 
-(* Skip-family (DenseNet-style) graphs: few nodes, very wide fan-in, so
-   the time goes to DNNK's Eq. 1 folds rather than to the graph passes.
-   The same seeds as the skip graphs perfbench's plan-scale plans. *)
+(* Skip-family (DenseNet-style) graphs: few nodes, very wide fan-in
+   (each node reads about half the values before it), so DNNK's time
+   goes to the static-gain sort: one Eq. 1 kernel call per affected
+   node of every buffer, each reading ~N/2 input slots of the mark.
+   Every buffer fits at these sizes, so the DP never runs.  The same
+   seeds as the skip graphs perfbench's plan-scale plans. *)
 let perf_skip_sizes = [ 256; 384; 512 ]
 
 let perf_experiment () =

@@ -140,12 +140,14 @@ awk -F': ' '/"family"/ { fam = $2 } /"nodes"/ { n = $2 + 0 }
 # The benchmark must carry the 16k-node scale row.
 grep -q '"nodes": 16384' "$out"
 # Skip-family (DenseNet-style) rows time DNNK where the fan-in is wide.
-# The 512-node row's DNNK pass must stay within 60 ms; evaluating Eq. 1
-# over boxed items and hash lookups took ~200 ms there.
+# The 512-node row's DNNK pass must stay within 30 ms; evaluating Eq. 1
+# over boxed items and hash lookups took ~200 ms there, a closure call
+# per queried item 31-37 ms, and the mark-reading kernel 13-15 ms on a
+# 2-vCPU host.
 grep -q '"family": "skip"' "$out"
 awk -F': ' '/"family"/ { fam = $2 } /"nodes"/ { n = $2 + 0 }
             /"dnnk_us"/ && fam ~ /"skip"/ && n == 512 { seen = 1; us = $2 + 0 }
-            END { exit (seen && us <= 60000) ? 0 : 1 }' "$out"
+            END { exit (seen && us <= 30000) ? 0 : 1 }' "$out"
 # The 4096-node mixed row times the passes a splitting trial repeats.
 # Coloring must stay within 18 ms, interference within 11 ms and the
 # splitting loop within 130 ms; per-edge bit sets, member scans and a

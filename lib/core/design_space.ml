@@ -20,13 +20,14 @@ let sweep metric ~dtype ~total_macs ~blocks =
   let arr = Array.of_list blocks in
   let total = 1 lsl n in
   let points = ref [] in
+  let on = Metric.mark (Metric.item_count metric) in
   for mask = 0 to total - 1 do
     let items = ref [] in
     for i = 0 to n - 1 do
       if mask land (1 lsl i) <> 0 then items := snd arr.(i) @ !items
     done;
-    let on_chip = Metric.Item_set.of_list !items in
-    let latency = Metric.total_latency metric ~on_chip in
+    Metric.mark_set metric on (Metric.Item_set.of_list !items);
+    let latency = Metric.total_latency_on metric on in
     let sram_bytes =
       List.fold_left
         (fun acc it ->

@@ -52,13 +52,11 @@ type row_consts = {
 (* Scratch reused across allocator calls (the splitting loop re-runs
    the allocator up to 16 times over near-identical buffer sets): the
    DP arrays, which are zeroed rather than reallocated, the gain and
-   row-key buffers, the generation-cleared row memo, and three arrays
+   row-key buffers, the generation-cleared row memo, and two tables
    over the metric's dense item indices, grown on demand:
 
    - [owner]: the DP row owning each item, -1 for none;
-   - [mark], [extra]: item sets as stamps — an item is in the set of
-     stamp [s] when its slot holds [s], so a fresh stamp is an empty
-     set and nothing is ever cleared.
+   - [mark]: the item set the Eq. 1 kernel reads, emptied in O(1).
 
    No value survives a call, so one workspace serves any metric. *)
 type workspace = {
@@ -72,9 +70,7 @@ type workspace = {
   mutable memo_gen : int array;
   mutable gen : int;
   mutable owner : int array;
-  mutable mark : int array;
-  mutable extra : int array;
-  mutable stamp : int;
+  mutable mark : Metric.mark;
 }
 
 let workspace () =
@@ -88,26 +84,17 @@ let workspace () =
     memo_gen = [||];
     gen = 0;
     owner = [||];
-    mark = [||];
-    extra = [||];
-    stamp = 0 }
+    mark = Metric.mark 0 }
 
-(* A stamp no slot of [mark] or [extra] holds yet. *)
-let fresh_stamp ws =
-  ws.stamp <- ws.stamp + 1;
-  ws.stamp
+let add_members metric m vb =
+  List.iter (fun it -> Metric.add m (Metric.item_index metric it)) vb.Vbuffer.members
 
-(* [mark] holding exactly the members of [vbufs] under a fresh stamp;
-   returns the membership test. *)
+(* The workspace mark holding exactly the members of [vbufs]. *)
 let mark_vbufs ws metric vbufs =
-  let mark = ws.mark and s = fresh_stamp ws in
-  List.iter
-    (fun vb ->
-      List.iter
-        (fun it -> mark.(Metric.item_index metric it) <- s)
-        vb.Vbuffer.members)
-    vbufs;
-  fun i -> mark.(i) = s
+  let m = ws.mark in
+  Metric.clear m;
+  List.iter (add_members metric m) vbufs;
+  m
 
 let block_bytes = Fpga.Resource.uram_bytes
 
@@ -133,18 +120,13 @@ let finish ws metric ~capacity_blocks rows chosen_ids =
       spilled = List.map fst pending;
       on_chip = set_of_vbufs chosen;
       predicted_latency =
-        Metric.total_latency_ix metric ~on:(mark_vbufs ws metric chosen);
+        Metric.total_latency_on metric (mark_vbufs ws metric chosen);
       capacity_blocks;
       used_blocks =
         List.fold_left
           (fun acc vb -> acc + blocks_of_bytes vb.Vbuffer.size_bytes)
           0 chosen },
     pending )
-
-(* Nodes whose latency any member of the buffer influences. *)
-let affected_nodes_of_vbuf metric vb =
-  List.concat_map (Metric.affected_nodes metric) vb.Vbuffer.members
-  |> List.sort_uniq compare |> Array.of_list
 
 (* A dependent node's memo key at one column: bit [b] is the placement
    bit of its [b]-th earlier row [deps.(b)] (pbuf_table row [o + 1]). *)
@@ -236,25 +218,23 @@ let knapsack_dp ws ~capacity ~sizes ~row_gain =
    (a term only pays off once its node's larger terms are also pinned).
    [pending] pairs each spilled buffer with its affected nodes. *)
 let sweep_up ws metric ~capacity_blocks (result, pending) =
-  let extra = ws.extra in
+  let on = mark_vbufs ws metric result.chosen in
   let rec loop result pending =
     let free = capacity_blocks - result.used_blocks in
-    let on = mark_vbufs ws metric result.chosen in
     let candidate =
       List.filter_map
         (fun (vb, affected) ->
           let blocks = blocks_of_bytes vb.Vbuffer.size_bytes in
           if blocks > free then None
           else
-            let s = fresh_stamp ws in
-            List.iter
-              (fun it -> extra.(Metric.item_index metric it) <- s)
-              vb.Vbuffer.members;
-            let gain =
-              Metric.gain_ix metric ~before:on
-                ~after:(fun i -> on i || extra.(i) = s)
-                affected
+            let adding =
+              List.filter_map
+                (fun it ->
+                  let i = Metric.item_index metric it in
+                  if Metric.mem on i then None else Some i)
+                vb.Vbuffer.members
             in
+            let gain = Metric.swing_gain_on metric on adding affected in
             if gain > 1e-15 then Some (gain, vb) else None)
         pending
     in
@@ -276,13 +256,13 @@ let sweep_up ws metric ~capacity_blocks (result, pending) =
           (fun (vb, _) -> vb.Vbuffer.vbuf_id <> best.Vbuffer.vbuf_id)
           pending
       in
+      add_members metric on best;
       loop
         { result with
           chosen;
           spilled = List.map fst pending;
           on_chip;
-          predicted_latency =
-            Metric.total_latency_ix metric ~on:(mark_vbufs ws metric chosen);
+          predicted_latency = Metric.total_latency_on metric on;
           used_blocks = result.used_blocks + blocks_of_bytes best.Vbuffer.size_bytes }
         pending
   in
@@ -299,13 +279,17 @@ let evict_to_capacity metric ~capacity_bytes result =
   if capacity_bytes < 0 then
     invalid_arg "Dnnk.evict_to_capacity: negative capacity";
   let capacity_blocks = capacity_bytes / block_bytes in
-  let density on_chip vb =
-    let without =
-      List.fold_left
-        (fun acc it -> Metric.Item_set.remove it acc)
-        on_chip vb.Vbuffer.members
+  (* The live allocation's items; each eviction removes its buffer's. *)
+  let on = Metric.mark (Metric.item_count metric) in
+  Metric.mark_set metric on result.on_chip;
+  let members_ix vb = List.map (Metric.item_index metric) vb.Vbuffer.members in
+  (* A buffer's gain to the rest: the allocation without its members
+     against the allocation with them. *)
+  let density vb =
+    let gain =
+      Metric.swing_gain_on metric on (members_ix vb)
+        (Metric.nodes_affected metric vb.Vbuffer.members)
     in
-    let gain = Metric.marginal_gain_many metric ~on_chip:without vb.Vbuffer.members in
     gain /. float_of_int (max 1 (blocks_of_bytes vb.Vbuffer.size_bytes))
   in
   let rec loop result evicted =
@@ -317,9 +301,9 @@ let evict_to_capacity metric ~capacity_bytes result =
         let _, worst =
           List.fold_left
             (fun ((bd, _) as best) vb ->
-              let d = density result.on_chip vb in
+              let d = density vb in
               if d < bd then (d, vb) else best)
-            (density result.on_chip first, first)
+            (density first, first)
             rest
         in
         let on_chip =
@@ -327,6 +311,7 @@ let evict_to_capacity metric ~capacity_bytes result =
             (fun acc it -> Metric.Item_set.remove it acc)
             result.on_chip worst.Vbuffer.members
         in
+        List.iter (Metric.remove on) (members_ix worst);
         loop
           { result with
             chosen =
@@ -335,7 +320,7 @@ let evict_to_capacity metric ~capacity_bytes result =
                 result.chosen;
             spilled = worst :: result.spilled;
             on_chip;
-            predicted_latency = Metric.total_latency metric ~on_chip;
+            predicted_latency = Metric.total_latency_on metric on;
             used_blocks = result.used_blocks - blocks_of_bytes worst.Vbuffer.size_bytes }
           (worst :: evicted)
   in
@@ -350,7 +335,7 @@ let allocate ?(compensation = Table_approx) ?workspace:ws ?pool metric
   if capacity_bytes < 0 then invalid_arg "Dnnk.allocate: negative capacity";
   let ws = match ws with Some ws -> ws | None -> workspace () in
   let n_items = Metric.item_count metric in
-  if Array.length ws.mark < n_items then ws.mark <- Array.make n_items 0;
+  if Metric.mark_size ws.mark < n_items then ws.mark <- Metric.mark n_items;
   let capacity = capacity_bytes / block_bytes in
   (* Process buffers in decreasing static-gain order: the row-memo
      compensation then sees a node's dominant terms before its minor
@@ -359,9 +344,9 @@ let allocate ?(compensation = Table_approx) ?workspace:ws ?pool metric
   let rows =
     List.map
       (fun vb ->
-        let affected = affected_nodes_of_vbuf metric vb in
+        let affected = Metric.nodes_affected metric vb.Vbuffer.members in
         let on = mark_vbufs ws metric [ vb ] in
-        (Metric.static_gain_ix metric ~on affected, (vb, affected)))
+        (Metric.static_gain_on metric on affected, (vb, affected)))
       vbufs
     |> List.stable_sort (fun (a, _) (b, _) -> compare b a)
     |> List.map snd
@@ -383,36 +368,23 @@ let allocate ?(compensation = Table_approx) ?workspace:ws ?pool metric
       (finish ws metric ~capacity_blocks:capacity rows
          (List.map (fun i -> vbuf_arr.(i).Vbuffer.vbuf_id) chosen))
   in
-  if Array.length ws.owner < n_items then begin
-    ws.owner <- Array.make n_items (-1);
-    ws.extra <- Array.make n_items 0
-  end
+  if Array.length ws.owner < n_items then ws.owner <- Array.make n_items (-1)
   else Array.fill ws.owner 0 n_items (-1);
   (* Which DP row owns each item, for compensation lookups.  Buffers
      from the coloring pass never share an item; should a hand-built
-     input violate that, membership tests fall back to list scans so the
-     last-writer-wins owner table stays a pure compensation index. *)
+     input violate that, the last writer owns it, and membership is
+     still read from a mark of the row's own members. *)
   let owner = ws.owner in
   let members_ix =
     Array.map
       (fun vb -> List.map (Metric.item_index metric) vb.Vbuffer.members)
       vbuf_arr
   in
-  let shared_items = ref false in
-  Array.iteri
-    (fun i ixs ->
-      List.iter
-        (fun ix ->
-          let o = owner.(ix) in
-          if o >= 0 && o <> i then shared_items := true;
-          owner.(ix) <- i)
-        ixs)
-    members_ix;
-  let member_test index =
-    if !shared_items then
-      let ixs = members_ix.(index) in
-      fun ix -> List.mem ix ixs
-    else fun ix -> owner.(ix) = index
+  Array.iteri (fun i ixs -> List.iter (fun ix -> owner.(ix) <- i) ixs) members_ix;
+  (* [m] holding exactly row [index]'s members. *)
+  let mark_row m index =
+    Metric.clear m;
+    List.iter (Metric.add m) members_ix.(index)
   in
   match compensation with
   | Table_approx ->
@@ -433,7 +405,7 @@ let allocate ?(compensation = Table_approx) ?workspace:ws ?pool metric
       let nd = Array.make m [||] in
       let codes = Array.make m [||] in
       let rows_rev = ref [] in
-      let members_only = member_test index in
+      mark_row ws.mark index;
       for k = 0 to m - 1 do
         incr stamp;
         let node_stamp = !stamp in
@@ -444,7 +416,7 @@ let allocate ?(compensation = Table_approx) ?workspace:ws ?pool metric
         let node_codes =
           Metric.map_queried_ix metric aff.(k) (fun ix ->
               let o = owner.(ix) in
-              let member = members_only ix in
+              let member = Metric.mem ws.mark ix in
               if o >= 0 && o < index then begin
                 if node_seen.(o) <> node_stamp then begin
                   node_seen.(o) <- node_stamp;
@@ -471,13 +443,18 @@ let allocate ?(compensation = Table_approx) ?workspace:ws ?pool metric
       row_deps.(index) <- deps
     done;
     (* Phase B: the column-independent constants of every row.  A row
-       only reads the metric and the owner table, so rows run on the
-       pool. *)
+       only reads the metric and marks its own members in its range's
+       scratch mark, so rows run on the pool. *)
+    let scratch =
+      match pool with
+      | None -> fun () -> ws.mark
+      | Some _ -> fun () -> Metric.mark n_items
+    in
     let consts =
-      Pool.init pool n (fun index ->
+      Pool.init_with pool n scratch (fun row index ->
           let aff = affected.(index) in
           let deps = node_deps.(index) in
-          let members_only = member_test index in
+          mark_row row index;
           let m = Array.length aff in
           let const_without = Array.make m 0. in
           let const_with = Array.make m 0. in
@@ -485,7 +462,7 @@ let allocate ?(compensation = Table_approx) ?workspace:ws ?pool metric
           for k = 0 to m - 1 do
             if Array.length deps.(k) = 0 then begin
               const_without.(k) <- Metric.umm_latency metric aff.(k);
-              const_with.(k) <- Metric.node_latency_ix metric ~on:members_only aff.(k);
+              const_with.(k) <- Metric.node_latency_on metric row aff.(k);
               total := !total +. const_without.(k) -. const_with.(k)
             end
           done;
@@ -609,18 +586,10 @@ let allocate ?(compensation = Table_approx) ?workspace:ws ?pool metric
     (* Round 0 seeds with static (empty-allocation) gains; later rounds
        re-measure each buffer against the previous winner minus itself. *)
     let gains = Array.make n 0. in
-    let extra = ws.extra in
     let seed baseline =
       let on = mark_vbufs ws metric baseline in
       Array.iteri
-        (fun i ixs ->
-          let s = fresh_stamp ws in
-          List.iter (fun ix -> extra.(ix) <- s) ixs;
-          gains.(i) <-
-            Metric.gain_ix metric
-              ~before:(fun ix -> on ix && extra.(ix) <> s)
-              ~after:(fun ix -> on ix || extra.(ix) = s)
-              affected.(i))
+        (fun i ixs -> gains.(i) <- Metric.swing_gain_on metric on ixs affected.(i))
         members_ix
     in
     let run () =

@@ -122,13 +122,15 @@ let unhidden_stalls prefetch on_chip =
 
 let helped_and_bound metric on_chip =
   let profiles = metric.Metric.profiles in
+  let on = Metric.mark (Metric.item_count metric) in
+  Metric.mark_set metric on on_chip;
   let helped = ref 0 and bound = ref 0 in
   Array.iter
     (fun p ->
       if Latency.is_memory_bound p then begin
         incr bound;
         let id = p.Latency.node_id in
-        let now = Metric.node_latency metric ~on_chip id in
+        let now = Metric.node_latency_on metric on id in
         if now < Latency.umm_node_latency p -. 1e-12 then incr helped
       end)
     profiles;
@@ -329,6 +331,10 @@ let finish ?(stall_scale = 1.) al =
           | Metric.Feature_value _ -> acc)
         0. vb.Vbuffer.members
   in
+  (* The allocation's items; a pruned buffer's members leave it. *)
+  let on = Metric.mark (Metric.item_count metric) in
+  Metric.mark_set metric on al.al_allocation.Dnnk.on_chip;
+  let members_ix vb = List.map (Metric.item_index metric) vb.Vbuffer.members in
   let rec prune (allocation : Dnnk.result) =
     let candidates =
       List.filter_map
@@ -336,27 +342,30 @@ let finish ?(stall_scale = 1.) al =
           let stall = scaled (vbuf_stall vb) in
           if stall <= 0. then None
           else
-            let without =
-              List.fold_left
-                (fun acc it -> Metric.Item_set.remove it acc)
-                allocation.Dnnk.on_chip vb.Vbuffer.members
-            in
+            (* The buffer's benefit: the allocation without its members
+               against the allocation with them. *)
             let benefit =
-              Metric.marginal_gain_many metric ~on_chip:without vb.Vbuffer.members
+              Metric.swing_gain_on metric on (members_ix vb)
+                (Metric.nodes_affected metric vb.Vbuffer.members)
             in
-            if stall > benefit +. 1e-15 then Some (stall -. benefit, vb, without)
+            if stall > benefit +. 1e-15 then Some (stall -. benefit, vb)
             else None)
         allocation.Dnnk.chosen
     in
     match candidates with
     | [] -> allocation
     | first :: rest ->
-      let _, worst, without =
+      let _, worst =
         List.fold_left
-          (fun ((bn, _, _) as best) ((n, _, _) as cand) ->
-            if n > bn then cand else best)
+          (fun ((bn, _) as best) ((n, _) as cand) -> if n > bn then cand else best)
           first rest
       in
+      let without =
+        List.fold_left
+          (fun acc it -> Metric.Item_set.remove it acc)
+          allocation.Dnnk.on_chip worst.Vbuffer.members
+      in
+      List.iter (Metric.remove on) (members_ix worst);
       prune
         { allocation with
           Dnnk.chosen =
@@ -365,7 +374,7 @@ let finish ?(stall_scale = 1.) al =
               allocation.Dnnk.chosen;
           spilled = worst :: allocation.Dnnk.spilled;
           on_chip = without;
-          predicted_latency = Metric.total_latency metric ~on_chip:without;
+          predicted_latency = Metric.total_latency_on metric on;
           used_blocks =
             allocation.Dnnk.used_blocks
             - Dnnk.blocks_of_bytes worst.Vbuffer.size_bytes }

@@ -8,10 +8,31 @@ type item =
   | Weight_of of int
   | Weight_slice of { node : int; index : int; of_k : int }
 
+(* [Stdlib.compare]'s order on items, without its polymorphic walk:
+   constructors in declaration order, then their fields left to right.
+   Only the sign of a comparison steers [Set], so every set (and every
+   fold over one) keeps the order the polymorphic compare gave it. *)
+let compare_item a b =
+  match (a, b) with
+  | Feature_value x, Feature_value y | Weight_of x, Weight_of y ->
+    Int.compare x y
+  | Feature_value _, (Weight_of _ | Weight_slice _) | Weight_of _, Weight_slice _
+    ->
+    -1
+  | (Weight_of _ | Weight_slice _), Feature_value _ | Weight_slice _, Weight_of _
+    ->
+    1
+  | Weight_slice a, Weight_slice b ->
+    let c = Int.compare a.node b.node in
+    if c <> 0 then c
+    else
+      let c = Int.compare a.index b.index in
+      if c <> 0 then c else Int.compare a.of_k b.of_k
+
 module Item_set = Set.Make (struct
   type t = item
 
-  let compare = Stdlib.compare
+  let compare = compare_item
 end)
 
 type t = {
@@ -59,22 +80,50 @@ let item_of_index t i =
     Weight_slice
       { node; index = i - t.slice_base.(node); of_k = t.slices.(node) }
 
+(* A set of dense item indices: index [i] is in it exactly when
+   [slots.(i) = stamp].  Stamps start at 1 and only grow, so a slot
+   holding 0 is out under every stamp and [clear] is one increment. *)
+type mark = { slots : int array; mutable stamp : int }
+
+let mark n = { slots = Array.make n 0; stamp = 1 }
+let mark_size m = Array.length m.slots
+let clear m = m.stamp <- m.stamp + 1
+let add m i = m.slots.(i) <- m.stamp
+let remove m i = m.slots.(i) <- 0
+let[@inline] mem m i = m.slots.(i) = m.stamp
+
+let mark_set t m on_chip =
+  clear m;
+  Item_set.iter
+    (fun it ->
+      let i = index_opt t it in
+      if i >= 0 then add m i)
+    on_chip
+
 let fmax (a : float) b = if a >= b then a else b
 
-(* Eq. 1 with fractional weight residency: the streamed share of a sliced
-   weight tensor scales its transfer term.  [fmax] is [Stdlib.max]
-   specialised to floats (same comparison, same result). *)
-let node_latency_ix t ~on id =
+(* The Eq. 1 kernel, with fractional weight residency: the streamed
+   share of a sliced weight tensor scales its transfer term.  [fmax] is
+   [Stdlib.max] specialised to floats (same comparison, same result).
+   The input-term loop reads unchecked: [j] stays below the length of
+   [ids] and [secs] (one list made both), [build] checked every id
+   against [node_count], and [node_count <= item_count <= mark_size]
+   is checked here once per call. *)
+let node_latency_on t m id =
+  let slots = m.slots and stamp = m.stamp in
+  if Array.length slots < t.item_count then
+    invalid_arg "Metric.node_latency_on: mark smaller than the metric";
   let p = t.profiles.(id) in
   let k = t.slices.(id) in
   let wt_time =
     if p.Latency.wt_term <= 0. then 0.
-    else if k = 1 then if on (t.node_count + id) then 0. else p.Latency.wt_term
+    else if k = 1 then
+      if slots.(t.node_count + id) = stamp then 0. else p.Latency.wt_term
     else begin
       let base = t.slice_base.(id) in
       let off = ref 0 in
       for index = 0 to k - 1 do
-        if not (on (base + index)) then incr off
+        if slots.(base + index) <> stamp then incr off
       done;
       p.Latency.wt_term *. float_of_int !off /. float_of_int k
     end
@@ -82,9 +131,10 @@ let node_latency_ix t ~on id =
   let ids = t.if_ids.(id) and secs = t.if_secs.(id) in
   let if_time = ref 0. in
   for j = 0 to Array.length ids - 1 do
-    if not (on ids.(j)) then if_time := !if_time +. secs.(j)
+    if Array.unsafe_get slots (Array.unsafe_get ids j) <> stamp then
+      if_time := !if_time +. Array.unsafe_get secs j
   done;
-  let of_time = if on id then 0. else p.Latency.of_term in
+  let of_time = if slots.(id) = stamp then 0. else p.Latency.of_term in
   fmax p.Latency.latc (fmax !if_time (fmax wt_time of_time))
 
 let code_off = -1
@@ -100,10 +150,10 @@ let[@inline] code_state bits col c =
   else if c = code_member then 2
   else 0
 
-(* [node_latency_ix] under two predicates at once, each decided by one
-   code per queried item (in [map_queried_ix] order).  Each evaluation
-   performs the float operations of [node_latency_ix] in the same
-   order, so both results are bit for bit the single-predicate ones. *)
+(* [node_latency_on] under two on-chip states at once, each decided by
+   one code per queried item (in [map_queried_ix] order).  Each
+   evaluation performs the float operations of [node_latency_on] in the
+   same order, so both results are bit for bit the single-state ones. *)
 let node_latency_pair_ix t id ~codes ~bits ~col out =
   let p = t.profiles.(id) in
   let k = t.slices.(id) in
@@ -184,6 +234,12 @@ let build ?(weight_slices = fun _ -> 1) graph profiles =
          else consumers)
     end
   done;
+  let if_ids = Array.map (fun p -> terms_of fst p.Latency.if_terms) profiles in
+  Array.iter
+    (Array.iter (fun v ->
+         if v < 0 || v >= node_count then
+           invalid_arg "Metric.build: an input term outside the graph"))
+    if_ids;
   let t =
     { graph;
       profiles;
@@ -193,12 +249,12 @@ let build ?(weight_slices = fun _ -> 1) graph profiles =
       slice_base;
       slice_node;
       affected;
-      if_ids = Array.map (fun p -> terms_of fst p.Latency.if_terms) profiles;
+      if_ids;
       if_secs = Array.map (fun p -> terms_of snd p.Latency.if_terms) profiles;
       umm = [||] }
   in
-  let off_chip _ = false in
-  { t with umm = Array.init node_count (node_latency_ix t ~on:off_chip) }
+  let off_chip = mark item_count in
+  { t with umm = Array.init node_count (node_latency_on t off_chip) }
 
 let weight_bytes dtype t n =
   match G.weight_shape t.graph n with
@@ -217,7 +273,7 @@ let affected_nodes t item =
 
 let umm_latency t id = t.umm.(id)
 
-(* The item indices [node_latency_ix] queries for a node, in query
+(* The item indices [node_latency_on] queries for a node, in query
    order: weight, input features, output.  DNNK's compensation tables
    key their memo bits on this enumeration. *)
 let map_queried_ix t id f =
@@ -238,50 +294,74 @@ let map_queried_ix t id f =
   out.(weights + Array.length ids) <- f id;
   out
 
-let total_latency_ix t ~on =
+let total_latency_on t m =
   let sum = ref 0. in
   for id = 0 to t.node_count - 1 do
-    sum := !sum +. node_latency_ix t ~on id
+    sum := !sum +. node_latency_on t m id
   done;
   !sum
 
-let gain_ix t ~before ~after nodes =
+let static_gain_on t m nodes =
   let acc = ref 0. in
   for k = 0 to Array.length nodes - 1 do
     let id = nodes.(k) in
-    acc :=
-      !acc +. node_latency_ix t ~on:before id -. node_latency_ix t ~on:after id
+    acc := !acc +. t.umm.(id) -. node_latency_on t m id
   done;
   !acc
 
-let static_gain_ix t ~on nodes =
+(* Every node's latency with [members] off, then each node's with them
+   on, summed as [acc +. before -. after] in node order.  [saved] holds
+   each member's prior slot, last member first, so restoring in its
+   order gives a repeated member back the value its first occurrence
+   saved. *)
+let swing_gain_on t m members nodes =
+  let slots = m.slots in
+  let saved =
+    List.fold_left
+      (fun acc i ->
+        let old = slots.(i) in
+        slots.(i) <- 0;
+        (i, old) :: acc)
+      [] members
+  in
+  let before = Array.map (node_latency_on t m) nodes in
+  List.iter (add m) members;
   let acc = ref 0. in
   for k = 0 to Array.length nodes - 1 do
-    let id = nodes.(k) in
-    acc := !acc +. t.umm.(id) -. node_latency_ix t ~on id
+    acc := !acc +. before.(k) -. node_latency_on t m nodes.(k)
   done;
+  List.iter (fun (i, old) -> slots.(i) <- old) saved;
   !acc
 
-let mem_pred t on_chip i = Item_set.mem (item_of_index t i) on_chip
+let nodes_affected t items =
+  List.concat_map (affected_nodes t) items
+  |> List.sort_uniq Int.compare |> Array.of_list
 
-let node_latency t ~on_chip id = node_latency_ix t ~on:(mem_pred t on_chip) id
+let mark_of_set t on_chip =
+  let m = mark t.item_count in
+  mark_set t m on_chip;
+  m
 
-let total_latency t ~on_chip = total_latency_ix t ~on:(mem_pred t on_chip)
+let total_latency t ~on_chip = total_latency_on t (mark_of_set t on_chip)
+
+(* The gain of adding [items] to [on_chip] over [nodes]: the items
+   already on chip, and those outside the metric, stay as they are. *)
+let gain_of_adding t ~on_chip items nodes =
+  let m = mark_of_set t on_chip in
+  let adding =
+    List.filter_map
+      (fun it ->
+        let i = index_opt t it in
+        if i >= 0 && not (mem m i) then Some i else None)
+      items
+  in
+  swing_gain_on t m adding nodes
 
 let marginal_gain_many t ~on_chip items =
-  let nodes =
-    List.concat_map (affected_nodes t) items |> List.sort_uniq compare
-  in
-  let with_items =
-    List.fold_left (fun acc it -> Item_set.add it acc) on_chip items
-  in
-  gain_ix t ~before:(mem_pred t on_chip) ~after:(mem_pred t with_items)
-    (Array.of_list nodes)
+  gain_of_adding t ~on_chip items (nodes_affected t items)
 
 let marginal_gain t ~on_chip item =
-  gain_ix t ~before:(mem_pred t on_chip)
-    ~after:(mem_pred t (Item_set.add item on_chip))
-    (Array.of_list (affected_nodes t item))
+  gain_of_adding t ~on_chip [ item ] (Array.of_list (affected_nodes t item))
 
 let eligible_items t ~memory_bound_only =
   let memory_bound = Array.map Latency.is_memory_bound t.profiles in
@@ -295,18 +375,21 @@ let eligible_items t ~memory_bound_only =
     | Dnn_graph.Op.Concat | Dnn_graph.Op.Upsample _ | Dnn_graph.Op.Dense _ ->
       false
   in
+  (* A feature value's affected nodes are its consumers, after its
+     producer when that writes the value out; no node consumes its own
+     value, so the consumers are the affected nodes other than [v]. *)
+  let has_consumer v = List.exists (fun n -> n <> v) t.affected.(v) in
   let acc = ref [] in
   for i = t.item_count - 1 downto 0 do
     let nodes = t.affected.(i) in
     let keep =
       nodes <> []
       && qualifies nodes
-      && (i >= t.node_count
-         || ((not (is_input i)) && Values.consumers t.graph i <> []))
+      && (i >= t.node_count || ((not (is_input i)) && has_consumer i))
     in
     if keep then acc := item_of_index t i :: !acc
   done;
-  List.sort compare !acc
+  List.sort compare_item !acc
 
 let pp_item ppf = function
   | Feature_value v -> Format.fprintf ppf "f%d" v

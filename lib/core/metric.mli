@@ -7,7 +7,12 @@
     depend on, so allocation algorithms can ask two questions: the exact
     whole-network latency of an allocation, and the marginal latency
     reduction of pinning one more item (the paper's Eq. 2, evaluated
-    against an explicit allocation instead of a static table). *)
+    against an explicit allocation instead of a static table).
+
+    Both are folds over one Eq. 1 kernel, {!node_latency_on}, which reads
+    on-chip state from a dense {!mark} over item indices.  The item-set
+    entries convert their set to a mark once per call; the planner's
+    passes keep their own marks and update them in place. *)
 
 type item =
   | Feature_value of int  (** Value id = producing node id. *)
@@ -18,7 +23,12 @@ type item =
           paper's whole-tensor granularity.  A node's weights appear
           either as one [Weight_of] or as [of_k] slices, never both. *)
 
+val compare_item : item -> item -> int
+(** A total order on items with the sign of [Stdlib.compare] on every
+    pair, without the polymorphic walk. *)
+
 module Item_set : Set.S with type elt = item
+(** Ordered by {!compare_item}. *)
 
 type t = private {
   graph : Dnn_graph.Graph.t;
@@ -48,7 +58,9 @@ val build :
   Accel.Latency.profile array -> t
 (** [weight_slices node] (default [fun _ -> 1]) picks the slicing
     granularity per weight-carrying node; values above 1 replace the
-    node's [Weight_of] item with that many [Weight_slice] items. *)
+    node's [Weight_of] item with that many [Weight_slice] items.
+    Raises [Invalid_argument] when an input term of a profile names a
+    node outside [0, Array.length profiles). *)
 
 val item_size_bytes : Tensor.Dtype.t -> t -> item -> int
 (** Storage the item needs on chip. *)
@@ -60,9 +72,11 @@ val affected_nodes : t -> item -> int list
 
     Every item of a metric has a dense index in [0, item_count): feature
     value [v] is [v], the weight of node [n] is [node_count + n], and the
-    slices of sliced nodes follow in node order.  The index forms below
-    are what allocators' inner loops use: a predicate over [int], flat
-    term arrays, no boxed items. *)
+    slices of sliced nodes follow in node order.  The planner's passes
+    evaluate Eq. 1 through one kernel, {!node_latency_on}, that reads
+    on-chip state from a {!mark} over these indices: one array load and
+    one integer compare per queried item, no closure and no boxed
+    item. *)
 
 val item_count : t -> int
 
@@ -71,10 +85,31 @@ val item_index : t -> item -> int
     metric does not know: a node out of range, or a [Weight_slice] that
     does not match the node's slicing. *)
 
-val node_latency_ix : t -> on:(int -> bool) -> int -> float
-(** Eq. 1 latency of one node, with [on] deciding which dense item
-    indices are on chip.  The single Eq. 1 evaluator: every other latency
-    function of this module goes through it. *)
+type mark
+(** A mutable set of dense item indices: one [int] slot per index and a
+    current stamp, an index being in the set when its slot holds the
+    stamp.  {!clear} is O(1).  Reading or writing an index at or past
+    {!mark_size} raises [Invalid_argument]. *)
+
+val mark : int -> mark
+(** [mark n]: an empty mark over the indices [0, n).  Size it with
+    {!item_count} to evaluate a metric through it. *)
+
+val mark_size : mark -> int
+val clear : mark -> unit
+val add : mark -> int -> unit
+val remove : mark -> int -> unit
+val mem : mark -> int -> bool
+
+val mark_set : t -> mark -> Item_set.t -> unit
+(** [mark_set t m on_chip] makes [m] hold exactly the indices of
+    [on_chip]'s items; items outside the metric are left out (no node
+    queries them). *)
+
+val node_latency_on : t -> mark -> int -> float
+(** The Eq. 1 kernel: node [id]'s latency with the items [m] holds on
+    chip.  Every latency and gain of this module is a fold over it.
+    Raises [Invalid_argument] when [mark_size m < item_count t]. *)
 
 (** {3 Two evaluations in one pass}
 
@@ -99,37 +134,42 @@ val node_latency_pair_ix :
   float array -> unit
 (** [node_latency_pair_ix t id ~codes ~bits ~col out] writes node [id]'s
     first-evaluation latency to [out.(0)] and its second to [out.(1)].
-    Each is bit for bit {!node_latency_ix} under the predicate the codes
+    Each is bit for bit {!node_latency_on} under the mark the codes
     describe: the same float operations in the same order. *)
 
 val umm_latency : t -> int -> float
-(** [node_latency_ix ~on:(fun _ -> false)], cached per node. *)
+(** {!node_latency_on} with nothing on chip, cached per node. *)
 
 val map_queried_ix : t -> int -> (int -> int) -> int array
 (** [map_queried_ix t id f] is [f] of exactly the item indices
-    {!node_latency_ix} queries for node [id], in query order (weight,
+    {!node_latency_on} queries for node [id], in query order (weight,
     input features, output), with [f] applied in that order.  DNNK's
     compensation tables derive their codes and memo-key bit layout from
     this enumeration; it is a pure function of the metric. *)
 
-val total_latency_ix : t -> on:(int -> bool) -> float
-(** Whole-network latency (sequential node execution) under [on]. *)
+val total_latency_on : t -> mark -> float
+(** Whole-network latency (sequential node execution) under [m]. *)
 
-val gain_ix :
-  t -> before:(int -> bool) -> after:(int -> bool) -> int array -> float
-(** [gain_ix t ~before ~after nodes] sums, over [nodes] in order, each
-    node's latency under [before] minus its latency under [after]. *)
-
-val static_gain_ix : t -> on:(int -> bool) -> int array -> float
-(** [gain_ix] from the all-off-chip state, reading the cached UMM
-    latencies.  With [nodes] the sorted affected nodes of the items [on]
-    marks, this is bit for bit
+val static_gain_on : t -> mark -> int array -> float
+(** [static_gain_on t m nodes] sums, over [nodes] in order, each node's
+    cached UMM latency minus its latency under [m].  With [nodes] the
+    sorted affected nodes of the items [m] holds, this is bit for bit
     [marginal_gain_many ~on_chip:Item_set.empty] of those items. *)
 
-(** {2 Item-set evaluation} *)
+val swing_gain_on : t -> mark -> int list -> int array -> float
+(** [swing_gain_on t m members nodes] sums, over [nodes] in order, each
+    node's latency with the [members] indices off minus its latency with
+    them on, every other index as [m] holds it.  [m] is left as it was.
+    For members [m] does not hold, this is the gain of adding them; for
+    members it holds, the gain they bring to the rest. *)
 
-val node_latency : t -> on_chip:Item_set.t -> int -> float
-(** Eq. 1 latency of one node under the allocation. *)
+val nodes_affected : t -> item list -> int array
+(** The nodes any of the items affects, sorted, without duplicates: the
+    node list {!marginal_gain_many} sums over. *)
+
+(** {2 Item-set evaluation}
+
+    Each call converts its set to a mark once and folds the kernel. *)
 
 val total_latency : t -> on_chip:Item_set.t -> float
 (** Whole-network latency (sequential node execution). *)

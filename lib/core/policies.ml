@@ -43,17 +43,21 @@ let outcome_of_vbufs name metric ~capacity_bytes chosen =
    gain-per-block ratio that still fits. *)
 let greedy metric ~capacity_bytes vbufs =
   let capacity = capacity_bytes / Dnnk.block_bytes in
+  (* The chosen buffers' items; each pick adds its buffer's. *)
+  let on = Metric.mark (Metric.item_count metric) in
+  let members_ix vb = List.map (Metric.item_index metric) vb.Vbuffer.members in
   let rec loop chosen used remaining =
-    let on_chip =
-      Metric.Item_set.of_list (List.concat_map (fun vb -> vb.Vbuffer.members) chosen)
-    in
     let scored =
       List.filter_map
         (fun vb ->
           let blocks = vbuf_blocks vb in
           if used + blocks > capacity then None
           else
-            let gain = Metric.marginal_gain_many metric ~on_chip vb.Vbuffer.members in
+            let adding = List.filter (fun i -> not (Metric.mem on i)) (members_ix vb) in
+            let gain =
+              Metric.swing_gain_on metric on adding
+                (Metric.nodes_affected metric vb.Vbuffer.members)
+            in
             if gain <= 0. then None
             else Some (gain /. float_of_int blocks, vb, blocks))
         remaining
@@ -66,6 +70,7 @@ let greedy metric ~capacity_bytes vbufs =
           (fun ((br, _, _) as b) ((r, _, _) as c) -> if r > br then c else b)
           first rest
       in
+      List.iter (Metric.add on) (members_ix best);
       loop (best :: chosen) (used + blocks)
         (List.filter (fun vb -> vb.Vbuffer.vbuf_id <> best.Vbuffer.vbuf_id) remaining)
   in
@@ -78,6 +83,12 @@ let exact_small metric ~capacity_bytes vbufs =
       (Printf.sprintf "Policies: exact enumeration limited to 20 buffers, got %d" n);
   let arr = Array.of_list vbufs in
   let capacity = capacity_bytes / Dnnk.block_bytes in
+  let members_ix =
+    Array.map
+      (fun vb -> List.map (Metric.item_index metric) vb.Vbuffer.members)
+      arr
+  in
+  let on = Metric.mark (Metric.item_count metric) in
   let best = ref ([], infinity) in
   for mask = 0 to (1 lsl n) - 1 do
     let chosen = ref [] and blocks = ref 0 in
@@ -88,11 +99,11 @@ let exact_small metric ~capacity_bytes vbufs =
       end
     done;
     if !blocks <= capacity then begin
-      let on_chip =
-        Metric.Item_set.of_list
-          (List.concat_map (fun vb -> vb.Vbuffer.members) !chosen)
-      in
-      let lat = Metric.total_latency metric ~on_chip in
+      Metric.clear on;
+      for i = 0 to n - 1 do
+        if mask land (1 lsl i) <> 0 then List.iter (Metric.add on) members_ix.(i)
+      done;
+      let lat = Metric.total_latency_on metric on in
       if lat < snd !best then best := (!chosen, lat)
     end
   done;

@@ -223,9 +223,11 @@ let map_list t f xs =
 (* Contiguous index ranges, at most four per worker, each filling its
    own piece; the pieces are concatenated in range order, so the result
    is positionally identical to [Array.init] at any domain count. *)
-let init pool n f =
+let init_with pool n scratch f =
   match pool with
-  | None -> Array.init n f
+  | None ->
+    let s = scratch () in
+    Array.init n (f s)
   | Some _ when n = 0 -> [||]
   | Some t ->
     let pieces = min n (4 * size t) in
@@ -235,7 +237,13 @@ let init pool n f =
       |> List.filter (fun (_, len) -> len > 0)
     in
     Array.concat
-      (map_list t (fun (lo, len) -> Array.init len (fun i -> f (lo + i))) ranges)
+      (map_list t
+         (fun (lo, len) ->
+           let s = scratch () in
+           Array.init len (fun i -> f s (lo + i)))
+         ranges)
+
+let init pool n f = init_with pool n ignore (fun () -> f)
 
 let busy t =
   Mutex.lock t.mutex;

@@ -63,6 +63,13 @@ val init : t option -> int -> (int -> 'a) -> 'a array
     the pieces concatenate in order, so the array is identical at any
     domain count; [f] must only write state its own index owns. *)
 
+val init_with : t option -> int -> (unit -> 's) -> ('s -> int -> 'a) -> 'a array
+(** [init_with pool n scratch f] is {!init} with per-range scratch:
+    each contiguous range (the whole of [0, n) without a pool) makes one
+    [scratch ()] and passes it to [f] for each of its indices, in
+    order.  [f] may overwrite the scratch, but no index's result may
+    depend on what an earlier index left in it. *)
+
 val busy : t -> int
 (** Workers currently executing a job. *)
 

@@ -62,9 +62,13 @@ let search ?pool ~max_segment ~headroom_bytes ~tile_th ~dtype metric ~on_chip =
   else begin
     let barrier = Array.init n (fun i -> is_barrier (G.node g i).G.op) in
     let is_val = Array.init n (fun i -> Values.is_value g i) in
-    let pinned =
-      Array.init n (fun i -> Metric.Item_set.mem (Metric.Feature_value i) on_chip)
+    let base_mark () =
+      let m = Metric.mark (Metric.item_count metric) in
+      Metric.mark_set metric m on_chip;
+      m
     in
+    let base = base_mark () in
+    let pinned = Array.init n (Metric.mem base) in
     (* Last consumer of each value, or max_int when it has none (a graph
        output: it must reach DDR, so it can never be segment-internal
        and any segment strictly containing it is illegal). *)
@@ -89,7 +93,7 @@ let search ?pool ~max_segment ~headroom_bytes ~tile_th ~dtype metric ~on_chip =
     let scale_of m hi =
       1. +. (float_of_int (khp.(hi + 1) - khp.(m + 1)) /. float_of_int tile_th)
     in
-    let base_lat = Array.init n (fun i -> Metric.node_latency metric ~on_chip i) in
+    let base_lat = Array.init n (Metric.node_latency_on metric base) in
     (* DDR bytes value v moves under the base allocation: its producer's
        write-back plus every consumer's streamed read. *)
     let value_ddr_bytes v =
@@ -114,8 +118,10 @@ let search ?pool ~max_segment ~headroom_bytes ~tile_th ~dtype metric ~on_chip =
        [lo], priced exactly.  Legality and the slab sum extend
        incrementally with [hi]; the escape rule does not (a consumer
        beyond today's [hi] may fall inside tomorrow's), so [req] tracks
-       the furthest consumer any interior value needs covered. *)
-    let candidates_at lo =
+       the furthest consumer any interior value needs covered.  [fused]
+       holds the base allocation plus today's interior values, which
+       leave it again before the next start. *)
+    let candidates_at fused lo =
       if barrier.(lo) then []
       else begin
         let acc = ref [] in
@@ -134,18 +140,14 @@ let search ?pool ~max_segment ~headroom_bytes ~tile_th ~dtype metric ~on_chip =
               req := max !req need.(v);
               if not pinned.(v) then begin
                 slabs := !slabs + slab.(v);
-                internal_rev := v :: !internal_rev
+                internal_rev := v :: !internal_rev;
+                Metric.add fused v
               end
             end;
             if !req = max_int || !slabs > headroom_bytes then stop := true
             else begin
               if !req <= h && !internal_rev <> [] then begin
                 let internal = List.rev !internal_rev in
-                let fused_on_chip =
-                  List.fold_left
-                    (fun acc v -> Metric.Item_set.add (Metric.Feature_value v) acc)
-                    on_chip internal
-                in
                 let scales = ref [] in
                 let benefit = ref 0. in
                 for m = h downto lo do
@@ -153,7 +155,7 @@ let search ?pool ~max_segment ~headroom_bytes ~tile_th ~dtype metric ~on_chip =
                   scales := (m, s) :: !scales;
                   let lat =
                     Float.max
-                      (Metric.node_latency metric ~on_chip:fused_on_chip m)
+                      (Metric.node_latency_on metric fused m)
                       (profiles.(m).Latency.latc *. s)
                   in
                   benefit := !benefit +. (base_lat.(m) -. lat)
@@ -174,10 +176,11 @@ let search ?pool ~max_segment ~headroom_bytes ~tile_th ~dtype metric ~on_chip =
             end
           end
         done;
+        List.iter (Metric.remove fused) !internal_rev;
         List.rev !acc
       end
     in
-    let per_start = Pool.init pool n candidates_at in
+    let per_start = Pool.init_with pool n base_mark candidates_at in
     let evaluated = Array.fold_left (fun a l -> a + List.length l) 0 per_start in
     (* Candidates ending at each position, in increasing-[first] order,
        for the cut DP below. *)

@@ -137,20 +137,57 @@ let prop_joint_gain_dominates_solo =
           Metric.marginal_gain m ~on_chip:Metric.Item_set.empty it <= joint +. 1e-9)
         items)
 
-(* The dense evaluator against the item-set one, bit for bit: every
-   node's Eq. 1 latency under a random on-chip set, and the static gain
-   of random item groups (DNNK's sort key), on graphs of every generator
-   family with whole and 3-way sliced weights. *)
+(* Eq. 1 as the paper states it, folded over the profile's terms with
+   on-chip membership read from the item set: the reference the kernel
+   must match bit for bit.  A sliced weight streams the share of its
+   slices left off chip. *)
+let reference_latency m on_chip id =
+  let p = m.Metric.profiles.(id) in
+  let on it = Metric.Item_set.mem it on_chip in
+  let k = m.Metric.slices.(id) in
+  let wt =
+    if p.Latency.wt_term <= 0. then 0.
+    else if k = 1 then if on (Metric.Weight_of id) then 0. else p.Latency.wt_term
+    else
+      let off =
+        List.length
+          (List.filter
+             (fun index ->
+               not (on (Metric.Weight_slice { node = id; index; of_k = k })))
+             (List.init k Fun.id))
+      in
+      p.Latency.wt_term *. float_of_int off /. float_of_int k
+  in
+  let if_time =
+    List.fold_left
+      (fun acc (v, secs) ->
+        if on (Metric.Feature_value v) then acc else acc +. secs)
+      0. p.Latency.if_terms
+  in
+  let of_time = if on (Metric.Feature_value id) then 0. else p.Latency.of_term in
+  max p.Latency.latc (max if_time (max wt of_time))
+
+(* The kernel and every item-set entry against [reference_latency], bit
+   for bit: each node's latency, the whole-network total, the static
+   gain of random item groups (DNNK's sort key) and the gain of adding
+   random items to a random allocation (before a subset of after), on
+   graphs of every generator family and on skip-family graphs of 100 to
+   160 nodes, with whole and 3-way sliced weights. *)
 let prop_dense_matches_item_sets =
   let bits = Int64.bits_of_float in
   let families = Array.of_list Check.Gen.families in
   Helpers.qtest ~count:60 "dense Eq. 1 = item-set Eq. 1, bit for bit"
     QCheck2.Gen.(
-      quad (int_range 0 (Array.length families - 1)) (oneofl [ 1; 3 ])
+      quad (int_range 0 (Array.length families)) (oneofl [ 1; 3 ])
         (int_range 4 60) int)
     (fun (fam, slices, max_nodes, seed) ->
       let st = Random.State.make [| seed |] in
-      let g = Check.Gen.graph ~family:families.(fam) st ~max_nodes in
+      let g =
+        if fam = Array.length families then
+          Check.Gen.sized_graph ~family:Check.Gen.Skip st
+            ~nodes:(100 + Random.State.int st 61)
+        else Check.Gen.graph ~family:families.(fam) st ~max_nodes
+      in
       let m =
         Metric.build ~weight_slices:(fun _ -> slices) g
           (Latency.profile_graph (Helpers.default_config ()) g)
@@ -162,47 +199,79 @@ let prop_dense_matches_item_sets =
       let picks k =
         List.init k (fun _ -> items.(Random.State.int st n_items))
       in
-      let mark_of members =
-        let mark = Array.make (Metric.item_count m) false in
-        List.iter (fun it -> mark.(Metric.item_index m it) <- true) members;
-        Array.get mark
+      let nodes = List.init m.Metric.node_count Fun.id in
+      let mark_of on_chip =
+        let mark = Metric.mark (Metric.item_count m) in
+        Metric.mark_set m mark on_chip;
+        mark
       in
-      let node_ok on_chip id =
-        let on = mark_of (Metric.Item_set.elements on_chip) in
-        bits (Metric.node_latency_ix m ~on id)
-        = bits (Metric.node_latency m ~on_chip id)
-        && bits (Metric.umm_latency m id)
-           = bits (Metric.node_latency m ~on_chip:Metric.Item_set.empty id)
+      let reference_gain ~before ~after nodes =
+        Array.fold_left
+          (fun acc id ->
+            acc +. reference_latency m before id -. reference_latency m after id)
+          0. nodes
+      in
+      let latency_ok on_chip =
+        let mark = mark_of on_chip in
+        List.for_all
+          (fun id ->
+            bits (Metric.node_latency_on m mark id)
+            = bits (reference_latency m on_chip id))
+          nodes
+        && bits (Metric.total_latency m ~on_chip)
+           = bits
+               (List.fold_left
+                  (fun acc id -> acc +. reference_latency m on_chip id)
+                  0. nodes)
+      in
+      let umm_ok id =
+        bits (Metric.umm_latency m id)
+        = bits (reference_latency m Metric.Item_set.empty id)
       in
       let static_ok members =
-        let nodes =
-          List.concat_map (Metric.affected_nodes m) members
-          |> List.sort_uniq compare |> Array.of_list
-        in
-        bits (Metric.static_gain_ix m ~on:(mark_of members) nodes)
-        = bits
-            (Metric.marginal_gain_many m ~on_chip:Metric.Item_set.empty
-               members)
+        let nodes = Metric.nodes_affected m members in
+        let after = Metric.Item_set.of_list members in
+        bits (Metric.static_gain_on m (mark_of after) nodes)
+        = bits (reference_gain ~before:Metric.Item_set.empty ~after nodes)
       in
-      n_items = 0
-      || begin
-        let on_chip =
-          Metric.Item_set.of_list (picks (Random.State.int st (n_items + 1)))
+      let adding_ok (before, extra) =
+        let after =
+          List.fold_left (fun acc it -> Metric.Item_set.add it acc) before extra
         in
-        List.for_all (node_ok on_chip) (List.init m.Metric.node_count Fun.id)
-        && List.for_all static_ok
-             (List.init 8 (fun _ -> picks (1 + Random.State.int st 3)))
-      end)
+        let nodes = Metric.nodes_affected m extra in
+        let expected = bits (reference_gain ~before ~after nodes) in
+        let mark = mark_of before in
+        let adding =
+          List.map (Metric.item_index m) extra
+          |> List.filter (fun i -> not (Metric.mem mark i))
+        in
+        bits (Metric.marginal_gain_many m ~on_chip:before extra) = expected
+        && bits (Metric.swing_gain_on m mark adding nodes) = expected
+        (* The swing leaves the mark as it found it. *)
+        && bits (Metric.total_latency_on m mark)
+           = bits (Metric.total_latency m ~on_chip:before)
+      in
+      let random_set () =
+        Metric.Item_set.of_list (picks (Random.State.int st (n_items + 1)))
+      in
+      List.for_all umm_ok nodes
+      && (n_items = 0
+         || latency_ok (random_set ())
+            && List.for_all static_ok
+                 (List.init 8 (fun _ -> picks (1 + Random.State.int st 3)))
+            && List.for_all adding_ok
+                 (List.init 8 (fun _ ->
+                      (random_set (), picks (1 + Random.State.int st 3))))))
 
 (* The two-evaluation fold DNNK's compensation uses, against two
-   separate [node_latency_ix] calls, bit for bit: every node under a
+   separate kernel calls, bit for bit: every node under a
    random code per queried item (off, member only, or an earlier row's
    placement bit with or without membership) and random placement bits,
    with whole and 3-way sliced weights. *)
 let prop_pair_fold_matches =
   let bits = Int64.bits_of_float in
   let families = Array.of_list Check.Gen.families in
-  Helpers.qtest ~count:60 "two-evaluation fold = node_latency_ix, bit for bit"
+  Helpers.qtest ~count:60 "two-evaluation fold = node_latency_on, bit for bit"
     QCheck2.Gen.(
       quad (int_range 0 (Array.length families - 1)) (oneofl [ 1; 3 ])
         (int_range 4 60) int)
@@ -239,24 +308,68 @@ let prop_pair_fold_matches =
         in
         let codes = Array.map code queried in
         let col = Random.State.int st cols in
-        let first ix =
-          match Hashtbl.find_opt code_of ix with
-          | Some (`Row (r, _)) -> placement.(r).(col)
-          | Some (`Off | `Member) | None -> false
-        in
-        let second ix =
-          match Hashtbl.find_opt code_of ix with
-          | Some (`Row (r, member)) -> placement.(r).(col) || member
-          | Some `Member -> true
-          | Some `Off | None -> false
-        in
+        let first = Metric.mark (Metric.item_count m)
+        and second = Metric.mark (Metric.item_count m) in
+        Hashtbl.iter
+          (fun ix code ->
+            match code with
+            | `Row (r, member) ->
+              if placement.(r).(col) then Metric.add first ix;
+              if placement.(r).(col) || member then Metric.add second ix
+            | `Member -> Metric.add second ix
+            | `Off -> ())
+          code_of;
         Metric.node_latency_pair_ix m id ~codes ~bits:placement ~col out;
-        bits out.(0) = bits (Metric.node_latency_ix m ~on:first id)
-        && bits out.(1) = bits (Metric.node_latency_ix m ~on:second id)
+        bits out.(0) = bits (Metric.node_latency_on m first id)
+        && bits out.(1) = bits (Metric.node_latency_on m second id)
       in
       List.for_all
         (fun _ -> List.for_all node_ok (List.init m.Metric.node_count Fun.id))
         [ 1; 2; 3 ])
+
+(* [Item_set]'s monomorphic order has the polymorphic compare's sign
+   on every pair, so sets iterate (and folds over them sum) in the order
+   they always did.  Small fields make equal and near-equal pairs
+   common. *)
+let prop_item_compare_sign =
+  let item =
+    QCheck2.Gen.(
+      let small = int_range (-2) 4 in
+      oneof
+        [ map (fun v -> Metric.Feature_value v) small;
+          map (fun n -> Metric.Weight_of n) small;
+          map3
+            (fun node index of_k -> Metric.Weight_slice { node; index; of_k })
+            small small small ])
+  in
+  Helpers.qtest ~count:2000 "item compare has Stdlib.compare's sign"
+    (QCheck2.Gen.pair item item)
+    (fun (a, b) ->
+      Int.compare (Metric.compare_item a b) 0 = Int.compare (compare a b) 0)
+
+(* The kernel reads its input terms unchecked, so what makes those
+   reads safe is checked up front: a mark smaller than the metric, and
+   a profile naming an input outside the graph, are both refused. *)
+let test_kernel_bounds () =
+  let _, m = fixture () in
+  Alcotest.check_raises "short mark"
+    (Invalid_argument "Metric.node_latency_on: mark smaller than the metric")
+    (fun () ->
+      let short = Metric.mark (Metric.item_count m - 1) in
+      ignore (Metric.node_latency_on m short 3));
+  let profiles =
+    Array.map
+      (fun p ->
+        if p.Latency.node_id = 3 then
+          { p with
+            Latency.if_terms =
+              (Array.length m.Metric.profiles, 1e-6) :: p.Latency.if_terms }
+        else p)
+      m.Metric.profiles
+  in
+  Alcotest.check_raises "input outside the graph"
+    (Invalid_argument "Metric.build: an input term outside the graph")
+    (fun () -> ignore (Metric.build m.Metric.graph profiles))
 
 let suite =
   [ Alcotest.test_case "affected nodes" `Quick test_affected_nodes;
@@ -270,4 +383,6 @@ let suite =
     prop_latency_monotone;
     prop_joint_gain_dominates_solo;
     prop_dense_matches_item_sets;
-    prop_pair_fold_matches ]
+    prop_pair_fold_matches;
+    prop_item_compare_sign;
+    Alcotest.test_case "kernel bounds checked" `Quick test_kernel_bounds ]

@@ -52,11 +52,11 @@ let test_fractional_latency () =
   (* Pinning slices one by one moves the weight term down linearly until
      another term dominates; full pinning matches wt term = 0. *)
   let latency_with n_pinned =
-    let on_chip =
-      Metric.Item_set.of_list
-        (List.filteri (fun i _ -> i < n_pinned) (all_slices_of m 3))
-    in
-    Metric.node_latency m ~on_chip 3
+    let on = Metric.mark (Metric.item_count m) in
+    List.iter
+      (fun it -> Metric.add on (Metric.item_index m it))
+      (List.filteri (fun i _ -> i < n_pinned) (all_slices_of m 3));
+    Metric.node_latency_on m on 3
   in
   let l0 = latency_with 0 and l2 = latency_with 2 and l4 = latency_with 4 in
   Alcotest.(check bool) "monotone" true (l4 <= l2 && l2 <= l0);
