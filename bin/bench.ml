@@ -1156,9 +1156,11 @@ let perf_experiment () =
 
 (* Open-loop load: a zoo-sampled mix of the four smallest models at 100
    rps against 1, 2 and 4 shards of 2 workers each, one second per step
-   from 8 sender threads.  The saturation search doubles the rate up to
-   three times; slo_pass holds when every measured p99 is within
-   250 ms. *)
+   from 8 sender threads.  The saturation search doubles the rate until
+   a rung fails, at most seven times (12800 rps, which bounds the bench
+   at well under a minute), then bisects three rungs between the last
+   rung that kept up and the first that did not; saturation_rps is that
+   knee.  slo_pass holds when every measured p99 is within 250 ms. *)
 let serve () =
   header "Serve: open-loop load on the sharded tier (zoo mix, 100 rps)";
   let rps = 100. and duration_s = 1. and threads = 8 and slo_p99_ms = 250. in
@@ -1181,7 +1183,7 @@ let serve () =
         in
         let saturation_rps, steps =
           Lcmm_tier.Loadgen.find_saturation ~handler ~mix ~start_rps:rps
-            ~duration_s ~slo_p99_ms ~threads ~max_steps:3 ()
+            ~duration_s ~slo_p99_ms ~threads ~max_steps:8 ()
         in
         Printf.printf
           "%d shard(s): p50 %.2f ms  p99 %.2f ms  p999 %.2f ms  \

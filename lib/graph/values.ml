@@ -18,7 +18,7 @@ let consumers g id =
       if is_value g s then expand (s :: acc) rest
       else expand acc (Graph.succs g s @ rest)
   in
-  expand [] (Graph.succs g id) |> List.sort_uniq compare
+  expand [] (Graph.succs g id) |> List.sort_uniq Int.compare
 
 let last_use g id =
   match consumers g id with

@@ -147,11 +147,39 @@ let spec_fields (spec : P.compile_spec) ~digest =
     ("device", Json.String spec.P.device.Fpga.Device.device_name);
     ("digest", Json.String digest) ]
 
+(* A resolved target: the graph the passes read and its canonical bytes
+   ({!Cache_key.canonical}), which the cache key hashes. *)
+type resolved = { graph : Dnn_graph.Graph.t; bytes : string }
+
+module Smap = Map.Make (String)
+
+(* Each zoo model is built and serialized once per process, then shared
+   read-only by every request, domain and thread.  Reads take no lock;
+   a miss builds under [zoo_lock] so no model is built twice. *)
+let zoo_memo : resolved Smap.t Atomic.t = Atomic.make Smap.empty
+
+let zoo_lock = Mutex.create ()
+
+let resolve_zoo (entry : Models.Zoo.entry) =
+  let name = entry.Models.Zoo.model_name in
+  match Smap.find_opt name (Atomic.get zoo_memo) with
+  | Some r -> r
+  | None ->
+    Mutex.protect zoo_lock (fun () ->
+        let memo = Atomic.get zoo_memo in
+        match Smap.find_opt name memo with
+        | Some r -> r
+        | None ->
+          let graph = entry.Models.Zoo.build () in
+          let r = { graph; bytes = Cache_key.canonical graph } in
+          Atomic.set zoo_memo (Smap.add name r memo);
+          r)
+
 let resolve_target = function
-  | P.Inline g -> Ok g
+  | P.Inline g -> Ok { graph = g; bytes = Cache_key.canonical g }
   | P.Named name -> (
     match Models.Zoo.find name with
-    | Some entry -> Ok (entry.Models.Zoo.build ())
+    | Some entry -> Ok (resolve_zoo entry)
     | None ->
       Error
         (Printf.sprintf "unknown model %S (known: %s)" name
@@ -264,9 +292,9 @@ let simulate_payload t (spec : P.compile_spec) ~digest ~images g =
     @ batch_fields @ fusion_fields fz)
 
 (* Multi-tenant run: expand counts into per-instance runtime specs.  An
-   inline graph gets a content-derived model key so two different
-   shipped graphs never share the runtime's per-model compilation
-   cache. *)
+   inline graph gets a content-derived model key (from the bytes its
+   digest hashes) so two different shipped graphs never share the
+   runtime's per-model compilation cache. *)
 let resolve_tenants (spec : P.run_spec) =
   let counter = Hashtbl.create 8 in
   let rec go acc tags = function
@@ -274,16 +302,12 @@ let resolve_tenants (spec : P.run_spec) =
     | (tn : P.run_tenant) :: rest -> (
       match resolve_target tn.P.tenant_target with
       | Error msg -> Error msg
-      | Ok g ->
+      | Ok { graph = g; bytes } ->
         let model =
           match tn.P.tenant_target with
           | P.Named name -> name
-          | P.Inline g ->
-            "inline:"
-            ^ String.sub
-                (Digest.to_hex
-                   (Digest.string (Dnn_serial.Codec.to_string ~pretty:false g)))
-                0 8
+          | P.Inline _ ->
+            "inline:" ^ String.sub (Digest.to_hex (Digest.string bytes)) 0 8
         in
         let instances =
           List.init tn.P.count (fun _ ->
@@ -301,7 +325,7 @@ let resolve_tenants (spec : P.run_spec) =
           Printf.sprintf "count:%d|prio:%d|arr:%.17g" tn.P.count
             tn.P.tenant_priority tn.P.arrival_s
         in
-        go (List.rev_append instances acc) ((g, tag) :: tags) rest)
+        go (List.rev_append instances acc) ((bytes, tag) :: tags) rest)
   in
   go [] [] spec.P.tenants
 
@@ -326,7 +350,7 @@ let models_payload () =
   Json.List
     (List.map
        (fun e ->
-         let g = e.Models.Zoo.build () in
+         let g = (resolve_zoo e).graph in
          Json.Obj
            [ ("name", Json.String e.Models.Zoo.model_name);
              ("nodes", Json.Int (Dnn_graph.Graph.node_count g));
@@ -361,20 +385,20 @@ let stats_payload t =
 (* Compile and simulate cache under a digest that covers every input the
    passes read; the op name and simulate's batch size are folded in as
    [extra] so the two namespaces never collide. *)
-let cacheable_digest (spec : P.compile_spec) ~extra g =
-  Cache_key.request_digest ~extra ~dtype:spec.P.dtype ~device:spec.P.device
-    ~options:spec.P.options g
+let cacheable_digest (spec : P.compile_spec) ~extra r =
+  Cache_key.request_digest_of_canonical ~extra ~dtype:spec.P.dtype
+    ~device:spec.P.device ~options:spec.P.options r.bytes
 
-let compile_digest spec g = cacheable_digest spec ~extra:[ "compile" ] g
+let compile_digest spec r = cacheable_digest spec ~extra:[ "compile" ] r
 
-let simulate_digest spec ~images g =
+let simulate_digest spec ~images r =
   let extra =
     [ "simulate";
       (match images with None -> "single" | Some n -> string_of_int n) ]
   in
-  cacheable_digest spec ~extra g
+  cacheable_digest spec ~extra r
 
-let run_request_digest (spec : P.run_spec) tagged_graphs =
+let run_request_digest (spec : P.run_spec) tagged_bytes =
   let extra =
     [ "run";
       Lcmm_runtime.Arbiter.to_string spec.P.arbitration;
@@ -392,8 +416,8 @@ let run_request_digest (spec : P.run_spec) tagged_graphs =
     | None -> []
     | Some f -> [ "faults:" ^ Fault.Spec.to_string f ])
   in
-  Cache_key.run_digest ~extra ~dtype:spec.P.run_dtype
-    ~device:spec.P.run_device ~options:spec.P.run_options tagged_graphs
+  Cache_key.run_digest_of_canonical ~extra ~dtype:spec.P.run_dtype
+    ~device:spec.P.run_device ~options:spec.P.run_options tagged_bytes
 
 (* The digest a request would cache under, computed without running it.
    The tier router keys its hash ring and front cache on this — it must
@@ -407,15 +431,15 @@ let route_digest (request : P.request) =
     | P.Compile spec -> (
       match resolve_graph spec with
       | Error msg -> Error msg
-      | Ok g -> Ok (Some (compile_digest spec g)))
+      | Ok r -> Ok (Some (compile_digest spec r)))
     | P.Simulate (spec, images) -> (
       match resolve_graph spec with
       | Error msg -> Error msg
-      | Ok g -> Ok (Some (simulate_digest spec ~images g)))
+      | Ok r -> Ok (Some (simulate_digest spec ~images r)))
     | P.Run spec -> (
       match resolve_tenants spec with
       | Error msg -> Error msg
-      | Ok (_, tagged_graphs) -> Ok (Some (run_request_digest spec tagged_graphs)))
+      | Ok (_, tagged_bytes) -> Ok (Some (run_request_digest spec tagged_bytes)))
     | P.Cache_get digest | P.Cache_put (digest, _) -> Ok (Some digest)
     | P.Batch _ | P.Stats | P.Models -> Ok None
   with e -> Error ("internal: " ^ Printexc.to_string e)
@@ -460,21 +484,22 @@ let handle_leaf t (env : P.envelope) =
       | P.Compile spec -> (
         match resolve_graph spec with
         | Error msg -> (Uncached, Error msg)
-        | Ok g ->
-          let digest = compile_digest spec g in
-          through_cache t ~digest (fun () -> compile_payload t spec ~digest g))
+        | Ok r ->
+          let digest = compile_digest spec r in
+          through_cache t ~digest (fun () ->
+              compile_payload t spec ~digest r.graph))
       | P.Simulate (spec, images) -> (
         match resolve_graph spec with
         | Error msg -> (Uncached, Error msg)
-        | Ok g ->
-          let digest = simulate_digest spec ~images g in
+        | Ok r ->
+          let digest = simulate_digest spec ~images r in
           through_cache t ~digest (fun () ->
-              simulate_payload t spec ~digest ~images g))
+              simulate_payload t spec ~digest ~images r.graph))
       | P.Run spec -> (
         match resolve_tenants spec with
         | Error msg -> (Uncached, Error msg)
-        | Ok (specs, tagged_graphs) ->
-          let digest = run_request_digest spec tagged_graphs in
+        | Ok (specs, tagged_bytes) ->
+          let digest = run_request_digest spec tagged_bytes in
           through_cache t ~digest (fun () -> run_payload spec ~digest specs))
     with e -> (Uncached, Error ("internal: " ^ Printexc.to_string e))
   in

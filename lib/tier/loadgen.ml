@@ -170,17 +170,33 @@ let keeps_up ~slo_p99_ms r =
   && r.p99_ms <= slo_p99_ms
   && float_of_int r.shed <= 0.05 *. float_of_int (max 1 r.sent)
 
-(* Double the offered rate until the tier stops keeping up; the
-   saturation point is the last rate it sustained.  [max_steps] bounds
-   the ladder when the handler is effectively free. *)
+(* Double the offered rate until the tier stops keeping up, then bisect
+   between the last rate it sustained and the first it did not: the
+   knee is the highest sustained rate found.  [max_steps] bounds the
+   doublings when the handler is effectively free; the bisection runs a
+   fixed [bisect_steps] more rungs. *)
+let bisect_steps = 3
+
 let find_saturation ~handler ~mix ~start_rps ~duration_s ~slo_p99_ms
     ?(threads = 8) ?(max_steps = 10) () =
-  let rec climb rps best steps n =
-    if n >= max_steps then (best, List.rev steps)
+  let rung rps = run ~handler ~mix ~rps ~duration_s ~threads () in
+  let rec bisect lo hi best steps n =
+    if n = 0 then (best, steps)
     else
-      let r = run ~handler ~mix ~rps ~duration_s ~threads () in
+      let mid = (lo +. hi) /. 2. in
+      let r = rung mid in
+      if keeps_up ~slo_p99_ms r then
+        bisect mid hi (Float.max best r.achieved_rps) (r :: steps) (n - 1)
+      else bisect lo mid best (r :: steps) (n - 1)
+  in
+  let rec climb rps best steps n =
+    if n >= max_steps then (best, steps)
+    else
+      let r = rung rps in
       if keeps_up ~slo_p99_ms r then
         climb (rps *. 2.) r.achieved_rps (r :: steps) (n + 1)
-      else (best, List.rev (r :: steps))
+      else if n = 0 then (best, r :: steps)
+      else bisect (rps /. 2.) rps best (r :: steps) bisect_steps
   in
-  climb start_rps 0. [] 0
+  let best, steps = climb start_rps 0. [] 0 in
+  (best, List.rev steps)

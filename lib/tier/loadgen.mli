@@ -51,6 +51,9 @@ val find_saturation :
   duration_s:float -> slo_p99_ms:float -> ?threads:int -> ?max_steps:int ->
   unit -> float * result list
 (** Double the offered rate from [start_rps] until the handler stops
-    {!keeps_up} (or [max_steps], default 10, doublings pass); returns
-    the last sustained achieved rate — 0 if even [start_rps] failed —
-    and every ladder step's result. *)
+    {!keeps_up} (or [max_steps], default 10, doublings pass), then
+    bisect three rungs between the last sustained rate and the first
+    failed one.  Returns the knee — the highest sustained achieved rate
+    found, 0 if even [start_rps] failed — and every rung's result in
+    the order run.  When all [max_steps] doublings keep up there is no
+    bisection and the knee is a lower bound. *)

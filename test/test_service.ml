@@ -227,8 +227,8 @@ let test_engine_compile_cache_hit () =
       (* DenseNet-121 at a 2 MiB budget with sliced weights and fusion:
          a cold compile of tens of milliseconds even in a process that
          earlier suites warmed up, so the 5x margin below is not at the
-         mercy of scheduling noise.  A hit still rebuilds and digests
-         the graph (a millisecond or two). *)
+         mercy of scheduling noise.  A hit only hashes the model's
+         memoized bytes. *)
       let request =
         {|{"op":"compile","id":1,"model":"densenet121","options":{"capacity_override":2097152,"weight_slices":8,"fusion":true}}|}
       in
@@ -1022,6 +1022,180 @@ let test_route_digest_matches_engine () =
         Alcotest.(check string) "router and engine agree" served routed
       | Ok None | Error _ -> Alcotest.fail "expected a digest")
 
+(* Digests recorded before zoo models were resolved once per process:
+   the memoized bytes and the scratch-buffer hash must reproduce them
+   exactly, or every persisted cache entry and tier route goes stale. *)
+let inline_chain_json () =
+  Json.to_string (Dnn_serial.Codec.graph_to_json (Helpers.chain ()))
+
+let served_digest engine line =
+  let resp = result_of_line (handle_line ~timing:false engine line) in
+  match Json.member_opt "digest" (field_exn "result" resp) with
+  | Some (Json.String d) -> d
+  | _ -> Alcotest.failf "no digest in reply to %s" line
+
+let routed_digest line =
+  match Svc.Engine.route_digest (parse_line_exn line).P.request with
+  | Ok (Some d) -> d
+  | Ok None -> Alcotest.failf "no route digest for %s" line
+  | Error msg -> Alcotest.failf "route_digest: %s" msg
+
+let pinned_digest_lines () =
+  [ ( {|{"op":"compile","model":"alexnet","dtype":"i16"}|},
+      "982a769aebf2a97cb12e0e3cb7ec488c" );
+    ( {|{"op":"simulate","model":"alexnet","dtype":"i16"}|},
+      "46b7152cb09b86fea582a06af3dabe4a" );
+    ( {|{"op":"compile","model":"googlenet","dtype":"i16"}|},
+      "3e305e4d79e109a19d4990a53912b196" );
+    ( {|{"op":"simulate","model":"resnet152","dtype":"i8","images":4}|},
+      "e9ba2eaabd068c2f80bc9ff186726ee8" );
+    ( {|{"op":"compile","graph":|} ^ inline_chain_json () ^ "}",
+      "5e87bc434b1eef19c86bc14f8ff7dc76" ) ]
+
+let test_pinned_digests () =
+  with_engine ~domains:1 (fun engine ->
+      List.iter
+        (fun (line, pinned) ->
+          Alcotest.(check string) ("route " ^ line) pinned (routed_digest line);
+          Alcotest.(check string) ("served " ^ line) pinned
+            (served_digest engine line))
+        (pinned_digest_lines ()))
+
+(* Every zoo model, both compute ops, both integer dtypes: the reply's
+   digest, the router's and one hashed from a freshly built graph all
+   agree. *)
+let test_zoo_digests_agree () =
+  with_engine ~domains:2 (fun engine ->
+      List.iter
+        (fun (e : Models.Zoo.entry) ->
+          List.iter
+            (fun (op, extra) ->
+              List.iter
+                (fun dtype ->
+                  let line =
+                    Printf.sprintf {|{"op":"%s","model":"%s","dtype":"%s"}|}
+                      op e.Models.Zoo.model_name
+                      (Tensor.Dtype.to_string dtype)
+                  in
+                  let fresh =
+                    Svc.Cache_key.request_digest ~extra ~dtype
+                      ~device:Fpga.Device.vu9p ~options:F.default_options
+                      (e.Models.Zoo.build ())
+                  in
+                  Alcotest.(check string) ("route " ^ line) fresh
+                    (routed_digest line);
+                  Alcotest.(check string) ("served " ^ line) fresh
+                    (served_digest engine line))
+                [ Tensor.Dtype.I16; Tensor.Dtype.I8 ])
+            [ ("compile", [ "compile" ]); ("simulate", [ "simulate"; "single" ]) ])
+        Models.Zoo.all)
+
+let test_inline_run_digest () =
+  with_engine ~domains:1 (fun engine ->
+      let line =
+        {|{"op":"run","tenants":[{"graph":|} ^ inline_chain_json ()
+        ^ {|,"count":2}]}|}
+      in
+      let pinned = "3cada45feeef39291feb2e7d475dbd8d" in
+      Alcotest.(check string) "route" pinned (routed_digest line);
+      (match (parse_line_exn line).P.request with
+      | P.Run spec ->
+        let module R = Lcmm_runtime in
+        Alcotest.(check string) "hashed from a fresh graph" pinned
+          (Svc.Cache_key.run_digest
+             ~extra:
+               [ "run"; R.Arbiter.to_string spec.P.arbitration;
+                 R.Scheduler.to_string spec.P.scheduler;
+                 R.Partition.to_string spec.P.sram_partition;
+                 Printf.sprintf "%.17g" spec.P.overcommit ]
+             ~dtype:spec.P.run_dtype ~device:spec.P.run_device
+             ~options:spec.P.run_options
+             [ (Helpers.chain (), "count:2|prio:0|arr:0") ])
+      | _ -> Alcotest.fail "expected a run request");
+      let result =
+        field_exn "result"
+          (result_of_line (handle_line ~timing:false engine line))
+      in
+      Alcotest.check json_t "served digest" (Json.String pinned)
+        (field_exn "digest" result);
+      match Json.to_list (field_exn "tenants" result) with
+      | Ok tenants ->
+        Alcotest.(check (list string)) "content-derived model keys"
+          [ "inline:9d895c7c"; "inline:9d895c7c" ]
+          (List.map
+             (fun t ->
+               match field_exn "model" t with
+               | Json.String m -> m
+               | v -> Alcotest.failf "model: %s" (Json.to_string v))
+             tenants)
+      | Error msg -> Alcotest.fail msg)
+
+let concat_digest parts =
+  Digest.to_hex (Digest.string (String.concat "\x00" parts))
+
+(* The scratch-buffer hash against the concatenation it replaces,
+   around every boundary: no parts, empty parts, and parts that outgrow
+   the shared buffer (before and after it has grown). *)
+let test_hash_edge_cases () =
+  let big = String.make (300 * 1024) 'b' and mid = String.make 40_000 'm' in
+  List.iter
+    (fun parts ->
+      Alcotest.(check string)
+        (Printf.sprintf "%d part(s), %d bytes" (List.length parts)
+           (List.fold_left (fun n p -> n + String.length p) 0 parts))
+        (concat_digest parts) (Svc.Cache_key.hash parts))
+    [ []; [ "" ]; [ ""; "" ]; [ ""; "a" ]; [ "a"; "" ]; [ "abc" ];
+      [ "a"; "bc"; "" ; "d" ]; [ mid ]; [ "x"; mid; "y" ]; [ big ];
+      [ "short" ]; [ big; mid; "" ]; [ mid; "tail" ]; [ "" ] ]
+
+(* Two domains of several threads each resolve zoo models, digest
+   requests and hash odd-sized parts at once; every answer must equal
+   the sequential one. *)
+let test_concurrent_digests () =
+  let lines =
+    List.map fst (pinned_digest_lines ())
+    @ List.map
+        (fun (e : Models.Zoo.entry) ->
+          Printf.sprintf {|{"op":"compile","model":"%s","dtype":"i8"}|}
+            e.Models.Zoo.model_name)
+        Models.Zoo.all
+  in
+  let part_sets =
+    List.init 12 (fun i ->
+        [ String.make (i * 37_000) (Char.chr (65 + i)); string_of_int i; "" ])
+  in
+  let answers () =
+    List.map routed_digest lines @ List.map Svc.Cache_key.hash part_sets
+  in
+  let expected =
+    List.map routed_digest lines @ List.map concat_digest part_sets
+  in
+  let threads_per_domain = 3 and rounds = 5 in
+  let domain () =
+    let results = Array.make threads_per_domain [] in
+    let threads =
+      List.init threads_per_domain (fun k ->
+          Thread.create
+            (fun () ->
+              results.(k) <- List.init rounds (fun _ -> answers ()))
+            ())
+    in
+    List.iter Thread.join threads;
+    List.concat (Array.to_list results)
+  in
+  let domains = List.init 2 (fun _ -> Domain.spawn domain) in
+  List.iteri
+    (fun d dom ->
+      let got = Domain.join dom in
+      Alcotest.(check int) "every round answered"
+        (threads_per_domain * rounds) (List.length got);
+      List.iter
+        (Alcotest.(check (list string))
+           (Printf.sprintf "domain %d agrees with sequential" d)
+           expected)
+        got)
+    domains
+
 (* --- concurrent socket accept --- *)
 
 let test_socket_concurrent_connections () =
@@ -1100,6 +1274,11 @@ let suite =
       test_envelope_reencode_digest_stable;
     Alcotest.test_case "route_digest matches engine" `Quick
       test_route_digest_matches_engine;
+    Alcotest.test_case "pinned digests" `Quick test_pinned_digests;
+    Alcotest.test_case "zoo digests agree" `Quick test_zoo_digests_agree;
+    Alcotest.test_case "inline run digest" `Quick test_inline_run_digest;
+    Alcotest.test_case "hash edge cases" `Quick test_hash_edge_cases;
+    Alcotest.test_case "concurrent digests" `Quick test_concurrent_digests;
     Alcotest.test_case "socket serves connections concurrently" `Quick
       test_socket_concurrent_connections;
     Alcotest.test_case "protocol fuzz" `Quick test_protocol_fuzz ]

@@ -773,6 +773,46 @@ let test_loadgen_zoo_mix_deterministic () =
   Alcotest.(check (list string)) "stable mix" m1 m2;
   Alcotest.(check bool) "non-empty" true (List.length m1 > 1)
 
+(* A handler that serves one request per 2 ms on one sender thread
+   saturates at 500 rps.  Whatever rung host jitter first fails, the
+   ladder must double from the start rate up to one failed rung, then
+   bisect exactly three rungs inside the bracket it found, and report
+   the best sustained rate as the knee. *)
+let test_loadgen_saturation_bisects () =
+  let handler _ =
+    Unix.sleepf 0.002;
+    {|{"ok":true}|}
+  in
+  let slo_p99_ms = 1000. in
+  let keeps = Loadgen.keeps_up ~slo_p99_ms in
+  let knee, ladder =
+    Loadgen.find_saturation ~handler ~mix:[ "x" ] ~start_rps:100.
+      ~duration_s:0.2 ~slo_p99_ms ~threads:1 ~max_steps:5 ()
+  in
+  let rec climb rps = function
+    | (r : Loadgen.result) :: rest ->
+      Alcotest.(check (float 0.)) "doubling rung" rps r.Loadgen.offered_rps;
+      if keeps r then climb (rps *. 2.) rest else (rps /. 2., rps, rest)
+    | [] -> Alcotest.fail "no rung failed below 1600 rps"
+  in
+  let lo, hi, bisection = climb 100. ladder in
+  Alcotest.(check bool) "the start rate kept up" true (lo >= 100.);
+  Alcotest.(check int) "three bisection rungs" 3 (List.length bisection);
+  ignore
+    (List.fold_left
+       (fun (lo, hi) (r : Loadgen.result) ->
+         Alcotest.(check (float 1e-9)) "midpoint" ((lo +. hi) /. 2.)
+           r.Loadgen.offered_rps;
+         if keeps r then (r.Loadgen.offered_rps, hi)
+         else (lo, r.Loadgen.offered_rps))
+       (lo, hi) bisection);
+  Alcotest.(check (float 1e-9)) "knee = best sustained rate"
+    (List.fold_left
+       (fun best (r : Loadgen.result) ->
+         if keeps r then Float.max best r.Loadgen.achieved_rps else best)
+       0. ladder)
+    knee
+
 let suite =
   [ Alcotest.test_case "ring: deterministic across creation order" `Quick
       test_ring_deterministic;
@@ -827,4 +867,6 @@ let suite =
     Alcotest.test_case "loadgen: zoo mix is deterministic" `Quick
       test_loadgen_zoo_mix_deterministic;
     Alcotest.test_case "loadgen: counts divergence from a reference" `Quick
-      test_loadgen_divergence ]
+      test_loadgen_divergence;
+    Alcotest.test_case "loadgen: saturation ladder bisects its knee" `Quick
+      test_loadgen_saturation_bisects ]
