@@ -91,15 +91,11 @@ let comparison model dtype =
     c
 
 (* Fused-plan latency for the table1 fusion column.  The post-pass runs
-   on the already-computed base plan (flipped to fusion-enabled), so the
-   column costs one segmentation sweep per row, not a replan. *)
+   on the already-computed base plan, so the column costs one
+   segmentation sweep per row, not a replan. *)
 let fusion_ms (c : F.comparison) =
-  let base =
-    { c.F.lcmm_plan with
-      F.options = { c.F.lcmm_plan.F.options with F.fusion = true } }
-  in
-  let fz = Lcmm_fusion.Fusion.apply base in
-  Some ((Lcmm_fusion.Fusion.effective_plan fz).F.predicted_latency *. 1e3)
+  let fz = Lcmm_fusion.Fusion.apply c.F.lcmm_plan in
+  Some (fz.Lcmm_fusion.Fusion.plan.F.predicted_latency *. 1e3)
 
 (* ------------------------------------------------------------------ *)
 
@@ -1469,7 +1465,8 @@ let fusion () =
                     ( "streamed_weights",
                       Json.Int (List.length fz.Fz.streamed) );
                     ("fifo_bytes", Json.Int fz.Fz.fifo_bytes);
-                    ("peak_sram_bytes", Json.Int fz.Fz.peak_sram_bytes)
+                    ( "peak_sram_bytes",
+                      Json.Int fz.Fz.plan.F.tensor_sram_bytes )
                   ] );
               ( "stream_tile",
                 Json.Obj

@@ -189,15 +189,7 @@ let plan_cmd =
     let model, g = or_die (build_model name) in
     let options = { Lcmm.Framework.default_options with fusion; channels } in
     let c = Lcmm.Framework.compare_designs ~options ?pool ~model dtype g in
-    let fz =
-      if fusion then Some (Lcmm_fusion.Fusion.apply ?pool c.Lcmm.Framework.lcmm_plan)
-      else None
-    in
-    let p =
-      match fz with
-      | Some fz -> Lcmm_fusion.Fusion.effective_plan fz
-      | None -> c.Lcmm.Framework.lcmm_plan
-    in
+    let p, fz = Lcmm_fusion.Fusion.post ?pool c.Lcmm.Framework.lcmm_plan in
     Format.printf "== %s ==@." model;
     Format.printf "design: %a@." Accel.Config.pp p.Lcmm.Framework.config;
     Format.printf "virtual buffers (%d):@." (List.length p.Lcmm.Framework.vbufs);
@@ -244,7 +236,7 @@ let plan_cmd =
         /. fz.Fz.predicted_latency)
         (Lcmm.Traffic.total_bytes fz.Fz.base_traffic)
         (Lcmm.Traffic.total_bytes fz.Fz.traffic)
-        fz.Fz.peak_sram_bytes);
+        p.Lcmm.Framework.tensor_sram_bytes);
     (match p.Lcmm.Framework.channel_assignment with
     | None -> ()
     | Some a ->

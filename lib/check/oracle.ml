@@ -908,9 +908,10 @@ let check_segment_legal ctx =
       fz.Fusion.segments
   in
   let* () =
-    if fz.Fusion.peak_sram_bytes > ctx.capacity_bytes then
-      fail "fused peak SRAM %d exceeds the %d-byte capacity"
-        fz.Fusion.peak_sram_bytes ctx.capacity_bytes
+    let peak = fz.Fusion.plan.Framework.tensor_sram_bytes in
+    if peak > ctx.capacity_bytes then
+      fail "fused peak SRAM %d exceeds the %d-byte capacity" peak
+        ctx.capacity_bytes
     else Ok ()
   in
   let* () =
@@ -922,7 +923,7 @@ let check_segment_legal ctx =
   in
   (* Fusion off must be inert and byte-identical: same fingerprint as the
      fusion-enabled base (the flag changes nothing until the post-pass),
-     and the pass returns the base plan itself, not a copy. *)
+     and the gate returns the base plan itself, not a copy. *)
   let options_off =
     { Framework.default_options with
       Framework.capacity_override = Some ctx.capacity_bytes }
@@ -933,15 +934,14 @@ let check_segment_legal ctx =
       fail "the fusion flag perturbed the base plan"
     else Ok ()
   in
-  let fz_off = Fusion.apply off in
-  if Fusion.active fz_off || not (Fusion.effective_plan fz_off == off) then
-    fail "fusion-off pass is not inert"
-  else Ok ()
+  match Fusion.post off with
+  | plan, None when plan == off -> Ok ()
+  | _ -> fail "fusion-off pass is not inert"
 
 let check_stream_conserve ctx =
   let base, fz = fused_pass ctx in
   let profiles = base.Framework.metric.Metric.profiles in
-  let eff = fz.Fusion.metric.Metric.profiles in
+  let eff = fz.Fusion.plan.Framework.metric.Metric.profiles in
   let* () =
     iter_result
       (fun n ->
@@ -981,7 +981,9 @@ let check_stream_conserve ctx =
   (* The pass's traffic claim is reproducible from its own metric and
      residency — DDR bytes are conserved end to end. *)
   let recomputed =
-    Lcmm.Traffic.of_allocation fz.Fusion.metric ~on_chip:fz.Fusion.on_chip
+    let p = fz.Fusion.plan in
+    Lcmm.Traffic.of_allocation p.Framework.metric
+      ~on_chip:p.Framework.allocation.Dnnk.on_chip
   in
   if recomputed <> fz.Fusion.traffic then
     fail "fused traffic (%d,%d,%d) bytes, recomputation gives (%d,%d,%d)"

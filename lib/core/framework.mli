@@ -22,11 +22,12 @@ type options = {
           into this many channel-group slices, each an independent
           allocation item (1 = the paper's whole-tensor granularity). *)
   fusion : bool;
-      (** Run the fused-layer / weight-streaming post-pass
-          ({!Lcmm_fusion.Fusion} wraps plans when set).  Inert inside
-          {!plan} itself — a fusion-off plan is byte-identical with the
-          flag in either state — but carried on the plan so services,
-          caches and fingerprints distinguish the two pipelines. *)
+      (** Run the fused-layer / weight-streaming post-pass.  Read only by
+          [Lcmm_fusion.Fusion.post], the gate every planner caller goes
+          through; the planner's own passes ignore it, so a plan is
+          byte-identical with the flag in either state.  Carried on the
+          plan so services, caches and fingerprints distinguish the two
+          pipelines. *)
   channels : int;
       (** DDR channels to assign transfers over ({!Channels.assign}
           runs as a post-allocation pass when > 1).  1 — the default —
@@ -46,7 +47,8 @@ type pass_times = {
   dnnk_us : float;
   splitting_us : float;
   segmentation_us : float;
-      (** The fusion segmentation pre-pass; 0 for base plans. *)
+      (** The fusion post-pass ([Lcmm_fusion.Fusion.post]); 0 for base
+          plans. *)
   channel_assign_us : float;
       (** The DDR channel-assignment pass; 0 at 1 channel. *)
 }

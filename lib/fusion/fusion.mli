@@ -14,46 +14,50 @@
       SRAM stripes and never touch DDR, priced exactly against the
       halo-recompute overhead.
 
-    The pass is gated on [Framework.options.fusion]: with the flag off
-    {!apply} returns an inert wrapper whose metric is *physically* the
-    base plan's and {!effective_plan} returns the base plan itself, so
-    fusion-off planning is byte-identical to a build without this
-    library.  Decisions are deterministic at any [?pool] size. *)
+    {!post} is the one place that reads [Framework.options.fusion]:
+    with the flag off it returns the base plan itself, so fusion-off
+    planning is byte-identical to a build without this library.
+    Decisions are deterministic at any [?pool] size. *)
 
 type t = {
   base : Lcmm.Framework.plan;
+  plan : Lcmm.Framework.plan;
+      (** The effective plan every existing evaluator can consume: the
+          effective metric ({!Sim.Fused.effective_metric}), the base
+          allocation plus every segment-internal value, the fused
+          latency, and as [tensor_sram_bytes] the base grant + FIFO +
+          widest segment's slabs.  When the pass decided nothing it is
+          the base plan with the same metric, allocation and latency.
+          Either way its [pass_times] are the base plan's plus the
+          pass's own wall clock in [segmentation_us]. *)
   segments : Segmentation.segment list;
   streamed : int list;  (** Node ids whose spilled weight streams. *)
   fifo_bytes : int;     (** 0 when nothing streams. *)
-  metric : Lcmm.Metric.t;
-      (** Effective metric ({!Sim.Fused.effective_metric}); physically
-          the base metric when the pass decided nothing. *)
-  on_chip : Lcmm.Metric.Item_set.t;
-      (** Base allocation plus every segment-internal value. *)
-  predicted_latency : float;  (** Fused Eq. 1 total + prefetch stalls. *)
+  predicted_latency : float;
+      (** Fused Eq. 1 total + prefetch stalls, re-evaluated even when the
+          pass decided nothing ([plan] then keeps the base latency). *)
   traffic : Lcmm.Traffic.t;       (** DDR bytes under fusion. *)
   base_traffic : Lcmm.Traffic.t;  (** DDR bytes of the base plan. *)
-  peak_sram_bytes : int;
-      (** Base tensor grant + FIFO + widest segment's slabs. *)
-  segmentation_us : float;  (** Wall clock of the pass; 0 when inert. *)
 }
 
 val apply : ?pool:Lcmm.Pool.t -> Lcmm.Framework.plan -> t
-(** Run the pass: fuse groups of up to 8 nodes, and a streaming FIFO of
-    4 {!Lcmm.Dnnk.block_bytes} blocks (128 KiB) when it fits beside the
-    resident tensors.  Inert unless [base.options.fusion]; never returns a
-    plan slower than the base (a safety net drops every decision if the
-    exact re-evaluation ever disagreed with the search's pricing).
-    Its wall clock is reported only in the result's [segmentation_us]. *)
+(** Run the pass whatever [base.options.fusion] says: fuse groups of up
+    to 8 nodes, and a streaming FIFO of 4 {!Lcmm.Dnnk.block_bytes}
+    blocks (128 KiB) when it fits beside the resident tensors.  Never
+    returns a plan slower than the base (a safety net drops every
+    decision if the exact re-evaluation ever disagreed with the
+    search's pricing). *)
 
-val active : t -> bool
-(** True when the pass decided anything (a segment or a stream). *)
+val post :
+  ?pool:Lcmm.Pool.t -> Lcmm.Framework.plan ->
+  Lcmm.Framework.plan * t option
+(** The fusion gate every planner caller goes through.  With
+    [options.fusion] off: the plan itself (physically) and [None].  On:
+    [(t.plan, Some t)] from {!apply}, whose pass times include the
+    segmentation time whether or not the pass decided anything. *)
 
 val effective_plan : t -> Lcmm.Framework.plan
-(** The plan every existing evaluator can consume: effective metric,
-    extended allocation, fused latency, peak SRAM, and pass times
-    including [segmentation_us].  Physically the base plan when
-    {!active} is false — fusion-off output stays byte-identical. *)
+(** [t.plan]. *)
 
 val fingerprint : t -> string
 (** {!Lcmm.Framework.fingerprint} of the base plan extended with every

@@ -39,18 +39,6 @@ let schedule_rounds = 3
 let used_bytes (p : F.plan) =
   p.F.allocation.Lcmm.Dnnk.used_blocks * Lcmm.Dnnk.block_bytes
 
-(* Fused-layer/weight-streaming pass-through: when the tenant's planner
-   options ask for fusion, every plan the runtime consumes — initial
-   compile, per-grant replan, degraded-mode replan — is the effective
-   plan of the fusion pass.  The engine needs no fusion knowledge: the
-   effective metric and extended allocation price segment-internal
-   transfers at zero and weight streaming at its steady-state DDR
-   rate.  With the flag off the plan passes through untouched. *)
-let maybe_fuse (p : F.plan) =
-  if p.F.options.F.fusion then
-    Lcmm_fusion.Fusion.effective_plan (Lcmm_fusion.Fusion.apply p)
-  else p
-
 (* One solved plan key: the plan the engine runs and its isolated run. *)
 type solution = { plan : F.plan; iso : Sim.Engine.run }
 
@@ -148,8 +136,8 @@ let run ?pool options specs =
     F.allocate ?capacity_bytes:grant (Hashtbl.find prepared m)
   in
   let finish (m, grant, scale) =
-    let plan =
-      maybe_fuse
+    let plan, _ =
+      Lcmm_fusion.Fusion.post
         (F.finish ~stall_scale:scale (Hashtbl.find allocated (m, grant)))
     in
     { plan; iso = isolated plan }
@@ -276,7 +264,7 @@ let run ?pool options specs =
                   let d =
                     F.degrade ~surviving_bytes:surviving plan specs.(i).graph
                   in
-                  let replanned = maybe_fuse d.F.replanned in
+                  let replanned, _ = Lcmm_fusion.Fusion.post d.F.replanned in
                   Some
                     {
                       Engine.deg_on_chip =

@@ -188,23 +188,6 @@ let resolve_target = function
 
 let resolve_graph (spec : P.compile_spec) = resolve_target spec.P.target
 
-(* Fused-layer/weight-streaming pass-through: with [options.fusion] the
-   reported LCMM plan is the fusion pass's effective plan and the
-   payload carries the decisions; with it off the comparison passes
-   through untouched, so cached fusion-off responses stay byte-stable. *)
-let fused_comparison (c : F.comparison) g =
-  if not c.F.lcmm_plan.F.options.F.fusion then (c, None)
-  else begin
-    let fz = Lcmm_fusion.Fusion.apply c.F.lcmm_plan in
-    let plan = Lcmm_fusion.Fusion.effective_plan fz in
-    let lcmm = F.report_of_plan ~style_name:"LCMM+fusion" g plan in
-    ( { c with
-        F.lcmm_plan = plan;
-        lcmm;
-        speedup = c.F.umm.F.latency_seconds /. lcmm.F.latency_seconds },
-      Some fz )
-  end
-
 let fusion_fields = function
   | None -> []
   | Some fz ->
@@ -216,7 +199,7 @@ let fusion_fields = function
             ("streamed_weights", Json.Int (List.length fz.Fz.streamed));
             ("fifo_bytes", Json.Int fz.Fz.fifo_bytes);
             ("ddr_bytes_saved", Json.Int (Fz.ddr_bytes_saved fz));
-            ("peak_sram_bytes", Json.Int fz.Fz.peak_sram_bytes);
+            ("peak_sram_bytes", Json.Int fz.Fz.plan.F.tensor_sram_bytes);
             ("latency_ms", Json.Float (fz.Fz.predicted_latency *. 1e3)) ] ) ]
 
 let rec charge_pass_times t times =
@@ -225,20 +208,25 @@ let rec charge_pass_times t times =
   then charge_pass_times t times
 
 (* The planning both compile and simulate run: the design comparison,
-   then the fusion pass when asked for.  The base plan's pass times,
-   plus the fusion pass's own when it ran, go on this engine's clock. *)
+   then the fusion gate.  The effective plan's pass times go on this
+   engine's clock; with fusion on, the reported LCMM plan is the
+   effective plan and the payload carries the decisions. *)
 let planned_comparison t (spec : P.compile_spec) g =
   let c =
     F.compare_designs ~options:spec.P.options ~device:spec.P.device
       ~model:(P.target_name spec.P.target) spec.P.dtype g
   in
-  let base_times = c.F.lcmm_plan.F.pass_times in
-  let c, fz = fused_comparison c g in
-  let segmentation_us =
-    match fz with None -> 0. | Some fz -> fz.Lcmm_fusion.Fusion.segmentation_us
-  in
-  charge_pass_times t { base_times with F.segmentation_us };
-  (c, fz)
+  let plan, fz = Lcmm_fusion.Fusion.post c.F.lcmm_plan in
+  charge_pass_times t plan.F.pass_times;
+  match fz with
+  | None -> (c, None)
+  | Some _ ->
+    let lcmm = F.report_of_plan ~style_name:"LCMM+fusion" g plan in
+    ( { c with
+        F.lcmm_plan = plan;
+        lcmm;
+        speedup = c.F.umm.F.latency_seconds /. lcmm.F.latency_seconds },
+      fz )
 
 let compile_payload t (spec : P.compile_spec) ~digest g =
   let c, fz = planned_comparison t spec g in

@@ -94,10 +94,11 @@ let run ~handler ~mix ~rps ~duration_s ?(threads = 8) ?reference () =
         let due = t0 +. (float_of_int i /. rps) in
         let now = Unix.gettimeofday () in
         if due > now then Unix.sleepf (due -. now);
-        let sent_at = Unix.gettimeofday () in
         let request = lines.(i mod Array.length lines) in
         let response = handler request in
-        acc.lats <- (Unix.gettimeofday () -. sent_at) :: acc.lats;
+        (* Timed from [due], not from the send: a request that waits for
+           a free sender thread is late, and its queueing is latency. *)
+        acc.lats <- (Unix.gettimeofday () -. due) :: acc.lats;
         (match classify response with
         | Resp_ok ->
           acc.w_ok <- acc.w_ok + 1;

@@ -137,15 +137,42 @@ let plan_for ?(fusion = true) g =
   let cfg = Helpers.default_config ~dtype () in
   F.plan ~options:{ F.default_options with F.fusion } cfg g
 
-let test_apply_inert_when_off () =
+let test_post_inert_when_off () =
   let g = Helpers.chain () in
   let p = plan_for ~fusion:false g in
-  let fz = Fusion.apply p in
-  Alcotest.(check bool) "inactive" false (Fusion.active fz);
+  let plan, fz = Fusion.post p in
+  Alcotest.(check bool) "no fusion record" true (fz = None);
   Alcotest.(check bool) "effective plan is the base plan itself" true
-    (Fusion.effective_plan fz == p);
-  Alcotest.(check bool) "metric untouched" true
-    (fz.Fusion.metric == p.F.metric)
+    (plan == p);
+  Alcotest.(check bool) "metric untouched" true (plan.F.metric == p.F.metric)
+
+(* Alexnet at a 3-block capacity: the pass runs and decides nothing,
+   yet the plan [post] returns still carries the pass's wall clock on
+   top of the base plan's own pass times. *)
+let test_post_keeps_pass_time () =
+  let cfg = Helpers.default_config ~dtype () in
+  let base =
+    F.plan
+      ~options:
+        { F.default_options with
+          F.fusion = true;
+          capacity_override = Some (3 * Lcmm.Dnnk.block_bytes) }
+      cfg (Models.Alexnet.build ())
+  in
+  match Fusion.post base with
+  | _, None -> Alcotest.fail "fusion on, but no fusion record"
+  | plan, Some fz ->
+    Alcotest.(check bool) "no segments" true (fz.Fusion.segments = []);
+    Alcotest.(check (list int)) "nothing streams" [] fz.Fusion.streamed;
+    Alcotest.(check bool) "the record's plan is returned" true
+      (plan == fz.Fusion.plan);
+    let t = plan.F.pass_times in
+    Alcotest.(check bool) "segmentation time charged" true
+      (t.F.segmentation_us > 0.);
+    Alcotest.(check bool) "base pass times kept" true
+      ({ t with F.segmentation_us = 0. } = base.F.pass_times);
+    Alcotest.(check bool) "metric untouched" true
+      (plan.F.metric == base.F.metric)
 
 let test_apply_never_slower () =
   List.iter
@@ -225,7 +252,9 @@ let suite =
       test_shortcut_forces_cut;
     Alcotest.test_case "generated families stay legal" `Quick
       test_generated_families_legal;
-    Alcotest.test_case "fusion off is inert" `Quick test_apply_inert_when_off;
+    Alcotest.test_case "fusion off is inert" `Quick test_post_inert_when_off;
+    Alcotest.test_case "post charges a pass that decides nothing" `Quick
+      test_post_keeps_pass_time;
     Alcotest.test_case "fusion never slows a plan" `Quick
       test_apply_never_slower;
     Alcotest.test_case "streaming FIFO only when it fits" `Quick

@@ -755,6 +755,24 @@ let test_loadgen_counts_and_percentiles () =
     && r.Loadgen.p999_ms <= r.Loadgen.max_ms);
   Alcotest.(check bool) "keeps up" true (Loadgen.keeps_up ~slo_p99_ms:1000. r)
 
+(* One sender thread against a 5 ms handler at 400 rps serves a request
+   every 5 ms while they fall due every 2.5 ms: the backlog grows for
+   the whole run, and the late requests' queueing must show up in their
+   latency rather than only the 5 ms of service. *)
+let test_loadgen_counts_backlog () =
+  let handler _ =
+    Unix.sleepf 0.005;
+    {|{"ok":true}|}
+  in
+  let r =
+    Loadgen.run ~handler ~mix:[ "x" ] ~rps:400. ~duration_s:0.25 ~threads:1 ()
+  in
+  Alcotest.(check int) "all requests sent" 100 r.Loadgen.sent;
+  Alcotest.(check bool)
+    (Printf.sprintf "queueing counted (max %.1f ms)" r.Loadgen.max_ms)
+    true
+    (r.Loadgen.max_ms >= 100.)
+
 let test_loadgen_classifies_sheds () =
   let handler _line =
     Dnn_serial.Wire.to_line
@@ -864,6 +882,8 @@ let suite =
       test_loadgen_counts_and_percentiles;
     Alcotest.test_case "loadgen: classifies structured sheds" `Quick
       test_loadgen_classifies_sheds;
+    Alcotest.test_case "loadgen: a backlog's queueing is latency" `Quick
+      test_loadgen_counts_backlog;
     Alcotest.test_case "loadgen: zoo mix is deterministic" `Quick
       test_loadgen_zoo_mix_deterministic;
     Alcotest.test_case "loadgen: counts divergence from a reference" `Quick
