@@ -179,8 +179,9 @@ let plan_cmd =
   in
   let profile_arg =
     let doc =
-      "Print the per-pass wall-clock breakdown (liveness, interference, \
-       coloring, prefetch, DNNK, splitting, segmentation) to stderr.  \
+      "Print the per-pass wall-clock breakdown (profile and metric, \
+       liveness, interference, coloring, prefetch, DNNK, splitting, \
+       segmentation, channel assignment) to stderr.  \
        Timings stay off stdout so the plan text remains byte-reproducible."
     in
     Arg.(value & flag & info [ "profile" ] ~doc)

@@ -6,12 +6,13 @@ module Shape = Tensor.Shape
 type profile = {
   node_id : int;
   latc : float;
-  if_terms : (int * float) list;
+  if_values : int array;
+  if_secs : float array;
+  if_bytes : int array;
   wt_term : float;
   wt_load_once : float;
   of_term : float;
   of_value : int option;
-  if_stream_bytes : (int * int) list;
   wt_stream_bytes : int;
   wt_once_bytes : int;
   of_stream_bytes : int;
@@ -47,7 +48,7 @@ type node_inputs = {
   transfers : bool;  (* false for Input and Concat: they move nothing *)
   of_value : int option;
   sources : int array;  (* streamed source values, after fusion *)
-  source_bytes : int array;
+  value_bytes : int array;  (* every node's output bytes, shared per graph *)
   wt_bytes : int;
   of_bytes : int;  (* 0 when the write-back is fused away *)
 }
@@ -100,44 +101,54 @@ let node_work g id op =
    layer's drain: its write-back and its re-read both disappear. *)
 let fused_into_next ~fused_eltwise g v =
   fused_eltwise
-  && (match Values.consumers g v with
-     | [ c ] when c = v + 1 -> (
-       match (G.node g c).G.op with
-       | Op.Eltwise_add -> true
-       | Op.Input _ | Op.Conv _ | Op.Pool _ | Op.Concat | Op.Upsample _
-       | Op.Dense _ -> false)
-     | _ -> false)
+  && v + 1 < G.node_count g
+  && (match (G.node g (v + 1)).G.op with
+     | Op.Eltwise_add -> true
+     | Op.Input _ | Op.Conv _ | Op.Pool _ | Op.Concat | Op.Upsample _
+     | Op.Dense _ -> false)
+  && (match Values.consumers g v with [ c ] -> c = v + 1 | _ -> false)
 
-let node_inputs dtype ~fused_eltwise g id =
+(* [sources] is [Values.source_table g], [bytes] every node's output
+   bytes: per-graph lookups, so a node's inputs cost O(sources). *)
+let node_inputs dtype ~fused_eltwise g ~sources ~bytes id =
   let op = (G.node g id).G.op in
   let compute, dims = node_work g id op in
   match op with
   | Op.Input _ | Op.Concat ->
     { compute; dims; transfers = false;
       of_value = (match op with Op.Input _ -> Some id | _ -> None);
-      sources = [||]; source_bytes = [||]; wt_bytes = 0; of_bytes = 0 }
+      sources = [||]; value_bytes = bytes; wt_bytes = 0; of_bytes = 0 }
   | Op.Conv _ | Op.Dense _ | Op.Pool _ | Op.Eltwise_add | Op.Upsample _ ->
-    let sources = Values.source_values g id in
     let sources =
-      Array.of_list
-        (if fused_eltwise then
-           List.filter (fun v -> not (fused_into_next ~fused_eltwise g v)) sources
-         else sources)
+      if fused_eltwise then
+        Array.of_list
+          (List.filter
+             (fun v -> not (fused_into_next ~fused_eltwise g v))
+             (Array.to_list sources.(id)))
+      else sources.(id)
     in
     { compute; dims; transfers = true; of_value = Some id; sources;
-      source_bytes =
-        Array.map (fun v -> Shape.size_bytes dtype (G.output_shape g v)) sources;
+      value_bytes = bytes;
       wt_bytes =
         (match G.weight_shape g id with
         | None -> 0
         | Some shape -> Shape.size_bytes dtype shape);
       of_bytes =
-        (if fused_into_next ~fused_eltwise g id then 0
-         else Shape.size_bytes dtype (G.output_shape g id)) }
+        (if fused_into_next ~fused_eltwise g id then 0 else bytes.(id)) }
+
+(* Every node's inputs, handed to [f] with its id. *)
+let map_inputs dtype ~fused_eltwise g f =
+  let sources = Values.source_table g in
+  let bytes =
+    Array.init (G.node_count g) (fun v ->
+        Shape.size_bytes dtype (G.output_shape g v))
+  in
+  Array.init (G.node_count g) (fun id ->
+      f (node_inputs dtype ~fused_eltwise g ~sources ~bytes id) id)
 
 let table dtype ~fused_eltwise g =
   { dtype; fused_eltwise;
-    inputs = Array.init (G.node_count g) (node_inputs dtype ~fused_eltwise g) }
+    inputs = map_inputs dtype ~fused_eltwise g (fun n _ -> n) }
 
 let check_table cfg t =
   if cfg.Config.dtype <> t.dtype || cfg.Config.fused_eltwise <> t.fused_eltwise
@@ -218,37 +229,39 @@ let of_term ~bw ~ovh txn n =
 let profile_of cfg ~bw n id =
   let latc = latc cfg n in
   if not n.transfers then
-    { node_id = id; latc; if_terms = []; wt_term = 0.; wt_load_once = 0.;
-      of_term = 0.; of_value = n.of_value; if_stream_bytes = [];
+    { node_id = id; latc; if_values = [||]; if_secs = [||]; if_bytes = [||];
+      wt_term = 0.; wt_load_once = 0.; of_term = 0.; of_value = n.of_value;
       wt_stream_bytes = 0; wt_once_bytes = 0; of_stream_bytes = 0 }
   else
     let tile = cfg.Config.tile and ovh = cfg.Config.burst_overhead in
     let trips = trips tile n.dims and txn = transactions tile n.dims in
     let ovh_each = if_ovh_each ~ovh txn n in
-    let terms = ref [] and streamed = ref [] in
-    for k = Array.length n.sources - 1 downto 0 do
-      let v = n.sources.(k) in
-      let bytes = if_stream_bytes trips n.source_bytes.(k) in
-      terms := (v, if_term ~bw ~ovh_each bytes) :: !terms;
-      streamed := (v, bytes) :: !streamed
+    let k = Array.length n.sources in
+    let if_bytes = Array.make k 0 and if_secs = Array.create_float k in
+    for j = 0 to k - 1 do
+      let bytes = if_stream_bytes trips n.value_bytes.(n.sources.(j)) in
+      if_bytes.(j) <- bytes;
+      if_secs.(j) <- if_term ~bw ~ovh_each bytes
     done;
-    { node_id = id; latc; if_terms = !terms;
+    { node_id = id; latc;
+      if_values = n.sources;
+      if_secs;
+      if_bytes;
       wt_term = wt_term ~bw ~ovh trips txn n;
       wt_load_once = wt_load_once ~bw ~ovh n;
       of_term = of_term ~bw ~ovh txn n;
       of_value = n.of_value;
-      if_stream_bytes = !streamed;
       wt_stream_bytes = n.wt_bytes * trips.Tiling.wt_trips;
       wt_once_bytes = n.wt_bytes;
       of_stream_bytes = n.of_bytes }
 
 (* Each node's inputs are compiled as [table] compiles them, then dropped:
-   one profile pass needs no table to outlive it. *)
+   one profile pass needs no table to outlive it, so the profile keeps
+   the node's source array as its [if_values]. *)
 let profile_graph cfg g =
-  let dtype = cfg.Config.dtype and fused_eltwise = cfg.Config.fused_eltwise in
   let bw = Config.interface_bandwidth cfg in
-  Array.init (G.node_count g) (fun id ->
-      profile_of cfg ~bw (node_inputs dtype ~fused_eltwise g id) id)
+  map_inputs cfg.Config.dtype ~fused_eltwise:cfg.Config.fused_eltwise g
+    (profile_of cfg ~bw)
 
 let compute_times cfg t =
   check_table cfg t;
@@ -256,17 +269,17 @@ let compute_times cfg t =
 
 (* UMM streaming time of one node: every source, the weights and the
    write-back go to DDR.  The source terms fold in source order from 0.,
-   as [node_latency] folds them. *)
+   as [umm_node_latency] folds them. *)
 let umm_streaming_time ~bw ~ovh tile n =
   if not n.transfers then 0.
   else
     let trips = trips tile n.dims and txn = transactions tile n.dims in
     let ovh_each = if_ovh_each ~ovh txn n in
     let if_time = ref 0. in
-    Array.iter
-      (fun bytes ->
-        if_time := !if_time +. if_term ~bw ~ovh_each (if_stream_bytes trips bytes))
-      n.source_bytes;
+    for j = 0 to Array.length n.sources - 1 do
+      let bytes = n.value_bytes.(n.sources.(j)) in
+      if_time := !if_time +. if_term ~bw ~ovh_each (if_stream_bytes trips bytes)
+    done;
     streaming ~if_time:!if_time ~wt_time:(wt_term ~bw ~ovh trips txn n)
       ~of_time:(of_term ~bw ~ovh txn n)
 
@@ -282,23 +295,19 @@ let umm_total_of_times ~compute ~streaming:stream =
   done;
   !acc
 
-let node_latency p ~if_on_chip ~wt_on_chip ~of_on_chip =
-  let if_time =
-    List.fold_left
-      (fun acc (v, t) -> if if_on_chip v then acc else acc +. t)
-      0. p.if_terms
-  in
-  let wt_time = if wt_on_chip then 0. else p.wt_term in
-  let of_time = if of_on_chip then 0. else p.of_term in
-  overlap p.latc (streaming ~if_time ~wt_time ~of_time)
-
 let umm_node_latency p =
-  node_latency p ~if_on_chip:(fun _ -> false) ~wt_on_chip:false ~of_on_chip:false
+  let if_time = ref 0. in
+  for j = 0 to Array.length p.if_secs - 1 do
+    if_time := !if_time +. p.if_secs.(j)
+  done;
+  overlap p.latc
+    (streaming ~if_time:!if_time ~wt_time:p.wt_term ~of_time:p.of_term)
 
 let umm_total profiles =
   Array.fold_left (fun acc p -> acc +. umm_node_latency p) 0. profiles
 
-let has_traffic p = p.if_terms <> [] || p.wt_term > 0. || p.of_term > 0.
+let has_traffic p =
+  Array.length p.if_values > 0 || p.wt_term > 0. || p.of_term > 0.
 
 let is_memory_bound p = has_traffic p && umm_node_latency p > p.latc
 

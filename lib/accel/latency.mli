@@ -17,13 +17,18 @@
 type profile = {
   node_id : int;
   latc : float;                    (** Compute seconds. *)
-  if_terms : (int * float) list;   (** (value id, streaming seconds). *)
+  if_values : int array;
+      (** The input terms' value ids, in operator input order (a value
+          read twice appears twice).  The three [if_] arrays have one
+          entry per input term, in this order. *)
+  if_secs : float array;
+      (** Per input term, its streaming seconds. *)
+  if_bytes : int array;
+      (** Per input term, its DDR bytes streamed incl. tile reloads. *)
   wt_term : float;                 (** Weight streaming seconds; 0 if none. *)
   wt_load_once : float;            (** Seconds to load the weights once. *)
   of_term : float;                 (** Output write-back seconds. *)
   of_value : int option;           (** Value id written, when one exists. *)
-  if_stream_bytes : (int * int) list;
-      (** (value id, DDR bytes streamed incl. tile reloads). *)
   wt_stream_bytes : int;           (** DDR bytes for streamed weights. *)
   wt_once_bytes : int;             (** Bytes of one whole weight load. *)
   of_stream_bytes : int;           (** DDR bytes written back. *)
@@ -62,15 +67,11 @@ val umm_total_of_times : compute:float array -> streaming:float array -> float
 (** Whole-network UMM latency from the two sweeps, summed in node order:
     equal, bit for bit, to [umm_total] of the matching profiles. *)
 
-val node_latency :
-  profile -> if_on_chip:(int -> bool) -> wt_on_chip:bool -> of_on_chip:bool ->
-  float
-(** Eq. 1 for one node under the given allocation: latency is
-    [max(latc, sum of off-chip if terms, wt term, of term)], where pinned
-    sources contribute zero. *)
-
 val umm_node_latency : profile -> float
-(** Node latency with everything streamed from DDR. *)
+(** Eq. 1 for one node with everything streamed from DDR:
+    [max(latc, sum of if terms, wt term, of term)], the input terms
+    summed in order from 0.  Under an allocation, Eq. 1 is
+    [Lcmm.Metric.node_latency_on]. *)
 
 val umm_total : profile array -> float
 (** Whole-network latency under uniform memory management (nodes run

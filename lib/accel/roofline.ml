@@ -23,7 +23,9 @@ let points cfg g =
     (fun nd ->
       let id = nd.G.id in
       let p = profiles.(id) in
-      let moves_data = p.Latency.if_terms <> [] || p.Latency.of_term > 0. in
+      let moves_data =
+        Array.length p.Latency.if_values > 0 || p.Latency.of_term > 0.
+      in
       if not moves_data then None
       else
         let intensity = Analysis.op_intensity dtype g id in

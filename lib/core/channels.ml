@@ -72,13 +72,7 @@ let assign ~channels (metric : Metric.t) ~on_chip =
           (float_of_int p.Latency.wt_stream_bytes *. (1. -. frac),
            Wt_stream, id)
           :: !streams;
-      let if_bytes =
-        List.fold_left
-          (fun acc (v, b) ->
-            if Metric.Item_set.mem (Metric.Feature_value v) on_chip then acc
-            else acc + b)
-          0 p.Latency.if_stream_bytes
-      in
+      let if_bytes = Traffic.if_stream_bytes ~on_chip p in
       if if_bytes > 0 then
         streams := (float_of_int if_bytes, If_stream, id) :: !streams;
       if

@@ -34,6 +34,7 @@ let default_options =
     channels = 1 }
 
 type pass_times = {
+  profile_us : float;
   liveness_us : float;
   interference_us : float;
   coloring_us : float;
@@ -45,7 +46,8 @@ type pass_times = {
 }
 
 let zero_pass_times =
-  { liveness_us = 0.;
+  { profile_us = 0.;
+    liveness_us = 0.;
     interference_us = 0.;
     coloring_us = 0.;
     prefetch_us = 0.;
@@ -55,7 +57,8 @@ let zero_pass_times =
     channel_assign_us = 0. }
 
 let add_pass_times a b =
-  { liveness_us = a.liveness_us +. b.liveness_us;
+  { profile_us = a.profile_us +. b.profile_us;
+    liveness_us = a.liveness_us +. b.liveness_us;
     interference_us = a.interference_us +. b.interference_us;
     coloring_us = a.coloring_us +. b.coloring_us;
     prefetch_us = a.prefetch_us +. b.prefetch_us;
@@ -65,7 +68,8 @@ let add_pass_times a b =
     channel_assign_us = a.channel_assign_us +. b.channel_assign_us }
 
 let pass_times_assoc t =
-  [ ("liveness_us", t.liveness_us);
+  [ ("profile_us", t.profile_us);
+    ("liveness_us", t.liveness_us);
     ("interference_us", t.interference_us);
     ("coloring_us", t.coloring_us);
     ("prefetch_us", t.prefetch_us);
@@ -165,20 +169,21 @@ let prepare ?(options = default_options) ?pool config g =
       m "plan: %d nodes, %s, device %s" (G.node_count g)
         (Tensor.Dtype.to_string config.Config.dtype)
         config.Config.device.Fpga.Device.device_name);
-  let profiles = Latency.profile_graph config g in
+  let profile_us = ref 0. and liveness_us = ref 0. and prefetch_us = ref 0. in
   (* Slices below the allocation block size only waste rounding; cap the
      per-node slice count so every slice spans at least one block. *)
-  let metric =
-    let dtype = config.Config.dtype in
-    let weight_slices n =
-      let bytes =
-        match G.weight_shape g n with
-        | None -> 0
-        | Some shape -> Tensor.Shape.size_bytes dtype shape
-      in
-      max 1 (min options.weight_slices (bytes / Dnnk.block_bytes))
+  let weight_slices n =
+    let bytes =
+      match G.weight_shape g n with
+      | None -> 0
+      | Some shape -> Tensor.Shape.size_bytes config.Config.dtype shape
     in
-    Metric.build ~weight_slices g profiles
+    max 1 (min options.weight_slices (bytes / Dnnk.block_bytes))
+  in
+  let profiles, metric =
+    timed profile_us (fun () ->
+        let profiles = Latency.profile_graph config g in
+        (profiles, Metric.build ~weight_slices g profiles))
   in
   let eligible =
     Metric.eligible_items metric ~memory_bound_only:options.memory_bound_only
@@ -198,7 +203,6 @@ let prepare ?(options = default_options) ?pool config g =
          | Metric.Feature_value _ -> None)
     |> List.sort_uniq compare
   in
-  let liveness_us = ref 0. and prefetch_us = ref 0. in
   let pdg =
     if weight_targets = [] then None
     else
@@ -213,7 +217,7 @@ let prepare ?(options = default_options) ?pool config g =
   let intervals =
     timed liveness_us (fun () ->
         Pool.init pool (Array.length items) (fun i ->
-            Liveness.item_interval g ~prefetch_source items.(i)))
+            Liveness.metric_interval metric ~prefetch_source items.(i)))
   in
   Log.info (fun m ->
       m "passes 1+2 (liveness, prefetch): %d eligible items, %d prefetch targets"
@@ -228,6 +232,7 @@ let prepare ?(options = default_options) ?pool config g =
     pr_pdg = pdg;
     pr_times =
       { zero_pass_times with
+        profile_us = !profile_us;
         liveness_us = !liveness_us;
         prefetch_us = !prefetch_us } }
 

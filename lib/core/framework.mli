@@ -40,6 +40,10 @@ val default_options : options
     the paper's configuration. *)
 
 type pass_times = {
+  profile_us : float;
+      (** The Eq. 1 profile and the metric tables built on it
+          ({!Accel.Latency.profile_graph} and {!Metric.build}), the base
+          every pass reads. *)
   liveness_us : float;
   interference_us : float;
   coloring_us : float;
@@ -54,7 +58,7 @@ type pass_times = {
 }
 (** Per-pass wall-clock microseconds for one planner run.  The only
     pass clock: the stages that made a plan fill it ({!prepare} the
-    liveness and prefetch passes, {!allocate} interference through
+    profile, liveness and prefetch, {!allocate} interference through
     splitting, {!finish} channel assignment), and a caller that wants
     totals (the service's stats op) sums the plans it computed with
     {!add_pass_times}.  Plans finished from a shared stage value all

@@ -13,9 +13,13 @@ let weight_interval ~prefetch_source n =
   let start_pos = match prefetch_source n with Some s -> s | None -> n in
   make ~start_pos:(min start_pos n) ~end_pos:n
 
-let item_interval g ~prefetch_source = function
-  | Metric.Feature_value v -> feature_interval g v
+let interval ~last_use ~prefetch_source = function
+  | Metric.Feature_value v -> make ~start_pos:v ~end_pos:(last_use v)
   | Metric.Weight_of n -> weight_interval ~prefetch_source n
   | Metric.Weight_slice { node; _ } -> weight_interval ~prefetch_source node
+
+let item_interval g = interval ~last_use:(Dnn_graph.Values.last_use g)
+let metric_interval metric =
+  interval ~last_use:(Array.get metric.Metric.last_use)
 
 let pp ppf i = Format.fprintf ppf "[%d,%d]" i.start_pos i.end_pos

@@ -27,4 +27,10 @@ val item_interval :
     supplies the PDG start node (defaults to the consuming node itself
     when [None], i.e. no prefetch headroom). *)
 
+val metric_interval :
+  Metric.t -> prefetch_source:(int -> int option) -> Metric.item -> interval
+(** {!item_interval} on the metric's graph, reading each feature value's
+    last use from the metric's [last_use] table instead of walking the
+    graph. *)
+
 val pp : Format.formatter -> interval -> unit

@@ -43,9 +43,9 @@ type t = {
   item_count : int;
   slice_base : int array;
   slice_node : int array;
+  consumers : int list array;
+  last_use : int array;
   affected : int list array;
-  if_ids : int array array;
-  if_secs : float array array;
   umm : float array;
 }
 
@@ -105,10 +105,10 @@ let fmax (a : float) b = if a >= b then a else b
 (* The Eq. 1 kernel, with fractional weight residency: the streamed
    share of a sliced weight tensor scales its transfer term.  [fmax] is
    [Stdlib.max] specialised to floats (same comparison, same result).
-   The input-term loop reads unchecked: [j] stays below the length of
-   [ids] and [secs] (one list made both), [build] checked every id
-   against [node_count], and [node_count <= item_count <= mark_size]
-   is checked here once per call. *)
+   The input-term loop reads the profile's arrays unchecked: [j] stays
+   below the length of [ids], which [build] checked equals that of
+   [secs].  The mark's slots are read checked, so a term id changed
+   after [build] cannot read outside them. *)
 let node_latency_on t m id =
   let slots = m.slots and stamp = m.stamp in
   if Array.length slots < t.item_count then
@@ -128,10 +128,10 @@ let node_latency_on t m id =
       p.Latency.wt_term *. float_of_int !off /. float_of_int k
     end
   in
-  let ids = t.if_ids.(id) and secs = t.if_secs.(id) in
+  let ids = p.Latency.if_values and secs = p.Latency.if_secs in
   let if_time = ref 0. in
   for j = 0 to Array.length ids - 1 do
-    if Array.unsafe_get slots (Array.unsafe_get ids j) <> stamp then
+    if slots.(Array.unsafe_get ids j) <> stamp then
       if_time := !if_time +. Array.unsafe_get secs j
   done;
   let of_time = if slots.(id) = stamp then 0. else p.Latency.of_term in
@@ -177,7 +177,7 @@ let node_latency_pair_ix t id ~codes ~bits ~col out =
     end;
     pos := k
   end;
-  let secs = t.if_secs.(id) in
+  let secs = p.Latency.if_secs in
   let base = !pos in
   let if1 = ref 0. and if2 = ref 0. in
   for j = 0 to Array.length secs - 1 do
@@ -191,10 +191,46 @@ let node_latency_pair_ix t id ~codes ~bits ~col out =
   out.(0) <- fmax p.Latency.latc (fmax !if1 (fmax !wt1 of1));
   out.(1) <- fmax p.Latency.latc (fmax !if2 (fmax !wt2 of2))
 
-let terms_of f terms = Array.of_list (List.map f terms)
+(* Every node's resolved consumers and last use, in one walk over the
+   graph: each value node adds itself to every node its inputs resolve
+   through, transparent nodes included, exactly the nodes whose
+   [Values.consumers] list it.  Nodes are visited from the last, so
+   each list comes out ascending and its first consumer added is its
+   last use; a node's own additions are consecutive, so a duplicate is
+   always the list's head. *)
+let consumer_table graph =
+  let n = G.node_count graph in
+  let value = Array.init n (Values.is_value graph) in
+  let consumers = Array.make n [] in
+  let last_use = Array.init n Fun.id in
+  for c = n - 1 downto 0 do
+    if value.(c) then begin
+      let rec visit p =
+        match consumers.(p) with
+        | c' :: _ when c' = c -> ()
+        | l ->
+          if l = [] then last_use.(p) <- Int.max p c;
+          consumers.(p) <- c :: l;
+          if not value.(p) then List.iter visit (G.node graph p).G.preds
+      in
+      List.iter visit (G.node graph c).G.preds
+    end
+  done;
+  (consumers, last_use)
 
 let build ?(weight_slices = fun _ -> 1) graph profiles =
   let node_count = Array.length profiles in
+  Array.iter
+    (fun p ->
+      let ids = p.Latency.if_values in
+      if Array.length p.Latency.if_secs <> Array.length ids then
+        invalid_arg "Metric.build: input terms of different lengths";
+      Array.iter
+        (fun v ->
+          if v < 0 || v >= node_count then
+            invalid_arg "Metric.build: an input term outside the graph")
+        ids)
+    profiles;
   let slices = Array.make node_count 1 in
   let slice_base = Array.make node_count 0 in
   let next = ref (2 * node_count) in
@@ -226,20 +262,13 @@ let build ?(weight_slices = fun _ -> 1) graph profiles =
     profiles;
   (* A feature value affects its producer (output stream) and every
      consumer (input stream). *)
+  let consumers, last_use = consumer_table graph in
   for v = 0 to G.node_count graph - 1 do
-    if Values.is_value graph v then begin
-      let consumers = Values.consumers graph v in
+    if Values.is_value graph v then
       affected.(v) <-
-        (if profiles.(v).Latency.of_term > 0. then v :: consumers
-         else consumers)
-    end
+        (if profiles.(v).Latency.of_term > 0. then v :: consumers.(v)
+         else consumers.(v))
   done;
-  let if_ids = Array.map (fun p -> terms_of fst p.Latency.if_terms) profiles in
-  Array.iter
-    (Array.iter (fun v ->
-         if v < 0 || v >= node_count then
-           invalid_arg "Metric.build: an input term outside the graph"))
-    if_ids;
   let t =
     { graph;
       profiles;
@@ -248,9 +277,9 @@ let build ?(weight_slices = fun _ -> 1) graph profiles =
       item_count;
       slice_base;
       slice_node;
+      consumers;
+      last_use;
       affected;
-      if_ids;
-      if_secs = Array.map (fun p -> terms_of snd p.Latency.if_terms) profiles;
       umm = [||] }
   in
   let off_chip = mark item_count in
@@ -279,7 +308,7 @@ let umm_latency t id = t.umm.(id)
 let map_queried_ix t id f =
   let k = t.slices.(id) in
   let weights = if t.profiles.(id).Latency.wt_term > 0. then k else 0 in
-  let ids = t.if_ids.(id) in
+  let ids = t.profiles.(id).Latency.if_values in
   let out = Array.make (weights + Array.length ids + 1) 0 in
   if weights > 0 then begin
     if k = 1 then out.(0) <- f (t.node_count + id)

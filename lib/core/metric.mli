@@ -42,13 +42,19 @@ type t = private {
       (** Per sliced node, the dense index of its slice 0. *)
   slice_node : int array;
       (** Per slice (dense index minus [2 * node_count]), its node. *)
+  consumers : int list array;
+      (** Per node, [Dnn_graph.Values.consumers] of it: the value nodes
+          that read its value, resolved through transparent nodes,
+          ascending.  Built in one walk over the graph. *)
+  last_use : int array;
+      (** Per node, [Dnn_graph.Values.last_use] of it: its last
+          consumer, or the node itself when it has none.  Built in the
+          same walk. *)
   affected : int list array;
       (** Per dense item index, the nodes whose Eq. 1 latency depends on
-          the item ([[]] for items no node queries). *)
-  if_ids : int array array;
-  if_secs : float array array;
-      (** Per node, {!Accel.Latency.profile.if_terms} as two flat arrays
-          (value ids, seconds), in the same order. *)
+          the item ([[]] for items no node queries).  A feature value's
+          list is its [consumers] list, after the value itself when its
+          producer writes it back. *)
   umm : float array;
       (** Per node, its Eq. 1 latency with every item off chip. *)
 }
@@ -59,8 +65,10 @@ val build :
 (** [weight_slices node] (default [fun _ -> 1]) picks the slicing
     granularity per weight-carrying node; values above 1 replace the
     node's [Weight_of] item with that many [Weight_slice] items.
-    Raises [Invalid_argument] when an input term of a profile names a
-    node outside [0, Array.length profiles). *)
+    The metric shares the profiles' input-term arrays.  Raises
+    [Invalid_argument] when an input term of a profile names a node
+    outside [0, Array.length profiles), or when a profile's [if_values]
+    and [if_secs] differ in length. *)
 
 val item_size_bytes : Tensor.Dtype.t -> t -> item -> int
 (** Storage the item needs on chip. *)

@@ -8,18 +8,22 @@ type t = {
 
 let total_bytes t = t.if_bytes + t.wt_bytes + t.of_bytes
 
+let if_stream_bytes ~on_chip (p : Latency.profile) =
+  let sum = ref 0 in
+  for j = 0 to Array.length p.Latency.if_values - 1 do
+    let v = p.Latency.if_values.(j) in
+    if not (Metric.Item_set.mem (Metric.Feature_value v) on_chip) then
+      sum := !sum + p.Latency.if_bytes.(j)
+  done;
+  !sum
+
 let of_allocation metric ~on_chip =
   let on item = Metric.Item_set.mem item on_chip in
   let acc = ref { if_bytes = 0; wt_bytes = 0; of_bytes = 0 } in
   Array.iter
     (fun p ->
       let id = p.Latency.node_id in
-      let if_bytes =
-        List.fold_left
-          (fun sum (v, bytes) ->
-            if on (Metric.Feature_value v) then sum else sum + bytes)
-          0 p.Latency.if_stream_bytes
-      in
+      let if_bytes = if_stream_bytes ~on_chip p in
       (* Weights: pinned tensors load once (prefetch); slices split the
          tensor between the two regimes. *)
       let k = metric.Metric.slices.(id) in

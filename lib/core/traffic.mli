@@ -16,6 +16,10 @@ type t = {
 
 val total_bytes : t -> int
 
+val if_stream_bytes : on_chip:Metric.Item_set.t -> Accel.Latency.profile -> int
+(** DDR bytes the node's off-chip feature inputs stream (incl. tile
+    reloads). *)
+
 val of_allocation : Metric.t -> on_chip:Metric.Item_set.t -> t
 (** Per-inference DDR traffic under the allocation. *)
 

@@ -74,10 +74,8 @@ let search ?pool ~max_segment ~headroom_bytes ~tile_th ~dtype metric ~on_chip =
        and any segment strictly containing it is illegal). *)
     let need = Array.make n max_int in
     for v = 0 to n - 1 do
-      if is_val.(v) then
-        match Values.consumers g v with
-        | [] -> ()
-        | cs -> need.(v) <- List.fold_left max 0 cs
+      if is_val.(v) && metric.Metric.consumers.(v) <> [] then
+        need.(v) <- metric.Metric.last_use.(v)
     done;
     let slab =
       Array.init n (fun v ->
@@ -95,24 +93,23 @@ let search ?pool ~max_segment ~headroom_bytes ~tile_th ~dtype metric ~on_chip =
     in
     let base_lat = Array.init n (Metric.node_latency_on metric base) in
     (* DDR bytes value v moves under the base allocation: its producer's
-       write-back plus every consumer's streamed read. *)
+       write-back plus every consumer's streamed read.  Only consumers
+       stream a value, so one pass over every input term sums the
+       reads. *)
+    let reads = Array.make n 0 in
+    Array.iter
+      (fun p ->
+        Array.iteri
+          (fun j v -> reads.(v) <- reads.(v) + p.Latency.if_bytes.(j))
+          p.Latency.if_values)
+      profiles;
     let value_ddr_bytes v =
       if pinned.(v) then 0
-      else begin
+      else
         let p = profiles.(v) in
-        let wb =
-          match p.Latency.of_value with
-          | Some v' when v' = v -> p.Latency.of_stream_bytes
-          | _ -> 0
-        in
-        List.fold_left
-          (fun acc c ->
-            List.fold_left
-              (fun acc (src, bytes) -> if src = v then acc + bytes else acc)
-              acc
-              profiles.(c).Latency.if_stream_bytes)
-          wb (Values.consumers g v)
-      end
+        match p.Latency.of_value with
+        | Some v' when v' = v -> p.Latency.of_stream_bytes + reads.(v)
+        | _ -> reads.(v)
     in
     (* All legal, strictly beneficial candidate segments starting at
        [lo], priced exactly.  Legality and the slab sum extend

@@ -14,6 +14,10 @@ val source_values : Graph.t -> int -> int list
     follows the operator's input order; duplicates are kept (a node
     reading one value twice streams it twice). *)
 
+val source_table : Graph.t -> int array array
+(** [source_values] of every node, as arrays indexed by node id, in one
+    pass that classifies each node once. *)
+
 val consumers : Graph.t -> int -> int list
 (** Node ids that read the given node's value, resolved through
     transparent successors (the transparent nodes themselves are not

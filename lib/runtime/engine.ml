@@ -194,7 +194,8 @@ let tables input ~on_chip ~prefetch =
         profiles;
     if_time = per_node (NM.if_time ~on_chip);
     of_time = per_node (NM.of_time ~on_chip);
-    if_bytes = per_node (fun p -> float_of_int (NM.if_stream_bytes ~on_chip p));
+    if_bytes =
+      per_node (fun p -> float_of_int (Lcmm.Traffic.if_stream_bytes ~on_chip p));
     of_bytes = per_node (fun p -> float_of_int (NM.of_stream_bytes ~on_chip p));
     released;
     edge_flags = NM.has_edge released n }

@@ -51,11 +51,13 @@ let demand_load ?(weights_resident = false) metric ~on_chip ~has_edge
   else None
 
 let if_time ~on_chip (p : Latency.profile) =
-  List.fold_left
-    (fun acc (v, t) ->
-      if Metric.Item_set.mem (Metric.Feature_value v) on_chip then acc
-      else acc +. t)
-    0. p.Latency.if_terms
+  let acc = ref 0. in
+  for j = 0 to Array.length p.Latency.if_values - 1 do
+    let v = p.Latency.if_values.(j) in
+    if not (Metric.Item_set.mem (Metric.Feature_value v) on_chip) then
+      acc := !acc +. p.Latency.if_secs.(j)
+  done;
+  !acc
 
 let of_time ~on_chip (p : Latency.profile) =
   if Metric.Item_set.mem (Metric.Feature_value p.Latency.node_id) on_chip then 0.
@@ -72,13 +74,6 @@ let duration_and_binding ~latc ~if_time ~wt_component ~of_time =
   end;
   if of_time > !best then begin binding := Output_stream; best := of_time end;
   (!binding, !best)
-
-let if_stream_bytes ~on_chip (p : Latency.profile) =
-  List.fold_left
-    (fun acc (v, b) ->
-      if Metric.Item_set.mem (Metric.Feature_value v) on_chip then acc
-      else acc + b)
-    0 p.Latency.if_stream_bytes
 
 let of_stream_bytes ~on_chip (p : Latency.profile) =
   if Metric.Item_set.mem (Metric.Feature_value p.Latency.node_id) on_chip then 0

@@ -52,8 +52,5 @@ val duration_and_binding :
 (** Eq. 1 for one node: the max component and which one bound it (ties
     keep the earlier component, [Compute] first). *)
 
-val if_stream_bytes : on_chip:Lcmm.Metric.Item_set.t -> Accel.Latency.profile -> int
-(** DDR bytes the node's off-chip inputs stream (incl. tile reloads). *)
-
 val of_stream_bytes : on_chip:Lcmm.Metric.Item_set.t -> Accel.Latency.profile -> int
 (** DDR bytes the node's off-chip output writes back. *)

@@ -100,25 +100,34 @@ let test_latency_profiles () =
   Alcotest.(check (float 0.)) "input free" 0. (Latency.umm_node_latency input);
   let conv = profiles.(1) in
   Alcotest.(check bool) "conv compute positive" true (conv.Latency.latc > 0.);
-  Alcotest.(check int) "one input stream" 1 (List.length conv.Latency.if_terms);
+  Alcotest.(check int) "one input stream" 1 (Array.length conv.Latency.if_values);
   Alcotest.(check bool) "weight stream positive" true (conv.Latency.wt_term > 0.);
   Alcotest.(check bool) "load once <= streamed" true
     (conv.Latency.wt_load_once <= conv.Latency.wt_term +. 1e-12)
 
+(* A mark holding every item of the metric: everything on chip. *)
+let all_on_mark m =
+  let on = Lcmm.Metric.mark (Lcmm.Metric.item_count m) in
+  for i = 0 to Lcmm.Metric.item_count m - 1 do
+    Lcmm.Metric.add on i
+  done;
+  on
+
 let test_eq1_semantics () =
-  let _, _, profiles = profile_fixture () in
+  let g, _, profiles = profile_fixture () in
+  let m = Lcmm.Metric.build g profiles in
   let p = profiles.(1) in
   let all_off = Latency.umm_node_latency p in
-  let all_on =
-    Latency.node_latency p ~if_on_chip:(fun _ -> true) ~wt_on_chip:true
-      ~of_on_chip:true
-  in
+  Alcotest.(check (float 0.)) "umm = kernel with nothing on chip"
+    (Lcmm.Metric.umm_latency m 1) all_off;
+  let all_on = Lcmm.Metric.node_latency_on m (all_on_mark m) 1 in
   Alcotest.(check (float 1e-12)) "fully pinned = compute" p.Latency.latc all_on;
   Alcotest.(check bool) "pinning never hurts" true (all_on <= all_off);
   (* Pinning one source is between the two. *)
   let wt_on =
-    Latency.node_latency p ~if_on_chip:(fun _ -> false) ~wt_on_chip:true
-      ~of_on_chip:false
+    let on = Lcmm.Metric.mark (Lcmm.Metric.item_count m) in
+    Lcmm.Metric.add on (Lcmm.Metric.item_index m (Lcmm.Metric.Weight_of 1));
+    Lcmm.Metric.node_latency_on m on 1
   in
   Alcotest.(check bool) "partial between" true (all_on <= wt_on && wt_on <= all_off)
 
@@ -270,13 +279,13 @@ let test_fused_eltwise () =
   Alcotest.(check bool) "producer of-term removed" true
     (p_fused.(3).Latency.of_term = 0. && p_plain.(3).Latency.of_term > 0.);
   Alcotest.(check int) "add loses one input stream"
-    (List.length p_plain.(4).Latency.if_terms - 1)
-    (List.length p_fused.(4).Latency.if_terms);
+    (Array.length p_plain.(4).Latency.if_values - 1)
+    (Array.length p_fused.(4).Latency.if_values);
   (* The shortcut input (node 1, consumed by the add too) still streams:
      it has another consumer ordering (not the immediately preceding
      node). *)
   Alcotest.(check bool) "shortcut still streams" true
-    (List.mem_assoc 1 p_fused.(4).Latency.if_terms);
+    (Array.mem 1 p_fused.(4).Latency.if_values);
   Alcotest.(check bool) "fusion only helps" true
     (Latency.umm_total p_fused <= Latency.umm_total p_plain +. 1e-15)
 
@@ -286,14 +295,8 @@ let prop_umm_upper_bound =
       let cfg = Config.make ~style:Config.Umm Dtype.I16 in
       let profiles = Latency.profile_graph cfg g in
       let umm = Latency.umm_total profiles in
-      let all_on =
-        Array.fold_left
-          (fun acc p ->
-            acc
-            +. Latency.node_latency p ~if_on_chip:(fun _ -> true) ~wt_on_chip:true
-                 ~of_on_chip:true)
-          0. profiles
-      in
+      let m = Lcmm.Metric.build g profiles in
+      let all_on = Lcmm.Metric.total_latency_on m (all_on_mark m) in
       all_on <= umm +. 1e-12)
 
 let suite =

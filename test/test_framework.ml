@@ -17,6 +17,24 @@ let test_plan_improves () =
   Alcotest.(check bool) "capacity respected" true
     (p.F.tensor_sram_bytes <= Accel.Config.sram_budget_bytes p.F.config)
 
+(* The profile and metric a plan starts from are charged to
+   [profile_us], the first pass clock; the prepared stage's times reach
+   every plan finished from it. *)
+let test_profile_time_charged () =
+  let g = Models.Zoo.build "densenet121" in
+  let cfg = Accel.Config.make ~style:Accel.Config.Lcmm Tensor.Dtype.I16 in
+  let prepared = F.prepare cfg g in
+  let p = F.finish (F.allocate prepared) in
+  let times = p.F.pass_times in
+  Alcotest.(check bool) "profile_us > 0" true (times.F.profile_us > 0.);
+  Alcotest.(check (option (float 0.))) "listed first" (Some times.F.profile_us)
+    (match F.pass_times_assoc times with
+    | ("profile_us", us) :: _ -> Some us
+    | _ -> None);
+  let again = F.finish (F.allocate prepared) in
+  Alcotest.(check (float 0.)) "shared by plans of one prepared model"
+    times.F.profile_us again.F.pass_times.F.profile_us
+
 let test_option_toggles () =
   let g = Helpers.inception_snippet () in
   let base = F.default_options in
@@ -240,6 +258,7 @@ let test_staged_scaled () =
 let suite =
   [ Alcotest.test_case "plan improves" `Quick test_plan_improves;
     Alcotest.test_case "option toggles" `Quick test_option_toggles;
+    Alcotest.test_case "profile time charged" `Quick test_profile_time_charged;
     Alcotest.test_case "no sharing option" `Quick test_no_sharing_option;
     Alcotest.test_case "memory-bound-only filter" `Quick test_memory_bound_only_filter;
     Alcotest.test_case "compare designs" `Quick test_compare_designs_shape;

@@ -60,7 +60,7 @@ let test_static_reduction_is_eq2 () =
      node whose largest term is the weight stream, it is (wt - next
      largest term). *)
   let p = m.Metric.profiles.(3) in
-  let if_sum = List.fold_left (fun a (_, t) -> a +. t) 0. p.Latency.if_terms in
+  let if_sum = Array.fold_left ( +. ) 0. p.Latency.if_secs in
   let others = List.sort compare [ p.Latency.latc; if_sum; p.Latency.of_term ] in
   let next = List.nth others 2 in
   if p.Latency.wt_term > next then
@@ -158,12 +158,13 @@ let reference_latency m on_chip id =
       in
       p.Latency.wt_term *. float_of_int off /. float_of_int k
   in
-  let if_time =
-    List.fold_left
-      (fun acc (v, secs) ->
-        if on (Metric.Feature_value v) then acc else acc +. secs)
-      0. p.Latency.if_terms
-  in
+  let if_time = ref 0. in
+  Array.iteri
+    (fun j v ->
+      if not (on (Metric.Feature_value v)) then
+        if_time := !if_time +. p.Latency.if_secs.(j))
+    p.Latency.if_values;
+  let if_time = !if_time in
   let of_time = if on (Metric.Feature_value id) then 0. else p.Latency.of_term in
   max p.Latency.latc (max if_time (max wt of_time))
 
@@ -348,8 +349,9 @@ let prop_item_compare_sign =
       Int.compare (Metric.compare_item a b) 0 = Int.compare (compare a b) 0)
 
 (* The kernel reads its input terms unchecked, so what makes those
-   reads safe is checked up front: a mark smaller than the metric, and
-   a profile naming an input outside the graph, are both refused. *)
+   reads safe is checked up front: a mark smaller than the metric, a
+   profile naming an input outside the graph and input-term arrays of
+   different lengths are all refused. *)
 let test_kernel_bounds () =
   let _, m = fixture () in
   Alcotest.check_raises "short mark"
@@ -357,19 +359,82 @@ let test_kernel_bounds () =
     (fun () ->
       let short = Metric.mark (Metric.item_count m - 1) in
       ignore (Metric.node_latency_on m short 3));
-  let profiles =
+  let with_node_3 f =
     Array.map
-      (fun p ->
-        if p.Latency.node_id = 3 then
-          { p with
-            Latency.if_terms =
-              (Array.length m.Metric.profiles, 1e-6) :: p.Latency.if_terms }
-        else p)
+      (fun p -> if p.Latency.node_id = 3 then f p else p)
       m.Metric.profiles
+  in
+  let outside =
+    with_node_3 (fun p ->
+        { p with
+          Latency.if_values =
+            Array.append [| Array.length m.Metric.profiles |] p.Latency.if_values;
+          if_secs = Array.append [| 1e-6 |] p.Latency.if_secs;
+          if_bytes = Array.append [| 1 |] p.Latency.if_bytes })
   in
   Alcotest.check_raises "input outside the graph"
     (Invalid_argument "Metric.build: an input term outside the graph")
-    (fun () -> ignore (Metric.build m.Metric.graph profiles))
+    (fun () -> ignore (Metric.build m.Metric.graph outside));
+  let ragged =
+    with_node_3 (fun p ->
+        { p with Latency.if_secs = Array.append [| 1e-6 |] p.Latency.if_secs })
+  in
+  Alcotest.check_raises "input-term arrays of different lengths"
+    (Invalid_argument "Metric.build: input terms of different lengths")
+    (fun () -> ignore (Metric.build m.Metric.graph ragged))
+
+(* The consumer and last-use tables [Metric.build] makes in one walk,
+   against the graph walks [Values.consumers] and [Values.last_use]
+   make per node, at every node (transparent ones included); and the
+   source table the profile reads against [Values.source_values]. *)
+let check_consumer_table label g =
+  let _, m = Helpers.metric_of g in
+  let n = Dnn_graph.Graph.node_count g in
+  Alcotest.(check (array (array int))) (label ^ " sources")
+    (Array.init n (fun id -> Array.of_list (Dnn_graph.Values.source_values g id)))
+    (Dnn_graph.Values.source_table g);
+  Alcotest.(check (array (list int))) (label ^ " consumers")
+    (Array.init n (Dnn_graph.Values.consumers g)) m.Metric.consumers;
+  Alcotest.(check (array int)) (label ^ " last uses")
+    (Array.init n (Dnn_graph.Values.last_use g)) m.Metric.last_use
+
+(* A concat feeding a concat, one value reached both directly and
+   through both concats.  Nodes in id order: x; c1 and c2 read x;
+   cat1 = [c1; c2]; c3 reads cat1; cat2 = [cat1; c3; c1]; out reads
+   cat2. *)
+let concat_of_concat () =
+  let module B = Dnn_graph.Builder in
+  let b = B.create () in
+  let x = B.input b ~channels:8 ~height:8 ~width:8 () in
+  let c1 = B.conv b ~kernel:(1, 1) ~out_channels:8 x in
+  let c2 = B.conv b ~kernel:(3, 3) ~out_channels:8 x in
+  let cat1 = B.concat b [ c1; c2 ] in
+  let c3 = B.conv b ~kernel:(1, 1) ~out_channels:8 cat1 in
+  let cat2 = B.concat b [ cat1; c3; c1 ] in
+  let _out = B.conv b ~kernel:(1, 1) ~out_channels:8 cat2 in
+  B.finish b
+
+let test_consumer_table () =
+  let g = concat_of_concat () in
+  check_consumer_table "concat of concat" g;
+  let _, m = Helpers.metric_of g in
+  Alcotest.(check (list int)) "c1 read by c3 and out" [ 4; 6 ] m.Metric.consumers.(1);
+  Alcotest.(check (list int)) "cat1 resolves to c3 and out" [ 4; 6 ]
+    m.Metric.consumers.(3);
+  Alcotest.(check int) "c2 lives to out" 6 m.Metric.last_use.(2);
+  List.iter
+    (fun e -> check_consumer_table e.Models.Zoo.model_name (e.Models.Zoo.build ()))
+    Models.Zoo.all;
+  List.iter
+    (fun family ->
+      for k = 0 to 39 do
+        let st = Random.State.make [| 29; k |] in
+        let max_nodes = 4 + Random.State.int st 120 in
+        check_consumer_table
+          (Printf.sprintf "%s #%d" (Check.Gen.family_name family) k)
+          (Check.Gen.graph ~family st ~max_nodes)
+      done)
+    Check.Gen.families
 
 let suite =
   [ Alcotest.test_case "affected nodes" `Quick test_affected_nodes;
@@ -385,4 +450,5 @@ let suite =
     prop_dense_matches_item_sets;
     prop_pair_fold_matches;
     prop_item_compare_sign;
-    Alcotest.test_case "kernel bounds checked" `Quick test_kernel_bounds ]
+    Alcotest.test_case "kernel bounds checked" `Quick test_kernel_bounds;
+    Alcotest.test_case "consumer table = graph walk" `Quick test_consumer_table ]

@@ -64,7 +64,7 @@ let test_fractional_latency () =
   let others =
     max p.Accel.Latency.latc
       (max
-         (List.fold_left (fun a (_, t) -> a +. t) 0. p.Accel.Latency.if_terms)
+         (Array.fold_left ( +. ) 0. p.Accel.Latency.if_secs)
          p.Accel.Latency.of_term)
   in
   Alcotest.(check (float 1e-12)) "fully pinned" others l4;
