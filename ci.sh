@@ -174,6 +174,20 @@ awk -F': ' '/"family"/ { fam = $2 } /"nodes"/ { n = $2 + 0 }
 awk -F': ' '/"family"/ { fam = $2 } /"nodes"/ { n = $2 + 0 }
             /"dse_us"/ && fam ~ /"skip"/ && n == 512 { seen = 1; us = $2 + 0 }
             END { exit (seen && us <= 100000) ? 0 : 1 }' "$out"
+# One schedule search on the squeezenet!x2 + inception_v4 x2 priority
+# mix (9 candidates, one exact engine run each), best of 50, must stay
+# within 31x the time of simulating its four plans alone with Sim.Engine
+# (code the search does not run, timed in the same reps, so the ratio
+# moves far less than either time on a slow or loaded host).  An engine
+# that re-arbitrates only after a start, a completion or a fault event
+# and allocates nothing per settle pass reads 21-23x (5.3-6.3 ms over
+# 246-260 us), and 27x on a host loaded enough to slow Sim.Engine by
+# half; the one that rebuilt its scheduler and arbiter lists on every
+# pass read 35-38x (9.0-10.1 ms over 258-268 us), 2-vCPU host.
+awk -F': ' '/"runtime_search"/ { rs = 1 }
+            rs && /"search_per_sim"/ { seen = 1; r = $2 + 0 }
+            rs && /"engine_runs"/ { runs = $2 + 0 }
+            END { exit (seen && runs >= 1 && r <= 31) ? 0 : 1 }' "$out"
 echo "wrote $out"
 
 echo "== tier-2: wide-row DNNK on a 536-node skip graph =="

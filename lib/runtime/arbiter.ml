@@ -9,38 +9,23 @@ let of_string = function
 
 let all = [ Fair_share; Priority ]
 
+let preferred (key, priority) (best_key, best_priority) =
+  priority < best_priority || (priority = best_priority && key < best_key)
+
+let share t ~contenders ~winner =
+  match t with
+  | Fair_share -> 1. /. float_of_int contenders
+  | Priority -> if winner then 1. else 0.
+
 let rates t jobs =
   match jobs with
   | [] -> []
-  | _ -> (
-    match t with
-    | Fair_share ->
-      let share = 1. /. float_of_int (List.length jobs) in
-      List.map (fun (key, _) -> (key, share)) jobs
-    | Priority ->
-      let best_key, _ =
-        List.fold_left
-          (fun (bk, bp) (k, p) ->
-            if p < bp || (p = bp && k < bk) then (k, p) else (bk, bp))
-          (List.hd jobs) (List.tl jobs)
-      in
-      List.map (fun (key, _) -> (key, if key = best_key then 1. else 0.)) jobs)
-
-let rates_into t jobs table =
-  match jobs with
-  | [] -> ()
-  | _ -> (
-    match t with
-    | Fair_share ->
-      let share = 1. /. float_of_int (List.length jobs) in
-      List.iter (fun (key, _) -> table.(key) <- share) jobs
-    | Priority ->
-      let best_key, _ =
-        List.fold_left
-          (fun (bk, bp) (k, p) ->
-            if p < bp || (p = bp && k < bk) then (k, p) else (bk, bp))
-          (List.hd jobs) (List.tl jobs)
-      in
-      List.iter
-        (fun (key, _) -> table.(key) <- (if key = best_key then 1. else 0.))
-        jobs)
+  | first :: rest ->
+    let contenders = List.length jobs in
+    let best_key, _ =
+      List.fold_left (fun best c -> if preferred c best then c else best)
+        first rest
+    in
+    List.map
+      (fun (key, _) -> (key, share t ~contenders ~winner:(key = best_key)))
+      jobs

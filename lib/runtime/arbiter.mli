@@ -29,14 +29,20 @@ val of_string : string -> t option
 
 val all : t list
 
+val preferred : int * int -> int * int -> bool
+(** [preferred c best] on [(job_key, priority)] contenders: [c] takes a
+    [Priority] channel from [best] (lower priority number, ties to the
+    lower key). *)
+
+val share : t -> contenders:int -> winner:bool -> float
+(** The bandwidth fraction one of [contenders] contenders gets:
+    [1/contenders] under [Fair_share]; under [Priority] 1 for the
+    {!preferred} one ([winner]) and 0 for the rest.  Allocates nothing:
+    the engine calls it per transfer. *)
+
 val rates : t -> (int * int) list -> (int * float) list
 (** [rates t jobs] assigns a bandwidth fraction to each [(job_key,
-    priority)] contender.  The fractions sum to 1 when [jobs] is
-    non-empty (the bus is work-conserving); the empty list maps to the
-    empty list. *)
-
-val rates_into : t -> (int * int) list -> float array -> unit
-(** [rates_into t jobs table] writes the same fractions as {!rates}
-    straight into [table] at each contender's key — the engine's
-    O(1)-lookup path.  Only contender entries are written; the caller
-    owns zeroing them between rounds. *)
+    priority)] contender by {!share}, the winner being the contender no
+    later one is {!preferred} to.  The fractions sum to 1 when [jobs]
+    is non-empty (the bus is work-conserving); the empty list maps to
+    the empty list. *)

@@ -77,6 +77,19 @@ type result = {
   transfers : xfer_log list;
 }
 
+(* A transfer's clocks.  Every field is a float, so the record is stored
+   flat and the engine's writes update it in place instead of boxing a
+   float per write. *)
+type xclock = {
+  mutable work : float;    (* remaining seconds at full bandwidth *)
+  mutable rate : float;
+  mutable settled : float; (* time [work] was last brought up to date *)
+  mutable eta : float;     (* projected finish under [rate]; infinity at 0 *)
+  mutable started_at : float;    (* first instant with positive rate; -1 = never *)
+  mutable blocked_until : float; (* stalled / backing off until this time *)
+  mutable finished_at : float;
+}
+
 type xfer = {
   key : int;
   owner : int;
@@ -87,18 +100,12 @@ type xfer = {
   load : float;            (* seconds at full bandwidth *)
   bytes : float;
   released_at : float;
-  mutable started_at : float; (* first instant with positive rate; -1 = never *)
   deadline : float;
   stall : float;           (* injected head-of-channel stall; 0 = none *)
   fails : int;             (* planned transient failures before success *)
   mutable attempt : int;   (* failures consumed so far *)
-  mutable blocked_until : float; (* stalled / backing off until this time *)
-  mutable work : float;    (* remaining seconds at full bandwidth *)
-  mutable rate : float;
-  mutable settled : float; (* time [work] was last brought up to date *)
-  mutable eta : float;     (* projected finish under [rate]; infinity at 0 *)
   mutable finished : bool;
-  mutable finished_at : float;
+  clk : xclock;
   pending : Scheduler.pending;  (* the scheduler's view, fixed at creation *)
   contender : int * int;        (* the arbiter's (key, priority) *)
 }
@@ -127,7 +134,7 @@ let node_finish latc e =
       let wt_component =
         match e.exec_stream with
         | None -> 0.
-        | Some x -> x.finished_at -. e.exec_start
+        | Some x -> x.clk.finished_at -. e.exec_start
       in
       let binding, duration =
         NM.duration_and_binding ~latc ~if_time:e.exec_if
@@ -205,6 +212,14 @@ let compile input =
 
 (* --- per-run tenant state --- *)
 
+(* A tenant's clock and float accumulators, float-only like [xclock]. *)
+type tclock = {
+  mutable clock : float;
+  mutable prefetch_wait : float;
+  mutable wt_busy : float;
+  mutable ddr : float;
+}
+
 type tstate = {
   index : int;
   count : int;
@@ -220,10 +235,7 @@ type tstate = {
   mutable current : xfer option;
   mutable stage : stage;
   mutable next : int;
-  mutable clock : float;
-  mutable prefetch_wait : float;
-  mutable wt_busy : float;
-  mutable ddr : float;
+  tc : tclock;
   mutable lost_bytes : int;
   (* Fault counters. *)
   mutable retries : int;
@@ -252,10 +264,7 @@ let init_tenant index (c : compiled) =
     current = None;
     stage = Entering;
     next = 0;
-    clock = c.input.arrival;
-    prefetch_wait = 0.;
-    wt_busy = 0.;
-    ddr = 0.;
+    tc = { clock = c.input.arrival; prefetch_wait = 0.; wt_busy = 0.; ddr = 0. };
     lost_bytes = 0;
     retries = 0;
     stall_events = 0;
@@ -266,6 +275,30 @@ let init_tenant index (c : compiled) =
     aborted = None }
 
 let is_finished ts = match ts.stage with Finished -> true | _ -> false
+
+(* The run's current instant, float-only so advancing it stores in
+   place. *)
+type instant = { mutable now : float }
+
+(* A utilization timeline under construction.  Adjacent pieces with
+   equal utilization merge as they arrive, so a segment is allocated
+   only when the utilization changes; [o_*] is the open piece ([o_start]
+   is nan before the first). *)
+type timeline_acc = {
+  mutable o_start : float;
+  mutable o_end : float;
+  mutable o_util : float;
+}
+
+let new_timeline () = { o_start = Float.nan; o_end = Float.nan; o_util = Float.nan }
+
+let closed_piece acc =
+  { seg_start = acc.o_start; seg_end = acc.o_end; utilization = acc.o_util }
+
+(* The chronological timeline: [closed] (newest first) plus the open
+   piece. *)
+let finish_timeline acc closed =
+  List.rev (if Float.is_nan acc.o_start then closed else closed_piece acc :: closed)
 
 let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
     compiled =
@@ -286,39 +319,23 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
     match rank with None -> 0. | Some f -> f ~owner ~target kind
   in
   let tenants = Array.mapi init_tenant compiled in
+  let count = Array.length tenants in
   let priority_of owner = compiled.(owner).input.priority in
   (* Tenants whose wake-up candidates may have changed since the last
      heap flush.  Every mutation that can move a candidate time sets the
      owner's flag; [flush_dirty] re-pushes candidates before each
      [next_event], so the heap always holds every live candidate. *)
-  let dirty = Array.make (Array.length tenants) true in
+  let dirty = Array.make count true in
   let heap = EQ.create () in
   let key_counter = ref 0 in
-  (* Per-key bandwidth state, indexed by transfer key.  Entries are only
-     non-default inside one [assign_rates] round (set, read, cleared),
-     so lookups that used to be [List.assoc_opt] are O(1). *)
-  let rate_tbl = ref (Array.make 1024 0.) in
-  let chosen_tbl = ref (Array.make 1024 false) in
-  let fresh_key () =
-    incr key_counter;
-    let k = !key_counter in
-    if k >= Array.length !rate_tbl then begin
-      let n = 2 * Array.length !rate_tbl in
-      let r = Array.make n 0. in
-      Array.blit !rate_tbl 0 r 0 (Array.length !rate_tbl);
-      rate_tbl := r;
-      let c = Array.make n false in
-      Array.blit !chosen_tbl 0 c 0 (Array.length !chosen_tbl);
-      chosen_tbl := c
-    end;
-    k
-  in
-  let now = ref 0. in
-  let segments = ref [] in
+  let clock = { now = 0. } in
+  let segments = ref [] and timeline = new_timeline () in
   let channel_segments = Array.make channels [] in
+  let channel_timelines = Array.init channels (fun _ -> new_timeline ()) in
   let all_xfers = ref [] in
   let enqueue ts ~kind ~target ~load ~bytes ~deadline =
-    let key = fresh_key () in
+    incr key_counter;
+    let key = !key_counter in
     let stall, fails =
       match faults with
       | None -> (0., 0)
@@ -332,10 +349,11 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
       { key; owner = ts.index; target; kind;
         channel = channel_of ~owner:ts.index ~target kind;
         xrank;
-        load; bytes; released_at = !now; started_at = -1.;
-        deadline; stall; fails; attempt = 0; blocked_until = 0.;
-        work = load; rate = 0.; settled = 0.; eta = infinity;
-        finished = false; finished_at = 0.;
+        load; bytes; released_at = clock.now;
+        deadline; stall; fails; attempt = 0; finished = false;
+        clk =
+          { work = load; rate = 0.; settled = 0.; eta = infinity;
+            started_at = -1.; blocked_until = 0.; finished_at = 0. };
         pending = { Scheduler.key; deadline; priority; rank = xrank };
         contender = (key, priority) }
     in
@@ -350,7 +368,7 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
      of them changed something. *)
   let sweep step =
     let changed = ref false in
-    for i = 0 to Array.length tenants - 1 do
+    for i = 0 to count - 1 do
       if step tenants.(i) then changed := true
     done;
     !changed
@@ -359,11 +377,11 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
   let start_job ts =
     if Option.is_none ts.current && not (Queue.is_empty ts.queue) then begin
       let x = Queue.pop ts.queue in
-      x.settled <- !now;
+      x.clk.settled <- clock.now;
       if x.stall > 0. then begin
         (* Injected head-of-channel stall: the transfer holds the
            channel but is ineligible until the stall passes. *)
-        x.blocked_until <- !now +. x.stall;
+        x.clk.blocked_until <- clock.now +. x.stall;
         ts.stall_events <- ts.stall_events + 1
       end;
       ts.current <- Some x;
@@ -380,7 +398,7 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
     match ts.stage with
     | Finished -> false
     | Entering ->
-      if ts.clock > !now then false
+      if ts.tc.clock > clock.now then false
       else if ts.next >= ts.count then begin
         ts.stage <- Finished;
         true
@@ -395,13 +413,13 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
               (enqueue ts ~kind:Prefetch_load ~target
                  ~load:(e.Lcmm.Prefetch.load_seconds *. tab.frac.(target))
                  ~bytes:tab.once_bytes.(target)
-                 ~deadline:(ts.clock +. tab.input.slack target)))
+                 ~deadline:(ts.tc.clock +. tab.input.slack target)))
           ts.released.(id);
         (match tab.demand.(id) with
         | Some load when not ts.edge_flags.(id) ->
           ignore
             (enqueue ts ~kind:Demand_load ~target:id ~load
-               ~bytes:tab.once_bytes.(id) ~deadline:ts.clock)
+               ~bytes:tab.once_bytes.(id) ~deadline:ts.tc.clock)
         | Some _ | None -> ());
         ts.stage <- Awaiting id;
         true
@@ -412,11 +430,11 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
       if is_pinned && ts.pending_w.(id) > 0 then false
       else begin
         let ready = if is_pinned then ts.weight_ready.(id) else 0. in
-        let start = max ts.clock ready in
-        if start > !now then false
+        let start = max ts.tc.clock ready in
+        if start > clock.now then false
         else begin
-          let wait = start -. ts.clock in
-          ts.prefetch_wait <- ts.prefetch_wait +. wait;
+          let wait = start -. ts.tc.clock in
+          ts.tc.prefetch_wait <- ts.tc.prefetch_wait +. wait;
           (* The node's stall before it starts, as the isolated engine
              reports it; the Executing stage's timings write keeps it. *)
           ts.timings.(id) <- { ts.timings.(id) with Sim.Engine.wait };
@@ -439,15 +457,15 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
     | Executing e ->
       let tab = ts.tab in
       let finish = node_finish tab.profiles.(e.exec_id).Latency.latc e in
-      if finish > !now then false
+      if finish > clock.now then false
       else begin
         ts.timings.(e.exec_id) <-
           { Sim.Engine.node_id = e.exec_id; start = e.exec_start; finish;
             wait = ts.timings.(e.exec_id).Sim.Engine.wait;
             binding = e.exec_binding };
-        ts.ddr <-
-          ts.ddr +. tab.if_bytes.(e.exec_id) +. tab.of_bytes.(e.exec_id);
-        ts.clock <- finish;
+        ts.tc.ddr <-
+          ts.tc.ddr +. tab.if_bytes.(e.exec_id) +. tab.of_bytes.(e.exec_id);
+        ts.tc.clock <- finish;
         ts.next <- e.exec_id + 1;
         ts.stage <- Entering;
         true
@@ -461,7 +479,7 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
     ts.aborted <- Some reason;
     Queue.clear ts.queue;
     ts.current <- None;
-    ts.clock <- Float.max ts.clock !now;
+    ts.tc.clock <- Float.max ts.tc.clock clock.now;
     ts.stage <- Finished
   in
   (* SRAM bank loss: enter degraded mode.  The replan callback evicts
@@ -509,7 +527,7 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
         | Awaiting id ->
           ts.stage <- Entering;
           ts.next <- id;
-          ts.clock <- Float.max ts.clock !now
+          ts.tc.clock <- Float.max ts.tc.clock clock.now
         | Entering | Executing _ | Finished -> ());
         let resume =
           match ts.stage with
@@ -541,7 +559,7 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
   in
   let rec fire_due_events () =
     match !pending_events with
-    | ev :: rest when Fault.Injector.event_time ev <= !now ->
+    | ev :: rest when Fault.Injector.event_time ev <= clock.now ->
       pending_events := rest;
       (match ev with
       | Fault.Injector.Bank_loss { tenant; bytes; _ } ->
@@ -568,40 +586,43 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
     | Some x as held when not x.finished -> held
     | Some _ | None -> None
   in
-  (* The transfers bound to [channel] that are eligible for bandwidth
-     (not stalled or backing off) and pass [keep], mapped by [f], in
-     tenant order — the order the scheduler and arbiter always saw. *)
-  let collect channel keep f =
-    let acc = ref [] in
-    for i = Array.length tenants - 1 downto 0 do
-      match on_channel tenants.(i) with
-      | Some x when x.channel = channel && x.blocked_until <= !now && keep x ->
-        acc := f x :: !acc
-      | Some _ | None -> ()
-    done;
-    !acc
+  (* The transfer held by tenant [i], known to be on a channel. *)
+  let held i =
+    match tenants.(i).current with Some x -> x | None -> assert false
   in
-  (* The scheduler picks the eligible subset per DDR channel and the
-     arbiter splits that channel's bandwidth stripe over it; everything
-     else is preempted (rate 0, channel still held).  Rates stay
+  (* Per channel, the tenant holding the scheduler's pick, the tenant
+     holding the arbiter's winner among all eligible transfers, and how
+     many are eligible (not stalled or backing off); -1 for none.
+     Rebuilt in place by each [assign_rates]. *)
+  let urgent = Array.make channels (-1) in
+  let winner = Array.make channels (-1) in
+  let eligible = Array.make channels 0 in
+  let exclusive = Scheduler.exclusive scheduler in
+  let stripe = 1. /. float_of_int channels in
+  (* The scheduler picks the contenders per DDR channel (all eligible
+     transfers, or the most urgent one) and the arbiter splits that
+     channel's bandwidth stripe over them; everything else is preempted
+     (rate 0, channel still held).  Both folds run in tenant order, the
+     order the list forms in [Scheduler] and [Arbiter] see.  Rates stay
      fractions of the full aggregate bandwidth, so the ETA math below is
      the same at any width; at one channel the stripe is 1 and this is
      the pre-channel aggregate bus, float for float. *)
   let assign_rates () =
-    let ctbl = !chosen_tbl and rtbl = !rate_tbl in
-    let stripe = 1. /. float_of_int channels in
-    for c = 0 to channels - 1 do
-      (match collect c (fun _ -> true) (fun x -> x.pending) with
-      | [] -> ()
-      | ps ->
-        List.iter
-          (fun k -> ctbl.(k) <- true)
-          (Scheduler.eligible scheduler ps));
-      match collect c (fun x -> ctbl.(x.key)) (fun x -> x.contender) with
-      | [] -> ()
-      | cs ->
-        Arbiter.rates_into arbitration cs rtbl;
-        List.iter (fun (k, _) -> rtbl.(k) <- rtbl.(k) *. stripe) cs
+    Array.fill urgent 0 channels (-1);
+    Array.fill winner 0 channels (-1);
+    Array.fill eligible 0 channels 0;
+    for i = 0 to count - 1 do
+      match tenants.(i).current with
+      | Some x when (not x.finished) && x.clk.blocked_until <= clock.now ->
+        let c = x.channel in
+        eligible.(c) <- eligible.(c) + 1;
+        let u = urgent.(c) in
+        if u < 0 || Scheduler.more_urgent scheduler x.pending (held u).pending
+        then urgent.(c) <- i;
+        let w = winner.(c) in
+        if w < 0 || Arbiter.preferred x.contender (held w).contender then
+          winner.(c) <- i
+      | Some _ | None -> ()
     done;
     (* A DDR droop window scales every granted rate; multiplying by the
        1.0 no-fault factor is skipped outright so the fault-free float
@@ -609,56 +630,66 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
     let factor =
       match faults with
       | None -> 1.
-      | Some inj -> Fault.Injector.droop_factor inj ~now:!now
+      | Some inj -> Fault.Injector.droop_factor inj ~now:clock.now
     in
-    for i = 0 to Array.length tenants - 1 do
-      match on_channel tenants.(i) with
-      | None -> ()
-      | Some x ->
-        let r = rtbl.(x.key) in
+    for i = 0 to count - 1 do
+      match tenants.(i).current with
+      | Some x when not x.finished ->
+        let c = x.channel in
+        let r =
+          if x.clk.blocked_until > clock.now then 0.
+          else if exclusive then (
+            if urgent.(c) = i then
+              Arbiter.share arbitration ~contenders:1 ~winner:true *. stripe
+            else 0.)
+          else
+            Arbiter.share arbitration ~contenders:eligible.(c)
+              ~winner:(winner.(c) = i)
+            *. stripe
+        in
         let r = if factor = 1. then r else r *. factor in
-        if r <> x.rate then begin
+        let xc = x.clk in
+        if r <> xc.rate then begin
           (* Settle the work done at the old rate before switching; a
              transfer whose rate never changes keeps its exact
              [settled + work/rate] finish time, which single-tenant
              exactness depends on. *)
-          x.work <- x.work -. ((!now -. x.settled) *. x.rate);
-          if x.work < 0. then x.work <- 0.;
-          x.settled <- !now;
-          x.rate <- r;
-          if r > 0. && x.started_at < 0. then x.started_at <- !now;
-          x.eta <-
-            (if r > 0. then (if x.work <= 0. then !now else !now +. (x.work /. r))
+          xc.work <- xc.work -. ((clock.now -. xc.settled) *. xc.rate);
+          if xc.work < 0. then xc.work <- 0.;
+          xc.settled <- clock.now;
+          xc.rate <- r;
+          if r > 0. && xc.started_at < 0. then xc.started_at <- clock.now;
+          xc.eta <-
+            (if r > 0. then
+               if xc.work <= 0. then clock.now else clock.now +. (xc.work /. r)
              else infinity);
           dirty.(x.owner) <- true
-        end;
-        (* Clear this round's key-indexed entries: stale keys always
-           read as not-chosen and rate 0. *)
-        ctbl.(x.key) <- false;
-        rtbl.(x.key) <- 0.
+        end
+      | Some _ | None -> ()
     done
   in
   let complete_due ts =
     match ts.current with
-    | Some x when (not x.finished) && x.rate > 0. && x.eta <= !now ->
+    | Some x when (not x.finished) && x.clk.rate > 0. && x.clk.eta <= clock.now ->
       dirty.(ts.index) <- true;
+      let xc = x.clk in
       if x.attempt < x.fails then begin
         (* Transient failure: the attempt's bytes moved over the bus
            but the payload is bad.  Retry after a capped exponential
            backoff with seeded jitter; past the retry budget the
            tenant aborts. *)
-        let at = x.eta in
+        let at = xc.eta in
         x.attempt <- x.attempt + 1;
-        ts.wt_busy <- ts.wt_busy +. x.load;
-        ts.ddr <- ts.ddr +. x.bytes;
+        ts.tc.wt_busy <- ts.tc.wt_busy +. x.load;
+        ts.tc.ddr <- ts.tc.ddr +. x.bytes;
         (match faults with
         | Some inj when x.attempt <= Fault.Injector.max_retries inj ->
           ts.retries <- ts.retries + 1;
-          x.work <- x.load;
-          x.settled <- at;
-          x.rate <- 0.;
-          x.eta <- infinity;
-          x.blocked_until <-
+          xc.work <- x.load;
+          xc.settled <- at;
+          xc.rate <- 0.;
+          xc.eta <- infinity;
+          xc.blocked_until <-
             at
             +. Fault.Injector.backoff_seconds inj ~key:x.key
                  ~attempt:(x.attempt - 1)
@@ -672,18 +703,18 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
       end
       else begin
         x.finished <- true;
-        x.finished_at <- x.eta;
-        x.work <- 0.;
+        xc.finished_at <- xc.eta;
+        xc.work <- 0.;
         ts.current <- None;
-        ts.wt_busy <- ts.wt_busy +. x.load;
-        ts.ddr <- ts.ddr +. x.bytes;
+        ts.tc.wt_busy <- ts.tc.wt_busy +. x.load;
+        ts.tc.ddr <- ts.tc.ddr +. x.bytes;
         (match x.kind with
         | Prefetch_load ->
-          ts.weight_ready.(x.target) <- x.finished_at;
+          ts.weight_ready.(x.target) <- xc.finished_at;
           ts.pending_w.(x.target) <- ts.pending_w.(x.target) - 1
         | Demand_load ->
           ts.weight_ready.(x.target) <-
-            max ts.weight_ready.(x.target) x.finished_at;
+            max ts.weight_ready.(x.target) xc.finished_at;
           ts.pending_w.(x.target) <- ts.pending_w.(x.target) - 1
         | Weight_stream_x -> ());
         true
@@ -700,15 +731,22 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
     end
     else false
   in
-  (* Exhaust every zero-time transition at the current instant. *)
+  (* Exhaust every zero-time transition at the current instant.  Rates
+     are a function of the held transfers, their stalls and the instant,
+     and stepping a node never changes a held transfer, so the bandwidth
+     is re-arbitrated only on the instant's first pass and on a pass
+     after a start, a completion (or retry) or a fired fault event: on
+     any other pass it would hand out the same rates again. *)
   let settle_instant () =
+    let rearbitrate = ref true in
     let continue = ref true in
     while !continue do
       let fired = fire_due_events () in
       let stepped = sweep step in
       let started = sweep start_job in
-      assign_rates ();
+      if !rearbitrate || fired || started then assign_rates ();
       let completed = sweep complete_due in
+      rearbitrate := completed;
       continue := fired || stepped || started || completed
     done
   in
@@ -718,83 +756,84 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
      longer equals a current candidate is stale and dropped. *)
   let stage_candidate ts =
     match ts.stage with
-    | Entering -> ts.clock
+    | Entering -> ts.tc.clock
     | Executing e -> node_finish ts.tab.profiles.(e.exec_id).Latency.latc e
     | Awaiting _ | Finished -> infinity
   in
   let xfer_candidate ts =
     match ts.current with
-    | Some x when (not x.finished) && x.rate > 0. -> x.eta
-    | Some x when (not x.finished) && x.blocked_until > !now ->
-      x.blocked_until
+    | Some x when (not x.finished) && x.clk.rate > 0. -> x.clk.eta
+    | Some x when (not x.finished) && x.clk.blocked_until > clock.now ->
+      x.clk.blocked_until
     | _ -> infinity
   in
   (* Candidates at or before [now] are dead: they stay constant while
      the tenant's state is unchanged and time only moves forward, so
      skipping them matches the old scan's [t > now] filter for good. *)
   let flush_dirty () =
-    Array.iteri
-      (fun i d ->
-        if d then begin
-          dirty.(i) <- false;
-          let ts = tenants.(i) in
-          let s = stage_candidate ts in
-          if s > !now && s < infinity then EQ.push heap ~time:s i;
-          let x = xfer_candidate ts in
-          if x > !now && x < infinity then EQ.push heap ~time:x i
-        end)
-      dirty
+    for i = 0 to count - 1 do
+      if dirty.(i) then begin
+        dirty.(i) <- false;
+        let ts = tenants.(i) in
+        let s = stage_candidate ts in
+        if s > clock.now && s < infinity then EQ.push heap ~time:s i;
+        let x = xfer_candidate ts in
+        if x > clock.now && x < infinity then EQ.push heap ~time:x i
+      end
+    done
   in
   let next_event () =
     let best = ref infinity in
-    let consider t = if t > !now && t < !best then best := t in
     (match faults with
     | None -> ()
     | Some inj ->
       (match !pending_events with
-      | ev :: _ -> consider (Fault.Injector.event_time ev)
+      | ev :: _ ->
+        let t = Fault.Injector.event_time ev in
+        if t > clock.now && t < !best then best := t
       | [] -> ());
-      let boundary = Fault.Injector.next_droop_boundary inj ~now:!now in
-      if boundary < infinity then consider boundary);
+      let boundary = Fault.Injector.next_droop_boundary inj ~now:clock.now in
+      if boundary < infinity && boundary > clock.now && boundary < !best then
+        best := boundary);
     let continue = ref true in
-    while !continue do
-      match EQ.peek heap with
-      | None -> continue := false
-      | Some (t, i) ->
-        if t <= !now then EQ.drop_min heap
-        else if t >= !best then continue := false
-        else begin
-          let ts = tenants.(i) in
-          if t = stage_candidate ts || t = xfer_candidate ts then begin
-            (* Valid minimum; it becomes stale (<= now) once time
-               advances to it and is collected on a later pop. *)
-            best := t;
-            continue := false
-          end
-          else EQ.drop_min heap
+    while !continue && EQ.length heap > 0 do
+      let t = EQ.min_time heap in
+      if t <= clock.now then EQ.drop_min heap
+      else if t >= !best then continue := false
+      else begin
+        let ts = tenants.(EQ.min_tag heap) in
+        if t = stage_candidate ts || t = xfer_candidate ts then begin
+          (* Valid minimum; it becomes stale (<= now) once time
+             advances to it and is collected on a later pop. *)
+          best := t;
+          continue := false
         end
+        else EQ.drop_min heap
+      end
     done;
     !best
   in
-  let utilization () =
-    Array.fold_left
-      (fun acc ts ->
-        match on_channel ts with Some x -> acc +. x.rate | None -> acc)
-      0. tenants
-  in
   (* Per-channel summed rates, in the same full-bandwidth units as the
      aggregate timeline: the channel timelines always sum to it, and at
-     one channel [channel_utilization ().(0)] IS the aggregate value
-     (same left-to-right float fold over the same transfers). *)
-  let channel_utilization () =
-    let u = Array.make channels 0. in
-    Array.iter
-      (fun ts ->
-        match on_channel ts with
-        | Some x -> u.(x.channel) <- u.(x.channel) +. x.rate
-        | None -> ())
-      tenants;
-    u
+     one channel [channel_util.(0)] IS the aggregate value (same
+     left-to-right float fold over the same transfers). *)
+  let channel_util = Array.make channels 0. in
+  (* Add [now, t) at utilization [util] to a timeline; returns its
+     closed pieces. *)
+  let extend acc closed t util =
+    if acc.o_util = util && acc.o_end = clock.now then begin
+      acc.o_end <- t;
+      closed
+    end
+    else begin
+      let closed =
+        if Float.is_nan acc.o_start then closed else closed_piece acc :: closed
+      in
+      acc.o_start <- clock.now;
+      acc.o_end <- t;
+      acc.o_util <- util;
+      closed
+    end
   in
   let guard = ref 0 in
   settle_instant ();
@@ -805,17 +844,23 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
     let t = next_event () in
     if t = infinity then
       failwith "Runtime.Engine: no runnable event but tenants unfinished";
-    let util = utilization () in
-    if t > !now then begin
-      segments := { seg_start = !now; seg_end = t; utilization = util } :: !segments;
-      let cu = channel_utilization () in
+    if t > clock.now then begin
+      let util = ref 0. in
+      Array.fill channel_util 0 channels 0.;
+      for i = 0 to count - 1 do
+        match on_channel tenants.(i) with
+        | Some x ->
+          util := !util +. x.clk.rate;
+          channel_util.(x.channel) <- channel_util.(x.channel) +. x.clk.rate
+        | None -> ()
+      done;
+      segments := extend timeline !segments t !util;
       for c = 0 to channels - 1 do
         channel_segments.(c) <-
-          { seg_start = !now; seg_end = t; utilization = cu.(c) }
-          :: channel_segments.(c)
+          extend channel_timelines.(c) channel_segments.(c) t channel_util.(c)
       done
     end;
-    now := t;
+    clock.now <- t;
     settle_instant ();
     flush_dirty ()
   done;
@@ -824,11 +869,11 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
       (fun ts ->
         { label = ts.tab.input.label;
           timings = ts.timings;
-          finish = ts.clock;
-          latency = ts.clock -. ts.tab.input.arrival;
-          prefetch_wait = ts.prefetch_wait;
-          wt_channel_busy = ts.wt_busy;
-          ddr_bytes = ts.ddr;
+          finish = ts.tc.clock;
+          latency = ts.tc.clock -. ts.tab.input.arrival;
+          prefetch_wait = ts.tc.prefetch_wait;
+          wt_channel_busy = ts.tc.wt_busy;
+          ddr_bytes = ts.tc.ddr;
           faults =
             { retries = ts.retries;
               stalls = ts.stall_events;
@@ -842,21 +887,11 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
   let makespan =
     Array.fold_left (fun acc r -> max acc r.finish) 0. runs
   in
-  (* Merge adjacent segments with equal utilization. *)
-  let merge segs =
-    List.fold_left
-      (fun acc seg ->
-        match acc with
-        | prev :: rest
-          when prev.utilization = seg.utilization
-               && prev.seg_end = seg.seg_start ->
-          { prev with seg_end = seg.seg_end } :: rest
-        | _ -> seg :: acc)
-      [] (List.rev segs)
-    |> List.rev
+  let timeline = finish_timeline timeline !segments in
+  let channel_timelines =
+    Array.mapi (fun c acc -> finish_timeline acc channel_segments.(c))
+      channel_timelines
   in
-  let timeline = merge !segments in
-  let channel_timelines = Array.map merge channel_segments in
   let transfers =
     List.rev_map
       (fun x ->
@@ -868,8 +903,8 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
           log_load = x.load;
           log_deadline = x.deadline;
           log_released = x.released_at;
-          log_started = x.started_at;
-          log_finished = (if x.finished then x.finished_at else -1.) })
+          log_started = x.clk.started_at;
+          log_finished = (if x.finished then x.clk.finished_at else -1.) })
       !all_xfers
   in
   { tenants = runs; makespan; timeline; channels; channel_timelines;

@@ -30,6 +30,22 @@
     injector every fault path is skipped and the engine is exactly the
     fault-free one.
 
+    Each event instant is settled to a fixpoint: fault events fire,
+    every tenant's node state machine steps, channel heads start, the
+    channels are arbitrated and due transfers complete, in tenant order,
+    until a pass changes nothing.  Rates are a function of the held
+    transfers, their stalls and the instant alone, so a pass
+    re-arbitrates only when it is the instant's first or follows a
+    start, a completion (or failed attempt) or a fired fault event;
+    skipping the other passes is exact.  Arbitration picks each
+    channel's contenders with {!Scheduler.more_urgent} and splits its
+    stripe with {!Arbiter.preferred} and {!Arbiter.share}, folded over
+    the tenant array in place; transfer and tenant clocks live in
+    float-only records and the event heap is read through
+    {!Sim.Event_queue.min_time}, so settling and advancing allocate
+    nothing, and a run's minor-heap allocation is bounded by its nodes
+    and transfers (pinned by test/test_runtime.ml).
+
     A run reads each tenant through its {!compiled} tables: every
     per-node fact that depends only on the plan, worked out once from
     (metric, on-chip set, PDG).  {!run} compiles its inputs and runs

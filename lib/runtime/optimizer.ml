@@ -172,22 +172,32 @@ let beam_orders ~channels ~channel_of
     List.map (fun st -> List.rev st.order) !states
   end
 
-(* Deterministic heuristic orders over the flattened transfer list. *)
+(* Deterministic heuristic orders over the flattened transfer list.
+   Their comparators chain [Int.compare]/[Float.compare] field by field:
+   the sign [compare] gives on the same float tuples, without building
+   them. *)
 let sorted_order cmp (profiles : transfer array array) =
   Array.to_list profiles
   |> List.concat_map Array.to_list
   |> List.stable_sort cmp
   |> List.map (fun x -> (x.t_owner, x.t_target, kind_int x.t_kind))
 
-let rank_of_order order =
-  let tbl = Hashtbl.create 64 in
+(* A comparison [c] on a primary key, ties broken by release time. *)
+let then_release c a b = if c <> 0 then c else Float.compare a.t_release b.t_release
+
+(* The rank table of an order over tenants of [nodes] nodes each: per
+   tenant, a dense array over (target, kind) slots holding the first
+   position of that transfer in the order; a transfer the order never
+   names ranks last. *)
+let rank_of_order ~nodes order =
+  let ranks = Array.map (fun n -> Array.make (3 * n) infinity) nodes in
   List.iteri
-    (fun i key -> if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key (float_of_int i))
+    (fun i (owner, target, kind) ->
+      let slot = (3 * target) + kind in
+      if ranks.(owner).(slot) = infinity then
+        ranks.(owner).(slot) <- float_of_int i)
     order;
-  fun ~owner ~target kind ->
-    match Hashtbl.find_opt tbl (owner, target, kind_int kind) with
-    | Some r -> r
-    | None -> infinity
+  fun ~owner ~target kind -> ranks.(owner).((3 * target) + kind_int kind)
 
 let search ?pool ?(hp_first = false) ~arbitration ~channels
     ?assign ?(make_faults = fun () -> None) ~isos
@@ -200,6 +210,7 @@ let search ?pool ?(hp_first = false) ~arbitration ~channels
   let profiles =
     Array.mapi (fun i c -> profile_tenant ~channels i c isos.(i)) compiled
   in
+  let nodes = Array.map (fun c -> Array.length c.Engine.profiles) compiled in
   let channel_of (x : transfer) =
     match assign with
     | None -> 0
@@ -216,22 +227,23 @@ let search ?pool ?(hp_first = false) ~arbitration ~channels
         sorted_order
           (fun a b ->
             match
-              compare inputs.(a.t_owner).Engine.priority
+              Int.compare inputs.(a.t_owner).Engine.priority
                 inputs.(b.t_owner).Engine.priority
             with
-            | 0 -> compare (a.t_deadline, a.t_release) (b.t_deadline, b.t_release)
+            | 0 -> then_release (Float.compare a.t_deadline b.t_deadline) a b
             | c -> c)
           profiles;
         (* Least laxity first: transfers with the least room to move
            drain first — late placement for slack-rich prefetches. *)
         sorted_order
           (fun a b ->
-            compare (a.t_deadline -. a.t_dur, a.t_release)
-              (b.t_deadline -. b.t_dur, b.t_release))
+            then_release
+              (Float.compare (a.t_deadline -. a.t_dur) (b.t_deadline -. b.t_dur))
+              a b)
           profiles;
         (* Shortest transfer first: clears channel heads quickly. *)
         sorted_order
-          (fun a b -> compare (a.t_dur, a.t_release) (b.t_dur, b.t_release))
+          (fun a b -> then_release (Float.compare a.t_dur b.t_dur) a b)
           profiles ]
   in
   let seen = Hashtbl.create 8 in
@@ -252,7 +264,7 @@ let search ?pool ?(hp_first = false) ~arbitration ~channels
          (fun i order ->
            { cand_label = Printf.sprintf "order%d" i;
              cand_scheduler = Scheduler.Optimized;
-             cand_rank = Some (rank_of_order order) })
+             cand_rank = Some (rank_of_order ~nodes order) })
          searched
   in
   let evaluate cand =

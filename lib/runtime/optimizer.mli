@@ -15,7 +15,13 @@
     Each call compiles its tenants once ({!Engine.compile}); the
     transfer profiles and every candidate run ({!Engine.run_compiled})
     read those tables, shared read-only across the pool's domains.
-    Nothing is kept between calls. *)
+    Nothing is kept between calls.  The candidate runs are most of a
+    search's time, so a searched order's rank table is a dense
+    per-tenant float array over (target, kind) slots, read without
+    hashing or allocating a key per transfer, and the heuristic orders
+    sort with [Int.compare]/[Float.compare] chains rather than
+    polymorphic [compare] on freshly built tuples (the same sign, so the
+    same orders). *)
 
 type outcome = {
   result : Engine.result;          (** The winning candidate's exact run. *)

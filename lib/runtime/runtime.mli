@@ -46,6 +46,11 @@ type options = {
           current node. *)
 }
 
+val slack_of : Lcmm.Framework.plan -> Sim.Engine.run -> int -> float
+(** [slack_of plan iso target]: the EDF slack of [target]'s prefetch,
+    how far its PDG source's start precedes its own start in the
+    isolated run [iso] of [plan]; 0 without a PDG edge. *)
+
 val default_options : options
 (** I16 on the VU9P, fair-share arbitration, EDF scheduling, one
     channel, equal partitioning, 4x bandwidth overcommit, no faults.

@@ -20,43 +20,32 @@ type pending = {
   rank : float;
 }
 
-(* Lexicographic urgency fold shared by the single-winner policies. *)
-let most_urgent better ready =
-  List.fold_left
-    (fun best p -> if better p best then p else best)
-    (List.hd ready) (List.tl ready)
+let exclusive = function Greedy -> false | Edf | Optimized -> true
+
+(* Earliest deadline, ties by priority then key. *)
+let edf_before (p : pending) (best : pending) =
+  p.deadline < best.deadline
+  || (p.deadline = best.deadline
+     && (p.priority < best.priority
+        || (p.priority = best.priority && p.key < best.key)))
+
+(* [Optimized] follows the searched static order: ranks come from the
+   schedule optimizer's chosen transfer order, and the EDF order breaks
+   ties among equally-ranked transfers, so with all ranks 0 (no rank
+   table) it is exactly [Edf].  [Greedy] admits everything and is
+   ordered as [Edf]. *)
+let more_urgent t (p : pending) (best : pending) =
+  match t with
+  | Greedy | Edf -> edf_before p best
+  | Optimized -> p.rank < best.rank || (p.rank = best.rank && edf_before p best)
 
 let eligible t ready =
   match ready with
   | [] -> []
-  | _ -> (
-    match t with
-    | Greedy -> List.map (fun p -> p.key) ready
-    | Edf ->
-      let urgent =
-        most_urgent
-          (fun p best ->
-            p.deadline < best.deadline
-            || (p.deadline = best.deadline
-               && (p.priority < best.priority
-                  || (p.priority = best.priority && p.key < best.key))))
-          ready
-      in
-      [ urgent.key ]
-    | Optimized ->
-      (* A searched static order: ranks come from the schedule
-         optimizer's chosen transfer order; deadline/priority/key break
-         ties among equally-ranked transfers, so with all ranks 0 (no
-         rank table) Optimized degenerates to exactly Edf. *)
-      let urgent =
-        most_urgent
-          (fun p best ->
-            p.rank < best.rank
-            || (p.rank = best.rank
-               && (p.deadline < best.deadline
-                  || (p.deadline = best.deadline
-                     && (p.priority < best.priority
-                        || (p.priority = best.priority && p.key < best.key))))))
-          ready
-      in
-      [ urgent.key ])
+  | first :: rest ->
+    if exclusive t then
+      [ (List.fold_left
+           (fun best p -> if more_urgent t p best then p else best)
+           first rest)
+          .key ]
+    else List.map (fun p -> p.key) ready

@@ -37,10 +37,19 @@ type pending = {
                         no rank table is in force. *)
 }
 
+val exclusive : t -> bool
+(** Whether the policy grants each channel to one transfer at a time:
+    [Edf] and [Optimized] do, [Greedy] lets every pending transfer
+    contend. *)
+
+val more_urgent : t -> pending -> pending -> bool
+(** [more_urgent t p best]: [p] is picked over [best].  [Edf]: earlier
+    deadline, ties by priority then key.  [Optimized]: lower rank, ties
+    by the [Edf] order.  [Greedy] is ordered as [Edf].  Allocates
+    nothing: the engine folds it over its tenant array. *)
+
 val eligible : t -> pending list -> int list
-(** Keys of the transfers allowed to contend for bandwidth right now
-    (the engine calls this once per channel, with that channel's pending
-    transfers): all of them under [Greedy], the single most urgent one
-    under [Edf] (earliest deadline, ties by priority then key), the
-    lowest-ranked one under [Optimized] (ties by deadline, priority,
-    key). *)
+(** Keys of the transfers allowed to contend for bandwidth right now,
+    given one channel's pending transfers: all of them when not
+    {!exclusive}, else the first one no later transfer is
+    {!more_urgent} than (a left fold). *)

@@ -42,7 +42,11 @@ let push t ~time tag =
     i := (!i - 1) / 2
   done
 
-let peek t = if t.size = 0 then None else Some (t.times.(0), t.tags.(0))
+let min_time t = if t.size = 0 then infinity else t.times.(0)
+
+let min_tag t =
+  if t.size = 0 then invalid_arg "Event_queue.min_tag: empty";
+  t.tags.(0)
 
 let drop_min t =
   if t.size = 0 then invalid_arg "Event_queue.drop_min: empty";

@@ -16,8 +16,13 @@ val clear : t -> unit
 
 val push : t -> time:float -> int -> unit
 
-val peek : t -> (float * int) option
-(** Earliest entry, or [None] when empty. *)
+val min_time : t -> float
+(** Time of the earliest entry, or [infinity] when empty.  Like
+    {!min_tag}, it allocates nothing, so an engine can read the head on
+    every event. *)
+
+val min_tag : t -> int
+(** Tag of the earliest entry; raises [Invalid_argument] when empty. *)
 
 val drop_min : t -> unit
 (** Remove the earliest entry; raises [Invalid_argument] when empty. *)

@@ -30,18 +30,6 @@ let compile model =
   in
   (g, plan, iso)
 
-(* The runtime's EDF slack: the isolated-schedule distance from a
-   target's PDG source start to its own start. *)
-let slack_of (p : F.plan) (iso : Sim.Engine.run) target =
-  match p.F.prefetch with
-  | None -> 0.
-  | Some pdg -> (
-    match Lcmm.Prefetch.source_of pdg target with
-    | Some s ->
-      iso.Sim.Engine.timings.(target).Sim.Engine.start
-      -. iso.Sim.Engine.timings.(s).Sim.Engine.start
-    | None -> 0.)
-
 let spec ?(priority = 0) ?(arrival = 0.) model k g =
   { Rt.Runtime.name = Printf.sprintf "%s#%d" model k;
     model;
@@ -81,7 +69,7 @@ let admitted report =
    arithmetic drift in the shared-bus path would show up here. *)
 let check_engine_exact model =
   let _, plan, iso = compile model in
-  let slack = slack_of plan iso in
+  let slack = Rt.Runtime.slack_of plan iso in
   List.iter
     (fun (arbitration, scheduler) ->
       let result =
@@ -335,6 +323,171 @@ let test_arbiter_rates () =
     prio;
   Alcotest.(check (list (pair int (float 0.)))) "empty" []
     (Rt.Arbiter.rates Rt.Arbiter.Fair_share [])
+
+(* The allocation-free policy forms the engine folds over its tenant
+   array ([Scheduler.more_urgent], [Arbiter.preferred]/[Arbiter.share])
+   must pick what the list semantics pick: the lexicographic minimum of
+   (deadline, priority, key) under Edf, of (rank, deadline, priority,
+   key) under Optimized, every key under Greedy; the lexicographic
+   minimum of (priority, key) takes a Priority channel, and fair share
+   splits it evenly.  Small value ranges force equal deadlines,
+   priorities and ranks; sets run from empty to eight. *)
+let prop_policy_folds_match_lists =
+  let gen =
+    QCheck2.Gen.(
+      list_size (int_range 0 8)
+        (quad (int_range 0 2) (int_range 0 2) (int_range 0 2) (int_range 0 99)))
+  in
+  Helpers.qtest ~count:500 "policy folds = list semantics" gen (fun fields ->
+      (* Distinct keys, in an order unrelated to the other fields. *)
+      let ready =
+        List.mapi
+          (fun i (d, p, r, salt) ->
+            { Rt.Scheduler.key = (salt * 16) + i;
+              deadline = float_of_int d;
+              priority = p;
+              rank = float_of_int r })
+          fields
+      in
+      let keys = List.map (fun p -> p.Rt.Scheduler.key) ready in
+      let lex_min key = function
+        | [] -> []
+        | ps ->
+          let sorted = List.sort (fun a b -> compare (key a) (key b)) ps in
+          [ (List.hd sorted).Rt.Scheduler.key ]
+      in
+      let by_list = function
+        | Rt.Scheduler.Greedy -> keys
+        | Rt.Scheduler.Edf ->
+          lex_min
+            (fun p ->
+              (p.Rt.Scheduler.deadline, p.Rt.Scheduler.priority,
+               p.Rt.Scheduler.key))
+            ready
+        | Rt.Scheduler.Optimized ->
+          lex_min
+            (fun p ->
+              (p.Rt.Scheduler.rank, p.Rt.Scheduler.deadline,
+               p.Rt.Scheduler.priority, p.Rt.Scheduler.key))
+            ready
+      in
+      (* The engine's form: one left fold over an array. *)
+      let by_fold t =
+        let a = Array.of_list ready in
+        if not (Rt.Scheduler.exclusive t) then keys
+        else if Array.length a = 0 then []
+        else begin
+          let best = ref a.(0) in
+          Array.iter
+            (fun p -> if Rt.Scheduler.more_urgent t p !best then best := p)
+            a;
+          [ !best.Rt.Scheduler.key ]
+        end
+      in
+      let schedulers_agree =
+        List.for_all
+          (fun t ->
+            by_fold t = by_list t && Rt.Scheduler.eligible t ready = by_list t)
+          Rt.Scheduler.all
+      in
+      let jobs =
+        List.map (fun p -> (p.Rt.Scheduler.key, p.Rt.Scheduler.priority)) ready
+      in
+      let n = List.length jobs in
+      let top =
+        match
+          List.sort (fun (ka, pa) (kb, pb) -> compare (pa, ka) (pb, kb)) jobs
+        with
+        | (k, _) :: _ -> k
+        | [] -> -1
+      in
+      let rates_by_list = function
+        | Rt.Arbiter.Fair_share ->
+          List.map (fun (k, _) -> (k, 1. /. float_of_int n)) jobs
+        | Rt.Arbiter.Priority ->
+          List.map (fun (k, _) -> (k, if k = top then 1. else 0.)) jobs
+      in
+      let rates_by_fold t =
+        match jobs with
+        | [] -> []
+        | first :: _ ->
+          let winner = ref first in
+          List.iter
+            (fun c -> if Rt.Arbiter.preferred c !winner then winner := c)
+            jobs;
+          List.map
+            (fun (k, _) ->
+              (k, Rt.Arbiter.share t ~contenders:n ~winner:(k = fst !winner)))
+            jobs
+      in
+      schedulers_agree
+      && List.for_all
+           (fun t ->
+             rates_by_fold t = rates_by_list t
+             && Rt.Arbiter.rates t jobs = rates_by_list t)
+           Rt.Arbiter.all)
+
+(* A run's minor-heap allocation is bounded by what it must build — the
+   transfer records, node timings and result — and not by its event or
+   settle-pass count.  googlenet x2 at priority 0 plus squeezenet x2 at
+   priority 1, each planned at the whole budget (410 nodes and
+   transfers), under EDF and the optimized scheduler with a fixed rank,
+   fair-share and priority arbitration: a run reads 82-87 words per node
+   and transfer; re-arbitrating on every settle pass through rebuilt
+   lists, with boxed clocks and an allocating heap peek, read 214-221. *)
+let test_engine_allocation_bounded () =
+  let _, g_plan, g_iso = compile "googlenet" in
+  let _, s_plan, s_iso = compile "squeezenet" in
+  let compiled =
+    Array.mapi
+      (fun k ((plan : F.plan), iso, priority) ->
+        Rt.Engine.compile
+          { Rt.Engine.label = Printf.sprintf "t%d" k;
+            metric = plan.F.metric;
+            on_chip = plan.F.allocation.Lcmm.Dnnk.on_chip;
+            prefetch = plan.F.prefetch;
+            arrival = 0.;
+            priority;
+            slack = Rt.Runtime.slack_of plan iso;
+            replan = None })
+      [| (g_plan, g_iso, 0); (g_plan, g_iso, 0); (s_plan, s_iso, 1);
+         (s_plan, s_iso, 1) |]
+  in
+  let nodes =
+    Array.fold_left
+      (fun acc (c : Rt.Engine.compiled) -> acc + Array.length c.Rt.Engine.profiles)
+      0 compiled
+  in
+  let rank ~owner ~target kind =
+    let k =
+      match kind with
+      | Rt.Engine.Prefetch_load -> 0
+      | Rt.Engine.Demand_load -> 1
+      | Rt.Engine.Weight_stream_x -> 2
+    in
+    float_of_int ((-target * 3) - k) +. (0.25 *. float_of_int owner)
+  in
+  List.iter
+    (fun (arbitration, scheduler, rank) ->
+      let run () =
+        Rt.Engine.run_compiled ~arbitration ~scheduler ?rank compiled
+      in
+      ignore (run ());
+      let before = Gc.minor_words () in
+      let r = run () in
+      let words = Gc.minor_words () -. before in
+      let items = nodes + List.length r.Rt.Engine.transfers in
+      let label =
+        Printf.sprintf "%s/%s: %.0f words for %d nodes + transfers"
+          (Rt.Arbiter.to_string arbitration)
+          (Rt.Scheduler.to_string scheduler)
+          words items
+      in
+      Alcotest.(check bool) label true (words <= 120. *. float_of_int items))
+    [ (Rt.Arbiter.Fair_share, Rt.Scheduler.Edf, None);
+      (Rt.Arbiter.Priority, Rt.Scheduler.Edf, None);
+      (Rt.Arbiter.Fair_share, Rt.Scheduler.Optimized, Some rank);
+      (Rt.Arbiter.Priority, Rt.Scheduler.Optimized, Some rank) ]
 
 (* --- per-channel timelines and the schedule optimizer --- *)
 
@@ -628,7 +781,7 @@ let reference_optimized (options : Rt.Runtime.options) specs
           prefetch = plan.F.prefetch;
           arrival = s.Rt.Runtime.arrival;
           priority = s.Rt.Runtime.priority;
-          slack = slack_of plan iso;
+          slack = Rt.Runtime.slack_of plan iso;
           replan =
             Option.map
               (fun _ ~lost_bytes ->
@@ -848,7 +1001,7 @@ let test_search_equal_inputs () =
           prefetch = plan.F.prefetch;
           arrival = 0.;
           priority;
-          slack = slack_of plan iso;
+          slack = Rt.Runtime.slack_of plan iso;
           replan = None })
       tenants
   in
@@ -937,7 +1090,7 @@ let engine_golden_lines () =
           prefetch = plan.F.prefetch;
           arrival = 0.;
           priority;
-          slack = slack_of plan iso;
+          slack = Rt.Runtime.slack_of plan iso;
           replan =
             (if not faulty then None
              else
@@ -1207,4 +1360,7 @@ let suite =
       test_search_equal_inputs;
     Alcotest.test_case "engine runs pinned" `Quick test_engine_golden;
     Alcotest.test_case "runtime goldens pinned" `Quick test_runtime_goldens;
-    Alcotest.test_case "report json shape" `Quick test_report_json_shape ]
+    Alcotest.test_case "report json shape" `Quick test_report_json_shape;
+    prop_policy_folds_match_lists;
+    Alcotest.test_case "engine run allocation bounded" `Quick
+      test_engine_allocation_bounded ]
