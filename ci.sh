@@ -18,6 +18,56 @@ golden_diff() {
 echo "== dune build =="
 dune build
 
+echo "== exports: every exported value has a caller outside its module =="
+# A value a lib/*/*.mli exports whose name appears in no .ml under lib/,
+# bin/, examples/ or perfbench/ other than its own module's is reached
+# by tests alone.  The scan is word-level: any other appearance of the
+# name passes, so it raises no false alarms (and it misses a name that
+# only a qualified or shadowed use elsewhere shares).  Allowlist, one
+# entry per line, a Module.value or Module.* pattern and its reason:
+export_allow='
+Interp.* lib/interp stays until the memory-image oracle item decides it
+'
+unused=$(awk -v allow="$export_allow" '
+  BEGIN {
+    n_allow = split(allow, lines, "\n")
+    for (i = 1; i <= n_allow; i++) { split(lines[i], f, " "); pat[i] = f[1] }
+  }
+  FNR == 1 { mli = FILENAME ~ /\.mli$/ }
+  mli {
+    if (match($0, /^[ \t]*val [a-z_][A-Za-z0-9_'"'"']*/)) {
+      s = substr($0, RSTART, RLENGTH); sub(/^[ \t]*val /, "", s)
+      own = FILENAME; sub(/i$/, "", own)
+      m = FILENAME; sub(/.*\//, "", m); sub(/\.mli$/, "", m)
+      n++; name[n] = s; owner[n] = own; want[s] = 1
+      mod[n] = toupper(substr(m, 1, 1)) substr(m, 2)
+    }
+    next
+  }
+  {
+    line = $0; gsub(/[^A-Za-z0-9_'"'"']/, " ", line)
+    k = split(line, w, " ")
+    for (i = 1; i <= k; i++)
+      if ((w[i] in want) && !((w[i], FILENAME) in hit)) {
+        hit[w[i], FILENAME] = 1; files[w[i]]++
+      }
+  }
+  END {
+    for (i = 1; i <= n; i++) {
+      if (files[name[i]] - ((name[i], owner[i]) in hit) > 0) continue
+      q = mod[i] "." name[i]; ok = 0
+      for (j = 1; j <= n_allow; j++)
+        if (pat[j] == q || pat[j] == mod[i] ".*") ok = 1
+      if (!ok) print q
+    }
+  }' $(find lib -name '*.mli' | sort) \
+     $(find lib bin examples perfbench -name '*.ml' | sort) | sort -u)
+if [ -n "$unused" ]; then
+  echo "exported, but no caller outside its own module except tests:"
+  echo "$unused"
+  exit 1
+fi
+
 echo "== dune runtest =="
 dune runtest
 

@@ -20,7 +20,7 @@ let default_freq dtype style =
   | Tensor.Dtype.F32, Lcmm -> 160.
 
 let make ?(device = Fpga.Device.vu9p) ?(ddr_efficiency = 0.70)
-    ?(burst_overhead = 2e-7) ?(dsp_fraction = 0.83) ?tile ?freq_mhz
+    ?(burst_overhead = 2e-7) ?(dsp_fraction = 0.83) ?tile
     ?(fused_eltwise = false) ~style dtype =
   let pe = Pe_array.default_for device dtype ~dsp_fraction in
   let tile =
@@ -28,11 +28,8 @@ let make ?(device = Fpga.Device.vu9p) ?(ddr_efficiency = 0.70)
     | Some t -> t
     | None -> Tiling.make ~tm:32 ~tn:64 ~th:28 ~tw:28
   in
-  let freq_mhz =
-    match freq_mhz with Some f -> f | None -> default_freq dtype style
-  in
-  { device; dtype; pe; tile; freq_mhz; ddr_efficiency; burst_overhead;
-    aux_ops_per_cycle = 256; fused_eltwise }
+  { device; dtype; pe; tile; freq_mhz = default_freq dtype style;
+    ddr_efficiency; burst_overhead; aux_ops_per_cycle = 256; fused_eltwise }
 
 let interface_bandwidth c =
   Fpga.Device.interface_bandwidth c.device *. c.ddr_efficiency

@@ -35,8 +35,7 @@ type t = {
 
 val make :
   ?device:Fpga.Device.t -> ?ddr_efficiency:float -> ?burst_overhead:float ->
-  ?dsp_fraction:float -> ?tile:Tiling.t -> ?freq_mhz:float ->
-  ?fused_eltwise:bool -> style:style -> Tensor.Dtype.t -> t
+  ?dsp_fraction:float -> ?tile:Tiling.t -> ?fused_eltwise:bool -> style:style -> Tensor.Dtype.t -> t
 (** Build a design point with the defaults used throughout the
     reproduction: VU9P, 83 % DSP budget, the default PE array for the
     precision, a 32x64x28x28 tile, the table frequency and 256 auxiliary

@@ -310,10 +310,3 @@ let has_traffic p =
   Array.length p.if_values > 0 || p.wt_term > 0. || p.of_term > 0.
 
 let is_memory_bound p = has_traffic p && umm_node_latency p > p.latc
-
-let memory_bound_count profiles =
-  Array.fold_left
-    (fun (mb, total) p ->
-      if has_traffic p then ((if is_memory_bound p then mb + 1 else mb), total + 1)
-      else (mb, total))
-    (0, 0) profiles

@@ -81,7 +81,3 @@ val is_memory_bound : profile -> bool
 (** True when some streaming term exceeds the node's compute time under
     UMM — the paper's memory-bounded layer classification. *)
 
-val memory_bound_count : profile array -> int * int
-(** [(memory_bound, with_any_traffic)] — the second component counts
-    nodes that move any data at all (excludes transparent/input nodes),
-    the denominator of the paper's "58 % of layers" statistic. *)

@@ -29,11 +29,6 @@ let conv_cycles a ~m ~c ~hw ~k2 =
   let padded = pad m a.tm_unroll * pad c a.tn_unroll * pad hw a.tsp_unroll in
   padded * k2 / macs_per_cycle a
 
-let efficiency a ~m ~c ~hw =
-  let ideal = m * c * hw in
-  let padded = pad m a.tm_unroll * pad c a.tn_unroll * pad hw a.tsp_unroll in
-  float_of_int ideal /. float_of_int padded
-
 let default_for device dtype ~dsp_fraction =
   if dsp_fraction <= 0. || dsp_fraction > 1. then
     invalid_arg "Pe_array.default_for: dsp_fraction out of (0, 1]";

@@ -29,9 +29,6 @@ val conv_cycles : t -> m:int -> c:int -> hw:int -> k2:int -> int
     channels (per group already divided out), [hw] output pixels and
     [k2 = kh*kw] kernel positions: padded-loop product over the array. *)
 
-val efficiency : t -> m:int -> c:int -> hw:int -> float
-(** Sustained/peak MAC ratio for the given layer dimensions, in (0, 1]. *)
-
 val default_for : Fpga.Device.t -> Tensor.Dtype.t -> dsp_fraction:float -> t
 (** Largest array of the model family fitting the given fraction of the
     device's DSP budget.  The family fixes [tm=32], picks [tn] from

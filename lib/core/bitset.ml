@@ -11,8 +11,6 @@ let create width =
   if width < 0 then invalid_arg "Bitset.create: negative width";
   { words = Array.make ((width + word_bits - 1) / word_bits) 0; width }
 
-let width t = t.width
-
 let check t i =
   if i < 0 || i >= t.width then
     invalid_arg (Printf.sprintf "Bitset: bit %d out of range" i)

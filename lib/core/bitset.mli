@@ -9,8 +9,6 @@ type t
 val create : int -> t
 (** [create width] is the empty set over bits [0 .. width-1]. *)
 
-val width : t -> int
-
 val set : t -> int -> unit
 val clear : t -> int -> unit
 

@@ -268,6 +268,41 @@ let sweep_up ws metric ~capacity_blocks (result, pending) =
   in
   loop result pending
 
+let drop_while metric ~pick result =
+  (* The live allocation's items; each drop removes its buffer's. *)
+  let on = Metric.mark (Metric.item_count metric) in
+  Metric.mark_set metric on result.on_chip;
+  let members_ix vb = List.map (Metric.item_index metric) vb.Vbuffer.members in
+  (* A buffer's gain to the rest: the allocation without its members
+     against the allocation with them. *)
+  let benefit vb =
+    Metric.swing_gain_on metric on (members_ix vb)
+      (Metric.nodes_affected metric vb.Vbuffer.members)
+  in
+  let rec loop result dropped =
+    match pick result ~benefit with
+    | None -> (result, List.rev dropped)
+    | Some worst ->
+      let on_chip =
+        List.fold_left
+          (fun acc it -> Metric.Item_set.remove it acc)
+          result.on_chip worst.Vbuffer.members
+      in
+      List.iter (Metric.remove on) (members_ix worst);
+      loop
+        { result with
+          chosen =
+            List.filter
+              (fun vb -> vb.Vbuffer.vbuf_id <> worst.Vbuffer.vbuf_id)
+              result.chosen;
+          spilled = worst :: result.spilled;
+          on_chip;
+          predicted_latency = Metric.total_latency_on metric on;
+          used_blocks = result.used_blocks - blocks_of_bytes worst.Vbuffer.size_bytes }
+        (worst :: dropped)
+  in
+  loop result []
+
 (* Degraded-mode eviction: the inverse of the knapsack.  When capacity
    shrinks under a live allocation (an SRAM bank drops out), drop chosen
    buffers in increasing benefit-density order — marginal gain against
@@ -279,25 +314,15 @@ let evict_to_capacity metric ~capacity_bytes result =
   if capacity_bytes < 0 then
     invalid_arg "Dnnk.evict_to_capacity: negative capacity";
   let capacity_blocks = capacity_bytes / block_bytes in
-  (* The live allocation's items; each eviction removes its buffer's. *)
-  let on = Metric.mark (Metric.item_count metric) in
-  Metric.mark_set metric on result.on_chip;
-  let members_ix vb = List.map (Metric.item_index metric) vb.Vbuffer.members in
-  (* A buffer's gain to the rest: the allocation without its members
-     against the allocation with them. *)
-  let density vb =
-    let gain =
-      Metric.swing_gain_on metric on (members_ix vb)
-        (Metric.nodes_affected metric vb.Vbuffer.members)
-    in
-    gain /. float_of_int (max 1 (blocks_of_bytes vb.Vbuffer.size_bytes))
-  in
-  let rec loop result evicted =
-    if result.used_blocks <= capacity_blocks then (result, List.rev evicted)
+  let pick result ~benefit =
+    if result.used_blocks <= capacity_blocks then None
     else
       match result.chosen with
-      | [] -> (result, List.rev evicted)
+      | [] -> None
       | first :: rest ->
+        let density vb =
+          benefit vb /. float_of_int (max 1 (blocks_of_bytes vb.Vbuffer.size_bytes))
+        in
         let _, worst =
           List.fold_left
             (fun ((bd, _) as best) vb ->
@@ -306,25 +331,9 @@ let evict_to_capacity metric ~capacity_bytes result =
             (density first, first)
             rest
         in
-        let on_chip =
-          List.fold_left
-            (fun acc it -> Metric.Item_set.remove it acc)
-            result.on_chip worst.Vbuffer.members
-        in
-        List.iter (Metric.remove on) (members_ix worst);
-        loop
-          { result with
-            chosen =
-              List.filter
-                (fun vb -> vb.Vbuffer.vbuf_id <> worst.Vbuffer.vbuf_id)
-                result.chosen;
-            spilled = worst :: result.spilled;
-            on_chip;
-            predicted_latency = Metric.total_latency_on metric on;
-            used_blocks = result.used_blocks - blocks_of_bytes worst.Vbuffer.size_bytes }
-          (worst :: evicted)
+        Some worst
   in
-  let result, evicted = loop result [] in
+  let result, evicted = drop_while metric ~pick result in
   ({ result with capacity_blocks }, evicted)
 
 (* Bound on {!Exact_iterative} refinement rounds. *)

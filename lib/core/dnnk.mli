@@ -64,6 +64,16 @@ val allocate :
     of [metric] (see {!Metric.item_index}).  Raises [Invalid_argument]
     on negative capacity. *)
 
+val drop_while :
+  Metric.t -> pick:(result -> benefit:(Vbuffer.t -> float) -> Vbuffer.t option) ->
+  result -> result * Vbuffer.t list
+(** Drop chosen buffers from an allocation one at a time, while [pick]
+    names one: its members leave [on_chip], it moves to the front of
+    [spilled], [predicted_latency] is recomputed exactly and
+    [used_blocks] shrinks by its blocks.  [benefit vb] is the latency
+    [vb]'s members save against the rest of the current allocation.
+    Returns the final result and the dropped buffers in drop order. *)
+
 val evict_to_capacity :
   Metric.t -> capacity_bytes:int -> result -> result * Vbuffer.t list
 (** Degraded-mode eviction — the inverse of the knapsack.  When the

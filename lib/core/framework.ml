@@ -336,55 +336,29 @@ let finish ?(stall_scale = 1.) al =
           | Metric.Feature_value _ -> acc)
         0. vb.Vbuffer.members
   in
-  (* The allocation's items; a pruned buffer's members leave it. *)
-  let on = Metric.mark (Metric.item_count metric) in
-  Metric.mark_set metric on al.al_allocation.Dnnk.on_chip;
-  let members_ix vb = List.map (Metric.item_index metric) vb.Vbuffer.members in
-  let rec prune (allocation : Dnnk.result) =
+  let pick (allocation : Dnnk.result) ~benefit =
     let candidates =
       List.filter_map
         (fun vb ->
           let stall = scaled (vbuf_stall vb) in
           if stall <= 0. then None
           else
-            (* The buffer's benefit: the allocation without its members
-               against the allocation with them. *)
-            let benefit =
-              Metric.swing_gain_on metric on (members_ix vb)
-                (Metric.nodes_affected metric vb.Vbuffer.members)
-            in
+            let benefit = benefit vb in
             if stall > benefit +. 1e-15 then Some (stall -. benefit, vb)
             else None)
         allocation.Dnnk.chosen
     in
     match candidates with
-    | [] -> allocation
+    | [] -> None
     | first :: rest ->
       let _, worst =
         List.fold_left
           (fun ((bn, _) as best) ((n, _) as cand) -> if n > bn then cand else best)
           first rest
       in
-      let without =
-        List.fold_left
-          (fun acc it -> Metric.Item_set.remove it acc)
-          allocation.Dnnk.on_chip worst.Vbuffer.members
-      in
-      List.iter (Metric.remove on) (members_ix worst);
-      prune
-        { allocation with
-          Dnnk.chosen =
-            List.filter
-              (fun vb -> vb.Vbuffer.vbuf_id <> worst.Vbuffer.vbuf_id)
-              allocation.Dnnk.chosen;
-          spilled = worst :: allocation.Dnnk.spilled;
-          on_chip = without;
-          predicted_latency = Metric.total_latency_on metric on;
-          used_blocks =
-            allocation.Dnnk.used_blocks
-            - Dnnk.blocks_of_bytes worst.Vbuffer.size_bytes }
+      Some worst
   in
-  let allocation = prune al.al_allocation in
+  let allocation, _ = Dnnk.drop_while metric ~pick al.al_allocation in
   (* Safety net: a plan must never lose to its own baseline.  Greedy
      pruning can in principle strand a jointly-bad group (gains are
      superadditive), so fall back to the empty allocation if the stall
@@ -536,9 +510,6 @@ let fingerprint p =
   Buffer.contents b
 
 let latency p = p.predicted_latency
-
-let throughput_tops p g =
-  2. *. float_of_int (G.total_macs g) /. latency p /. 1e12
 
 let helped_layers p = helped_and_bound p.metric p.allocation.Dnnk.on_chip
 

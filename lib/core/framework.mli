@@ -183,9 +183,6 @@ val fingerprint : plan -> string
 
 val latency : plan -> float
 
-val throughput_tops : plan -> Dnn_graph.Graph.t -> float
-(** Effective Tops: [2 * total MACs / latency / 1e12]. *)
-
 type design_report = {
   style_name : string;
   freq_mhz : float;

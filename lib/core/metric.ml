@@ -389,9 +389,6 @@ let gain_of_adding t ~on_chip items nodes =
 let marginal_gain_many t ~on_chip items =
   gain_of_adding t ~on_chip items (nodes_affected t items)
 
-let marginal_gain t ~on_chip item =
-  gain_of_adding t ~on_chip [ item ] (Array.of_list (affected_nodes t item))
-
 let eligible_items t ~memory_bound_only =
   let memory_bound = Array.map Latency.is_memory_bound t.profiles in
   let qualifies nodes =

@@ -23,12 +23,9 @@ type item =
           paper's whole-tensor granularity.  A node's weights appear
           either as one [Weight_of] or as [of_k] slices, never both. *)
 
-val compare_item : item -> item -> int
-(** A total order on items with the sign of [Stdlib.compare] on every
-    pair, without the polymorphic walk. *)
-
 module Item_set : Set.S with type elt = item
-(** Ordered by {!compare_item}. *)
+(** Ordered with the sign of [Stdlib.compare] on every pair of items,
+    without the polymorphic walk. *)
 
 type t = private {
   graph : Dnn_graph.Graph.t;
@@ -181,9 +178,6 @@ val nodes_affected : t -> item list -> int array
 
 val total_latency : t -> on_chip:Item_set.t -> float
 (** Whole-network latency (sequential node execution). *)
-
-val marginal_gain : t -> on_chip:Item_set.t -> item -> float
-(** Latency saved by adding the item to the allocation; >= 0. *)
 
 val marginal_gain_many : t -> on_chip:Item_set.t -> item list -> float
 (** Latency saved by adding all the items together. *)

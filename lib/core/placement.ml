@@ -17,11 +17,6 @@ type map = {
   bram_blocks_used : int;
 }
 
-let overlaps a b =
-  a.bank = b.bank
-  && a.first_block < b.first_block + b.block_count
-  && b.first_block < a.first_block + a.block_count
-
 let place ~device ~tile_bytes vbufs =
   let total = device.Fpga.Device.total in
   let uram_cap = total.Fpga.Resource.uram in

@@ -33,8 +33,5 @@ val place :
 (** Place the given (chosen) buffers.  Buffers are placed largest-first;
     the error explains which buffer did not fit. *)
 
-val overlaps : region -> region -> bool
-(** Same bank and intersecting block ranges. *)
-
 val pp : Format.formatter -> map -> unit
 (** Human-readable memory map. *)

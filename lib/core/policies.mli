@@ -24,8 +24,6 @@ type outcome = {
   feasible : bool;       (** Demand fits the given capacity. *)
 }
 
-val policy_name : policy -> string
-
 val run :
   Metric.t -> dtype:Tensor.Dtype.t -> capacity_bytes:int -> Vbuffer.t list ->
   policy -> outcome

@@ -44,8 +44,6 @@ let edges t =
   Hashtbl.fold (fun _ e acc -> e :: acc) t.table []
   |> List.sort (fun a b -> compare a.target b.target)
 
-let total_stall t = List.fold_left (fun acc e -> acc +. e.stall_seconds) 0. (edges t)
-
 let pp ppf t =
   List.iter
     (fun e ->

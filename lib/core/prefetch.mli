@@ -32,14 +32,10 @@ val build :
 val source_of : t -> int -> int option
 (** PDG source for a target node; [None] when the node is not a target. *)
 
-val edge_of : t -> int -> edge option
-
 val edges : t -> edge list
 (** All prefetch edges, by target order. *)
 
 val stall_seconds : t -> int -> float
 (** Residual stall for a target (0 for unknown targets). *)
-
-val total_stall : t -> float
 
 val pp : Format.formatter -> t -> unit

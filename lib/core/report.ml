@@ -1,27 +1,3 @@
-let plan_summary g plan =
-  let buf = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let alloc = plan.Framework.allocation in
-  let umm = Accel.Latency.umm_total plan.Framework.metric.Metric.profiles in
-  add "design point : %s\n"
-    (Format.asprintf "%a" Accel.Config.pp plan.Framework.config);
-  add "virtual bufs : %d (%d on chip, %d spilled)\n"
-    (List.length plan.Framework.vbufs)
-    (List.length alloc.Dnnk.chosen)
-    (List.length alloc.Dnnk.spilled);
-  add "tensor SRAM  : %.2f MB in %d blocks\n"
-    (float_of_int plan.Framework.tensor_sram_bytes /. 1e6)
-    alloc.Dnnk.used_blocks;
-  let helped, bound = Framework.helped_layers plan in
-  add "POL          : %.0f%% (%d / %d memory-bound layers)\n"
-    (100. *. plan.Framework.pol) helped bound;
-  add "latency      : %.3f ms (UMM reference %.3f ms, x%.2f)\n"
-    (plan.Framework.predicted_latency *. 1e3)
-    (umm *. 1e3)
-    (umm /. plan.Framework.predicted_latency);
-  add "throughput   : %.3f Tops\n" (Framework.throughput_tops plan g);
-  Buffer.contents buf
-
 let comparison_header =
   Printf.sprintf "%-14s %-4s %10s %7s %10s %7s %6s %6s %6s %8s" "model" "prec"
     "umm_ms" "tops" "lcmm_ms" "tops" "dsp%" "clb%" "sram%" "speedup"

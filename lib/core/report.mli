@@ -1,13 +1,9 @@
 (** Formatted reports and CSV export.
 
     The CLI and the bench harness share these renderers so their output
-    stays consistent and testable: a human-readable plan summary, a
-    Table-1-style comparison table, and CSV series (design-space points,
-    comparisons) for external plotting. *)
-
-val plan_summary : Dnn_graph.Graph.t -> Framework.plan -> string
-(** Multi-line summary: design point, buffer counts, pinned bytes, POL,
-    predicted latency vs the UMM reference. *)
+    stays consistent and testable: a Table-1-style comparison table and
+    CSV series (design-space points, comparisons) for external
+    plotting. *)
 
 val comparison_row : Framework.comparison -> string
 (** One aligned row: model, precision, UMM and LCMM latency/Tops,

@@ -81,10 +81,8 @@ let default_energy_model dtype =
       | Tensor.Dtype.I16 -> 1.0
       | Tensor.Dtype.F32 -> 4.6) }
 
-let energy_of_allocation ?model metric ~dtype ~on_chip =
-  let model =
-    match model with Some m -> m | None -> default_energy_model dtype
-  in
+let energy_of_allocation metric ~dtype ~on_chip =
+  let model = default_energy_model dtype in
   let traffic = of_allocation metric ~on_chip in
   let baseline = umm metric in
   (* Everything the UMM design would have streamed still reaches the

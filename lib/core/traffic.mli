@@ -34,17 +34,8 @@ type energy = {
 
 val total_joules : energy -> float
 
-type energy_model = {
-  ddr_pj_per_byte : float;    (** ~160 pJ/byte for DDR4 access+IO. *)
-  sram_pj_per_byte : float;   (** ~1 pJ/byte for on-chip SRAM. *)
-  mac_pj : float;             (** Per-MAC datapath energy. *)
-}
-
-val default_energy_model : Tensor.Dtype.t -> energy_model
-(** Order-of-magnitude constants per precision (larger MACs cost more). *)
-
 val energy_of_allocation :
-  ?model:energy_model -> Metric.t -> dtype:Tensor.Dtype.t ->
-  on_chip:Metric.Item_set.t -> energy
-(** Energy per inference: DDR traffic at the DDR rate, the same tensor
-    volumes re-read from SRAM where pinned, and the MAC datapath. *)
+  Metric.t -> dtype:Tensor.Dtype.t -> on_chip:Metric.Item_set.t -> energy
+(** Energy per inference: DDR traffic at ~160 pJ/byte, the same tensor
+    volumes re-read from SRAM at ~1 pJ/byte where pinned, and the MAC
+    datapath at a per-precision energy (larger MACs cost more). *)

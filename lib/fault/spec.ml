@@ -116,8 +116,6 @@ let has_transport_faults t =
   || t.t_reset_prob > 0.
   || t.slow_shards <> []
 
-let is_empty t = not (has_board_faults t) && not (has_transport_faults t)
-
 (* Intensity-ladder support: scale every transport probability by
    [factor] (clamped to [0,1]); delay magnitude and slowshard factors
    are left alone so a rung changes how often faults fire, not what

@@ -79,10 +79,6 @@ val empty : t
 (** No faults: seed 0, default retry budget (3) and backoff
     (0.05 ms base, 2 ms cap). *)
 
-val is_empty : t -> bool
-(** True when no fault source of either family is active — neither
-    board faults nor transport faults. *)
-
 val has_board_faults : t -> bool
 (** True when a board-fault source (droop, stall, fail, bankloss,
     abort) is active.  A run-op spec without any is normalised away so

@@ -31,17 +31,14 @@ val all : t list
 val find : string -> t option
 (** Case-insensitive lookup by name. *)
 
-val aggregate_bandwidth : t -> float
-(** Total DDR bandwidth in bytes/s. *)
-
 val interface_bandwidth : t -> float
 (** Bytes/s available to each of the three data interfaces (if/wt/of):
-    one third of {!aggregate_bandwidth}. *)
+    one third of the total DDR bandwidth. *)
 
 val ddr_channels : t -> int
 (** Number of independently schedulable DDR channels (the device's DDR
     bank count, at least 1).  The runtime's per-channel bandwidth model
-    stripes {!aggregate_bandwidth} equally across them; planning with 1
+    stripes the total DDR bandwidth equally across them; planning with 1
     channel recovers the aggregate fluid-bus model exactly. *)
 
 val sram_bytes : t -> int

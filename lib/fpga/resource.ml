@@ -1,7 +1,5 @@
 type t = { dsp : int; bram36 : int; uram : int; luts : int }
 
-let zero = { dsp = 0; bram36 = 0; uram = 0; luts = 0 }
-
 let make ?(dsp = 0) ?(bram36 = 0) ?(uram = 0) ?(luts = 0) () =
   if dsp < 0 || bram36 < 0 || uram < 0 || luts < 0 then
     invalid_arg "Resource.make: negative component";
@@ -12,12 +10,6 @@ let add a b =
     bram36 = a.bram36 + b.bram36;
     uram = a.uram + b.uram;
     luts = a.luts + b.luts }
-
-let sub a b =
-  { dsp = a.dsp - b.dsp;
-    bram36 = a.bram36 - b.bram36;
-    uram = a.uram - b.uram;
-    luts = a.luts - b.luts }
 
 let scale k a =
   { dsp = k * a.dsp; bram36 = k * a.bram36; uram = k * a.uram; luts = k * a.luts }

@@ -12,17 +12,11 @@ type t = {
   luts : int;
 }
 
-val zero : t
-
 val make : ?dsp:int -> ?bram36:int -> ?uram:int -> ?luts:int -> unit -> t
 (** Missing components default to 0.  Raises [Invalid_argument] on
     negative counts. *)
 
 val add : t -> t -> t
-
-val sub : t -> t -> t
-(** Component-wise subtraction; may produce negative components (use
-    {!fits} to test feasibility). *)
 
 val scale : int -> t -> t
 

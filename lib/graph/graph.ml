@@ -71,9 +71,6 @@ let nodes_of_block g b =
   Array.to_list g.node_arr
   |> List.filter_map (fun n -> if n.block = Some b then Some n.id else None)
 
-let find_by_name g name =
-  Array.to_seq g.node_arr |> Seq.find (fun n -> n.node_name = name)
-
 let weight_bytes dtype g =
   Array.fold_left
     (fun acc w ->

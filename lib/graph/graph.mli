@@ -57,8 +57,6 @@ val blocks : t -> string list
 val nodes_of_block : t -> string -> int list
 (** Node ids tagged with the given block, in id order. *)
 
-val find_by_name : t -> string -> node option
-
 val weight_bytes : Tensor.Dtype.t -> t -> int
 (** Total parameter footprint at the given precision. *)
 

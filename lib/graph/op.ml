@@ -27,10 +27,6 @@ type t =
   | Upsample of { factor : int }
   | Dense of { out_features : int }
 
-let conv_defaults ?(stride = (1, 1)) ?(padding = Same) ?(groups = 1)
-    ~out_channels ~kernel () =
-  Conv { out_channels; kernel; stride; padding; groups }
-
 (* Spatial output extent along one axis for kernel [k], stride [s] and the
    given padding mode. *)
 let spatial_out padding ~extent ~k ~s =
@@ -203,10 +199,6 @@ let aux_ops op inputs =
     | Ok out -> Tensor.Shape.elements out
     | Error _ -> 0)
   | Input _ | Conv _ | Concat | Dense _ -> 0
-
-let is_conv_like = function
-  | Conv _ | Dense _ -> true
-  | Input _ | Pool _ | Eltwise_add | Concat | Upsample _ -> false
 
 let name = function
   | Input _ -> "input"

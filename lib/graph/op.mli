@@ -41,11 +41,6 @@ type t =
       (** Nearest-neighbour spatial upsampling (decoder networks). *)
   | Dense of { out_features : int }
 
-val conv_defaults :
-  ?stride:int * int -> ?padding:padding -> ?groups:int ->
-  out_channels:int -> kernel:int * int -> unit -> t
-(** [Conv] with stride (1,1), [Same] padding and one group by default. *)
-
 val output_shape : t -> Tensor.Shape.t list -> (Tensor.Shape.t, string) result
 (** Shape of the operator's output given the shapes of its inputs, or a
     human-readable error when the inputs are invalid for the operator. *)
@@ -61,9 +56,6 @@ val macs : t -> Tensor.Shape.t list -> int
 val aux_ops : t -> Tensor.Shape.t list -> int
 (** Non-MAC arithmetic (pool comparisons/adds, element-wise additions);
     used by the roofline's operation count alongside [2 * macs]. *)
-
-val is_conv_like : t -> bool
-(** True for [Conv] and [Dense] — the operators the systolic array runs. *)
 
 val name : t -> string
 (** Short operator mnemonic, e.g. ["conv3x3/2"]. *)

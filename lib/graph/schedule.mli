@@ -9,8 +9,6 @@
     preferring ready nodes that free the most live bytes — a classic
     register-pressure heuristic applied to feature values. *)
 
-val is_valid : Graph.t -> int array -> bool
-
 val default : Graph.t -> int array
 (** The identity schedule. *)
 

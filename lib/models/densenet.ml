@@ -7,8 +7,6 @@ let growth = 32
 
 let block_layers = [ 6; 12; 24; 16 ]
 
-let block_names = List.mapi (fun i _ -> Printf.sprintf "dense%d" (i + 1)) block_layers
-
 (* One dense layer: 1x1 bottleneck to 4*growth channels then 3x3 down to
    [growth]; batch norm and ReLU fold into the convolutions. *)
 let dense_layer b ~cname x =

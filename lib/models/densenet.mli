@@ -12,5 +12,3 @@ val build : unit -> Dnn_graph.Graph.t
 (** DenseNet-121: growth rate 32, dense blocks of [6; 12; 24; 16] layers
     with transition layers between them, 224x224 input. *)
 
-val block_names : string list
-(** The dense block tags in network order. *)

@@ -10,5 +10,3 @@ val name : string
 val build : unit -> Dnn_graph.Graph.t
 (** Stem + inception 3a,3b,4a..4e,5a,5b + classifier, 224x224 input. *)
 
-val block_names : string list
-(** The nine inception block tags in network order. *)

@@ -3,12 +3,6 @@ module Op = Dnn_graph.Op
 
 let name = "inception_v3"
 
-let block_names =
-  List.concat
-    [ List.init 3 (fun i -> Printf.sprintf "mixed_a%d" (i + 1));
-      List.init 4 (fun i -> Printf.sprintf "mixed_b%d" (i + 1));
-      List.init 2 (fun i -> Printf.sprintf "mixed_c%d" (i + 1)) ]
-
 let conv b ~name ?(kernel = (1, 1)) ?(stride = (1, 1)) ?(padding = Op.Same) ~out x =
   B.conv b ~name ~kernel ~stride ~padding ~out_channels:out x
 

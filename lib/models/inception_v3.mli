@@ -11,4 +11,3 @@ val build : unit -> Dnn_graph.Graph.t
 (** Stem + 3x block-A (35x35) + reduction + 4x block-B (17x17) +
     reduction + 2x block-C (8x8) + classifier, 299x299 input. *)
 
-val block_names : string list

@@ -14,13 +14,6 @@ let stages =
     (6, 160, 3, 2);
     (6, 320, 1, 1) ]
 
-let block_names =
-  List.concat
-    (List.mapi
-       (fun si (_, _, repeats, _) ->
-         List.init repeats (fun bi -> Printf.sprintf "bottleneck%d_%d" (si + 1) (bi + 1)))
-       stages)
-
 (* One inverted residual: 1x1 expand, 3x3 depthwise (stride here), 1x1
    project, with a shortcut when shapes allow. *)
 let inverted_residual b ~tag ~expansion ~out_channels ~stride x =

@@ -12,5 +12,3 @@ val build : unit -> Dnn_graph.Graph.t
 (** Standard width-1.0 MobileNet-v2, 224x224 input: 17 inverted-residual
     blocks + stem and head convolutions. *)
 
-val block_names : string list
-(** The inverted-residual block tags in network order. *)

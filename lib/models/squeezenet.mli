@@ -10,5 +10,3 @@ val name : string
 val build : unit -> Dnn_graph.Graph.t
 (** SqueezeNet 1.1: 8 fire modules, 227x227 input. *)
 
-val block_names : string list
-(** The fire module tags in network order. *)

@@ -39,4 +39,3 @@ let build name =
     let known = String.concat ", " (List.map (fun e -> e.model_name) all) in
     invalid_arg (Printf.sprintf "Zoo.build: unknown model %S (known: %s)" name known)
 
-let benchmark_suite = [ resnet152; googlenet; inception_v4 ]

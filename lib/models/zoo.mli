@@ -19,5 +19,3 @@ val build : string -> Dnn_graph.Graph.t
 (** [find] then build; raises [Invalid_argument] with the known names on
     an unknown model. *)
 
-val benchmark_suite : entry list
-(** The paper's three benchmarks, in Table 1 order: RN, GN, IN. *)

@@ -72,8 +72,6 @@ type t = {
           engine's: every fault field is omitted. *)
 }
 
-val status_string : status -> string
-
 val channel_busy_fraction :
   channels:int -> makespan_ms:float -> Engine.segment list -> float
 (** Time-weighted busy fraction of one channel's timeline.  Segment

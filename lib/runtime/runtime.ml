@@ -34,6 +34,20 @@ let default_options =
     faults = None;
   }
 
+(* Plan/schedule co-iteration bound for the [optimized] scheduler: each
+   round searches a schedule, feeds per-tenant slowdowns back as planner
+   stall scales, and replans; stops early when a round fails to improve
+   or the scales reach a fixpoint.  Ignored by [greedy]/[edf].
+
+   A round whose plans equal the previous round's reuses that round's
+   [Optimizer.outcome] instead of searching again — [Optimizer.search]
+   is deterministic in its engine inputs, so the report is unchanged and
+   still counts the round, its makespan and the convergence.  Plans are
+   equal when, for every admitted tenant, the plan the engine runs has
+   the same metric ([==], else structural [=]: fusion rebuilds it), the
+   same PDG ([==]), an [Item_set.equal] on-chip set and an equal channel
+   assignment.  Fault injection opts out (the degrade callback closes
+   over the whole plan). *)
 let schedule_rounds = 3
 
 let used_bytes (p : F.plan) =

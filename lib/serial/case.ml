@@ -58,18 +58,11 @@ let of_json v =
       let* graph = Codec.graph_of_json graph_v in
       Ok { seed; case_index; oracle; message; dtype; capacity_fraction; graph }
 
-let to_string ?(pretty = true) c =
-  Json.to_string ~indent:(if pretty then 2 else 0) (to_json c)
-
-let of_string s =
-  let* v = Json.of_string s in
-  of_json v
-
 let write_file ~path c =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string c))
+    (fun () -> output_string oc (Json.to_string ~indent:2 (to_json c)))
 
 let read_file ~path =
   match open_in path with
@@ -80,4 +73,5 @@ let read_file ~path =
         ~finally:(fun () -> close_in ic)
         (fun () -> really_input_string ic (in_channel_length ic))
     in
-    of_string content
+    let* v = Json.of_string content in
+    of_json v

@@ -20,16 +20,6 @@ type t = {
   graph : Dnn_graph.Graph.t;  (** The shrunk counterexample. *)
 }
 
-val format_version : int
-
-val to_json : t -> Json.t
-
-val of_json : Json.t -> (t, string) result
-
-val to_string : ?pretty:bool -> t -> string
-
-val of_string : string -> (t, string) result
-
 val write_file : path:string -> t -> unit
 
 val read_file : path:string -> (t, string) result

@@ -79,7 +79,3 @@ let run_digest_of_canonical ?(extra = []) ~dtype ~device ~options tenants =
      :: options_fingerprint options
      :: extra
     @ List.concat_map (fun (bytes, tag) -> [ tag; bytes ]) tenants)
-
-let run_digest ?extra ~dtype ~device ~options tenants =
-  run_digest_of_canonical ?extra ~dtype ~device ~options
-    (List.map (fun (g, tag) -> (canonical g, tag)) tenants)

@@ -45,9 +45,3 @@ val run_digest_of_canonical :
     in submission order; [extra] folds in the board-level knobs
     (arbitration, scheduler, partition policy, overcommit).  The
     runtime is a deterministic function of exactly these inputs. *)
-
-val run_digest :
-  ?extra:string list -> dtype:Tensor.Dtype.t -> device:Fpga.Device.t ->
-  options:Lcmm.Framework.options -> (Dnn_graph.Graph.t * string) list ->
-  string
-(** {!run_digest_of_canonical} with each graph serialized. *)

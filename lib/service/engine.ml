@@ -24,7 +24,7 @@ type t = {
          misses computed; the stats op reports it. *)
 }
 
-let create ?cache ?pool ?metrics ?deadline_ms ?(breaker_threshold = 5)
+let create ?cache ?pool ?deadline_ms ?(breaker_threshold = 5)
     ?(breaker_cooldown_ms = 1000.) () =
   (match deadline_ms with
   | Some ms when ms <= 0. ->
@@ -38,7 +38,7 @@ let create ?cache ?pool ?metrics ?deadline_ms ?(breaker_threshold = 5)
   ignore (new_breaker ());
   { plan_cache = (match cache with Some c -> c | None -> Plan_cache.create ());
     worker_pool = (match pool with Some p -> p | None -> Lcmm.Pool.create ());
-    meters = (match metrics with Some m -> m | None -> Metrics.create ());
+    meters = Metrics.create ();
     default_deadline_ms = deadline_ms;
     breakers = Hashtbl.create 8;
     breaker_mutex = Mutex.create ();
@@ -695,7 +695,5 @@ let handle_line ?timing t line =
 let cache t = t.plan_cache
 
 let pool t = t.worker_pool
-
-let metrics t = t.meters
 
 let shutdown t = Lcmm.Pool.shutdown t.worker_pool

@@ -11,8 +11,7 @@
 type t
 
 val create :
-  ?cache:Plan_cache.t -> ?pool:Lcmm.Pool.t -> ?metrics:Metrics.t ->
-  ?deadline_ms:float -> ?breaker_threshold:int ->
+  ?cache:Plan_cache.t -> ?pool:Lcmm.Pool.t -> ?deadline_ms:float -> ?breaker_threshold:int ->
   ?breaker_cooldown_ms:float -> unit -> t
 (** Missing components are created with their defaults (256-entry
     in-memory cache, [Lcmm.Pool.create ()] sized pool).  [deadline_ms]
@@ -96,8 +95,6 @@ val stats_payload : t -> Dnn_serial.Json.t
 val cache : t -> Plan_cache.t
 
 val pool : t -> Lcmm.Pool.t
-
-val metrics : t -> Metrics.t
 
 val shutdown : t -> unit
 (** Shut the pool down (joins its domains). *)

@@ -28,8 +28,6 @@ let find t key =
     e.stamp <- tick t;
     Some e.value
 
-let mem t key = Hashtbl.mem t.table key
-
 let remove t key =
   match Hashtbl.find_opt t.table key with
   | None -> ()
@@ -67,10 +65,6 @@ let add t ~key ~bytes value =
 let length t = Hashtbl.length t.table
 
 let total_bytes t = t.bytes_held
-
-let clear t =
-  Hashtbl.reset t.table;
-  t.bytes_held <- 0
 
 (* Snapshot for drain: every resident entry, most recently used first,
    so a bounded flush writes back the hottest entries first.  Recency

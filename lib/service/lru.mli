@@ -20,14 +20,9 @@ val add : 'a t -> key:string -> bytes:int -> 'a -> (string * 'a) list
 
 val remove : 'a t -> string -> unit
 
-val mem : 'a t -> string -> bool
-(** Without refreshing recency. *)
-
 val length : 'a t -> int
 
 val total_bytes : 'a t -> int
-
-val clear : 'a t -> unit
 
 val bindings : 'a t -> (string * 'a) list
 (** Every resident entry, most recently used first.  Recency is not

@@ -178,12 +178,3 @@ let stats_json t =
       ("evictions", Json.Int s.evictions);
       ("disk_loads", Json.Int s.disk_loads);
       ("quarantined", Json.Int s.quarantined) ]
-
-let clear t =
-  with_lock t (fun () ->
-      Lru.clear t.lru;
-      t.hits <- 0;
-      t.misses <- 0;
-      t.evictions <- 0;
-      t.disk_loads <- 0;
-      t.quarantined <- 0)

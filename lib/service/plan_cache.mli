@@ -42,7 +42,3 @@ val put : t -> string -> Dnn_serial.Json.t -> unit
 val stats : t -> stats
 
 val stats_json : t -> Dnn_serial.Json.t
-
-val clear : t -> unit
-(** Drops the in-memory entries and resets counters; persisted files are
-    kept. *)

@@ -81,7 +81,23 @@ let bool_field v key fallback =
     | Ok b -> Ok b
     | Error _ -> Error (Printf.sprintf "field %S: expected a boolean" key))
 
-let options_of_json v =
+(* DDR channels: at least one and at most the device's DDR banks.  A
+   count past the banks has no bank to stripe over, while the runtime's
+   work and its report grow with it. *)
+let channels_field v ~device fallback =
+  match Json.member_opt "channels" v with
+  | None -> Ok fallback
+  | Some field -> (
+    let banks = Fpga.Device.ddr_channels device in
+    match Json.to_int field with
+    | Ok c when c >= 1 && c <= banks -> Ok c
+    | Ok _ ->
+      Error
+        (Printf.sprintf "field \"channels\": expected a count from 1 to %d (%s)"
+           banks device.Fpga.Device.device_name)
+    | Error _ -> Error "field \"channels\": expected an integer")
+
+let options_of_json ~device v =
   let base = F.default_options in
   let* feature_reuse = bool_field v "feature_reuse" base.F.feature_reuse in
   let* weight_prefetch = bool_field v "weight_prefetch" base.F.weight_prefetch in
@@ -122,15 +138,7 @@ let options_of_json v =
       | Error _ -> Error "field \"weight_slices\": expected an integer")
   in
   let* fusion = bool_field v "fusion" base.F.fusion in
-  let* channels =
-    match Json.member_opt "channels" v with
-    | None -> Ok base.F.channels
-    | Some field -> (
-      match Json.to_int field with
-      | Ok c when c >= 1 -> Ok c
-      | Ok _ -> Error "field \"channels\": expected a count >= 1"
-      | Error _ -> Error "field \"channels\": expected an integer")
-  in
+  let* channels = channels_field v ~device base.F.channels in
   Ok
     { F.feature_reuse;
       weight_prefetch;
@@ -173,17 +181,17 @@ let device_of_json v =
     | Some d -> Ok d
     | None -> Error (Printf.sprintf "unknown device %S" s))
 
-let fw_options_of_json v =
+let fw_options_of_json ~device v =
   match Json.member_opt "options" v with
   | None -> Ok F.default_options
-  | Some (Json.Obj _ as o) -> options_of_json o
+  | Some (Json.Obj _ as o) -> options_of_json ~device o
   | Some _ -> Error "field \"options\": expected an object"
 
 let compile_spec_of_json v =
   let* target = target_of_json v in
   let* dtype = dtype_of_json v in
   let* device = device_of_json v in
-  let* options = fw_options_of_json v in
+  let* options = fw_options_of_json ~device v in
   Ok { target; dtype; device; options }
 
 (* A policy knob: an optional string field decoded through a module's
@@ -255,7 +263,7 @@ let run_spec_of_json v =
   let tenants = List.rev tenants in
   let* run_dtype = dtype_of_json v in
   let* run_device = device_of_json v in
-  let* run_options = fw_options_of_json v in
+  let* run_options = fw_options_of_json ~device:run_device v in
   let* arbitration =
     policy_field v "arbitration" Lcmm_runtime.Arbiter.of_string
       Lcmm_runtime.Arbiter.Fair_share ~known:"fair priority"
@@ -295,15 +303,7 @@ let run_spec_of_json v =
           Ok (if Fault.Spec.has_board_faults spec then Some spec else None)
         | Error msg -> Error (Printf.sprintf "field \"faults\": %s" msg)))
   in
-  let* run_channels =
-    match Json.member_opt "channels" v with
-    | None -> Ok 1
-    | Some field -> (
-      match Json.to_int field with
-      | Ok c when c >= 1 -> Ok c
-      | Ok _ -> Error "field \"channels\": expected a count >= 1"
-      | Error _ -> Error "field \"channels\": expected an integer")
-  in
+  let* run_channels = channels_field v ~device:run_device 1 in
   Ok
     { tenants; run_dtype; run_device; arbitration; scheduler; sram_partition;
       overcommit; run_channels; run_options; faults }
@@ -427,7 +427,7 @@ let options_to_json (o : F.options) =
        byte-identically. *)
     @ (if o.F.channels = 1 then [] else [ ("channels", Json.Int o.F.channels) ]))
 
-(* The inverse of [request_of_json], used by the tier router to forward
+(* The inverse of [request_of_line], used by the tier router to forward
    a parsed envelope to a backend shard.  The encoding must round-trip
    *exactly* — [request_of_line (to_string (envelope_to_json env))]
    yields an envelope with the same cache digest — or a shard would file

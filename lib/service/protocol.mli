@@ -107,16 +107,14 @@ val target_name : target -> string
 
 val op_name : request -> string
 
-val request_of_json : Dnn_serial.Json.t -> (envelope, string) result
-
 val request_of_line : string -> (envelope, string) result
 
 val options_to_json : Lcmm.Framework.options -> Dnn_serial.Json.t
 (** Inverse of the [options] grammar above, for transcripts and
-    debugging; [request_of_json] accepts its output. *)
+    debugging; {!request_of_line} accepts its output. *)
 
 val envelope_to_json : envelope -> Dnn_serial.Json.t
-(** Inverse of {!request_of_json}, used by the tier router to forward a
+(** Inverse of {!request_of_line}, used by the tier router to forward a
     parsed envelope to a backend shard.  The round-trip is exact: the
     re-parsed envelope computes the same cache digests as the original
     (tenant arrivals travel as the verbatim [arrival_s] field). *)

@@ -25,10 +25,6 @@ let per_block g run =
   in
   List.map row (G.blocks g)
 
-let total_tops g run =
-  if run.Engine.total <= 0. then 0.
-  else 2. *. float_of_int (G.total_macs g) /. run.Engine.total /. 1e12
-
 let pp_rows ppf rows =
   Format.fprintf ppf "%-16s %10s %10s %8s@." "block" "time(us)" "macs(M)" "Tops";
   List.iter
@@ -36,11 +32,3 @@ let pp_rows ppf rows =
       Format.fprintf ppf "%-16s %10.1f %10.2f %8.3f@." r.block (r.seconds *. 1e6)
         (float_of_int r.macs /. 1e6) r.tops)
     rows
-
-let speedup_table g ~baseline ~improved =
-  let base = per_block g baseline in
-  let impr = per_block g improved in
-  List.map2
-    (fun b i ->
-      (b.block, b.tops, i.tops, (if b.tops > 0. then i.tops /. b.tops else 0.)))
-    base impr

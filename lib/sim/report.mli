@@ -16,12 +16,5 @@ val per_block : Dnn_graph.Graph.t -> Engine.run -> block_row list
 (** Rows for every tagged block, in first-appearance order; untagged
     nodes are skipped. *)
 
-val total_tops : Dnn_graph.Graph.t -> Engine.run -> float
-
 val pp_rows : Format.formatter -> block_row list -> unit
 (** Aligned text table. *)
-
-val speedup_table :
-  Dnn_graph.Graph.t -> baseline:Engine.run -> improved:Engine.run ->
-  (string * float * float * float) list
-(** Per-block [(block, baseline tops, improved tops, speedup)]. *)

@@ -4,8 +4,6 @@ let all = [ I8; I16; F32 ]
 
 let bytes = function I8 -> 1 | I16 -> 2 | F32 -> 4
 
-let bits t = 8 * bytes t
-
 let dsp_cost_per_mac = function I8 -> 0.5 | I16 -> 1. | F32 -> 3.5
 
 let to_string = function I8 -> "i8" | I16 -> "i16" | F32 -> "f32"

@@ -17,9 +17,6 @@ val all : t list
 val bytes : t -> int
 (** Storage size of one element, in bytes. *)
 
-val bits : t -> int
-(** Storage size of one element, in bits. *)
-
 val dsp_cost_per_mac : t -> float
 (** DSP slices consumed by one multiply-accumulate unit.  8-bit MACs pack
     two per DSP48E2 (0.5); 16-bit needs one; fp32 averages 3.5 with

@@ -14,8 +14,6 @@ let size_bytes dtype t = Shape.size_bytes dtype t.shape
 
 let is_weight t = t.kind = Weight
 
-let is_feature t = t.kind = Feature_map
-
 let equal a b = a.id = b.id && a.kind = b.kind
 
 let pp_kind ppf = function

@@ -30,8 +30,6 @@ val size_bytes : Dtype.t -> t -> int
 
 val is_weight : t -> bool
 
-val is_feature : t -> bool
-
 val equal : t -> t -> bool
 (** Identity: same [id] and [kind]. *)
 

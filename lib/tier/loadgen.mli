@@ -42,18 +42,16 @@ val run :
 
 val result_to_json : result -> Dnn_serial.Json.t
 
-val keeps_up : slo_p99_ms:float -> result -> bool
-(** Sustained the offered rate (achieved >= 90% of offered), met the
-    p99 SLO, and shed at most 5% of requests. *)
-
 val find_saturation :
   handler:(string -> string) -> mix:string list -> start_rps:float ->
   duration_s:float -> slo_p99_ms:float -> ?threads:int -> ?max_steps:int ->
   unit -> float * result list
 (** Double the offered rate from [start_rps] until the handler stops
-    {!keeps_up} (or [max_steps], default 10, doublings pass), then
+    keeping up (or [max_steps], default 10, doublings pass), then
     bisect three rungs between the last sustained rate and the first
     failed one.  Returns the knee — the highest sustained achieved rate
     found, 0 if even [start_rps] failed — and every rung's result in
     the order run.  When all [max_steps] doublings keep up there is no
-    bisection and the knee is a lower bound. *)
+    bisection and the knee is a lower bound.  A rung keeps up when it
+    sustains the offered rate (achieved >= 90% of offered), meets the
+    p99 SLO and sheds at most 5% of requests. *)

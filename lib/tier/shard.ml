@@ -339,12 +339,7 @@ let health t ~now =
 
 let state t = with_lock t (fun () -> health t ~now:(Unix.gettimeofday ()))
 
-let healthy t = state t <> `Down
-
 let state_name = function `Up -> "up" | `Suspect -> "suspect" | `Down -> "down"
-
-let restarts t =
-  match t.backend with Local _ -> 0 | Proc p -> with_lock t (fun () -> p.restarts)
 
 let stats_json t =
   let open Dnn_serial.Json in

@@ -76,16 +76,8 @@ val penalize : t -> unit
     transport level but whose content the router rejected (corrupted,
     truncated or mismatched reply).  Does not double-count the call. *)
 
-val healthy : t -> bool
-(** False while the circuit is open. *)
-
 val state : t -> [ `Up | `Suspect | `Down ]
 (** Tri-state health (see the module doc). *)
-
-val state_name : [ `Up | `Suspect | `Down ] -> string
-
-val restarts : t -> int
-(** Crash-restarts performed so far (always 0 for local shards). *)
 
 val stats_json : t -> Dnn_serial.Json.t
 

@@ -109,8 +109,6 @@ let create ?(router_cache_entries = 512) ?(router_cache_mb = 64)
 
 let set_chaos t chaos = with_lock t (fun () -> t.chaos <- chaos)
 
-let chaos t = with_lock t (fun () -> t.chaos)
-
 let lru_find t digest = with_lock t (fun () -> Lru.find t.lru digest)
 
 let lru_store t digest payload =
@@ -764,10 +762,6 @@ let handle_line t line =
 
 (* --- graceful drain --- *)
 
-let begin_drain t = with_lock t (fun () -> t.draining <- true)
-
-let draining t = with_lock t (fun () -> t.draining)
-
 let inflight t = with_lock t (fun () -> t.inflight)
 
 (* Wait for every admitted request to finish rendering; true when the
@@ -809,13 +803,9 @@ let flush_cache t =
     0 entries
 
 let drain ?timeout_s t =
-  begin_drain t;
+  with_lock t (fun () -> t.draining <- true);
   let idle = await_idle ?timeout_s t in
   if not idle then
     Log.warn (fun m ->
         m "drain timed out with %d requests still in flight" (inflight t));
   flush_cache t
-
-let shards t = t.shards
-
-let shutdown t = List.iter Shard.stop t.shards

@@ -59,55 +59,29 @@ val set_chaos : t -> Chaos.t option -> unit
 (** Swap the chaos injector at runtime (the bench resets counters per
     intensity rung by installing a fresh one). *)
 
-val chaos : t -> Chaos.t option
-
 val handle_line : t -> string -> string
 (** One NDJSON request line in, one newline-terminated response line
     out; never raises.  Serve it with
     {!Lcmm_service.Server.serve_channels_with} or
     {!Lcmm_service.Server.serve_unix_socket_with}.  While draining,
     everything except [stats] is refused with a structured
-    ["unavailable"] error. *)
+    ["unavailable"] error.
 
-val stats_payload : t -> Dnn_serial.Json.t
-(** The extended [stats] body: the router's own counters (router /
-    shard / peer-fill hits, sheds, computes, retries, hedges, invalid
-    replies, LRU occupancy, ring shape), fleet-wide cache totals
-    aggregated over the shards that answered, each shard's health plus
-    its own [stats] payload, and the chaos injector's counters when one
-    is installed. *)
+    [stats] answers the extended body: the router's own counters
+    (router / shard / peer-fill hits, sheds, computes, retries, hedges,
+    invalid replies, LRU occupancy, ring shape, draining), fleet-wide
+    cache totals aggregated over the shards that answered, each shard's
+    health plus its own [stats] payload, and the chaos injector's
+    counters when one is installed. *)
 
 val counter_list : t -> (string * int) list
 (** The router's request counters as a flat association list, in a
     fixed order — the bench fingerprints these. *)
 
-val begin_drain : t -> unit
-(** Stop admitting new work (except [stats]).  In-flight requests keep
-    running. *)
-
-val draining : t -> bool
-
-val inflight : t -> int
-(** Requests admitted and not yet answered. *)
-
-val await_idle : ?timeout_s:float -> t -> bool
-(** Wait (default 10 s) for the in-flight count to reach zero; [false]
-    on timeout. *)
-
-val flush_cache : t -> int
-(** Push every front-LRU entry to its owning shard with [cache_put],
-    hottest first, so a restarted tier warms from the shard caches.
-    Returns the number of entries flushed; failures are logged and
-    skipped.  Never chaos-faulted. *)
-
 val drain : ?timeout_s:float -> t -> int
-(** {!begin_drain}, {!await_idle}, then {!flush_cache} (returning its
-    count).  The SIGTERM path: stop admitting, finish in-flight work,
-    save the cache. *)
-
-val shards : t -> Shard.t list
-(** In ring order. *)
-
-val shutdown : t -> unit
-(** Stop every shard ({!Shard.stop}): terminate, reap, remove socket
-    files. *)
+(** The SIGTERM path.  Stop admitting new work (except [stats]); wait
+    (default 10 s) for the in-flight requests to finish; then push every
+    front-LRU entry to its owning shard with [cache_put], hottest first,
+    so a restarted tier warms from the shard caches.  Returns the number
+    of entries flushed; failures are logged and skipped.  The flush is
+    never chaos-faulted. *)

@@ -7,6 +7,13 @@ module G = Dnn_graph.Graph
 let default_config ?(style = Accel.Config.Lcmm) ?(dtype = Tensor.Dtype.I16) () =
   Accel.Config.make ~style dtype
 
+(* [Conv] with stride (1,1), [Same] padding and one group by default. *)
+let conv_op ?(stride = (1, 1)) ?(padding = Op.Same) ?(groups = 1) ~out_channels
+    ~kernel () =
+  Op.Conv { out_channels; kernel; stride; padding; groups }
+
+let find_by_name g name = List.find_opt (fun n -> n.G.node_name = name) (G.nodes g)
+
 (* A linear 3-conv chain. *)
 let chain () =
   let b = B.create () in

@@ -137,9 +137,15 @@ let test_case_roundtrip () =
           (graph_fingerprint case'.Case.graph))
 
 let test_case_rejects_garbage () =
-  (match Case.of_string "{\"format\":\"wrong\"}" with
-  | Ok _ -> Alcotest.fail "accepted a wrong format"
-  | Error _ -> ());
+  let path = Filename.temp_file "lcmm_case" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc "{\"format\":\"wrong\"}");
+      match Case.read_file ~path with
+      | Ok _ -> Alcotest.fail "accepted a wrong format"
+      | Error _ -> ());
   match Case.read_file ~path:"/nonexistent/case.json" with
   | Ok _ -> Alcotest.fail "read a nonexistent file"
   | Error _ -> ()

@@ -74,13 +74,13 @@ let test_is_empty () =
   List.iter
     (fun (s, expect) ->
       Alcotest.(check bool)
-        (Printf.sprintf "is_empty %S" s)
+        (Printf.sprintf "has_board_faults %S" s)
         expect
-        (Spec.is_empty (ok_spec s)))
-    [ ("", true); ("seed=42", true); ("retries=5,backoff=0.1:4", true);
-      ("stall:0.1:0.2", false); ("fail:0.01", false);
-      ("droop@1:2:0.5", false); ("bankloss@1:4k", false);
-      ("abort@1:0", false) ]
+        (Spec.has_board_faults (ok_spec s)))
+    [ ("", false); ("seed=42", false); ("retries=5,backoff=0.1:4", false);
+      ("stall:0.1:0.2", true); ("fail:0.01", true);
+      ("droop@1:2:0.5", true); ("bankloss@1:4k", true);
+      ("abort@1:0", true) ]
 
 (* --- deterministic derivation --- *)
 

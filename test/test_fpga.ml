@@ -9,8 +9,6 @@ let test_arithmetic () =
   let s = R.add a b in
   Alcotest.(check int) "dsp" 13 s.R.dsp;
   Alcotest.(check int) "bram" 6 s.R.bram36;
-  let d = R.sub s b in
-  Alcotest.(check bool) "sub inverse" true (d = a);
   let t = R.scale 3 b in
   Alcotest.(check int) "scale" 9 t.R.dsp;
   Alcotest.check_raises "negative" (Invalid_argument "Resource.make: negative component")
@@ -21,7 +19,7 @@ let test_fits () =
   let big = R.make ~dsp:100 ~bram36:100 ~uram:10 ~luts:1000 () in
   Alcotest.(check bool) "fits" true (R.fits small ~within:big);
   Alcotest.(check bool) "does not fit" false (R.fits big ~within:small);
-  Alcotest.(check bool) "zero fits anything" true (R.fits R.zero ~within:R.zero)
+  Alcotest.(check bool) "zero fits anything" true (R.fits (R.make ()) ~within:(R.make ()))
 
 let test_utilization () =
   let total = R.make ~dsp:100 ~bram36:50 ~uram:10 ~luts:1000 () in
@@ -36,7 +34,7 @@ let test_utilization () =
   (* zero totals report zero, not a crash *)
   List.iter
     (fun (_, r) -> Alcotest.(check (float 1e-9)) "zero total" 0. r)
-    (R.utilization used ~total:R.zero)
+    (R.utilization used ~total:(R.make ()))
 
 let test_sram_bytes () =
   Alcotest.(check int) "one of each" (R.bram36_bytes + R.uram_bytes)
@@ -50,7 +48,6 @@ let test_devices () =
   Alcotest.(check bool) "find unknown" true (D.find "stratix" = None);
   Alcotest.(check int) "vu9p dsp" 6840 D.vu9p.D.total.R.dsp;
   (* Paper: 19.2 GB/s x 4 banks, one third per interface = 25.6 GB/s. *)
-  Alcotest.(check (float 1e6)) "aggregate" 76.8e9 (D.aggregate_bandwidth D.vu9p);
   Alcotest.(check (float 1e6)) "per interface" 25.6e9 (D.interface_bandwidth D.vu9p);
   Alcotest.(check bool) "zu9eg smaller" true
     (D.sram_bytes D.zu9eg < D.sram_bytes D.vu9p);
@@ -69,7 +66,7 @@ let prop_add_commutative =
     (fun ((a1, a2, a3, a4), (b1, b2, b3, b4)) ->
       let a = R.make ~dsp:a1 ~bram36:a2 ~uram:a3 ~luts:a4 () in
       let b = R.make ~dsp:b1 ~bram36:b2 ~uram:b3 ~luts:b4 () in
-      R.add a b = R.add b a && R.sub (R.add a b) b = a)
+      R.add a b = R.add b a)
 
 let suite =
   [ Alcotest.test_case "arithmetic" `Quick test_arithmetic;

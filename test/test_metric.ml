@@ -30,7 +30,7 @@ let test_marginal_gain_positive () =
   Alcotest.(check bool) "has items" true (items <> []);
   List.iter
     (fun item ->
-      let gain = Metric.marginal_gain m ~on_chip:Metric.Item_set.empty item in
+      let gain = Metric.marginal_gain_many m ~on_chip:Metric.Item_set.empty [ item ] in
       Alcotest.(check bool) "gain >= 0" true (gain >= 0.))
     items
 
@@ -42,7 +42,7 @@ let test_gain_equals_latency_delta () =
     Metric.total_latency m ~on_chip:(Metric.Item_set.singleton item)
   in
   Alcotest.(check (float 1e-12)) "marginal = delta" (before -. after)
-    (Metric.marginal_gain m ~on_chip:Metric.Item_set.empty item)
+    (Metric.marginal_gain_many m ~on_chip:Metric.Item_set.empty [ item ])
 
 let test_gain_many_joint () =
   let _, m = fixture () in
@@ -66,8 +66,8 @@ let test_static_reduction_is_eq2 () =
   if p.Latency.wt_term > next then
     Alcotest.(check (float 1e-12)) "eq2"
       (p.Latency.wt_term -. next)
-      (Metric.marginal_gain m ~on_chip:Metric.Item_set.empty
-         (Metric.Weight_of 3))
+      (Metric.marginal_gain_many m ~on_chip:Metric.Item_set.empty
+         [ Metric.Weight_of 3 ])
 
 let test_eligibility () =
   let _, m = fixture () in
@@ -134,7 +134,8 @@ let prop_joint_gain_dominates_solo =
       let joint = Metric.marginal_gain_many m ~on_chip:Metric.Item_set.empty items in
       List.for_all
         (fun it ->
-          Metric.marginal_gain m ~on_chip:Metric.Item_set.empty it <= joint +. 1e-9)
+          Metric.marginal_gain_many m ~on_chip:Metric.Item_set.empty [ it ]
+          <= joint +. 1e-9)
         items)
 
 (* Eq. 1 as the paper states it, folded over the profile's terms with
@@ -346,7 +347,9 @@ let prop_item_compare_sign =
   Helpers.qtest ~count:2000 "item compare has Stdlib.compare's sign"
     (QCheck2.Gen.pair item item)
     (fun (a, b) ->
-      Int.compare (Metric.compare_item a b) 0 = Int.compare (compare a b) 0)
+      let set x = Metric.Item_set.singleton x in
+      Int.compare (Metric.Item_set.compare (set a) (set b)) 0
+      = Int.compare (compare a b) 0)
 
 (* The kernel reads its input terms unchecked, so what makes those
    reads safe is checked up front: a mark smaller than the metric, a

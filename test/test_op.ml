@@ -18,12 +18,12 @@ let expect_error op inputs =
   | Error _ -> ()
 
 let test_conv_same () =
-  let op = Op.conv_defaults ~out_channels:64 ~kernel:(3, 3) () in
+  let op = Helpers.conv_op ~out_channels:64 ~kernel:(3, 3) () in
   Alcotest.check shape_t "same padding keeps extent" (feature 64 56 56)
     (infer op [ feature 32 56 56 ])
 
 let test_conv_same_strided () =
-  let op = Op.conv_defaults ~stride:(2, 2) ~out_channels:64 ~kernel:(3, 3) () in
+  let op = Helpers.conv_op ~stride:(2, 2) ~out_channels:64 ~kernel:(3, 3) () in
   Alcotest.check shape_t "ceil division" (feature 64 28 28)
     (infer op [ feature 32 56 56 ]);
   Alcotest.check shape_t "odd extent" (feature 64 38 38)
@@ -31,12 +31,12 @@ let test_conv_same_strided () =
 
 let test_conv_valid () =
   let op =
-    Op.conv_defaults ~padding:Op.Valid ~out_channels:32 ~kernel:(3, 3) ()
+    Helpers.conv_op ~padding:Op.Valid ~out_channels:32 ~kernel:(3, 3) ()
   in
   Alcotest.check shape_t "valid shrinks" (feature 32 147 147)
     (infer op [ feature 3 149 149 ]);
   let strided =
-    Op.conv_defaults ~padding:Op.Valid ~stride:(2, 2) ~out_channels:32
+    Helpers.conv_op ~padding:Op.Valid ~stride:(2, 2) ~out_channels:32
       ~kernel:(3, 3) ()
   in
   Alcotest.check shape_t "inception stem conv" (feature 32 149 149)
@@ -44,31 +44,31 @@ let test_conv_valid () =
 
 let test_conv_explicit () =
   let op =
-    Op.conv_defaults ~padding:(Op.Explicit 3) ~stride:(2, 2) ~out_channels:64
+    Helpers.conv_op ~padding:(Op.Explicit 3) ~stride:(2, 2) ~out_channels:64
       ~kernel:(7, 7) ()
   in
   Alcotest.check shape_t "resnet conv1" (feature 64 112 112)
     (infer op [ feature 3 224 224 ])
 
 let test_conv_asymmetric_kernel () =
-  let op = Op.conv_defaults ~out_channels:64 ~kernel:(1, 7) () in
+  let op = Helpers.conv_op ~out_channels:64 ~kernel:(1, 7) () in
   Alcotest.check shape_t "1x7 keeps extent under same" (feature 64 17 17)
     (infer op [ feature 128 17 17 ])
 
 let test_conv_groups () =
-  let op = Op.conv_defaults ~groups:2 ~out_channels:256 ~kernel:(5, 5) () in
+  let op = Helpers.conv_op ~groups:2 ~out_channels:256 ~kernel:(5, 5) () in
   Alcotest.check shape_t "grouped conv" (feature 256 27 27)
     (infer op [ feature 96 27 27 ]);
-  expect_error (Op.conv_defaults ~groups:3 ~out_channels:256 ~kernel:(3, 3) ())
+  expect_error (Helpers.conv_op ~groups:3 ~out_channels:256 ~kernel:(3, 3) ())
     [ feature 32 8 8 ]
 
 let test_conv_errors () =
-  let op = Op.conv_defaults ~out_channels:8 ~kernel:(3, 3) () in
+  let op = Helpers.conv_op ~out_channels:8 ~kernel:(3, 3) () in
   expect_error op [];
   expect_error op [ Shape.vector 10 ];
   expect_error op [ feature 1 4 4; feature 1 4 4 ];
   expect_error
-    (Op.conv_defaults ~padding:Op.Valid ~out_channels:8 ~kernel:(9, 9) ())
+    (Helpers.conv_op ~padding:Op.Valid ~out_channels:8 ~kernel:(9, 9) ())
     [ feature 4 5 5 ]
 
 let test_pool () =
@@ -109,11 +109,11 @@ let test_dense () =
     (infer (Op.Dense { out_features = 1000 }) [ Shape.vector 4096 ])
 
 let test_weight_shapes () =
-  let conv = Op.conv_defaults ~out_channels:256 ~kernel:(3, 3) () in
+  let conv = Helpers.conv_op ~out_channels:256 ~kernel:(3, 3) () in
   Alcotest.check (Alcotest.option shape_t) "conv weights"
     (Some (Shape.filter ~out_channels:256 ~in_channels:64 ~kernel_h:3 ~kernel_w:3))
     (Op.weight_shape conv [ feature 64 56 56 ]);
-  let grouped = Op.conv_defaults ~groups:2 ~out_channels:64 ~kernel:(3, 3) () in
+  let grouped = Helpers.conv_op ~groups:2 ~out_channels:64 ~kernel:(3, 3) () in
   Alcotest.check (Alcotest.option shape_t) "grouped weights halve in_channels"
     (Some (Shape.filter ~out_channels:64 ~in_channels:16 ~kernel_h:3 ~kernel_w:3))
     (Op.weight_shape grouped [ feature 32 8 8 ]);
@@ -125,10 +125,10 @@ let test_weight_shapes () =
        [ feature 8 8 8 ])
 
 let test_macs () =
-  let conv = Op.conv_defaults ~out_channels:64 ~kernel:(3, 3) () in
+  let conv = Helpers.conv_op ~out_channels:64 ~kernel:(3, 3) () in
   Alcotest.(check int) "conv macs" (56 * 56 * 64 * 32 * 9)
     (Op.macs conv [ feature 32 56 56 ]);
-  let grouped = Op.conv_defaults ~groups:2 ~out_channels:64 ~kernel:(3, 3) () in
+  let grouped = Helpers.conv_op ~groups:2 ~out_channels:64 ~kernel:(3, 3) () in
   Alcotest.(check int) "grouped macs halve" (8 * 8 * 64 * 16 * 9)
     (Op.macs grouped [ feature 32 8 8 ]);
   Alcotest.(check int) "dense macs" (4096 * 1000)
@@ -151,7 +151,7 @@ let test_aux_ops () =
        [ feature 8 16 16 ]
     > 0);
   Alcotest.(check int) "conv has no aux ops" 0
-    (Op.aux_ops (Op.conv_defaults ~out_channels:8 ~kernel:(1, 1) ()) [ feature 8 4 4 ])
+    (Op.aux_ops (Helpers.conv_op ~out_channels:8 ~kernel:(1, 1) ()) [ feature 8 4 4 ])
 
 let prop_same_padding_ceil =
   Helpers.qtest "same padding output = ceil(extent/stride)"
@@ -159,7 +159,7 @@ let prop_same_padding_ceil =
       quad (int_range 1 128) (int_range 1 3) (int_range 1 7) (int_range 1 64))
     (fun (extent, stride, k, channels) ->
       let op =
-        Op.conv_defaults ~stride:(stride, stride) ~out_channels:8 ~kernel:(k, k) ()
+        Helpers.conv_op ~stride:(stride, stride) ~out_channels:8 ~kernel:(k, k) ()
       in
       match
         Op.output_shape op [ Shape.feature ~channels ~height:extent ~width:extent ]
@@ -174,7 +174,7 @@ let prop_macs_scale_with_channels =
   Helpers.qtest "macs linear in output channels"
     QCheck2.Gen.(pair (int_range 1 32) (int_range 1 16))
     (fun (oc, ic) ->
-      let op k = Op.conv_defaults ~out_channels:k ~kernel:(3, 3) () in
+      let op k = Helpers.conv_op ~out_channels:k ~kernel:(3, 3) () in
       let input = [ Shape.feature ~channels:ic ~height:8 ~width:8 ] in
       Op.macs (op (2 * oc)) input = 2 * Op.macs (op oc) input)
 

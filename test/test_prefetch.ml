@@ -34,7 +34,7 @@ let test_backtrace_hides_load () =
 let test_source_is_latest () =
   let m, node_latency = fixture () in
   let pdg = Prefetch.build m ~targets:[ 7 ] ~node_latency in
-  match Prefetch.edge_of pdg 7 with
+  match List.find_opt (fun e -> e.Prefetch.target = 7) (Prefetch.edges pdg) with
   | None -> Alcotest.fail "edge missing"
   | Some e ->
     if e.Prefetch.source > 0 && e.Prefetch.stall_seconds = 0. then begin
@@ -54,7 +54,9 @@ let test_early_node_stalls () =
   Alcotest.(check bool) "stall positive" true (Prefetch.stall_seconds pdg 1 > 0.);
   Alcotest.(check (option int)) "source 0" (Some 0) (Prefetch.source_of pdg 1);
   Alcotest.(check (float 1e-12)) "total stall" (Prefetch.stall_seconds pdg 1)
-    (Prefetch.total_stall pdg)
+    (List.fold_left
+       (fun acc e -> acc +. e.Prefetch.stall_seconds)
+       0. (Prefetch.edges pdg))
 
 let test_unknown_target () =
   let m, node_latency = fixture () in

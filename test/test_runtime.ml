@@ -15,6 +15,9 @@ module F = Lcmm.Framework
 
 let dtype = Tensor.Dtype.I16
 
+(* The optimized scheduler's plan/schedule round bound in [Runtime]. *)
+let schedule_rounds = 3
+
 (* Compile a model exactly the way the runtime does when the partition
    grants the whole budget: DSE for the LCMM style, unconstrained plan,
    isolated reference simulation. *)
@@ -575,7 +578,7 @@ let test_optimized_never_worse () =
         Alcotest.(check bool) (label ^ " rounds within bound") true
           (s.Rt.Report.sched_rounds >= 1
           && s.Rt.Report.sched_rounds
-             <= Rt.Runtime.schedule_rounds);
+             <= schedule_rounds);
         Alcotest.(check int) (label ^ " history per round")
           s.Rt.Report.sched_rounds
           (List.length s.Rt.Report.sched_history_ms);
@@ -821,7 +824,7 @@ let reference_optimized (options : Rt.Runtime.options) specs
   let plans = ref admitted in
   let prev_scales = ref (Array.map (fun _ -> 1.) admitted) in
   let round = ref 0 in
-  while !round < Rt.Runtime.schedule_rounds && not !converged do
+  while !round < schedule_rounds && not !converged do
     let outcome = search !plans in
     let m = outcome.Rt.Optimizer.result.Rt.Engine.makespan in
     history := m :: !history;
@@ -841,7 +844,7 @@ let reference_optimized (options : Rt.Runtime.options) specs
         Array.for_all2 (fun s p -> Float.abs (s -. p) <= 1e-9) scales !prev_scales
       then converged := true
       else begin
-        if !round + 1 < Rt.Runtime.schedule_rounds then
+        if !round + 1 < schedule_rounds then
           plans :=
             Array.mapi
               (fun k ((i, grant, _, _) as t) ->

@@ -453,6 +453,44 @@ let test_protocol_run_rejects () =
   bad {|{"op":"compile","model":"alexnet","deadline_ms":-5}|};
   bad {|{"op":"compile","model":"alexnet","deadline_ms":"soon"}|}
 
+(* [channels] runs from 1 to the request device's DDR bank count (4 on
+   vu9p and u250, 1 on zu9eg), in compile/simulate options and on run. *)
+let test_protocol_channels_bound () =
+  let check_line ~ok line =
+    match P.request_of_line line, ok with
+    | Ok _, true -> ()
+    | Ok _, false -> Alcotest.failf "expected rejection for %s" line
+    | Error msg, true -> Alcotest.failf "rejected %s: %s" line msg
+    | Error msg, false ->
+      Alcotest.(check bool) ("names the field: " ^ msg) true
+        (String.starts_with ~prefix:"field \"channels\"" msg)
+  in
+  List.iter
+    (fun (device, banks) ->
+      List.iter
+        (fun (channels, ok) ->
+          let dev = Printf.sprintf {|"device":"%s"|} device in
+          check_line ~ok
+            (Printf.sprintf
+               {|{"op":"compile","model":"alexnet",%s,"options":{"channels":%d}}|}
+               dev channels);
+          check_line ~ok
+            (Printf.sprintf
+               {|{"op":"simulate","model":"alexnet",%s,"options":{"channels":%d}}|}
+               dev channels);
+          check_line ~ok
+            (Printf.sprintf
+               {|{"op":"run","tenants":[{"model":"alexnet","count":2}],%s,"channels":%d}|}
+               dev channels);
+          check_line ~ok
+            (Printf.sprintf
+               {|{"op":"run","tenants":[{"model":"alexnet"}],%s,"options":{"channels":%d}}|}
+               dev channels))
+        [ (banks, true); (banks + 1, false); (0, false) ])
+    [ ("vu9p", 4); ("u250", 4); ("zu9eg", 1) ];
+  check_line ~ok:false
+    {|{"op":"run","tenants":[{"model":"alexnet","count":2}],"channels":100000}|}
+
 let test_engine_run_op () =
   with_engine ~domains:2 (fun engine ->
       let request =
@@ -1102,7 +1140,7 @@ let test_inline_run_digest () =
       | P.Run spec ->
         let module R = Lcmm_runtime in
         Alcotest.(check string) "hashed from a fresh graph" pinned
-          (Svc.Cache_key.run_digest
+          (Svc.Cache_key.run_digest_of_canonical
              ~extra:
                [ "run"; R.Arbiter.to_string spec.P.arbitration;
                  R.Scheduler.to_string spec.P.scheduler;
@@ -1110,7 +1148,8 @@ let test_inline_run_digest () =
                  Printf.sprintf "%.17g" spec.P.overcommit ]
              ~dtype:spec.P.run_dtype ~device:spec.P.run_device
              ~options:spec.P.run_options
-             [ (Helpers.chain (), "count:2|prio:0|arr:0") ])
+             [ ( Svc.Cache_key.canonical (Helpers.chain ()),
+                 "count:2|prio:0|arr:0" ) ])
       | _ -> Alcotest.fail "expected a run request");
       let result =
         field_exn "result"
@@ -1257,6 +1296,8 @@ let suite =
     Alcotest.test_case "batch ordering" `Quick test_engine_batch_parallel_speed;
     Alcotest.test_case "run op parse" `Quick test_protocol_run_parse;
     Alcotest.test_case "run op rejects" `Quick test_protocol_run_rejects;
+    Alcotest.test_case "channels bounded by the device" `Quick
+      test_protocol_channels_bound;
     Alcotest.test_case "run op end-to-end" `Quick test_engine_run_op;
     Alcotest.test_case "request deadlines" `Quick test_engine_deadline;
     Alcotest.test_case "pool await_within" `Quick test_pool_await_within;

@@ -8,8 +8,7 @@ let check = Alcotest.check
 let test_dtype_sizes () =
   check Alcotest.int "i8 bytes" 1 (Dtype.bytes Dtype.I8);
   check Alcotest.int "i16 bytes" 2 (Dtype.bytes Dtype.I16);
-  check Alcotest.int "f32 bytes" 4 (Dtype.bytes Dtype.F32);
-  check Alcotest.int "i16 bits" 16 (Dtype.bits Dtype.I16)
+  check Alcotest.int "f32 bytes" 4 (Dtype.bytes Dtype.F32)
 
 let test_dtype_dsp_cost () =
   check (Alcotest.float 1e-9) "i8 packs two per dsp" 0.5 (Dtype.dsp_cost_per_mac Dtype.I8);
@@ -67,7 +66,6 @@ let test_descriptor () =
       ~shape:(Shape.filter ~out_channels:8 ~in_channels:4 ~kernel_h:3 ~kernel_w:3)
   in
   check Alcotest.bool "is weight" true (Tensor.is_weight t);
-  check Alcotest.bool "not feature" false (Tensor.is_feature t);
   check Alcotest.int "bytes i16" (8 * 4 * 9 * 2) (Tensor.size_bytes Dtype.I16 t);
   Alcotest.check_raises "empty name" (Invalid_argument "Tensor.make: empty name")
     (fun () ->

@@ -10,6 +10,13 @@ module Loadgen = Lcmm_tier.Loadgen
 
 let json_t = Alcotest.testable Json.pp Json.equal
 
+let state_t =
+  Alcotest.testable
+    (fun ppf s ->
+      Format.pp_print_string ppf
+        (match s with `Up -> "up" | `Suspect -> "suspect" | `Down -> "down"))
+    ( = )
+
 (* 10k synthetic digests, the shape [Cache_key] produces. *)
 let synthetic_digests n =
   List.init n (fun i -> Digest.to_hex (Digest.string (string_of_int i)))
@@ -125,7 +132,7 @@ let test_shard_breaker_opens () =
     | Error (Shard.Transport _) -> ()
     | Ok _ | Error _ -> Alcotest.fail "expected a transport failure"
   done;
-  Alcotest.(check bool) "circuit open" false (Shard.healthy shard);
+  Alcotest.check state_t "circuit open" `Down (Shard.state shard);
   (* ...and while open, calls shed without touching the handler. *)
   match Shard.call shard "x" with
   | Error (Shard.Unavailable _) -> ()
@@ -144,35 +151,31 @@ let test_shard_breaker_half_open_sequence () =
     Shard.local ~name:"s" ~breaker_threshold:3 ~breaker_cooldown_s:0.15
       handler
   in
-  Alcotest.(check string) "starts up" "up" (Shard.state_name (Shard.state shard));
+  Alcotest.check state_t "starts up" `Up (Shard.state shard);
   for _ = 1 to 3 do
     match Shard.call shard "x" with
     | Error (Shard.Transport _) -> ()
     | Ok _ | Error _ -> Alcotest.fail "expected a transport failure"
   done;
-  Alcotest.(check string) "open after threshold" "down"
-    (Shard.state_name (Shard.state shard));
+  Alcotest.check state_t "open after threshold" `Down (Shard.state shard);
   (match Shard.call shard "x" with
   | Error (Shard.Unavailable _) -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected unavailable while open");
   Thread.delay 0.2;
   (* Cooldown expired, recovery unproven: half-open probation. *)
-  Alcotest.(check string) "suspect once cooldown expires" "suspect"
-    (Shard.state_name (Shard.state shard));
+  Alcotest.check state_t "suspect once cooldown expires" `Suspect
+    (Shard.state shard);
   (* The probation call is admitted — and fails, re-opening the circuit. *)
   (match Shard.call shard "x" with
   | Error (Shard.Transport _) -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected the probation call to fail");
-  Alcotest.(check string) "re-opened" "down"
-    (Shard.state_name (Shard.state shard));
+  Alcotest.check state_t "re-opened" `Down (Shard.state shard);
   Thread.delay 0.2;
   failing := false;
   (match Shard.call shard "x" with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "probation success: %s" (Shard.error_message e));
-  Alcotest.(check string) "closed again" "up"
-    (Shard.state_name (Shard.state shard));
-  Alcotest.(check bool) "healthy again" true (Shard.healthy shard)
+  Alcotest.check state_t "closed again" `Up (Shard.state shard)
 
 (* Half-open admits exactly one call: while the probe call is parked
    in the handler, a concurrent call is shed as [Unavailable] without
@@ -198,7 +201,7 @@ let test_shard_half_open_single_probe () =
   for _ = 1 to 3 do
     ignore (Shard.call shard "x")
   done;
-  Alcotest.(check string) "open" "down" (Shard.state_name (Shard.state shard));
+  Alcotest.check state_t "open" `Down (Shard.state shard);
   Thread.delay 0.2;
   failing := false;
   Mutex.lock release;
@@ -221,8 +224,7 @@ let test_shard_half_open_single_probe () =
   | _ -> Alcotest.fail "expected the concurrent call to be shed");
   Alcotest.(check int) "only the probe reached the handler" 1
     (Atomic.get entered);
-  Alcotest.(check string) "closed by the probe" "up"
-    (Shard.state_name (Shard.state shard))
+  Alcotest.check state_t "closed by the probe" `Up (Shard.state shard)
 
 (* A shard whose one call is parked in [handler] until [release] is
    unlocked; returns the shard, the parked call's thread and its result. *)
@@ -262,7 +264,7 @@ let test_shard_full_gate_open_circuit () =
   | Error (Shard.Overloaded _) -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected overloaded at a closed circuit");
   Shard.penalize shard;
-  Alcotest.(check string) "open" "down" (Shard.state_name (Shard.state shard));
+  Alcotest.check state_t "open" `Down (Shard.state shard);
   (match Shard.call shard "y" with
   | Error (Shard.Unavailable _) -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected unavailable at an open circuit");
@@ -271,8 +273,8 @@ let test_shard_full_gate_open_circuit () =
   (match !result with
   | Some (Ok _) -> ()
   | _ -> Alcotest.fail "expected the parked call to succeed");
-  Alcotest.(check string) "late success closes the circuit" "up"
-    (Shard.state_name (Shard.state shard))
+  Alcotest.check state_t "late success closes the circuit" `Up
+    (Shard.state shard)
 
 (* A call admitted before the trip that fails late is counted, but does
    not extend the cooldown the trip started. *)
@@ -291,8 +293,8 @@ let test_shard_late_failure_keeps_cooldown () =
   | _ -> Alcotest.fail "expected the parked call to fail");
   let left = tripped +. 0.4 -. Unix.gettimeofday () in
   if left > 0. then Thread.delay left;
-  Alcotest.(check string) "cooldown ran from the trip" "suspect"
-    (Shard.state_name (Shard.state shard));
+  Alcotest.check state_t "cooldown ran from the trip" `Suspect
+    (Shard.state shard);
   Alcotest.check json_t "both failures counted" (Json.Int 2)
     (match Json.member "failures" (Shard.stats_json shard) with
     | Ok v -> v
@@ -324,8 +326,14 @@ let response_of line =
   | Error msg -> Alcotest.failf "bad response line: %s" msg
   | Ok v -> v
 
+(* The router's own counters, from a [stats] request. *)
+let tier_stats tier =
+  field_exn "tier"
+    (field_exn "result"
+       (response_of (Tier.handle_line tier {|{"op":"stats"}|})))
+
 let counter tier key =
-  match field_exn key (field_exn "tier" (Tier.stats_payload tier)) with
+  match field_exn key (tier_stats tier) with
   | Json.Int n -> n
   | v -> Alcotest.failf "counter %s not an int: %s" key (Json.to_string v)
 
@@ -688,8 +696,10 @@ let test_tier_drain () =
       let line = compile_line "alexnet" in
       let warm = response_of (Tier.handle_line tier line) in
       Alcotest.check json_t "warm" (Json.Bool true) (field_exn "ok" warm);
-      Tier.begin_drain tier;
-      Alcotest.(check bool) "draining" true (Tier.draining tier);
+      Alcotest.(check int) "front LRU flushed to the owner" 1
+        (Tier.drain ~timeout_s:1. tier);
+      Alcotest.check json_t "draining" (Json.Bool true)
+        (field_exn "draining" (tier_stats tier));
       let refused = response_of (Tier.handle_line tier line) in
       Alcotest.check json_t "refused" (Json.Bool false)
         (field_exn "ok" refused);
@@ -702,12 +712,16 @@ let test_tier_drain () =
       let stats = response_of (Tier.handle_line tier {|{"op":"stats"}|}) in
       Alcotest.check json_t "stats still answered" (Json.Bool true)
         (field_exn "ok" stats);
-      Alcotest.(check bool) "idle" true (Tier.await_idle ~timeout_s:1. tier);
-      Alcotest.(check int) "front LRU flushed to the owner" 1
-        (Tier.flush_cache tier);
       Alcotest.(check int) "flush counted" 1 (counter tier "flushed"))
 
 (* --- load generator --- *)
+
+(* The rung criterion [Loadgen.find_saturation] documents: sustains the
+   offered rate, meets the p99 SLO and sheds at most 5%. *)
+let keeps_up ~slo_p99_ms (r : Loadgen.result) =
+  r.achieved_rps >= 0.9 *. r.offered_rps
+  && r.p99_ms <= slo_p99_ms
+  && float_of_int r.shed <= 0.05 *. float_of_int (max 1 r.sent)
 
 let test_loadgen_divergence () =
   let good = ok_line (Json.Int 1) in
@@ -753,7 +767,7 @@ let test_loadgen_counts_and_percentiles () =
     (r.Loadgen.p50_ms <= r.Loadgen.p99_ms
     && r.Loadgen.p99_ms <= r.Loadgen.p999_ms
     && r.Loadgen.p999_ms <= r.Loadgen.max_ms);
-  Alcotest.(check bool) "keeps up" true (Loadgen.keeps_up ~slo_p99_ms:1000. r)
+  Alcotest.(check bool) "keeps up" true (keeps_up ~slo_p99_ms:1000. r)
 
 (* One sender thread against a 5 ms handler at 400 rps serves a request
    every 5 ms while they fall due every 2.5 ms: the backlog grows for
@@ -784,7 +798,7 @@ let test_loadgen_classifies_sheds () =
   in
   Alcotest.(check int) "everything shed" r.Loadgen.sent r.Loadgen.shed;
   Alcotest.(check bool) "does not keep up" false
-    (Loadgen.keeps_up ~slo_p99_ms:1000. r)
+    (keeps_up ~slo_p99_ms:1000. r)
 
 let test_loadgen_zoo_mix_deterministic () =
   let m1 = Loadgen.zoo_mix () and m2 = Loadgen.zoo_mix () in
@@ -802,7 +816,7 @@ let test_loadgen_saturation_bisects () =
     {|{"ok":true}|}
   in
   let slo_p99_ms = 1000. in
-  let keeps = Loadgen.keeps_up ~slo_p99_ms in
+  let keeps = keeps_up ~slo_p99_ms in
   let knee, ladder =
     Loadgen.find_saturation ~handler ~mix:[ "x" ] ~start_rps:100.
       ~duration_s:0.2 ~slo_p99_ms ~threads:1 ~max_steps:5 ()

@@ -81,11 +81,20 @@ let test_energy_ordering () =
     > e_lcmm.Traffic.sram_joules -. e_umm.Traffic.sram_joules)
 
 let test_energy_model_scaling () =
-  let m8 = Traffic.default_energy_model Tensor.Dtype.I8 in
-  let m32 = Traffic.default_energy_model Tensor.Dtype.F32 in
-  Alcotest.(check bool) "f32 macs cost more" true (m32.Traffic.mac_pj > m8.Traffic.mac_pj);
+  let _, m = fixture () in
+  let all =
+    Metric.Item_set.of_list (Metric.eligible_items m ~memory_bound_only:false)
+  in
+  let e dtype = Traffic.energy_of_allocation m ~dtype ~on_chip:all in
+  let e8 = e Tensor.Dtype.I8 in
+  Alcotest.(check bool) "f32 macs cost more" true
+    ((e Tensor.Dtype.F32).Traffic.compute_joules > e8.Traffic.compute_joules);
+  (* Per byte moved: the DDR bytes left and the SRAM bytes pinned. *)
+  let ddr = Traffic.total_bytes (Traffic.of_allocation m ~on_chip:all) in
+  let sram = Traffic.total_bytes (Traffic.umm m) - ddr in
   Alcotest.(check bool) "ddr >> sram" true
-    (m8.Traffic.ddr_pj_per_byte > 50. *. m8.Traffic.sram_pj_per_byte)
+    (e8.Traffic.ddr_joules /. float_of_int ddr
+    > 50. *. e8.Traffic.sram_joules /. float_of_int sram)
 
 let prop_traffic_monotone =
   Helpers.qtest ~count:25 "traffic monotone in allocation"
