@@ -55,6 +55,12 @@ let dtype_arg =
   let doc = "Numeric precision: i8, i16 or f32." in
   Arg.(value & opt dtype_conv Tensor.Dtype.I16 & info [ "p"; "precision" ] ~doc)
 
+(* --channels takes the service protocol's bound and message. *)
+let channels_flag device c =
+  Result.map_error
+    (fun msg -> "--channels: " ^ msg)
+    (Fpga.Device.check_channels device c)
+
 let device_arg =
   let parse s =
     match Fpga.Device.find s with
@@ -270,13 +276,14 @@ let plan_cmd =
   let channels_arg =
     let doc =
       "Add a DDR channel-assignment pass mapping every stream onto this \
-       many channels; a summary line joins the plan output.  1 (the \
+       many channels, at most the device's DDR banks (4 on the vu9p the \
+       plans target); a summary line joins the plan output.  1 (the \
        default) skips the pass and keeps the output byte-identical."
     in
     Arg.(value & opt int 1 & info [ "channels" ] ~docv:"N" ~doc)
   in
   let run () name dtype profile fusion channels domains =
-    if channels < 1 then or_die (Error "channels must be >= 1");
+    ignore (or_die (channels_flag Fpga.Device.vu9p channels));
     with_pool domains (fun pool ->
         match name with
         | Some name -> plan_one ?pool ~profile ~fusion ~channels dtype name
@@ -525,8 +532,9 @@ let runtime_cmd =
     Arg.(
       value & opt int 1
       & info [ "channels" ]
-          ~doc:"DDR channels to schedule over (>= 1).  1 is the aggregate \
-                fluid-bus model; 0 means the device's DDR bank count.")
+          ~doc:"DDR channels to schedule over, from 1 to the device's DDR \
+                bank count.  1 is the aggregate fluid-bus model; 0 means \
+                the bank count.")
   in
   let partition_arg =
     let cv =
@@ -618,9 +626,10 @@ let runtime_cmd =
       overcommit stagger_ms seed json_path faults fusion domains =
     if overcommit <= 0. then or_die (Error "overcommit must be positive");
     if stagger_ms < 0. then or_die (Error "stagger-ms must be non-negative");
-    if channels < 0 then or_die (Error "channels must be >= 0");
     let channels =
-      if channels = 0 then Fpga.Device.ddr_channels device else channels
+      or_die
+        (channels_flag device
+           (if channels = 0 then Fpga.Device.ddr_channels device else channels))
     in
     let entries = or_die (parse_mix mix) in
     let rng = Option.map (fun s -> Random.State.make [| s |]) seed in

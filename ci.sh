@@ -238,6 +238,13 @@ awk -F': ' '/"runtime_search"/ { rs = 1 }
             rs && /"search_per_sim"/ { seen = 1; r = $2 + 0 }
             rs && /"engine_runs"/ { runs = $2 + 0 }
             END { exit (seen && runs >= 1 && r <= 31) ? 0 : 1 }' "$out"
+# A repeated compile must not hash the model: the best-of-300 warm hit
+# on resnet152 (30.5 KB of canonical text) stays within 2x the one on
+# alexnet (1.4 KB).  Answering from the per-model digest memo reads
+# 0.8-1.1; hashing the model on every hit read 3.5-3.9 (2-vCPU host).
+awk -F': ' '/"warm_hit"/ { wh = 1 }
+            wh && /"resnet152_per_alexnet"/ { seen = 1; r = $2 + 0 }
+            END { exit (seen && r <= 2.0) ? 0 : 1 }' "$out"
 echo "wrote $out"
 
 echo "== tier-2: wide-row DNNK on a 536-node skip graph =="

@@ -39,6 +39,13 @@ let interface_bandwidth d = aggregate_bandwidth d /. 3.
 
 let ddr_channels d = max 1 d.ddr_banks
 
+let check_channels d c =
+  let banks = ddr_channels d in
+  if c >= 1 && c <= banks then Ok c
+  else
+    Error
+      (Printf.sprintf "expected a count from 1 to %d (%s)" banks d.device_name)
+
 let sram_bytes d = Resource.sram_bytes d.total
 
 let pp ppf d =

@@ -41,6 +41,12 @@ val ddr_channels : t -> int
     stripes the total DDR bandwidth equally across them; planning with 1
     channel recovers the aggregate fluid-bus model exactly. *)
 
+val check_channels : t -> int -> (int, string) result
+(** [Ok c] for a channel count from 1 to {!ddr_channels}; otherwise an
+    error naming that range and the device.  A count past the banks has
+    no bank to stripe over, while the runtime's work and its report grow
+    with it.  The service protocol and the CLI both bound counts here. *)
+
 val sram_bytes : t -> int
 (** Total on-chip memory capacity in bytes (BRAM + URAM). *)
 

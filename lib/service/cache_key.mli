@@ -14,7 +14,13 @@
     forms serialize and delegate; both give the same digest.  Hashing
     builds no concatenated string: the NUL-joined parts are copied into
     a spare buffer shared by every domain and thread, one user at a
-    time. *)
+    time.
+
+    Every digest here is a pure function of its arguments, so a caller
+    may keep the ones it has computed.  The service engine does, for
+    each zoo model: it keys a bounded memo on everything
+    {!request_digest_of_canonical} hashes besides the graph bytes, and
+    answers a repeated request without hashing the model again. *)
 
 val canonical : Dnn_graph.Graph.t -> string
 (** [Dnn_serial.Codec.to_string ~pretty:false]: the graph bytes a key

@@ -147,15 +147,42 @@ let spec_fields (spec : P.compile_spec) ~digest =
     ("device", Json.String spec.P.device.Fpga.Device.device_name);
     ("digest", Json.String digest) ]
 
-(* A resolved target: the graph the passes read and its canonical bytes
-   ({!Cache_key.canonical}), which the cache key hashes. *)
-type resolved = { graph : Dnn_graph.Graph.t; bytes : string }
+(* Everything [Cache_key.request_digest_of_canonical] hashes besides the
+   graph bytes.  The digest reads only the device's name, so that is
+   all the key keeps of the device. *)
+type digest_key = {
+  key_dtype : Tensor.Dtype.t;
+  key_device : string;
+  key_options : F.options;
+  key_extra : string list;
+}
+
+module Kmap = Map.Make (struct
+  type t = digest_key
+
+  let compare = compare
+end)
+
+(* A resolved target: the graph the passes read, its canonical bytes
+   ({!Cache_key.canonical}), which the cache key hashes, and, for a zoo
+   model, the digests already computed over those bytes. *)
+type resolved = {
+  graph : Dnn_graph.Graph.t;
+  bytes : string;
+  digests : string Kmap.t Atomic.t option;
+}
+
+(* Keys past this many per model are hashed on every request and never
+   stored, so hostile option sets cannot grow the memo.  serve-cold's
+   zoo requests need 16 per model. *)
+let digest_memo_bound = 64
 
 module Smap = Map.Make (String)
 
 (* Each zoo model is built and serialized once per process, then shared
-   read-only by every request, domain and thread.  Reads take no lock;
-   a miss builds under [zoo_lock] so no model is built twice. *)
+   read-only by every request, domain and thread, together with a memo
+   of its request digests.  Reads take no lock; a miss builds under
+   [zoo_lock] so no model is built twice. *)
 let zoo_memo : resolved Smap.t Atomic.t = Atomic.make Smap.empty
 
 let zoo_lock = Mutex.create ()
@@ -171,12 +198,16 @@ let resolve_zoo (entry : Models.Zoo.entry) =
         | Some r -> r
         | None ->
           let graph = entry.Models.Zoo.build () in
-          let r = { graph; bytes = Cache_key.canonical graph } in
+          let r =
+            { graph;
+              bytes = Cache_key.canonical graph;
+              digests = Some (Atomic.make Kmap.empty) }
+          in
           Atomic.set zoo_memo (Smap.add name r memo);
           r)
 
 let resolve_target = function
-  | P.Inline g -> Ok { graph = g; bytes = Cache_key.canonical g }
+  | P.Inline g -> Ok { graph = g; bytes = Cache_key.canonical g; digests = None }
   | P.Named name -> (
     match Models.Zoo.find name with
     | Some entry -> Ok (resolve_zoo entry)
@@ -290,7 +321,7 @@ let resolve_tenants (spec : P.run_spec) =
     | (tn : P.run_tenant) :: rest -> (
       match resolve_target tn.P.tenant_target with
       | Error msg -> Error msg
-      | Ok { graph = g; bytes } ->
+      | Ok { graph = g; bytes; _ } ->
         let model =
           match tn.P.tenant_target with
           | P.Named name -> name
@@ -372,10 +403,36 @@ let stats_payload t =
 
 (* Compile and simulate cache under a digest that covers every input the
    passes read; the op name and simulate's batch size are folded in as
-   [extra] so the two namespaces never collide. *)
+   [extra] so the two namespaces never collide.  A zoo model answers a
+   key it has seen from its memo without hashing its bytes: equal keys
+   give the digest the same MD5 input, so the memo is exact.  Inserts
+   race by compare-and-set and add only a key still absent. *)
 let cacheable_digest (spec : P.compile_spec) ~extra r =
-  Cache_key.request_digest_of_canonical ~extra ~dtype:spec.P.dtype
-    ~device:spec.P.device ~options:spec.P.options r.bytes
+  let hash () =
+    Cache_key.request_digest_of_canonical ~extra ~dtype:spec.P.dtype
+      ~device:spec.P.device ~options:spec.P.options r.bytes
+  in
+  match r.digests with
+  | None -> hash ()
+  | Some memo -> (
+    let key =
+      { key_dtype = spec.P.dtype;
+        key_device = spec.P.device.Fpga.Device.device_name;
+        key_options = spec.P.options;
+        key_extra = extra }
+    in
+    match Kmap.find_opt key (Atomic.get memo) with
+    | Some digest -> digest
+    | None ->
+      let digest = hash () in
+      let rec insert () =
+        let m = Atomic.get memo in
+        if Kmap.cardinal m < digest_memo_bound && not (Kmap.mem key m) then
+          if not (Atomic.compare_and_set memo m (Kmap.add key digest m)) then
+            insert ()
+      in
+      insert ();
+      digest)
 
 let compile_digest spec r = cacheable_digest spec ~extra:[ "compile" ] r
 

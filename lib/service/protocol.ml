@@ -81,20 +81,17 @@ let bool_field v key fallback =
     | Ok b -> Ok b
     | Error _ -> Error (Printf.sprintf "field %S: expected a boolean" key))
 
-(* DDR channels: at least one and at most the device's DDR banks.  A
-   count past the banks has no bank to stripe over, while the runtime's
-   work and its report grow with it. *)
+(* DDR channels: at least one and at most the device's DDR banks
+   ({!Fpga.Device.check_channels}). *)
 let channels_field v ~device fallback =
   match Json.member_opt "channels" v with
   | None -> Ok fallback
   | Some field -> (
-    let banks = Fpga.Device.ddr_channels device in
     match Json.to_int field with
-    | Ok c when c >= 1 && c <= banks -> Ok c
-    | Ok _ ->
-      Error
-        (Printf.sprintf "field \"channels\": expected a count from 1 to %d (%s)"
-           banks device.Fpga.Device.device_name)
+    | Ok c ->
+      Result.map_error
+        (fun msg -> "field \"channels\": " ^ msg)
+        (Fpga.Device.check_channels device c)
     | Error _ -> Error "field \"channels\": expected an integer")
 
 let options_of_json ~device v =

@@ -227,8 +227,8 @@ let test_engine_compile_cache_hit () =
       (* DenseNet-121 at a 2 MiB budget with sliced weights and fusion:
          a cold compile of tens of milliseconds even in a process that
          earlier suites warmed up, so the 5x margin below is not at the
-         mercy of scheduling noise.  A hit only hashes the model's
-         memoized bytes. *)
+         mercy of scheduling noise.  A hit reads the model's digest
+         memo and the plan cache. *)
       let request =
         {|{"op":"compile","id":1,"model":"densenet121","options":{"capacity_override":2097152,"weight_slices":8,"fusion":true}}|}
       in
@@ -1235,6 +1235,192 @@ let test_concurrent_digests () =
         got)
     domains
 
+(* Distinct planner option sets: capacity_override alone tells them
+   apart, and the other fields vary so the memo key covers them too.
+   Every channel count fits vu9p's four DDR banks. *)
+let memo_option_sets ~base n =
+  List.init n (fun i ->
+      { F.default_options with
+        F.capacity_override = Some ((base + i + 1) * 65536);
+        weight_slices = 1 + (i mod 3);
+        fusion = i mod 2 = 0;
+        channels = 1 + (i mod 4);
+        coloring =
+          (if i mod 5 = 0 then Lcmm.Coloring.First_fit
+           else Lcmm.Coloring.Min_growth) })
+
+let memo_line ?(device = Fpga.Device.vu9p) ~op ~images model dtype options =
+  Printf.sprintf
+    {|{"op":"%s","model":"%s","dtype":"%s","device":"%s"%s,"options":%s}|} op
+    model (Tensor.Dtype.to_string dtype) device.Fpga.Device.device_name
+    (match images with None -> "" | Some n -> Printf.sprintf {|,"images":%d|} n)
+    (Json.to_string (P.options_to_json options))
+
+(* Every zoo model x {compile, simulate single, simulate 4 images} x
+   {i8, i16} x 72 option sets on vu9p, plus one request per device:
+   435 keys per model, past the memo's bound of 64, each asked for
+   twice.  The router's digest must equal one hashed from a freshly
+   built graph on both asks, and so must the key the engine files the
+   reply under: a payload seeded under the fresh digest comes back as
+   a hit. *)
+let test_digest_memo_covers_zoo () =
+  let ops =
+    [ ("compile", None, [ "compile" ]);
+      ("simulate", None, [ "simulate"; "single" ]);
+      ("simulate", Some 4, [ "simulate"; "4" ]) ]
+  in
+  let option_sets = memo_option_sets ~base:0 72 in
+  with_engine ~domains:1 (fun engine ->
+      let check_twice ?device ~op ~images ~extra model g dtype options =
+        let line = memo_line ?device ~op ~images model dtype options in
+        let fresh =
+          Svc.Cache_key.request_digest ~extra ~dtype
+            ~device:(Option.value device ~default:Fpga.Device.vu9p)
+            ~options g
+        in
+        let seeded = Json.Obj [ ("seeded", Json.String fresh) ] in
+        Svc.Plan_cache.put (Svc.Engine.cache engine) fresh seeded;
+        for ask = 1 to 2 do
+          let what = Printf.sprintf "ask %d: %s" ask line in
+          Alcotest.(check string) ("route " ^ what) fresh (routed_digest line);
+          let reply = result_of_line (handle_line engine line) in
+          Alcotest.check json_t ("hit " ^ what) (Json.String "hit")
+            (field_exn "cache" reply);
+          Alcotest.check json_t ("reply " ^ what) seeded
+            (field_exn "result" reply)
+        done
+      in
+      List.iter
+        (fun (e : Models.Zoo.entry) ->
+          let model = e.Models.Zoo.model_name in
+          let g = e.Models.Zoo.build () in
+          List.iter
+            (fun (op, images, extra) ->
+              List.iter
+                (fun dtype ->
+                  List.iter
+                    (check_twice ~op ~images ~extra model g dtype)
+                    option_sets)
+                [ Tensor.Dtype.I8; Tensor.Dtype.I16 ])
+            ops;
+          List.iter
+            (fun device ->
+              check_twice ~device ~op:"compile" ~images:None
+                ~extra:[ "compile" ] model g Tensor.Dtype.I16
+                F.default_options)
+            Fpga.Device.all)
+        Models.Zoo.all)
+
+(* Two domains of three threads each digest one model's requests at
+   once, every thread with option sets of its own, so inserts race each
+   other and the bound (120 keys in all).  Every answer must equal a
+   digest hashed from a freshly built graph. *)
+let test_digest_memo_concurrent () =
+  let model = "squeezenet" and dtype = Tensor.Dtype.I16 in
+  let g =
+    match Models.Zoo.find model with
+    | Some e -> e.Models.Zoo.build ()
+    | None -> Alcotest.failf "no zoo model %s" model
+  in
+  let threads_per_domain = 3 and keys_per_thread = 20 in
+  let work =
+    Array.init (2 * threads_per_domain) (fun t ->
+        List.map
+          (fun options ->
+            ( memo_line ~op:"compile" ~images:None model dtype options,
+              Svc.Cache_key.request_digest ~extra:[ "compile" ] ~dtype
+                ~device:Fpga.Device.vu9p ~options g ))
+          (memo_option_sets ~base:(1000 + (t * keys_per_thread))
+             keys_per_thread))
+  in
+  let domain d () =
+    let mismatches = Array.make threads_per_domain 0 in
+    let threads =
+      List.init threads_per_domain (fun k ->
+          Thread.create
+            (fun () ->
+              for _ = 1 to 3 do
+                List.iter
+                  (fun (line, fresh) ->
+                    if routed_digest line <> fresh then
+                      mismatches.(k) <- mismatches.(k) + 1)
+                  work.((d * threads_per_domain) + k)
+              done)
+            ())
+    in
+    List.iter Thread.join threads;
+    Array.fold_left ( + ) 0 mismatches
+  in
+  let domains = List.init 2 (fun d -> Domain.spawn (domain d)) in
+  List.iteri
+    (fun d dom ->
+      Alcotest.(check int)
+        (Printf.sprintf "domain %d: digests that differ from a fresh one" d)
+        0 (Domain.join dom))
+    domains
+
+(* Inline graphs are hashed on every request, never memoized: a changed
+   graph under the same options gets its own digest, and the original
+   keeps its pinned one. *)
+let test_inline_digest_follows_graph () =
+  let widened () =
+    let module B = Dnn_graph.Builder in
+    let b = B.create () in
+    let x = B.input b ~name:"in" ~channels:16 ~height:32 ~width:32 () in
+    let c1 = B.conv b ~name:"c1" ~kernel:(3, 3) ~out_channels:32 x in
+    let c2 = B.conv b ~name:"c2" ~kernel:(3, 3) ~out_channels:32 c1 in
+    let _c3 = B.conv b ~name:"c3" ~kernel:(1, 1) ~out_channels:96 c2 in
+    B.finish b
+  in
+  let line g =
+    {|{"op":"compile","graph":|}
+    ^ Json.to_string (Dnn_serial.Codec.graph_to_json g)
+    ^ "}"
+  in
+  let original = line (Helpers.chain ()) and changed = line (widened ()) in
+  let pinned = "5e87bc434b1eef19c86bc14f8ff7dc76" in
+  let fresh =
+    Svc.Cache_key.request_digest ~extra:[ "compile" ] ~dtype:Tensor.Dtype.I16
+      ~device:Fpga.Device.vu9p ~options:F.default_options (widened ())
+  in
+  with_engine ~domains:1 (fun engine ->
+      Alcotest.(check string) "original, routed" pinned (routed_digest original);
+      Alcotest.(check string) "changed, routed" fresh (routed_digest changed);
+      Alcotest.(check string) "changed, served" fresh
+        (served_digest engine changed);
+      Alcotest.(check bool) "the change moved the digest" true (fresh <> pinned);
+      Alcotest.(check string) "original again, served" pinned
+        (served_digest engine original))
+
+(* The CLI's --channels and the protocol's "channels" field share one
+   bound, Fpga.Device.check_channels, and its message. *)
+let test_channels_check_shared () =
+  List.iter
+    (fun (d : Fpga.Device.t) ->
+      let banks = Fpga.Device.ddr_channels d in
+      let name = d.Fpga.Device.device_name in
+      let message =
+        Printf.sprintf "expected a count from 1 to %d (%s)" banks name
+      in
+      List.iter
+        (fun c ->
+          Alcotest.(check (result int string))
+            (Printf.sprintf "%s, %d channel(s)" name c)
+            (if c >= 1 && c <= banks then Ok c else Error message)
+            (Fpga.Device.check_channels d c))
+        [ -1; 0; 1; banks; banks + 1; 100_000 ];
+      match
+        P.request_of_line
+          (Printf.sprintf
+             {|{"op":"compile","model":"alexnet","device":"%s","options":{"channels":%d}}|}
+             name (banks + 1))
+      with
+      | Ok _ -> Alcotest.failf "%s: accepted %d channels" name (banks + 1)
+      | Error msg ->
+        Alcotest.(check string) (name ^ ": protocol message")
+          ("field \"channels\": " ^ message) msg)
+    Fpga.Device.all
+
 (* --- concurrent socket accept --- *)
 
 let test_socket_concurrent_connections () =
@@ -1320,6 +1506,14 @@ let suite =
     Alcotest.test_case "inline run digest" `Quick test_inline_run_digest;
     Alcotest.test_case "hash edge cases" `Quick test_hash_edge_cases;
     Alcotest.test_case "concurrent digests" `Quick test_concurrent_digests;
+    Alcotest.test_case "digest memo under concurrent inserts" `Quick
+      test_digest_memo_concurrent;
+    Alcotest.test_case "digest memo covers the zoo past its bound" `Quick
+      test_digest_memo_covers_zoo;
+    Alcotest.test_case "inline digest follows the graph" `Quick
+      test_inline_digest_follows_graph;
+    Alcotest.test_case "channel bound shared by CLI and protocol" `Quick
+      test_channels_check_shared;
     Alcotest.test_case "socket serves connections concurrently" `Quick
       test_socket_concurrent_connections;
     Alcotest.test_case "protocol fuzz" `Quick test_protocol_fuzz ]

@@ -1,4 +1,4 @@
-(* Tests for the tensor substrate: Dtype, Shape, descriptors. *)
+(* Tests for the tensor substrate: Dtype and Shape. *)
 
 module Dtype = Tensor.Dtype
 module Shape = Tensor.Shape
@@ -60,17 +60,6 @@ let test_shape_accessors () =
   check Alcotest.string "pp feature" "4x5x6" (Shape.to_string f);
   check Alcotest.string "pp vector" "[7]" (Shape.to_string (Shape.vector 7))
 
-let test_descriptor () =
-  let t =
-    Tensor.make ~id:3 ~name:"conv1:w" ~kind:Tensor.Weight
-      ~shape:(Shape.filter ~out_channels:8 ~in_channels:4 ~kernel_h:3 ~kernel_w:3)
-  in
-  check Alcotest.bool "is weight" true (Tensor.is_weight t);
-  check Alcotest.int "bytes i16" (8 * 4 * 9 * 2) (Tensor.size_bytes Dtype.I16 t);
-  Alcotest.check_raises "empty name" (Invalid_argument "Tensor.make: empty name")
-    (fun () ->
-      ignore (Tensor.make ~id:0 ~name:"" ~kind:Tensor.Feature_map ~shape:(Shape.vector 1)))
-
 let prop_shape_positive =
   Helpers.qtest "elements always positive"
     QCheck2.Gen.(triple (int_range 1 64) (int_range 1 64) (int_range 1 64))
@@ -92,6 +81,5 @@ let suite =
     Alcotest.test_case "shape bytes" `Quick test_shape_bytes;
     Alcotest.test_case "shape validation" `Quick test_shape_validation;
     Alcotest.test_case "shape accessors" `Quick test_shape_accessors;
-    Alcotest.test_case "descriptor" `Quick test_descriptor;
     prop_shape_positive;
     prop_bytes_monotone ]
