@@ -39,7 +39,8 @@ let tier_socket_dir () =
 (* Spawn [shards] copies of this very binary as `lcmm serve --socket ...`
    children and build the router over them.  Returns the tier and a
    cleanup closure (idempotent: kill + reap every child, remove every
-   socket file). *)
+   socket file).  Anything raised on the way (a ring or router argument
+   rejected) first stops every child already spawned. *)
 let spawn_tier ~shards ~workers ~vnodes ~max_inflight ~cache_entries
     ~cache_mb ~cache_dir ~deadline_ms ~router_cache_entries ~router_cache_mb
     ~timing ?retries ?retry_backoff_ms ?hedge_ms ?call_timeout_ms ?chaos
@@ -77,14 +78,17 @@ let spawn_tier ~shards ~workers ~vnodes ~max_inflight ~cache_entries
       cleanup ();
       or_die (Error msg)
   in
-  let shard_list = List.init shards shard_of in
-  let ring =
-    Lcmm_tier.Ring.create ~vnodes (List.map Lcmm_tier.Shard.name shard_list)
-  in
-  let tier =
+  match
+    let shard_list = List.init shards shard_of in
+    let ring =
+      Lcmm_tier.Ring.create ~vnodes (List.map Lcmm_tier.Shard.name shard_list)
+    in
     Lcmm_tier.Tier.create ~router_cache_entries ~router_cache_mb ?deadline_ms
       ~timing ?retries ?retry_backoff_ms ?hedge_ms ?call_timeout_ms ?chaos
       ~ring ~shards:shard_list ()
-  in
-  (tier, cleanup)
+  with
+  | tier -> (tier, cleanup)
+  | exception e ->
+    cleanup ();
+    raise e
 

@@ -86,14 +86,15 @@ let build_model name =
          (String.concat ", "
             (List.map (fun e -> e.Models.Zoo.model_name) Models.Zoo.all)))
 
-(* Planner parallelism: --domains N runs the planner fan-outs (liveness,
-   DNNK compensation, per-tenant replans) on an N-domain pool.  The
+(* Runtime parallelism: --domains N runs the independent per-tenant
+   solves and schedule-search candidates on an N-domain pool.  The
    output is byte-identical to the sequential run, so golden comparisons
    hold at any domain count; 1 (the default) stays fully sequential. *)
 let domains_arg =
   let doc =
-    "Worker domains for planner parallelism (1 = sequential).  Output is \
-     byte-identical at every domain count."
+    "Worker domains for the per-tenant solves and schedule-search \
+     candidates (1 = sequential).  Each plan is computed on one domain; \
+     output is byte-identical at every domain count."
   in
   Arg.(value & opt int 1 & info [ "domains" ] ~doc)
 
@@ -192,11 +193,11 @@ let plan_cmd =
     in
     Arg.(value & flag & info [ "profile" ] ~doc)
   in
-  let plan_one ?pool ~profile ~fusion ~channels dtype name =
+  let plan_one ~profile ~fusion ~channels dtype name =
     let model, g = or_die (build_model name) in
     let options = { Lcmm.Framework.default_options with fusion; channels } in
-    let c = Lcmm.Framework.compare_designs ~options ?pool ~model dtype g in
-    let p, fz = Lcmm_fusion.Fusion.post ?pool c.Lcmm.Framework.lcmm_plan in
+    let c = Lcmm.Framework.compare_designs ~options ~model dtype g in
+    let p, fz = Lcmm_fusion.Fusion.post c.Lcmm.Framework.lcmm_plan in
     Format.printf "== %s ==@." model;
     Format.printf "design: %a@." Accel.Config.pp p.Lcmm.Framework.config;
     Format.printf "virtual buffers (%d):@." (List.length p.Lcmm.Framework.vbufs);
@@ -282,29 +283,26 @@ let plan_cmd =
     in
     Arg.(value & opt int 1 & info [ "channels" ] ~docv:"N" ~doc)
   in
-  let run () name dtype profile fusion channels domains =
+  let run () name dtype profile fusion channels =
     ignore (or_die (channels_flag Fpga.Device.vu9p channels));
-    with_pool domains (fun pool ->
-        match name with
-        | Some name -> plan_one ?pool ~profile ~fusion ~channels dtype name
-        | None ->
-          List.iter
-            (fun e ->
-              plan_one ?pool ~profile ~fusion ~channels dtype
-                e.Models.Zoo.model_name)
-            Models.Zoo.all)
+    match name with
+    | Some name -> plan_one ~profile ~fusion ~channels dtype name
+    | None ->
+      List.iter
+        (fun e ->
+          plan_one ~profile ~fusion ~channels dtype e.Models.Zoo.model_name)
+        Models.Zoo.all
   in
   Cmd.v
     (Cmd.info "plan"
        ~doc:
          "Deterministic plan summary for one model (or the whole zoo), \
           suitable for golden-file comparison; --profile adds a per-pass \
-          timing breakdown on stderr, --fusion runs the fused-layer / \
-          weight-streaming post-pass, and --domains N plans on N worker \
-          domains without changing a byte of the output.")
+          timing breakdown on stderr, and --fusion runs the fused-layer / \
+          weight-streaming post-pass.")
     Term.(
       const run $ log_arg $ model_opt_arg $ dtype_arg $ profile_arg
-      $ fusion_arg $ channels_arg $ domains_arg)
+      $ fusion_arg $ channels_arg)
 
 let simulate_cmd =
   let run () name dtype =
@@ -736,10 +734,17 @@ let deadline_arg =
   in
   Arg.(value & opt (some float) None & info [ "deadline-ms" ] ~docv:"MS" ~doc)
 
+(* A --cache-mb style flag in bytes, refused where the product wraps. *)
+let mb_flag flag mb =
+  or_die
+    (Result.map_error
+       (fun msg -> flag ^ ": " ^ msg)
+       (Lcmm_service.Lru.bytes_of_mb mb))
+
 let check_service_args ~workers ~cache_entries ~cache_mb ~deadline_ms =
   if workers < 1 then or_die (Error "workers must be >= 1");
   if cache_entries < 1 then or_die (Error "cache-entries must be >= 1");
-  if cache_mb < 1 then or_die (Error "cache-mb must be >= 1");
+  ignore (mb_flag "--cache-mb" cache_mb);
   match deadline_ms with
   | Some ms when ms <= 0. -> or_die (Error "deadline-ms must be positive")
   | _ -> ()
@@ -756,7 +761,7 @@ let serve_cmd =
     check_service_args ~workers ~cache_entries ~cache_mb ~deadline_ms;
     let cache =
       Lcmm_service.Plan_cache.create ~max_entries:cache_entries
-        ~max_bytes:(cache_mb * 1024 * 1024) ?persist_dir:cache_dir ()
+        ~max_bytes:(mb_flag "--cache-mb" cache_mb) ?persist_dir:cache_dir ()
     in
     let pool = Lcmm.Pool.create ~domains:workers () in
     let engine = Lcmm_service.Engine.create ~cache ~pool ?deadline_ms () in
@@ -940,6 +945,7 @@ let tier_cmd =
       socket_dir chaos_spec retries retry_backoff_ms hedge_ms call_timeout_ms
       drain_timeout_s =
     check_service_args ~workers ~cache_entries ~cache_mb ~deadline_ms;
+    ignore (mb_flag "--router-cache-mb" router_cache_mb);
     if retries < 0 then or_die (Error "retries must be >= 0");
     if drain_timeout_s <= 0. then
       or_die (Error "drain-timeout-s must be positive");

@@ -143,7 +143,7 @@ grep -q '"fault_spec"' BENCH_fault_smoke.json
 grep -q '"faults"' BENCH_fault_smoke.json
 grep -q '"retries"' BENCH_fault_smoke.json
 # The same run pins the fault path byte for byte — stall and backoff
-# floats included — at one and two planner domains, and over three DRAM
+# floats included — at one and two runtime domains, and over three DRAM
 # channels.
 golden_diff test/golden/runtime_faults.golden.json BENCH_fault_smoke.json
 dune exec bin/lcmm_cli.exe -- runtime --tenants alexnet:2,squeezenet:1 \
@@ -312,6 +312,25 @@ if ls "$tier_sockdir"/*.sock > /dev/null 2>&1; then
   echo "leaked shard sockets"; exit 1
 fi
 
+echo "== tier-2: a rejected tier argument leaves no shard behind =="
+# --vnodes 0 is refused by the ring, after the shards are spawned: every
+# spawned `lcmm serve` must be stopped and its socket removed.
+bad_sockdir=_build/tier_bad_args
+rm -rf "$bad_sockdir"
+status=0
+_build/default/bin/lcmm_cli.exe tier --shards 2 --workers 1 --vnodes 0 \
+  --socket-dir "$bad_sockdir" < /dev/null 2> _build/tier_bad_args.err \
+  || status=$?
+[ "$status" -ne 0 ]
+grep -q '^lcmm: Ring.create: vnodes must be >= 1$' _build/tier_bad_args.err
+if pgrep -f "serve --socket $bad_sockdir/" > /dev/null; then
+  echo "leaked shard processes"; pkill -f "serve --socket $bad_sockdir/"
+  exit 1
+fi
+if ls "$bad_sockdir"/*.sock > /dev/null 2>&1; then
+  echo "leaked shard sockets"; exit 1
+fi
+
 echo "== tier-2: serve load benchmark --json + p99 SLO gate =="
 out=BENCH_serve.json
 dune exec bin/lcmm_cli.exe -- bench serve --json "$out" 2> /dev/null > /dev/null
@@ -353,11 +372,10 @@ for m in $(dune exec bin/lcmm_cli.exe -- models 2> /dev/null \
     || { echo "optimized schedule did not converge on $m x2"; exit 1; }
 done
 
-echo "== tier-2: parallel planning is byte-identical (whole zoo) =="
-# Planner parallelism must be a pure speedup: the same zoo plans and
-# multi-tenant runtime report on 4 worker domains, byte for byte.
-dune exec bin/lcmm_cli.exe -- plan --domains 4 > _build/plan_zoo_par.out
-golden_diff test/golden/plan_zoo.golden _build/plan_zoo_par.out
+echo "== tier-2: parallel runtime is byte-identical =="
+# Runtime parallelism (per-tenant solves, schedule candidates) must be a
+# pure speedup: the same runtime report on 4 worker domains, byte for
+# byte.  Each plan runs on one domain, so `plan` takes no --domains.
 dune exec bin/lcmm_cli.exe -- runtime --tenants googlenet:1 --domains 4 \
   --json _build/runtime_single_par.json > /dev/null
 golden_diff test/golden/runtime_single.golden.json _build/runtime_single_par.json
@@ -392,7 +410,7 @@ echo "wrote $out"
 
 echo "== tier-2: runtime fusion path vs committed golden (1 and 2 domains) =="
 # `lcmm runtime --fusion` is the only caller of the runtime's fusion
-# hook: its report is pinned byte for byte at one and two planner
+# hook: its report is pinned byte for byte at one and two runtime
 # domains.
 for d in 1 2; do
   dune exec bin/lcmm_cli.exe -- runtime --tenants alexnet:2,squeezenet:1 \
@@ -404,7 +422,7 @@ done
 echo "== tier-2: optimized runtime vs committed golden (1 and 2 domains) =="
 # The optimized scheduler's plan/schedule co-iteration under priority
 # arbitration, with fusion and two DDR channels: its report is pinned
-# byte for byte at one and two planner domains.
+# byte for byte at one and two runtime domains.
 for d in 1 2; do
   dune exec bin/lcmm_cli.exe -- runtime \
     --tenants squeezenet:2:0,inception_v4:2:1 --scheduler optimized \
@@ -417,7 +435,7 @@ done
 echo "== tier-2: optimized runtime under faults vs committed golden (1 and 2 domains) =="
 # The schedule search under the ci fault spec: every candidate run
 # replays the same seeded faults and the bank loss degrades one tenant
-# mid-run.  Pinned byte for byte at one and two planner domains.
+# mid-run.  Pinned byte for byte at one and two runtime domains.
 for d in 1 2; do
   dune exec bin/lcmm_cli.exe -- runtime --tenants alexnet:2,squeezenet:1 \
     --scheduler optimized \

@@ -339,7 +339,7 @@ let evict_to_capacity metric ~capacity_bytes result =
 (* Bound on {!Exact_iterative} refinement rounds. *)
 let rounds = 4
 
-let allocate ?(compensation = Table_approx) ?workspace:ws ?pool metric
+let allocate ?(compensation = Table_approx) ?workspace:ws metric
     ~capacity_bytes vbufs =
   if capacity_bytes < 0 then invalid_arg "Dnnk.allocate: negative capacity";
   let ws = match ws with Some ws -> ws | None -> workspace () in
@@ -452,18 +452,12 @@ let allocate ?(compensation = Table_approx) ?workspace:ws ?pool metric
       row_deps.(index) <- deps
     done;
     (* Phase B: the column-independent constants of every row.  A row
-       only reads the metric and marks its own members in its range's
-       scratch mark, so rows run on the pool. *)
-    let scratch =
-      match pool with
-      | None -> fun () -> ws.mark
-      | Some _ -> fun () -> Metric.mark n_items
-    in
+       only reads the metric and marks its own members in [ws.mark]. *)
     let consts =
-      Pool.init_with pool n scratch (fun row index ->
+      Array.init n (fun index ->
           let aff = affected.(index) in
           let deps = node_deps.(index) in
-          mark_row row index;
+          mark_row ws.mark index;
           let m = Array.length aff in
           let const_without = Array.make m 0. in
           let const_with = Array.make m 0. in
@@ -471,7 +465,7 @@ let allocate ?(compensation = Table_approx) ?workspace:ws ?pool metric
           for k = 0 to m - 1 do
             if Array.length deps.(k) = 0 then begin
               const_without.(k) <- Metric.umm_latency metric aff.(k);
-              const_with.(k) <- Metric.node_latency_on metric row aff.(k);
+              const_with.(k) <- Metric.node_latency_on metric ws.mark aff.(k);
               total := !total +. const_without.(k) -. const_with.(k)
             end
           done;

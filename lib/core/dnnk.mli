@@ -54,15 +54,13 @@ val blocks_of_bytes : int -> int
 (** Size in whole blocks, rounding up. *)
 
 val allocate :
-  ?compensation:compensation -> ?workspace:workspace -> ?pool:Pool.t ->
+  ?compensation:compensation -> ?workspace:workspace ->
   Metric.t -> capacity_bytes:int -> Vbuffer.t list -> result
 (** Run the allocator.  {!Exact_iterative} refinement runs at most 4
     rounds.  [workspace] (fresh by default) lends its scratch arrays;
-    the result never depends on it.  [pool] parallelizes the per-row
-    constant analysis across domains (the result is byte-identical to
-    the sequential run — see {!Pool.init}).  Every member of [vbufs] must be an item
-    of [metric] (see {!Metric.item_index}).  Raises [Invalid_argument]
-    on negative capacity. *)
+    the result never depends on it.  Every member of [vbufs] must be an
+    item of [metric] (see {!Metric.item_index}).  Raises
+    [Invalid_argument] on negative capacity. *)
 
 val drop_while :
   Metric.t -> pick:(result -> benefit:(Vbuffer.t -> float) -> Vbuffer.t option) ->

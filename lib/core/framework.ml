@@ -164,7 +164,7 @@ type allocated = {
   al_times : pass_times;
 }
 
-let prepare ?(options = default_options) ?pool config g =
+let prepare ?(options = default_options) config g =
   Log.info (fun m ->
       m "plan: %d nodes, %s, device %s" (G.node_count g)
         (Tensor.Dtype.to_string config.Config.dtype)
@@ -216,7 +216,7 @@ let prepare ?(options = default_options) ?pool config g =
   in
   let intervals =
     timed liveness_us (fun () ->
-        Pool.init pool (Array.length items) (fun i ->
+        Array.init (Array.length items) (fun i ->
             Liveness.metric_interval metric ~prefetch_source items.(i)))
   in
   Log.info (fun m ->
@@ -236,7 +236,7 @@ let prepare ?(options = default_options) ?pool config g =
         liveness_us = !liveness_us;
         prefetch_us = !prefetch_us } }
 
-let allocate ?pool ?capacity_bytes pr =
+let allocate ?capacity_bytes pr =
   let options =
     match capacity_bytes with
     | None -> pr.pr_options
@@ -277,7 +277,7 @@ let allocate ?pool ?capacity_bytes pr =
   let workspace = Dnnk.workspace () in
   let initial =
     timed dnnk_us (fun () ->
-        Dnnk.allocate ~compensation:options.compensation ~workspace ?pool
+        Dnnk.allocate ~compensation:options.compensation ~workspace
           metric ~capacity_bytes vbufs)
   in
   let allocation, splitting_iterations, vbufs =
@@ -285,7 +285,7 @@ let allocate ?pool ?capacity_bytes pr =
       let outcome =
         timed splitting_us (fun () ->
             Splitting.run ~compensation:options.compensation
-              ~strategy:options.coloring ~workspace ?pool metric interference
+              ~strategy:options.coloring ~workspace metric interference
               ~sizes ~capacity_bytes initial)
       in
       let final_vbufs =
@@ -413,11 +413,10 @@ let finish ?(stall_scale = 1.) al =
     channel_assignment;
     pass_times = { al.al_times with channel_assign_us = !channel_assign_us } }
 
-let plan ?options ?pool config g =
-  finish (allocate ?pool (prepare ?options ?pool config g))
+let plan ?options config g = finish (allocate (prepare ?options config g))
 
-let plan_partitioned ?options ?pool ~capacity_bytes config g =
-  finish (allocate ?pool ~capacity_bytes (prepare ?options ?pool config g))
+let plan_partitioned ?options ~capacity_bytes config g =
+  finish (allocate ~capacity_bytes (prepare ?options config g))
 
 (* Degraded-mode replanning for a board whose SRAM shrank under a live
    plan (bank loss).  Two steps, mirroring the paper's spill reasoning
@@ -433,7 +432,7 @@ type degraded = {
   replanned : plan;
 }
 
-let degrade ?pool ~surviving_bytes p g =
+let degrade ~surviving_bytes p g =
   if surviving_bytes < 0 then invalid_arg "Framework.degrade: negative capacity";
   let post_eviction, evicted =
     Dnnk.evict_to_capacity p.metric ~capacity_bytes:surviving_bytes p.allocation
@@ -447,7 +446,7 @@ let degrade ?pool ~surviving_bytes p g =
         (List.length evicted)
         (float_of_int evicted_bytes /. 1e6));
   let replanned =
-    plan_partitioned ~options:p.options ?pool ~capacity_bytes:surviving_bytes
+    plan_partitioned ~options:p.options ~capacity_bytes:surviving_bytes
       p.config g
   in
   { evicted; evicted_bytes; post_eviction; replanned }
@@ -457,7 +456,7 @@ let degrade ?pool ~surviving_bytes p g =
    floats at full precision ([%.17g] round-trips every double) and
    wall-clock pass times deliberately excluded.  Two plans fingerprint
    equal iff the planner made identical decisions and identical float
-   computations; the parallel-determinism property test digests this. *)
+   computations; the plan-gen and staged-plan goldens digest this. *)
 let fingerprint p =
   let b = Buffer.create 1024 in
   let f x = Buffer.add_string b (Printf.sprintf "%.17g;" x) in
@@ -578,10 +577,10 @@ type comparison = {
   speedup : float;
 }
 
-let compare_designs ?options ?pool ?(device = Fpga.Device.vu9p) ~model dtype g =
+let compare_designs ?options ?(device = Fpga.Device.vu9p) ~model dtype g =
   let umm_dse = Accel.Dse.run ~device ~style:Config.Umm dtype g in
   let lcmm_dse = Accel.Dse.run ~device ~style:Config.Lcmm dtype g in
-  let lcmm_plan = plan ?options ?pool lcmm_dse.Accel.Dse.config g in
+  let lcmm_plan = plan ?options lcmm_dse.Accel.Dse.config g in
   let umm =
     report ~style_name:"UMM" device umm_dse.Accel.Dse.config g
       ~latency_seconds:umm_dse.Accel.Dse.umm_latency ~tensor_bytes:0 ~buffer_count:0

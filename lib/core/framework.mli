@@ -111,20 +111,16 @@ type allocated
     coloring (passes 1–2), DNNK (pass 3) and buffer splitting (pass 4),
     before the stall prune. *)
 
-val prepare :
-  ?options:options -> ?pool:Pool.t -> Accel.Config.t -> Dnn_graph.Graph.t ->
-  prepared
-(** Profile, metric, items, PDG and liveness.  [pool] parallelizes the
-    liveness scan. *)
+val prepare : ?options:options -> Accel.Config.t -> Dnn_graph.Graph.t -> prepared
+(** Profile, metric, items, PDG and liveness. *)
 
-val allocate : ?pool:Pool.t -> ?capacity_bytes:int -> prepared -> allocated
+val allocate : ?capacity_bytes:int -> prepared -> allocated
 (** Build a fresh interference graph (splitting mutates it), color it,
     run DNNK and splitting.  [capacity_bytes] caps the tensor-buffer
     budget as [capacity_override = Some capacity_bytes] would, and the
     finished plan carries its options with that override; omitted, the
     prepared options' own override (or the design's budget) applies.
-    [pool] parallelizes DNNK's per-row compensation analysis.  Raises
-    [Invalid_argument] on a negative capacity. *)
+    Raises [Invalid_argument] on a negative capacity. *)
 
 val finish : ?stall_scale:float -> allocated -> plan
 (** The post-DNNK stall prune, its UMM safety net and channel
@@ -139,17 +135,12 @@ val finish : ?stall_scale:float -> allocated -> plan
     {!plan}'s.  The plan's [pass_times] cover the three stages that
     made it, shared stages included. *)
 
-val plan :
-  ?options:options -> ?pool:Pool.t -> Accel.Config.t -> Dnn_graph.Graph.t ->
-  plan
-(** Run LCMM for a fixed design point: [finish (allocate (prepare ..))].
-    [pool] parallelizes the liveness scan and DNNK's per-row
-    compensation analysis across domains; the resulting plan is
-    byte-identical to the sequential one (parallel pieces fill disjoint,
-    position-addressed slots — see {!fingerprint}). *)
+val plan : ?options:options -> Accel.Config.t -> Dnn_graph.Graph.t -> plan
+(** Run LCMM for a fixed design point: [finish (allocate (prepare ..))],
+    on the calling domain. *)
 
 val plan_partitioned :
-  ?options:options -> ?pool:Pool.t -> capacity_bytes:int ->
+  ?options:options -> capacity_bytes:int ->
   Accel.Config.t -> Dnn_graph.Graph.t -> plan
 (** Run LCMM with the tensor-buffer budget capped at [capacity_bytes]:
     [finish (allocate ~capacity_bytes (prepare ..))], which is [plan]
@@ -163,8 +154,7 @@ type degraded = {
   replanned : plan;              (** Full re-solve at the surviving capacity. *)
 }
 
-val degrade :
-  ?pool:Pool.t -> surviving_bytes:int -> plan -> Dnn_graph.Graph.t -> degraded
+val degrade : surviving_bytes:int -> plan -> Dnn_graph.Graph.t -> degraded
 (** Degraded-mode replanning for a plan whose SRAM shrank underneath it
     (bank loss).  First evicts pinned virtual buffers by reverse
     benefit-density ({!Dnnk.evict_to_capacity}) until [surviving_bytes]
@@ -205,7 +195,7 @@ type comparison = {
 }
 
 val compare_designs :
-  ?options:options -> ?pool:Pool.t -> ?device:Fpga.Device.t -> model:string ->
+  ?options:options -> ?device:Fpga.Device.t -> model:string ->
   Tensor.Dtype.t -> Dnn_graph.Graph.t -> comparison
 (** The paper's Table 1 experiment for one (model, precision) pair: DSE a
     UMM baseline and an LCMM design, run the framework on the latter and

@@ -83,6 +83,9 @@ let create ?domains () =
   let domain_count =
     match domains with
     | Some n when n < 1 -> invalid_arg "Pool.create: domains must be >= 1"
+    (* OCaml 5.1 runs at most 128 domains (caml/domain.h's Max_domains),
+       the caller's included: check before spawning any. *)
+    | Some n when n > 127 -> invalid_arg "Pool.create: domains must be <= 127"
     | Some n -> n
     | None -> max 1 (min 8 (Domain.recommended_domain_count () - 1))
   in
@@ -219,31 +222,6 @@ let map_list t f xs =
       in
       wait ())
     futures
-
-(* Contiguous index ranges, at most four per worker, each filling its
-   own piece; the pieces are concatenated in range order, so the result
-   is positionally identical to [Array.init] at any domain count. *)
-let init_with pool n scratch f =
-  match pool with
-  | None ->
-    let s = scratch () in
-    Array.init n (f s)
-  | Some _ when n = 0 -> [||]
-  | Some t ->
-    let pieces = min n (4 * size t) in
-    let per = (n + pieces - 1) / pieces in
-    let ranges =
-      List.init pieces (fun p -> (p * per, min per (n - (p * per))))
-      |> List.filter (fun (_, len) -> len > 0)
-    in
-    Array.concat
-      (map_list t
-         (fun (lo, len) ->
-           let s = scratch () in
-           Array.init len (fun i -> f s (lo + i)))
-         ranges)
-
-let init pool n f = init_with pool n ignore (fun () -> f)
 
 let busy t =
   Mutex.lock t.mutex;

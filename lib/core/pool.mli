@@ -2,12 +2,10 @@
 
     The LCMM passes are pure functions of their inputs (no global
     mutable state anywhere in [lib/core], [lib/accel] or [lib/sim]), so
-    independent compile/simulate requests — and the independent
-    per-row/per-tenant pieces inside one planner run — are safe to run
-    on separate domains with no coordination beyond this queue.  The
-    parallel-determinism property test in [test/test_framework.ml] pins
-    down that plans computed through a pool are byte-identical to
-    sequential ones.
+    independent compile/simulate requests, per-tenant solves and
+    schedule-search candidates are safe to run on separate domains with
+    no coordination beyond this queue.  One plan always runs on one
+    domain.
 
     Jobs are closures; submitting returns a future that [await] blocks
     on.  Ordinary exceptions escaping a job are captured and re-raised
@@ -27,7 +25,9 @@ exception Worker_crash of string
 val create : ?domains:int -> unit -> t
 (** Spawn the worker domains.  [domains] defaults to
     [Domain.recommended_domain_count () - 1], clamped to [1, 8]; values
-    below 1 raise [Invalid_argument]. *)
+    below 1 or above 127 (OCaml 5.1 runs at most 128 domains, the
+    caller's included) raise [Invalid_argument] before any domain is
+    spawned. *)
 
 val size : t -> int
 (** Number of worker domains. *)
@@ -56,19 +56,6 @@ val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
     nested fan-outs keep making progress even with every worker busy.
     The caller only blocks once the queue is empty, at which point its
     remaining futures are necessarily running on other domains. *)
-
-val init : t option -> int -> (int -> 'a) -> 'a array
-(** [init pool n f] is [Array.init n f]; with a pool, contiguous index
-    ranges run as {!map_list} jobs.  Each range fills its own piece and
-    the pieces concatenate in order, so the array is identical at any
-    domain count; [f] must only write state its own index owns. *)
-
-val init_with : t option -> int -> (unit -> 's) -> ('s -> int -> 'a) -> 'a array
-(** [init_with pool n scratch f] is {!init} with per-range scratch:
-    each contiguous range (the whole of [0, n) without a pool) makes one
-    [scratch ()] and passes it to [f] for each of its indices, in
-    order.  [f] may overwrite the scratch, but no index's result may
-    depend on what an earlier index left in it. *)
 
 val busy : t -> int
 (** Workers currently executing a job. *)

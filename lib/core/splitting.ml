@@ -30,7 +30,7 @@ let candidate interference spilled =
          | Some _ | None -> Some cand)
        None
 
-let run ?(max_iterations = 16) ?compensation ?strategy ?workspace ?pool metric
+let run ?(max_iterations = 16) ?compensation ?strategy ?workspace metric
     interference ~sizes ~capacity_bytes initial =
   (* [history] collects the objective after the initial allocation and
      after each *accepted* re-run, newest first; the acceptance test
@@ -57,8 +57,7 @@ let run ?(max_iterations = 16) ?compensation ?strategy ?workspace ?pool metric
         Interference.add_false_edge interference i j;
         let vbufs = Coloring.color ?strategy interference ~sizes in
         let next =
-          Dnnk.allocate ?compensation ?workspace ?pool metric ~capacity_bytes
-            vbufs
+          Dnnk.allocate ?compensation ?workspace metric ~capacity_bytes vbufs
         in
         if next.Dnnk.predicted_latency < best.Dnnk.predicted_latency -. 1e-12 then
           loop next (iterations + 1) (edges + 1)

@@ -26,12 +26,11 @@ type outcome = {
 
 val run :
   ?max_iterations:int -> ?compensation:Dnnk.compensation ->
-  ?strategy:Coloring.strategy -> ?workspace:Dnnk.workspace -> ?pool:Pool.t ->
+  ?strategy:Coloring.strategy -> ?workspace:Dnnk.workspace ->
   Metric.t -> Interference.t -> sizes:int array -> capacity_bytes:int ->
   Dnnk.result -> outcome
 (** [run metric interference ~sizes ~capacity_bytes initial] improves on
     [initial] (the DNNK result for the current coloring of
     [interference]).  The interference graph is mutated (false edges
     accumulate).  [max_iterations] defaults to 16; [workspace] lets the
-    re-allocation rounds share one set of DNNK scratch arrays; [pool]
-    is passed through to {!Dnnk.allocate}. *)
+    re-allocation rounds share one set of DNNK scratch arrays. *)

@@ -36,7 +36,7 @@ let fused_nodes t =
       a + s.Segmentation.last - s.Segmentation.first + 1)
     0 t.segments
 
-let apply ?pool (base : F.plan) =
+let apply (base : F.plan) =
   let t0 = Unix.gettimeofday () in
   let on_chip = base.F.allocation.Dnnk.on_chip in
   let base_traffic = Traffic.of_allocation base.F.metric ~on_chip in
@@ -85,7 +85,7 @@ let apply ?pool (base : F.plan) =
     else Sim.Fused.effective_metric ~streamed:(fun i -> is_streamed.(i)) metric
   in
   let seg =
-    Segmentation.search ?pool ~max_segment
+    Segmentation.search ~max_segment
       ~headroom_bytes:(capacity_bytes - used - fifo_bytes)
       ~tile_th:base.F.config.Config.tile.Accel.Tiling.th
       ~dtype:base.F.config.Config.dtype streamed_metric ~on_chip
@@ -182,43 +182,8 @@ let apply ?pool (base : F.plan) =
 
 let effective_plan t = t.plan
 
-let post ?pool (base : F.plan) =
+let post (base : F.plan) =
   if not base.F.options.F.fusion then (base, None)
   else
-    let t = apply ?pool base in
+    let t = apply base in
     (t.plan, Some t)
-
-let fingerprint t =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b (F.fingerprint t.base);
-  let f x = Buffer.add_string b (Printf.sprintf "%.17g;" x) in
-  let i x = Buffer.add_string b (string_of_int x ^ ";") in
-  Buffer.add_string b "fusion:segments:";
-  List.iter
-    (fun (s : Segmentation.segment) ->
-      i s.Segmentation.first;
-      i s.Segmentation.last;
-      i s.Segmentation.slab_bytes;
-      i s.Segmentation.ddr_bytes_saved;
-      f s.Segmentation.benefit_seconds;
-      List.iter (fun v -> i v) s.Segmentation.internal;
-      Buffer.add_char b '/';
-      List.iter
-        (fun (m, sc) ->
-          i m;
-          f sc)
-        s.Segmentation.scales;
-      Buffer.add_char b '|')
-    t.segments;
-  Buffer.add_string b "streamed:";
-  List.iter i t.streamed;
-  Buffer.add_string b "fifo:";
-  i t.fifo_bytes;
-  Buffer.add_string b "latency:";
-  f t.predicted_latency;
-  Buffer.add_string b "traffic:";
-  i t.traffic.Traffic.if_bytes;
-  i t.traffic.Traffic.wt_bytes;
-  i t.traffic.Traffic.of_bytes;
-  i t.plan.F.tensor_sram_bytes;
-  Buffer.contents b

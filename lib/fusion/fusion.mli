@@ -16,8 +16,7 @@
 
     {!post} is the one place that reads [Framework.options.fusion]:
     with the flag off it returns the base plan itself, so fusion-off
-    planning is byte-identical to a build without this library.
-    Decisions are deterministic at any [?pool] size. *)
+    planning is byte-identical to a build without this library. *)
 
 type t = {
   base : Lcmm.Framework.plan;
@@ -40,7 +39,7 @@ type t = {
   base_traffic : Lcmm.Traffic.t;  (** DDR bytes of the base plan. *)
 }
 
-val apply : ?pool:Lcmm.Pool.t -> Lcmm.Framework.plan -> t
+val apply : Lcmm.Framework.plan -> t
 (** Run the pass whatever [base.options.fusion] says: fuse groups of up
     to 8 nodes, and a streaming FIFO of 4 {!Lcmm.Dnnk.block_bytes}
     blocks (128 KiB) when it fits beside the resident tensors.  Never
@@ -48,9 +47,7 @@ val apply : ?pool:Lcmm.Pool.t -> Lcmm.Framework.plan -> t
     decision if the exact re-evaluation ever disagreed with the
     search's pricing). *)
 
-val post :
-  ?pool:Lcmm.Pool.t -> Lcmm.Framework.plan ->
-  Lcmm.Framework.plan * t option
+val post : Lcmm.Framework.plan -> Lcmm.Framework.plan * t option
 (** The fusion gate every planner caller goes through.  With
     [options.fusion] off: the plan itself (physically) and [None].  On:
     [(t.plan, Some t)] from {!apply}, whose pass times include the
@@ -58,12 +55,6 @@ val post :
 
 val effective_plan : t -> Lcmm.Framework.plan
 (** [t.plan]. *)
-
-val fingerprint : t -> string
-(** {!Lcmm.Framework.fingerprint} of the base plan extended with every
-    fusion decision (segments with members/scales/slabs, streamed ids,
-    FIFO bytes, fused latency and traffic at full float precision) —
-    the parallel-determinism property digests this. *)
 
 val fused_nodes : t -> int
 (** Nodes covered by the fused segments. *)

@@ -54,7 +54,7 @@ let is_barrier op =
   | Op.Input _ | Op.Dense _ -> true
   | Op.Conv _ | Op.Pool _ | Op.Eltwise_add | Op.Concat | Op.Upsample _ -> false
 
-let search ?pool ~max_segment ~headroom_bytes ~tile_th ~dtype metric ~on_chip =
+let search ~max_segment ~headroom_bytes ~tile_th ~dtype metric ~on_chip =
   let g = metric.Metric.graph in
   let profiles = metric.Metric.profiles in
   let n = G.node_count g in
@@ -62,12 +62,8 @@ let search ?pool ~max_segment ~headroom_bytes ~tile_th ~dtype metric ~on_chip =
   else begin
     let barrier = Array.init n (fun i -> is_barrier (G.node g i).G.op) in
     let is_val = Array.init n (fun i -> Values.is_value g i) in
-    let base_mark () =
-      let m = Metric.mark (Metric.item_count metric) in
-      Metric.mark_set metric m on_chip;
-      m
-    in
-    let base = base_mark () in
+    let base = Metric.mark (Metric.item_count metric) in
+    Metric.mark_set metric base on_chip;
     let pinned = Array.init n (Metric.mem base) in
     (* Last consumer of each value, or max_int when it has none (a graph
        output: it must reach DDR, so it can never be segment-internal
@@ -177,7 +173,7 @@ let search ?pool ~max_segment ~headroom_bytes ~tile_th ~dtype metric ~on_chip =
         List.rev !acc
       end
     in
-    let per_start = Pool.init_with pool n base_mark candidates_at in
+    let per_start = Array.init n (candidates_at base) in
     let evaluated = Array.fold_left (fun a l -> a + List.length l) 0 per_start in
     (* Candidates ending at each position, in increasing-[first] order,
        for the cut DP below. *)
@@ -187,7 +183,7 @@ let search ?pool ~max_segment ~headroom_bytes ~tile_th ~dtype metric ~on_chip =
     done;
     (* dp.(i) = best benefit covering nodes [0, i); strict improvement
        only, so ties deterministically keep the unfused (or
-       earlier-found) choice at any domain count. *)
+       earlier-found) choice. *)
     let dp = Array.make (n + 1) 0. in
     let choice = Array.make (n + 1) None in
     for i = 0 to n - 1 do

@@ -46,7 +46,6 @@ type result = {
 }
 
 val search :
-  ?pool:Lcmm.Pool.t ->
   max_segment:int ->
   headroom_bytes:int ->
   tile_th:int ->
@@ -56,8 +55,5 @@ val search :
   result
 (** Evaluate every legal candidate segment of 2..[max_segment] nodes
     against the metric and allocation, then DP over cut positions for
-    the best disjoint cover.  [pool] parallelizes candidate costing over
-    start positions (position-addressed chunks — the result is
-    byte-identical at any domain count; the DP itself is sequential).
-    Only segments with strictly positive benefit are ever selected, so
+    the best disjoint cover.  Only segments with strictly positive benefit are ever selected, so
     a graph with nothing to fuse yields {!empty}. *)

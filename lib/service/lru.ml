@@ -17,6 +17,15 @@ let create ~max_entries ~max_bytes =
   if max_bytes <= 0 then invalid_arg "Lru.create: max_bytes must be positive";
   { table = Hashtbl.create 64; max_entries; max_bytes; clock = 0; bytes_held = 0 }
 
+(* The largest count whose bytes fit an [int]: past it [mb * 2^20]
+   wraps, to a small or a negative bound. *)
+let max_mb = max_int / (1024 * 1024)
+
+let bytes_of_mb mb =
+  if mb >= 1 && mb <= max_mb then Ok (mb * 1024 * 1024)
+  else
+    Error (Printf.sprintf "expected a count of megabytes from 1 to %d" max_mb)
+
 let tick t =
   t.clock <- t.clock + 1;
   t.clock

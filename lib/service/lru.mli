@@ -10,6 +10,12 @@ type 'a t
 val create : max_entries:int -> max_bytes:int -> 'a t
 (** Raises [Invalid_argument] when either bound is non-positive. *)
 
+val bytes_of_mb : int -> (int, string) result
+(** A megabyte (MiB) bound in bytes, or the message for a count below 1
+    or above [max_int / 2^20], where the conversion would wrap.  The
+    CLI's [--cache-mb] and [--router-cache-mb] and {!Lcmm_tier.Tier}'s
+    router cache share it. *)
+
 val find : 'a t -> string -> 'a option
 (** Lookup; a hit refreshes the entry's recency. *)
 

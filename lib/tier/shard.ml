@@ -45,10 +45,13 @@ let default_breaker_threshold = 3
 
 let default_breaker_cooldown_s = 2.0
 
+let check_max_inflight n =
+  if n < 1 then invalid_arg "Shard: max_inflight must be >= 1"
+
 let make ?(breaker_threshold = default_breaker_threshold)
     ?(breaker_cooldown_s = default_breaker_cooldown_s) name backend
     max_inflight =
-  if max_inflight < 1 then invalid_arg "Shard: max_inflight must be >= 1";
+  check_max_inflight max_inflight;
   { name;
     backend;
     mutex = Mutex.create ();
@@ -138,6 +141,8 @@ let start_process ~socket argv =
     e
 
 let spawn ~name ~socket ?(max_inflight = 64) ?breaker_threshold argv =
+  (* Before the child exists: a rejected bound must not orphan it. *)
+  check_max_inflight max_inflight;
   match start_process ~socket argv with
   | Error _ as e -> e
   | Ok (pid, conn) ->

@@ -48,7 +48,8 @@ val spawn :
     path) as a child process, expecting it to bind and serve [socket];
     waits up to 10 s for the socket to come up.  A stale socket file is
     removed before the child starts.  The breaker cools down for the
-    default 2 s. *)
+    default 2 s.  Raises [Invalid_argument] when [max_inflight] < 1,
+    before starting anything. *)
 
 val name : t -> string
 

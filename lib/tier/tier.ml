@@ -65,6 +65,11 @@ let create ?(router_cache_entries = 512) ?(router_cache_mb = 64)
       if ms <= 0. then
         invalid_arg "Tier.create: call_timeout_ms must be positive")
     call_timeout_ms;
+  let router_cache_bytes =
+    match Lru.bytes_of_mb router_cache_mb with
+    | Ok bytes -> bytes
+    | Error msg -> invalid_arg ("Tier.create: router_cache_mb: " ^ msg)
+  in
   let by_name = Hashtbl.create 8 in
   List.iter (fun s -> Hashtbl.replace by_name (Shard.name s) s) shards;
   let shards =
@@ -80,7 +85,7 @@ let create ?(router_cache_entries = 512) ?(router_cache_mb = 64)
     shards;
     lru =
       Lru.create ~max_entries:router_cache_entries
-        ~max_bytes:(router_cache_mb * 1024 * 1024);
+        ~max_bytes:router_cache_bytes;
     mutex = Mutex.create ();
     timing;
     deadline_ms;

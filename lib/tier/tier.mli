@@ -53,7 +53,8 @@ val create :
     (default 25) base backoff; [hedge_ms] enables hedging;
     [call_timeout_ms] bounds every shard call (also the time an
     injected hang burns).  Raises [Invalid_argument] on non-positive
-    knobs ([retries]/[retry_backoff_ms] may be 0). *)
+    knobs ([retries]/[retry_backoff_ms] may be 0) and on a
+    [router_cache_mb] that {!Lcmm_service.Lru.bytes_of_mb} rejects. *)
 
 val set_chaos : t -> Chaos.t option -> unit
 (** Swap the chaos injector at runtime (the bench resets counters per

@@ -221,26 +221,6 @@ let test_streaming_fifo_gate () =
   Alcotest.(check (list int)) "tight: nothing streams" [] fz.Fusion.streamed;
   Alcotest.(check int) "tight: no FIFO" 0 fz.Fusion.fifo_bytes
 
-let prop_parallel_fusion_deterministic =
-  let gen = QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 8 40)) in
-  Helpers.qtest ~count:25 "fusion with ~pool is byte-identical at 1/2/4/8"
-    gen (fun (seed, nodes) ->
-      let g =
-        Check.Gen.sized_graph ~family:Check.Gen.Mixed
-          (Random.State.make [| 14; seed; nodes |])
-          ~nodes
-      in
-      let digest fz = Dnn_serial.Codec.digest_string (Fusion.fingerprint fz) in
-      let p = plan_for g in
-      let baseline = digest (Fusion.apply p) in
-      List.for_all
-        (fun domains ->
-          let pool = Lcmm.Pool.create ~domains () in
-          Fun.protect
-            ~finally:(fun () -> Lcmm.Pool.shutdown pool)
-            (fun () -> digest (Fusion.apply ~pool p) = baseline))
-        [ 1; 2; 4; 8 ])
-
 let suite =
   [ Alcotest.test_case "whole graph fuses under huge SRAM" `Quick
       test_whole_graph_segment;
@@ -258,5 +238,4 @@ let suite =
     Alcotest.test_case "fusion never slows a plan" `Quick
       test_apply_never_slower;
     Alcotest.test_case "streaming FIFO only when it fits" `Quick
-      test_streaming_fifo_gate;
-    prop_parallel_fusion_deterministic ]
+      test_streaming_fifo_gate ]

@@ -124,6 +124,38 @@ let test_pool_shutdown_rejects () =
     (Invalid_argument "Pool.submit: pool is shut down") (fun () ->
       ignore (Lcmm.Pool.submit pool (fun () -> ())))
 
+(* OCaml 5.1 runs at most 128 domains: a count past 127 workers is
+   refused before any domain is spawned (every count here is rejected,
+   so this test starts none). *)
+let test_pool_domain_bound () =
+  List.iter
+    (fun domains ->
+      Alcotest.check_raises (Printf.sprintf "%d domains" domains)
+        (Invalid_argument "Pool.create: domains must be <= 127") (fun () ->
+          ignore (Lcmm.Pool.create ~domains ())))
+    [ 128; 200; max_int ];
+  Alcotest.check_raises "0 domains"
+    (Invalid_argument "Pool.create: domains must be >= 1") (fun () ->
+      ignore (Lcmm.Pool.create ~domains:0 ()))
+
+(* --cache-mb and --router-cache-mb go through Lru.bytes_of_mb, which
+   refuses every count whose byte product would wrap (8796093022272 MB
+   once wrapped to 64 MiB, 4398046511104 MB to a negative bound). *)
+let test_lru_bytes_of_mb () =
+  let max_mb = max_int / (1024 * 1024) in
+  let message =
+    Printf.sprintf "expected a count of megabytes from 1 to %d" max_mb
+  in
+  Alcotest.(check (result int string)) "64 MB" (Ok (64 * 1024 * 1024))
+    (Svc.Lru.bytes_of_mb 64);
+  Alcotest.(check (result int string)) "largest" (Ok (max_mb * 1024 * 1024))
+    (Svc.Lru.bytes_of_mb max_mb);
+  List.iter
+    (fun mb ->
+      Alcotest.(check (result int string)) (string_of_int mb) (Error message)
+        (Svc.Lru.bytes_of_mb mb))
+    [ min_int; -1; 0; max_mb + 1; 4398046511104; 8796093022272; max_int ]
+
 (* --- Protocol --- *)
 
 let parse_exn line =
@@ -1470,6 +1502,10 @@ let suite =
     Alcotest.test_case "pool parallel map" `Quick test_pool_map;
     Alcotest.test_case "pool exceptions" `Quick test_pool_exceptions;
     Alcotest.test_case "pool shutdown" `Quick test_pool_shutdown_rejects;
+    Alcotest.test_case "pool domain count bounded" `Quick
+      test_pool_domain_bound;
+    Alcotest.test_case "cache megabytes never wrap" `Quick
+      test_lru_bytes_of_mb;
     Alcotest.test_case "protocol parse" `Quick test_protocol_parse;
     Alcotest.test_case "protocol rejects" `Quick test_protocol_rejects;
     Alcotest.test_case "options round-trip" `Quick test_options_roundtrip;

@@ -95,6 +95,28 @@ let test_ring_validation () =
     (Invalid_argument "Ring.create: duplicate shard names") (fun () ->
       ignore (Ring.create [ "a"; "a" ]))
 
+(* Bad knobs are refused before anything runs: [Shard.spawn] checks its
+   gate before starting the child (the program named here does not
+   exist, so a late check would surface as a spawn [Error] instead),
+   and the router cache's megabytes may not wrap to a bogus byte bound. *)
+let test_bad_knobs_rejected_early () =
+  Alcotest.check_raises "max_inflight 0"
+    (Invalid_argument "Shard: max_inflight must be >= 1") (fun () ->
+      ignore
+        (Shard.spawn ~name:"s" ~socket:"unused.sock" ~max_inflight:0
+           [| "/nonexistent/lcmm" |]));
+  let shard = Shard.local ~name:"a" (fun line -> line) in
+  Alcotest.check_raises "router_cache_mb wraps"
+    (Invalid_argument
+       (Printf.sprintf
+          "Tier.create: router_cache_mb: expected a count of megabytes from \
+           1 to %d"
+          (max_int / (1024 * 1024))))
+    (fun () ->
+      ignore
+        (Tier.create ~router_cache_mb:8796093022272
+           ~ring:(Ring.create [ "a" ]) ~shards:[ shard ] ()))
+
 (* --- shard gate and breaker (local backend) --- *)
 
 let ok_line payload =
@@ -856,6 +878,8 @@ let suite =
       `Quick test_ring_successors;
     Alcotest.test_case "ring: rejects empty and duplicate members" `Quick
       test_ring_validation;
+    Alcotest.test_case "tier: bad knobs rejected before anything runs" `Quick
+      test_bad_knobs_rejected_early;
     Alcotest.test_case "shard: in-flight gate sheds, then recovers" `Quick
       test_shard_inflight_gate;
     Alcotest.test_case "shard: breaker opens after repeated failures" `Quick
