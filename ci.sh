@@ -214,16 +214,26 @@ awk -F': ' '/"family"/ { fam = $2 } /"nodes"/ { n = $2 + 0 }
             fam ~ /"mixed"/ && n == 4096 && /"interference_us"/ { seen++; i = $2 + 0 }
             fam ~ /"mixed"/ && n == 4096 && /"splitting_us"/ { seen++; s = $2 + 0 }
             END { exit (seen == 3 && c <= 18000 && i <= 11000 && s <= 130000) ? 0 : 1 }' "$out"
-# The tile DSE sweeps its 180 design points from one per-graph table:
-# within 30 ms on the 1024-node mixed row and 100 ms on the 512-node skip
-# row, where a whole latency profile per design point read ~102 and
-# ~1072 ms.
+# The tile DSE a compile runs (dse_us) is one sweep that scores both
+# design styles from one per-graph table: within 10 ms on the 1024-node
+# mixed row and 15 ms on the 512-node skip row.  It reads 2.1-3.5 and
+# 3.4-5.0 ms there (2-vCPU host).  Two one-style sweeps with a per-tile
+# streaming kernel read ~7-11 and ~42 ms, and a whole latency profile
+# per design point ~102 and ~1072 ms per style.
 awk -F': ' '/"family"/ { fam = $2 } /"nodes"/ { n = $2 + 0 }
             /"dse_us"/ && fam ~ /"mixed"/ && n == 1024 { seen = 1; us = $2 + 0 }
-            END { exit (seen && us <= 30000) ? 0 : 1 }' "$out"
+            END { exit (seen && us <= 10000) ? 0 : 1 }' "$out"
 awk -F': ' '/"family"/ { fam = $2 } /"nodes"/ { n = $2 + 0 }
             /"dse_us"/ && fam ~ /"skip"/ && n == 512 { seen = 1; us = $2 + 0 }
-            END { exit (seen && us <= 100000) ? 0 : 1 }' "$out"
+            END { exit (seen && us <= 15000) ? 0 : 1 }' "$out"
+# The second style must cost a fraction of a sweep, whatever the host:
+# on the 1024-node mixed row, the both-styles sweep stays within 1.5x
+# the LCMM-only one (dse_lcmm_us, the runtime's call).  One shared sweep
+# reads 1.1-1.3; two separate sweeps read about 2.0.
+awk -F': ' '/"family"/ { fam = $2 } /"nodes"/ { n = $2 + 0 }
+            fam ~ /"mixed"/ && n == 1024 && /"dse_us"/ { seen++; both = $2 + 0 }
+            fam ~ /"mixed"/ && n == 1024 && /"dse_lcmm_us"/ { seen++; one = $2 + 0 }
+            END { exit (seen == 2 && one > 0 && both <= 1.5 * one) ? 0 : 1 }' "$out"
 # One schedule search on the squeezenet!x2 + inception_v4 x2 priority
 # mix (9 candidates, one exact engine run each), best of 50, must stay
 # within 31x the time of simulating its four plans alone with Sim.Engine

@@ -4,6 +4,8 @@ type result = {
   resources : Fpga.Resource.t;
 }
 
+type designs = { umm : result; lcmm : result }
+
 let candidate_tiles () =
   List.concat_map
     (fun tm ->
@@ -13,50 +15,99 @@ let candidate_tiles () =
         [ 16; 32; 64 ])
     [ 16; 32; 64 ]
 
-let run ?(device = Fpga.Device.vu9p) ~style dtype g =
+(* Large parts close timing with the full 83 % DSP budget; smaller parts
+   (or LUT-hungry precisions) need a smaller array, so the sweep also
+   descends the DSP-budget ladder. *)
+let dsp_fractions = [ 0.83; 0.6; 0.4; 0.25; 0.12 ]
+
+let better dtype a b =
+  if a.umm_latency < b.umm_latency then a
+  else if b.umm_latency < a.umm_latency then b
+  else if
+    Tiling.buffer_bytes dtype a.config.Config.tile
+    <= Tiling.buffer_bytes dtype b.config.Config.tile
+  then a
+  else b
+
+(* The one sweep: the best design point of each of [styles].  The styles
+   differ only in their clock, so the fit of a (DSP fraction, tile)
+   candidate and a node's streaming time on a tile (tile, bandwidth, burst
+   overhead) are shared: one fit check per candidate and one streaming
+   sweep over the tiles with a fitting candidate.  Only the compute times
+   (PE array and clock), swept once per fraction that has a fitting
+   candidate, and the folds are per style.  Candidates are folded in grid
+   order, fractions outer and tiles inner, so each style's choice and
+   tie-break are those of a sweep run for it alone. *)
+let sweep ~device styles dtype g =
   let tiles = Array.of_list (candidate_tiles ()) in
   let table = Latency.table dtype ~fused_eltwise:false g in
-  (* A node's compute time depends only on the PE array (one per DSP
-     fraction) and its streaming time only on the tile, so each is swept
-     once and every candidate is a fold over the two.  A tile is swept the
-     first time one of its candidates fits. *)
-  let streaming = Array.make (Array.length tiles) None in
-  let streaming_of i cfg =
-    match streaming.(i) with
-    | Some s -> s
-    | None ->
-      let s = Latency.streaming_times cfg table in
-      streaming.(i) <- Some s;
-      s
+  (* Per DSP fraction: each style's design, and each tile's resources when
+     its candidate fits the device. *)
+  let fractions =
+    List.map
+      (fun dsp_fraction ->
+        let bases =
+          Array.map
+            (fun style -> Config.make ~device ~dsp_fraction ~style dtype)
+            styles
+        in
+        let fit tile =
+          let r = Config.compute_resources { bases.(0) with Config.tile } in
+          if Fpga.Resource.fits r ~within:device.Fpga.Device.total then Some r
+          else None
+        in
+        (bases, Array.map fit tiles))
+      dsp_fractions
   in
-  (* Large parts close timing with the full 83 % DSP budget; smaller parts
-     (or LUT-hungry precisions) need a smaller array, so the sweep also
-     descends the DSP-budget ladder. *)
-  let evaluate_fraction dsp_fraction =
-    let base = Config.make ~device ~dsp_fraction ~style dtype in
-    let compute = lazy (Latency.compute_times base table) in
-    List.init (Array.length tiles) (fun i ->
-        let cfg = { base with Config.tile = tiles.(i) } in
-        let resources = Config.compute_resources cfg in
-        if not (Fpga.Resource.fits resources ~within:device.Fpga.Device.total)
-        then None
-        else
-          let umm_latency =
-            Latency.umm_total_of_times ~compute:(Lazy.force compute)
-              ~streaming:(streaming_of i cfg)
-          in
-          Some { config = cfg; umm_latency; resources })
-    |> List.filter_map Fun.id
+  let swept =
+    List.filter
+      (fun i -> List.exists (fun (_, fit) -> Option.is_some fit.(i)) fractions)
+      (List.init (Array.length tiles) Fun.id)
   in
-  let better a b =
-    if a.umm_latency < b.umm_latency then a
-    else if b.umm_latency < a.umm_latency then b
-    else if
-      Tiling.buffer_bytes dtype a.config.Config.tile
-      <= Tiling.buffer_bytes dtype b.config.Config.tile
-    then a
-    else b
+  let streaming =
+    Latency.streaming_times (Config.make ~device ~style:styles.(0) dtype) table
+      (Array.of_list (List.map (Array.get tiles) swept))
   in
-  match List.concat_map evaluate_fraction [ 0.83; 0.6; 0.4; 0.25; 0.12 ] with
-  | [] -> invalid_arg "Dse.run: no tile configuration fits the device"
-  | first :: rest -> List.fold_left better first rest
+  let row = Array.make (Array.length tiles) (-1) in
+  List.iteri (fun r i -> row.(i) <- r) swept;
+  let best = Array.make (Array.length styles) None in
+  let fold s base compute i tile = function
+    | None -> ()
+    | Some resources -> (
+      let streaming = streaming.(row.(i)) in
+      let candidate umm_latency =
+        { config = { base with Config.tile }; umm_latency; resources }
+      in
+      match best.(s) with
+      | None ->
+        best.(s) <- Some (candidate (Latency.umm_total_of_times ~compute ~streaming))
+      | Some b ->
+        (* A fold that passes the best total can neither win nor tie, so
+           it stops there. *)
+        let total =
+          Latency.umm_total_until ~bound:b.umm_latency ~compute ~streaming
+        in
+        if not (total > b.umm_latency) then
+          best.(s) <- Some (better dtype b (candidate total)))
+  in
+  List.iter
+    (fun (bases, fit) ->
+      if Array.exists Option.is_some fit then
+        Array.iteri
+          (fun s base ->
+            let compute = Latency.compute_times base table in
+            Array.iteri (fun i tile -> fold s base compute i tile fit.(i)) tiles)
+          bases)
+    fractions;
+  Array.map
+    (function
+      | Some r -> r
+      | None -> invalid_arg "Dse.run: no tile configuration fits the device")
+    best
+
+let run ?(device = Fpga.Device.vu9p) ~style dtype g =
+  (sweep ~device [| style |] dtype g).(0)
+
+let run_both ?(device = Fpga.Device.vu9p) dtype g =
+  let best = sweep ~device [| Config.Umm; Config.Lcmm |] dtype g in
+  { umm = best.(0); lcmm = best.(1) }

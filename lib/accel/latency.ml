@@ -158,12 +158,13 @@ let check_table cfg t =
 
 (* Monomorphic [Stdlib.max]: the same selection, without the polymorphic
    comparison. *)
-let fmax (a : float) b = if a >= b then a else b
+let[@inline] fmax (a : float) b = if a >= b then a else b
 
 (* Double buffering overlaps compute with the three streaming interfaces. *)
-let streaming ~if_time ~wt_time ~of_time = fmax if_time (fmax wt_time of_time)
+let[@inline] streaming ~if_time ~wt_time ~of_time =
+  fmax if_time (fmax wt_time of_time)
 
-let overlap latc stream = fmax latc stream
+let[@inline] overlap latc stream = fmax latc stream
 
 (* Compute seconds for one node on this design. *)
 let latc cfg n =
@@ -177,13 +178,15 @@ let latc cfg n =
   in
   float_of_int cycles /. (cfg.Config.freq_mhz *. 1e6)
 
+let[@inline] ceil_div a b = (a + b - 1) / b
+
 let trips tile = function
   | Conv_dims { out_channels; out_h; out_w; kernel; _ } ->
     Tiling.trips tile ~out_channels ~out_h ~out_w ~kernel
   | Dense_dims out_features ->
     (* Output-channel groups of the dense layer; weights stream once. *)
-    let nm = (out_features + tile.Tiling.tm - 1) / tile.Tiling.tm in
-    { Tiling.if_trips = nm; wt_trips = 1; halo = 1.0 }
+    { Tiling.if_trips = ceil_div out_features tile.Tiling.tm; wt_trips = 1;
+      halo = 1.0 }
   | Conv_flat | Flat -> { Tiling.if_trips = 1; wt_trips = 1; halo = 1.0 }
 
 (* DDR transaction counts per interface for the node's outer tile loops. *)
@@ -193,36 +196,36 @@ let transactions tile = function
   | Conv_dims { in_channels = None; _ } | Conv_flat ->
     { Tiling.if_txn = 1; wt_txn = 1; of_txn = 1 }
   | Dense_dims out_features ->
-    let nm = (out_features + tile.Tiling.tm - 1) / tile.Tiling.tm in
+    let nm = ceil_div out_features tile.Tiling.tm in
     { Tiling.if_txn = nm; wt_txn = nm; of_txn = 1 }
   | Flat -> { Tiling.if_txn = 1; wt_txn = 0; of_txn = 1 }
 
+(* A transfer term is a quotient, its bytes over the interface bandwidth,
+   plus the overhead of its DDR transactions.  The helpers take plain
+   numbers and are inlined, so the sweep kernel below calls them without
+   allocating, and can compute a quotient once for every tile that shares
+   it. *)
+
+let[@inline] quotient ~bw bytes = float_of_int bytes /. bw
+
+(* The weight or output term of an interface moving [bytes] (before tile
+   reloads) in [txn] transactions; 0. when it moves nothing. *)
+let[@inline] term ~ovh ~txn ~bytes quotient =
+  if bytes = 0 then 0. else quotient +. (float_of_int txn *. ovh)
+
 (* Tile-load overhead of the input interface, split across the node's
-   source values (convs read one value; element-wise nodes read each of
-   theirs in one streaming pass). *)
-let if_ovh_each ~ovh txn n =
-  match Array.length n.sources with
-  | 0 -> 0.
-  | count -> float_of_int txn.Tiling.if_txn *. ovh /. float_of_int count
+   [count] source values (convs read one value; element-wise nodes read
+   each of theirs in one streaming pass). *)
+let[@inline] if_ovh_each ~ovh ~if_txn count =
+  if count = 0 then 0. else float_of_int if_txn *. ovh /. float_of_int count
 
-let if_stream_bytes trips bytes =
-  int_of_float (float_of_int (bytes * trips.Tiling.if_trips) *. trips.Tiling.halo)
+let[@inline] if_stream_bytes ~if_trips ~halo bytes =
+  int_of_float (float_of_int (bytes * if_trips) *. halo)
 
-let if_term ~bw ~ovh_each streamed_bytes =
-  (float_of_int streamed_bytes /. bw) +. ovh_each
-
-let wt_term ~bw ~ovh trips txn n =
-  if n.wt_bytes = 0 then 0.
-  else
-    float_of_int (n.wt_bytes * trips.Tiling.wt_trips) /. bw
-    +. (float_of_int txn.Tiling.wt_txn *. ovh)
+let[@inline] if_term ~ovh_each quotient = quotient +. ovh_each
 
 let wt_load_once ~bw ~ovh n =
-  if n.wt_bytes = 0 then 0. else (float_of_int n.wt_bytes /. bw) +. ovh
-
-let of_term ~bw ~ovh txn n =
-  if n.of_bytes = 0 then 0.
-  else (float_of_int n.of_bytes /. bw) +. (float_of_int txn.Tiling.of_txn *. ovh)
+  if n.wt_bytes = 0 then 0. else quotient ~bw n.wt_bytes +. ovh
 
 (* --- The table's two consumers: per-node profiles and design sweeps. --- *)
 
@@ -234,24 +237,27 @@ let profile_of cfg ~bw n id =
       wt_stream_bytes = 0; wt_once_bytes = 0; of_stream_bytes = 0 }
   else
     let tile = cfg.Config.tile and ovh = cfg.Config.burst_overhead in
-    let trips = trips tile n.dims and txn = transactions tile n.dims in
-    let ovh_each = if_ovh_each ~ovh txn n in
+    let { Tiling.if_trips; wt_trips; halo } = trips tile n.dims in
+    let { Tiling.if_txn; wt_txn; of_txn } = transactions tile n.dims in
     let k = Array.length n.sources in
+    let ovh_each = if_ovh_each ~ovh ~if_txn k in
     let if_bytes = Array.make k 0 and if_secs = Array.create_float k in
     for j = 0 to k - 1 do
-      let bytes = if_stream_bytes trips n.value_bytes.(n.sources.(j)) in
+      let bytes = if_stream_bytes ~if_trips ~halo n.value_bytes.(n.sources.(j)) in
       if_bytes.(j) <- bytes;
-      if_secs.(j) <- if_term ~bw ~ovh_each bytes
+      if_secs.(j) <- if_term ~ovh_each (quotient ~bw bytes)
     done;
     { node_id = id; latc;
       if_values = n.sources;
       if_secs;
       if_bytes;
-      wt_term = wt_term ~bw ~ovh trips txn n;
+      wt_term =
+        term ~ovh ~txn:wt_txn ~bytes:n.wt_bytes
+          (quotient ~bw (n.wt_bytes * wt_trips));
       wt_load_once = wt_load_once ~bw ~ovh n;
-      of_term = of_term ~bw ~ovh txn n;
+      of_term = term ~ovh ~txn:of_txn ~bytes:n.of_bytes (quotient ~bw n.of_bytes);
       of_value = n.of_value;
-      wt_stream_bytes = n.wt_bytes * trips.Tiling.wt_trips;
+      wt_stream_bytes = n.wt_bytes * wt_trips;
       wt_once_bytes = n.wt_bytes;
       of_stream_bytes = n.of_bytes }
 
@@ -267,33 +273,169 @@ let compute_times cfg t =
   check_table cfg t;
   Array.map (latc cfg) t.inputs
 
-(* UMM streaming time of one node: every source, the weights and the
-   write-back go to DDR.  The source terms fold in source order from 0.,
-   as [umm_node_latency] folds them. *)
-let umm_streaming_time ~bw ~ovh tile n =
-  if not n.transfers then 0.
-  else
-    let trips = trips tile n.dims and txn = transactions tile n.dims in
-    let ovh_each = if_ovh_each ~ovh txn n in
-    let if_time = ref 0. in
-    for j = 0 to Array.length n.sources - 1 do
-      let bytes = n.value_bytes.(n.sources.(j)) in
-      if_time := !if_time +. if_term ~bw ~ovh_each (if_stream_bytes trips bytes)
-    done;
-    streaming ~if_time:!if_time ~wt_time:(wt_term ~bw ~ovh trips txn n)
-      ~of_time:(of_term ~bw ~ovh txn n)
+(* Distinct values of one tile dimension over [tiles], ascending, and each
+   tile's index among them. *)
+let dim_index dim tiles =
+  let values =
+    Array.of_list
+      (List.sort_uniq Int.compare (List.map dim (Array.to_list tiles)))
+  in
+  let rec find v i = if values.(i) = v then i else find v (i + 1) in
+  (values, Array.map (fun tile -> find (dim tile) 0) tiles)
 
-let streaming_times cfg t =
+(* Each count: [extent] divided, rounding up, by the matching tile size. *)
+let divide_into counts extent sizes =
+  for a = 0 to Array.length sizes - 1 do
+    counts.(a) <- ceil_div extent sizes.(a)
+  done
+
+(* UMM streaming seconds of every node on each tile: every source, the
+   weights and the write-back go to DDR.  This is the DSE's inner loop.
+
+   - A node's trip counts are divided once per distinct tile dimension
+     (the grid has 3 tm, 3 tn and 4 spatial values for its 36 tiles), and
+     a tile's loop counts combine them as [trips] and [transactions]
+     would, with their arithmetic.
+   - The quotients depend on the tile only through tm, th and tw: the
+     input trips and the halo for the sources, the spatial tiles for the
+     weights, none for the output.  So they are computed once per node and
+     (tm, th, tw) group, and a group whose input trips and halo equal an
+     earlier one's reads that group's source quotients.  The tiles that
+     differ in tn only add their overheads and fold.
+   - Nothing is allocated per node or tile: the counts live in scratch
+     arrays and locals, and the terms are the inlined helpers above.
+
+   Each source term is [quotient +. ovh_each] folded in source order from
+   0., as [profile_of] and [umm_node_latency] compute and fold it. *)
+let streaming_times cfg t tiles =
   check_table cfg t;
   let bw = Config.interface_bandwidth cfg and ovh = cfg.Config.burst_overhead in
-  Array.map (umm_streaming_time ~bw ~ovh cfg.Config.tile) t.inputs
+  let tms, tm_of = dim_index (fun x -> x.Tiling.tm) tiles in
+  let tns, tn_of = dim_index (fun x -> x.Tiling.tn) tiles in
+  let ths, th_of = dim_index (fun x -> x.Tiling.th) tiles in
+  let tws, tw_of = dim_index (fun x -> x.Tiling.tw) tiles in
+  let counts sizes = Array.make (Array.length sizes) 1 in
+  let nm = counts tms and nc = counts tns and nh = counts ths and nw = counts tws in
+  let group_of =
+    Array.init (Array.length tiles) (fun i ->
+        (((tm_of.(i) * Array.length ths) + th_of.(i)) * Array.length tws)
+        + tw_of.(i))
+  in
+  let groups = Array.length tms * Array.length ths * Array.length tws in
+  let inputs = t.inputs in
+  let max_sources =
+    Array.fold_left (fun m n -> max m (Array.length n.sources)) 0 inputs
+  in
+  (* Group [g] holds node [filled.(g)]'s input trips, halo and weight
+     quotient, and its source quotients start at [first.(g)]; [order]
+     lists the node's groups in the order they were filled. *)
+  let filled = Array.make groups (-1) and order = Array.make groups 0 in
+  let g_trips = Array.make groups 0 and first = Array.make groups 0 in
+  let g_halo = Array.create_float groups and g_wt = Array.create_float groups in
+  let quotients = Array.create_float (groups * max_sources) in
+  let times = Array.map (fun _ -> Array.make (Array.length inputs) 0.) tiles in
+  for id = 0 to Array.length inputs - 1 do
+    let n = inputs.(id) in
+    if n.transfers then begin
+      (match n.dims with
+       | Conv_dims { out_channels; out_h; out_w; in_channels; _ } ->
+         divide_into nm out_channels tms;
+         divide_into nh out_h ths;
+         divide_into nw out_w tws;
+         (match in_channels with
+          | Some c -> divide_into nc c tns
+          | None -> ())
+       | Dense_dims out_features -> divide_into nm out_features tms
+       | Conv_flat | Flat -> ());
+      let sources = n.sources in
+      let k = Array.length sources in
+      let of_quotient = quotient ~bw n.of_bytes in
+      let fills = ref 0 in
+      for i = 0 to Array.length tiles - 1 do
+        (* Input trips, weight trips and the three transaction counts. *)
+        let if_trips = ref 1 and wt_trips = ref 1 in
+        let if_txn = ref 1 and wt_txn = ref 1 and of_txn = ref 1 in
+        (match n.dims with
+         | Conv_dims { in_channels; _ } ->
+           let m = nm.(tm_of.(i)) and nsp = nh.(th_of.(i)) * nw.(tw_of.(i)) in
+           if_trips := m;
+           wt_trips := nsp;
+           (match in_channels with
+            | Some _ ->
+              let loads = m * nsp * nc.(tn_of.(i)) in
+              if_txn := loads;
+              wt_txn := loads;
+              of_txn := m * nsp
+            | None -> ())
+         | Dense_dims _ ->
+           let m = nm.(tm_of.(i)) in
+           if_trips := m;
+           if_txn := m;
+           wt_txn := m
+         | Conv_flat -> ()
+         | Flat -> wt_txn := 0);
+        let g = group_of.(i) in
+        if filled.(g) <> id then begin
+          filled.(g) <- id;
+          let halo =
+            match n.dims with
+            | Conv_dims { out_h; out_w; kernel = (kh, kw); _ }
+              when !wt_trips <> 1 ->
+              let th = ths.(th_of.(i)) and tw = tws.(tw_of.(i)) in
+              let eff_h = if th <= out_h then th else out_h
+              and eff_w = if tw <= out_w then tw else out_w in
+              float_of_int ((eff_h + kh - 1) * (eff_w + kw - 1))
+              /. float_of_int (eff_h * eff_w)
+            | Conv_dims _ | Dense_dims _ | Conv_flat | Flat -> 1.0
+          in
+          g_trips.(g) <- !if_trips;
+          g_halo.(g) <- halo;
+          g_wt.(g) <- quotient ~bw (n.wt_bytes * !wt_trips);
+          first.(g) <- g * max_sources;
+          let fresh = ref true in
+          for f = 0 to !fills - 1 do
+            let h = order.(f) in
+            if !fresh && g_trips.(h) = !if_trips && g_halo.(h) = halo then begin
+              first.(g) <- first.(h);
+              fresh := false
+            end
+          done;
+          if !fresh then begin
+            let base = first.(g) in
+            for j = 0 to k - 1 do
+              let bytes = n.value_bytes.(sources.(j)) in
+              quotients.(base + j) <-
+                quotient ~bw (if_stream_bytes ~if_trips:!if_trips ~halo bytes)
+            done
+          end;
+          order.(!fills) <- g;
+          incr fills
+        end;
+        let base = first.(g) in
+        let ovh_each = if_ovh_each ~ovh ~if_txn:!if_txn k in
+        let if_time = ref 0. in
+        for j = 0 to k - 1 do
+          if_time := !if_time +. if_term ~ovh_each quotients.(base + j)
+        done;
+        times.(i).(id) <-
+          streaming ~if_time:!if_time
+            ~wt_time:(term ~ovh ~txn:!wt_txn ~bytes:n.wt_bytes g_wt.(g))
+            ~of_time:(term ~ovh ~txn:!of_txn ~bytes:n.of_bytes of_quotient)
+      done
+    end
+  done;
+  times
 
-let umm_total_of_times ~compute ~streaming:stream =
-  let acc = ref 0. in
-  for i = 0 to Array.length compute - 1 do
-    acc := !acc +. overlap compute.(i) stream.(i)
+let umm_total_until ~bound ~compute ~streaming:stream =
+  let acc = ref 0. and i = ref 0 in
+  while !i < Array.length compute && not (!acc > bound) do
+    acc := !acc +. overlap compute.(!i) stream.(!i);
+    incr i
   done;
   !acc
+
+let umm_total_of_times ~compute ~streaming =
+  umm_total_until ~bound:infinity ~compute ~streaming
 
 let umm_node_latency p =
   let if_time = ref 0. in

@@ -43,8 +43,11 @@ val profile_graph : Config.t -> Dnn_graph.Graph.t -> profile array
     the PE array and clock, the streaming time only on the tile, the
     bandwidth and the burst overhead.  A sweep over design points
     therefore compiles the graph's design-independent inputs once and
-    evaluates each half per distinct parameter set.  Both halves use the
-    arithmetic {!profile_graph} uses, so the totals are bit-identical to
+    evaluates each half per distinct parameter set: the DSE
+    ({!Dse.run_both}) runs one {!streaming_times} over every tile it
+    keeps, whatever the number of styles, and one {!compute_times} per PE
+    array and clock.  Both halves use the arithmetic {!profile_graph}
+    uses, so the totals are bit-identical to
     [umm_total (profile_graph cfg g)]. *)
 
 type table
@@ -58,14 +61,25 @@ val compute_times : Config.t -> table -> float array
     Raises [Invalid_argument] when the config's dtype or fusion setting
     is not the table's. *)
 
-val streaming_times : Config.t -> table -> float array
-(** Each node's UMM streaming seconds (the slowest of its input, weight
-    and output interfaces) on the config's tile, bandwidth and burst
-    overhead.  Raises like {!compute_times}. *)
+val streaming_times : Config.t -> table -> Tiling.t array -> float array array
+(** [streaming_times cfg t tiles] holds, per tile, each node's UMM
+    streaming seconds (the slowest of its input, weight and output
+    interfaces) on [{ cfg with tile }]: the tile comes from [tiles], the
+    bandwidth and burst overhead from [cfg], whose own tile is not read.
+    Sweeping the tiles together shares a node's trip-count divisions per
+    distinct tile dimension and its per-source quotients per (tm, th, tw),
+    and allocates nothing per node.  Raises like {!compute_times}. *)
 
 val umm_total_of_times : compute:float array -> streaming:float array -> float
-(** Whole-network UMM latency from the two sweeps, summed in node order:
-    equal, bit for bit, to [umm_total] of the matching profiles. *)
+(** Whole-network UMM latency from the two sweeps (one tile's row of
+    {!streaming_times}), summed in node order: equal, bit for bit, to
+    [umm_total] of the matching profiles. *)
+
+val umm_total_until :
+  bound:float -> compute:float array -> streaming:float array -> float
+(** {!umm_total_of_times}, stopped once the partial sum exceeds [bound].
+    Every node adds a term [>= 0], so a result [<= bound] is the exact
+    total and a result [> bound] means the total exceeds [bound] too. *)
 
 val umm_node_latency : profile -> float
 (** Eq. 1 for one node with everything streamed from DDR:

@@ -578,8 +578,9 @@ type comparison = {
 }
 
 let compare_designs ?options ?(device = Fpga.Device.vu9p) ~model dtype g =
-  let umm_dse = Accel.Dse.run ~device ~style:Config.Umm dtype g in
-  let lcmm_dse = Accel.Dse.run ~device ~style:Config.Lcmm dtype g in
+  let { Accel.Dse.umm = umm_dse; lcmm = lcmm_dse } =
+    Accel.Dse.run_both ~device dtype g
+  in
   let lcmm_plan = plan ?options lcmm_dse.Accel.Dse.config g in
   let umm =
     report ~style_name:"UMM" device umm_dse.Accel.Dse.config g

@@ -198,8 +198,8 @@ val compare_designs :
   ?options:options -> ?device:Fpga.Device.t -> model:string ->
   Tensor.Dtype.t -> Dnn_graph.Graph.t -> comparison
 (** The paper's Table 1 experiment for one (model, precision) pair: DSE a
-    UMM baseline and an LCMM design, run the framework on the latter and
-    report both. *)
+    UMM baseline and an LCMM design (one {!Accel.Dse.run_both} sweep), run
+    the framework on the latter and report both. *)
 
 val report_of_plan : style_name:string -> Dnn_graph.Graph.t -> plan -> design_report
 

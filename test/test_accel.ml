@@ -202,11 +202,8 @@ let reference_dse ~device ~style dtype g =
 
 let test_dse_bit_exact () =
   let outcome f = match f () with r -> Ok r | exception Invalid_argument m -> Error m in
-  let check_case label ~device ~style dtype g =
-    match
-      ( outcome (fun () -> reference_dse ~device ~style dtype g),
-        outcome (fun () -> Accel.Dse.run ~device ~style dtype g) )
-    with
+  let check_outcome label g want got =
+    match (want, got) with
     | Ok want, Ok got ->
       let open Accel.Dse in
       Alcotest.(check bool) (label ^ ": config") true (want.config = got.config);
@@ -225,21 +222,30 @@ let test_dse_bit_exact () =
     | Ok _, Error m -> Alcotest.failf "%s: sweep raised %s" label m
     | Error m, Ok _ -> Alcotest.failf "%s: reference raised %s" label m
   in
+  (* Each style's one-style sweep and its field of the both-styles sweep
+     match the per-point reference. *)
+  let check_case label ~device dtype g =
+    let both = outcome (fun () -> Accel.Dse.run_both ~device dtype g) in
+    List.iter
+      (fun (style, name, field) ->
+        let label = Printf.sprintf "%s %s" label name in
+        let want = outcome (fun () -> reference_dse ~device ~style dtype g) in
+        check_outcome label g want
+          (outcome (fun () -> Accel.Dse.run ~device ~style dtype g));
+        check_outcome (label ^ " (both)") g want (Result.map field both))
+      [ (Config.Umm, "umm", fun (d : Accel.Dse.designs) -> d.Accel.Dse.umm);
+        (Config.Lcmm, "lcmm", fun d -> d.Accel.Dse.lcmm) ]
+  in
   let dtypes = [ Dtype.I8; Dtype.I16; Dtype.F32 ] in
-  let styles = [ Config.Umm; Config.Lcmm ] in
   let each_design label ~devices g =
     List.iter
       (fun device ->
         List.iter
           (fun dtype ->
-            List.iter
-              (fun style ->
-                check_case
-                  (Printf.sprintf "%s %s %s %s" label device.Fpga.Device.device_name
-                     (Dtype.to_string dtype)
-                     (match style with Config.Umm -> "umm" | Config.Lcmm -> "lcmm"))
-                  ~device ~style dtype g)
-              styles)
+            check_case
+              (Printf.sprintf "%s %s %s" label device.Fpga.Device.device_name
+                 (Dtype.to_string dtype))
+              ~device dtype g)
           dtypes)
       devices
   in
@@ -260,7 +266,12 @@ let test_dse_bit_exact () =
             ~devices:[ Fpga.Device.vu9p ]
             (Check.Gen.sized_graph ~family st ~nodes))
         (match family with Check.Gen.Skip -> [ 48; 160 ] | _ -> [ 64; 400 ]))
-    Check.Gen.families
+    Check.Gen.families;
+  (* Long source lists: the quotients the streaming sweep shares per
+     (tm, th, tw) group. *)
+  check_case "skip-512 vu9p i16" ~device:Fpga.Device.vu9p Dtype.I16
+    (Check.Gen.sized_graph ~family:Check.Gen.Skip
+       (Random.State.make [| 2026; 512 |]) ~nodes:512)
 
 let test_fused_eltwise () =
   let g = Helpers.diamond () in
@@ -293,6 +304,52 @@ let prop_umm_upper_bound =
       let all_on = Lcmm.Metric.total_latency_on m (all_on_mark m) in
       all_on <= umm +. 1e-12)
 
+(* The sweep kernel against the per-node profiles, on tiles off the DSE
+   grid too: sizes from 1 to 128 (many larger than the maps), several per
+   sweep, both fusion settings.  Most dimensions come from a short list,
+   so tiles of one sweep often share some of them and with them a group's
+   quotients. *)
+let prop_sweep_matches_profiles =
+  let dim =
+    QCheck2.Gen.(
+      frequency
+        [ (1, int_range 1 128);
+          (3, oneofl [ 1; 3; 7; 8; 14; 16; 28; 64; 128 ]) ])
+  in
+  let tile_gen =
+    QCheck2.Gen.(
+      map
+        (fun (tm, tn, th, tw) -> Tiling.make ~tm ~tn ~th ~tw)
+        (quad dim dim dim dim))
+  in
+  Helpers.qtest ~count:60 "sweep kernel matches profiles"
+    QCheck2.Gen.(
+      quad (int_range 0 1_000_000) (int_range 1 40) bool
+        (list_size (int_range 1 10) tile_gen))
+    (fun (seed, max_nodes, fused_eltwise, tiles) ->
+      let g = Check.Gen.graph (Random.State.make [| seed |]) ~max_nodes in
+      let cfg = Config.make ~fused_eltwise ~style:Config.Lcmm Dtype.I16 in
+      let table = Latency.table Dtype.I16 ~fused_eltwise g in
+      let compute = Latency.compute_times cfg table in
+      let rows = Latency.streaming_times cfg table (Array.of_list tiles) in
+      List.for_all2
+        (fun tile streaming ->
+          let profiles = Latency.profile_graph { cfg with Config.tile } g in
+          let total = Latency.umm_total_of_times ~compute ~streaming in
+          let bits = Int64.bits_of_float in
+          let until bound = Latency.umm_total_until ~bound ~compute ~streaming in
+          bits total = bits (Latency.umm_total profiles)
+          && Array.for_all2
+               (fun p s ->
+                 bits (Latency.umm_node_latency p)
+                 = bits (Float.max p.Latency.latc s))
+               profiles streaming
+          (* A bound the total reaches runs the whole fold; half of it
+             stops the fold past the bound. *)
+          && bits (until total) = bits total
+          && (until (total *. 0.5) > total *. 0.5 || total = 0.))
+        tiles (Array.to_list rows))
+
 let suite =
   [ Alcotest.test_case "pe basics" `Quick test_pe_basics;
     Alcotest.test_case "pe cycles" `Quick test_pe_cycles;
@@ -308,4 +365,5 @@ let suite =
     Alcotest.test_case "dse" `Quick test_dse;
     Alcotest.test_case "dse sweep bit-exact" `Quick test_dse_bit_exact;
     Alcotest.test_case "fused eltwise" `Quick test_fused_eltwise;
-    prop_umm_upper_bound ]
+    prop_umm_upper_bound;
+    prop_sweep_matches_profiles ]
