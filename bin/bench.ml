@@ -637,71 +637,6 @@ let schedule_experiment () =
     " by the linear stem in all six models; the area shows the reordering.)\n" 
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one per experiment's computational core. *)
-
-let micro () =
-  header "Bechamel micro-benchmarks of the framework kernels";
-  let open Bechamel in
-  let g = Models.Zoo.build "googlenet" in
-  let dtype = Tensor.Dtype.I16 in
-  let cfg = Accel.Config.make ~style:Accel.Config.Lcmm dtype in
-  let profiles = Accel.Latency.profile_graph cfg g in
-  let metric = Metric.build g profiles in
-  let items = Array.of_list (Metric.eligible_items metric ~memory_bound_only:true) in
-  let sizes = Array.map (Metric.item_size_bytes dtype metric) items in
-  let intervals =
-    Array.map (Lcmm.Liveness.item_interval g ~prefetch_source:(fun _ -> None)) items
-  in
-  let interference = Lcmm.Interference.build ~items ~intervals () in
-  let vbufs = Lcmm.Coloring.color interference ~sizes in
-  let capacity_bytes = Accel.Config.sram_budget_bytes cfg in
-  let plan = F.plan cfg g in
-  let on_chip = plan.F.allocation.Dnnk.on_chip in
-  let tests =
-    [ Test.make ~name:"fig2a:roofline-points"
-        (Staged.stage (fun () -> ignore (Accel.Roofline.points cfg g)));
-      Test.make ~name:"table1:latency-profile"
-        (Staged.stage (fun () -> ignore (Accel.Latency.profile_graph cfg g)));
-      Test.make ~name:"table1:dnnk-allocate"
-        (Staged.stage (fun () -> ignore (Dnnk.allocate metric ~capacity_bytes vbufs)));
-      Test.make ~name:"table2:coloring"
-        (Staged.stage (fun () -> ignore (Lcmm.Coloring.color interference ~sizes)));
-      Test.make ~name:"fig8:simulate"
-        (Staged.stage (fun () ->
-             ignore
-               (Sim.Engine.simulate ?prefetch:plan.F.prefetch metric ~on_chip)));
-      Test.make ~name:"fig2b:subset-eval"
-        (Staged.stage (fun () -> ignore (Metric.total_latency metric ~on_chip)));
-      Test.make ~name:"table3:policy-greedy"
-        (Staged.stage (fun () ->
-             ignore
-               (Lcmm.Policies.run metric ~dtype ~capacity_bytes vbufs
-                  Lcmm.Policies.Greedy))) ]
-  in
-  let cfg_b = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let raw =
-    Benchmark.all cfg_b
-      Toolkit.Instance.[ monotonic_clock ]
-      (Test.make_grouped ~name:"lcmm" tests)
-  in
-  let results =
-    Analyze.all
-      (Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock raw
-  in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  List.iter
-    (fun (name, ols) ->
-      match Analyze.OLS.estimates ols with
-      | Some [ t ] ->
-        Printf.printf "%-34s %12.1f us/run (r2=%s)\n" name (t /. 1e3)
-          (match Analyze.OLS.r_square ols with
-          | Some r -> Printf.sprintf "%.3f" r
-          | None -> "-")
-      | Some _ | None -> Printf.printf "%-34s (no estimate)\n" name)
-    (List.sort compare rows)
-
-(* ------------------------------------------------------------------ *)
 
 let zoo () =
   header "Zoo sweep: UMM vs LCMM across all thirteen models (16-bit)";
@@ -1644,7 +1579,7 @@ let experiments =
     ("fig2b", Table fig2b); ("ablation", Table ablation);
     ("energy", Table energy); ("sensitivity", Table sensitivity);
     ("schedule", Table schedule_experiment); ("zoo", Table zoo);
-    ("micro", Table micro); ("runtime", Document runtime_experiment);
+    ("runtime", Document runtime_experiment);
     ("faults", Document faults_experiment); ("perf", Document perf_experiment);
     ("serve", Document serve); ("chaos", Document chaos);
     ("fusion", Document fusion) ]

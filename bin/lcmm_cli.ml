@@ -492,18 +492,21 @@ let runtime_cmd =
       & opt (some string) None
       & info [ "t"; "tenants" ] ~docv:"MIX" ~doc)
   in
-  let policy_conv ~what ~known of_string to_string =
+  let policy_conv ~what ~all of_string to_string =
     let parse s =
       match of_string s with
       | Some p -> Ok p
       | None ->
-        Error (`Msg (Printf.sprintf "unknown %s %S (known: %s)" what s known))
+        Error
+          (`Msg
+            (Printf.sprintf "unknown %s %S (known: %s)" what s
+               (String.concat ", " (List.map to_string all))))
     in
     Arg.conv (parse, fun ppf p -> Format.pp_print_string ppf (to_string p))
   in
   let arbitration_arg =
     let cv =
-      policy_conv ~what:"arbitration" ~known:"fair, priority"
+      policy_conv ~what:"arbitration" ~all:Lcmm_runtime.Arbiter.all
         Lcmm_runtime.Arbiter.of_string Lcmm_runtime.Arbiter.to_string
     in
     Arg.(
@@ -513,7 +516,7 @@ let runtime_cmd =
   in
   let scheduler_arg =
     let cv =
-      policy_conv ~what:"scheduler" ~known:"greedy, edf, optimized"
+      policy_conv ~what:"scheduler" ~all:Lcmm_runtime.Scheduler.all
         Lcmm_runtime.Scheduler.of_string Lcmm_runtime.Scheduler.to_string
     in
     Arg.(
@@ -536,7 +539,7 @@ let runtime_cmd =
   in
   let partition_arg =
     let cv =
-      policy_conv ~what:"partition policy" ~known:"equal, demand"
+      policy_conv ~what:"partition policy" ~all:Lcmm_runtime.Partition.all
         Lcmm_runtime.Partition.of_string Lcmm_runtime.Partition.to_string
     in
     Arg.(

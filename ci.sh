@@ -281,6 +281,23 @@ dune exec bin/lcmm_cli.exe -- tier --shards 2 --no-timing < "$reqs" \
   > _build/tier_fresh.ndjson 2> /dev/null
 cmp _build/tier_serve_ref.ndjson _build/tier_fresh.ndjson
 
+echo "== tier-2: every wire field, serve and tier (byte-exact) =="
+# Requests that set every planner option, every run and tenant field,
+# simulate's images and the envelope's id and deadline off their
+# defaults, plus two malformed ones.  One serve process must answer the
+# committed golden, and a 2-shard tier, which re-encodes each request to
+# forward it, must answer byte-for-byte the same.  (The envelope's
+# "checksum" stays out: the tier sets it on every forward and strips
+# the sum it asks for.)
+fields=test/golden/protocol_fields.requests.ndjson
+dune exec bin/lcmm_cli.exe -- serve --no-timing < "$fields" \
+  > _build/protocol_fields_serve.ndjson 2> /dev/null
+golden_diff test/golden/protocol_fields.golden.ndjson \
+  _build/protocol_fields_serve.ndjson
+dune exec bin/lcmm_cli.exe -- tier --shards 2 --no-timing < "$fields" \
+  > _build/protocol_fields_tier.ndjson 2> /dev/null
+cmp _build/protocol_fields_serve.ndjson _build/protocol_fields_tier.ndjson
+
 echo "== tier-2: peer cache fill across a reshard =="
 # Warm a 1-shard tier's disk cache, then serve the same workload from a
 # 2-shard tier over the same cache root: digests now owned by the new

@@ -4,7 +4,8 @@
     the four LCMM passes read: the serialized graph ({!canonical}, the
     {!Dnn_serial.Codec} compact form), the DSE inputs that fix the
     accelerator design point (dtype + device), and every
-    {!Lcmm.Framework.options} field.  Two requests collide iff the
+    {!Lcmm.Framework.options} field, as {!Protocol.options_key} spells
+    it.  Two requests collide iff the
     passes would compute the identical plan — the passes are pure
     functions of exactly these inputs.
 
@@ -47,7 +48,7 @@ val run_digest_of_canonical :
   ?extra:string list -> dtype:Tensor.Dtype.t -> device:Fpga.Device.t ->
   options:Lcmm.Framework.options -> (string * string) list -> string
 (** Key for a multi-tenant [run] request: every tenant graph's
-    {!canonical} bytes plus a per-tenant tag (count, priority, arrival)
+    {!canonical} bytes plus a per-tenant tag ({!Protocol.tenant_key})
     in submission order; [extra] folds in the board-level knobs
-    (arbitration, scheduler, partition policy, overcommit).  The
+    ({!Protocol.run_key}).  The
     runtime is a deterministic function of exactly these inputs. *)

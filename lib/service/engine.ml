@@ -340,11 +340,8 @@ let resolve_tenants (spec : P.run_spec) =
                 priority = tn.P.tenant_priority;
                 arrival = tn.P.arrival_s })
         in
-        let tag =
-          Printf.sprintf "count:%d|prio:%d|arr:%.17g" tn.P.count
-            tn.P.tenant_priority tn.P.arrival_s
-        in
-        go (List.rev_append instances acc) ((bytes, tag) :: tags) rest)
+        go (List.rev_append instances acc) ((bytes, P.tenant_key tn) :: tags)
+          rest)
   in
   go [] [] spec.P.tenants
 
@@ -437,32 +434,12 @@ let cacheable_digest (spec : P.compile_spec) ~extra r =
 let compile_digest spec r = cacheable_digest spec ~extra:[ "compile" ] r
 
 let simulate_digest spec ~images r =
-  let extra =
-    [ "simulate";
-      (match images with None -> "single" | Some n -> string_of_int n) ]
-  in
-  cacheable_digest spec ~extra r
+  cacheable_digest spec ~extra:[ "simulate"; P.images_key images ] r
 
 let run_request_digest (spec : P.run_spec) tagged_bytes =
-  let extra =
-    [ "run";
-      Lcmm_runtime.Arbiter.to_string spec.P.arbitration;
-      Lcmm_runtime.Scheduler.to_string spec.P.scheduler;
-      Lcmm_runtime.Partition.to_string spec.P.sram_partition;
-      Printf.sprintf "%.17g" spec.P.overcommit ]
-    (* Channel count folds in only past one channel, keeping every
-       pre-channel digest — and so every cached payload — valid. *)
-    @ (if spec.P.run_channels = 1 then []
-       else [ "channels:" ^ string_of_int spec.P.run_channels ])
-    @
-    (* The fault spec changes the payload, so it must change the
-       digest; its absence keeps the fault-free digest as-is. *)
-    (match spec.P.faults with
-    | None -> []
-    | Some f -> [ "faults:" ^ Fault.Spec.to_string f ])
-  in
-  Cache_key.run_digest_of_canonical ~extra ~dtype:spec.P.run_dtype
-    ~device:spec.P.run_device ~options:spec.P.run_options tagged_bytes
+  Cache_key.run_digest_of_canonical ~extra:("run" :: P.run_key spec)
+    ~dtype:spec.P.run_dtype ~device:spec.P.run_device
+    ~options:spec.P.run_options tagged_bytes
 
 (* The digest a request would cache under, computed without running it.
    The tier router keys its hash ring and front cache on this — it must

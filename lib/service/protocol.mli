@@ -5,7 +5,7 @@
 
     {v
     request   := { "op": op, "id"?: json, "deadline_ms"?: number > 0,
-                   ...op-fields }
+                   "checksum"?: bool, ...op-fields }
     op        := "compile" | "simulate" | "run" | "batch" | "stats"
                | "models" | "cache_get" | "cache_put"
     compile   := target, "dtype"?: "i8"|"i16"|"f32",
@@ -13,9 +13,10 @@
     simulate  := compile-fields, "images"?: int >= 1
     run       := "tenants": [ tenant+ ], "dtype"?, "device"?, "options"?,
                  "arbitration"?: "fair"|"priority",
-                 "scheduler"?: "greedy"|"edf",
+                 "scheduler"?: "greedy"|"edf"|"optimized",
                  "partition"?: "equal"|"demand",
                  "overcommit"?: number > 0,
+                 "channels"?: channels,
                  "faults"?: fault-spec string ({!Fault.Spec.of_string})
     tenant    := target, "count"?: int >= 1, "priority"?: int,
                  "arrival_s"?: number >= 0  |  "arrival_ms"?: number >= 0
@@ -28,12 +29,21 @@
                    "memory_bound_only"?: bool,
                    "compensation"?: "table"|"exact",
                    "coloring"?: "min_growth"|"first_fit",
-                   "capacity_override"?: int|null,
-                   "weight_slices"?: int }
+                   "capacity_override"?: int > 0 | null,
+                   "weight_slices"?: int >= 1,
+                   "fusion"?: bool,
+                   "channels"?: channels }
+    channels  := int from 1 to the device's DDR banks
     v}
 
     Defaults: dtype [i16], device [vu9p], the paper's
-    {!Lcmm.Framework.default_options}. *)
+    {!Lcmm.Framework.default_options}; a run arbitrates [fair] under
+    [edf] with [equal] partitions, overcommit 4, one channel and no
+    faults; a tenant is one instance of priority 0 arriving at 0.
+
+    Each body field is declared once, in a table in the implementation
+    that derives its decoding (and error text), its encoding and its
+    cache-key text; arrival travels as [arrival_s] once encoded.  *)
 
 type target =
   | Named of string                 (** A model-zoo name. *)
@@ -112,6 +122,25 @@ val request_of_line : string -> (envelope, string) result
 val options_to_json : Lcmm.Framework.options -> Dnn_serial.Json.t
 (** Inverse of the [options] grammar above, for transcripts and
     debugging; {!request_of_line} accepts its output. *)
+
+(** {2 Cache-key text}
+
+    What {!Cache_key} and the engine's digests spell for each body
+    field.  Fields at a value that predates them (one DDR channel, no
+    faults) add no text, so older digests stay valid. *)
+
+val options_key : Lcmm.Framework.options -> string
+(** Every option as ["label:value"], joined by ['|']. *)
+
+val tenant_key : run_tenant -> string
+(** A tenant's count, priority and arrival, joined by ['|']. *)
+
+val run_key : run_spec -> string list
+(** A run's board-level fields, one part each: arbitration, scheduler,
+    partition, overcommit, then channels and faults when set. *)
+
+val images_key : int option -> string
+(** Simulate's batch size, or ["single"]. *)
 
 val envelope_to_json : envelope -> Dnn_serial.Json.t
 (** Inverse of {!request_of_line}, used by the tier router to forward a

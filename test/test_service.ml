@@ -197,42 +197,155 @@ let test_protocol_parse () =
       (Dnn_graph.Graph.node_count g')
   | _ -> Alcotest.fail "expected inline compile")
 
-let test_protocol_rejects () =
-  let bad line =
-    match P.request_of_line line with
-    | Ok _ -> Alcotest.failf "expected rejection for %s" line
-    | Error _ -> ()
-  in
-  bad "not json";
-  bad {|{"model":"alexnet"}|};
-  bad {|{"op":"frobnicate"}|};
-  bad {|{"op":"compile"}|};
-  bad {|{"op":"compile","model":"alexnet","dtype":"i4"}|};
-  bad {|{"op":"compile","model":"alexnet","device":"stratix"}|};
-  bad {|{"op":"compile","model":"a","graph":{}}|};
-  bad {|{"op":"simulate","model":"alexnet","images":0}|};
-  bad {|{"op":"compile","model":"alexnet","options":{"weight_slices":0}}|};
-  bad {|{"op":"batch","requests":[{"op":"batch","requests":[]}]}|}
+(* Each line is rejected with exactly its message: the texts a client
+   sees, one bad value per decoded field. *)
+let check_rejects cases =
+  List.iter
+    (fun (line, msg) ->
+      match P.request_of_line line with
+      | Ok _ -> Alcotest.failf "expected rejection for %s" line
+      | Error got -> Alcotest.(check string) line msg got)
+    cases
 
+let test_protocol_rejects () =
+  check_rejects
+    [ ({|not json|},
+        {|JSON error at offset 0: invalid literal (expected null)|});
+      ({|{"model":"alexnet"}|}, {|missing field "op"|});
+      ({|{"op":5}|}, {|expected a string|});
+      ({|{"op":"frobnicate"}|},
+        {|unknown op "frobnicate" (known: compile simulate run batch stats models cache_get cache_put)|});
+      ({|{"op":"compile"}|}, {|missing target: give "model" or "graph"|});
+      ({|{"op":"compile","model":"a","graph":{}}|},
+        {|give either "model" or "graph", not both|});
+      ({|{"op":"compile","model":5}|}, {|expected a string|});
+      ({|{"op":"compile","graph":5}|},
+        {|expected an object with field "format"|});
+      ({|{"op":"compile","model":"alexnet","dtype":"i4"}|},
+        {|unknown dtype "i4"|});
+      ({|{"op":"compile","model":"alexnet","dtype":16}|},
+        {|expected a string|});
+      ({|{"op":"compile","model":"alexnet","device":"stratix"}|},
+        {|unknown device "stratix"|});
+      ({|{"op":"compile","model":"alexnet","device":1}|},
+        {|expected a string|});
+      ({|{"op":"compile","model":"alexnet","options":5}|},
+        {|field "options": expected an object|});
+      ({|{"op":"compile","model":"alexnet","options":{"feature_reuse":1}}|},
+        {|field "feature_reuse": expected a boolean|});
+      ({|{"op":"compile","model":"alexnet","options":{"weight_prefetch":"no"}}|},
+        {|field "weight_prefetch": expected a boolean|});
+      ({|{"op":"compile","model":"alexnet","options":{"buffer_splitting":null}}|},
+        {|field "buffer_splitting": expected a boolean|});
+      ({|{"op":"compile","model":"alexnet","options":{"buffer_sharing":0}}|},
+        {|field "buffer_sharing": expected a boolean|});
+      ({|{"op":"compile","model":"alexnet","options":{"memory_bound_only":"true"}}|},
+        {|field "memory_bound_only": expected a boolean|});
+      ({|{"op":"compile","model":"alexnet","options":{"compensation":"lp"}}|},
+        {|field "compensation": expected "table" or "exact"|});
+      ({|{"op":"compile","model":"alexnet","options":{"compensation":1}}|},
+        {|field "compensation": expected "table" or "exact"|});
+      ({|{"op":"compile","model":"alexnet","options":{"coloring":"dsatur"}}|},
+        {|field "coloring": expected "min_growth" or "first_fit"|});
+      ({|{"op":"compile","model":"alexnet","options":{"capacity_override":0}}|},
+        {|field "capacity_override": expected a positive byte count|});
+      ({|{"op":"compile","model":"alexnet","options":{"capacity_override":"big"}}|},
+        {|field "capacity_override": expected an integer or null|});
+      ({|{"op":"compile","model":"alexnet","options":{"weight_slices":0}}|},
+        {|field "weight_slices": expected a count >= 1|});
+      ({|{"op":"compile","model":"alexnet","options":{"weight_slices":1.5}}|},
+        {|field "weight_slices": expected an integer|});
+      ({|{"op":"compile","model":"alexnet","options":{"fusion":"yes"}}|},
+        {|field "fusion": expected a boolean|});
+      ({|{"op":"compile","model":"alexnet","options":{"channels":5}}|},
+        {|field "channels": expected a count from 1 to 4 (vu9p)|});
+      ({|{"op":"compile","model":"alexnet","options":{"channels":0}}|},
+        {|field "channels": expected a count from 1 to 4 (vu9p)|});
+      ({|{"op":"compile","model":"alexnet","options":{"channels":"two"}}|},
+        {|field "channels": expected an integer|});
+      ({|{"op":"compile","model":"alexnet","device":"zu9eg","options":{"channels":2}}|},
+        {|field "channels": expected a count from 1 to 1 (zu9eg)|});
+      ({|{"op":"compile","model":"alexnet","deadline_ms":0}|},
+        {|field "deadline_ms": expected a positive number|});
+      ({|{"op":"compile","model":"alexnet","deadline_ms":"soon"}|},
+        {|field "deadline_ms": expected a number|});
+      ({|{"op":"compile","model":"alexnet","checksum":"yes"}|},
+        {|field "checksum": expected a boolean|});
+      ({|{"op":"simulate","model":"alexnet","images":0}|},
+        {|field "images": expected a count >= 1|});
+      ({|{"op":"simulate","model":"alexnet","images":"x"}|},
+        {|field "images": expected an integer|});
+      ({|{"op":"batch"}|}, {|missing field "requests"|});
+      ({|{"op":"batch","requests":5}|}, {|expected an array|});
+      ({|{"op":"batch","requests":[{"op":"batch","requests":[]}]}|},
+        {|nested batch requests are not supported|});
+      ({|{"op":"batch","requests":[{"op":"compile","model":"alexnet","images":0,"options":{"fusion":0}}]}|},
+        {|field "fusion": expected a boolean|});
+      ({|{"op":"cache_get"}|}, {|missing field "digest"|});
+      ({|{"op":"cache_get","digest":5}|},
+        {|field "digest": expected a string|});
+      ({|{"op":"cache_get","digest":"XYZ"}|},
+        {|field "digest": expected a lowercase hex digest|});
+      ({|{"op":"cache_put","digest":"abc"}|}, {|missing field "payload"|}) ]
+
+(* Every option off its default, one at a time and all at once, comes
+   back from its own encoding unchanged. *)
 let test_options_roundtrip () =
-  let o =
-    { F.default_options with
-      F.coloring = Lcmm.Coloring.First_fit;
+  let d = F.default_options in
+  let singles =
+    [ { d with F.feature_reuse = false };
+      { d with F.weight_prefetch = false };
+      { d with F.buffer_splitting = false };
+      { d with F.buffer_sharing = false };
+      { d with F.memory_bound_only = false };
+      { d with F.compensation = Lcmm.Dnnk.Exact_iterative };
+      { d with F.coloring = Lcmm.Coloring.First_fit };
+      { d with F.capacity_override = Some 123_456 };
+      { d with F.weight_slices = 3 };
+      { d with F.fusion = true };
+      { d with F.channels = 4 } ]
+  in
+  let all_off =
+    { F.feature_reuse = false;
+      weight_prefetch = false;
+      buffer_splitting = false;
+      buffer_sharing = false;
+      memory_bound_only = false;
       compensation = Lcmm.Dnnk.Exact_iterative;
+      coloring = Lcmm.Coloring.First_fit;
       capacity_override = Some 123_456;
       weight_slices = 3;
-      channels = 4;
-      buffer_sharing = false }
+      fusion = true;
+      channels = 4 }
   in
-  let line =
-    Json.to_string
-      (Json.Obj
-         [ ("op", Json.String "compile"); ("model", Json.String "alexnet");
-           ("options", P.options_to_json o) ])
-  in
-  match (parse_exn line).P.request with
-  | P.Compile spec -> Alcotest.(check bool) "options round-trip" true (spec.P.options = o)
-  | _ -> Alcotest.fail "expected compile"
+  List.iter
+    (fun o -> Alcotest.(check bool) "off its default" true (o <> d))
+    (all_off :: singles);
+  (* The encoding keeps its key order, and leaves one channel out. *)
+  List.iter
+    (fun (o, text) ->
+      Alcotest.(check string) "encoding" text
+        (Json.to_string (P.options_to_json o)))
+    [ ( d,
+        {|{"feature_reuse":true,"weight_prefetch":true,"buffer_splitting":true,"buffer_sharing":true,"memory_bound_only":true,"compensation":"table","coloring":"min_growth","capacity_override":null,"weight_slices":1,"fusion":false}|}
+      );
+      ( all_off,
+        {|{"feature_reuse":false,"weight_prefetch":false,"buffer_splitting":false,"buffer_sharing":false,"memory_bound_only":false,"compensation":"exact","coloring":"first_fit","capacity_override":123456,"weight_slices":3,"fusion":true,"channels":4}|}
+      ) ];
+  List.iter
+    (fun o ->
+      let line =
+        Json.to_string
+          (Json.Obj
+             [ ("op", Json.String "compile"); ("model", Json.String "alexnet");
+               ("options", P.options_to_json o) ])
+      in
+      match (parse_exn line).P.request with
+      | P.Compile spec ->
+        Alcotest.(check bool) ("options round-trip: " ^ line) true
+          (spec.P.options = o)
+      | _ -> Alcotest.fail "expected compile")
+    (d :: all_off :: singles)
 
 (* --- Engine integration --- *)
 
@@ -468,22 +581,70 @@ let test_protocol_run_parse () =
     (env.P.deadline_ms = None)
 
 let test_protocol_run_rejects () =
-  let bad line =
-    match P.request_of_line line with
-    | Ok _ -> Alcotest.failf "expected rejection for %s" line
-    | Error _ -> ()
-  in
-  bad {|{"op":"run"}|};
-  bad {|{"op":"run","tenants":[]}|};
-  bad {|{"op":"run","tenants":[{"model":"alexnet","count":0}]}|};
-  bad {|{"op":"run","tenants":[{"model":"alexnet"}],"scheduler":"fifo"}|};
-  bad {|{"op":"run","tenants":[{"model":"alexnet"}],"arbitration":"lottery"}|};
-  bad {|{"op":"run","tenants":[{"model":"alexnet"}],"overcommit":0}|};
-  bad {|{"op":"run","tenants":[{"model":"alexnet"}],"partition":"striped"}|};
-  bad {|{"op":"run","tenants":[{"model":"alexnet","arrival_ms":-1}]}|};
-  bad {|{"op":"compile","model":"alexnet","deadline_ms":0}|};
-  bad {|{"op":"compile","model":"alexnet","deadline_ms":-5}|};
-  bad {|{"op":"compile","model":"alexnet","deadline_ms":"soon"}|}
+  check_rejects
+    [ ({|{"op":"run"}|}, {|missing field "tenants"|});
+      ({|{"op":"run","tenants":5}|}, {|expected an array|});
+      ({|{"op":"run","tenants":[]}|},
+        {|field "tenants": expected a non-empty list|});
+      ({|{"op":"run","tenants":[{"count":2}]}|},
+        {|missing target: give "model" or "graph"|});
+      ({|{"op":"run","tenants":[{"model":"alexnet","count":0}]}|},
+        {|field "count": expected a count >= 1|});
+      ({|{"op":"run","tenants":[{"model":"alexnet","count":"2"}]}|},
+        {|field "count": expected an integer|});
+      ({|{"op":"run","tenants":[{"model":"alexnet","priority":1.5}]}|},
+        {|field "priority": expected an integer|});
+      ({|{"op":"run","tenants":[{"model":"alexnet","arrival_s":-1}]}|},
+        {|field "arrival_s": expected a non-negative number|});
+      ({|{"op":"run","tenants":[{"model":"alexnet","arrival_s":"x"}]}|},
+        {|field "arrival_s": expected a number|});
+      ({|{"op":"run","tenants":[{"model":"alexnet","arrival_ms":-1}]}|},
+        {|field "arrival_ms": expected a non-negative number|});
+      ({|{"op":"run","tenants":[{"model":"alexnet","arrival_ms":"x"}]}|},
+        {|field "arrival_ms": expected a number|});
+      ({|{"op":"run","tenants":[{"model":"alexnet"}],"dtype":"i4"}|},
+        {|unknown dtype "i4"|});
+      ({|{"op":"run","tenants":[{"model":"alexnet"}],"device":"stratix"}|},
+        {|unknown device "stratix"|});
+      ({|{"op":"run","tenants":[{"model":"alexnet"}],"options":[]}|},
+        {|field "options": expected an object|});
+      ({|{"op":"run","tenants":[{"model":"alexnet"}],"options":{"weight_slices":0}}|},
+        {|field "weight_slices": expected a count >= 1|});
+      ({|{"op":"run","tenants":[{"model":"alexnet"}],"arbitration":"lottery"}|},
+        {|field "arbitration": unknown value "lottery" (known: fair priority)|});
+      ({|{"op":"run","tenants":[{"model":"alexnet"}],"arbitration":1}|},
+        {|field "arbitration": expected a string|});
+      ({|{"op":"run","tenants":[{"model":"alexnet"}],"scheduler":"fifo"}|},
+        {|field "scheduler": unknown value "fifo" (known: greedy edf optimized)|});
+      ({|{"op":"run","tenants":[{"model":"alexnet"}],"scheduler":true}|},
+        {|field "scheduler": expected a string|});
+      ({|{"op":"run","tenants":[{"model":"alexnet"}],"partition":"striped"}|},
+        {|field "partition": unknown value "striped" (known: equal demand)|});
+      ({|{"op":"run","tenants":[{"model":"alexnet"}],"overcommit":0}|},
+        {|field "overcommit": expected a positive number|});
+      ({|{"op":"run","tenants":[{"model":"alexnet"}],"overcommit":"x"}|},
+        {|field "overcommit": expected a number|});
+      ({|{"op":"run","tenants":[{"model":"alexnet"}],"faults":5}|},
+        {|field "faults": expected a fault-spec string|});
+      ({|{"op":"run","tenants":[{"model":"alexnet"}],"faults":"bogus:1"}|},
+        {|field "faults": clause 1 ("bogus:1") at char 0: unknown clause|});
+      ({|{"op":"run","tenants":[{"model":"alexnet"}],"channels":9}|},
+        {|field "channels": expected a count from 1 to 4 (vu9p)|});
+      ({|{"op":"run","tenants":[{"model":"alexnet"}],"channels":"x"}|},
+        {|field "channels": expected an integer|});
+      ({|{"op":"run","tenants":[{"model":"alexnet"}],"device":"zu9eg","channels":2}|},
+        {|field "channels": expected a count from 1 to 1 (zu9eg)|});
+      ({|{"op":"compile","model":"alexnet","deadline_ms":-5}|},
+        {|field "deadline_ms": expected a positive number|}) ];
+  (* [arrival_s] wins: a bad [arrival_ms] beside it is never read. *)
+  match
+    (parse_exn
+       {|{"op":"run","tenants":[{"model":"alexnet","arrival_s":1,"arrival_ms":"x"}]}|})
+      .P.request
+  with
+  | P.Run { P.tenants = [ tn ]; _ } ->
+    Alcotest.(check (float 0.)) "arrival_s wins" 1. tn.P.arrival_s
+  | _ -> Alcotest.fail "expected a one-tenant run"
 
 (* [channels] runs from 1 to the request device's DDR bank count (4 on
    vu9p and u250, 1 on zu9eg), in compile/simulate options and on run. *)
@@ -1053,6 +1214,7 @@ let test_envelope_reencode_digest_stable () =
     [ {|{"op":"compile","id":7,"model":"alexnet","dtype":"i8","options":{"weight_slices":3,"coloring":"first_fit"}}|};
       {|{"op":"simulate","model":"squeezenet","images":4,"deadline_ms":5000}|};
       {|{"op":"run","tenants":[{"model":"alexnet","count":2,"priority":1,"arrival_ms":123.456789012345678},{"model":"squeezenet"}],"scheduler":"edf","overcommit":1.25}|};
+      {|{"op":"run","tenants":[{"model":"alexnet","count":2,"priority":1,"arrival_ms":1.5},{"model":"squeezenet","count":3,"priority":2,"arrival_s":0.0025}],"dtype":"i8","device":"u250","options":{"weight_slices":2,"coloring":"first_fit","fusion":true},"arbitration":"priority","scheduler":"optimized","partition":"demand","overcommit":2.5,"channels":2,"faults":"seed=42,stall:0.1:0.3,fail:0.05"}|};
       {|{"op":"cache_get","digest":"abcdef0123456789"}|} ]
   in
   List.iter
@@ -1120,7 +1282,13 @@ let pinned_digest_lines () =
     ( {|{"op":"simulate","model":"resnet152","dtype":"i8","images":4}|},
       "e9ba2eaabd068c2f80bc9ff186726ee8" );
     ( {|{"op":"compile","graph":|} ^ inline_chain_json () ^ "}",
-      "5e87bc434b1eef19c86bc14f8ff7dc76" ) ]
+      "5e87bc434b1eef19c86bc14f8ff7dc76" );
+    (* Every planner option off its default. *)
+    ( {|{"op":"compile","model":"alexnet","dtype":"i8","options":{"feature_reuse":false,"weight_prefetch":false,"buffer_splitting":false,"buffer_sharing":false,"memory_bound_only":false,"compensation":"exact","coloring":"first_fit","capacity_override":1048576,"weight_slices":2,"fusion":true,"channels":2}}|},
+      "11c9fd7cde9658a2876fd96b805dadcb" );
+    (* Every run and tenant field set. *)
+    ( {|{"op":"run","tenants":[{"model":"alexnet","count":2,"priority":1,"arrival_ms":1.5},{"model":"squeezenet","count":3,"priority":2,"arrival_s":0.0025}],"dtype":"i8","device":"u250","options":{"weight_slices":2,"coloring":"first_fit","fusion":true},"arbitration":"priority","scheduler":"optimized","partition":"demand","overcommit":2.5,"channels":2,"faults":"seed=42,stall:0.1:0.3,fail:0.05"}|},
+      "bcc760d3a8abdc9f9ab136472b7e426d" ) ]
 
 let test_pinned_digests () =
   with_engine ~domains:1 (fun engine ->
