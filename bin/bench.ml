@@ -1009,7 +1009,9 @@ let time_us f =
    and the best-of-50 wall time of simulating the four plans alone with
    [Sim.Engine]: code the search does not run, timed in the same reps,
    so search_us / isolated_sim_us reads the search's cost on any host
-   speed. *)
+   speed.  Also two counts that no host changes: the minor-heap words
+   one search allocates, and the words one EDF engine run of the four
+   tenants allocates per node and transfer. *)
 let runtime_search () =
   let module R = Lcmm_runtime in
   let dtype = Tensor.Dtype.I16 in
@@ -1043,6 +1045,30 @@ let runtime_search () =
   (* The search asks for one fault injector per engine run it makes. *)
   let runs = ref 0 in
   let make_faults () = incr runs; None in
+  let search () =
+    R.Optimizer.search ~hp_first:true ~arbitration:R.Arbiter.Priority
+      ~channels:1 ~make_faults ~isos inputs
+  in
+  let minor_words f =
+    let before = Gc.minor_words () in
+    let r = f () in
+    (r, Gc.minor_words () -. before)
+  in
+  ignore (search ());
+  let _, search_words = minor_words search in
+  let compiled = Array.map R.Engine.compile inputs in
+  let engine_run () =
+    R.Engine.run_compiled ~arbitration:R.Arbiter.Priority
+      ~scheduler:R.Scheduler.Edf compiled
+  in
+  ignore (engine_run ());
+  let r, engine_words = minor_words engine_run in
+  let items =
+    Array.fold_left
+      (fun acc (c : R.Engine.compiled) -> acc + Array.length c.R.Engine.profiles)
+      (List.length r.R.Engine.transfers)
+      compiled
+  in
   let search_us = ref infinity and sim_us = ref infinity in
   let candidates = ref 0 in
   (* The planner rows leave a heap of hundreds of MB behind; a major
@@ -1052,15 +1078,12 @@ let runtime_search () =
     let (), t = time_us (fun () -> List.iter (fun p -> ignore (simulate p)) plans) in
     sim_us := Float.min !sim_us t;
     runs := 0;
-    let o, t =
-      time_us (fun () ->
-          R.Optimizer.search ~hp_first:true ~arbitration:R.Arbiter.Priority
-            ~channels:1 ~make_faults ~isos inputs)
-    in
+    let o, t = time_us search in
     search_us := Float.min !search_us t;
     candidates := List.length o.R.Optimizer.candidates
   done;
-  (!search_us, !candidates, !runs, !sim_us)
+  ( !search_us, !candidates, !runs, !sim_us, search_words,
+    engine_words /. float_of_int items )
 
 (* A repeated compile (i16) on an in-process engine: [Engine.handle]'s
    hit path of key, lookup and pool hand-off, no planning.  Best-of-300
@@ -1188,11 +1211,14 @@ let perf_experiment () =
       (List.map (fun n -> (Check.Gen.Mixed, n)) perf_sizes
       @ List.map (fun n -> (Check.Gen.Skip, n)) perf_skip_sizes)
   in
-  let search_us, candidates, engine_runs, sim_us = runtime_search () in
+  let search_us, candidates, engine_runs, sim_us, search_words, words_per_item =
+    runtime_search ()
+  in
   Printf.printf
     "schedule search, squeezenet!x2 + inception_v4 x2: %.0f us (%d candidates, \
-     %d engine runs; the four plans simulated alone: %.0f us)\n%!"
-    search_us candidates engine_runs sim_us;
+     %d engine runs; the four plans simulated alone: %.0f us); %.0f minor \
+     words, an engine run %.1f words per node and transfer\n%!"
+    search_us candidates engine_runs sim_us search_words words_per_item;
   let hits = warm_hits () in
   let hit_us model = List.assoc model hits in
   let hit_ratio = hit_us "resnet152" /. hit_us "alexnet" in
@@ -1211,7 +1237,9 @@ let perf_experiment () =
             ("candidates", Json.Int candidates);
             ("engine_runs", Json.Int engine_runs);
             ("isolated_sim_us", Json.Float sim_us);
-            ("search_per_sim", Json.Float (search_us /. sim_us)) ] );
+            ("search_per_sim", Json.Float (search_us /. sim_us));
+            ("search_minor_words", Json.Float search_words);
+            ("engine_words_per_item", Json.Float words_per_item) ] );
       ( "warm_hit",
         Json.Obj
           ([ ("op", Json.String "compile i16"); ("reps", Json.Int 300) ]

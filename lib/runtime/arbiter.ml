@@ -9,8 +9,8 @@ let of_string = function
 
 let all = [ Fair_share; Priority ]
 
-let preferred (key, priority) (best_key, best_priority) =
-  priority < best_priority || (priority = best_priority && key < best_key)
+let preferred (c : Transfer.t) (best : Transfer.t) =
+  c.priority < best.priority || (c.priority = best.priority && c.key < best.key)
 
 let share t ~contenders ~winner =
   match t with
@@ -22,10 +22,11 @@ let rates t jobs =
   | [] -> []
   | first :: rest ->
     let contenders = List.length jobs in
-    let best_key, _ =
+    let best =
       List.fold_left (fun best c -> if preferred c best then c else best)
         first rest
     in
     List.map
-      (fun (key, _) -> (key, share t ~contenders ~winner:(key = best_key)))
+      (fun (c : Transfer.t) ->
+        (c.key, share t ~contenders ~winner:(c.key = best.Transfer.key)))
       jobs

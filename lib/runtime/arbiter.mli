@@ -29,20 +29,20 @@ val of_string : string -> t option
 
 val all : t list
 
-val preferred : int * int -> int * int -> bool
-(** [preferred c best] on [(job_key, priority)] contenders: [c] takes a
-    [Priority] channel from [best] (lower priority number, ties to the
-    lower key). *)
+val preferred : Transfer.t -> Transfer.t -> bool
+(** [preferred c best]: transfer [c] takes a [Priority] channel from
+    [best] (lower priority number, ties to the lower key).  Reads the
+    transfers' own fields and allocates nothing. *)
 
 val share : t -> contenders:int -> winner:bool -> float
 (** The bandwidth fraction one of [contenders] contenders gets:
     [1/contenders] under [Fair_share]; under [Priority] 1 for the
-    {!preferred} one ([winner]) and 0 for the rest.  Allocates nothing:
-    the engine calls it per transfer. *)
+    {!preferred} one ([winner]) and 0 for the rest.  The engine tables
+    it once per run, for every contender count its tenants allow. *)
 
-val rates : t -> (int * int) list -> (int * float) list
-(** [rates t jobs] assigns a bandwidth fraction to each [(job_key,
-    priority)] contender by {!share}, the winner being the contender no
-    later one is {!preferred} to.  The fractions sum to 1 when [jobs]
-    is non-empty (the bus is work-conserving); the empty list maps to
-    the empty list. *)
+val rates : t -> Transfer.t list -> (int * float) list
+(** [rates t jobs] assigns a bandwidth fraction to each contending
+    transfer, keyed by its [key], by {!share}, the winner being the
+    contender no later one is {!preferred} to.  The fractions sum to 1
+    when [jobs] is non-empty (the bus is work-conserving); the empty
+    list maps to the empty list. *)

@@ -1,7 +1,6 @@
 module Metric = Lcmm.Metric
 module Latency = Accel.Latency
 module NM = Sim.Node_model
-module EQ = Sim.Event_queue
 
 (* What a tenant resumes with after an SRAM bank loss: the degraded
    allocation and PDG from the framework's evict-and-replan pass, plus
@@ -50,7 +49,7 @@ type segment = { seg_start : float; seg_end : float; utilization : float }
 
 (* --- transfers --- *)
 
-type kind = Prefetch_load | Demand_load | Weight_stream_x
+type kind = Transfer.kind = Prefetch_load | Demand_load | Weight_stream_x
 
 (* Final state of every transfer the run created — the schedule
    optimizer's evaluation signal and the schedule-conserve oracle's
@@ -77,79 +76,24 @@ type result = {
   transfers : xfer_log list;
 }
 
-(* A transfer's clocks.  Every field is a float, so the record is stored
-   flat and the engine's writes update it in place instead of boxing a
-   float per write. *)
-type xclock = {
-  mutable work : float;    (* remaining seconds at full bandwidth *)
-  mutable rate : float;
-  mutable settled : float; (* time [work] was last brought up to date *)
-  mutable eta : float;     (* projected finish under [rate]; infinity at 0 *)
-  mutable started_at : float;    (* first instant with positive rate; -1 = never *)
-  mutable blocked_until : float; (* stalled / backing off until this time *)
-  mutable finished_at : float;
-}
+(* The absent transfer: what a tenant holds when its channel is free and
+   what a node streams when it streams nothing.  It counts as finished,
+   so every "held and unfinished" test reads it as no transfer. *)
+let no_xfer =
+  let x = Transfer.make ~key:0 ~priority:0 ~deadline:0. ~rank:0. in
+  x.Transfer.finished <- true;
+  x
 
-type xfer = {
-  key : int;
-  owner : int;
-  target : int;
-  kind : kind;
-  channel : int;           (* DDR channel the transfer is bound to *)
-  xrank : float;           (* searched-order rank (Optimized); 0 otherwise *)
-  load : float;            (* seconds at full bandwidth *)
-  bytes : float;
-  released_at : float;
-  deadline : float;
-  stall : float;           (* injected head-of-channel stall; 0 = none *)
-  fails : int;             (* planned transient failures before success *)
-  mutable attempt : int;   (* failures consumed so far *)
-  mutable finished : bool;
-  clk : xclock;
-  pending : Scheduler.pending;  (* the scheduler's view, fixed at creation *)
-  contender : int * int;        (* the arbiter's (key, priority) *)
-}
+(* A fresh transfer's clocks, released at [now].  Inlined, so the floats
+   go straight into the flat block without being boxed on the way. *)
+let[@inline] new_clock ~now ~load ~bytes ~deadline =
+  { Transfer.rank = 0.; deadline; load; bytes; released_at = now; stall = 0.;
+    work = load; rate = 0.; settled = 0.; eta = infinity; started_at = -1.;
+    blocked_until = 0.; finished_at = 0. }
 
-(* --- node execution --- *)
-
-type exec = {
-  exec_id : int;
-  exec_start : float;
-  exec_if : float;
-  exec_of : float;
-  exec_stream : xfer option;
-  (* Eq. 1 outcome, fixed once the streamed weights (if any) are in:
-     [exec_finish] is nan until then. *)
-  mutable exec_finish : float;
-  mutable exec_binding : NM.binding;
-}
-
-(* The executing node's finish: infinity while its streamed weights are
-   in flight, then Eq. 1 over its components, worked out once. *)
-let node_finish latc e =
-  if Float.is_nan e.exec_finish then
-    match e.exec_stream with
-    | Some x when not x.finished -> infinity
-    | _ ->
-      let wt_component =
-        match e.exec_stream with
-        | None -> 0.
-        | Some x -> x.clk.finished_at -. e.exec_start
-      in
-      let binding, duration =
-        NM.duration_and_binding ~latc ~if_time:e.exec_if
-          ~wt_component ~of_time:e.exec_of
-      in
-      e.exec_binding <- binding;
-      e.exec_finish <- e.exec_start +. duration;
-      e.exec_finish
-  else e.exec_finish
-
-type stage =
-  | Entering           (* release node [next]'s transfers at [clock] *)
-  | Awaiting of int    (* waiting for the node's weight transfers *)
-  | Executing of exec
-  | Finished
+(* [max] on floats without the polymorphic compare: the same result as
+   [Stdlib.max] ([a] unless [b] is larger), nothing boxed. *)
+let[@inline] fmax (a : float) b = if a >= b then a else b
 
 (* --- compiled tenant tables --- *)
 
@@ -169,6 +113,7 @@ type compiled = {
   of_time : float array;
   if_bytes : float array;
   of_bytes : float array;
+  slack : float array;         (* the input's [slack], node by node *)
   released : Lcmm.Prefetch.edge list array;
   edge_flags : bool array;
 }
@@ -204,25 +149,42 @@ let tables input ~on_chip ~prefetch =
     if_bytes =
       per_node (fun p -> float_of_int (Lcmm.Traffic.if_stream_bytes ~on_chip p));
     of_bytes = per_node (fun p -> float_of_int (NM.of_stream_bytes ~on_chip p));
+    slack = Array.init n input.slack;
     released;
     edge_flags = NM.has_edge released n }
 
 let compile input =
   tables input ~on_chip:input.on_chip ~prefetch:input.prefetch
 
+
 (* --- per-run tenant state --- *)
 
-(* A tenant's clock and float accumulators, float-only like [xclock]. *)
+(* Where a tenant's node state machine stands.  The node is always
+   [next]: its transfers are released on [Entering], its weights awaited
+   on [Awaiting], and it runs on [Executing], from [exec_start]. *)
+type stage = Entering | Awaiting | Executing | Finished
+
+(* A tenant's clock, float accumulators and the executing node's times,
+   float-only like [Transfer.clock], so every write stores in place. *)
 type tclock = {
   mutable clock : float;
   mutable prefetch_wait : float;
   mutable wt_busy : float;
   mutable ddr : float;
+  (* The executing node: its start, its stall before the start, and the
+     Eq. 1 components fixed at the start ([tab] may change under it). *)
+  mutable exec_start : float;
+  mutable exec_wait : float;
+  mutable exec_if : float;
+  mutable exec_of : float;
+  (* Its finish, nan until its streamed weights (if any) are in. *)
+  mutable exec_finish : float;
 }
 
 type tstate = {
   index : int;
   count : int;
+  priority : int;
   (* The tables the tenant runs under: the compiled input's until a bank
      loss swaps in the degraded plan's. *)
   mutable tab : compiled;
@@ -230,11 +192,23 @@ type tstate = {
   edge_flags : bool array;                   (* per-run copy *)
   weight_ready : float array;
   pending_w : int array;
+  (* Node [i]'s timing, written when it finishes; a node that never
+     finishes keeps [node_id = 0] (and the stall it began with). *)
   timings : Sim.Engine.node_timing array;
-  queue : xfer Queue.t;      (* released, not yet on the channel *)
-  mutable current : xfer option;
+  (* Released transfers not yet on the channel, oldest first:
+     [queue.(qhead) .. queue.(qtail - 1)]. *)
+  mutable queue : Transfer.t array;
+  mutable qhead : int;
+  mutable qtail : int;
+  mutable current : Transfer.t;   (* held on the channel; [no_xfer] if none *)
+  mutable stream : Transfer.t;    (* the executing node's streamed weights *)
+  mutable binding : NM.binding;   (* the executing node's, once known *)
   mutable stage : stage;
   mutable next : int;
+  (* [progress] returned false and nothing it reads has changed since:
+     the settle sweeps skip the tenant until the instant moves on or a
+     completion, a degrade or an abort touches it. *)
+  mutable idle : bool;
   tc : tclock;
   mutable lost_bytes : int;
   (* Fault counters. *)
@@ -247,24 +221,34 @@ type tstate = {
   mutable aborted : string option;
 }
 
+let unfinished_timing =
+  { Sim.Engine.node_id = 0; start = 0.; finish = 0.; wait = 0.;
+    binding = Sim.Engine.Compute }
+
 let init_tenant index (c : compiled) =
   let n = Array.length c.profiles in
   { index;
     count = n;
+    priority = c.input.priority;
     tab = c;
     released = Array.copy c.released;
     edge_flags = Array.copy c.edge_flags;
     weight_ready = Array.make n 0.;
     pending_w = Array.make n 0;
-    timings =
-      Array.make n
-        { Sim.Engine.node_id = 0; start = 0.; finish = 0.; wait = 0.;
-          binding = Sim.Engine.Compute };
-    queue = Queue.create ();
-    current = None;
+    timings = Array.make n unfinished_timing;
+    queue = Array.make 8 no_xfer;
+    qhead = 0;
+    qtail = 0;
+    current = no_xfer;
+    stream = no_xfer;
+    binding = NM.Compute;
     stage = Entering;
     next = 0;
-    tc = { clock = c.input.arrival; prefetch_wait = 0.; wt_busy = 0.; ddr = 0. };
+    idle = false;
+    tc =
+      { clock = c.input.arrival; prefetch_wait = 0.; wt_busy = 0.; ddr = 0.;
+        exec_start = 0.; exec_wait = 0.; exec_if = 0.; exec_of = 0.;
+        exec_finish = Float.nan };
     lost_bytes = 0;
     retries = 0;
     stall_events = 0;
@@ -276,9 +260,103 @@ let init_tenant index (c : compiled) =
 
 let is_finished ts = match ts.stage with Finished -> true | _ -> false
 
-(* The run's current instant, float-only so advancing it stores in
-   place. *)
-type instant = { mutable now : float }
+(* The tenant's queue, a FIFO over a growable array that rewinds to its
+   start whenever it empties. *)
+let queue_push ts x =
+  if ts.qtail = Array.length ts.queue then begin
+    let live = ts.qtail - ts.qhead in
+    let q =
+      if 2 * live <= Array.length ts.queue then ts.queue
+      else Array.make (2 * Array.length ts.queue) no_xfer
+    in
+    Array.blit ts.queue ts.qhead q 0 live;
+    Array.fill q live (Array.length q - live) no_xfer;
+    ts.queue <- q;
+    ts.qhead <- 0;
+    ts.qtail <- live
+  end;
+  ts.queue.(ts.qtail) <- x;
+  ts.qtail <- ts.qtail + 1
+
+let queue_pop ts =
+  let x = ts.queue.(ts.qhead) in
+  ts.queue.(ts.qhead) <- no_xfer;
+  ts.qhead <- ts.qhead + 1;
+  if ts.qhead = ts.qtail then begin
+    ts.qhead <- 0;
+    ts.qtail <- 0
+  end;
+  x
+
+(* Drop every queued transfer but those [keep] accepts, in order. *)
+let queue_filter ts keep =
+  let live = ref 0 in
+  for i = ts.qhead to ts.qtail - 1 do
+    let x = ts.queue.(i) in
+    ts.queue.(i) <- no_xfer;
+    if keep x then begin
+      ts.queue.(!live) <- x;
+      incr live
+    end
+  done;
+  ts.qhead <- 0;
+  ts.qtail <- !live
+
+(* The executing node's finish: infinity while its streamed weights are
+   in flight, then Eq. 1 over its components, worked out once.  The
+   component fold is Sim.Node_model.duration_and_binding's, written out
+   so that nothing is boxed or tupled: compute first, then each
+   component in Eq. 1 order, a later one taking over only when strictly
+   larger. *)
+let[@inline] exec_finish ts =
+  let tc = ts.tc in
+  if not (Float.is_nan tc.exec_finish) then tc.exec_finish
+  else if not ts.stream.Transfer.finished then infinity
+  else begin
+    let wt_component =
+      if ts.stream == no_xfer then 0.
+      else ts.stream.Transfer.clk.finished_at -. tc.exec_start
+    in
+    let binding = ref NM.Compute
+    and best = ref ts.tab.profiles.(ts.next).Latency.latc in
+    if tc.exec_if > !best then begin
+      binding := NM.Input_stream;
+      best := tc.exec_if
+    end;
+    if wt_component > !best then begin
+      binding := NM.Weight_stream;
+      best := wt_component
+    end;
+    if tc.exec_of > !best then begin
+      binding := NM.Output_stream;
+      best := tc.exec_of
+    end;
+    ts.binding <- !binding;
+    tc.exec_finish <- tc.exec_start +. !best;
+    tc.exec_finish
+  end
+
+(* Wake-up candidates per tenant: when its node state machine can next
+   move, and when its held transfer next changes on its own.  Inlined,
+   so that neither boxes the time it returns. *)
+let[@inline] stage_candidate ts =
+  match ts.stage with
+  | Entering -> ts.tc.clock
+  | Executing -> exec_finish ts
+  | Awaiting | Finished -> infinity
+
+let[@inline] xfer_candidate ts now =
+  let x = ts.current in
+  if x.Transfer.finished then infinity
+  else if x.Transfer.clk.rate > 0. then x.Transfer.clk.eta
+  else if x.Transfer.clk.blocked_until > now then x.Transfer.clk.blocked_until
+  else infinity
+
+(* --- timelines --- *)
+
+(* The run's current instant and the next one the event loop found,
+   float-only so writing them stores in place. *)
+type instant = { mutable now : float; mutable next_t : float }
 
 (* A utilization timeline under construction.  Adjacent pieces with
    equal utilization merge as they arrive, so a segment is allocated
@@ -295,10 +373,40 @@ let new_timeline () = { o_start = Float.nan; o_end = Float.nan; o_util = Float.n
 let closed_piece acc =
   { seg_start = acc.o_start; seg_end = acc.o_end; utilization = acc.o_util }
 
+(* Add [now, t) at utilization [util] to a timeline; returns its closed
+   pieces. *)
+let[@inline] extend acc closed ~now t util =
+  if acc.o_util = util && acc.o_end = now then begin
+    acc.o_end <- t;
+    closed
+  end
+  else begin
+    let closed =
+      if Float.is_nan acc.o_start then closed else closed_piece acc :: closed
+    in
+    acc.o_start <- now;
+    acc.o_end <- t;
+    acc.o_util <- util;
+    closed
+  end
+
 (* The chronological timeline: [closed] (newest first) plus the open
    piece. *)
 let finish_timeline acc closed =
   List.rev (if Float.is_nan acc.o_start then closed else closed_piece acc :: closed)
+
+let log_of (x : Transfer.t) =
+  let c = x.clk in
+  { log_owner = x.owner;
+    log_target = x.target;
+    log_kind = x.kind;
+    log_channel = x.channel;
+    log_bytes = c.bytes;
+    log_load = c.load;
+    log_deadline = c.deadline;
+    log_released = c.released_at;
+    log_started = c.started_at;
+    log_finished = (if x.finished then c.finished_at else -1.) }
 
 let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
     compiled =
@@ -315,54 +423,72 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
         let c = f ~owner ~target kind in
         if c < 0 || c >= channels then 0 else c
   in
-  let rank_of ~owner ~target kind =
-    match rank with None -> 0. | Some f -> f ~owner ~target kind
-  in
   let tenants = Array.mapi init_tenant compiled in
   let count = Array.length tenants in
-  let priority_of owner = compiled.(owner).input.priority in
   (* Tenants whose wake-up candidates may have changed since the last
-     heap flush.  Every mutation that can move a candidate time sets the
-     owner's flag; [flush_dirty] re-pushes candidates before each
-     [next_event], so the heap always holds every live candidate. *)
+     flush.  Every mutation that can move a candidate time sets the
+     owner's flag; [flush_dirty] recomputes those tenants' candidates
+     before each [next_event], so the cached ones are always current. *)
   let dirty = Array.make count true in
-  let heap = EQ.create () in
-  let key_counter = ref 0 in
-  let clock = { now = 0. } in
+  (* Each tenant's stage and transfer candidates as of its last flush. *)
+  let stage_at = Array.make count infinity in
+  let xfer_at = Array.make count infinity in
+  let clock = { now = 0.; next_t = 0. } in
   let segments = ref [] and timeline = new_timeline () in
   let channel_segments = Array.make channels [] in
   let channel_timelines = Array.init channels (fun _ -> new_timeline ()) in
-  let all_xfers = ref [] in
-  let enqueue ts ~kind ~target ~load ~bytes ~deadline =
-    incr key_counter;
-    let key = !key_counter in
-    let stall, fails =
+  (* Every transfer created, in key order: [xfers.(0 .. nxfers - 1)]. *)
+  let xfers =
+    ref
+      (Array.make
+         (16 + Array.fold_left (fun acc ts -> acc + (2 * ts.count)) 0 tenants)
+         no_xfer)
+  in
+  let nxfers = ref 0 in
+  (* [enqueue ts kind target clk] creates transfer [nxfers + 1] with the
+     clocks the caller built. *)
+  let enqueue ts kind target (clk : Transfer.clock) =
+    let key = !nxfers + 1 in
+    let fails =
       match faults with
-      | None -> (0., 0)
+      | None -> 0
       | Some inj ->
-        (Fault.Injector.stall_seconds inj ~key,
-         Fault.Injector.planned_failures inj ~key)
+        clk.stall <- Fault.Injector.stall_seconds inj ~key;
+        Fault.Injector.planned_failures inj ~key
     in
-    let priority = priority_of ts.index in
-    let xrank = rank_of ~owner:ts.index ~target kind in
+    (match rank with
+    | None -> ()
+    | Some f -> clk.rank <- f ~owner:ts.index ~target kind);
     let x =
-      { key; owner = ts.index; target; kind;
-        channel = channel_of ~owner:ts.index ~target kind;
-        xrank;
-        load; bytes; released_at = clock.now;
-        deadline; stall; fails; attempt = 0; finished = false;
-        clk =
-          { work = load; rate = 0.; settled = 0.; eta = infinity;
-            started_at = -1.; blocked_until = 0.; finished_at = 0. };
-        pending = { Scheduler.key; deadline; priority; rank = xrank };
-        contender = (key, priority) }
+      { Transfer.key; priority = ts.priority; owner = ts.index; target; kind;
+        channel = channel_of ~owner:ts.index ~target kind; fails; attempt = 0;
+        finished = false; clk }
     in
-    all_xfers := x :: !all_xfers;
-    Queue.add x ts.queue;
+    if !nxfers = Array.length !xfers then begin
+      let grown = Array.make (2 * !nxfers) no_xfer in
+      Array.blit !xfers 0 grown 0 !nxfers;
+      xfers := grown
+    end;
+    !xfers.(!nxfers) <- x;
+    nxfers := key;
+    queue_push ts x;
     (match kind with
     | Prefetch_load | Demand_load -> ts.pending_w.(target) <- ts.pending_w.(target) + 1
     | Weight_stream_x -> ());
     x
+  in
+  (* Release node [ts.next]'s prefetch edges, in PDG order. *)
+  let rec release ts tab = function
+    | [] -> ()
+    | e :: rest ->
+      let target = e.Lcmm.Prefetch.target in
+      ignore
+        (enqueue ts Prefetch_load target
+           (new_clock ~now:clock.now
+              ~load:(e.Lcmm.Prefetch.load_seconds *. tab.frac.(target))
+              ~bytes:tab.once_bytes.(target)
+              ~deadline:(ts.tc.clock +. tab.slack.(target))));
+      release ts tab rest
   in
   (* Apply a per-tenant step to every tenant in index order; whether any
      of them changed something. *)
@@ -375,25 +501,26 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
   in
   (* Move the queue head onto the tenant's (serial) channel. *)
   let start_job ts =
-    if Option.is_none ts.current && not (Queue.is_empty ts.queue) then begin
-      let x = Queue.pop ts.queue in
+    if ts.current == no_xfer && ts.qhead < ts.qtail then begin
+      let x = queue_pop ts in
       x.clk.settled <- clock.now;
-      if x.stall > 0. then begin
+      if x.clk.stall > 0. then begin
         (* Injected head-of-channel stall: the transfer holds the
            channel but is ineligible until the stall passes. *)
-        x.clk.blocked_until <- clock.now +. x.stall;
+        x.clk.blocked_until <- clock.now +. x.clk.stall;
         ts.stall_events <- ts.stall_events + 1
       end;
-      ts.current <- Some x;
+      ts.current <- x;
       dirty.(ts.index) <- true;
       true
     end
     else false
   in
   (* One zero-time step of a tenant's node state machine; returns whether
-     it made progress.  The arithmetic below mirrors Sim.Engine.simulate
-     through Sim.Node_model call for call, which is what makes the
-     single-tenant co-simulation bit-identical to the isolated engine. *)
+     it made progress, and changes nothing when it did not.  The
+     arithmetic below mirrors Sim.Engine.simulate through
+     Sim.Node_model call for call, which is what makes the single-tenant
+     co-simulation bit-identical to the isolated engine. *)
   let progress ts =
     match ts.stage with
     | Finished -> false
@@ -406,79 +533,79 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
       else begin
         let id = ts.next in
         let tab = ts.tab in
-        List.iter
-          (fun e ->
-            let target = e.Lcmm.Prefetch.target in
-            ignore
-              (enqueue ts ~kind:Prefetch_load ~target
-                 ~load:(e.Lcmm.Prefetch.load_seconds *. tab.frac.(target))
-                 ~bytes:tab.once_bytes.(target)
-                 ~deadline:(ts.tc.clock +. tab.input.slack target)))
-          ts.released.(id);
+        release ts tab ts.released.(id);
         (match tab.demand.(id) with
         | Some load when not ts.edge_flags.(id) ->
           ignore
-            (enqueue ts ~kind:Demand_load ~target:id ~load
-               ~bytes:tab.once_bytes.(id) ~deadline:ts.tc.clock)
+            (enqueue ts Demand_load id
+               (new_clock ~now:clock.now ~load ~bytes:tab.once_bytes.(id)
+                  ~deadline:ts.tc.clock))
         | Some _ | None -> ());
-        ts.stage <- Awaiting id;
+        ts.stage <- Awaiting;
         true
       end
-    | Awaiting id ->
+    | Awaiting ->
+      let id = ts.next in
       let tab = ts.tab in
       let is_pinned = tab.frac.(id) > 0. in
       if is_pinned && ts.pending_w.(id) > 0 then false
       else begin
         let ready = if is_pinned then ts.weight_ready.(id) else 0. in
-        let start = max ts.tc.clock ready in
+        let start = fmax ts.tc.clock ready in
         if start > clock.now then false
         else begin
-          let wait = start -. ts.tc.clock in
-          ts.tc.prefetch_wait <- ts.tc.prefetch_wait +. wait;
-          (* The node's stall before it starts, as the isolated engine
-             reports it; the Executing stage's timings write keeps it. *)
-          ts.timings.(id) <- { ts.timings.(id) with Sim.Engine.wait };
+          let tc = ts.tc in
+          let wait = start -. tc.clock in
+          tc.prefetch_wait <- tc.prefetch_wait +. wait;
           let streamed = tab.streamed.(id) in
-          let stream =
-            if streamed <= 0. then None
-            else
-              Some
-                (enqueue ts ~kind:Weight_stream_x ~target:id ~load:streamed
-                   ~bytes:tab.stream_bytes.(id) ~deadline:start)
-          in
-          ts.stage <-
-            Executing
-              { exec_id = id; exec_start = start; exec_if = tab.if_time.(id);
-                exec_of = tab.of_time.(id); exec_stream = stream;
-                exec_finish = Float.nan; exec_binding = NM.Compute };
+          ts.stream <-
+            (if streamed <= 0. then no_xfer
+             else
+               enqueue ts Weight_stream_x id
+                 (new_clock ~now:clock.now ~load:streamed
+                    ~bytes:tab.stream_bytes.(id) ~deadline:start));
+          tc.exec_start <- start;
+          tc.exec_wait <- wait;
+          tc.exec_if <- tab.if_time.(id);
+          tc.exec_of <- tab.of_time.(id);
+          tc.exec_finish <- Float.nan;
+          ts.binding <- NM.Compute;
+          ts.stage <- Executing;
           true
         end
       end
-    | Executing e ->
-      let tab = ts.tab in
-      let finish = node_finish tab.profiles.(e.exec_id).Latency.latc e in
+    | Executing ->
+      let finish = exec_finish ts in
       if finish > clock.now then false
       else begin
-        ts.timings.(e.exec_id) <-
-          { Sim.Engine.node_id = e.exec_id; start = e.exec_start; finish;
-            wait = ts.timings.(e.exec_id).Sim.Engine.wait;
-            binding = e.exec_binding };
-        ts.tc.ddr <-
-          ts.tc.ddr +. tab.if_bytes.(e.exec_id) +. tab.of_bytes.(e.exec_id);
-        ts.tc.clock <- finish;
-        ts.next <- e.exec_id + 1;
+        let id = ts.next in
+        let tc = ts.tc in
+        ts.timings.(id) <-
+          { Sim.Engine.node_id = id; start = tc.exec_start; finish;
+            wait = tc.exec_wait; binding = ts.binding };
+        tc.ddr <- tc.ddr +. ts.tab.if_bytes.(id) +. ts.tab.of_bytes.(id);
+        tc.clock <- finish;
+        ts.stream <- no_xfer;
+        ts.next <- id + 1;
         ts.stage <- Entering;
         true
       end
   in
   (* Hard tenant abort: drop every queued and in-flight transfer, pin
      the clock at the abort instant and finish the tenant.  Executed
-     nodes keep their timings; the report surfaces the reason. *)
+     nodes keep their timings, the executing one its stall; the report
+     surfaces the reason. *)
   let abort ts reason =
     dirty.(ts.index) <- true;
+    ts.idle <- false;
     ts.aborted <- Some reason;
-    Queue.clear ts.queue;
-    ts.current <- None;
+    (match ts.stage with
+    | Executing ->
+      ts.timings.(ts.next) <- { unfinished_timing with wait = ts.tc.exec_wait }
+    | Entering | Awaiting | Finished -> ());
+    queue_filter ts (fun _ -> false);
+    ts.current <- no_xfer;
+    ts.stream <- no_xfer;
     ts.tc.clock <- Float.max ts.tc.clock clock.now;
     ts.stage <- Finished
   in
@@ -501,22 +628,12 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
       | None -> abort ts "bank loss: no feasible degraded plan"
       | Some d ->
         dirty.(ts.index) <- true;
+        ts.idle <- false;
         (* Keep only the executing node's streamed-weight transfer: the
            node started before the fault and carries its own state. *)
-        let keep_stream =
-          match ts.stage with Executing e -> e.exec_stream | _ -> None
-        in
-        let keep x =
-          match keep_stream with Some k -> k == x | None -> false
-        in
-        let kept =
-          Queue.fold (fun acc x -> if keep x then x :: acc else acc) [] ts.queue
-        in
-        Queue.clear ts.queue;
-        List.iter (fun x -> Queue.add x ts.queue) (List.rev kept);
-        (match ts.current with
-        | Some x when not (keep x) -> ts.current <- None
-        | _ -> ());
+        let keep x = ts.stage = Executing && x == ts.stream in
+        queue_filter ts keep;
+        if not (keep ts.current) then ts.current <- no_xfer;
         (* The degraded plan's tables, rebuilt for this run alone: the
            compiled input other runs share is never written. *)
         ts.tab <-
@@ -524,17 +641,16 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
         (* A tenant caught between release and execution re-enters its
            node: the weights it was waiting for were just cancelled. *)
         (match ts.stage with
-        | Awaiting id ->
+        | Awaiting ->
           ts.stage <- Entering;
-          ts.next <- id;
           ts.tc.clock <- Float.max ts.tc.clock clock.now
-        | Entering | Executing _ | Finished -> ());
+        | Entering | Executing | Finished -> ());
         let resume =
           match ts.stage with
           | Entering -> ts.next
-          | Executing e -> e.exec_id + 1
+          | Executing -> ts.next + 1
           | Finished -> ts.count
-          | Awaiting _ -> assert false
+          | Awaiting -> assert false
         in
         Array.iteri
           (fun src edges ->
@@ -580,16 +696,6 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
       true
     | _ -> false
   in
-  (* The transfer a tenant holds its channel with, if unfinished. *)
-  let on_channel ts =
-    match ts.current with
-    | Some x as held when not x.finished -> held
-    | Some _ | None -> None
-  in
-  (* The transfer held by tenant [i], known to be on a channel. *)
-  let held i =
-    match tenants.(i).current with Some x -> x | None -> assert false
-  in
   (* Per channel, the tenant holding the scheduler's pick, the tenant
      holding the arbiter's winner among all eligible transfers, and how
      many are eligible (not stalled or backing off); -1 for none.
@@ -599,6 +705,16 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
   let eligible = Array.make channels 0 in
   let exclusive = Scheduler.exclusive scheduler in
   let stripe = 1. /. float_of_int channels in
+  (* [Arbiter.share] for k contenders at [2k] (a loser) and [2k + 1]
+     (the winner), worked out once per run so that reading a share boxes
+     nothing. *)
+  let shares =
+    Array.init
+      (2 * (count + 1))
+      (fun j ->
+        if j < 2 then 0.
+        else Arbiter.share arbitration ~contenders:(j / 2) ~winner:(j mod 2 = 1))
+  in
   (* The scheduler picks the contenders per DDR channel (all eligible
      transfers, or the most urgent one) and the arbiter splits that
      channel's bandwidth stripe over them; everything else is preempted
@@ -612,17 +728,16 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
     Array.fill winner 0 channels (-1);
     Array.fill eligible 0 channels 0;
     for i = 0 to count - 1 do
-      match tenants.(i).current with
-      | Some x when (not x.finished) && x.clk.blocked_until <= clock.now ->
+      let x = tenants.(i).current in
+      if (not x.finished) && x.clk.blocked_until <= clock.now then begin
         let c = x.channel in
         eligible.(c) <- eligible.(c) + 1;
         let u = urgent.(c) in
-        if u < 0 || Scheduler.more_urgent scheduler x.pending (held u).pending
-        then urgent.(c) <- i;
+        if u < 0 || Scheduler.more_urgent scheduler x tenants.(u).current then
+          urgent.(c) <- i;
         let w = winner.(c) in
-        if w < 0 || Arbiter.preferred x.contender (held w).contender then
-          winner.(c) <- i
-      | Some _ | None -> ()
+        if w < 0 || Arbiter.preferred x tenants.(w).current then winner.(c) <- i
+      end
     done;
     (* A DDR droop window scales every granted rate; multiplying by the
        1.0 no-fault factor is skipped outright so the fault-free float
@@ -633,18 +748,14 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
       | Some inj -> Fault.Injector.droop_factor inj ~now:clock.now
     in
     for i = 0 to count - 1 do
-      match tenants.(i).current with
-      | Some x when not x.finished ->
+      let x = tenants.(i).current in
+      if not x.finished then begin
         let c = x.channel in
         let r =
           if x.clk.blocked_until > clock.now then 0.
-          else if exclusive then (
-            if urgent.(c) = i then
-              Arbiter.share arbitration ~contenders:1 ~winner:true *. stripe
-            else 0.)
+          else if exclusive then (if urgent.(c) = i then shares.(3) *. stripe else 0.)
           else
-            Arbiter.share arbitration ~contenders:eligible.(c)
-              ~winner:(winner.(c) = i)
+            shares.((2 * eligible.(c)) + if winner.(c) = i then 1 else 0)
             *. stripe
         in
         let r = if factor = 1. then r else r *. factor in
@@ -665,14 +776,15 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
              else infinity);
           dirty.(x.owner) <- true
         end
-      | Some _ | None -> ()
+      end
     done
   in
   let complete_due ts =
-    match ts.current with
-    | Some x when (not x.finished) && x.clk.rate > 0. && x.clk.eta <= clock.now ->
+    let x = ts.current in
+    let xc = x.clk in
+    if (not x.finished) && xc.rate > 0. && xc.eta <= clock.now then begin
       dirty.(ts.index) <- true;
-      let xc = x.clk in
+      ts.idle <- false;
       if x.attempt < x.fails then begin
         (* Transient failure: the attempt's bytes moved over the bus
            but the payload is bad.  Retry after a capped exponential
@@ -680,12 +792,12 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
            tenant aborts. *)
         let at = xc.eta in
         x.attempt <- x.attempt + 1;
-        ts.tc.wt_busy <- ts.tc.wt_busy +. x.load;
-        ts.tc.ddr <- ts.tc.ddr +. x.bytes;
+        ts.tc.wt_busy <- ts.tc.wt_busy +. xc.load;
+        ts.tc.ddr <- ts.tc.ddr +. xc.bytes;
         (match faults with
         | Some inj when x.attempt <= Fault.Injector.max_retries inj ->
           ts.retries <- ts.retries + 1;
-          xc.work <- x.load;
+          xc.work <- xc.load;
           xc.settled <- at;
           xc.rate <- 0.;
           xc.eta <- infinity;
@@ -705,31 +817,37 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
         x.finished <- true;
         xc.finished_at <- xc.eta;
         xc.work <- 0.;
-        ts.current <- None;
-        ts.tc.wt_busy <- ts.tc.wt_busy +. x.load;
-        ts.tc.ddr <- ts.tc.ddr +. x.bytes;
+        ts.current <- no_xfer;
+        ts.tc.wt_busy <- ts.tc.wt_busy +. xc.load;
+        ts.tc.ddr <- ts.tc.ddr +. xc.bytes;
         (match x.kind with
         | Prefetch_load ->
           ts.weight_ready.(x.target) <- xc.finished_at;
           ts.pending_w.(x.target) <- ts.pending_w.(x.target) - 1
         | Demand_load ->
           ts.weight_ready.(x.target) <-
-            max ts.weight_ready.(x.target) xc.finished_at;
+            fmax ts.weight_ready.(x.target) xc.finished_at;
           ts.pending_w.(x.target) <- ts.pending_w.(x.target) - 1
         | Weight_stream_x -> ());
         true
       end
-    | _ -> false
+    end
+    else false
   in
-  let all_finished () =
-    Array.for_all is_finished tenants
-  in
+  let all_finished () = Array.for_all is_finished tenants in
+  (* A tenant [progress] left unchanged is skipped until something it
+     reads changes; skipping it is exact, as such a call changes
+     nothing. *)
   let step ts =
-    if progress ts then begin
+    if ts.idle then false
+    else if progress ts then begin
       dirty.(ts.index) <- true;
       true
     end
-    else false
+    else begin
+      ts.idle <- true;
+      false
+    end
   in
   (* Exhaust every zero-time transition at the current instant.  Rates
      are a function of the held transfers, their stalls and the instant,
@@ -738,6 +856,9 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
      after a start, a completion (or retry) or a fired fault event: on
      any other pass it would hand out the same rates again. *)
   let settle_instant () =
+    for i = 0 to count - 1 do
+      tenants.(i).idle <- false
+    done;
     let rearbitrate = ref true in
     let continue = ref true in
     while !continue do
@@ -750,115 +871,75 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
       continue := fired || stepped || started || completed
     done
   in
-  (* Wake-up candidates per tenant, exactly the times the old linear
-     scan considered.  Recomputed from current state both when pushing
-     and when validating a popped heap entry: an entry whose time no
-     longer equals a current candidate is stale and dropped. *)
-  let stage_candidate ts =
-    match ts.stage with
-    | Entering -> ts.tc.clock
-    | Executing e -> node_finish ts.tab.profiles.(e.exec_id).Latency.latc e
-    | Awaiting _ | Finished -> infinity
-  in
-  let xfer_candidate ts =
-    match ts.current with
-    | Some x when (not x.finished) && x.clk.rate > 0. -> x.clk.eta
-    | Some x when (not x.finished) && x.clk.blocked_until > clock.now ->
-      x.clk.blocked_until
-    | _ -> infinity
-  in
-  (* Candidates at or before [now] are dead: they stay constant while
-     the tenant's state is unchanged and time only moves forward, so
-     skipping them matches the old scan's [t > now] filter for good. *)
   let flush_dirty () =
     for i = 0 to count - 1 do
       if dirty.(i) then begin
         dirty.(i) <- false;
         let ts = tenants.(i) in
-        let s = stage_candidate ts in
-        if s > clock.now && s < infinity then EQ.push heap ~time:s i;
-        let x = xfer_candidate ts in
-        if x > clock.now && x < infinity then EQ.push heap ~time:x i
+        stage_at.(i) <- stage_candidate ts;
+        xfer_at.(i) <- xfer_candidate ts clock.now
       end
     done
   in
+  (* The next event instant into [clock.next_t]: the earliest candidate
+     or pending fault boundary after [now], infinity for none.  A
+     candidate at or before [now] is dead: it stays constant while its
+     tenant's state is unchanged, and time only moves forward.  Every
+     settle pass already walks the tenant array, so a scan of the cached
+     candidates costs what a heap would, and nothing goes stale. *)
   let next_event () =
-    let best = ref infinity in
+    clock.next_t <- infinity;
     (match faults with
     | None -> ()
     | Some inj ->
       (match !pending_events with
       | ev :: _ ->
         let t = Fault.Injector.event_time ev in
-        if t > clock.now && t < !best then best := t
+        if t > clock.now && t < clock.next_t then clock.next_t <- t
       | [] -> ());
       let boundary = Fault.Injector.next_droop_boundary inj ~now:clock.now in
-      if boundary < infinity && boundary > clock.now && boundary < !best then
-        best := boundary);
-    let continue = ref true in
-    while !continue && EQ.length heap > 0 do
-      let t = EQ.min_time heap in
-      if t <= clock.now then EQ.drop_min heap
-      else if t >= !best then continue := false
-      else begin
-        let ts = tenants.(EQ.min_tag heap) in
-        if t = stage_candidate ts || t = xfer_candidate ts then begin
-          (* Valid minimum; it becomes stale (<= now) once time
-             advances to it and is collected on a later pop. *)
-          best := t;
-          continue := false
-        end
-        else EQ.drop_min heap
-      end
-    done;
-    !best
+      if boundary < infinity && boundary > clock.now && boundary < clock.next_t
+      then clock.next_t <- boundary);
+    for i = 0 to count - 1 do
+      let s = stage_at.(i) in
+      if s > clock.now && s < clock.next_t then clock.next_t <- s;
+      let x = xfer_at.(i) in
+      if x > clock.now && x < clock.next_t then clock.next_t <- x
+    done
   in
   (* Per-channel summed rates, in the same full-bandwidth units as the
      aggregate timeline: the channel timelines always sum to it, and at
-     one channel [channel_util.(0)] IS the aggregate value (same
-     left-to-right float fold over the same transfers). *)
+     one channel the channel's sum IS the aggregate one (same
+     left-to-right float fold over the same transfers), so a one-channel
+     run keeps only the aggregate and shares it. *)
   let channel_util = Array.make channels 0. in
-  (* Add [now, t) at utilization [util] to a timeline; returns its
-     closed pieces. *)
-  let extend acc closed t util =
-    if acc.o_util = util && acc.o_end = clock.now then begin
-      acc.o_end <- t;
-      closed
-    end
-    else begin
-      let closed =
-        if Float.is_nan acc.o_start then closed else closed_piece acc :: closed
-      in
-      acc.o_start <- clock.now;
-      acc.o_end <- t;
-      acc.o_util <- util;
-      closed
-    end
-  in
   let guard = ref 0 in
   settle_instant ();
   flush_dirty ();
   while not (all_finished ()) do
     incr guard;
     if !guard > 100_000_000 then failwith "Runtime.Engine: event loop stuck";
-    let t = next_event () in
+    next_event ();
+    let t = clock.next_t in
     if t = infinity then
       failwith "Runtime.Engine: no runnable event but tenants unfinished";
     if t > clock.now then begin
       let util = ref 0. in
       Array.fill channel_util 0 channels 0.;
       for i = 0 to count - 1 do
-        match on_channel tenants.(i) with
-        | Some x ->
+        let x = tenants.(i).current in
+        if not x.finished then begin
           util := !util +. x.clk.rate;
           channel_util.(x.channel) <- channel_util.(x.channel) +. x.clk.rate
-        | None -> ()
+        end
       done;
-      segments := extend timeline !segments t !util;
-      for c = 0 to channels - 1 do
-        channel_segments.(c) <-
-          extend channel_timelines.(c) channel_segments.(c) t channel_util.(c)
-      done
+      segments := extend timeline !segments ~now:clock.now t !util;
+      if channels > 1 then
+        for c = 0 to channels - 1 do
+          channel_segments.(c) <-
+            extend channel_timelines.(c) channel_segments.(c) ~now:clock.now t
+              channel_util.(c)
+        done
     end;
     clock.now <- t;
     settle_instant ();
@@ -884,31 +965,20 @@ let run_compiled ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults
               aborted = ts.aborted } })
       tenants
   in
-  let makespan =
-    Array.fold_left (fun acc r -> max acc r.finish) 0. runs
-  in
+  let makespan = Array.fold_left (fun acc r -> fmax acc r.finish) 0. runs in
   let timeline = finish_timeline timeline !segments in
   let channel_timelines =
-    Array.mapi (fun c acc -> finish_timeline acc channel_segments.(c))
-      channel_timelines
+    if channels = 1 then [| timeline |]
+    else
+      Array.mapi (fun c acc -> finish_timeline acc channel_segments.(c))
+        channel_timelines
   in
-  let transfers =
-    List.rev_map
-      (fun x ->
-        { log_owner = x.owner;
-          log_target = x.target;
-          log_kind = x.kind;
-          log_channel = x.channel;
-          log_bytes = x.bytes;
-          log_load = x.load;
-          log_deadline = x.deadline;
-          log_released = x.released_at;
-          log_started = x.clk.started_at;
-          log_finished = (if x.finished then x.clk.finished_at else -1.) })
-      !all_xfers
-  in
+  let transfers = ref [] in
+  for k = !nxfers - 1 downto 0 do
+    transfers := log_of !xfers.(k) :: !transfers
+  done;
   { tenants = runs; makespan; timeline; channels; channel_timelines;
-    transfers }
+    transfers = !transfers }
 
 let run ~arbitration ~scheduler ?channels ?assign ?rank ?faults inputs =
   run_compiled ~arbitration ~scheduler ?channels ?assign ?rank ?faults

@@ -37,14 +37,22 @@
     transfers, their stalls and the instant alone, so a pass
     re-arbitrates only when it is the instant's first or follows a
     start, a completion (or failed attempt) or a fired fault event;
-    skipping the other passes is exact.  Arbitration picks each
-    channel's contenders with {!Scheduler.more_urgent} and splits its
-    stripe with {!Arbiter.preferred} and {!Arbiter.share}, folded over
-    the tenant array in place; transfer and tenant clocks live in
-    float-only records and the event heap is read through
-    {!Sim.Event_queue.min_time}, so settling and advancing allocate
-    nothing, and a run's minor-heap allocation is bounded by its nodes
-    and transfers (pinned by test/test_runtime.ml).
+    skipping the other passes is exact, and so is skipping a tenant
+    whose node step changed nothing until a completion, a fault or the
+    next instant touches it.  Arbitration picks each channel's
+    contenders with {!Scheduler.more_urgent} and splits its stripe with
+    {!Arbiter.preferred} and a per-run table of {!Arbiter.share}, folded
+    over the tenant array in place, reading each {!Transfer.t} directly.
+
+    A run allocates what it must build and nothing per instant: a
+    transfer is one record plus its flat float clocks, a node's stage is
+    a constant constructor with its times in the tenant's float-only
+    clock, its {!Sim.Engine.node_timing} is built once when it finishes,
+    and the wake-up candidates (cached per tenant and scanned for the
+    next instant) and the timeline pieces pass their floats unboxed.  A
+    run's minor-heap allocation is about
+    40 words per node and transfer (bounded at 45 by
+    test/test_runtime.ml and ci.sh).
 
     A run reads each tenant through its {!compiled} tables: every
     per-node fact that depends only on the plan, worked out once from
@@ -109,7 +117,7 @@ type segment = { seg_start : float; seg_end : float; utilization : float }
 (** One piece of the bus-utilization timeline: the summed bandwidth
     fraction in use over [seg_start, seg_end). *)
 
-type kind = Prefetch_load | Demand_load | Weight_stream_x
+type kind = Transfer.kind = Prefetch_load | Demand_load | Weight_stream_x
 (** DDR transfer kinds: PDG-scheduled weight prefetches, weight loads
     demanded at node entry, and streamed tiles of unpinned weight
     remainders. *)
@@ -159,6 +167,7 @@ type compiled = private {
   of_time : float array;       (** Output write-back seconds. *)
   if_bytes : float array;      (** Input-stream DDR bytes. *)
   of_bytes : float array;      (** Output write-back DDR bytes. *)
+  slack : float array;         (** The input's [slack], node by node. *)
   released : Lcmm.Prefetch.edge list array;
       (** Per source node, the prefetch edges released at its start. *)
   edge_flags : bool array;     (** Whether a released edge targets the node. *)

@@ -19,13 +19,18 @@
    beam's timeline model is only used to propose orders, never to score
    the winner — and the best (makespan, then high-priority slowdown,
    then candidate index) wins.  Candidate evaluation fans out on the
-   domain pool.
+   domain pool.  Of the candidate runs only the winner's is kept, with
+   each candidate's label, makespan and high-priority slowdown: run
+   one after another, a losing run's timings and transfer log are
+   garbage as soon as it is scored, so they die in the minor heap
+   instead of being promoted.
 
    All candidates run the same tenants, so a search compiles each
    tenant once ([Engine.compile]) and the transfer profiles and every
    candidate run ([Engine.run_compiled]) read those tables, shared
    read-only across the pool's domains.  The tables live for one
-   search: nothing is kept between calls. *)
+   search: nothing is kept between calls.  The beam itself runs over
+   double-buffered flat arrays and allocates nothing per step. *)
 
 type transfer = {
   t_owner : int;
@@ -72,7 +77,7 @@ let profile_tenant ~channels index (c : Engine.compiled)
             t_release = entry;
             t_dur =
               e.Lcmm.Prefetch.load_seconds *. c.Engine.frac.(target) *. stripe;
-            t_deadline = entry +. input.Engine.slack target }
+            t_deadline = entry +. c.Engine.slack.(target) }
           :: !acc)
       c.Engine.released.(id);
     (match c.Engine.demand.(id) with
@@ -91,85 +96,143 @@ let profile_tenant ~channels index (c : Engine.compiled)
   done;
   Array.of_list (List.rev !acc)
 
-(* Beam search over per-channel busy timelines: states hold each
-   tenant's next-transfer cursor and each channel's busy-until time;
-   expanding a state schedules one tenant's head transfer onto its
-   channel.  Scored by accumulated exposed stall, then summed finish
-   times.  Deterministic: expansion in state-then-tenant order, pruning
-   by stable sort. *)
-type beam_state = {
-  cursors : int array;
-  ch_free : float array;
-  ten_free : float array;
-  stall : float;
-  finish_sum : float;
-  order : (int * int * int) list;  (* reversed (owner, target, kind) *)
-}
+(* Beam search over per-channel busy timelines: a state holds each
+   tenant's next-transfer cursor and each channel's and tenant's
+   busy-until time; expanding a state schedules one tenant's head
+   transfer onto its channel.  Scored by accumulated exposed stall, then
+   summed finish times.  Deterministic: expansions are numbered in
+   state-then-tenant order, and a step keeps the [beam_width] least by
+   (stall, finish sum, number) under [compare] — what a stable sort of
+   the step's expansions keeps.
 
+   The states live in two sets of flat arrays, one row per state, read
+   by one step and written by the next; a kept expansion records only
+   its parent's row and its tenant, so an order is rebuilt at the end by
+   walking those back from a final state.  A step allocates nothing. *)
 let beam_width = 4
 
-let beam_orders ~channels ~channel_of
-    (profiles : transfer array array) =
+(* [Float.max], inlined so that a step boxes no float. *)
+let[@inline] fmax (x : float) y =
+  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then
+    if Float.is_nan x then x else y
+  else if Float.is_nan y then y else x
+
+type beam = {
+  cursors : int array;      (* row r: [r * tcount ..] *)
+  ch_free : float array;    (* row r: [r * nch ..] *)
+  ten_free : float array;   (* row r: [r * tcount ..] *)
+  stall : float array;      (* per row *)
+  finish_sum : float array; (* per row *)
+}
+
+let new_beam ~tcount ~nch =
+  { cursors = Array.make (beam_width * tcount) 0;
+    ch_free = Array.make (beam_width * nch) 0.;
+    ten_free = Array.make (beam_width * tcount) 0.;
+    stall = Array.make beam_width 0.;
+    finish_sum = Array.make beam_width 0. }
+
+let beam_orders ~channels ~channel_of (profiles : transfer array array) =
   let tcount = Array.length profiles in
   let total = Array.fold_left (fun a p -> a + Array.length p) 0 profiles in
   if total = 0 then []
   else begin
-    let init =
-      { cursors = Array.make tcount 0;
-        ch_free = Array.make (max 1 channels) 0.;
-        ten_free = Array.make tcount 0.;
-        stall = 0.;
-        finish_sum = 0.;
-        order = [] }
-    in
-    let states = ref [ init ] in
-    for _step = 1 to total do
-      let expanded = ref [] in
-      List.iter
-        (fun st ->
-          for t = tcount - 1 downto 0 do
-            let c = st.cursors.(t) in
-            if c < Array.length profiles.(t) then begin
-              let x = profiles.(t).(c) in
-              let ch = channel_of x in
-              let start =
-                Float.max x.t_release
-                  (Float.max st.ch_free.(ch) st.ten_free.(t))
-              in
-              let fin = start +. x.t_dur in
-              let cursors = Array.copy st.cursors in
-              cursors.(t) <- c + 1;
-              let ch_free = Array.copy st.ch_free in
-              ch_free.(ch) <- fin;
-              let ten_free = Array.copy st.ten_free in
-              ten_free.(t) <- fin;
-              expanded :=
-                { cursors;
-                  ch_free;
-                  ten_free;
-                  stall = st.stall +. Float.max 0. (fin -. x.t_deadline);
-                  finish_sum = st.finish_sum +. fin;
-                  order = (x.t_owner, x.t_target, kind_int x.t_kind) :: st.order }
-                :: !expanded
+    let nch = max 1 channels in
+    let cur = ref (new_beam ~tcount ~nch) and next = ref (new_beam ~tcount ~nch) in
+    let live = ref 1 in
+    (* Step [s]'s kept expansions, in rank order: parent row and tenant. *)
+    let parent = Array.make (total * beam_width) 0 in
+    let pick = Array.make (total * beam_width) 0 in
+    (* The step's best expansions so far, least first. *)
+    let kept = ref 0 in
+    let k_stall = Array.make beam_width 0. in
+    let k_sum = Array.make beam_width 0. in
+    let k_fin = Array.make beam_width 0. in
+    let k_row = Array.make beam_width 0 in
+    let k_ten = Array.make beam_width 0 in
+    let k_ch = Array.make beam_width 0 in
+    for step = 0 to total - 1 do
+      let b = !cur in
+      kept := 0;
+      for row = 0 to !live - 1 do
+        for t = tcount - 1 downto 0 do
+          let c = b.cursors.((row * tcount) + t) in
+          if c < Array.length profiles.(t) then begin
+            let x = profiles.(t).(c) in
+            let ch = channel_of x in
+            let start =
+              fmax x.t_release
+                (fmax b.ch_free.((row * nch) + ch) b.ten_free.((row * tcount) + t))
+            in
+            let fin = start +. x.t_dur in
+            let stall = b.stall.(row) +. fmax 0. (fin -. x.t_deadline) in
+            let sum = b.finish_sum.(row) +. fin in
+            (* Its place: after every kept expansion it does not beat,
+               so an equal one numbered earlier stays first. *)
+            let pos = ref !kept in
+            while
+              !pos > 0
+              &&
+              let c = compare stall k_stall.(!pos - 1) in
+              c < 0 || (c = 0 && compare sum k_sum.(!pos - 1) < 0)
+            do
+              decr pos
+            done;
+            if !pos < beam_width then begin
+              let last = if !kept < beam_width then !kept else beam_width - 1 in
+              for i = last downto !pos + 1 do
+                k_stall.(i) <- k_stall.(i - 1);
+                k_sum.(i) <- k_sum.(i - 1);
+                k_fin.(i) <- k_fin.(i - 1);
+                k_row.(i) <- k_row.(i - 1);
+                k_ten.(i) <- k_ten.(i - 1);
+                k_ch.(i) <- k_ch.(i - 1)
+              done;
+              k_stall.(!pos) <- stall;
+              k_sum.(!pos) <- sum;
+              k_fin.(!pos) <- fin;
+              k_row.(!pos) <- row;
+              k_ten.(!pos) <- t;
+              k_ch.(!pos) <- ch;
+              kept := last + 1
             end
-          done)
-        !states;
-      let ranked =
-        List.stable_sort
-          (fun a b ->
-            match compare a.stall b.stall with
-            | 0 -> compare a.finish_sum b.finish_sum
-            | c -> c)
-          (List.rev !expanded)
-      in
-      let rec take k = function
-        | [] -> []
-        | _ when k = 0 -> []
-        | s :: rest -> s :: take (k - 1) rest
-      in
-      states := take beam_width ranked
+          end
+        done
+      done;
+      let n = !next in
+      for k = 0 to !kept - 1 do
+        let row = k_row.(k) and t = k_ten.(k) in
+        Array.blit b.cursors (row * tcount) n.cursors (k * tcount) tcount;
+        n.cursors.((k * tcount) + t) <- n.cursors.((k * tcount) + t) + 1;
+        Array.blit b.ch_free (row * nch) n.ch_free (k * nch) nch;
+        n.ch_free.((k * nch) + k_ch.(k)) <- k_fin.(k);
+        Array.blit b.ten_free (row * tcount) n.ten_free (k * tcount) tcount;
+        n.ten_free.((k * tcount) + t) <- k_fin.(k);
+        n.stall.(k) <- k_stall.(k);
+        n.finish_sum.(k) <- k_sum.(k);
+        parent.((step * beam_width) + k) <- row;
+        pick.((step * beam_width) + k) <- t
+      done;
+      live := !kept;
+      next := b;
+      cur := n
     done;
-    List.map (fun st -> List.rev st.order) !states
+    (* Each final state's tenant sequence, walked back through the
+       parents, then replayed through the cursors as transfers. *)
+    List.init !live (fun final ->
+        let tenants = Array.make total 0 in
+        let row = ref final in
+        for step = total - 1 downto 0 do
+          tenants.(step) <- pick.((step * beam_width) + !row);
+          row := parent.((step * beam_width) + !row)
+        done;
+        let cursors = Array.make tcount 0 in
+        Array.map
+          (fun t ->
+            let x = profiles.(t).(cursors.(t)) in
+            cursors.(t) <- cursors.(t) + 1;
+            x)
+          tenants)
   end
 
 (* Deterministic heuristic orders over the flattened transfer list.
@@ -177,13 +240,20 @@ let beam_orders ~channels ~channel_of
    the sign [compare] gives on the same float tuples, without building
    them. *)
 let sorted_order cmp (profiles : transfer array array) =
-  Array.to_list profiles
-  |> List.concat_map Array.to_list
-  |> List.stable_sort cmp
-  |> List.map (fun x -> (x.t_owner, x.t_target, kind_int x.t_kind))
+  let all = Array.concat (Array.to_list profiles) in
+  Array.stable_sort cmp all;
+  all
 
 (* A comparison [c] on a primary key, ties broken by release time. *)
 let then_release c a b = if c <> 0 then c else Float.compare a.t_release b.t_release
+
+(* Two orders that name the same (owner, target, kind) sequence. *)
+let same_order a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y ->
+         x.t_owner = y.t_owner && x.t_target = y.t_target && x.t_kind = y.t_kind)
+       a b
 
 (* The rank table of an order over tenants of [nodes] nodes each: per
    tenant, a dense array over (target, kind) slots holding the first
@@ -191,11 +261,11 @@ let then_release c a b = if c <> 0 then c else Float.compare a.t_release b.t_rel
    names ranks last. *)
 let rank_of_order ~nodes order =
   let ranks = Array.map (fun n -> Array.make (3 * n) infinity) nodes in
-  List.iteri
-    (fun i (owner, target, kind) ->
-      let slot = (3 * target) + kind in
-      if ranks.(owner).(slot) = infinity then
-        ranks.(owner).(slot) <- float_of_int i)
+  Array.iteri
+    (fun i x ->
+      let slot = (3 * x.t_target) + kind_int x.t_kind in
+      if ranks.(x.t_owner).(slot) = infinity then
+        ranks.(x.t_owner).(slot) <- float_of_int i)
     order;
   fun ~owner ~target kind -> ranks.(owner).((3 * target) + kind_int kind)
 
@@ -246,16 +316,12 @@ let search ?pool ?(hp_first = false) ~arbitration ~channels
           (fun a b -> then_release (Float.compare a.t_dur b.t_dur) a b)
           profiles ]
   in
-  let seen = Hashtbl.create 8 in
   let searched =
-    List.filteri
-      (fun _ order ->
-        if Hashtbl.mem seen order then false
-        else begin
-          Hashtbl.add seen order ();
-          true
-        end)
-      orders
+    List.rev
+      (List.fold_left
+         (fun kept order ->
+           if List.exists (same_order order) kept then kept else order :: kept)
+         [] orders)
   in
   let candidates =
     { cand_label = "greedy"; cand_scheduler = Scheduler.Greedy; cand_rank = None }
@@ -267,21 +333,12 @@ let search ?pool ?(hp_first = false) ~arbitration ~channels
              cand_rank = Some (rank_of_order ~nodes order) })
          searched
   in
-  let evaluate cand =
-    Engine.run_compiled ~arbitration ~scheduler:cand.cand_scheduler ~channels
-      ?assign ?rank:cand.cand_rank ?faults:(make_faults ()) compiled
-  in
-  let results =
-    match pool with
-    | None -> List.map evaluate candidates
-    | Some pool -> Lcmm.Pool.map_list pool evaluate candidates
+  let hp =
+    Array.fold_left
+      (fun acc (i : Engine.tenant_input) -> min acc i.Engine.priority)
+      max_int inputs
   in
   let hp_slowdown_of (r : Engine.result) =
-    let hp =
-      Array.fold_left
-        (fun acc (i : Engine.tenant_input) -> min acc i.Engine.priority)
-        max_int inputs
-    in
     let worst = ref 1. in
     Array.iteri
       (fun i (tr : Engine.tenant_run) ->
@@ -293,10 +350,21 @@ let search ?pool ?(hp_first = false) ~arbitration ~channels
       r.Engine.tenants;
     !worst
   in
+  let evaluate cand =
+    let r =
+      Engine.run_compiled ~arbitration ~scheduler:cand.cand_scheduler ~channels
+        ?assign ?rank:cand.cand_rank ?faults:(make_faults ()) compiled
+    in
+    (cand.cand_label, r, r.Engine.makespan, hp_slowdown_of r)
+  in
+  (* The scored candidates in evaluation order.  Without a pool each is
+     run only when the selection below reaches it, so a run that does
+     not lead is garbage as soon as it is scored: of all the runs, only
+     the winner's outlives the search. *)
   let scored =
-    List.map2
-      (fun cand r -> (cand.cand_label, r, r.Engine.makespan, hp_slowdown_of r))
-      candidates results
+    match pool with
+    | None -> Seq.map evaluate (List.to_seq candidates)
+    | Some pool -> List.to_seq (Lcmm.Pool.map_list pool evaluate candidates)
   in
   (* Only candidates at or below the best baseline makespan are
      eligible — the chosen schedule can never lose to greedy or edf no
@@ -304,32 +372,39 @@ let search ?pool ?(hp_first = false) ~arbitration ~channels
      (priority arbitration: the operator declared the high-priority
      tenants matter most) minimizes their slowdown before makespan;
      otherwise makespan first. *)
+  let greedy, edf, rest =
+    match Seq.uncons scored with
+    | Some (g, rest) -> (
+      match Seq.uncons rest with
+      | Some (e, rest) -> (g, e, rest)
+      | None -> invalid_arg "Optimizer.search: no candidates")
+    | None -> invalid_arg "Optimizer.search: no candidates"
+  in
   let baseline =
-    match scored with
-    | (_, _, gm, _) :: (_, _, em, _) :: _ -> Float.min gm em
-    | _ -> infinity
+    let _, _, gm, _ = greedy and _, _, em, _ = edf in
+    Float.min gm em
   in
   let better (m, h) (bm, bh) =
     if hp_first then h < bh || (h = bh && m < bm)
     else m < bm || (m = bm && h < bh)
   in
-  let best =
-    List.fold_left
-      (fun acc ((_, _, m, h) as c) ->
-        if m > baseline then acc
-        else
-          match acc with
-          | None -> Some c
-          | Some (_, _, bm, bh) ->
-            if better (m, h) (bm, bh) then Some c else acc)
-      None scored
+  let best, summaries =
+    Seq.fold_left
+      (fun (best, summaries) ((l, _, m, h) as c) ->
+        let best =
+          if m > baseline then best
+          else
+            match best with
+            | None -> Some c
+            | Some (_, _, bm, bh) -> if better (m, h) (bm, bh) then Some c else best
+        in
+        (best, (l, m) :: summaries))
+      (None, [])
+      (Seq.cons greedy (Seq.cons edf rest))
   in
-  let label, result, _, hp =
+  let chosen, result, _, hp_slowdown =
     match best with
     | Some b -> b
     | None -> invalid_arg "Optimizer.search: no candidates"
   in
-  { result;
-    chosen = label;
-    hp_slowdown = hp;
-    candidates = List.map (fun (l, _, m, _) -> (l, m)) scored }
+  { result; chosen; hp_slowdown; candidates = List.rev summaries }

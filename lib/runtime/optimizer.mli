@@ -21,7 +21,12 @@
     hashing or allocating a key per transfer, and the heuristic orders
     sort with [Int.compare]/[Float.compare] chains rather than
     polymorphic [compare] on freshly built tuples (the same sign, so the
-    same orders). *)
+    same orders).  The beam keeps its states in double-buffered flat
+    arrays, picks each step's [beam_width] least expansions by (stall,
+    finish sum, expansion number) under [compare] — what a stable sort
+    keeps — and rebuilds its orders from parent links at the end.
+    Without a pool the candidates run one at a time and only the
+    winning {!Engine.result} is kept. *)
 
 type outcome = {
   result : Engine.result;          (** The winning candidate's exact run. *)

@@ -13,19 +13,12 @@ let of_string = function
 
 let all = [ Greedy; Edf; Optimized ]
 
-type pending = {
-  key : int;
-  deadline : float;
-  priority : int;
-  rank : float;
-}
-
 let exclusive = function Greedy -> false | Edf | Optimized -> true
 
 (* Earliest deadline, ties by priority then key. *)
-let edf_before (p : pending) (best : pending) =
-  p.deadline < best.deadline
-  || (p.deadline = best.deadline
+let edf_before (p : Transfer.t) (best : Transfer.t) =
+  p.clk.deadline < best.clk.deadline
+  || (p.clk.deadline = best.clk.deadline
      && (p.priority < best.priority
         || (p.priority = best.priority && p.key < best.key)))
 
@@ -34,10 +27,12 @@ let edf_before (p : pending) (best : pending) =
    ties among equally-ranked transfers, so with all ranks 0 (no rank
    table) it is exactly [Edf].  [Greedy] admits everything and is
    ordered as [Edf]. *)
-let more_urgent t (p : pending) (best : pending) =
+let more_urgent t (p : Transfer.t) (best : Transfer.t) =
   match t with
   | Greedy | Edf -> edf_before p best
-  | Optimized -> p.rank < best.rank || (p.rank = best.rank && edf_before p best)
+  | Optimized ->
+    p.clk.rank < best.clk.rank
+    || (p.clk.rank = best.clk.rank && edf_before p best)
 
 let eligible t ready =
   match ready with
@@ -47,5 +42,5 @@ let eligible t ready =
       [ (List.fold_left
            (fun best p -> if more_urgent t p best then p else best)
            first rest)
-          .key ]
-    else List.map (fun p -> p.key) ready
+          .Transfer.key ]
+    else List.map (fun (p : Transfer.t) -> p.key) ready

@@ -29,26 +29,19 @@ val of_string : string -> t option
 
 val all : t list
 
-type pending = {
-  key : int;        (** Unique transfer key (creation order). *)
-  deadline : float; (** Absolute time by which it should finish. *)
-  priority : int;   (** Owning tenant's priority (lower = higher). *)
-  rank : float;     (** Searched-order rank (lower = earlier); 0 when
-                        no rank table is in force. *)
-}
-
 val exclusive : t -> bool
 (** Whether the policy grants each channel to one transfer at a time:
     [Edf] and [Optimized] do, [Greedy] lets every pending transfer
     contend. *)
 
-val more_urgent : t -> pending -> pending -> bool
+val more_urgent : t -> Transfer.t -> Transfer.t -> bool
 (** [more_urgent t p best]: [p] is picked over [best].  [Edf]: earlier
     deadline, ties by priority then key.  [Optimized]: lower rank, ties
-    by the [Edf] order.  [Greedy] is ordered as [Edf].  Allocates
-    nothing: the engine folds it over its tenant array. *)
+    by the [Edf] order.  [Greedy] is ordered as [Edf].  Reads the
+    transfers' own fields and allocates nothing: the engine folds it
+    over its tenant array. *)
 
-val eligible : t -> pending list -> int list
+val eligible : t -> Transfer.t list -> int list
 (** Keys of the transfers allowed to contend for bandwidth right now,
     given one channel's pending transfers: all of them when not
     {!exclusive}, else the first one no later transfer is

@@ -140,7 +140,15 @@ let render_ok t (env : P.envelope) ?cache ~t0 payload =
   let elapsed_ms =
     if t.timing then Some ((Unix.gettimeofday () -. t0) *. 1e3) else None
   in
-  Wire.ok ?id:env.P.id ~op:(P.op_name env.P.request) ?cache ?elapsed_ms payload
+  (* A client that set [checksum] gets the sum [lcmm serve] would send:
+     the digest of the payload's compact rendering. *)
+  let sum =
+    if env.P.checksum then
+      Some (Dnn_serial.Codec.digest_string (Json.to_string payload))
+    else None
+  in
+  Wire.ok ?id:env.P.id ~op:(P.op_name env.P.request) ?cache ?elapsed_ms ?sum
+    payload
 
 let render_error t (env : P.envelope) msg =
   count t (fun c ->

@@ -555,6 +555,33 @@ let test_tier_retries_mask_transient () =
 
 (* The forwarded envelope carries the route digest as id, asks for a
    sum, and propagates the *remaining* deadline, not the original. *)
+(* A client that sets [checksum] gets the [sum] one [lcmm serve] process
+   sends: a 2-shard tier re-renders every reply from its payload, cold
+   and from its front cache alike, and must add the same digest; without
+   [checksum] no reply carries one. *)
+let test_tier_client_checksum () =
+  with_engines 3 (fun engines ->
+      let reference = List.nth engines 2 in
+      let shards =
+        List.map2 local_shard [ "a"; "b" ] [ List.nth engines 0; List.nth engines 1 ]
+      in
+      let tier = Tier.create ~ring:(Ring.create [ "a"; "b" ]) ~shards () in
+      let line =
+        {|{"op":"compile","model":"squeezenet","dtype":"i8","checksum":true}|}
+      in
+      let sum_of resp = field_exn "sum" resp in
+      let want =
+        sum_of (response_of (Svc.Engine.handle_line ~timing:false reference line))
+      in
+      Alcotest.check json_t "cold reply carries serve's sum" want
+        (sum_of (response_of (Tier.handle_line tier line)));
+      Alcotest.check json_t "cached reply carries serve's sum" want
+        (sum_of (response_of (Tier.handle_line tier line)));
+      Alcotest.(check bool) "no checksum, no sum" true
+        (Json.member_opt "sum"
+           (response_of (Tier.handle_line tier (compile_line "squeezenet")))
+        = None))
+
 let test_tier_forwarded_envelope () =
   with_engines 1 (fun engines ->
       let engine = List.hd engines in
@@ -907,6 +934,8 @@ let suite =
       test_tier_retries_mask_transient;
     Alcotest.test_case "tier: forwards digest id, sum, remaining deadline"
       `Quick test_tier_forwarded_envelope;
+    Alcotest.test_case "tier: a client's checksum gets serve's sum" `Quick
+      test_tier_client_checksum;
     Alcotest.test_case "tier: expired deadline answered by the router"
       `Quick test_tier_deadline_expires_in_router;
     Alcotest.test_case "tier: hedges a slow primary" `Quick test_tier_hedging;
