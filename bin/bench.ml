@@ -25,6 +25,16 @@ module Dnnk = Lcmm.Dnnk
 
 let line = String.make 78 '-'
 
+(* The LCMM design point a DSE chose, planned from the table its sweep
+   compiled, as a compile plans it. *)
+let plan_dse ?options (dse : Accel.Dse.result) g =
+  F.finish
+    (F.allocate (F.prepare ?options dse.Accel.Dse.config dse.Accel.Dse.table g))
+
+(* The chosen design's Eq. 1 profiles, from the same table. *)
+let profiles_dse (dse : Accel.Dse.result) =
+  Accel.Latency.profiles dse.Accel.Dse.config dse.Accel.Dse.table
+
 let header title =
   Printf.printf "\n%s\n== %s\n%s\n%!" line title line
 
@@ -261,8 +271,7 @@ let fig8 () =
   let g = Models.Zoo.build "googlenet" in
   let dtype = Tensor.Dtype.I16 in
   let dse = Accel.Dse.run ~style:Accel.Config.Lcmm dtype g in
-  let cfg = dse.Accel.Dse.config in
-  let plan_with options = F.plan ~options cfg g in
+  let plan_with options = plan_dse ~options dse g in
   let base = F.default_options in
   let variants =
     [ ("feat-reuse", { base with F.weight_prefetch = false });
@@ -409,7 +418,7 @@ let ablation () =
       let g = Models.Zoo.build model in
       let dse = Accel.Dse.run ~style:Accel.Config.Lcmm dtype g in
       let cfg = dse.Accel.Dse.config in
-      let metric = Metric.build g (Accel.Latency.profile_graph cfg g) in
+      let metric = Metric.build g (profiles_dse dse) in
       let items = Metric.eligible_items metric ~memory_bound_only:true in
       let vbufs =
         List.mapi
@@ -467,8 +476,8 @@ let ablation () =
   (* Exact branch-and-bound reference at a capacity where it closes. *)
   Printf.printf "\nexact reference (GoogLeNet i16, 4 MB budget):\n";
   let gx = Models.Zoo.build "googlenet" in
-  let cfgx = (Accel.Dse.run ~style:Accel.Config.Lcmm dtype gx).Accel.Dse.config in
-  let mx = Metric.build gx (Accel.Latency.profile_graph cfgx gx) in
+  let dsex = Accel.Dse.run ~style:Accel.Config.Lcmm dtype gx in
+  let mx = Metric.build gx (profiles_dse dsex) in
   let vbx =
     Metric.eligible_items mx ~memory_bound_only:true
     |> List.mapi (fun i item ->
@@ -489,7 +498,7 @@ let ablation () =
   let g = Models.Zoo.build "googlenet" in
   let dse = Accel.Dse.run ~style:Accel.Config.Lcmm dtype g in
   let cfg = dse.Accel.Dse.config in
-  let metric = Metric.build g (Accel.Latency.profile_graph cfg g) in
+  let metric = Metric.build g (profiles_dse dse) in
   let items = Metric.eligible_items metric ~memory_bound_only:true in
   let vbufs =
     List.mapi
@@ -516,11 +525,11 @@ let ablation () =
     [ 100; 25; 10; 5; 2 ];
   Printf.printf "\npass toggles (GoogLeNet i16, predicted ms):\n";
   let g = Models.Zoo.build "googlenet" in
-  let cfg = (Accel.Dse.run ~style:Accel.Config.Lcmm dtype g).Accel.Dse.config in
+  let dse = Accel.Dse.run ~style:Accel.Config.Lcmm dtype g in
   let base = F.default_options in
   List.iter
     (fun (name, options) ->
-      let p = F.plan ~options cfg g in
+      let p = plan_dse ~options dse g in
       Printf.printf "  %-28s %9.3f\n%!" name (p.F.predicted_latency *. 1e3))
     [ ("full LCMM", base);
       ("no buffer sharing", { base with F.buffer_sharing = false });
@@ -535,7 +544,7 @@ let ablation () =
   let tight = { base with F.capacity_override = Some (1_536 * 1024) } in
   List.iter
     (fun (name, options) ->
-      let p = F.plan ~options cfg g in
+      let p = plan_dse ~options dse g in
       Printf.printf "  %-28s %9.3f\n%!" name (p.F.predicted_latency *. 1e3))
     [ ("full LCMM", tight);
       ("no buffer sharing", { tight with F.buffer_sharing = false });
@@ -547,16 +556,16 @@ let ablation () =
   Printf.printf
     "\nweight slicing under a 0.75 MB tensor budget (ResNet-152 i16, predicted ms):\n";
   let rn = Models.Zoo.build "resnet152" in
-  let rn_cfg = (Accel.Dse.run ~style:Accel.Config.Lcmm dtype rn).Accel.Dse.config in
+  let rn_dse = Accel.Dse.run ~style:Accel.Config.Lcmm dtype rn in
   List.iter
     (fun k ->
       let p =
-        F.plan
+        plan_dse
           ~options:
             { base with
               F.capacity_override = Some (768 * 1024);
               weight_slices = k }
-          rn_cfg rn
+          rn_dse rn
       in
       Printf.printf "  %d slice(s): %9.3f\n%!" k (p.F.predicted_latency *. 1e3))
     [ 1; 2; 4; 8 ]
@@ -1023,8 +1032,7 @@ let runtime_search () =
     List.concat_map
       (fun (model, replicas, priority) ->
         let g = Models.Zoo.build model in
-        let cfg = (Accel.Dse.run ~style:Accel.Config.Lcmm dtype g).Accel.Dse.config in
-        let plan = F.plan cfg g in
+        let plan = plan_dse (Accel.Dse.run ~style:Accel.Config.Lcmm dtype g) g in
         let iso = simulate plan in
         List.init replicas (fun k ->
             ( plan,
@@ -1139,8 +1147,9 @@ let perf_experiment () =
     let t = p.F.pass_times in
     t.F.interference_us +. t.F.coloring_us +. t.F.dnnk_us
   in
-  Printf.printf "%6s %7s %7s %6s %6s | %12s | %10s | %10s %10s\n" "family" "nodes"
-    "items" "vbufs" "reps" "icd us" "plans/s" "dse us" "lcmm us";
+  Printf.printf "%6s %7s %7s %6s %6s | %12s | %10s | %10s %10s | %10s %10s\n"
+    "family" "nodes" "items" "vbufs" "reps" "icd us" "plans/s" "dse us"
+    "lcmm us" "profile us" "table us";
   let rows =
     List.map
       (fun (family, nodes) ->
@@ -1152,6 +1161,29 @@ let perf_experiment () =
           else if nodes >= 1024 || family = Check.Gen.Skip then 3
           else 10
         in
+        (* The tile DSE a compile runs before planning (both styles, one
+           sweep), the LCMM-only one the runtime runs, and the graph table
+           both build (the part of [profile_us] a compile takes from its
+           DSE), timed on their own so the plan numbers below stay the
+           planner's, and before the plans so that the planner's heap does
+           not weigh on their collections.  They are cheap next to a plan,
+           so each is the best of at least 20 reps, alternated so that all
+           see the same host. *)
+        let dse = ref infinity and dse_lcmm = ref infinity in
+        let table = ref infinity in
+        for _ = 1 to max reps 20 do
+          let _, both = time_us (fun () -> Accel.Dse.run_both dtype g) in
+          let _, lcmm =
+            time_us (fun () -> Accel.Dse.run ~style:Accel.Config.Lcmm dtype g)
+          in
+          let _, compile =
+            time_us (fun () ->
+                Accel.Latency.table dtype ~fused_eltwise:false g)
+          in
+          dse := Float.min !dse both;
+          dse_lcmm := Float.min !dse_lcmm lcmm;
+          table := Float.min !table compile
+        done;
         (* Best-of-reps: wall-clock noise only ever inflates a run, so the
            minimum is the honest estimate of the pass cost.  Each pass
            column is its own minimum over the reps; [icd_us] is the
@@ -1178,24 +1210,12 @@ let perf_experiment () =
           List.length (Metric.eligible_items p.F.metric ~memory_bound_only:true)
         in
         let vbufs = List.length p.F.vbufs in
-        (* The tile DSE a compile runs before planning (both styles, one
-           sweep), and the LCMM-only one the runtime runs, timed on their
-           own so the plan numbers above stay the planner's.  They are
-           cheap next to a plan, so each is the best of at least 10 reps,
-           alternated so that both see the same host. *)
-        let dse = ref infinity and dse_lcmm = ref infinity in
-        for _ = 1 to max reps 10 do
-          let _, both = time_us (fun () -> Accel.Dse.run_both dtype g) in
-          let _, lcmm =
-            time_us (fun () -> Accel.Dse.run ~style:Accel.Config.Lcmm dtype g)
-          in
-          dse := Float.min !dse both;
-          dse_lcmm := Float.min !dse_lcmm lcmm
-        done;
         let plans_per_sec = float_of_int reps *. 1e6 /. !total_us in
-        Printf.printf "%6s %7d %7d %6d %6d | %12.0f | %10.2f | %10.0f %10.0f\n%!"
+        let profile_us = List.assoc "profile_us" !pass_us in
+        Printf.printf
+          "%6s %7d %7d %6d %6d | %12.0f | %10.2f | %10.0f %10.0f | %10.0f %10.0f\n%!"
           (Check.Gen.family_name family) nodes items vbufs reps (icd_us p)
-          plans_per_sec !dse !dse_lcmm;
+          plans_per_sec !dse !dse_lcmm profile_us !table;
         Json.Obj
           [ ("family", Json.String (Check.Gen.family_name family));
             ("nodes", Json.Int nodes);
@@ -1204,6 +1224,7 @@ let perf_experiment () =
             ("vbufs", Json.Int vbufs);
             ( "pass_us",
               Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) !pass_us) );
+            ("table_us", Json.Float !table);
             ("icd_us", Json.Float (icd_us p));
             ("plans_per_sec", Json.Float plans_per_sec);
             ("dse_us", Json.Float !dse);

@@ -181,6 +181,7 @@ out=BENCH_perf.json
 dune exec bin/lcmm_cli.exe -- bench perf --json "$out" > /dev/null
 grep -q '"experiment": "perf"' "$out"
 grep -q '"plans_per_sec"' "$out"
+grep -q '"table_us"' "$out"
 # The interference+coloring+dnnk time on the 1024-node mixed row must
 # stay within 15575.95 us: 20x under the 311519 us that pipeline took
 # before the packed-bitset interference and indexed DNNK work.
@@ -198,10 +199,12 @@ grep -q '"family": "skip"' "$out"
 awk -F': ' '/"family"/ { fam = $2 } /"nodes"/ { n = $2 + 0 }
             /"dnnk_us"/ && fam ~ /"skip"/ && n == 512 { seen = 1; us = $2 + 0 }
             END { exit (seen && us <= 30000) ? 0 : 1 }' "$out"
-# The same row's profile_us (the Eq. 1 profile plus the metric tables)
-# must stay within 10 ms.  Flat input-term arrays and a one-walk
-# consumer table read 3.4-5.7 ms there; per-edge term lists and a graph
-# walk per value read 20-30 ms (2-vCPU host).
+# The same row's profile_us must stay within 10 ms.  It still times the
+# graph table, the Eq. 1 profiles and the metric tables that
+# Framework.plan builds; a compile takes the table from its DSE instead,
+# and table_us times that table alone.  Flat input-term arrays and a
+# one-walk consumer table read 3.4-5.7 ms there; per-edge term lists and
+# a graph walk per value read 20-30 ms (2-vCPU host).
 awk -F': ' '/"family"/ { fam = $2 } /"nodes"/ { n = $2 + 0 }
             /"profile_us"/ && fam ~ /"skip"/ && n == 512 { seen = 1; us = $2 + 0 }
             END { exit (seen && us <= 10000) ? 0 : 1 }' "$out"
@@ -227,13 +230,17 @@ awk -F': ' '/"family"/ { fam = $2 } /"nodes"/ { n = $2 + 0 }
             /"dse_us"/ && fam ~ /"skip"/ && n == 512 { seen = 1; us = $2 + 0 }
             END { exit (seen && us <= 15000) ? 0 : 1 }' "$out"
 # The second style must cost a fraction of a sweep, whatever the host:
-# on the 1024-node mixed row, the both-styles sweep stays within 1.5x
-# the LCMM-only one (dse_lcmm_us, the runtime's call).  One shared sweep
-# reads 1.1-1.3; two separate sweeps read about 2.0.
-awk -F': ' '/"family"/ { fam = $2 } /"nodes"/ { n = $2 + 0 }
-            fam ~ /"mixed"/ && n == 1024 && /"dse_us"/ { seen++; both = $2 + 0 }
-            fam ~ /"mixed"/ && n == 1024 && /"dse_lcmm_us"/ { seen++; one = $2 + 0 }
+# on the 1024- and 4096-node mixed rows, the both-styles sweep stays
+# within 1.5x the LCMM-only one (dse_lcmm_us, the runtime's call).  One
+# pass over the nodes per candidate for both styles read 1.00-1.13 and
+# 1.14-1.39 there over 10 runs; a fold per style read 1.04-1.24 and
+# 1.18-1.68, and two separate sweeps about 2.0 (2-vCPU host).
+for size in 1024 4096; do
+  awk -F': ' -v size="$size" '/"family"/ { fam = $2 } /"nodes"/ { n = $2 + 0 }
+            fam ~ /"mixed"/ && n == size && /"dse_us"/ { seen++; both = $2 + 0 }
+            fam ~ /"mixed"/ && n == size && /"dse_lcmm_us"/ { seen++; one = $2 + 0 }
             END { exit (seen == 2 && one > 0 && both <= 1.5 * one) ? 0 : 1 }' "$out"
+done
 # One schedule search on the squeezenet!x2 + inception_v4 x2 priority
 # mix (9 candidates, one exact engine run each), best of 50, must stay
 # within 26x the time of simulating its four plans alone with Sim.Engine

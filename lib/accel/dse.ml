@@ -2,6 +2,7 @@ type result = {
   config : Config.t;
   umm_latency : float;
   resources : Fpga.Resource.t;
+  table : Latency.table;
 }
 
 type designs = { umm : result; lcmm : result }
@@ -32,12 +33,13 @@ let better dtype a b =
 (* The one sweep: the best design point of each of [styles].  The styles
    differ only in their clock, so the fit of a (DSP fraction, tile)
    candidate and a node's streaming time on a tile (tile, bandwidth, burst
-   overhead) are shared: one fit check per candidate and one streaming
-   sweep over the tiles with a fitting candidate.  Only the compute times
-   (PE array and clock), swept once per fraction that has a fitting
-   candidate, and the folds are per style.  Candidates are folded in grid
-   order, fractions outer and tiles inner, so each style's choice and
-   tie-break are those of a sweep run for it alone. *)
+   overhead) are shared: one fit check per candidate, one streaming sweep
+   over the tiles with a fitting candidate, and one pass over the nodes
+   per fitting candidate that sums every style's total.  Only the compute
+   times (PE array and clock), swept once per fraction that has a fitting
+   candidate, are per style.  Candidates are folded in grid order,
+   fractions outer and tiles inner, so each style's choice and tie-break
+   are those of a sweep run for it alone. *)
 let sweep ~device styles dtype g =
   let tiles = Array.of_list (candidate_tiles ()) in
   let table = Latency.table dtype ~fused_eltwise:false g in
@@ -71,33 +73,39 @@ let sweep ~device styles dtype g =
   let row = Array.make (Array.length tiles) (-1) in
   List.iteri (fun r i -> row.(i) <- r) swept;
   let best = Array.make (Array.length styles) None in
-  let fold s base compute i tile = function
+  (* A style's sum that passes its best total can neither win nor tie, so
+     the pass may stop adding to it there. *)
+  let bounds = Array.make (Array.length styles) infinity in
+  let totals = Array.make (Array.length styles) 0. in
+  let fold bases compute i tile = function
     | None -> ()
-    | Some resources -> (
-      let streaming = streaming.(row.(i)) in
-      let candidate umm_latency =
-        { config = { base with Config.tile }; umm_latency; resources }
-      in
-      match best.(s) with
-      | None ->
-        best.(s) <- Some (candidate (Latency.umm_total_of_times ~compute ~streaming))
-      | Some b ->
-        (* A fold that passes the best total can neither win nor tie, so
-           it stops there. *)
-        let total =
-          Latency.umm_total_until ~bound:b.umm_latency ~compute ~streaming
-        in
-        if not (total > b.umm_latency) then
-          best.(s) <- Some (better dtype b (candidate total)))
+    | Some resources ->
+      Latency.umm_totals_until ~bounds ~compute ~streaming:streaming.(row.(i))
+        totals;
+      Array.iteri
+        (fun s total ->
+          if not (total > bounds.(s)) then begin
+            let candidate =
+              { config = { bases.(s) with Config.tile }; umm_latency = total;
+                resources; table }
+            in
+            let b =
+              match best.(s) with
+              | None -> candidate
+              | Some b -> better dtype b candidate
+            in
+            best.(s) <- Some b;
+            bounds.(s) <- b.umm_latency
+          end)
+        totals
   in
   List.iter
     (fun (bases, fit) ->
       if Array.exists Option.is_some fit then
-        Array.iteri
-          (fun s base ->
-            let compute = Latency.compute_times base table in
-            Array.iteri (fun i tile -> fold s base compute i tile fit.(i)) tiles)
-          bases)
+        let compute =
+          Array.map (fun base -> Latency.compute_times base table) bases
+        in
+        Array.iteri (fun i tile -> fold bases compute i tile fit.(i)) tiles)
     fractions;
   Array.map
     (function

@@ -9,16 +9,24 @@
 
     The two design styles differ only in their clock, so one sweep scores
     both: {!run_both} builds one {!Latency.table}, checks each (DSP
-    fraction, tile) candidate's fit once and sweeps each tile's streaming
-    times once, and only the compute times and the per-candidate folds are
-    per style.  {!run} is the same sweep for one style.  A compile runs
-    {!run_both}; the runtime, which plans only the LCMM design, runs
-    {!run}. *)
+    fraction, tile) candidate's fit once, sweeps each tile's streaming
+    times once and sums both styles' totals in one pass over the nodes per
+    candidate; only the compute times are per style.  {!run} is the same
+    sweep for one style.  A compile runs {!run_both}; the runtime, which
+    plans only the LCMM design, runs {!run}.
+
+    The table a sweep compiled comes back with its design point, so the
+    planner profiles the chosen design from it
+    ([Lcmm.Framework.prepare]) and a compile reads the graph's shapes
+    once. *)
 
 type result = {
   config : Config.t;
   umm_latency : float;      (** Seconds per inference under UMM. *)
   resources : Fpga.Resource.t;
+  table : Latency.table;
+      (** The graph's Eq. 1 inputs the sweep ran on, for [config]'s dtype
+          and fusion setting (fusion off). *)
 }
 
 type designs = { umm : result; lcmm : result }
@@ -35,14 +43,15 @@ val run :
     best design point of [style] for the graph.  Compute and streaming
     times are swept once per PE array and once per tile
     ({!Latency.compute_times}, {!Latency.streaming_times}), so each
-    candidate's latency is one fold, equal bit for bit to
-    [Latency.umm_total (Latency.profile_graph config g)].  Raises
+    candidate's latency is one fold ({!Latency.umm_totals_until}), equal
+    bit for bit to [Latency.umm_total (Latency.profiles config table)].  Raises
     [Invalid_argument] when no candidate fits the device. *)
 
 val run_both :
   ?device:Fpga.Device.t -> Tensor.Dtype.t -> Dnn_graph.Graph.t -> designs
 (** [run ~style:Umm] and [run ~style:Lcmm] from one sweep: each field is
-    equal, config, resources and latency bits, to the one-style call.  It
-    shares the table, the fit checks and the at most 36 streaming sweeps,
-    and runs 5 compute sweeps and up to 180 folds per style.  Raises like
+    equal, config, resources and latency bits, to the one-style call, and
+    both carry the one table.  It shares the table, the fit checks, the at
+    most 36 streaming sweeps and the up to 180 folds, each of which sums
+    both styles, and runs 5 compute sweeps per style.  Raises like
     {!run}. *)

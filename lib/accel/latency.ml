@@ -136,19 +136,16 @@ let node_inputs dtype ~fused_eltwise g ~sources ~bytes id =
       of_bytes =
         (if fused_into_next ~fused_eltwise g id then 0 else bytes.(id)) }
 
-(* Every node's inputs, handed to [f] with its id. *)
-let map_inputs dtype ~fused_eltwise g f =
+let table dtype ~fused_eltwise g =
   let sources = Values.source_table g in
   let bytes =
     Array.init (G.node_count g) (fun v ->
         Shape.size_bytes dtype (G.output_shape g v))
   in
-  Array.init (G.node_count g) (fun id ->
-      f (node_inputs dtype ~fused_eltwise g ~sources ~bytes id) id)
-
-let table dtype ~fused_eltwise g =
   { dtype; fused_eltwise;
-    inputs = map_inputs dtype ~fused_eltwise g (fun n _ -> n) }
+    inputs =
+      Array.init (G.node_count g)
+        (node_inputs dtype ~fused_eltwise g ~sources ~bytes) }
 
 let check_table cfg t =
   if cfg.Config.dtype <> t.dtype || cfg.Config.fused_eltwise <> t.fused_eltwise
@@ -261,13 +258,15 @@ let profile_of cfg ~bw n id =
       wt_once_bytes = n.wt_bytes;
       of_stream_bytes = n.of_bytes }
 
-(* Each node's inputs are compiled as [table] compiles them, then dropped:
-   one profile pass needs no table to outlive it, so the profile keeps
-   the node's source array as its [if_values]. *)
-let profile_graph cfg g =
+(* A profile keeps its node's source array as its [if_values]: the
+   table and the profiles share it, and neither ever writes it. *)
+let profiles cfg t =
+  check_table cfg t;
   let bw = Config.interface_bandwidth cfg in
-  map_inputs cfg.Config.dtype ~fused_eltwise:cfg.Config.fused_eltwise g
-    (profile_of cfg ~bw)
+  Array.mapi (fun id n -> profile_of cfg ~bw n id) t.inputs
+
+let profile_graph ({ Config.dtype; fused_eltwise; _ } as cfg) g =
+  profiles cfg (table dtype ~fused_eltwise g)
 
 let compute_times cfg t =
   check_table cfg t;
@@ -426,16 +425,34 @@ let streaming_times cfg t tiles =
   done;
   times
 
-let umm_total_until ~bound ~compute ~streaming:stream =
-  let acc = ref 0. and i = ref 0 in
-  while !i < Array.length compute && not (!acc > bound) do
-    acc := !acc +. overlap compute.(!i) stream.(!i);
-    incr i
-  done;
-  !acc
-
-let umm_total_of_times ~compute ~streaming =
-  umm_total_until ~bound:infinity ~compute ~streaming
+(* One pass over the nodes for both designs: a node's streaming time is
+   read once, and each design's term is added to its own sum in node
+   order, as [umm_total] adds it.  A sum that passes its bound only grows,
+   since every term is [>= 0], so it may keep growing while the other
+   design's sum is still under its own bound.  The one- and two-design
+   loops are written out so that their sums stay in registers. *)
+let umm_totals_until ~bounds ~compute ~streaming:stream totals =
+  let n = Array.length stream and i = ref 0 in
+  match compute with
+  | [| c |] ->
+    let bound = bounds.(0) and acc = ref 0. in
+    while !i < n && not (!acc > bound) do
+      acc := !acc +. overlap c.(!i) stream.(!i);
+      incr i
+    done;
+    totals.(0) <- !acc
+  | [| c0; c1 |] ->
+    let b0 = bounds.(0) and b1 = bounds.(1) in
+    let a0 = ref 0. and a1 = ref 0. in
+    while !i < n && not (!a0 > b0 && !a1 > b1) do
+      let s = stream.(!i) in
+      a0 := !a0 +. overlap c0.(!i) s;
+      a1 := !a1 +. overlap c1.(!i) s;
+      incr i
+    done;
+    totals.(0) <- !a0;
+    totals.(1) <- !a1
+  | _ -> invalid_arg "Latency.umm_totals_until: one or two designs"
 
 let umm_node_latency p =
   let if_time = ref 0. in

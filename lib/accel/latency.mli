@@ -12,7 +12,14 @@
     output-channel group (plus halo overread), streamed weights once per
     spatial tile.  A pinned tensor is read from SRAM and pays no reload
     at all; pinned weights are loaded exactly once per inference, off the
-    critical path when prefetching succeeds. *)
+    critical path when prefetching succeeds.
+
+    A {!table} is the one compile of a graph's Eq. 1 inputs: its shapes,
+    resolved source values and byte sizes, for one dtype and fusion
+    setting.  Everything else reads the table, not the graph: the DSE
+    sweeps it ({!compute_times}, {!streaming_times}), returns it with its
+    design point, and the planner builds the chosen design's
+    {!profiles} from it. *)
 
 type profile = {
   node_id : int;
@@ -34,27 +41,31 @@ type profile = {
   of_stream_bytes : int;           (** DDR bytes written back. *)
 }
 
+type table
+(** Per-node shapes, source values and byte sizes of one graph, for one
+    dtype and fusion setting. *)
+
+val table : Tensor.Dtype.t -> fused_eltwise:bool -> Dnn_graph.Graph.t -> table
+
+val profiles : Config.t -> table -> profile array
+(** One profile per node, indexed by node id: a per-node pass over the
+    table on the config's design point.  Raises [Invalid_argument] when
+    the config's dtype or fusion setting is not the table's. *)
+
 val profile_graph : Config.t -> Dnn_graph.Graph.t -> profile array
-(** One profile per node, indexed by node id. *)
+(** [profiles cfg (table cfg.dtype ~fused_eltwise:cfg.fused_eltwise g)],
+    for a caller that has no table. *)
 
 (** {2 Design sweeps}
 
     A node's UMM latency is [max latc streaming]: [latc] depends only on
     the PE array and clock, the streaming time only on the tile, the
     bandwidth and the burst overhead.  A sweep over design points
-    therefore compiles the graph's design-independent inputs once and
-    evaluates each half per distinct parameter set: the DSE
-    ({!Dse.run_both}) runs one {!streaming_times} over every tile it
-    keeps, whatever the number of styles, and one {!compute_times} per PE
-    array and clock.  Both halves use the arithmetic {!profile_graph}
-    uses, so the totals are bit-identical to
-    [umm_total (profile_graph cfg g)]. *)
-
-type table
-(** Per-node shapes, source values and byte sizes of one graph, for one
-    dtype and fusion setting. *)
-
-val table : Tensor.Dtype.t -> fused_eltwise:bool -> Dnn_graph.Graph.t -> table
+    therefore evaluates each half of a table per distinct parameter set:
+    the DSE ({!Dse.run_both}) runs one {!streaming_times} over every tile
+    it keeps, whatever the number of styles, and one {!compute_times} per
+    PE array and clock.  Both halves use the arithmetic {!profiles} uses,
+    so the totals are bit-identical to [umm_total (profiles cfg t)]. *)
 
 val compute_times : Config.t -> table -> float array
 (** Each node's compute seconds on the config's PE array and clock.
@@ -70,16 +81,19 @@ val streaming_times : Config.t -> table -> Tiling.t array -> float array array
     distinct tile dimension and its per-source quotients per (tm, th, tw),
     and allocates nothing per node.  Raises like {!compute_times}. *)
 
-val umm_total_of_times : compute:float array -> streaming:float array -> float
-(** Whole-network UMM latency from the two sweeps (one tile's row of
-    {!streaming_times}), summed in node order: equal, bit for bit, to
-    [umm_total] of the matching profiles. *)
-
-val umm_total_until :
-  bound:float -> compute:float array -> streaming:float array -> float
-(** {!umm_total_of_times}, stopped once the partial sum exceeds [bound].
-    Every node adds a term [>= 0], so a result [<= bound] is the exact
-    total and a result [> bound] means the total exceeds [bound] too. *)
+val umm_totals_until :
+  bounds:float array -> compute:float array array -> streaming:float array ->
+  float array -> unit
+(** [umm_totals_until ~bounds ~compute ~streaming totals] sets
+    [totals.(k)] to the whole-network UMM latency of the design whose
+    compute times are [compute.(k)], on one tile's row of
+    {!streaming_times}: one pass over the nodes for one or two designs
+    (the DSE's styles), each summed in node order.  The pass stops once
+    every sum exceeds its [bounds.(k)].  Every node adds a term [>= 0],
+    so a [totals.(k) <= bounds.(k)] is the exact total, equal bit for
+    bit to [umm_total] of the matching profiles, and a [totals.(k) >
+    bounds.(k)] means the total exceeds the bound too.  Raises
+    [Invalid_argument] unless there are one or two designs. *)
 
 val umm_node_latency : profile -> float
 (** Eq. 1 for one node with everything streamed from DDR:

@@ -164,25 +164,23 @@ type allocated = {
   al_times : pass_times;
 }
 
-let prepare ?(options = default_options) config g =
+let prepare ?(options = default_options) config table g =
   Log.info (fun m ->
       m "plan: %d nodes, %s, device %s" (G.node_count g)
         (Tensor.Dtype.to_string config.Config.dtype)
         config.Config.device.Fpga.Device.device_name);
   let profile_us = ref 0. and liveness_us = ref 0. and prefetch_us = ref 0. in
-  (* Slices below the allocation block size only waste rounding; cap the
-     per-node slice count so every slice spans at least one block. *)
-  let weight_slices n =
-    let bytes =
-      match G.weight_shape g n with
-      | None -> 0
-      | Some shape -> Tensor.Shape.size_bytes config.Config.dtype shape
-    in
-    max 1 (min options.weight_slices (bytes / Dnnk.block_bytes))
-  in
   let profiles, metric =
     timed profile_us (fun () ->
-        let profiles = Latency.profile_graph config g in
+        let profiles = Latency.profiles config table in
+        (* Slices below the allocation block size only waste rounding; cap
+           the per-node slice count so every slice spans at least one
+           block. *)
+        let weight_slices n =
+          max 1
+            (min options.weight_slices
+               (profiles.(n).Latency.wt_once_bytes / Dnnk.block_bytes))
+        in
         (profiles, Metric.build ~weight_slices g profiles))
   in
   let eligible =
@@ -413,10 +411,18 @@ let finish ?(stall_scale = 1.) al =
     channel_assignment;
     pass_times = { al.al_times with channel_assign_us = !channel_assign_us } }
 
-let plan ?options config g = finish (allocate (prepare ?options config g))
+(* [prepare] on a table compiled here, its build timed with the profile. *)
+let prepare_graph ?options ({ Config.dtype; fused_eltwise; _ } as config) g =
+  let us = ref 0. in
+  let table = timed us (fun () -> Latency.table dtype ~fused_eltwise g) in
+  let pr = prepare ?options config table g in
+  let times = pr.pr_times in
+  { pr with pr_times = { times with profile_us = !us +. times.profile_us } }
+
+let plan ?options config g = finish (allocate (prepare_graph ?options config g))
 
 let plan_partitioned ?options ~capacity_bytes config g =
-  finish (allocate ~capacity_bytes (prepare ?options config g))
+  finish (allocate ~capacity_bytes (prepare_graph ?options config g))
 
 (* Degraded-mode replanning for a board whose SRAM shrank under a live
    plan (bank loss).  Two steps, mirroring the paper's spill reasoning
@@ -578,10 +584,10 @@ type comparison = {
 }
 
 let compare_designs ?options ?(device = Fpga.Device.vu9p) ~model dtype g =
-  let { Accel.Dse.umm = umm_dse; lcmm = lcmm_dse } =
+  let { Accel.Dse.umm = umm_dse; lcmm = { Accel.Dse.config; table; _ } } =
     Accel.Dse.run_both ~device dtype g
   in
-  let lcmm_plan = plan ?options lcmm_dse.Accel.Dse.config g in
+  let lcmm_plan = finish (allocate (prepare ?options config table g)) in
   let umm =
     report ~style_name:"UMM" device umm_dse.Accel.Dse.config g
       ~latency_seconds:umm_dse.Accel.Dse.umm_latency ~tensor_bytes:0 ~buffer_count:0

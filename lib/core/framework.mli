@@ -42,8 +42,9 @@ val default_options : options
 type pass_times = {
   profile_us : float;
       (** The Eq. 1 profile and the metric tables built on it
-          ({!Accel.Latency.profile_graph} and {!Metric.build}), the base
-          every pass reads. *)
+          ({!Accel.Latency.profiles} and {!Metric.build}), the base every
+          pass reads; for {!plan} and {!plan_partitioned}, the
+          {!Accel.Latency.table} they compile too. *)
   liveness_us : float;
   interference_us : float;
   coloring_us : float;
@@ -111,8 +112,15 @@ type allocated
     coloring (passes 1–2), DNNK (pass 3) and buffer splitting (pass 4),
     before the stall prune. *)
 
-val prepare : ?options:options -> Accel.Config.t -> Dnn_graph.Graph.t -> prepared
-(** Profile, metric, items, PDG and liveness. *)
+val prepare :
+  ?options:options -> Accel.Config.t -> Accel.Latency.table ->
+  Dnn_graph.Graph.t -> prepared
+(** Profile, metric, items, PDG and liveness.  The profiles are
+    {!Accel.Latency.profiles} of the given table, the one compile of the
+    graph's Eq. 1 inputs (a DSE result's [table]), and each weight's
+    slice count reads its bytes from its profile.  Raises
+    [Invalid_argument] when the table was compiled for another dtype or
+    fusion setting than the config's. *)
 
 val allocate : ?capacity_bytes:int -> prepared -> allocated
 (** Build a fresh interference graph (splitting mutates it), color it,
@@ -136,8 +144,8 @@ val finish : ?stall_scale:float -> allocated -> plan
     made it, shared stages included. *)
 
 val plan : ?options:options -> Accel.Config.t -> Dnn_graph.Graph.t -> plan
-(** Run LCMM for a fixed design point: [finish (allocate (prepare ..))],
-    on the calling domain. *)
+(** Run LCMM for a fixed design point: [finish (allocate (prepare ..))]
+    on a table compiled for the config, on the calling domain. *)
 
 val plan_partitioned :
   ?options:options -> capacity_bytes:int ->
@@ -199,7 +207,8 @@ val compare_designs :
   Tensor.Dtype.t -> Dnn_graph.Graph.t -> comparison
 (** The paper's Table 1 experiment for one (model, precision) pair: DSE a
     UMM baseline and an LCMM design (one {!Accel.Dse.run_both} sweep), run
-    the framework on the latter and report both. *)
+    the framework on the latter from the sweep's table and report both.
+    The LCMM plan is the one {!plan} makes on the LCMM design point. *)
 
 val report_of_plan : style_name:string -> Dnn_graph.Graph.t -> plan -> design_report
 

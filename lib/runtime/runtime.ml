@@ -144,7 +144,8 @@ let run ?pool options specs =
     let dse =
       Accel.Dse.run ~device:options.device ~style:Config.Lcmm options.dtype g
     in
-    F.prepare ~options:options.fw_options dse.Accel.Dse.config g
+    F.prepare ~options:options.fw_options dse.Accel.Dse.config
+      dse.Accel.Dse.table g
   in
   let allocate (m, grant) =
     F.allocate ?capacity_bytes:grant (Hashtbl.find prepared m)

@@ -171,6 +171,7 @@ let test_dse () =
    profile per design point.  Kept here as the reference the sweep must
    match bit for bit. *)
 let reference_dse ~device ~style dtype g =
+  let table = Latency.table dtype ~fused_eltwise:false g in
   let candidates =
     List.concat_map
       (fun dsp_fraction ->
@@ -184,7 +185,7 @@ let reference_dse ~device ~style dtype g =
       None
     else
       let umm_latency = Latency.umm_total (Latency.profile_graph cfg g) in
-      Some { Accel.Dse.config = cfg; umm_latency; resources }
+      Some { Accel.Dse.config = cfg; umm_latency; resources; table }
   in
   let better a b =
     let open Accel.Dse in
@@ -200,6 +201,26 @@ let reference_dse ~device ~style dtype g =
   | [] -> invalid_arg "Dse.run: no tile configuration fits the device"
   | first :: rest -> List.fold_left better first rest
 
+(* Two profiles equal field by field, floats bit for bit. *)
+let same_profile (a : Latency.profile) (b : Latency.profile) =
+  let bits = Int64.bits_of_float in
+  let same_floats x y =
+    Array.length x = Array.length y
+    && Array.for_all2 (fun u v -> bits u = bits v) x y
+  in
+  a.Latency.node_id = b.Latency.node_id
+  && bits a.Latency.latc = bits b.Latency.latc
+  && a.Latency.if_values = b.Latency.if_values
+  && same_floats a.Latency.if_secs b.Latency.if_secs
+  && a.Latency.if_bytes = b.Latency.if_bytes
+  && bits a.Latency.wt_term = bits b.Latency.wt_term
+  && bits a.Latency.wt_load_once = bits b.Latency.wt_load_once
+  && bits a.Latency.of_term = bits b.Latency.of_term
+  && a.Latency.of_value = b.Latency.of_value
+  && a.Latency.wt_stream_bytes = b.Latency.wt_stream_bytes
+  && a.Latency.wt_once_bytes = b.Latency.wt_once_bytes
+  && a.Latency.of_stream_bytes = b.Latency.of_stream_bytes
+
 let test_dse_bit_exact () =
   let outcome f = match f () with r -> Ok r | exception Invalid_argument m -> Error m in
   let check_outcome label g want got =
@@ -214,10 +235,16 @@ let test_dse_bit_exact () =
         (Int64.bits_of_float got.umm_latency);
       (* The table's two consumers agree: profiles rebuilt on the chosen
          design sum to the sweep's total. *)
+      let from_graph = Latency.profile_graph got.config g in
       Alcotest.(check int64) (label ^ ": profiles agree")
         (Int64.bits_of_float got.umm_latency)
-        (Int64.bits_of_float
-           (Latency.umm_total (Latency.profile_graph got.config g)))
+        (Int64.bits_of_float (Latency.umm_total from_graph));
+      (* The table the sweep returns is the graph's: the profiles built
+         from it are the ones a fresh compile builds. *)
+      Alcotest.(check bool) (label ^ ": shared table exact") true
+        (Array.for_all2 same_profile
+           (Latency.profiles got.config got.table)
+           from_graph)
     | Error want, Error got -> Alcotest.(check string) (label ^ ": error") want got
     | Ok _, Error m -> Alcotest.failf "%s: sweep raised %s" label m
     | Error m, Ok _ -> Alcotest.failf "%s: reference raised %s" label m
@@ -272,6 +299,19 @@ let test_dse_bit_exact () =
   check_case "skip-512 vu9p i16" ~device:Fpga.Device.vu9p Dtype.I16
     (Check.Gen.sized_graph ~family:Check.Gen.Skip
        (Random.State.make [| 2026; 512 |]) ~nodes:512)
+
+let test_profiles_refuse_other_table () =
+  let g = Helpers.diamond () in
+  let cfg = Config.make ~style:Config.Lcmm Dtype.I16 in
+  List.iter
+    (fun (label, dtype, fused_eltwise) ->
+      Alcotest.check_raises label
+        (Invalid_argument
+           "Latency: table compiled for another dtype or fusion setting")
+        (fun () ->
+          ignore (Latency.profiles cfg (Latency.table dtype ~fused_eltwise g))))
+    [ ("other dtype", Dtype.I8, false);
+      ("other fusion setting", Dtype.I16, true) ]
 
 let test_fused_eltwise () =
   let g = Helpers.diamond () in
@@ -328,26 +368,48 @@ let prop_sweep_matches_profiles =
         (list_size (int_range 1 10) tile_gen))
     (fun (seed, max_nodes, fused_eltwise, tiles) ->
       let g = Check.Gen.graph (Random.State.make [| seed |]) ~max_nodes in
-      let cfg = Config.make ~fused_eltwise ~style:Config.Lcmm Dtype.I16 in
+      let cfgs =
+        Array.map
+          (fun style -> Config.make ~fused_eltwise ~style Dtype.I16)
+          [| Config.Lcmm; Config.Umm |]
+      in
       let table = Latency.table Dtype.I16 ~fused_eltwise g in
-      let compute = Latency.compute_times cfg table in
-      let rows = Latency.streaming_times cfg table (Array.of_list tiles) in
+      let compute =
+        Array.map (fun cfg -> Latency.compute_times cfg table) cfgs
+      in
+      let rows = Latency.streaming_times cfgs.(0) table (Array.of_list tiles) in
+      let bits = Int64.bits_of_float in
       List.for_all2
         (fun tile streaming ->
-          let profiles = Latency.profile_graph { cfg with Config.tile } g in
-          let total = Latency.umm_total_of_times ~compute ~streaming in
-          let bits = Int64.bits_of_float in
-          let until bound = Latency.umm_total_until ~bound ~compute ~streaming in
-          bits total = bits (Latency.umm_total profiles)
+          let profiles k =
+            Latency.profile_graph { cfgs.(k) with Config.tile } g
+          in
+          let totals ?(compute = compute) bounds =
+            let t = Array.make (Array.length bounds) nan in
+            Latency.umm_totals_until ~bounds ~compute ~streaming t;
+            t
+          in
+          let exact = totals [| infinity; infinity |] in
+          let want = Array.init 2 (fun k -> Latency.umm_total (profiles k)) in
+          let past bound total = total > bound || bound = 0. in
+          bits exact.(0) = bits want.(0)
+          && bits exact.(1) = bits want.(1)
           && Array.for_all2
                (fun p s ->
                  bits (Latency.umm_node_latency p)
                  = bits (Float.max p.Latency.latc s))
-               profiles streaming
-          (* A bound the total reaches runs the whole fold; half of it
-             stops the fold past the bound. *)
-          && bits (until total) = bits total
-          && (until (total *. 0.5) > total *. 0.5 || total = 0.))
+               (profiles 0) streaming
+          (* One design alone sums as it does beside the other.  Bounds
+             the totals reach run the whole fold; half of one keeps the
+             other exact, and half of both stops the fold past both. *)
+          && bits (totals ~compute:[| compute.(1) |] [| infinity |]).(0)
+             = bits exact.(1)
+          && Array.for_all2 (fun a b -> bits a = bits b) (totals exact) exact
+          && (let t = totals [| exact.(0); exact.(1) *. 0.5 |] in
+              bits t.(0) = bits exact.(0) && past (exact.(1) *. 0.5) t.(1))
+          && (let half = Array.map (fun x -> x *. 0.5) exact in
+              let t = totals half in
+              past half.(0) t.(0) && past half.(1) t.(1)))
         tiles (Array.to_list rows))
 
 let suite =
@@ -364,6 +426,8 @@ let suite =
     Alcotest.test_case "roofline" `Quick test_roofline;
     Alcotest.test_case "dse" `Quick test_dse;
     Alcotest.test_case "dse sweep bit-exact" `Quick test_dse_bit_exact;
+    Alcotest.test_case "profiles refuse another table" `Quick
+      test_profiles_refuse_other_table;
     Alcotest.test_case "fused eltwise" `Quick test_fused_eltwise;
     prop_umm_upper_bound;
     prop_sweep_matches_profiles ]

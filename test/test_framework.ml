@@ -23,7 +23,8 @@ let test_plan_improves () =
 let test_profile_time_charged () =
   let g = Models.Zoo.build "densenet121" in
   let cfg = Accel.Config.make ~style:Accel.Config.Lcmm Tensor.Dtype.I16 in
-  let prepared = F.prepare cfg g in
+  let table = Accel.Latency.table Tensor.Dtype.I16 ~fused_eltwise:false g in
+  let prepared = F.prepare cfg table g in
   let p = F.finish (F.allocate prepared) in
   let times = p.F.pass_times in
   Alcotest.(check bool) "profile_us > 0" true (times.F.profile_us > 0.);
@@ -173,12 +174,10 @@ let test_staged_scaled () =
     List.concat_map
       (fun (e : Models.Zoo.entry) ->
         let g = e.Models.Zoo.build () in
-        let config =
-          (Accel.Dse.run ~style:Accel.Config.Lcmm Tensor.Dtype.I16 g)
-            .Accel.Dse.config
-        in
+        let dse = Accel.Dse.run ~style:Accel.Config.Lcmm Tensor.Dtype.I16 g in
+        let config = dse.Accel.Dse.config in
         let budget = Accel.Config.sram_budget_bytes config in
-        let prepared = F.prepare config g in
+        let prepared = F.prepare config dse.Accel.Dse.table g in
         List.concat_map
           (fun divisor ->
             let key = Printf.sprintf "%s/b%d" e.Models.Zoo.model_name divisor in
@@ -217,6 +216,42 @@ let test_staged_scaled () =
     expected lines;
   Alcotest.(check bool) "a plan prunes at scale 1000" true (!pruned > 0)
 
+(* A compile plans the LCMM design from the DSE's table; the plan is the
+   one [plan] makes from a table it compiles itself, on every zoo model
+   and precision, with the fusion post-pass option off and on. *)
+let test_compile_equals_plan () =
+  List.iter
+    (fun (e : Models.Zoo.entry) ->
+      let g = e.Models.Zoo.build () in
+      List.iter
+        (fun dtype ->
+          List.iter
+            (fun fusion ->
+              let options = { F.default_options with F.fusion } in
+              let c =
+                F.compare_designs ~options ~model:e.Models.Zoo.model_name dtype g
+              in
+              let p = F.plan ~options c.F.lcmm_plan.F.config g in
+              if F.fingerprint c.F.lcmm_plan <> F.fingerprint p then
+                Alcotest.failf "%s %s fusion %b: compile plan differs"
+                  e.Models.Zoo.model_name (Tensor.Dtype.to_string dtype) fusion)
+            [ false; true ])
+        Tensor.Dtype.[ I8; I16; F32 ])
+    Models.Zoo.all
+
+let test_prepare_refuses_other_table () =
+  let g = Helpers.diamond () in
+  let cfg = Accel.Config.make ~style:Accel.Config.Lcmm Tensor.Dtype.I16 in
+  List.iter
+    (fun (label, dtype, fused_eltwise) ->
+      Alcotest.check_raises label
+        (Invalid_argument
+           "Latency: table compiled for another dtype or fusion setting")
+        (fun () ->
+          ignore (F.prepare cfg (Accel.Latency.table dtype ~fused_eltwise g) g)))
+    [ ("other dtype", Tensor.Dtype.I8, false);
+      ("other fusion setting", Tensor.Dtype.I16, true) ]
+
 let suite =
   [ Alcotest.test_case "plan improves" `Quick test_plan_improves;
     Alcotest.test_case "option toggles" `Quick test_option_toggles;
@@ -224,6 +259,9 @@ let suite =
     Alcotest.test_case "no sharing option" `Quick test_no_sharing_option;
     Alcotest.test_case "memory-bound-only filter" `Quick test_memory_bound_only_filter;
     Alcotest.test_case "compare designs" `Quick test_compare_designs_shape;
+    Alcotest.test_case "compile plan equals plan" `Quick test_compile_equals_plan;
+    Alcotest.test_case "prepare refuses another table" `Quick
+      test_prepare_refuses_other_table;
     Alcotest.test_case "helped layers" `Quick test_helped_layers_consistent;
     Alcotest.test_case "staged plans at stall scales pinned" `Quick
       test_staged_scaled;

@@ -766,25 +766,25 @@ let reference_optimized ?(on_search = ignore) (options : Rt.Runtime.options)
   let bases = Hashtbl.create 8 in
   let base (s : Rt.Runtime.spec) =
     match Hashtbl.find_opt bases s.Rt.Runtime.model with
-    | Some p -> p
+    | Some b -> b
     | None ->
       let dse =
         Accel.Dse.run ~device:options.Rt.Runtime.device
           ~style:Accel.Config.Lcmm options.Rt.Runtime.dtype s.Rt.Runtime.graph
       in
       let p = F.plan ~options:fw dse.Accel.Dse.config s.Rt.Runtime.graph in
-      Hashtbl.add bases s.Rt.Runtime.model p;
-      p
+      Hashtbl.add bases s.Rt.Runtime.model (p, dse.Accel.Dse.table);
+      (p, dse.Accel.Dse.table)
   in
   let plan_at i grant scale =
     let s = specs.(i) in
-    let b = base s in
+    let b, table = base s in
     let p =
       if scale = 1. && grant >= b.F.tensor_sram_bytes then b
       else
         F.finish ~stall_scale:scale
           (F.allocate ~capacity_bytes:grant
-             (F.prepare ~options:fw b.F.config s.Rt.Runtime.graph))
+             (F.prepare ~options:fw b.F.config table s.Rt.Runtime.graph))
     in
     let p = maybe_fuse p in
     (i, grant, p, isolated p)
