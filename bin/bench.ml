@@ -1133,6 +1133,59 @@ let warm_hits () =
       done;
       List.combine warm_hit_models (Array.to_list best))
 
+(* A cold capacity sweep, the traffic the stage memo serves: googlenet
+   at i16 with 16 capacity overrides (1/32 to 1/2 of the SRAM budget),
+   compile and simulate alternating and fusion on every fourth request,
+   through a fresh engine, so every request misses the plan cache.  The
+   model's DSE designs and prepared stage depend on none of those
+   options, so the sweep should run each once and take the other 15
+   from the model's stage memo.  No other part of [bench perf] computes
+   googlenet, so its memo starts cold.  Returns the request count and
+   the engine's stage counters: counts of work, which no host changes
+   (the sweep's wall time is mostly the process's first request). *)
+let cold_sweep_model = "googlenet"
+
+let cold_sweep () =
+  let module Svc = Lcmm_service in
+  let budget =
+    Accel.Config.sram_budget_bytes
+      (Accel.Config.make ~style:Accel.Config.Lcmm Tensor.Dtype.I16)
+  in
+  let engine = Svc.Engine.create ~pool:(Lcmm.Pool.create ~domains:1 ()) () in
+  Fun.protect
+    ~finally:(fun () -> Svc.Engine.shutdown engine)
+    (fun () ->
+      let envs =
+        List.init 16 (fun i ->
+            let line =
+              Printf.sprintf
+                {|{"op":"%s","model":"%s","dtype":"i16","options":{"capacity_override":%d,"fusion":%b}}|}
+                (if i mod 2 = 0 then "compile" else "simulate")
+                cold_sweep_model
+                (budget * (i + 1) / 32)
+                (i mod 4 = 1)
+            in
+            match Svc.Protocol.request_of_line line with
+            | Ok env -> env
+            | Error msg -> failwith msg)
+      in
+      List.iter
+        (fun env ->
+          let r = Svc.Engine.handle engine env in
+          match r.Svc.Engine.cache, r.Svc.Engine.outcome with
+          | Svc.Engine.Miss, Ok _ -> ()
+          | _ -> failwith "bench perf: a cold sweep request did not compute")
+        envs;
+      let count k =
+        match
+          Json.member "stages" (Svc.Engine.stats_payload engine)
+          |> Fun.flip Result.bind (Json.member k)
+        with
+        | Ok (Json.Int n) -> n
+        | _ -> failwith ("bench perf: no stages." ^ k ^ " in stats")
+      in
+      (List.length envs, count "dse_runs", count "prepares", count "memo_hits"))
+
 let perf_experiment () =
   header
     "Planner throughput: per-pass and tile-DSE wall time on seeded random graphs \
@@ -1240,6 +1293,11 @@ let perf_experiment () =
      %d engine runs; the four plans simulated alone: %.0f us); %.0f minor \
      words, an engine run %.1f words per node and transfer\n%!"
     search_us candidates engine_runs sim_us search_words words_per_item;
+  let sweep_requests, sweep_dse, sweep_prepares, sweep_hits = cold_sweep () in
+  Printf.printf
+    "cold capacity sweep, %s i16: %d requests, %d DSE runs, %d prepares, %d \
+     stage-memo hits\n%!"
+    cold_sweep_model sweep_requests sweep_dse sweep_prepares sweep_hits;
   let hits = warm_hits () in
   let hit_us model = List.assoc model hits in
   let hit_ratio = hit_us "resnet152" /. hit_us "alexnet" in
@@ -1261,6 +1319,13 @@ let perf_experiment () =
             ("search_per_sim", Json.Float (search_us /. sim_us));
             ("search_minor_words", Json.Float search_words);
             ("engine_words_per_item", Json.Float words_per_item) ] );
+      ( "cold_sweep",
+        Json.Obj
+          [ ("model", Json.String (cold_sweep_model ^ " i16"));
+            ("requests", Json.Int sweep_requests);
+            ("dse_runs", Json.Int sweep_dse);
+            ("prepares", Json.Int sweep_prepares);
+            ("memo_hits", Json.Int sweep_hits) ] );
       ( "warm_hit",
         Json.Obj
           ([ ("op", Json.String "compile i16"); ("reps", Json.Int 300) ]

@@ -265,6 +265,16 @@ awk -F': ' '/"runtime_search"/ { rs = 1 }
             rs && /"search_minor_words"/ { sw++; words = $2 + 0 }
             rs && /"engine_words_per_item"/ { ew++; per = $2 + 0 }
             END { exit (sw == 1 && ew == 1 && words <= 400000 && per <= 45) ? 0 : 1 }' "$out"
+# A cold capacity sweep must run the DSE and the prepare stage once: 16
+# googlenet requests on a fresh engine that differ only in capacity,
+# op and fusion share one design key and one prepare key, so the other
+# 15 take both stages from the model's stage memo.  A sweep per request
+# counted 16 of each.
+awk -F': ' '/"cold_sweep"/ { cs = 1 }
+            cs && /"requests"/ { req = $2 + 0 }
+            cs && /"dse_runs"/ { dn++; d = $2 + 0 }
+            cs && /"prepares"/ { pn++; p = $2 + 0 }
+            END { exit (dn == 1 && pn == 1 && req == 16 && d == 1 && p == 1) ? 0 : 1 }' "$out"
 # A repeated compile must not hash the model: the best-of-300 warm hit
 # on resnet152 (30.5 KB of canonical text) stays within 2x the one on
 # alexnet (1.4 KB).  Answering from the per-model digest memo reads

@@ -234,13 +234,30 @@ let prepare ?(options = default_options) config table g =
         liveness_us = !liveness_us;
         prefetch_us = !prefetch_us } }
 
-let allocate ?capacity_bytes pr =
+let prepare_options o =
+  { default_options with
+    feature_reuse = o.feature_reuse;
+    weight_prefetch = o.weight_prefetch;
+    memory_bound_only = o.memory_bound_only;
+    weight_slices = o.weight_slices }
+
+let allocate ?capacity_bytes ?options pr =
+  let options =
+    match options with
+    | None -> pr.pr_options
+    | Some o ->
+      if prepare_options o <> prepare_options pr.pr_options then
+        invalid_arg
+          "Framework.allocate: options differ from the prepared stage's in a \
+           field prepare reads";
+      o
+  in
   let options =
     match capacity_bytes with
-    | None -> pr.pr_options
+    | None -> options
     | Some cap ->
       if cap < 0 then invalid_arg "Framework.allocate: negative capacity";
-      { pr.pr_options with capacity_override = Some cap }
+      { options with capacity_override = Some cap }
   in
   let metric = pr.pr_metric and items = pr.pr_items and sizes = pr.pr_sizes in
   let interference_us = ref 0. and coloring_us = ref 0. in
@@ -583,19 +600,29 @@ type comparison = {
   speedup : float;
 }
 
-let compare_designs ?options ?(device = Fpga.Device.vu9p) ~model dtype g =
-  let { Accel.Dse.umm = umm_dse; lcmm = { Accel.Dse.config; table; _ } } =
-    Accel.Dse.run_both ~device dtype g
-  in
-  let lcmm_plan = finish (allocate (prepare ?options config table g)) in
-  let umm =
-    report ~style_name:"UMM" device umm_dse.Accel.Dse.config g
-      ~latency_seconds:umm_dse.Accel.Dse.umm_latency ~tensor_bytes:0 ~buffer_count:0
-  in
+type designs = { umm_report : design_report; lcmm_config : Config.t }
+
+let designs_of_dse g { Accel.Dse.umm; lcmm } =
+  let config = umm.Accel.Dse.config in
+  { umm_report =
+      report ~style_name:"UMM" config.Config.device config g
+        ~latency_seconds:umm.Accel.Dse.umm_latency ~tensor_bytes:0
+        ~buffer_count:0;
+    lcmm_config = lcmm.Accel.Dse.config }
+
+let compare_staged ?options ~model designs g pr =
+  let lcmm_plan = finish (allocate ?options pr) in
+  let umm = designs.umm_report in
   let lcmm = report_of_plan ~style_name:"LCMM" g lcmm_plan in
   { model;
-    dtype;
+    dtype = pr.pr_config.Config.dtype;
     umm;
     lcmm;
     lcmm_plan;
     speedup = umm.latency_seconds /. lcmm.latency_seconds }
+
+let compare_designs ?options ?(device = Fpga.Device.vu9p) ~model dtype g =
+  let dse = Accel.Dse.run_both ~device dtype g in
+  let { Accel.Dse.config; table; _ } = dse.Accel.Dse.lcmm in
+  compare_staged ?options ~model (designs_of_dse g dse) g
+    (prepare ?options config table g)

@@ -122,13 +122,32 @@ val prepare :
     [Invalid_argument] when the table was compiled for another dtype or
     fusion setting than the config's. *)
 
-val allocate : ?capacity_bytes:int -> prepared -> allocated
+val prepare_graph :
+  ?options:options -> Accel.Config.t -> Dnn_graph.Graph.t -> prepared
+(** {!prepare} on a table compiled here for the config, its build timed
+    in [profile_us]: for a caller that has the design point but not the
+    DSE's table. *)
+
+val prepare_options : options -> options
+(** The options with every field {!prepare} does not read reset to its
+    {!default_options} value: [feature_reuse], [weight_prefetch],
+    [memory_bound_only] and [weight_slices] are kept.  Two option sets
+    prepare identically iff they agree here, so this is the key a
+    caller may share one [prepared] under. *)
+
+val allocate : ?capacity_bytes:int -> ?options:options -> prepared -> allocated
 (** Build a fresh interference graph (splitting mutates it), color it,
-    run DNNK and splitting.  [capacity_bytes] caps the tensor-buffer
-    budget as [capacity_override = Some capacity_bytes] would, and the
-    finished plan carries its options with that override; omitted, the
-    prepared options' own override (or the design's budget) applies.
-    Raises [Invalid_argument] on a negative capacity. *)
+    run DNNK and splitting.  [options] (default: the prepared stage's)
+    are the request's: capacity, coloring, sharing, splitting,
+    compensation, channels and fusion are read from them, and the
+    finished plan carries them.  Raises [Invalid_argument] when their
+    {!prepare_options} differ from the prepared stage's, since the
+    prepared passes did not run under them.  [capacity_bytes] caps the
+    tensor-buffer budget as [capacity_override = Some capacity_bytes]
+    would, and the finished plan carries its options with that
+    override; omitted, the options' own override (or the design's
+    budget) applies.  Raises [Invalid_argument] on a negative
+    capacity. *)
 
 val finish : ?stall_scale:float -> allocated -> plan
 (** The post-DNNK stall prune, its UMM safety net and channel
@@ -202,13 +221,35 @@ type comparison = {
   speedup : float;
 }
 
+type designs = {
+  umm_report : design_report;
+      (** The UMM baseline's report: all a comparison reads of it. *)
+  lcmm_config : Accel.Config.t;  (** The LCMM design point. *)
+}
+(** What a comparison keeps of a DSE: both design points, without the
+    {!Accel.Latency.table} the sweep compiled. *)
+
+val designs_of_dse : Dnn_graph.Graph.t -> Accel.Dse.designs -> designs
+
+val compare_staged :
+  ?options:options -> model:string -> designs -> Dnn_graph.Graph.t ->
+  prepared -> comparison
+(** The comparison from its stages: the UMM side from the designs, the
+    LCMM plan [finish (allocate ?options prepared)].  The prepared stage
+    must be the designs' LCMM design point prepared for the graph; since
+    stages are pure, one designs/prepared pair may feed any number of
+    comparisons, each with its own capacity, coloring, splitting,
+    compensation, channels and fusion.  Raises like {!allocate}. *)
+
 val compare_designs :
   ?options:options -> ?device:Fpga.Device.t -> model:string ->
   Tensor.Dtype.t -> Dnn_graph.Graph.t -> comparison
 (** The paper's Table 1 experiment for one (model, precision) pair: DSE a
     UMM baseline and an LCMM design (one {!Accel.Dse.run_both} sweep), run
     the framework on the latter from the sweep's table and report both.
-    The LCMM plan is the one {!plan} makes on the LCMM design point. *)
+    It is {!compare_staged} on a fresh sweep and a fresh {!prepare} of
+    its table.  The LCMM plan is the one {!plan} makes on the LCMM design
+    point. *)
 
 val report_of_plan : style_name:string -> Dnn_graph.Graph.t -> plan -> design_report
 

@@ -22,6 +22,12 @@ type t = {
   pass_clock : F.pass_times Atomic.t;
       (* Summed pass times of the plans this engine's compile/simulate
          misses computed; the stats op reports it. *)
+  dse_runs : int Atomic.t;
+  prepares : int Atomic.t;
+  memo_hits : int Atomic.t;
+      (* The stages this engine's compile/simulate misses ran
+         themselves (DSE sweeps, prepares) or took from a zoo model's
+         stage memo; the stats op reports them. *)
 }
 
 let create ?cache ?pool ?deadline_ms ?(breaker_threshold = 5)
@@ -43,7 +49,10 @@ let create ?cache ?pool ?deadline_ms ?(breaker_threshold = 5)
     breakers = Hashtbl.create 8;
     breaker_mutex = Mutex.create ();
     new_breaker;
-    pass_clock = Atomic.make F.zero_pass_times }
+    pass_clock = Atomic.make F.zero_pass_times;
+    dse_runs = Atomic.make 0;
+    prepares = Atomic.make 0;
+    memo_hits = Atomic.make 0 }
 
 (* Called under [breaker_mutex]. *)
 let breaker_of t op =
@@ -147,6 +156,24 @@ let spec_fields (spec : P.compile_spec) ~digest =
     ("device", Json.String spec.P.device.Fpga.Device.device_name);
     ("digest", Json.String digest) ]
 
+(* A bounded memo: an immutable map in an [Atomic].  Reads take no
+   lock; an insert is a compare-and-set that adds a key only while it
+   is absent and the map holds fewer than [bound] keys, so racing
+   inserts never lose a key and hostile keys cannot grow it. *)
+module Memo (K : Map.OrderedType) = struct
+  module M = Map.Make (K)
+
+  let create () = Atomic.make M.empty
+
+  let find memo key = M.find_opt key (Atomic.get memo)
+
+  let rec add ~bound memo key v =
+    let m = Atomic.get memo in
+    if M.cardinal m < bound && not (M.mem key m) then
+      if not (Atomic.compare_and_set memo m (M.add key v m)) then
+        add ~bound memo key v
+end
+
 (* Everything [Cache_key.request_digest_of_canonical] hashes besides the
    graph bytes.  The digest reads only the device's name, so that is
    all the key keeps of the device. *)
@@ -157,25 +184,65 @@ type digest_key = {
   key_extra : string list;
 }
 
-module Kmap = Map.Make (struct
+module Digests = Memo (struct
   type t = digest_key
 
   let compare = compare
 end)
 
+(* What a DSE sweep reads besides the graph: the dtype and the device,
+   which the protocol resolves by name. *)
+type design_key = { design_dtype : Tensor.Dtype.t; design_device : string }
+
+module Designs = Memo (struct
+  type t = design_key
+
+  let compare = compare
+end)
+
+(* What [Framework.prepare] reads besides the graph: the design point
+   (fixed by the design key) and the options' prepare fields. *)
+type prepare_key = { prepare_design : design_key; prepare_options : F.options }
+
+module Prepared = Memo (struct
+  type t = prepare_key
+
+  let compare = compare
+end)
+
+(* A zoo model's memos, shared by every request for it. *)
+type memos = {
+  digests : string Digests.M.t Atomic.t;
+  designs : F.designs Designs.M.t Atomic.t;
+  prepared : (F.designs * F.prepared) Prepared.M.t Atomic.t;
+}
+
 (* A resolved target: the graph the passes read, its canonical bytes
    ({!Cache_key.canonical}), which the cache key hashes, and, for a zoo
-   model, the digests already computed over those bytes. *)
+   model, its memos. *)
 type resolved = {
   graph : Dnn_graph.Graph.t;
   bytes : string;
-  digests : string Kmap.t Atomic.t option;
+  memos : memos option;
 }
 
 (* Keys past this many per model are hashed on every request and never
    stored, so hostile option sets cannot grow the memo.  serve-cold's
    zoo requests need 16 per model. *)
 let digest_memo_bound = 64
+
+(* Prepared stages past this many per model are rebuilt on every
+   request and never stored, so hostile option sets (any
+   [weight_slices]) cannot grow the memo.  serve-cold needs one per
+   model, a sweep over the three dtypes three.  The largest stage is
+   vgg19's at f32 sliced to the block size, 240k words (1.9 MB); one
+   worst-case stage per zoo model sums to 7.0 MB, so the bound caps
+   the memo at 28 MB. *)
+let prepared_memo_bound = 4
+
+(* Designs are a report and a config per key, and their keys (dtype,
+   device) are finite: every dtype on every device fits. *)
+let designs_memo_bound = 16
 
 module Smap = Map.Make (String)
 
@@ -201,13 +268,17 @@ let resolve_zoo (entry : Models.Zoo.entry) =
           let r =
             { graph;
               bytes = Cache_key.canonical graph;
-              digests = Some (Atomic.make Kmap.empty) }
+              memos =
+                Some
+                  { digests = Digests.create ();
+                    designs = Designs.create ();
+                    prepared = Prepared.create () } }
           in
           Atomic.set zoo_memo (Smap.add name r memo);
           r)
 
 let resolve_target = function
-  | P.Inline g -> Ok { graph = g; bytes = Cache_key.canonical g; digests = None }
+  | P.Inline g -> Ok { graph = g; bytes = Cache_key.canonical g; memos = None }
   | P.Named name -> (
     match Models.Zoo.find name with
     | Some entry -> Ok (resolve_zoo entry)
@@ -238,17 +309,84 @@ let rec charge_pass_times t times =
   if not (Atomic.compare_and_set t.pass_clock cur (F.add_pass_times cur times))
   then charge_pass_times t times
 
+(* The DSE's designs and the prepared LCMM stage a compile of [r] plans
+   from, and whether the prepared stage came from the model's memo.  A
+   zoo model keeps both per key, so a request that changes only options
+   [prepare] does not read (capacity, fusion, channels, ...) reruns
+   neither.  Every stage is pure ([Framework]'s staging contract), so a
+   memoized one is the one a fresh run would build.
+
+   A prepared stage is kept only for a request that sets one of those
+   options: that is the sweep traffic the memo serves.  A request at
+   their defaults is its own prepare key, and its repeats are plan-cache
+   hits, so a stage kept for it would only sit in the major heap, which
+   every collection marks: serve-warm asks every model at the defaults,
+   and keeping its 26 stages (about 150k words) took that workload's
+   tail from about 0.6 to 0.85-1.05 ms.  Designs are a few dozen words
+   and are always kept. *)
+let stages t (spec : P.compile_spec) r =
+  let g = r.graph and options = spec.P.options in
+  let fresh () =
+    Atomic.incr t.dse_runs;
+    Atomic.incr t.prepares;
+    let dse = Accel.Dse.run_both ~device:spec.P.device spec.P.dtype g in
+    let { Accel.Dse.config; table; _ } = dse.Accel.Dse.lcmm in
+    (F.designs_of_dse g dse, F.prepare ~options config table g)
+  in
+  match r.memos with
+  | None ->
+    let designs, pr = fresh () in
+    (designs, pr, false)
+  | Some memos -> (
+    let design_key =
+      { design_dtype = spec.P.dtype;
+        design_device = spec.P.device.Fpga.Device.device_name }
+    in
+    let key =
+      { prepare_design = design_key;
+        prepare_options = F.prepare_options options }
+    in
+    match Prepared.find memos.prepared key with
+    | Some (designs, pr) ->
+      Atomic.incr t.memo_hits;
+      (designs, pr, true)
+    | None ->
+      let designs, pr =
+        match Designs.find memos.designs design_key with
+        | Some designs ->
+          Atomic.incr t.memo_hits;
+          Atomic.incr t.prepares;
+          (designs, F.prepare_graph ~options designs.F.lcmm_config g)
+        | None ->
+          let ((designs, _) as stages) = fresh () in
+          Designs.add ~bound:designs_memo_bound memos.designs design_key designs;
+          stages
+      in
+      if options <> key.prepare_options then
+        Prepared.add ~bound:prepared_memo_bound memos.prepared key (designs, pr);
+      (designs, pr, false))
+
 (* The planning both compile and simulate run: the design comparison,
    then the fusion gate.  The effective plan's pass times go on this
-   engine's clock; with fusion on, the reported LCMM plan is the
-   effective plan and the payload carries the decisions. *)
-let planned_comparison t (spec : P.compile_spec) g =
+   engine's clock, less the prepare passes' when the prepared stage came
+   from the memo (the request did not run them); with fusion on, the
+   reported LCMM plan is the effective plan and the payload carries the
+   decisions. *)
+let planned_comparison t (spec : P.compile_spec) r =
+  let g = r.graph in
+  let designs, prepared, memoized = stages t spec r in
   let c =
-    F.compare_designs ~options:spec.P.options ~device:spec.P.device
-      ~model:(P.target_name spec.P.target) spec.P.dtype g
+    F.compare_staged ~options:spec.P.options
+      ~model:(P.target_name spec.P.target) designs g prepared
   in
   let plan, fz = Lcmm_fusion.Fusion.post c.F.lcmm_plan in
-  charge_pass_times t plan.F.pass_times;
+  charge_pass_times t
+    (if memoized then
+       { plan.F.pass_times with
+         F.profile_us = 0.;
+         liveness_us = 0.;
+         prefetch_us = 0. }
+     else plan.F.pass_times);
   match fz with
   | None -> (c, None)
   | Some _ ->
@@ -259,8 +397,8 @@ let planned_comparison t (spec : P.compile_spec) g =
         speedup = c.F.umm.F.latency_seconds /. lcmm.F.latency_seconds },
       fz )
 
-let compile_payload t (spec : P.compile_spec) ~digest g =
-  let c, fz = planned_comparison t spec g in
+let compile_payload t (spec : P.compile_spec) ~digest r =
+  let c, fz = planned_comparison t spec r in
   let plan = c.F.lcmm_plan in
   let helped, bound = F.helped_layers plan in
   Json.Obj
@@ -277,8 +415,8 @@ let compile_payload t (spec : P.compile_spec) ~digest g =
         ("options", P.options_to_json spec.P.options) ]
     @ fusion_fields fz)
 
-let simulate_payload t (spec : P.compile_spec) ~digest ~images g =
-  let c, fz = planned_comparison t spec g in
+let simulate_payload t (spec : P.compile_spec) ~digest ~images r =
+  let c, fz = planned_comparison t spec r in
   let plan = c.F.lcmm_plan in
   let metric = plan.F.metric in
   let on_chip = plan.F.allocation.Lcmm.Dnnk.on_chip in
@@ -390,6 +528,11 @@ let stats_payload t =
             ("restarts", Json.Int (Lcmm.Pool.restarts t.worker_pool)) ] );
       ("breakers", breakers_json t);
       ("metrics", Metrics.snapshot t.meters);
+      ( "stages",
+        Json.Obj
+          [ ("dse_runs", Json.Int (Atomic.get t.dse_runs));
+            ("prepares", Json.Int (Atomic.get t.prepares));
+            ("memo_hits", Json.Int (Atomic.get t.memo_hits)) ] );
       ( "pass_times_us",
         Json.Obj
           (List.map
@@ -409,26 +552,20 @@ let cacheable_digest (spec : P.compile_spec) ~extra r =
     Cache_key.request_digest_of_canonical ~extra ~dtype:spec.P.dtype
       ~device:spec.P.device ~options:spec.P.options r.bytes
   in
-  match r.digests with
+  match r.memos with
   | None -> hash ()
-  | Some memo -> (
+  | Some { digests; _ } -> (
     let key =
       { key_dtype = spec.P.dtype;
         key_device = spec.P.device.Fpga.Device.device_name;
         key_options = spec.P.options;
         key_extra = extra }
     in
-    match Kmap.find_opt key (Atomic.get memo) with
+    match Digests.find digests key with
     | Some digest -> digest
     | None ->
       let digest = hash () in
-      let rec insert () =
-        let m = Atomic.get memo in
-        if Kmap.cardinal m < digest_memo_bound && not (Kmap.mem key m) then
-          if not (Atomic.compare_and_set memo m (Kmap.add key digest m)) then
-            insert ()
-      in
-      insert ();
+      Digests.add ~bound:digest_memo_bound digests key digest;
       digest)
 
 let compile_digest spec r = cacheable_digest spec ~extra:[ "compile" ] r
@@ -509,14 +646,14 @@ let handle_leaf t (env : P.envelope) =
         | Ok r ->
           let digest = compile_digest spec r in
           through_cache t ~digest (fun () ->
-              compile_payload t spec ~digest r.graph))
+              compile_payload t spec ~digest r))
       | P.Simulate (spec, images) -> (
         match resolve_graph spec with
         | Error msg -> (Uncached, Error msg)
         | Ok r ->
           let digest = simulate_digest spec ~images r in
           through_cache t ~digest (fun () ->
-              simulate_payload t spec ~digest ~images r.graph))
+              simulate_payload t spec ~digest ~images r))
       | P.Run spec -> (
         match resolve_tenants spec with
         | Error msg -> (Uncached, Error msg)

@@ -2,8 +2,14 @@
     worker pool and the metrics registry.
 
     [compile] answers with the full UMM-vs-LCMM design comparison
-    ({!Lcmm.Framework.compare_designs}); [simulate] additionally runs
-    the discrete-event simulator on the plan.  Both are cached under
+    ({!Lcmm.Framework.compare_staged}, which is what
+    {!Lcmm.Framework.compare_designs} runs); [simulate] additionally
+    runs the discrete-event simulator on the plan.  Each zoo model
+    keeps its DSE designs per (dtype, device) and its prepared stage
+    per design and {!Lcmm.Framework.prepare_options}, both bounded, so
+    a request that changes only options the prepare stage does not read
+    reruns neither (a prepared stage is kept for a request that sets
+    such an option); inline graphs run both on every miss.  Both are cached under
     their {!Cache_key} digest; [stats] and [models] are cheap and
     uncached.  [batch] fans its sub-requests out across the pool and
     answers in request order. *)
@@ -89,8 +95,13 @@ val stats_payload : t -> Dnn_serial.Json.t
     states, request metrics, and [pass_times_us] — the per-pass sum of
     {!Lcmm.Framework.pass_times} over the plans this engine's own
     [compile]/[simulate] misses computed (fusion's [segmentation_us]
-    included when it ran).  [run] requests and other engines in the
-    process do not count. *)
+    included when it ran), less the prepare passes' times
+    ([profile_us], [liveness_us], [prefetch_us]) when a request took its
+    prepared stage from a zoo model's stage memo; and [stages], the
+    count of DSE sweeps ([dse_runs]) and prepares ([prepares]) those
+    misses ran and of the stages they took from a memo instead
+    ([memo_hits]: one per request that skipped the DSE).  [run]
+    requests and other engines in the process do not count. *)
 
 val cache : t -> Plan_cache.t
 

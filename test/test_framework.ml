@@ -239,6 +239,107 @@ let test_compile_equals_plan () =
         Tensor.Dtype.[ I8; I16; F32 ])
     Models.Zoo.all
 
+(* A comparison built from memoized stages is the one [compare_designs]
+   builds from scratch.  Per zoo model, precision and option variant,
+   one designs/prepared pair (prepared under the ladder's first request)
+   feeds every capacity on the ladder with fusion off and on, as the
+   service's stage memo does; after [Fusion.post], each plan must
+   fingerprint as [compare_designs]' and the reports must agree.  The
+   second variant changes all four fields [prepare] reads, and coloring
+   and channels, which it does not. *)
+let test_staged_compare_equals_compare_designs () =
+  let variants =
+    [ F.default_options;
+      { F.default_options with
+        F.feature_reuse = false;
+        memory_bound_only = false;
+        weight_slices = 3;
+        coloring = Lcmm.Coloring.First_fit;
+        channels = 2 };
+      { F.default_options with F.weight_prefetch = false } ]
+  in
+  let post (c : F.comparison) = fst (Lcmm_fusion.Fusion.post c.F.lcmm_plan) in
+  let check model g dtype variant =
+    let dse = Accel.Dse.run_both dtype g in
+    let designs = F.designs_of_dse g dse in
+    let { Accel.Dse.config; table; _ } = dse.Accel.Dse.lcmm in
+    let budget = Accel.Config.sram_budget_bytes config in
+    let requests =
+      List.concat_map
+        (fun capacity_override ->
+          List.map
+            (fun fusion -> { variant with F.capacity_override; fusion })
+            [ false; true ])
+        [ None; Some (budget / 2); Some (budget / 8); Some (budget / 32) ]
+    in
+    let pr = F.prepare ~options:(List.hd requests) config table g in
+    List.iter
+      (fun options ->
+        let staged = F.compare_staged ~options ~model designs g pr in
+        let fresh = F.compare_designs ~options ~model dtype g in
+        let what =
+          Printf.sprintf "%s %s ws=%d cap=%s fusion=%b" model
+            (Tensor.Dtype.to_string dtype) options.F.weight_slices
+            (Option.fold ~none:"full" ~some:string_of_int
+               options.F.capacity_override)
+            options.F.fusion
+        in
+        if F.fingerprint (post staged) <> F.fingerprint (post fresh) then
+          Alcotest.failf "%s: staged plan differs" what;
+        if
+          staged.F.umm <> fresh.F.umm
+          || staged.F.lcmm <> fresh.F.lcmm
+          || staged.F.speedup <> fresh.F.speedup
+          || staged.F.dtype <> fresh.F.dtype
+        then Alcotest.failf "%s: staged reports differ" what)
+      requests
+  in
+  List.iter
+    (fun (e : Models.Zoo.entry) ->
+      let g = e.Models.Zoo.build () in
+      List.iter
+        (fun dtype ->
+          List.iter (check e.Models.Zoo.model_name g dtype) variants)
+        Tensor.Dtype.[ I8; I16; F32 ])
+    Models.Zoo.all
+
+(* [allocate ~options] runs the request's options over a prepared stage
+   only when the fields [prepare] read agree; the others (capacity,
+   coloring, sharing, splitting, compensation, fusion, channels) are the
+   request's own and reach the plan. *)
+let test_allocate_refuses_other_prepare_fields () =
+  let g = Helpers.inception_snippet () in
+  let cfg = Accel.Config.make ~style:Accel.Config.Lcmm Tensor.Dtype.I16 in
+  let base = F.default_options in
+  let prepared = F.prepare_graph ~options:base cfg g in
+  List.iter
+    (fun (field, options) ->
+      Alcotest.check_raises field
+        (Invalid_argument
+           "Framework.allocate: options differ from the prepared stage's in a \
+            field prepare reads")
+        (fun () -> ignore (F.allocate ~options prepared)))
+    [ ("feature_reuse", { base with F.feature_reuse = false });
+      ("weight_prefetch", { base with F.weight_prefetch = false });
+      ("memory_bound_only", { base with F.memory_bound_only = false });
+      ("weight_slices", { base with F.weight_slices = 2 }) ];
+  let options =
+    { base with
+      F.buffer_splitting = false;
+      buffer_sharing = false;
+      compensation = Lcmm.Dnnk.Exact_iterative;
+      coloring = Lcmm.Coloring.First_fit;
+      capacity_override = Some 65536;
+      fusion = true;
+      channels = 2 }
+  in
+  let p = F.finish (F.allocate ~options prepared) in
+  Alcotest.(check bool) "the request's options reach the plan" true
+    (p.F.options = options);
+  Alcotest.(check string) "the plan [plan] makes under them"
+    (F.fingerprint (F.plan ~options cfg g))
+    (F.fingerprint p)
+
 let test_prepare_refuses_other_table () =
   let g = Helpers.diamond () in
   let cfg = Accel.Config.make ~style:Accel.Config.Lcmm Tensor.Dtype.I16 in
@@ -262,6 +363,10 @@ let suite =
     Alcotest.test_case "compile plan equals plan" `Quick test_compile_equals_plan;
     Alcotest.test_case "prepare refuses another table" `Quick
       test_prepare_refuses_other_table;
+    Alcotest.test_case "staged comparison equals compare_designs" `Quick
+      test_staged_compare_equals_compare_designs;
+    Alcotest.test_case "allocate refuses other prepare fields" `Quick
+      test_allocate_refuses_other_prepare_fields;
     Alcotest.test_case "helped layers" `Quick test_helped_layers_consistent;
     Alcotest.test_case "staged plans at stall scales pinned" `Quick
       test_staged_scaled;

@@ -1559,6 +1559,274 @@ let test_digest_memo_concurrent () =
         0 (Domain.join dom))
     domains
 
+(* --- the per-model stage memo --- *)
+
+(* A compile or simulate request on a zoo model or, with [graph], on
+   that model's graph shipped inline (which has no stage memo). *)
+let stage_line ?(device = Fpga.Device.vu9p) ?graph ~op model dtype options =
+  Json.to_string
+    (Json.Obj
+       [ ("op", Json.String op);
+         ( match graph with
+         | None -> ("model", Json.String model)
+         | Some g -> ("graph", Dnn_serial.Codec.graph_to_json g) );
+         ("dtype", Json.String (Tensor.Dtype.to_string dtype));
+         ("device", Json.String device.Fpga.Device.device_name);
+         ("options", P.options_to_json options) ])
+
+(* An engine's stage counters from its stats: DSE sweeps, prepares and
+   memo hits. *)
+let stage_counts engine =
+  let stats = result_of_line (handle_line engine {|{"op":"stats"}|}) in
+  let stages = field_exn "stages" (field_exn "result" stats) in
+  let count k =
+    match field_exn k stages with
+    | Json.Int n -> n
+    | _ -> Alcotest.failf "stages.%s is not an int" k
+  in
+  (count "dse_runs", count "prepares", count "memo_hits")
+
+let zoo_graph model =
+  match Models.Zoo.find model with
+  | Some e -> e.Models.Zoo.build ()
+  | None -> Alcotest.failf "no zoo model %s" model
+
+(* The canonical rendering a request gets with no stage memo: the same
+   request on the model's graph shipped inline, on a fresh engine, with
+   the two result fields that name the target (model, digest) set to
+   the zoo request's. *)
+let cold_render ?device ~op model dtype options =
+  let line = stage_line ?device ~op model dtype options in
+  let inline =
+    stage_line ?device ~graph:(zoo_graph model) ~op model dtype options
+  in
+  let digest = routed_digest line in
+  let reply =
+    with_engine ~domains:1 (fun e ->
+        result_of_line (handle_line ~timing:false e inline))
+  in
+  let named = function
+    | "model", _ -> ("model", Json.String model)
+    | "digest", _ -> ("digest", Json.String digest)
+    | kv -> kv
+  in
+  match reply with
+  | Json.Obj fields ->
+    Json.to_string
+      (Json.Obj
+         (List.map
+            (function
+              | "result", Json.Obj r -> ("result", Json.Obj (List.map named r))
+              | kv -> kv)
+            fields))
+  | _ -> Alcotest.failf "reply to the inline %s is not an object" op
+
+let render engine line =
+  Json.to_string (result_of_line (handle_line ~timing:false engine line))
+
+(* A reply built from memoized stages renders byte-identical to one built
+   from fresh stages.  Two prepare keys of resnext50 (other tests
+   compute it only at the default options, which keep no stage), each
+   first asked on engine A (memo cold: A prepares both) and then on
+   engine B with an empty plan cache (memo warm: B neither sweeps nor
+   prepares).  B also asks each key at capacities,
+   fusion settings, channel counts and ops the stage was not prepared
+   under; those replies must equal the inline graph's, which never
+   memoizes. *)
+let test_stage_memo_warm_equals_cold () =
+  let model = "resnext50" in
+  let keyed =
+    [ ( Tensor.Dtype.I16,
+        { F.default_options with
+          F.weight_slices = 5;
+          capacity_override = Some (1 lsl 21) } );
+      ( Tensor.Dtype.F32,
+        { F.default_options with
+          F.weight_slices = 7;
+          memory_bound_only = false;
+          fusion = true } ) ]
+  in
+  let first =
+    List.mapi
+      (fun i (dtype, options) ->
+        let op = if i mod 2 = 0 then "compile" else "simulate" in
+        (stage_line ~op model dtype options, (op, dtype, options)))
+      keyed
+  in
+  let cold =
+    with_engine ~domains:1 (fun a ->
+        let replies = List.map (fun (line, _) -> render a line) first in
+        let _, prepares, _ = stage_counts a in
+        Alcotest.(check int) "A prepares every key" (List.length keyed) prepares;
+        replies)
+  in
+  with_engine ~domains:1 (fun b ->
+      List.iter2
+        (fun (line, _) want ->
+          Alcotest.(check string) ("warm = cold: " ^ line) want (render b line))
+        first cold;
+      Alcotest.(check (triple int int int)) "B takes every stage from the memo"
+        (0, 0, List.length keyed) (stage_counts b);
+      (* B ran no prepare pass, so its clock charges none. *)
+      let pass_us k =
+        let stats = result_of_line (handle_line b {|{"op":"stats"}|}) in
+        let times = field_exn "pass_times_us" (field_exn "result" stats) in
+        match Json.to_float (field_exn k times) with
+        | Ok us -> us
+        | Error msg -> Alcotest.failf "pass_times_us.%s: %s" k msg
+      in
+      List.iter
+        (fun k -> Alcotest.(check (float 0.)) ("B " ^ k) 0. (pass_us k))
+        [ "profile_us"; "liveness_us"; "prefetch_us" ];
+      Alcotest.(check bool) "B dnnk_us > 0" true (pass_us "dnnk_us" > 0.);
+      List.iter
+        (fun (_, (op, dtype, options)) ->
+          List.iter
+            (fun (op, options) ->
+              let line = stage_line ~op model dtype options in
+              Alcotest.(check string) ("warm = inline: " ^ line)
+                (cold_render ~op model dtype options)
+                (render b line))
+            [ (op, { options with F.capacity_override = Some (1 lsl 20) });
+              ( (if op = "compile" then "simulate" else "compile"),
+                { options with
+                  F.capacity_override = Some (3 lsl 19);
+                  fusion = true;
+                  channels = 3;
+                  coloring = Lcmm.Coloring.First_fit } ) ])
+        first;
+      let dse_runs, prepares, _ = stage_counts b in
+      Alcotest.(check (pair int int)) "still no sweep or prepare on B" (0, 0)
+        (dse_runs, prepares);
+      (* A request at the defaults of every option prepare does not read
+         keeps no stage: asked on A and again on B, both prepare it. *)
+      let plain = { F.default_options with F.weight_slices = 9 } in
+      let line = stage_line ~op:"compile" model Tensor.Dtype.I16 plain in
+      with_engine ~domains:1 (fun a -> ignore (render a line));
+      Alcotest.(check string) ("plain, warm designs: " ^ line)
+        (cold_render ~op:"compile" model Tensor.Dtype.I16 plain)
+        (render b line);
+      Alcotest.(check (triple int int int)) "a plain request prepares again"
+        (0, 1, (3 * List.length keyed) + 1) (stage_counts b))
+
+(* Hostile option sets cannot grow a model's memo: 72 prepare keys of
+   mobilenet_v2 (weight_slices 1-8 x 3 devices x 3 dtypes), asked twice
+   at different capacities so the plan cache never answers.  The
+   second round finds at most the memo's bound (4) of them, prepares
+   the rest again and sweeps nothing (the 9 design keys fit their
+   bound), and every reply of both rounds carries the comparison
+   [compare_designs] makes. *)
+let test_stage_memo_bounded () =
+  let model = "mobilenet_v2" in
+  let g = zoo_graph model in
+  let keys =
+    List.concat_map
+      (fun device ->
+        List.concat_map
+          (fun dtype ->
+            List.init 8 (fun i -> (device, dtype, i + 1)))
+          Tensor.Dtype.[ I8; I16; F32 ])
+      Fpga.Device.all
+  in
+  Alcotest.(check int) "72 keys" 72 (List.length keys);
+  with_engine ~domains:1 (fun engine ->
+      let round cap =
+        List.iter
+          (fun (device, dtype, weight_slices) ->
+            let options =
+              { F.default_options with
+                F.weight_slices;
+                capacity_override = Some cap }
+            in
+            let line = stage_line ~device ~op:"compile" model dtype options in
+            let reply = result_of_line (handle_line engine line) in
+            let c = F.compare_designs ~options ~device ~model dtype g in
+            let result = field_exn "result" reply in
+            let ms (r : F.design_report) =
+              Json.Float (r.F.latency_seconds *. 1e3)
+            in
+            Alcotest.check json_t ("umm " ^ line) (ms c.F.umm)
+              (field_exn "latency_ms" (field_exn "umm" result));
+            Alcotest.check json_t ("lcmm " ^ line) (ms c.F.lcmm)
+              (field_exn "latency_ms" (field_exn "lcmm" result));
+            Alcotest.check json_t ("sram " ^ line)
+              (Json.Int c.F.lcmm_plan.F.tensor_sram_bytes)
+              (field_exn "tensor_sram_bytes" result))
+          keys
+      in
+      round (1 lsl 20);
+      let dse_1, prepares_1, _ = stage_counts engine in
+      round (3 lsl 19);
+      let dse_2, prepares_2, _ = stage_counts engine in
+      Alcotest.(check int) "second round sweeps nothing" dse_1 dse_2;
+      Alcotest.(check bool)
+        (Printf.sprintf "second round prepares %d of 72 again"
+           (prepares_2 - prepares_1))
+        true
+        (prepares_2 - prepares_1 >= 72 - 4))
+
+(* Two domains of three threads, each thread with an engine of its own,
+   ask one model's requests at once: 6 prepare keys (past the bound of
+   4) at two capacities each, every thread in its own order, so stage
+   inserts race each other and the bound.  Every reply must render as
+   the same request answered sequentially with no memo. *)
+let test_stage_memo_concurrent () =
+  let model = "inception_v3" and dtype = Tensor.Dtype.I16 in
+  let requests =
+    List.concat_map
+      (fun weight_slices ->
+        List.map
+          (fun (op, cap, fusion) ->
+            ( op,
+              { F.default_options with
+                F.weight_slices = 10 + weight_slices;
+                memory_bound_only = weight_slices mod 2 = 0;
+                capacity_override = Some cap;
+                fusion } ))
+          [ ("compile", 1 lsl 20, false); ("simulate", 3 lsl 20, true) ])
+      (List.init 6 Fun.id)
+    |> Array.of_list
+  in
+  let n = Array.length requests in
+  let lines =
+    Array.map (fun (op, options) -> stage_line ~op model dtype options) requests
+  in
+  let threads_per_domain = 3 in
+  let domain d () =
+    let rendered = Array.make_matrix threads_per_domain n "" in
+    let threads =
+      List.init threads_per_domain (fun k ->
+          Thread.create
+            (fun () ->
+              with_engine ~domains:1 (fun engine ->
+                  let offset = ((d * threads_per_domain) + k) * 5 in
+                  for j = 0 to n - 1 do
+                    let i = (j + offset) mod n in
+                    rendered.(k).(i) <- render engine lines.(i)
+                  done))
+            ())
+    in
+    List.iter Thread.join threads;
+    rendered
+  in
+  let domains = List.init 2 (fun d -> Domain.spawn (domain d)) in
+  let results = List.map Domain.join domains in
+  let sequential =
+    Array.map (fun (op, options) -> cold_render ~op model dtype options) requests
+  in
+  List.iteri
+    (fun d rendered ->
+      Array.iteri
+        (fun k replies ->
+          Array.iteri
+            (fun i reply ->
+              Alcotest.(check string)
+                (Printf.sprintf "domain %d thread %d: %s" d k lines.(i))
+                sequential.(i) reply)
+            replies)
+        rendered)
+    results
+
 (* Inline graphs are hashed on every request, never memoized: a changed
    graph under the same options gets its own digest, and the original
    keeps its pinned one. *)
@@ -1714,6 +1982,12 @@ let suite =
       test_digest_memo_concurrent;
     Alcotest.test_case "digest memo covers the zoo past its bound" `Quick
       test_digest_memo_covers_zoo;
+    Alcotest.test_case "stage memo: warm reply = cold reply" `Quick
+      test_stage_memo_warm_equals_cold;
+    Alcotest.test_case "stage memo bounded under hostile options" `Quick
+      test_stage_memo_bounded;
+    Alcotest.test_case "stage memo under concurrent requests" `Quick
+      test_stage_memo_concurrent;
     Alcotest.test_case "inline digest follows the graph" `Quick
       test_inline_digest_follows_graph;
     Alcotest.test_case "channel bound shared by CLI and protocol" `Quick
