@@ -772,9 +772,10 @@ let serve_cmd =
     Fun.protect
       ~finally:(fun () -> Lcmm_service.Engine.shutdown engine)
       (fun () ->
+        let handler = Lcmm_service.Engine.handle_line ~timing engine in
         match socket with
-        | Some path -> Lcmm_service.Server.serve_unix_socket ~timing engine ~path
-        | None -> Lcmm_service.Server.serve_stdio ~timing engine)
+        | Some path -> Lcmm_service.Server.serve_unix_socket handler ~path
+        | None -> Lcmm_service.Server.serve_channels handler stdin stdout)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1018,9 +1019,8 @@ let tier_cmd =
         try
           match socket with
           | Some path ->
-            Lcmm_service.Server.serve_unix_socket_with handler ~path
-          | None ->
-            Lcmm_service.Server.serve_channels_with handler stdin stdout
+            Lcmm_service.Server.serve_unix_socket handler ~path
+          | None -> Lcmm_service.Server.serve_channels handler stdin stdout
         with Sys_error _ ->
           (* Broken stdout is the client hanging up: a clean shutdown. *)
           ())

@@ -68,6 +68,20 @@ if [ -n "$unused" ]; then
   exit 1
 fi
 
+echo "== wire: one reply codec =="
+# Only lib/serial/wire.ml builds, sums, classifies and decodes a reply:
+# a second reader of a reply's "ok" or "sum" field, or a second digest
+# of a payload's rendering, is a copy that can drift from what serve
+# sends (the tier's own copy once dropped a requested sum).
+wire_copies=$(grep -rnF -e 'member_opt "ok"' -e 'member_opt "sum"' \
+  -e 'digest_string (Json.to_string' --include='*.ml' lib bin \
+  | grep -v '^lib/serial/wire\.ml:' || true)
+if [ -n "$wire_copies" ]; then
+  echo "reply-format code outside lib/serial/wire.ml:"
+  echo "$wire_copies"
+  exit 1
+fi
+
 echo "== dune runtest =="
 dune runtest
 
@@ -311,7 +325,9 @@ cmp _build/tier_serve_ref.ndjson _build/tier_fresh.ndjson
 echo "== tier-2: every wire field, serve and tier (byte-exact) =="
 # Requests that set every planner option, every run and tenant field,
 # simulate's images and the envelope's id, deadline and checksum off
-# their defaults, plus two malformed ones.  One serve process must
+# their defaults, plus two malformed ones; then the error and decode
+# paths: models, a cache_get miss, an unknown op, a truncated line, an
+# id holding an object, and a batch with a checksum.  One serve process must
 # answer the committed golden, and a 2-shard tier, which re-encodes each
 # request to forward it, must answer byte-for-byte the same.
 fields=test/golden/protocol_fields.requests.ndjson

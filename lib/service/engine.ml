@@ -1,4 +1,5 @@
 module Json = Dnn_serial.Json
+module Wire = Dnn_serial.Wire
 module F = Lcmm.Framework
 module P = Protocol
 
@@ -88,8 +89,7 @@ let breaker_admit t op =
 (* Only service-side failures count against the breaker; a client
    mistake (unknown model, bad spec) proves the service is answering. *)
 let breaker_counts msg =
-  String.starts_with ~prefix:"internal: " msg
-  || String.starts_with ~prefix:"deadline exceeded" msg
+  match Wire.kind msg with Some ("internal" | "deadline") -> true | _ -> false
 
 let breaker_record t op outcome =
   let failed =
@@ -779,7 +779,7 @@ let handle t (env : P.envelope) =
       op = "batch";
       cache = Uncached;
       elapsed_s;
-      outcome = Ok Json.Null;  (* rendered from [subs] *)
+      outcome = Ok (Json.List []);  (* rendered from [subs] when any *)
       subs = responses;
       checksum = env.P.checksum }
   | P.Compile _ | P.Simulate _ | P.Run _ ->
@@ -789,18 +789,6 @@ let handle t (env : P.envelope) =
      on the caller thread and bypass breakers and deadlines, so peer
      fill keeps working while a shard's compute path is tripped. *)
   | P.Stats | P.Models | P.Cache_get _ | P.Cache_put _ -> handle_leaf t env
-
-(* The machine-readable error class, derived from the message's stable
-   prefix: client errors (unknown model, bad field) carry no kind and
-   render exactly as they always have. *)
-let error_kind msg =
-  if String.starts_with ~prefix:"internal: " msg then Some "internal"
-  else if String.starts_with ~prefix:"deadline exceeded" msg then
-    Some "deadline"
-  else if String.starts_with ~prefix:"unavailable: " msg then
-    Some "unavailable"
-  else if String.starts_with ~prefix:"overloaded" msg then Some "overloaded"
-  else None
 
 let rec response_to_json ?(timing = true) r =
   let cache_field =
@@ -819,48 +807,25 @@ let rec response_to_json ?(timing = true) r =
   in
   match result with
   | Ok payload ->
-    (* The sum digests the exact compact payload rendering the peer
-       will extract, so any byte damage in transit is detectable by
-       re-digesting what arrived. *)
-    let sum =
-      if r.checksum then
-        Some (Dnn_serial.Codec.digest_string (Json.to_string payload))
-      else None
-    in
-    Dnn_serial.Wire.ok ?id:r.id ~op:r.op ?cache:cache_field ?elapsed_ms ?sum
+    Wire.ok ?id:r.id ~op:r.op ?cache:cache_field ?elapsed_ms ~sum:r.checksum
       payload
-  | Error msg ->
-    Dnn_serial.Wire.error ?id:r.id ~op:r.op ?kind:(error_kind msg) msg
-
-(* Requests are one JSON document per line; even a large inline graph
-   stays well under a megabyte.  Anything bigger is a runaway or hostile
-   client, and parsing it would bloat the heap before failing anyway. *)
-let max_line_bytes = 8 * 1024 * 1024
+  | Error msg -> Wire.error ?id:r.id ~op:r.op msg
 
 let handle_line ?timing t line =
-  if String.length line > max_line_bytes then begin
-    Metrics.record t.meters ~op:"parse" ~ok:false ~seconds:0.;
-    Log.info (fun m -> m "oversized request: %d bytes" (String.length line));
-    Dnn_serial.Wire.to_line
-      (Dnn_serial.Wire.error ~op:"parse"
-         (Printf.sprintf "request exceeds %d bytes" max_line_bytes))
-  end
-  else
-    match P.request_of_line line with
+  match P.request_of_line line with
   | Error msg ->
     Metrics.record t.meters ~op:"parse" ~ok:false ~seconds:0.;
     Log.info (fun m -> m "parse error: %s" msg);
-    Dnn_serial.Wire.to_line (Dnn_serial.Wire.error ~op:"parse" msg)
+    Wire.to_line (Wire.error ~op:"parse" msg)
   | Ok env -> (
     match handle t env with
-    | resp -> Dnn_serial.Wire.to_line (response_to_json ?timing resp)
+    | resp -> Wire.to_line (response_to_json ?timing resp)
     | exception e ->
       (* The pool or the dispatcher itself failed; the "never raises"
          contract still holds. *)
       Log.err (fun m -> m "request dispatch raised: %s" (Printexc.to_string e));
-      Dnn_serial.Wire.to_line
-        (Dnn_serial.Wire.error ?id:env.P.id ~op:(P.op_name env.P.request)
-           ~kind:"internal"
+      Wire.to_line
+        (Wire.error ?id:env.P.id ~op:(P.op_name env.P.request)
            ("internal: " ^ Printexc.to_string e)))
 
 let cache t = t.plan_cache

@@ -74,21 +74,13 @@ val route_digest : Protocol.request -> (string option, string) result
     [models]); [Error] when the request itself is unresolvable (unknown
     model, bad graph). *)
 
-val error_kind : string -> string option
-(** The machine-readable error class derived from a message's stable
-    prefix (["internal"], ["deadline"], ["unavailable"],
-    ["overloaded"]), or [None] for plain client errors. *)
-
-val max_line_bytes : int
-(** Largest accepted request line (8 MiB); longer lines are rejected
-    without being parsed. *)
-
 val handle_line : ?timing:bool -> t -> string -> string
 (** Parse one NDJSON request line, handle it, render the response line
-    (newline included).  Never raises: malformed or oversized lines
-    produce an error response with op ["parse"], and any exception a
-    pass leaks while computing produces an [Error] outcome on that
-    request alone. *)
+    (newline included).  Never raises: a malformed line produces an
+    error response with op ["parse"], and any exception a pass leaks
+    while computing produces an [Error] outcome on that request alone.
+    Oversized lines never get here: {!Server}'s read loop refuses them
+    while reading. *)
 
 val stats_payload : t -> Dnn_serial.Json.t
 (** The [stats] response body: cache counters, pool occupancy, breaker

@@ -56,13 +56,13 @@ let persist_path t digest =
     then Some (Filename.concat dir (digest ^ ".json"))
     else None
 
-(* On-disk entries are an envelope wrapping the payload together with a
-   checksum of its compact rendering, so a truncated, bit-flipped or
-   hand-edited file is detected on load rather than silently served. *)
-let content_sha rendered = Digest.to_hex (Digest.string rendered)
-
-let envelope_of rendered payload =
-  Json.Obj [ ("sha", Json.String (content_sha rendered)); ("payload", payload) ]
+(* On-disk entries are an envelope wrapping the payload together with
+   its reply sum ({!Dnn_serial.Wire.sum_of}), so a truncated, bit-flipped
+   or hand-edited file is detected on load rather than silently served. *)
+let envelope_of payload =
+  Json.Obj
+    [ ("sha", Json.String (Dnn_serial.Wire.sum_of payload));
+      ("payload", payload) ]
 
 (* A file that fails to parse or to verify is moved aside to
    [<entry>.corrupt] — out of the lookup path, but kept for inspection
@@ -80,8 +80,8 @@ let decode_envelope content =
   | Ok v -> (
     match Json.member_opt "sha" v, Json.member_opt "payload" v with
     | Some (Json.String sha), Some payload ->
-      let rendered = Json.to_string payload in
-      if String.equal sha (content_sha rendered) then Ok (payload, rendered)
+      if String.equal sha (Dnn_serial.Wire.sum_of payload) then
+        Ok (payload, Json.to_string payload)
       else Error "checksum mismatch"
     | _ -> Error "missing envelope fields")
 
@@ -111,7 +111,7 @@ let load_persisted t digest =
    The final rename is atomic either way. *)
 let tmp_counter = Atomic.make 0
 
-let store_persisted t digest rendered payload =
+let store_persisted t digest payload =
   match persist_path t digest with
   | None -> ()
   | Some path -> (
@@ -123,7 +123,7 @@ let store_persisted t digest rendered payload =
       let oc = open_out_bin tmp in
       Fun.protect
         ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (Json.to_string (envelope_of rendered payload)));
+        (fun () -> output_string oc (Json.to_string (envelope_of payload)));
       Sys.rename tmp path
     with
     | () -> ()
@@ -158,7 +158,7 @@ let put t digest payload =
   let rendered = Json.to_string payload in
   with_lock t (fun () ->
       insert t digest payload rendered;
-      store_persisted t digest rendered payload)
+      store_persisted t digest payload)
 
 let stats t =
   with_lock t (fun () ->

@@ -2,38 +2,35 @@ let src = Logs.Src.create "lcmm.service.server" ~doc:"Plan service transport"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-(* All serve loops are handler-based underneath: the engine variants
-   close over [Engine.handle_line], and the tier router reuses the same
-   transport with its own line handler. *)
+module Wire = Dnn_serial.Wire
 
-let serve_lines handler ic oc =
+let serve_channels handler ic oc =
+  let answer line =
+    output_string oc line;
+    flush oc
+  in
   let rec loop () =
-    match Dnn_serial.Wire.read_request ic with
-    | Ok None -> ()
-    | Error msg ->
+    match Wire.read_request ic with
+    | `Eof -> ()
+    | `Line line ->
+      answer (handler line);
+      loop ()
+    | `Too_long msg ->
+      (* The reader skipped the line without keeping it: refuse it and
+         go on serving the connection. *)
+      Log.info (fun m -> m "input refused: %s" msg);
+      answer (Wire.to_line (Wire.error ~op:"parse" msg));
+      loop ()
+    | `Broken msg -> (
       (* Framing failure (peer died mid-write, channel error): answer
          with a structured parse-class error — the peer may have only
          half-closed its write side — then stop serving the
          connection.  Never hand a partial record to the JSON parser. *)
       Log.warn (fun m -> m "input error: %s" msg);
-      (try
-         output_string oc
-           (Dnn_serial.Wire.to_line (Dnn_serial.Wire.error ~op:"parse" msg));
-         flush oc
-       with Sys_error _ | Unix.Unix_error _ -> ())
-    | Ok (Some line) ->
-      output_string oc (handler line);
-      flush oc;
-      loop ()
+      try answer (Wire.to_line (Wire.error ~op:"parse" msg))
+      with Sys_error _ | Unix.Unix_error _ -> ())
   in
   loop ()
-
-let serve_channels_with handler ic oc = serve_lines handler ic oc
-
-let serve_channels ?timing engine ic oc =
-  serve_lines (Engine.handle_line ?timing engine) ic oc
-
-let serve_stdio ?timing engine = serve_channels ?timing engine stdin stdout
 
 (* [accept] is where a signal lands while the server sleeps; EINTR there
    must restart the wait, not kill the listener. *)
@@ -42,7 +39,7 @@ let rec accept_retry sock =
   | conn -> conn
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_retry sock
 
-let serve_unix_socket_with handler ~path =
+let serve_unix_socket handler ~path =
   (* A client vanishing mid-response must surface as a write error on
      that connection, not as a process-killing SIGPIPE.  (No-op on
      platforms without the signal.) *)
@@ -73,7 +70,7 @@ let serve_unix_socket_with handler ~path =
              (EPIPE/ECONNRESET surface as Sys_error or Unix_error from
              the channel layer) — never takes its thread down noisily,
              and never the accept loop at all. *)
-          (try serve_lines handler ic oc with
+          (try serve_channels handler ic oc with
           | Sys_error msg -> Log.warn (fun m -> m "connection error: %s" msg)
           | Unix.Unix_error (err, fn, _) ->
             Log.warn (fun m ->
@@ -85,6 +82,3 @@ let serve_unix_socket_with handler ~path =
     accept_loop ()
   in
   accept_loop ()
-
-let serve_unix_socket ?timing engine ~path =
-  serve_unix_socket_with (Engine.handle_line ?timing engine) ~path

@@ -51,15 +51,11 @@ type result = {
 type outcome = Resp_ok | Resp_shed | Resp_error
 
 let classify line =
-  match Json.of_string line with
-  | Error _ -> Resp_error
-  | Ok doc -> (
-    match Json.member_opt "ok" doc with
-    | Some (Json.Bool true) -> Resp_ok
-    | _ -> (
-      match Json.member_opt "kind" doc with
-      | Some (Json.String ("overloaded" | "unavailable")) -> Resp_shed
-      | _ -> Resp_error))
+  match Dnn_serial.Wire.decode line with
+  | Ok { answer = Ok _; _ } -> Resp_ok
+  | Ok { answer = Error (_, Some ("overloaded" | "unavailable")); _ } ->
+    Resp_shed
+  | Ok _ | Error _ -> Resp_error
 
 type worker_acc = {
   mutable w_ok : int;

@@ -127,11 +127,10 @@ let lru_store t digest payload =
 
 (* The tier's stdio/socket output must be byte-identical to a
    single-process [lcmm serve] answering the same request: with timing
-   off both render [Wire.ok ?id ~op payload] from the same [Json]
-   payload (the codec round-trips renderings exactly), and error
-   messages pass through verbatim with their kind re-derived from the
-   same stable prefixes.  The router->shard hop may decorate the
-   forwarded envelope (integrity digest, remaining deadline) because
+   off both render through [Wire] from the same envelope and the same
+   [Json] payload (the codec round-trips renderings exactly), and error
+   messages pass through verbatim.  The router->shard hop may decorate
+   the forwarded envelope (integrity digest, remaining deadline) because
    the response the client sees is re-rendered here from the payload,
    never relayed. *)
 
@@ -140,45 +139,38 @@ let render_ok t (env : P.envelope) ?cache ~t0 payload =
   let elapsed_ms =
     if t.timing then Some ((Unix.gettimeofday () -. t0) *. 1e3) else None
   in
-  (* A client that set [checksum] gets the sum [lcmm serve] would send:
-     the digest of the payload's compact rendering. *)
-  let sum =
-    if env.P.checksum then
-      Some (Dnn_serial.Codec.digest_string (Json.to_string payload))
-    else None
-  in
-  Wire.ok ?id:env.P.id ~op:(P.op_name env.P.request) ?cache ?elapsed_ms ?sum
-    payload
+  Wire.ok ?id:env.P.id ~op:(P.op_name env.P.request) ?cache ?elapsed_ms
+    ~sum:env.P.checksum payload
 
 let render_error t (env : P.envelope) msg =
   count t (fun c ->
-      match Engine.error_kind msg with
+      match Wire.kind msg with
       | Some "overloaded" -> c.shed <- c.shed + 1
       | Some "deadline" ->
         c.deadline <- c.deadline + 1;
         c.errors <- c.errors + 1
       | _ -> c.errors <- c.errors + 1);
-  Wire.error ?id:env.P.id
-    ~op:(P.op_name env.P.request)
-    ?kind:(Engine.error_kind msg) msg
+  Wire.error ?id:env.P.id ~op:(P.op_name env.P.request) msg
 
 (* --- talking to shards --- *)
 
-(* One-line request documents for the cache plane.  They carry the
-   digest as [id] and ask for a [sum] so the router can validate the
-   reply end to end — a corrupted cache hit must never be cached or
-   served. *)
+(* Every line the router sends is an envelope encoded by
+   [Protocol.envelope_to_json]; its own requests carry no deadline. *)
+let line_of env = Json.to_string (P.envelope_to_json env)
+
+let own request = { P.id = None; deadline_ms = None; checksum = false; request }
+
+(* A cache-plane probe carries the digest as [id] and asks for a [sum]
+   so the router can validate the reply end to end — a corrupted cache
+   hit must never be cached or served. *)
 let cache_get_line digest =
-  Json.to_string
-    (Json.Obj
-       [ ("op", Json.String "cache_get"); ("digest", Json.String digest);
-         ("id", Json.String digest); ("checksum", Json.Bool true) ])
+  line_of
+    { (own (P.Cache_get digest)) with
+      P.id = Some (Json.String digest);
+      checksum = true }
 
 let cache_put_line digest payload =
-  Json.to_string
-    (Json.Obj
-       [ ("op", Json.String "cache_put"); ("digest", Json.String digest);
-         ("payload", payload) ])
+  line_of (own (P.Cache_put (digest, payload)))
 
 (* The forwarded copy of a routed envelope: the route digest rides as
    [id] (so the reply provably answers this request), [checksum]
@@ -197,23 +189,7 @@ let forward_line t (env : P.envelope) ~digest ~remaining_ms =
       P.checksum = true;
       P.deadline_ms }
   in
-  Json.to_string (P.envelope_to_json env)
-
-(* Split a shard's NDJSON response into the engine's outcome. *)
-let parse_response line =
-  match Json.of_string line with
-  | Error msg -> Error ("internal: shard response unparsable: " ^ msg)
-  | Ok doc -> (
-    match Json.member_opt "ok" doc with
-    | Some (Json.Bool true) -> (
-      match Json.member_opt "result" doc with
-      | Some payload -> Ok (Ok payload)
-      | None -> Error "internal: shard response missing result")
-    | Some (Json.Bool false) -> (
-      match Json.member_opt "error" doc with
-      | Some (Json.String msg) -> Ok (Error msg)
-      | _ -> Error "internal: shard response missing error")
-    | _ -> Error "internal: shard response missing ok field")
+  line_of env
 
 (* --- the chaos-interposed physical call --- *)
 
@@ -302,35 +278,16 @@ let validate_reply t s ~digest line =
         m "invalid reply from %s for %s: %s" (Shard.name s) digest why);
     RRetry (Printf.sprintf "invalid reply from shard %s: %s" (Shard.name s) why)
   in
-  match Json.of_string line with
-  | Error msg -> invalid ("unparsable: " ^ msg)
-  | Ok doc -> (
-    let id_ok =
-      match Json.member_opt "id" doc with
-      | Some (Json.String id) -> id = digest
-      | _ -> false
-    in
-    if not id_ok then invalid "id echo does not match the route digest"
-    else
-      match Json.member_opt "ok" doc with
-      | Some (Json.Bool true) -> (
-        match Json.member_opt "result" doc with
-        | None -> invalid "missing result"
-        | Some payload -> (
-          match Json.member_opt "sum" doc with
-          | Some (Json.String sum)
-            when sum = Dnn_serial.Codec.digest_string (Json.to_string payload)
-            ->
-            RValid payload
-          | Some _ -> invalid "sum does not match the payload"
-          | None -> invalid "missing sum"))
-      | Some (Json.Bool false) -> (
-        match Json.member_opt "error" doc with
-        | Some (Json.String msg) ->
-          if Engine.error_kind msg = Some "overloaded" then RShed msg
-          else RApp msg
-        | _ -> invalid "missing error")
-      | _ -> invalid "missing ok field")
+  match Wire.decode line with
+  | Error why -> invalid why
+  | Ok { Wire.id = Some (Json.String id); answer } when id = digest -> (
+    match answer with
+    | Ok (payload, Some sum) when sum = Wire.sum_of payload -> RValid payload
+    | Ok (_, Some _) -> invalid "sum does not match the payload"
+    | Ok (_, None) -> invalid "missing sum"
+    | Error (msg, Some "overloaded") -> RShed msg
+    | Error (msg, _) -> RApp msg)
+  | Ok _ -> invalid "id echo does not match the route digest"
 
 let classify_attempt t s ~digest = function
   | Error (Shard.Overloaded msg) -> RShed msg
@@ -607,17 +564,17 @@ let forward_any t (env : P.envelope) =
     | Some _ -> env
     | None -> { env with P.deadline_ms = t.deadline_ms }
   in
-  let line = Json.to_string (P.envelope_to_json env) in
+  let line = line_of env in
   let rec on = function
     | [] ->
       render_error t env "unavailable: no shard could take the request"
     | s :: rest -> (
       match Shard.call ?timeout_s:t.call_timeout_s s line with
       | Ok reply -> (
-        match parse_response reply with
-        | Ok (Ok payload) -> render_ok t env ~t0 payload
-        | Ok (Error msg) -> render_error t env msg
-        | Error msg -> render_error t env msg)
+        match Wire.decode reply with
+        | Ok { Wire.answer = Ok (payload, _); _ } -> render_ok t env ~t0 payload
+        | Ok { Wire.answer = Error (msg, _); _ } -> render_error t env msg
+        | Error why -> render_error t env ("internal: shard response " ^ why))
       | Error _ -> on rest)
   in
   on t.shards
@@ -661,13 +618,12 @@ let stats_payload t =
       (fun s ->
         let remote =
           match
-            Shard.call ?timeout_s:t.call_timeout_s s
-              (Json.to_string (Json.Obj [ ("op", Json.String "stats") ]))
+            Shard.call ?timeout_s:t.call_timeout_s s (line_of (own P.Stats))
           with
           | Ok line -> (
-            match parse_response line with
-            | Ok (Ok payload) -> payload
-            | Ok (Error _) | Error _ -> Json.Null)
+            match Wire.decode line with
+            | Ok { Wire.answer = Ok (payload, _); _ } -> payload
+            | Ok _ | Error _ -> Json.Null)
           | Error _ -> Json.Null
         in
         (Shard.name s, Shard.stats_json s, remote))
@@ -726,52 +682,43 @@ let rec respond t (env : P.envelope) =
     | Ok None -> forward_any t env)
 
 let handle_line t line =
-  if String.length line > Engine.max_line_bytes then
-    Wire.to_line
-      (Wire.error ~op:"parse"
-         (Printf.sprintf "request exceeds %d bytes" Engine.max_line_bytes))
-  else
-    match P.request_of_line line with
-    | Error msg ->
-      Wire.to_line (Wire.error ~op:"parse" msg)
-    | Ok env -> (
-      (* A draining tier stops admitting work ([stats] stays open so
-         the operator can watch the drain) but finishes what it already
-         accepted — the in-flight gate below is what [await_idle]
-         waits on. *)
-      let admitted =
-        with_lock t (fun () ->
-            match env.P.request with
-            | P.Stats -> true
-            | _ ->
-              if t.draining then false
-              else begin
-                t.inflight <- t.inflight + 1;
-                true
-              end)
-      in
-      if not admitted then
-        Wire.to_line
-          (Wire.error ?id:env.P.id
-             ~op:(P.op_name env.P.request)
-             ~kind:"unavailable" "unavailable: tier is draining")
-      else
-        let release () =
+  match P.request_of_line line with
+  | Error msg -> Wire.to_line (Wire.error ~op:"parse" msg)
+  | Ok env -> (
+    (* A draining tier stops admitting work ([stats] stays open so
+       the operator can watch the drain) but finishes what it already
+       accepted — the in-flight gate below is what [await_idle]
+       waits on. *)
+    let admitted =
+      with_lock t (fun () ->
           match env.P.request with
-          | P.Stats -> ()
-          | _ -> with_lock t (fun () -> t.inflight <- t.inflight - 1)
-        in
-        Fun.protect ~finally:release (fun () ->
-            match respond t env with
-            | doc -> Wire.to_line doc
-            | exception e ->
-              Log.err (fun m ->
-                  m "tier dispatch raised: %s" (Printexc.to_string e));
-              Wire.to_line
-                (Wire.error ?id:env.P.id
-                   ~op:(P.op_name env.P.request)
-                   ~kind:"internal"
-                   ("internal: " ^ Printexc.to_string e))))
+          | P.Stats -> true
+          | _ ->
+            if t.draining then false
+            else begin
+              t.inflight <- t.inflight + 1;
+              true
+            end)
+    in
+    if not admitted then
+      Wire.to_line
+        (Wire.error ?id:env.P.id ~op:(P.op_name env.P.request)
+           "unavailable: tier is draining")
+    else
+      let release () =
+        match env.P.request with
+        | P.Stats -> ()
+        | _ -> with_lock t (fun () -> t.inflight <- t.inflight - 1)
+      in
+      Fun.protect ~finally:release (fun () ->
+          match respond t env with
+          | doc -> Wire.to_line doc
+          | exception e ->
+            Log.err (fun m ->
+                m "tier dispatch raised: %s" (Printexc.to_string e));
+            Wire.to_line
+              (Wire.error ?id:env.P.id ~op:(P.op_name env.P.request)
+                 ("internal: " ^ Printexc.to_string e))))
 
 (* --- graceful drain --- *)
 

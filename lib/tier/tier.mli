@@ -62,9 +62,12 @@ val set_chaos : t -> Chaos.t option -> unit
 
 val handle_line : t -> string -> string
 (** One NDJSON request line in, one newline-terminated response line
-    out; never raises.  Serve it with
-    {!Lcmm_service.Server.serve_channels_with} or
-    {!Lcmm_service.Server.serve_unix_socket_with}.  While draining,
+    out; never raises.  Serve it with {!Lcmm_service.Server.serve_channels}
+    or {!Lcmm_service.Server.serve_unix_socket}, whose read loop refuses
+    oversized lines before they get here.  Replies are built by
+    {!Dnn_serial.Wire} exactly as [lcmm serve] builds them, and every
+    request sent to a shard is encoded by
+    {!Lcmm_service.Protocol.envelope_to_json}.  While draining,
     everything except [stats] is refused with a structured
     ["unavailable"] error.
 

@@ -184,6 +184,12 @@ let test_wire_envelopes () =
     && line.[String.length line - 1] = '\n'
     && not (String.contains (String.sub line 0 (String.length line - 1)) '\n'))
 
+let show_request = function
+  | `Line l -> "line " ^ l
+  | `Too_long msg -> "too long: " ^ msg
+  | `Eof -> "eof"
+  | `Broken msg -> "broken: " ^ msg
+
 let test_wire_read_request () =
   let path = Filename.temp_file "lcmm_wire" ".ndjson" in
   Fun.protect
@@ -196,12 +202,12 @@ let test_wire_read_request () =
       Fun.protect
         ~finally:(fun () -> close_in ic)
         (fun () ->
-          Alcotest.(check (result (option string) string)) "first line"
-            (Ok (Some {|{"op":"stats"}|})) (Wire.read_request ic);
-          Alcotest.(check (result (option string) string)) "blank lines skipped"
-            (Ok (Some {|{"op":"models"}|})) (Wire.read_request ic);
-          Alcotest.(check (result (option string) string)) "eof"
-            (Ok None) (Wire.read_request ic)))
+          Alcotest.(check string) "first line" {|line {"op":"stats"}|}
+            (show_request (Wire.read_request ic));
+          Alcotest.(check string) "blank lines skipped" {|line {"op":"models"}|}
+            (show_request (Wire.read_request ic));
+          Alcotest.(check string) "eof" "eof"
+            (show_request (Wire.read_request ic))))
 
 (* A peer dying mid-write leaves a line without its newline.  That must
    surface as a structured framing error — never as an EOF (which would
@@ -220,20 +226,40 @@ let with_content content fn =
 
 let test_wire_read_request_truncated () =
   with_content "{\"op\":\"stats\"}\n{\"op\":\"mod" (fun ic ->
-      Alcotest.(check (result (option string) string))
-        "complete line still delivered"
-        (Ok (Some {|{"op":"stats"}|}))
-        (Wire.read_request ic);
+      Alcotest.(check string) "complete line still delivered"
+        {|line {"op":"stats"}|}
+        (show_request (Wire.read_request ic));
       match Wire.read_request ic with
-      | Error msg ->
+      | `Broken msg ->
         Alcotest.(check bool)
           (Printf.sprintf "names the truncation: %s" msg)
           true
-          (String.length msg > 0
-          && String.starts_with ~prefix:"connection closed mid-line" msg)
-      | Ok v ->
-        Alcotest.failf "expected a framing error, got %s"
-          (match v with None -> "EOF" | Some l -> l))
+          (String.starts_with ~prefix:"connection closed mid-line" msg)
+      | r -> Alcotest.failf "expected a framing error, got %s" (show_request r))
+
+(* A line one byte past the 8 MiB bound is skipped to its newline and
+   refused; a line at the bound and the lines after both still read. *)
+let test_wire_read_request_oversized () =
+  let bound = 8 * 1024 * 1024 in
+  with_content
+    (String.make bound 'a' ^ "\n" ^ String.make (bound + 1) 'b'
+   ^ "\n{\"op\":\"stats\"}\n")
+    (fun ic ->
+      (match Wire.read_request ic with
+      | `Line l ->
+        Alcotest.(check int) "a line at the bound is read" bound
+          (String.length l)
+      | r ->
+        Alcotest.failf "expected the line at the bound, got %s"
+          (show_request r));
+      Alcotest.(check string) "one byte past the bound is refused"
+        "too long: request exceeds 8388608 bytes"
+        (show_request (Wire.read_request ic));
+      Alcotest.(check string) "the next line still reads"
+        {|line {"op":"stats"}|}
+        (show_request (Wire.read_request ic));
+      Alcotest.(check string) "then eof" "eof"
+        (show_request (Wire.read_request ic)))
 
 let test_wire_read_reply_eof () =
   with_content "" (fun ic ->
@@ -281,6 +307,8 @@ let suite =
     Alcotest.test_case "wire read_request" `Quick test_wire_read_request;
     Alcotest.test_case "wire read_request truncated mid-line" `Quick
       test_wire_read_request_truncated;
+    Alcotest.test_case "wire read_request refuses an oversized line" `Quick
+      test_wire_read_request_oversized;
     Alcotest.test_case "wire read_reply EOF and truncation" `Quick
       test_wire_read_reply_eof;
     Alcotest.test_case "codec digest" `Quick test_codec_digest;

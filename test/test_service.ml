@@ -367,6 +367,19 @@ let result_of_line line =
   | Error msg -> Alcotest.failf "bad response line: %s" msg
   | Ok v -> v
 
+(* The reply lines [lcmm serve]'s read loop writes for [input]. *)
+let serve_input engine input =
+  let path = Filename.temp_file "lcmm_serve" ".ndjson" in
+  let out = path ^ ".out" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ path; out ])
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc input);
+      In_channel.with_open_bin path (fun ic ->
+          Out_channel.with_open_bin out (fun oc ->
+              Svc.Server.serve_channels (handle_line engine) ic oc));
+      Helpers.read_lines out)
+
 let test_engine_compile_cache_hit () =
   with_engine ~domains:2 (fun engine ->
       (* DenseNet-121 at a 2 MiB budget with sliced weights and fusion:
@@ -843,17 +856,24 @@ let test_protocol_fuzz () =
       for _ = 1 to 400 do
         check_line (mutate valid)
       done;
-      (* An oversized line is refused without being parsed. *)
+      (* An oversized line is refused while it is read, without being
+         kept or parsed, and the connection goes on serving. *)
       let oversized =
-        "{\"op\":\"compile\"," ^ String.make Svc.Engine.max_line_bytes ' ' ^ "}"
+        "{\"op\":\"compile\"," ^ String.make (8 * 1024 * 1024) ' ' ^ "}"
       in
-      let resp = result_of_line (handle_line engine oversized) in
-      Alcotest.check json_t "oversized is an error" (Json.Bool false)
-        (field_exn "ok" resp);
-      (* And the engine still answers real requests afterwards. *)
-      let resp = result_of_line (handle_line engine valid) in
-      Alcotest.check json_t "engine survives the fuzz" (Json.Bool true)
-        (field_exn "ok" resp))
+      match serve_input engine (oversized ^ "\n" ^ valid ^ "\n") with
+      | [ refused; answered ] ->
+        let resp = result_of_line refused in
+        Alcotest.check json_t "oversized is an error" (Json.Bool false)
+          (field_exn "ok" resp);
+        Alcotest.check json_t "the bound's message"
+          (Json.String "request exceeds 8388608 bytes")
+          (field_exn "error" resp);
+        (* And the engine still answers real requests afterwards. *)
+        Alcotest.check json_t "engine survives the fuzz" (Json.Bool true)
+          (field_exn "ok" (result_of_line answered))
+      | replies ->
+        Alcotest.failf "expected 2 replies, got %d" (List.length replies))
 
 (* --- supervision, circuit breaking and cache quarantine --- *)
 
@@ -1898,7 +1918,7 @@ let test_socket_concurrent_connections () =
   in
   let echo line = "echo:" ^ line ^ "\n" in
   let (_ : Thread.t) =
-    Thread.create (fun () -> Svc.Server.serve_unix_socket_with echo ~path) ()
+    Thread.create (fun () -> Svc.Server.serve_unix_socket echo ~path) ()
   in
   let rec wait_for_socket tries =
     if tries = 0 then Alcotest.fail "server socket never appeared";

@@ -839,8 +839,7 @@ let test_loadgen_counts_backlog () =
 let test_loadgen_classifies_sheds () =
   let handler _line =
     Dnn_serial.Wire.to_line
-      (Dnn_serial.Wire.error ~op:"compile" ~kind:"overloaded"
-         "overloaded: full")
+      (Dnn_serial.Wire.error ~op:"compile" "overloaded: full")
   in
   let r =
     Loadgen.run ~handler ~mix:[ "x" ] ~rps:200. ~duration_s:0.2 ~threads:2 ()
@@ -894,6 +893,173 @@ let test_loadgen_saturation_bisects () =
        0. ladder)
     knee
 
+(* --- tier answers what serve answers --- *)
+
+(* Every key a request object may carry, with the values the committed
+   field requests and the default encodings give it: [(kind, key)]
+   pairs, where a kind is an op's top level, ["envelope"] (id aside),
+   ["options"] or ["tenant"].  The field requests set every protocol
+   field off its default and {!Svc.Protocol.envelope_to_json} encodes
+   every field at its default that has an encoding there, so a field
+   added to a table is drawn with no edit here. *)
+let field_pools () =
+  let pools = Hashtbl.create 64 in
+  let add kind key v =
+    let seen =
+      Option.value ~default:[] (Hashtbl.find_opt pools (kind, key))
+    in
+    if not (List.mem v seen) then Hashtbl.replace pools (kind, key) (v :: seen)
+  in
+  let fields = function Json.Obj kv -> kv | _ -> [] in
+  let rec walk doc =
+    let op =
+      match Json.member_opt "op" doc with
+      | Some (Json.String op) -> op
+      | _ -> ""
+    in
+    List.iter
+      (fun (key, v) ->
+        match (key, v) with
+        | ("op" | "id"), _ -> ()
+        | ("deadline_ms" | "checksum"), _ -> add "envelope" key v
+        | "options", _ ->
+          List.iter (fun (k, x) -> add "options" k x) (fields v)
+        | "tenants", Json.List ts ->
+          List.iter
+            (fun tn -> List.iter (fun (k, x) -> add "tenant" k x) (fields tn))
+            ts
+        | "requests", Json.List subs -> List.iter walk subs
+        | _ -> add op key v)
+      (fields doc)
+  in
+  let defaults =
+    [ {|{"op":"compile","model":"alexnet"}|};
+      {|{"op":"simulate","model":"squeezenet","images":2}|};
+      {|{"op":"run","tenants":[{"model":"alexnet"}]}|} ]
+  in
+  List.iter
+    (fun line ->
+      match Svc.Protocol.request_of_line line with
+      | Ok env -> walk (Svc.Protocol.envelope_to_json env)
+      | Error msg -> Alcotest.failf "default request %s: %s" line msg)
+    defaults;
+  List.iter
+    (fun line -> Result.iter walk (Json.of_string line))
+    (Helpers.read_lines "golden/protocol_fields.requests.ndjson");
+  pools
+
+(* Values no field accepts, or accepts only out of range.  No small
+   positive number: a tiny deadline would race the compute. *)
+let junk =
+  [ Json.Null; Json.Bool true; Json.Int 0; Json.Int (-1); Json.Float (-2.5);
+    Json.String "x"; Json.List []; Json.Obj [] ]
+
+let random_id st =
+  match Random.State.int st 9 with
+  | 0 -> Json.Int (Random.State.int st 1000)
+  | 1 -> Json.Float 1.25
+  | 2 -> Json.String (Printf.sprintf "r%d" (Random.State.int st 100))
+  | 3 -> Json.Bool false
+  | 4 -> Json.Null
+  | 5 -> Json.List [ Json.Obj [ ("k", Json.Int 1) ] ]
+  | 6 -> Json.Obj [ ("n", Json.List [ Json.Int 2 ]) ]
+  | 7 -> Json.List []
+  | _ -> Json.String "\"quoted\" \\ id"
+
+let pick st l = List.nth l (Random.State.int st (List.length l))
+
+(* A request object of [op]: a random subset of the keys the pools hold
+   for it at values seen; one request in three is hostile and draws a
+   quarter of its values from [junk]. *)
+let random_request pools st op =
+  let hostile = Random.State.int st 3 = 0 in
+  let value kind key =
+    let seen = Hashtbl.find pools (kind, key) in
+    if hostile && Random.State.int st 4 = 0 then pick st junk else pick st seen
+  in
+  (* [keep] names the keys always drawn. *)
+  let subset kind keep =
+    Hashtbl.fold
+      (fun (k, key) _ acc -> if k = kind then key :: acc else acc)
+      pools []
+    |> List.sort compare
+    |> List.filter (fun key -> keep key || Random.State.bool st)
+    |> List.map (fun key -> (key, value kind key))
+  in
+  let options () =
+    if hostile && Random.State.int st 4 = 0 then pick st junk
+    else Json.Obj (subset "options" (fun _ -> false))
+  in
+  let body =
+    match op with
+    | "run" ->
+      let tenant () = Json.Obj (subset "tenant" (( = ) "model")) in
+      let tenants =
+        List.init (1 + Random.State.int st 2) (fun _ -> tenant ())
+      in
+      ("tenants", Json.List tenants)
+      :: ("options", options ())
+      :: subset op (fun _ -> false)
+    | "models" -> []
+    | _ -> ("options", options ()) :: subset op (( = ) "model")
+  in
+  let id = if Random.State.bool st then [ ("id", random_id st) ] else [] in
+  Json.Obj
+    ((("op", Json.String op) :: id) @ subset "envelope" (fun _ -> false) @ body)
+
+let random_line pools st =
+  let leaf () =
+    random_request pools st
+      (pick st [ "compile"; "simulate"; "run"; "models" ])
+  in
+  match Random.State.int st 12 with
+  | 0 ->
+    (* A truncated record. *)
+    let line = Json.to_string (leaf ()) in
+    String.sub line 0 (Random.State.int st (String.length line))
+  | 1 ->
+    pick st
+      [ "[1,2]"; "42"; {|"compile"|}; {|{"op":"nope"}|}; {|{"id":3}|}; "{" ]
+  | 2 | 3 ->
+    let subs = List.init (Random.State.int st 4) (fun _ -> leaf ()) in
+    let subs =
+      if Random.State.int st 6 = 0 then
+        Json.Obj [ ("op", Json.String "batch"); ("requests", Json.List []) ]
+        :: subs
+      else subs
+    in
+    let id = if Random.State.bool st then [ ("id", random_id st) ] else [] in
+    let checksum =
+      if Random.State.bool st then [ ("checksum", Json.Bool true) ] else []
+    in
+    Json.to_string
+      (Json.Obj
+         ((("op", Json.String "batch") :: id) @ checksum
+         @ [ ("requests", Json.List subs) ]))
+  | _ -> Json.to_string (leaf ())
+
+(* With timing off a serve reply is a pure function of its request, and
+   a 2-shard tier must give the same bytes for every envelope: it
+   parses, routes, forwards and re-renders what serve renders directly.
+   [stats], [cache_get] and [cache_put] answer differently by design
+   (fleet counters, front-cache probes) and are never drawn. *)
+let test_tier_matches_serve () =
+  let pools = field_pools () in
+  let st = Random.State.make [| 20261020 |] in
+  with_engines 3 (fun engines ->
+      let reference = List.hd engines in
+      let shards = List.map2 local_shard [ "a"; "b" ] (List.tl engines) in
+      let tier =
+        Tier.create ~timing:false ~ring:(Ring.create [ "a"; "b" ]) ~shards ()
+      in
+      for _ = 1 to 240 do
+        let line = random_line pools st in
+        Alcotest.(check string)
+          (Printf.sprintf "tier = serve for %s" line)
+          (Svc.Engine.handle_line ~timing:false reference line)
+          (Tier.handle_line tier line)
+      done)
+
 let suite =
   [ Alcotest.test_case "ring: deterministic across creation order" `Quick
       test_ring_deterministic;
@@ -945,6 +1111,8 @@ let suite =
       `Quick test_tier_chaos_injection;
     Alcotest.test_case "tier: drain refuses, finishes, flushes" `Quick
       test_tier_drain;
+    Alcotest.test_case "tier: answers what serve answers, 240 envelopes"
+      `Quick test_tier_matches_serve;
     Alcotest.test_case "loadgen: open-loop counts and percentiles" `Quick
       test_loadgen_counts_and_percentiles;
     Alcotest.test_case "loadgen: classifies structured sheds" `Quick
