@@ -1102,6 +1102,44 @@ let runtime_search () =
    answers from the model's digest memo, on any host speed. *)
 let warm_hit_models = [ "alexnet"; "resnet152" ]
 
+(* The work of one warm hit through [Engine.handle_line], the whole
+   request path (parse, key, lookup, hand-off, render): minor words and
+   words allocated directly in the major heap, summed over the calling
+   domain (which renders the reply) and the worker (which looks the
+   plan up), averaged over 1000 hits.  Unlike a time, no host changes
+   these. *)
+let warm_hit_ops =
+  [ ("compile", {|{"op":"compile","id":1,"model":"alexnet","dtype":"i16"}|});
+    ("simulate", {|{"op":"simulate","id":1,"model":"alexnet","dtype":"i16"}|}) ]
+
+let warm_hit_words engine =
+  let module Svc = Lcmm_service in
+  let hits = 1000 in
+  (* [Gc.counters] counts the current domain's words exactly. *)
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    (minor, major -. promoted)
+  in
+  let both () =
+    let minor, direct = words () in
+    let w_minor, w_direct = Lcmm.Pool.run (Svc.Engine.pool engine) words in
+    (minor +. w_minor, direct +. w_direct)
+  in
+  List.map
+    (fun (op, line) ->
+      let reply = ref (Svc.Engine.handle_line engine line) in
+      let minor0, direct0 = both () in
+      for _ = 1 to hits do
+        reply := Svc.Engine.handle_line engine line
+      done;
+      let minor1, direct1 = both () in
+      (match Result.map (Json.member_opt "cache") (Json.of_string !reply) with
+      | Ok (Some (Json.String "hit")) -> ()
+      | _ -> failwith ("bench perf: a repeated " ^ op ^ " missed the plan cache"));
+      let per_hit x = x /. float_of_int hits in
+      (op, per_hit (minor1 -. minor0), per_hit (direct1 -. direct0)))
+    warm_hit_ops
+
 let warm_hits () =
   let module Svc = Lcmm_service in
   let engine = Svc.Engine.create ~pool:(Lcmm.Pool.create ~domains:1 ()) () in
@@ -1131,7 +1169,7 @@ let warm_hits () =
             best.(i) <- Float.min best.(i) t)
           envs
       done;
-      List.combine warm_hit_models (Array.to_list best))
+      (List.combine warm_hit_models (Array.to_list best), warm_hit_words engine))
 
 (* A cold capacity sweep, the traffic the stage memo serves: googlenet
    at i16 with 16 capacity overrides (1/32 to 1/2 of the SRAM budget),
@@ -1298,13 +1336,20 @@ let perf_experiment () =
     "cold capacity sweep, %s i16: %d requests, %d DSE runs, %d prepares, %d \
      stage-memo hits\n%!"
     cold_sweep_model sweep_requests sweep_dse sweep_prepares sweep_hits;
-  let hits = warm_hits () in
+  let hits, hit_words = warm_hits () in
   let hit_us model = List.assoc model hits in
   let hit_ratio = hit_us "resnet152" /. hit_us "alexnet" in
   Printf.printf
     "warm compile hit, best of 300: alexnet %.1f us, resnet152 %.1f us \
      (resnet152/alexnet %.2f)\n%!"
     (hit_us "alexnet") (hit_us "resnet152") hit_ratio;
+  List.iter
+    (fun (op, minor, direct) ->
+      Printf.printf
+        "warm %s hit, alexnet i16: %.0f minor words, %.1f direct major \
+         words\n%!"
+        op minor direct)
+    hit_words;
   Json.Obj
     [ ("experiment", Json.String "perf");
       ("seed", Json.Int 2026);
@@ -1330,7 +1375,12 @@ let perf_experiment () =
         Json.Obj
           ([ ("op", Json.String "compile i16"); ("reps", Json.Int 300) ]
           @ List.map (fun (m, us) -> (m ^ "_us", Json.Float us)) hits
-          @ [ ("resnet152_per_alexnet", Json.Float hit_ratio) ]) ) ]
+          @ [ ("resnet152_per_alexnet", Json.Float hit_ratio) ]
+          @ List.concat_map
+              (fun (op, minor, direct) ->
+                [ (op ^ "_minor_words", Json.Float minor);
+                  (op ^ "_direct_major_words", Json.Float direct) ])
+              hit_words) ) ]
 
 (* ------------------------------------------------------------------ *)
 (* The sharded serving tier.  Both benches spawn `lcmm serve` children

@@ -296,6 +296,15 @@ awk -F': ' '/"cold_sweep"/ { cs = 1 }
 awk -F': ' '/"warm_hit"/ { wh = 1 }
             wh && /"resnet152_per_alexnet"/ { seen = 1; r = $2 + 0 }
             END { exit (seen && r <= 2.0) ? 0 : 1 }' "$out"
+# A warm hit is gated on work too: an alexnet compile hit through
+# Engine.handle_line, the reply rendered, allocates at most 64 words
+# directly in the major heap (reads 0.0, with 1283 minor words).  A hit
+# that re-rendered its payload into a 1024-byte buffer grew the buffer
+# to 2048 bytes, a major-heap block, on every reply: 258 direct major
+# words and 2469 minor words per hit.
+awk -F': ' '/"warm_hit"/ { wh = 1 }
+            wh && /"compile_direct_major_words"/ { seen++; d = $2 + 0 }
+            END { exit (seen == 1 && d <= 64) ? 0 : 1 }' "$out"
 echo "wrote $out"
 
 echo "== tier-2: wide-row DNNK on a 536-node skip graph =="

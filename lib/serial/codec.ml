@@ -57,11 +57,12 @@ let graph_to_json g =
 
 let ( let* ) = Result.bind
 
-let padding_of_json = function
+let rec padding_of_json = function
   | Json.String "valid" -> Ok Op.Valid
   | Json.String "same" -> Ok Op.Same
   | Json.Int p -> Ok (Op.Explicit p)
   | Json.String other -> Error (Printf.sprintf "unknown padding %S" other)
+  | Json.Raw _ as v -> padding_of_json (Json.expand v)
   | Json.Null | Json.Bool _ | Json.Float _ | Json.List _ | Json.Obj _ ->
     Error "invalid padding"
 

@@ -1,3 +1,5 @@
+type compact = string
+
 type t =
   | Null
   | Bool of bool
@@ -6,76 +8,7 @@ type t =
   | String of string
   | List of t list
   | Obj of (string * t) list
-
-(* --- rendering --- *)
-
-let escape_into buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let to_string ?(indent = 0) value =
-  let buf = Buffer.create 1024 in
-  let newline depth =
-    if indent > 0 then begin
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (String.make (indent * depth) ' ')
-    end
-  in
-  let rec emit depth = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float f ->
-      if Float.is_integer f && Float.abs f < 1e15 then
-        Buffer.add_string buf (Printf.sprintf "%.1f" f)
-      else Buffer.add_string buf (Printf.sprintf "%.17g" f)
-    | String s ->
-      Buffer.add_char buf '"';
-      escape_into buf s;
-      Buffer.add_char buf '"'
-    | List [] -> Buffer.add_string buf "[]"
-    | List items ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_char buf ',';
-          newline (depth + 1);
-          emit (depth + 1) item)
-        items;
-      newline depth;
-      Buffer.add_char buf ']'
-    | Obj [] -> Buffer.add_string buf "{}"
-    | Obj fields ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (key, item) ->
-          if i > 0 then Buffer.add_char buf ',';
-          newline (depth + 1);
-          Buffer.add_char buf '"';
-          escape_into buf key;
-          Buffer.add_string buf "\":";
-          if indent > 0 then Buffer.add_char buf ' ';
-          emit (depth + 1) item)
-        fields;
-      newline depth;
-      Buffer.add_char buf '}'
-  in
-  emit 0 value;
-  Buffer.contents buf
-
-let pp ppf v = Format.pp_print_string ppf (to_string ~indent:2 v)
-
-let equal = ( = )
+  | Raw of compact
 
 (* --- parsing: recursive descent over a string with an index --- *)
 
@@ -234,37 +167,156 @@ let of_string input =
   | exception Parse_error (at, msg) ->
     Error (Printf.sprintf "JSON error at offset %d: %s" at msg)
 
-(* --- accessors --- *)
+(* A [Raw] holds the compact rendering of some value, so it always
+   parses. *)
+let expand = function
+  | Raw text -> (
+    match of_string text with
+    | Ok v -> v
+    | Error msg -> invalid_arg ("Json.expand: " ^ msg))
+  | v -> v
 
-let member key = function
+(* --- rendering --- *)
+
+(* What [Printf]'s [%.17g] and [%.1f] call, without the format
+   interpreter around it. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+let escape_into buf s =
+  if not (String.exists needs_escape s) then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s
+
+(* JSON has no token for NaN or an infinity: they render as [null]. *)
+let add_float buf f =
+  if not (Float.is_finite f) then Buffer.add_string buf "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then
+    Buffer.add_string buf (format_float "%.1f" f)
+  else Buffer.add_string buf (format_float "%.17g" f)
+
+(* A 2040-byte buffer is a 256-word block, the largest the minor heap
+   takes on 64-bit, so a reply under 2 KB (a compile reply is about
+   1.1 KB) renders with no major-heap allocation.  A 1024-byte buffer
+   would grow to 2048 bytes, 257 words, which the major heap takes. *)
+let initial_buffer_bytes = 2040
+
+let to_string ?(indent = 0) value =
+  match value with
+  | Raw text when indent = 0 -> text
+  | _ ->
+    let buf = Buffer.create initial_buffer_bytes in
+    let newline depth =
+      if indent > 0 then begin
+        Buffer.add_char buf '\n';
+        Buffer.add_string buf (String.make (indent * depth) ' ')
+      end
+    in
+    let rec emit depth = function
+      | Null -> Buffer.add_string buf "null"
+      | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+      | Int i -> Buffer.add_string buf (string_of_int i)
+      | Float f -> add_float buf f
+      | String s ->
+        Buffer.add_char buf '"';
+        escape_into buf s;
+        Buffer.add_char buf '"'
+      | Raw text when indent = 0 -> Buffer.add_string buf text
+      | Raw _ as v -> emit depth (expand v)
+      | List [] -> Buffer.add_string buf "[]"
+      | List items ->
+        Buffer.add_char buf '[';
+        List.iteri
+          (fun i item ->
+            if i > 0 then Buffer.add_char buf ',';
+            newline (depth + 1);
+            emit (depth + 1) item)
+          items;
+        newline depth;
+        Buffer.add_char buf ']'
+      | Obj [] -> Buffer.add_string buf "{}"
+      | Obj fields ->
+        Buffer.add_char buf '{';
+        List.iteri
+          (fun i (key, item) ->
+            if i > 0 then Buffer.add_char buf ',';
+            newline (depth + 1);
+            Buffer.add_char buf '"';
+            escape_into buf key;
+            Buffer.add_string buf "\":";
+            if indent > 0 then Buffer.add_char buf ' ';
+            emit (depth + 1) item)
+          fields;
+        newline depth;
+        Buffer.add_char buf '}'
+    in
+    emit 0 value;
+    Buffer.contents buf
+
+let compact v = to_string v
+
+let pp ppf v = Format.pp_print_string ppf (to_string ~indent:2 v)
+
+(* A [Raw] is compared by its rendering: [Float 1e15] renders as an
+   integer and parses back as [Int], so parsed trees would differ. *)
+let rec equal a b =
+  match (a, b) with
+  | Raw _, _ | _, Raw _ -> String.equal (to_string a) (to_string b)
+  | List xs, List ys -> List.equal equal xs ys
+  | Obj xs, Obj ys ->
+    List.equal (fun (k, x) (l, y) -> String.equal k l && equal x y) xs ys
+  | _ -> a = b
+
+(* --- accessors: a [Raw] is parsed when met --- *)
+
+let rec member key = function
   | Obj fields -> (
     match List.assoc_opt key fields with
     | Some v -> Ok v
     | None -> Error (Printf.sprintf "missing field %S" key))
+  | Raw _ as v -> member key (expand v)
   | Null | Bool _ | Int _ | Float _ | String _ | List _ ->
     Error (Printf.sprintf "expected an object with field %S" key)
 
-let member_opt key = function
+let rec member_opt key = function
   | Obj fields -> List.assoc_opt key fields
+  | Raw _ as v -> member_opt key (expand v)
   | Null | Bool _ | Int _ | Float _ | String _ | List _ -> None
 
-let to_int = function
+let rec to_int = function
   | Int i -> Ok i
+  | Raw _ as v -> to_int (expand v)
   | Null | Bool _ | Float _ | String _ | List _ | Obj _ -> Error "expected an integer"
 
-let to_float = function
+let rec to_float = function
   | Float f -> Ok f
   | Int i -> Ok (float_of_int i)
+  | Raw _ as v -> to_float (expand v)
   | Null | Bool _ | String _ | List _ | Obj _ -> Error "expected a number"
 
-let to_bool = function
+let rec to_bool = function
   | Bool b -> Ok b
+  | Raw _ as v -> to_bool (expand v)
   | Null | Int _ | Float _ | String _ | List _ | Obj _ -> Error "expected a boolean"
 
-let to_str = function
+let rec to_str = function
   | String s -> Ok s
+  | Raw _ as v -> to_str (expand v)
   | Null | Bool _ | Int _ | Float _ | List _ | Obj _ -> Error "expected a string"
 
-let to_list = function
+let rec to_list = function
   | List l -> Ok l
+  | Raw _ as v -> to_list (expand v)
   | Null | Bool _ | Int _ | Float _ | String _ | Obj _ -> Error "expected an array"

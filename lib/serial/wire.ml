@@ -1,6 +1,7 @@
 (* The sum digests the exact compact rendering a peer extracts from the
    reply, so byte damage in transit shows when it re-digests what
-   arrived. *)
+   arrived.  A [Raw] payload, as the plan cache answers, is digested as
+   it is, with no render. *)
 let sum_of payload = Codec.digest_string (Json.to_string payload)
 
 (* Each error class and the stable message prefix it is derived from. *)

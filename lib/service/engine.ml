@@ -609,8 +609,11 @@ let through_cache t ~digest compute =
   | None -> (
     match compute () with
     | payload ->
-      Plan_cache.put t.plan_cache digest payload;
-      (Miss, Ok payload)
+      (* The reply is the rendering just stored, so a miss renders its
+         payload once, and its reply is the bytes a hit will send. *)
+      let stored = Json.Raw (Json.compact payload) in
+      Plan_cache.put t.plan_cache digest stored;
+      (Miss, Ok stored)
     | exception Invalid_argument msg -> (Miss, Error msg)
     | exception Failure msg -> (Miss, Error msg)
     (* Any other escape is a bug in the passes, but one request must

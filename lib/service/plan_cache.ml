@@ -1,7 +1,7 @@
 module Json = Dnn_serial.Json
 
 type t = {
-  lru : (Json.t * string) Lru.t;  (* payload and its compact rendering *)
+  lru : Json.compact Lru.t;  (* each payload's compact rendering only *)
   mutex : Mutex.t;
   persist_dir : string option;
   mutable hits : int;
@@ -80,8 +80,9 @@ let decode_envelope content =
   | Ok v -> (
     match Json.member_opt "sha" v, Json.member_opt "payload" v with
     | Some (Json.String sha), Some payload ->
-      if String.equal sha (Dnn_serial.Wire.sum_of payload) then
-        Ok (payload, Json.to_string payload)
+      let rendered = Json.compact payload in
+      if String.equal sha (Dnn_serial.Wire.sum_of (Json.Raw rendered)) then
+        Ok rendered
       else Error "checksum mismatch"
     | _ -> Error "missing envelope fields")
 
@@ -101,7 +102,7 @@ let load_persisted t digest =
       None
     | content -> (
       match decode_envelope content with
-      | Ok (payload, rendered) -> Some (payload, rendered)
+      | Ok rendered -> Some rendered
       | Error why ->
         quarantine t path ~why;
         None))
@@ -131,34 +132,33 @@ let store_persisted t digest payload =
       (try Sys.remove tmp with Sys_error _ -> ());
       Log.warn (fun m -> m "failed to persist %s: %s" path msg))
 
-let insert t digest payload rendered =
-  let evicted =
-    Lru.add t.lru ~key:digest ~bytes:(String.length rendered) (payload, rendered)
-  in
+let insert t digest rendered =
+  let bytes = String.length (Json.to_string (Json.Raw rendered)) in
+  let evicted = Lru.add t.lru ~key:digest ~bytes rendered in
   t.evictions <- t.evictions + List.length evicted
 
 let find t digest =
   with_lock t (fun () ->
       match Lru.find t.lru digest with
-      | Some (payload, _) ->
+      | Some rendered ->
         t.hits <- t.hits + 1;
-        Some payload
+        Some (Json.Raw rendered)
       | None -> (
         match load_persisted t digest with
-        | Some (payload, rendered) ->
+        | Some rendered ->
           t.hits <- t.hits + 1;
           t.disk_loads <- t.disk_loads + 1;
-          insert t digest payload rendered;
-          Some payload
+          insert t digest rendered;
+          Some (Json.Raw rendered)
         | None ->
           t.misses <- t.misses + 1;
           None))
 
 let put t digest payload =
-  let rendered = Json.to_string payload in
+  let rendered = Json.compact payload in
   with_lock t (fun () ->
-      insert t digest payload rendered;
-      store_persisted t digest payload)
+      insert t digest rendered;
+      store_persisted t digest (Json.Raw rendered))
 
 let stats t =
   with_lock t (fun () ->

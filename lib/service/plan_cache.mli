@@ -1,7 +1,11 @@
 (** The content-addressed plan cache.
 
     Maps a {!Cache_key} digest to the JSON payload of a finished
-    compilation (a plan summary, a simulation report, ...).  Entries are
+    compilation (a plan summary, a simulation report, ...).  An entry is
+    the payload's compact rendering ({!Dnn_serial.Json.compact}), not its
+    tree, and a lookup answers with that rendering as a
+    {!Dnn_serial.Json.Raw}: a hit replies with the stored text and
+    renders nothing.  Entries are
     bounded by count and by total serialized bytes with LRU eviction;
     with a [persist_dir] every stored payload is also written to
     [<dir>/<digest>.json], and a miss in memory falls back to the
@@ -35,9 +39,12 @@ val create :
     misses. *)
 
 val find : t -> string -> Dnn_serial.Json.t option
-(** Lookup by digest; counts a hit or a miss. *)
+(** Lookup by digest; counts a hit or a miss.  A found payload, from
+    memory or from the persist directory, is a [Raw]. *)
 
 val put : t -> string -> Dnn_serial.Json.t -> unit
+(** Render the payload once and store the rendering; a [Raw] payload is
+    stored as it is, without a render. *)
 
 val stats : t -> stats
 

@@ -28,7 +28,7 @@ type t = {
   ring : Ring.t;
   by_name : (string, Shard.t) Hashtbl.t;
   shards : Shard.t list;  (* ring order of [Ring.shards] *)
-  lru : Json.t Lru.t;
+  lru : Json.compact Lru.t;  (* each payload's compact rendering *)
   mutex : Mutex.t;
   timing : bool;
   deadline_ms : float option;
@@ -114,14 +114,20 @@ let create ?(router_cache_entries = 512) ?(router_cache_mb = 64)
 
 let set_chaos t chaos = with_lock t (fun () -> t.chaos <- chaos)
 
-let lru_find t digest = with_lock t (fun () -> Lru.find t.lru digest)
+let lru_find t digest =
+  with_lock t (fun () -> Option.map (fun c -> Json.Raw c) (Lru.find t.lru digest))
 
+(* Store a payload's rendering and return it as the payload to reply
+   with, so the reply copies the text instead of rendering it again. *)
 let lru_store t digest payload =
+  let rendered = Json.compact payload in
+  let stored = Json.Raw rendered in
   with_lock t (fun () ->
       ignore
         (Lru.add t.lru ~key:digest
-           ~bytes:(String.length (Json.to_string payload))
-           payload))
+           ~bytes:(String.length (Json.to_string stored))
+           rendered));
+  stored
 
 (* --- response rendering --- *)
 
@@ -282,8 +288,11 @@ let validate_reply t s ~digest line =
   | Error why -> invalid why
   | Ok { Wire.id = Some (Json.String id); answer } when id = digest -> (
     match answer with
-    | Ok (payload, Some sum) when sum = Wire.sum_of payload -> RValid payload
-    | Ok (_, Some _) -> invalid "sum does not match the payload"
+    | Ok (payload, Some sum) -> (
+      (* Rendered once here: the sum check and the front cache share it. *)
+      let payload = Json.Raw (Json.compact payload) in
+      if sum = Wire.sum_of payload then RValid payload
+      else invalid "sum does not match the payload")
     | Ok (_, None) -> invalid "missing sum"
     | Error (msg, Some "overloaded") -> RShed msg
     | Error (msg, _) -> RApp msg)
@@ -495,8 +504,8 @@ let route t (env : P.envelope) digest =
                 in
                 match hedged_call t ctx ~digest ~primary:s ~hedge line with
                 | RValid payload ->
-                  lru_store t digest payload;
-                  render_ok t env ~cache:"miss" ~t0 payload
+                  render_ok t env ~cache:"miss" ~t0
+                    (lru_store t digest payload)
                 | RApp msg -> render_error t env msg
                 | RShed msg -> render_error t env msg
                 | RRetry msg -> attempt (k + 1) msg
@@ -517,13 +526,11 @@ let route t (env : P.envelope) digest =
           match probe_cache t ctx owner digest with
           | `Hit payload ->
             count t (fun c -> c.shard_hits <- c.shard_hits + 1);
-            lru_store t digest payload;
-            render_ok t env ~cache:"hit" ~t0 payload
+            render_ok t env ~cache:"hit" ~t0 (lru_store t digest payload)
           | `Miss -> (
             match peer_fill owner with
             | Some payload ->
-              lru_store t digest payload;
-              render_ok t env ~cache:"peer" ~t0 payload
+              render_ok t env ~cache:"peer" ~t0 (lru_store t digest payload)
             | None -> (
               match env.P.request with
               | P.Cache_get _ ->
@@ -540,7 +547,7 @@ let route t (env : P.envelope) digest =
     in
     match env.P.request with
     | P.Cache_put (_, payload) ->
-      lru_store t digest payload;
+      ignore (lru_store t digest payload);
       let owner = shard t (Ring.lookup t.ring digest) in
       (match
          shard_call t ctx owner
@@ -746,11 +753,11 @@ let await_idle ?(timeout_s = 10.) t =
 let flush_cache t =
   let entries = with_lock t (fun () -> Lru.bindings t.lru) in
   List.fold_left
-    (fun acc (digest, payload) ->
+    (fun acc (digest, rendered) ->
       let owner = shard t (Ring.lookup t.ring digest) in
       match
         Shard.call ?timeout_s:t.call_timeout_s owner
-          (cache_put_line digest payload)
+          (cache_put_line digest (Json.Raw rendered))
       with
       | Ok _ ->
         count t (fun c -> c.flushed <- c.flushed + 1);

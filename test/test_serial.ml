@@ -72,21 +72,24 @@ let test_json_numeric_and_bool_accessors () =
   Alcotest.(check bool) "to_bool of int fails" true
     (Result.is_error (Json.to_bool (Json.Int 1)))
 
-let rec gen_json depth =
+let plain_leaf =
   let open QCheck2.Gen in
-  if depth = 0 then
-    oneof
-      [ return Json.Null;
-        map (fun b -> Json.Bool b) bool;
-        map (fun i -> Json.Int i) (int_range (-1000000) 1000000);
-        (* Finite floats only: the printer uses %.17g (or %.1f for
-           integer-valued ones), both of which parse back exactly. *)
-        map (fun f -> Json.Float f) (float_range (-1e12) 1e12);
-        map (fun s -> Json.String s) (string_size ~gen:printable (int_range 0 12)) ]
+  oneof
+    [ return Json.Null;
+      map (fun b -> Json.Bool b) bool;
+      map (fun i -> Json.Int i) (int_range (-1000000) 1000000);
+      (* Finite floats only: the printer uses %.17g (or %.1f for
+         integer-valued ones), both of which parse back exactly. *)
+      map (fun f -> Json.Float f) (float_range (-1e12) 1e12);
+      map (fun s -> Json.String s) (string_size ~gen:printable (int_range 0 12)) ]
+
+let rec gen_json_of leaf depth =
+  let open QCheck2.Gen in
+  if depth = 0 then leaf
   else
     oneof
-      [ gen_json 0;
-        map (fun l -> Json.List l) (list_size (int_range 0 4) (gen_json (depth - 1)));
+      [ leaf;
+        map (fun l -> Json.List l) (list_size (int_range 0 4) (gen_json_of leaf (depth - 1)));
         map
           (fun kvs ->
             (* Duplicate keys make round-trips ambiguous: dedup. *)
@@ -101,13 +104,90 @@ let rec gen_json depth =
                    end)
                  kvs))
           (list_size (int_range 0 4)
-             (pair (string_size ~gen:printable (int_range 1 8)) (gen_json (depth - 1)))) ]
+             (pair (string_size ~gen:printable (int_range 1 8)) (gen_json_of leaf (depth - 1)))) ]
+
+let gen_json = gen_json_of plain_leaf
 
 let prop_json_roundtrip =
   Helpers.qtest ~count:200 "print/parse round-trip" (gen_json 3) (fun v ->
       match Json.of_string (Json.to_string v) with
       | Ok v' -> Json.equal v v'
       | Error _ -> false)
+
+(* Leaves whose rendering does not parse back to the same tree:
+   integer-valued floats from 1e15 up render as integers and parse as
+   [Int]; strings and keys carry quotes, backslashes, control bytes and
+   bytes past 0x7f, which render escaped or raw. *)
+let raw_leaf =
+  let open QCheck2.Gen in
+  let awkward = string_size ~gen:char (int_range 0 10) in
+  oneof
+    [ plain_leaf;
+      map (fun k -> Json.Float (float_of_int k *. 1e15)) (int_range (-4000) 4000);
+      oneofl
+        (List.map
+           (fun f -> Json.Float f)
+           [ -0.0; 0.0; 1e15; -1e15; 999999999999999.; 1e17; 1e300; 5e-324;
+             4611686018427387904. ]);
+      map (fun s -> Json.String s) awkward;
+      map (fun (k, v) -> Json.Obj [ (k, v) ]) (pair awkward plain_leaf) ]
+
+(* [Raw (compact v)] behaves as [v]: it renders the same bytes at every
+   indent, alone and nested; the accessors read the same values (an
+   integer-valued float from 1e15 up reads as an integer too, as its
+   rendering parses); [equal] and the reply sum agree. *)
+let prop_json_raw_laws =
+  let render = Result.map (fun v -> Json.to_string v) in
+  let renders = Result.map (List.map (fun v -> Json.to_string v)) in
+  let law v =
+    let r = Json.Raw (Json.compact v) in
+    let same_int =
+      match v with
+      | Json.Float f when Float.is_integer f && Float.abs f >= 1e15 ->
+        Json.to_int r = Ok (int_of_float f)
+        || Json.to_int r = Json.to_int v
+      | _ -> Json.to_int r = Json.to_int v
+    in
+    let keys =
+      "absent" :: (match v with Json.Obj fields -> List.map fst fields | _ -> [])
+    in
+    List.for_all
+      (fun indent ->
+        Json.to_string ~indent r = Json.to_string ~indent v
+        && Json.to_string ~indent (Json.List [ r; Json.Obj [ ("k", r) ] ])
+           = Json.to_string ~indent (Json.List [ v; Json.Obj [ ("k", v) ] ]))
+      [ 0; 2 ]
+    && List.for_all
+         (fun k ->
+           render (Json.member k r) = render (Json.member k v)
+           && Option.map Json.to_string (Json.member_opt k r)
+              = Option.map Json.to_string (Json.member_opt k v))
+         keys
+    && same_int
+    && Json.to_float r = Json.to_float v
+    && Json.to_bool r = Json.to_bool v
+    && Json.to_str r = Json.to_str v
+    && renders (Json.to_list r) = renders (Json.to_list v)
+    && Json.equal r v && Json.equal v r && Json.equal r r
+    && Json.equal (Json.Obj [ ("k", r) ]) (Json.Obj [ ("k", v) ])
+    && Wire.sum_of r = Wire.sum_of v
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"json raw laws"
+       ~print:(fun v -> Json.to_string v)
+       (gen_json_of raw_leaf 3) law)
+
+(* JSON has no token for NaN or an infinity: they render as [null], so a
+   rendering always parses. *)
+let test_json_non_finite () =
+  List.iter
+    (fun f ->
+      Alcotest.(check string) "renders null" "null" (Json.to_string (Json.Float f));
+      Alcotest.check json_t "parses back as null" Json.Null
+        (parse_exn (Json.to_string (Json.Float f))))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  Alcotest.(check string) "nested" {|{"x":[null,1.5]}|}
+    (Json.to_string (Json.Obj [ ("x", Json.List [ Json.Float Float.nan; Json.Float 1.5 ]) ]))
 
 (* --- graph codec --- *)
 
@@ -303,6 +383,9 @@ let suite =
     Alcotest.test_case "json numeric/bool accessors" `Quick
       test_json_numeric_and_bool_accessors;
     prop_json_roundtrip;
+    prop_json_raw_laws;
+    Alcotest.test_case "json non-finite floats render as null" `Quick
+      test_json_non_finite;
     Alcotest.test_case "wire envelopes" `Quick test_wire_envelopes;
     Alcotest.test_case "wire read_request" `Quick test_wire_read_request;
     Alcotest.test_case "wire read_request truncated mid-line" `Quick

@@ -419,6 +419,89 @@ let test_engine_compile_cache_hit () =
       Alcotest.check json_t "two domains" (Json.Int 2)
         (field_exn "domains" pool_stats))
 
+(* A hit replies with the rendering the cache stores: the miss reply
+   and a later hit reply of one request are the same bytes, with and
+   without a checksum, and so is a hit a fresh cache reads back from
+   the persist directory. *)
+let test_hit_equals_miss_bytes () =
+  let dir = Filename.temp_file "lcmm_hitbytes" "" in
+  Sys.remove dir;
+  let reply engine line =
+    match P.request_of_line line with
+    | Error msg -> Alcotest.failf "bad request %s: %s" line msg
+    | Ok env ->
+      let r = Svc.Engine.handle engine env in
+      (r.Svc.Engine.cache, Json.to_string (Svc.Engine.response_to_json ~timing:false r))
+  in
+  let cache_status = function
+    | Svc.Engine.Hit -> "hit"
+    | Svc.Engine.Miss -> "miss"
+    | Svc.Engine.Uncached -> "uncached"
+  in
+  let expect what want (got, bytes) =
+    Alcotest.(check string) (what ^ " cache status") want (cache_status got);
+    bytes
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () ->
+      List.iter
+        (fun (op, dtype, checksum) ->
+          let line =
+            Printf.sprintf
+              {|{"op":"%s","id":5,"model":"squeezenet","dtype":"%s","checksum":%b}|}
+              op dtype checksum
+          in
+          let cache () = Svc.Plan_cache.create ~persist_dir:dir () in
+          let miss, hit =
+            with_engine ~cache:(cache ()) ~domains:1 (fun engine ->
+                let miss = expect (line ^ " first") "miss" (reply engine line) in
+                (miss, expect (line ^ " repeat") "hit" (reply engine line)))
+          in
+          Alcotest.(check string) ("hit = miss bytes: " ^ line) miss hit;
+          Alcotest.(check bool) ("sum present: " ^ line) checksum
+            (Json.member_opt "sum" (result_of_line miss) <> None);
+          let reloaded =
+            with_engine ~cache:(cache ()) ~domains:1 (fun engine ->
+                expect (line ^ " after reload") "hit" (reply engine line))
+          in
+          Alcotest.(check string) ("reloaded = miss bytes: " ^ line) miss
+            reloaded)
+        [ ("compile", "i8", false); ("compile", "f32", true);
+          ("simulate", "i8", false); ("simulate", "f32", true) ])
+
+(* A warm hit replies with the cached rendering, and its reply buffer
+   stays in the minor heap: 1000 alexnet compile hits through
+   [handle_line] allocate at most 64 words per hit directly in the
+   major heap, counted on the calling domain (which renders the reply)
+   and on the worker (which looks the plan up).  With a 1024-byte
+   initial buffer the ~1.1 KB reply grew it to 2048 bytes, a major-heap
+   block of 257 words, on every hit. *)
+let test_warm_hit_allocation () =
+  with_engine ~domains:1 (fun engine ->
+      let line = {|{"op":"compile","id":1,"model":"alexnet"}|} in
+      ignore (handle_line engine line);
+      (* [Gc.counters] counts the current domain's words exactly. *)
+      let direct () =
+        let _, promoted, major = Gc.counters () in
+        major -. promoted
+      in
+      let both () = direct () +. Lcmm.Pool.run (Svc.Engine.pool engine) direct in
+      let hits = 1000 in
+      let last = ref "" in
+      let before = both () in
+      for _ = 1 to hits do
+        last := handle_line engine line
+      done;
+      let per_hit = (both () -. before) /. float_of_int hits in
+      Alcotest.check json_t "the repeats hit" (Json.String "hit")
+        (field_exn "cache" (result_of_line !last));
+      Alcotest.(check bool)
+        (Printf.sprintf "%.1f direct major words per hit (bound 64)" per_hit)
+        true (per_hit <= 64.))
+
 (* Each engine's stats count only the plans it computed itself: a
    compile on one engine leaves another engine's pass times at zero. *)
 let test_engine_pass_times_per_engine () =
@@ -1966,6 +2049,9 @@ let suite =
     Alcotest.test_case "protocol rejects" `Quick test_protocol_rejects;
     Alcotest.test_case "options round-trip" `Quick test_options_roundtrip;
     Alcotest.test_case "compile cache hit" `Quick test_engine_compile_cache_hit;
+    Alcotest.test_case "hit = miss bytes" `Quick test_hit_equals_miss_bytes;
+    Alcotest.test_case "warm hit allocation bounded" `Quick
+      test_warm_hit_allocation;
     Alcotest.test_case "pass times per engine" `Quick
       test_engine_pass_times_per_engine;
     Alcotest.test_case "simulate and errors" `Quick test_engine_simulate_and_errors;
