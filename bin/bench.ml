@@ -1224,6 +1224,21 @@ let cold_sweep () =
       in
       (List.length envs, count "dse_runs", count "prepares", count "memo_hits"))
 
+(* The words a prepared stage keeps alive, everything reachable from it
+   counted: googlenet i16 prepared as the sweep's memo holds it.  Only
+   O(items) of it is the planner's own (the interference index, the
+   coloring and the compiled DNNK rows); its 113 items' interference
+   rows would add about 800 words, and the DP's compensation tables
+   more.  Built outside any engine, after the sweep and the warm hits,
+   so no engine's memo sees it and the hits' word counts do not
+   collect its garbage. *)
+let stage_words () =
+  let g = Models.Zoo.build cold_sweep_model in
+  let { Accel.Dse.config; table; _ } =
+    (Accel.Dse.run_both Tensor.Dtype.I16 g).Accel.Dse.lcmm
+  in
+  Obj.reachable_words (Obj.repr (F.prepare config table g))
+
 let perf_experiment () =
   header
     "Planner throughput: per-pass and tile-DSE wall time on seeded random graphs \
@@ -1350,6 +1365,9 @@ let perf_experiment () =
          words\n%!"
         op minor direct)
     hit_words;
+  let stage_words = stage_words () in
+  Printf.printf "prepared stage, %s i16: %d words\n%!" cold_sweep_model
+    stage_words;
   Json.Obj
     [ ("experiment", Json.String "perf");
       ("seed", Json.Int 2026);
@@ -1370,7 +1388,8 @@ let perf_experiment () =
             ("requests", Json.Int sweep_requests);
             ("dse_runs", Json.Int sweep_dse);
             ("prepares", Json.Int sweep_prepares);
-            ("memo_hits", Json.Int sweep_hits) ] );
+            ("memo_hits", Json.Int sweep_hits);
+            ("stage_words", Json.Int stage_words) ] );
       ( "warm_hit",
         Json.Obj
           ([ ("op", Json.String "compile i16"); ("reps", Json.Int 300) ]

@@ -289,6 +289,15 @@ awk -F': ' '/"cold_sweep"/ { cs = 1 }
             cs && /"dse_runs"/ { dn++; d = $2 + 0 }
             cs && /"prepares"/ { pn++; p = $2 + 0 }
             END { exit (dn == 1 && pn == 1 && req == 16 && d == 1 && p == 1) ? 0 : 1 }' "$out"
+# A prepared stage keeps O(items) words: the googlenet i16 stage,
+# everything reachable from it, stays within 11,800 words (reads
+# 11,187 with the interference index, coloring and compiled DNNK rows;
+# 8,917 before the stage held them).  Keeping its 113 items'
+# interference rows would add about 800 words, and the DP's
+# compensation tables more.
+awk -F': ' '/"cold_sweep"/ { cs = 1 }
+            cs && /"stage_words"/ { seen++; w = $2 + 0 }
+            END { exit (seen == 1 && w > 0 && w <= 11800) ? 0 : 1 }' "$out"
 # A repeated compile must not hash the model: the best-of-300 warm hit
 # on resnet152 (30.5 KB of canonical text) stays within 2x the one on
 # alexnet (1.4 KB).  Answering from the per-model digest memo reads
@@ -305,6 +314,13 @@ awk -F': ' '/"warm_hit"/ { wh = 1 }
 awk -F': ' '/"warm_hit"/ { wh = 1 }
             wh && /"compile_direct_major_words"/ { seen++; d = $2 + 0 }
             END { exit (seen == 1 && d <= 64) ? 0 : 1 }' "$out"
+# The same hit within 1350 minor words: the reply and its newline are
+# rendered into one buffer and copied out once (reads 1148-1274).
+# Appending the newline to a copied-out reply cost a second copy, about
+# 134 words for its 1.1 KB (1283 read then).
+awk -F': ' '/"warm_hit"/ { wh = 1 }
+            wh && /"compile_minor_words"/ { seen++; w = $2 + 0 }
+            END { exit (seen == 1 && w > 0 && w <= 1350) ? 0 : 1 }' "$out"
 echo "wrote $out"
 
 echo "== tier-2: wide-row DNNK on a 536-node skip graph =="

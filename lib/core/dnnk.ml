@@ -339,32 +339,63 @@ let evict_to_capacity metric ~capacity_bytes result =
 (* Bound on {!Exact_iterative} refinement rounds. *)
 let rounds = 4
 
-let allocate ?(compensation = Table_approx) ?workspace:ws metric
-    ~capacity_bytes vbufs =
-  if capacity_bytes < 0 then invalid_arg "Dnnk.allocate: negative capacity";
-  let ws = match ws with Some ws -> ws | None -> workspace () in
+(* A buffer set compiled for the knapsack: everything [solve] reads
+   that does not depend on the capacity.  Rows are the buffers in
+   decreasing static-gain order, so the row-memo compensation sees a
+   node's dominant terms before its minor ones; each keeps its affected
+   nodes for the DP and the sweep-up, its size in blocks and its
+   members' dense item indices.  Nothing writes it after [compile]. *)
+type compiled = {
+  metric : Metric.t;
+  rows : (Vbuffer.t * int array) list;
+  vbuf_arr : Vbuffer.t array;
+  affected : int array array;
+  members_ix : int list array;
+  sizes : int array;
+  total_blocks : int;
+}
+
+(* Size the workspace mark for [metric]. *)
+let fit_mark ws metric =
   let n_items = Metric.item_count metric in
-  if Metric.mark_size ws.mark < n_items then ws.mark <- Metric.mark n_items;
-  let capacity = capacity_bytes / block_bytes in
-  (* Process buffers in decreasing static-gain order: the row-memo
-     compensation then sees a node's dominant terms before its minor
-     ones.  Each buffer keeps its affected nodes for the DP rows and the
-     sweep-up. *)
-  let rows =
+  if Metric.mark_size ws.mark < n_items then ws.mark <- Metric.mark n_items
+
+let compile ?workspace:ws metric vbufs =
+  let ws = match ws with Some ws -> ws | None -> workspace () in
+  fit_mark ws metric;
+  let ordered =
     List.map
       (fun vb ->
         let affected = Metric.nodes_affected metric vb.Vbuffer.members in
-        let on = mark_vbufs ws metric [ vb ] in
-        (Metric.static_gain_on metric on affected, (vb, affected)))
+        let ixs = List.map (Metric.item_index metric) vb.Vbuffer.members in
+        let on = ws.mark in
+        Metric.clear on;
+        List.iter (Metric.add on) ixs;
+        (Metric.static_gain_on metric on affected, (vb, affected, ixs)))
       vbufs
     |> List.stable_sort (fun (a, _) (b, _) -> compare b a)
     |> List.map snd
   in
-  let vbuf_arr = Array.of_list (List.map fst rows) in
-  let affected = Array.of_list (List.map snd rows) in
-  let n = Array.length vbuf_arr in
+  let vbuf_arr = Array.of_list (List.map (fun (vb, _, _) -> vb) ordered) in
   let sizes = Array.map (fun vb -> blocks_of_bytes vb.Vbuffer.size_bytes) vbuf_arr in
-  let total_blocks = Array.fold_left ( + ) 0 sizes in
+  { metric;
+    rows = List.map (fun (vb, affected, _) -> (vb, affected)) ordered;
+    vbuf_arr;
+    affected = Array.of_list (List.map (fun (_, affected, _) -> affected) ordered);
+    members_ix = Array.of_list (List.map (fun (_, _, ixs) -> ixs) ordered);
+    sizes;
+    total_blocks = Array.fold_left ( + ) 0 sizes }
+
+let solve ?(compensation = Table_approx) ?workspace:ws compiled ~capacity_bytes =
+  if capacity_bytes < 0 then invalid_arg "Dnnk.solve: negative capacity";
+  let ws = match ws with Some ws -> ws | None -> workspace () in
+  let { metric; rows; vbuf_arr; affected; members_ix; sizes; total_blocks } =
+    compiled
+  in
+  fit_mark ws metric;
+  let n_items = Metric.item_count metric in
+  let capacity = capacity_bytes / block_bytes in
+  let n = Array.length vbuf_arr in
   if total_blocks <= capacity then
     (* Everything fits: pinning all of it dominates any subset. *)
     fst
@@ -384,11 +415,6 @@ let allocate ?(compensation = Table_approx) ?workspace:ws metric
      input violate that, the last writer owns it, and membership is
      still read from a mark of the row's own members. *)
   let owner = ws.owner in
-  let members_ix =
-    Array.map
-      (fun vb -> List.map (Metric.item_index metric) vb.Vbuffer.members)
-      vbuf_arr
-  in
   Array.iteri (fun i ixs -> List.iter (fun ix -> owner.(ix) <- i) ixs) members_ix;
   (* [m] holding exactly row [index]'s members. *)
   let mark_row m index =
@@ -611,3 +637,7 @@ let allocate ?(compensation = Table_approx) ?workspace:ws metric
       incr round
     done;
     !best
+
+let allocate ?compensation ?workspace metric ~capacity_bytes vbufs =
+  if capacity_bytes < 0 then invalid_arg "Dnnk.allocate: negative capacity";
+  solve ?compensation ?workspace (compile ?workspace metric vbufs) ~capacity_bytes

@@ -32,9 +32,10 @@ type workspace
     bump), and the row-owner and membership arrays over the metric's
     dense item indices, grown on demand.  The splitting loop re-runs the
     allocator many times and passes one workspace through all of them
-    to skip the reallocation.  Every call builds its compensation state
-    afresh, so a workspace holds no answer from an earlier call and is
-    valid against any metric. *)
+    to skip the reallocation.  Every {!solve} builds its compensation
+    state afresh, so a workspace holds no answer from an earlier call
+    and is valid against any metric.  A workspace is one domain's: two
+    calls running at once need two. *)
 
 val workspace : unit -> workspace
 
@@ -53,14 +54,35 @@ val block_bytes : int
 val blocks_of_bytes : int -> int
 (** Size in whole blocks, rounding up. *)
 
+type compiled
+(** A buffer set compiled for the knapsack: the part of the allocator
+    that does not read the capacity.  It holds the buffers in
+    decreasing static-gain order (the DP's row order) and, per row, its
+    affected nodes, its size in blocks and its members' dense item
+    indices: O(items + affected nodes) words, no DP or compensation
+    table.  Nothing writes it after {!compile}, so one value may be
+    solved at any number of capacities, from any domain. *)
+
+val compile : ?workspace:workspace -> Metric.t -> Vbuffer.t list -> compiled
+(** Order and index the buffers.  [workspace] (fresh by default) lends
+    its membership mark for the static gains.  Every member of [vbufs]
+    must be an item of [metric] (see {!Metric.item_index}). *)
+
+val solve :
+  ?compensation:compensation -> ?workspace:workspace -> compiled ->
+  capacity_bytes:int -> result
+(** Run the allocator at one capacity: the all-fit exit, or the
+    compensation tables, the DP and the sweep-up.  {!Exact_iterative}
+    refinement runs at most 4 rounds.  [workspace] (fresh by default)
+    lends its scratch arrays; the result never depends on it.  Raises
+    [Invalid_argument] on negative capacity. *)
+
 val allocate :
   ?compensation:compensation -> ?workspace:workspace ->
   Metric.t -> capacity_bytes:int -> Vbuffer.t list -> result
-(** Run the allocator.  {!Exact_iterative} refinement runs at most 4
-    rounds.  [workspace] (fresh by default) lends its scratch arrays;
-    the result never depends on it.  Every member of [vbufs] must be an
-    item of [metric] (see {!Metric.item_index}).  Raises
-    [Invalid_argument] on negative capacity. *)
+(** [solve (compile metric vbufs) ~capacity_bytes], for a buffer set
+    solved once.  Raises [Invalid_argument] on negative capacity before
+    compiling. *)
 
 val drop_while :
   Metric.t -> pick:(result -> benefit:(Vbuffer.t -> float) -> Vbuffer.t option) ->

@@ -56,16 +56,19 @@ let zero_pass_times =
     segmentation_us = 0.;
     channel_assign_us = 0. }
 
-let add_pass_times a b =
-  { profile_us = a.profile_us +. b.profile_us;
-    liveness_us = a.liveness_us +. b.liveness_us;
-    interference_us = a.interference_us +. b.interference_us;
-    coloring_us = a.coloring_us +. b.coloring_us;
-    prefetch_us = a.prefetch_us +. b.prefetch_us;
-    dnnk_us = a.dnnk_us +. b.dnnk_us;
-    splitting_us = a.splitting_us +. b.splitting_us;
-    segmentation_us = a.segmentation_us +. b.segmentation_us;
-    channel_assign_us = a.channel_assign_us +. b.channel_assign_us }
+let combine_pass_times op a b =
+  { profile_us = op a.profile_us b.profile_us;
+    liveness_us = op a.liveness_us b.liveness_us;
+    interference_us = op a.interference_us b.interference_us;
+    coloring_us = op a.coloring_us b.coloring_us;
+    prefetch_us = op a.prefetch_us b.prefetch_us;
+    dnnk_us = op a.dnnk_us b.dnnk_us;
+    splitting_us = op a.splitting_us b.splitting_us;
+    segmentation_us = op a.segmentation_us b.segmentation_us;
+    channel_assign_us = op a.channel_assign_us b.channel_assign_us }
+
+let add_pass_times = combine_pass_times ( +. )
+let sub_pass_times = combine_pass_times ( -. )
 
 let pass_times_assoc t =
   [ ("profile_us", t.profile_us);
@@ -143,15 +146,20 @@ let helped_and_bound metric on_chip =
 (* The planner runs in three stages so a caller that replans one model
    at several SRAM grants or stall scales (the multi-tenant runtime)
    repeats only the stages whose inputs changed.  [plan] is their
-   composition. *)
+   composition.  [prepare] also runs the capacity-free head of passes
+   1-3: the interference index, the coloring under its options and the
+   DNNK compile, so an allocation at a new capacity only solves the
+   knapsack and splits. *)
 type prepared = {
   pr_config : Config.t;
   pr_options : options;
   pr_metric : Metric.t;
   pr_items : Metric.item array;
   pr_sizes : int array;
-  pr_intervals : Liveness.interval array;
+  pr_lifespans : Interference.lifespans;
   pr_pdg : Prefetch.t option;
+  pr_vbufs : Vbuffer.t list;
+  pr_compiled : Dnnk.compiled;
   pr_times : pass_times;
 }
 
@@ -164,12 +172,34 @@ type allocated = {
   al_times : pass_times;
 }
 
+(* The virtual buffers the options' sharing and coloring make of the
+   items, and their DNNK compile, each pass timed into its cell.  Only
+   sharing builds the graph's rows, and they are dropped once colored. *)
+let colored ~interference_us ~coloring_us ~dnnk_us options metric ls items sizes =
+  let vbufs =
+    if options.buffer_sharing then
+      let interference =
+        timed interference_us (fun () -> Interference.of_lifespans ls)
+      in
+      timed coloring_us (fun () ->
+          Coloring.color ~strategy:options.coloring interference ~sizes)
+    else
+      timed coloring_us (fun () ->
+          Array.to_list
+            (Array.mapi
+               (fun i item ->
+                 Vbuffer.singleton ~vbuf_id:i item ~size_bytes:sizes.(i))
+               items))
+  in
+  (vbufs, timed dnnk_us (fun () -> Dnnk.compile metric vbufs))
+
 let prepare ?(options = default_options) config table g =
   Log.info (fun m ->
       m "plan: %d nodes, %s, device %s" (G.node_count g)
         (Tensor.Dtype.to_string config.Config.dtype)
         config.Config.device.Fpga.Device.device_name);
   let profile_us = ref 0. and liveness_us = ref 0. and prefetch_us = ref 0. in
+  let interference_us = ref 0. and coloring_us = ref 0. and dnnk_us = ref 0. in
   let profiles, metric =
     timed profile_us (fun () ->
         let profiles = Latency.profiles config table in
@@ -221,18 +251,33 @@ let prepare ?(options = default_options) config table g =
       m "passes 1+2 (liveness, prefetch): %d eligible items, %d prefetch targets"
         (Array.length items)
         (List.length weight_targets));
+  let lifespans =
+    timed interference_us (fun () ->
+        Interference.lifespans ~never_share_class ~items ~intervals ())
+  in
+  let vbufs, compiled =
+    colored ~interference_us ~coloring_us ~dnnk_us options metric lifespans
+      items sizes
+  in
   { pr_config = config;
     pr_options = options;
     pr_metric = metric;
     pr_items = items;
     pr_sizes = sizes;
-    pr_intervals = intervals;
+    pr_lifespans = lifespans;
     pr_pdg = pdg;
+    pr_vbufs = vbufs;
+    pr_compiled = compiled;
     pr_times =
       { zero_pass_times with
         profile_us = !profile_us;
         liveness_us = !liveness_us;
-        prefetch_us = !prefetch_us } }
+        interference_us = !interference_us;
+        coloring_us = !coloring_us;
+        prefetch_us = !prefetch_us;
+        dnnk_us = !dnnk_us } }
+
+let prepared_times pr = pr.pr_times
 
 let prepare_options o =
   { default_options with
@@ -259,25 +304,19 @@ let allocate ?capacity_bytes ?options pr =
       if cap < 0 then invalid_arg "Framework.allocate: negative capacity";
       { options with capacity_override = Some cap }
   in
-  let metric = pr.pr_metric and items = pr.pr_items and sizes = pr.pr_sizes in
+  let metric = pr.pr_metric and sizes = pr.pr_sizes in
   let interference_us = ref 0. and coloring_us = ref 0. in
   let dnnk_us = ref 0. and splitting_us = ref 0. in
-  (* Built afresh for every allocation: splitting mutates it. *)
-  let interference =
-    timed interference_us (fun () ->
-        Interference.build ~never_share_class ~items
-          ~intervals:pr.pr_intervals ())
-  in
-  let vbufs =
-    timed coloring_us (fun () ->
-        if options.buffer_sharing then
-          Coloring.color ~strategy:options.coloring interference ~sizes
-        else
-          Array.to_list
-            (Array.mapi
-               (fun i item ->
-                 Vbuffer.singleton ~vbuf_id:i item ~size_bytes:sizes.(i))
-               items))
+  (* The stage's buffers when they were colored the way these options
+     color; otherwise this allocation makes its own, the same way. *)
+  let vbufs, compiled =
+    if
+      options.buffer_sharing = pr.pr_options.buffer_sharing
+      && options.coloring = pr.pr_options.coloring
+    then (pr.pr_vbufs, pr.pr_compiled)
+    else
+      colored ~interference_us ~coloring_us ~dnnk_us options metric
+        pr.pr_lifespans pr.pr_items sizes
   in
   let capacity_bytes =
     let budget = Config.sram_budget_bytes pr.pr_config in
@@ -292,21 +331,33 @@ let allocate ?capacity_bytes ?options pr =
   let workspace = Dnnk.workspace () in
   let initial =
     timed dnnk_us (fun () ->
-        Dnnk.allocate ~compensation:options.compensation ~workspace
-          metric ~capacity_bytes vbufs)
+        Dnnk.solve ~compensation:options.compensation ~workspace compiled
+          ~capacity_bytes)
   in
   let allocation, splitting_iterations, vbufs =
     if options.buffer_splitting && options.buffer_sharing then begin
-      let outcome =
-        timed splitting_us (fun () ->
-            Splitting.run ~compensation:options.compensation
-              ~strategy:options.coloring ~workspace metric interference
-              ~sizes ~capacity_bytes initial)
+      (* Splitting only ever splits a spilled buffer of two or more
+         members; without one it would return [initial] untouched, so
+         the graph it would mutate is not built. *)
+      let splittable vb =
+        match vb.Vbuffer.members with _ :: _ :: _ -> true | [] | [ _ ] -> false
       in
-      let final_vbufs =
-        outcome.Splitting.result.Dnnk.chosen @ outcome.Splitting.result.Dnnk.spilled
+      let result, iterations =
+        if not (List.exists splittable initial.Dnnk.spilled) then (initial, 0)
+        else
+          let interference =
+            timed interference_us (fun () ->
+                Interference.of_lifespans pr.pr_lifespans)
+          in
+          let outcome =
+            timed splitting_us (fun () ->
+                Splitting.run ~compensation:options.compensation
+                  ~strategy:options.coloring ~workspace metric interference
+                  ~sizes ~capacity_bytes initial)
+          in
+          (outcome.Splitting.result, outcome.Splitting.iterations)
       in
-      (outcome.Splitting.result, outcome.Splitting.iterations, final_vbufs)
+      (result, iterations, result.Dnnk.chosen @ result.Dnnk.spilled)
     end
     else (initial, 0, vbufs)
   in
@@ -316,11 +367,12 @@ let allocate ?capacity_bytes ?options pr =
     al_allocation = allocation;
     al_splitting_iterations = splitting_iterations;
     al_times =
-      { pr.pr_times with
-        interference_us = !interference_us;
-        coloring_us = !coloring_us;
-        dnnk_us = !dnnk_us;
-        splitting_us = !splitting_us } }
+      add_pass_times pr.pr_times
+        { zero_pass_times with
+          interference_us = !interference_us;
+          coloring_us = !coloring_us;
+          dnnk_us = !dnnk_us;
+          splitting_us = !splitting_us } }
 
 let finish ?(stall_scale = 1.) al =
   let pr = al.al_prepared and options = al.al_options in

@@ -59,14 +59,22 @@ type pass_times = {
 }
 (** Per-pass wall-clock microseconds for one planner run.  The only
     pass clock: the stages that made a plan fill it ({!prepare} the
-    profile, liveness and prefetch, {!allocate} interference through
-    splitting, {!finish} channel assignment), and a caller that wants
-    totals (the service's stats op) sums the plans it computed with
-    {!add_pass_times}.  Plans finished from a shared stage value all
-    report that stage's times. *)
+    profile, liveness, prefetch, the interference index and the rows it
+    colors, the coloring and the DNNK compile; {!allocate} the DNNK
+    solve, the rows splitting mutates and splitting, plus any coloring
+    its options redo; {!finish} channel assignment), and a plan carries
+    their sum.  A caller that wants totals (the service's stats op) sums
+    the plans it computed with {!add_pass_times}.  Plans finished from a
+    shared stage value all report that stage's times;
+    [sub_pass_times plan.pass_times (prepared_times pr)] is what one
+    plan ran beyond its stage. *)
 
 val zero_pass_times : pass_times
 val add_pass_times : pass_times -> pass_times -> pass_times
+
+val sub_pass_times : pass_times -> pass_times -> pass_times
+(** [sub_pass_times a b] is [a] less [b], field by field: a plan's
+    times less those of a stage it shares with other plans. *)
 
 val pass_times_assoc : pass_times -> (string * float) list
 (** Stable field-name/value pairs, for reports and the service stats. *)
@@ -103,19 +111,27 @@ type prepared
 (** Everything that depends on the design point, the graph and the
     options but not on the SRAM capacity or the stall scale: the
     latency profile, the metric (Eq. 1 tables), the eligible items and
-    their sizes, the weight PDG (pass 2) and the items' lifespans
-    (pass 1's liveness).  Every plan finished from one [prepared]
-    shares its physical metric and PDG. *)
+    their sizes, the weight PDG (pass 2), the items' lifespans (pass 1's
+    liveness) as an {!Interference.lifespans} index, the virtual
+    buffers the options' sharing and coloring make of them (passes
+    1-2) and their {!Dnnk.compiled} rows (the capacity-free half of
+    pass 3).  It holds O(items) words beyond the metric and the PDG:
+    no interference rows (n{^ 2}/w words, built and dropped to color)
+    and no DP or compensation table.  Nothing writes it after
+    {!prepare}.  Every plan finished from one [prepared] shares its
+    physical metric and PDG. *)
 
 type allocated
-(** A prepared model allocated at one capacity: interference graph,
-    coloring (passes 1–2), DNNK (pass 3) and buffer splitting (pass 4),
-    before the stall prune. *)
+(** A prepared model allocated at one capacity: the DNNK solve (pass 3)
+    and buffer splitting (pass 4) on the prepared buffers, before the
+    stall prune. *)
 
 val prepare :
   ?options:options -> Accel.Config.t -> Accel.Latency.table ->
   Dnn_graph.Graph.t -> prepared
-(** Profile, metric, items, PDG and liveness.  The profiles are
+(** Profile, metric, items, PDG, liveness, the interference index,
+    coloring and the DNNK compile, under the options' [buffer_sharing]
+    and [coloring].  The profiles are
     {!Accel.Latency.profiles} of the given table, the one compile of the
     graph's Eq. 1 inputs (a DSE result's [table]), and each weight's
     slice count reads its bytes from its profile.  Raises
@@ -128,6 +144,11 @@ val prepare_graph :
     in [profile_us]: for a caller that has the design point but not the
     DSE's table. *)
 
+val prepared_times : prepared -> pass_times
+(** The passes {!prepare} ran (and, for {!prepare_graph}, the table
+    compile): the part of [pass_times] every plan finished from the
+    stage shares. *)
+
 val prepare_options : options -> options
 (** The options with every field {!prepare} does not read reset to its
     {!default_options} value: [feature_reuse], [weight_prefetch],
@@ -136,8 +157,15 @@ val prepare_options : options -> options
     caller may share one [prepared] under. *)
 
 val allocate : ?capacity_bytes:int -> ?options:options -> prepared -> allocated
-(** Build a fresh interference graph (splitting mutates it), color it,
-    run DNNK and splitting.  [options] (default: the prepared stage's)
+(** Solve the stage's compiled DNNK rows at the capacity, then run
+    splitting.  Splitting mutates an interference graph, so it gets its
+    own rows, built from the stage's index (and only when some spilled
+    buffer has two or more members: otherwise splitting has nothing to
+    split).  Options whose [buffer_sharing] or [coloring] differ from
+    the stage's color and compile their own buffers the way {!prepare}
+    does, so the plan is the one {!plan} makes under them.  Nothing in
+    the stage is written, so allocations of one stage may run on any
+    domains at once.  [options] (default: the prepared stage's)
     are the request's: capacity, coloring, sharing, splitting,
     compensation, channels and fusion are read from them, and the
     finished plan carries them.  Raises [Invalid_argument] when their

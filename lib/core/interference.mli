@@ -5,21 +5,38 @@
     *false* interference edges between chosen non-overlapping pairs to
     force them into different virtual buffers.
 
-    Adjacency is materialised once at [build] into packed bitset rows,
-    filled a word at a time from prefix sets of the start- and
-    end-sorted intervals, so [conflict] and [degree] are bit tests and
-    popcounts rather than per-query closure calls. *)
+    A graph is built in two steps.  {!lifespans} indexes the items in
+    O(n) words: their intervals in start and end order (a counting sort
+    over schedule positions), one complement mask per never-share class
+    and the item index.  {!of_lifespans} then materialises the packed
+    bitset adjacency rows (n{^ 2}/w words), filled a word at a time from
+    prefix sets of the two orders, so [conflict] and [degree] are bit
+    tests and popcounts rather than per-query closure calls. *)
+
+type lifespans
+(** The capacity-free index a graph is built from.  Nothing writes it
+    after {!lifespans} returns, so any number of graphs, built on any
+    domains, may share one. *)
 
 type t
+
+val lifespans :
+  ?never_share_class:(Metric.item -> int) ->
+  items:Metric.item array -> intervals:Liveness.interval array -> unit ->
+  lifespans
+(** Raises [Invalid_argument] when the arrays differ in length.
+    [never_share_class] partitions the items by buffer pool: items in
+    *different* classes (e.g. a feature and a weight tensor, which live
+    in separate pools) always conflict, regardless of lifespans.  Each
+    row ors in its class's complement mask. *)
+
+val of_lifespans : lifespans -> t
+(** A fresh graph over the index: its own rows, no false edges. *)
 
 val build :
   ?never_share_class:(Metric.item -> int) ->
   items:Metric.item array -> intervals:Liveness.interval array -> unit -> t
-(** Raises [Invalid_argument] when the arrays differ in length.
-    [never_share_class] partitions the items by buffer pool: items in
-    *different* classes (e.g. a feature and a weight tensor, which live
-    in separate pools) always conflict, regardless of lifespans.  It is
-    folded in with whole-row mask unions. *)
+(** [of_lifespans (lifespans ...)]. *)
 
 val item_count : t -> int
 

@@ -213,9 +213,11 @@ let add_float buf f =
    would grow to 2048 bytes, 257 words, which the major heap takes. *)
 let initial_buffer_bytes = 2040
 
-let to_string ?(indent = 0) value =
+(* The rendering, then [suffix] in the same buffer, so the text is
+   copied out of it once. *)
+let render ~indent ~suffix value =
   match value with
-  | Raw text when indent = 0 -> text
+  | Raw text when indent = 0 -> if suffix = "" then text else text ^ suffix
   | _ ->
     let buf = Buffer.create initial_buffer_bytes in
     let newline depth =
@@ -263,7 +265,12 @@ let to_string ?(indent = 0) value =
         Buffer.add_char buf '}'
     in
     emit 0 value;
+    Buffer.add_string buf suffix;
     Buffer.contents buf
+
+let to_string ?(indent = 0) value = render ~indent ~suffix:"" value
+
+let to_line value = render ~indent:0 ~suffix:"\n" value
 
 let compact v = to_string v
 

@@ -31,6 +31,10 @@ val to_string : ?indent:int -> t -> string
     parsed and re-rendered, so pretty output is the same whether a part
     of the value is [Raw] or not. *)
 
+val to_line : t -> string
+(** The compact rendering and a ['\n'], rendered into one buffer and
+    copied out of it once: an NDJSON record. *)
+
 val compact : t -> compact
 (** [to_string v] kept as a {!compact}; [compact (Raw c)] is [c]. *)
 

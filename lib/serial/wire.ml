@@ -36,7 +36,7 @@ let error ?id ~op msg =
   in
   Json.Obj fields
 
-let to_line v = Json.to_string v ^ "\n"
+let to_line = Json.to_line
 
 type reply = {
   id : Json.t option;

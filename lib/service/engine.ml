@@ -368,8 +368,8 @@ let stages t (spec : P.compile_spec) r =
 
 (* The planning both compile and simulate run: the design comparison,
    then the fusion gate.  The effective plan's pass times go on this
-   engine's clock, less the prepare passes' when the prepared stage came
-   from the memo (the request did not run them); with fusion on, the
+   engine's clock, less the prepared stage's when it came from the memo
+   (the request did not run them); with fusion on, the
    reported LCMM plan is the effective plan and the payload carries the
    decisions. *)
 let planned_comparison t (spec : P.compile_spec) r =
@@ -382,10 +382,7 @@ let planned_comparison t (spec : P.compile_spec) r =
   let plan, fz = Lcmm_fusion.Fusion.post c.F.lcmm_plan in
   charge_pass_times t
     (if memoized then
-       { plan.F.pass_times with
-         F.profile_us = 0.;
-         liveness_us = 0.;
-         prefetch_us = 0. }
+       F.sub_pass_times plan.F.pass_times (F.prepared_times prepared)
      else plan.F.pass_times);
   match fz with
   | None -> (c, None)

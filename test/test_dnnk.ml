@@ -206,6 +206,83 @@ let prop_matches_exact_on_random =
         r.Dnnk.predicted_latency <= (best.Policies.latency *. 1.05) +. 1e-12
       end)
 
+(* The planner's buffers for a metric: every eligible item, lifespans
+   without prefetch, colored with sharing. *)
+let colored_vbufs dtype g m =
+  let items = Array.of_list (Metric.eligible_items m ~memory_bound_only:false) in
+  let intervals =
+    Array.map (Lcmm.Liveness.item_interval g ~prefetch_source:(fun _ -> None)) items
+  in
+  let interference = Lcmm.Interference.build ~items ~intervals () in
+  Lcmm.Coloring.color interference
+    ~sizes:(Array.map (Metric.item_size_bytes dtype m) items)
+
+(* Compile once, solve many: a compiled buffer set solved at 8
+   capacities, in a random order and through one workspace, answers
+   each as a fresh [allocate] does (chosen and spilled ids, latency
+   bits), with both compensations.  The capacities straddle the all-fit
+   boundary: a share of the total blocks, one block short of it, the
+   total and past it. *)
+let test_compile_once_solve_many () =
+  let ids vbufs = List.map (fun vb -> vb.Vbuffer.vbuf_id) vbufs in
+  let check ~what st dtype g =
+    let _, m = Helpers.metric_of ~dtype g in
+    let vbufs = colored_vbufs dtype g m in
+    let total =
+      List.fold_left (fun acc vb -> acc + Dnnk.blocks_of_bytes vb.Vbuffer.size_bytes)
+        0 vbufs
+    in
+    let capacities =
+      List.map
+        (fun blocks -> blocks * Dnnk.block_bytes)
+        [ 0; total / 16; total / 4; total / 2; total - 1; total; total + 1;
+          2 * total ]
+      |> List.map (fun c -> (Random.State.bits st, c))
+      |> List.sort compare |> List.map snd
+    in
+    let compiled = Dnnk.compile m vbufs in
+    let ws = Dnnk.workspace () in
+    both_variants (fun compensation ->
+        List.iter
+          (fun capacity_bytes ->
+            let label =
+              Printf.sprintf "%s at %d blocks of %d" what
+                (capacity_bytes / Dnnk.block_bytes) total
+            in
+            let fresh = Dnnk.allocate ~compensation m ~capacity_bytes vbufs in
+            let solved =
+              Dnnk.solve ~compensation ~workspace:ws compiled ~capacity_bytes
+            in
+            Alcotest.(check (list int)) (label ^ ": chosen")
+              (ids fresh.Dnnk.chosen) (ids solved.Dnnk.chosen);
+            Alcotest.(check (list int)) (label ^ ": spilled")
+              (ids fresh.Dnnk.spilled) (ids solved.Dnnk.spilled);
+            Alcotest.(check int64) (label ^ ": latency bits")
+              (Int64.bits_of_float fresh.Dnnk.predicted_latency)
+              (Int64.bits_of_float solved.Dnnk.predicted_latency))
+          capacities)
+  in
+  let st = Random.State.make [| 0x5017 |] in
+  List.iter
+    (fun (family, name, nodes) ->
+      let g =
+        Check.Gen.sized_graph ~family (Random.State.make [| 0x5017; nodes |]) ~nodes
+      in
+      check ~what:(Printf.sprintf "%s %d" name nodes) st dtype g)
+    Check.Gen.
+      [ (Mixed, "mixed", 100); (Mixed, "mixed", 400); (Skip, "skip", 100);
+        (Skip, "skip", 250); (Chain, "chain", 60); (Chain, "chain", 300) ];
+  List.iter
+    (fun model ->
+      let g = Models.Zoo.build model in
+      List.iter
+        (fun dtype ->
+          check
+            ~what:(Printf.sprintf "%s %s" model (Tensor.Dtype.to_string dtype))
+            st dtype g)
+        Tensor.Dtype.[ I8; I16 ])
+    [ "alexnet"; "squeezenet"; "googlenet"; "resnet50" ]
+
 let suite =
   [ Alcotest.test_case "respects capacity" `Quick test_respects_capacity;
     Alcotest.test_case "zero capacity" `Quick test_zero_capacity_chooses_nothing;
@@ -217,6 +294,8 @@ let suite =
     Alcotest.test_case "variants vs enumeration" `Quick test_variants_match_exact_enumeration;
     Alcotest.test_case "workspace reuse across metrics" `Quick
       test_workspace_reuse_across_metrics;
+    Alcotest.test_case "compile once, solve many" `Quick
+      test_compile_once_solve_many;
     prop_never_worse_than_umm;
     prop_capacity_monotone;
     prop_matches_exact_on_random ]

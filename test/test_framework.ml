@@ -340,6 +340,50 @@ let test_allocate_refuses_other_prepare_fields () =
     (F.fingerprint (F.plan ~options cfg g))
     (F.fingerprint p)
 
+(* One prepared stage shared by concurrent allocations, as the
+   runtime's grants and the service's workers share it: 8 capacities
+   allocated on a 2-domain pool fingerprint as a sequential run does,
+   and the stage's bytes (its coloring and compiled rows among them)
+   are the same afterwards, since each allocation solves into its own
+   workspace and splits on its own rows.  A request whose coloring or
+   sharing differs from the stage's colors and compiles its own buffers
+   the way [prepare] does, so its plan is the one [plan] makes. *)
+let test_shared_stage_concurrent () =
+  let g = Models.Zoo.build "googlenet" in
+  let cfg = Accel.Config.make ~style:Accel.Config.Lcmm Tensor.Dtype.I16 in
+  let budget = Accel.Config.sram_budget_bytes cfg in
+  let prepared = F.prepare_graph cfg g in
+  let bytes () = Marshal.to_string prepared [ Marshal.Closures ] in
+  let before = bytes () in
+  let capacities = List.init 8 (fun i -> budget * (i + 1) / 24) in
+  let plan_at capacity_bytes =
+    F.finish (F.allocate ~capacity_bytes prepared)
+  in
+  let sequential = List.map plan_at capacities in
+  let pool = Lcmm.Pool.create ~domains:2 () in
+  let parallel =
+    Fun.protect
+      ~finally:(fun () -> Lcmm.Pool.shutdown pool)
+      (fun () -> Lcmm.Pool.map_list pool plan_at capacities)
+  in
+  Alcotest.(check (list string)) "parallel fingerprints are sequential's"
+    (List.map F.fingerprint sequential)
+    (List.map F.fingerprint parallel);
+  Alcotest.(check bool) "some capacity splits" true
+    (List.exists (fun p -> p.F.splitting_iterations > 0) sequential);
+  Alcotest.(check bool) "the stage is unchanged by its allocations" true
+    (String.equal before (bytes ()));
+  List.iter
+    (fun (what, options) ->
+      let options = { options with F.capacity_override = Some (budget / 6) } in
+      Alcotest.(check string) what
+        (F.fingerprint (F.plan ~options cfg g))
+        (F.fingerprint (F.finish (F.allocate ~options prepared))))
+    [ ("first-fit coloring", { F.default_options with F.coloring = Lcmm.Coloring.First_fit });
+      ("no sharing", { F.default_options with F.buffer_sharing = false }) ];
+  Alcotest.(check bool) "the stage is unchanged by other colorings" true
+    (String.equal before (bytes ()))
+
 let test_prepare_refuses_other_table () =
   let g = Helpers.diamond () in
   let cfg = Accel.Config.make ~style:Accel.Config.Lcmm Tensor.Dtype.I16 in
@@ -365,6 +409,8 @@ let suite =
       test_prepare_refuses_other_table;
     Alcotest.test_case "staged comparison equals compare_designs" `Quick
       test_staged_compare_equals_compare_designs;
+    Alcotest.test_case "a shared stage allocates concurrently" `Quick
+      test_shared_stage_concurrent;
     Alcotest.test_case "allocate refuses other prepare fields" `Quick
       test_allocate_refuses_other_prepare_fields;
     Alcotest.test_case "helped layers" `Quick test_helped_layers_consistent;

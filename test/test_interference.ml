@@ -182,8 +182,58 @@ let test_word_boundary_intervals () =
   let items = Array.init n (fun i -> Metric.Feature_value i) in
   check_graph ~case:0 items intervals
 
+(* The interval orders come from a counting sort over schedule
+   positions and the never-share classes from one complement mask per
+   class; neither may change a bit.  Random intervals over a short
+   schedule (so many share a start or an end), in 1-3 classes drawn per
+   item, must give the pairwise rows.  Every seventh case spreads its
+   positions far wider than its item count, which takes the comparison
+   sort, and an offset keeps positions away from 0. *)
+let test_ties_and_classes () =
+  let wide = ref 0 and multi = ref 0 in
+  for case = 0 to 299 do
+    let st = Random.State.make [| 0x7135; case |] in
+    let n = 1 + Random.State.int st 160 in
+    let span =
+      if case mod 7 = 0 then (incr wide; 100_000) else 1 + Random.State.int st 12
+    in
+    let offset = Random.State.int st 50 in
+    let classes = 1 + Random.State.int st 3 in
+    if classes > 1 then incr multi;
+    let intervals =
+      Array.init n (fun _ ->
+          let a = Random.State.int st span and b = Random.State.int st span in
+          Liveness.make ~start_pos:(offset + min a b)
+            ~end_pos:(offset + max a b))
+    in
+    (* Class ids far apart and unordered, so nothing reads them as
+       indices. *)
+    let class_of = Array.init n (fun _ -> 37 * Random.State.int st classes) in
+    let items = Array.init n (fun i -> Metric.Feature_value i) in
+    let never_share_class = function
+      | Metric.Feature_value i -> class_of.(i)
+      | Metric.Weight_of _ | Metric.Weight_slice _ -> assert false
+    in
+    let g = Interference.build ~never_share_class ~items ~intervals () in
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        let expected =
+          i <> j
+          && (Liveness.overlaps intervals.(i) intervals.(j)
+             || class_of.(i) <> class_of.(j))
+        in
+        if Interference.conflict g i j <> expected then
+          Alcotest.failf "case %d: rows disagree at (%d,%d)" case i j
+      done
+    done
+  done;
+  Alcotest.(check bool) "wide and multi-class cases ran" true
+    (!wide > 10 && !multi > 100)
+
 let suite =
   [ Alcotest.test_case "bitset rows match naive overlap oracle" `Slow test_oracle;
+    Alcotest.test_case "tied endpoints and 1-3 classes match the oracle" `Quick
+      test_ties_and_classes;
     Alcotest.test_case "multi-word rows match the oracle" `Quick
       test_multiword_rows;
     Alcotest.test_case "duplicate and touching intervals at word boundaries"

@@ -1770,7 +1770,8 @@ let test_stage_memo_warm_equals_cold () =
         first cold;
       Alcotest.(check (triple int int int)) "B takes every stage from the memo"
         (0, 0, List.length keyed) (stage_counts b);
-      (* B ran no prepare pass, so its clock charges none. *)
+      (* B ran no prepare pass, so its clock charges none; its requests
+         color as the stages did, so it ran no coloring either. *)
       let pass_us k =
         let stats = result_of_line (handle_line b {|{"op":"stats"}|}) in
         let times = field_exn "pass_times_us" (field_exn "result" stats) in
@@ -1780,7 +1781,7 @@ let test_stage_memo_warm_equals_cold () =
       in
       List.iter
         (fun k -> Alcotest.(check (float 0.)) ("B " ^ k) 0. (pass_us k))
-        [ "profile_us"; "liveness_us"; "prefetch_us" ];
+        [ "profile_us"; "liveness_us"; "prefetch_us"; "coloring_us" ];
       Alcotest.(check bool) "B dnnk_us > 0" true (pass_us "dnnk_us" > 0.);
       List.iter
         (fun (_, (op, dtype, options)) ->
