@@ -1112,17 +1112,21 @@ let warm_hit_ops =
   [ ("compile", {|{"op":"compile","id":1,"model":"alexnet","dtype":"i16"}|});
     ("simulate", {|{"op":"simulate","id":1,"model":"alexnet","dtype":"i16"}|}) ]
 
+(* The words the current domain has allocated so far: in the minor heap,
+   and directly in the major heap.  [Gc.minor_words] is exact; the minor
+   count in [Gc.counters] is not on OCaml 5.1 (one mixed-1024 plan read
+   675k-1030k words there against 865,307 every time from
+   [Gc.minor_words]), but its major less promoted words are. *)
+let domain_words () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words (), major -. promoted)
+
 let warm_hit_words engine =
   let module Svc = Lcmm_service in
   let hits = 1000 in
-  (* [Gc.counters] counts the current domain's words exactly. *)
-  let words () =
-    let minor, promoted, major = Gc.counters () in
-    (minor, major -. promoted)
-  in
   let both () =
-    let minor, direct = words () in
-    let w_minor, w_direct = Lcmm.Pool.run (Svc.Engine.pool engine) words in
+    let minor, direct = domain_words () in
+    let w_minor, w_direct = Lcmm.Pool.run (Svc.Engine.pool engine) domain_words in
     (minor +. w_minor, direct +. w_direct)
   in
   List.map
@@ -1227,9 +1231,8 @@ let cold_sweep () =
 (* The words a prepared stage keeps alive, everything reachable from it
    counted: googlenet i16 prepared as the sweep's memo holds it.  Only
    O(items) of it is the planner's own (the interference index, the
-   coloring and the compiled DNNK rows); its 113 items' interference
-   rows would add about 800 words, and the DP's compensation tables
-   more.  Built outside any engine, after the sweep and the warm hits,
+   coloring and the compiled DNNK rows); the DP's compensation tables
+   would add more.  Built outside any engine, after the sweep and the warm hits,
    so no engine's memo sees it and the hits' word counts do not
    collect its garbage. *)
 let stage_words () =
@@ -1298,8 +1301,17 @@ let perf_experiment () =
         let best = ref None in
         let pass_us = ref [] in
         let total_us = ref 0. in
+        (* The words one plan allocates on this domain, a count no host
+           changes: every rep reads the same. *)
+        let plan_words = ref infinity in
+        let words () =
+          let minor, direct = domain_words () in
+          minor +. direct
+        in
         for rep = 1 to reps do
+          let w0 = words () in
           let p, elapsed = time_us (fun () -> F.plan ~options cfg g) in
+          plan_words := Float.min !plan_words (words () -. w0);
           total_us := !total_us +. elapsed;
           let passes = F.pass_times_assoc p.F.pass_times in
           pass_us :=
@@ -1332,6 +1344,7 @@ let perf_experiment () =
               Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) !pass_us) );
             ("table_us", Json.Float !table);
             ("icd_us", Json.Float (icd_us p));
+            ("plan_words", Json.Int (int_of_float !plan_words));
             ("plans_per_sec", Json.Float plans_per_sec);
             ("dse_us", Json.Float !dse);
             ("dse_lcmm_us", Json.Float !dse_lcmm) ])

@@ -231,6 +231,15 @@ awk -F': ' '/"family"/ { fam = $2 } /"nodes"/ { n = $2 + 0 }
             fam ~ /"mixed"/ && n == 4096 && /"interference_us"/ { seen++; i = $2 + 0 }
             fam ~ /"mixed"/ && n == 4096 && /"splitting_us"/ { seen++; s = $2 + 0 }
             END { exit (seen == 3 && c <= 18000 && i <= 11000 && s <= 130000) ? 0 : 1 }' "$out"
+# The same planner gated on work, which no host changes: one
+# Framework.plan of the 16384-node mixed row allocates at most 18M
+# words on its domain (plan_words reads 16,010,080 with conflicts read
+# from lifespans, classes and false edges; 20,686,968 with a packed
+# n^2/w-bit interference row per item, built once to color and again
+# to split).
+awk -F': ' '/"family"/ { fam = $2 } /"nodes"/ { n = $2 + 0 }
+            fam ~ /"mixed"/ && n == 16384 && /"plan_words"/ { seen++; w = $2 + 0 }
+            END { exit (seen == 1 && w > 0 && w <= 18000000) ? 0 : 1 }' "$out"
 # The tile DSE a compile runs (dse_us) is one sweep that scores both
 # design styles from one per-graph table: within 10 ms on the 1024-node
 # mixed row and 15 ms on the 512-node skip row.  It reads 2.1-3.5 and
@@ -291,10 +300,9 @@ awk -F': ' '/"cold_sweep"/ { cs = 1 }
             END { exit (dn == 1 && pn == 1 && req == 16 && d == 1 && p == 1) ? 0 : 1 }' "$out"
 # A prepared stage keeps O(items) words: the googlenet i16 stage,
 # everything reachable from it, stays within 11,800 words (reads
-# 11,187 with the interference index, coloring and compiled DNNK rows;
-# 8,917 before the stage held them).  Keeping its 113 items'
-# interference rows would add about 800 words, and the DP's
-# compensation tables more.
+# 11,179 with the interference index, coloring and compiled DNNK rows;
+# 8,917 before the stage held them).  Keeping the DP's compensation
+# tables would add more.
 awk -F': ' '/"cold_sweep"/ { cs = 1 }
             cs && /"stage_words"/ { seen++; w = $2 + 0 }
             END { exit (seen == 1 && w > 0 && w <= 11800) ? 0 : 1 }' "$out"
@@ -315,7 +323,8 @@ awk -F': ' '/"warm_hit"/ { wh = 1 }
             wh && /"compile_direct_major_words"/ { seen++; d = $2 + 0 }
             END { exit (seen == 1 && d <= 64) ? 0 : 1 }' "$out"
 # The same hit within 1350 minor words: the reply and its newline are
-# rendered into one buffer and copied out once (reads 1148-1274).
+# rendered into one buffer and copied out once (reads 1169-1170 from
+# Gc.minor_words; Gc.counters' inexact minor count read 1148-1274).
 # Appending the newline to a copied-out reply cost a second copy, about
 # 134 words for its 1.1 KB (1283 read then).
 awk -F': ' '/"warm_hit"/ { wh = 1 }

@@ -3,13 +3,19 @@
     Register-allocation-style graph coloring over the interference graph,
     with the paper's twist (section 3.1): the objective is the total
     *byte* size of the buffers, not their count — a color's cost is the
-    largest member assigned to it.  The default heuristic places items in
-    decreasing size order into the compatible buffer whose size grows the
-    least; [First_fit] (classic lowest-index color) is kept for the
-    ablation bench. *)
+    largest member assigned to it.  Each item joins the lowest-index
+    compatible buffer; the strategies differ only in the order they
+    place items.  The default places them in decreasing size, so a
+    buffer never grows once created; [First_fit] (classic decreasing
+    degree) is kept for the ablation bench.
+
+    A buffer keeps its class and its members' intervals sorted by
+    start.  An item may join when its class matches, one binary search
+    finds no member overlapping it and no false edge joins it to a
+    member. *)
 
 type strategy =
-  | Min_growth  (** Decreasing size, cheapest compatible buffer. *)
+  | Min_growth  (** Decreasing size, lowest-index compatible buffer. *)
   | First_fit   (** Decreasing degree, lowest-index compatible buffer. *)
 
 val color :

@@ -174,7 +174,7 @@ type allocated = {
 
 (* The virtual buffers the options' sharing and coloring make of the
    items, and their DNNK compile, each pass timed into its cell.  Only
-   sharing builds the graph's rows, and they are dropped once colored. *)
+   sharing builds a graph, and it is dropped once colored. *)
 let colored ~interference_us ~coloring_us ~dnnk_us options metric ls items sizes =
   let vbufs =
     if options.buffer_sharing then
@@ -336,28 +336,20 @@ let allocate ?capacity_bytes ?options pr =
   in
   let allocation, splitting_iterations, vbufs =
     if options.buffer_splitting && options.buffer_sharing then begin
-      (* Splitting only ever splits a spilled buffer of two or more
-         members; without one it would return [initial] untouched, so
-         the graph it would mutate is not built. *)
-      let splittable vb =
-        match vb.Vbuffer.members with _ :: _ :: _ -> true | [] | [ _ ] -> false
+      let interference =
+        timed interference_us (fun () ->
+            Interference.of_lifespans pr.pr_lifespans)
       in
-      let result, iterations =
-        if not (List.exists splittable initial.Dnnk.spilled) then (initial, 0)
-        else
-          let interference =
-            timed interference_us (fun () ->
-                Interference.of_lifespans pr.pr_lifespans)
-          in
-          let outcome =
-            timed splitting_us (fun () ->
-                Splitting.run ~compensation:options.compensation
-                  ~strategy:options.coloring ~workspace metric interference
-                  ~sizes ~capacity_bytes initial)
-          in
-          (outcome.Splitting.result, outcome.Splitting.iterations)
+      let outcome =
+        timed splitting_us (fun () ->
+            Splitting.run ~compensation:options.compensation
+              ~strategy:options.coloring ~workspace metric interference ~sizes
+              ~capacity_bytes initial)
       in
-      (result, iterations, result.Dnnk.chosen @ result.Dnnk.spilled)
+      let result = outcome.Splitting.result in
+      ( result,
+        outcome.Splitting.iterations,
+        result.Dnnk.chosen @ result.Dnnk.spilled )
     end
     else (initial, 0, vbufs)
   in

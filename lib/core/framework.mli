@@ -115,8 +115,7 @@ type prepared
     liveness) as an {!Interference.lifespans} index, the virtual
     buffers the options' sharing and coloring make of them (passes
     1-2) and their {!Dnnk.compiled} rows (the capacity-free half of
-    pass 3).  It holds O(items) words beyond the metric and the PDG:
-    no interference rows (n{^ 2}/w words, built and dropped to color)
+    pass 3).  It holds O(items) words beyond the metric and the PDG,
     and no DP or compensation table.  Nothing writes it after
     {!prepare}.  Every plan finished from one [prepared] shares its
     physical metric and PDG. *)
@@ -158,10 +157,8 @@ val prepare_options : options -> options
 
 val allocate : ?capacity_bytes:int -> ?options:options -> prepared -> allocated
 (** Solve the stage's compiled DNNK rows at the capacity, then run
-    splitting.  Splitting mutates an interference graph, so it gets its
-    own rows, built from the stage's index (and only when some spilled
-    buffer has two or more members: otherwise splitting has nothing to
-    split).  Options whose [buffer_sharing] or [coloring] differ from
+    splitting.  Splitting adds false edges to an interference graph, so
+    it gets its own, built from the stage's index in O(items).  Options whose [buffer_sharing] or [coloring] differ from
     the stage's color and compile their own buffers the way {!prepare}
     does, so the plan is the one {!plan} makes under them.  Nothing in
     the stage is written, so allocations of one stage may run on any

@@ -5,13 +5,14 @@
     *false* interference edges between chosen non-overlapping pairs to
     force them into different virtual buffers.
 
-    A graph is built in two steps.  {!lifespans} indexes the items in
-    O(n) words: their intervals in start and end order (a counting sort
-    over schedule positions), one complement mask per never-share class
-    and the item index.  {!of_lifespans} then materialises the packed
-    bitset adjacency rows (n{^ 2}/w words), filled a word at a time from
-    prefix sets of the two orders, so [conflict] and [degree] are bit
-    tests and popcounts rather than per-query closure calls. *)
+    No adjacency is stored.  Two items conflict for one of three
+    reasons: they are in different never-share classes, their intervals
+    overlap, or a false edge joins them.  {!lifespans} indexes the first
+    two in O(n) words: the intervals, a class per item, each class's
+    starts and ends in ascending order and the item index.  A graph
+    ({!of_lifespans}) adds a false-edge partner list per item, so
+    [conflict] tests the three causes and [degree] counts overlaps with
+    two binary searches. *)
 
 type lifespans
 (** The capacity-free index a graph is built from.  Nothing writes it
@@ -24,14 +25,14 @@ val lifespans :
   ?never_share_class:(Metric.item -> int) ->
   items:Metric.item array -> intervals:Liveness.interval array -> unit ->
   lifespans
-(** Raises [Invalid_argument] when the arrays differ in length.
-    [never_share_class] partitions the items by buffer pool: items in
-    *different* classes (e.g. a feature and a weight tensor, which live
-    in separate pools) always conflict, regardless of lifespans.  Each
-    row ors in its class's complement mask. *)
+(** Raises [Invalid_argument] when the arrays differ in length or an
+    interval ends before it starts.  [never_share_class] partitions the
+    items by buffer pool: items in *different* classes (e.g. a feature
+    and a weight tensor, which live in separate pools) always conflict,
+    regardless of lifespans. *)
 
 val of_lifespans : lifespans -> t
-(** A fresh graph over the index: its own rows, no false edges. *)
+(** A fresh graph over the index, with no false edges.  O(n). *)
 
 val build :
   ?never_share_class:(Metric.item -> int) ->
@@ -45,6 +46,13 @@ val item : t -> int -> Metric.item
 
 val interval : t -> int -> Liveness.interval
 
+val class_id : t -> int -> int
+(** The item's never-share class, numbered densely from 0 in order of
+    first appearance.  Items of different classes always conflict. *)
+
+val partners : t -> int -> int list
+(** The items a false edge joins to this one, each once. *)
+
 val index_of_item : t -> Metric.item -> int option
 (** Index of the first occurrence of an item, as a forward linear scan
     would find it. *)
@@ -53,15 +61,8 @@ val add_false_edge : t -> int -> int -> unit
 (** Force items at the two indices apart.  Idempotent; raises
     [Invalid_argument] on equal or out-of-range indices. *)
 
-val false_edges : t -> (int * int) list
-(** Injected edges, as ordered index pairs. *)
-
 val conflict : t -> int -> int -> bool
-(** Lifespan overlap or false edge. *)
-
-val row : t -> int -> Bitset.t
-(** The packed adjacency row of an item.  Callers must treat it as
-    read-only; it aliases the graph's internal state. *)
+(** Different classes, lifespan overlap or false edge. *)
 
 val degree : t -> int -> int
 (** Number of items in conflict with the item at the given index. *)

@@ -3,7 +3,10 @@
    candidates are filtered, then First_fit takes the first and
    Min_growth the first of least growth).  [Coloring.color] must return
    identical virtual buffers (ids, member order, sizes) for both
-   strategies, on generated graphs, before and after false edges. *)
+   strategies, on generated graphs and on random intervals (duplicate,
+   touching and nested) in up to three never-share classes, before and
+   after false edges, some of them between items that already
+   conflict. *)
 
 module Metric = Lcmm.Metric
 module Interference = Lcmm.Interference
@@ -78,6 +81,27 @@ let check_same ~label interference sizes =
           (List.length got) (List.length want))
     [ Coloring.Min_growth; Coloring.First_fit ]
 
+(* A third class: every third feature value never shares with the other
+   features either. *)
+let three_classes = function
+  | Metric.Feature_value v when v mod 3 = 0 -> 2
+  | item -> never_share_class item
+
+(* Random false edges drawn blind, so some join items that already
+   conflict and some repeat an earlier edge; recolors after each. *)
+let add_blind_edges ~label st interference sizes count =
+  let n = Array.length sizes in
+  if n >= 2 then
+    for e = 1 to count do
+      let i = Random.State.int st n and j = Random.State.int st n in
+      if i <> j then begin
+        Interference.add_false_edge interference i j;
+        check_same
+          ~label:(Printf.sprintf "%s after blind edge %d" label e)
+          interference sizes
+      end
+    done
+
 let test_reference () =
   let config = Accel.Config.make ~style:Accel.Config.Lcmm Tensor.Dtype.I16 in
   let shared = ref 0 and edges = ref 0 in
@@ -102,6 +126,12 @@ let test_reference () =
           let interference =
             Interference.build ~never_share_class ~items ~intervals ()
           in
+          check_same
+            ~label:(Printf.sprintf "%s/%d, three classes"
+                      (Check.Gen.family_name family) nodes)
+            (Interference.build ~never_share_class:three_classes ~items
+               ~intervals ())
+            sizes;
           let n = Array.length items in
           let label = Printf.sprintf "%s/%d" (Check.Gen.family_name family) nodes in
           check_same ~label interference sizes;
@@ -126,9 +156,36 @@ let test_reference () =
               end
             end
           done;
-          edges := !edges + !added)
+          edges := !edges + !added;
+          add_blind_edges ~label st interference sizes 4)
         [ 40; 150; 400 ])
     Check.Gen.families;
+  (* Random intervals over a short schedule, so many are equal, touch
+     or nest, in 1-3 classes, with sizes that tie. *)
+  for case = 0 to 99 do
+    let st = Random.State.make [| 0x5a2; case |] in
+    let n = 1 + Random.State.int st 120 in
+    let span = 1 + Random.State.int st 16 in
+    let intervals =
+      Array.init n (fun _ ->
+          let a = Random.State.int st span and b = Random.State.int st span in
+          Lcmm.Liveness.make ~start_pos:(min a b) ~end_pos:(max a b))
+    in
+    let classes = 1 + Random.State.int st 3 in
+    let class_of = Array.init n (fun _ -> Random.State.int st classes) in
+    let sizes = Array.init n (fun _ -> 1 + Random.State.int st 8) in
+    let items = Array.init n (fun i -> Metric.Feature_value i) in
+    let never_share_class = function
+      | Metric.Feature_value i -> class_of.(i)
+      | Metric.Weight_of _ | Metric.Weight_slice _ -> assert false
+    in
+    let interference =
+      Interference.build ~never_share_class ~items ~intervals ()
+    in
+    let label = Printf.sprintf "random case %d" case in
+    check_same ~label interference sizes;
+    add_blind_edges ~label st interference sizes (Random.State.int st 6)
+  done;
   Alcotest.(check bool) "some buffers are shared" true (!shared > 0);
   Alcotest.(check bool) "false edges were added" true (!edges > 20)
 
