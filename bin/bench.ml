@@ -1242,6 +1242,84 @@ let stage_words () =
   in
   Obj.reachable_words (Obj.repr (F.prepare config table g))
 
+(* The codec work of one inline-graph request: the serve-cold
+   workload's 1024-node mixed graph on its compile line, as
+   perfbench/serve.ml's [cold_inputs] builds it (the same generator
+   state, drawn through the zoo capacities and the smaller graphs first).
+   Minor words per input byte for [Json.of_string] and for
+   [Protocol.request_of_line] on the line, and minor words to render the
+   graph's canonical bytes (what its cache key digests): counts of work,
+   which no host changes.  Best-of-20 times beside them split the
+   request between the scanner, the graph decoder and the renderer. *)
+let inline_codec_nodes = 1024
+
+let inline_codec () =
+  let module Svc = Lcmm_service in
+  let st = Random.State.make [| 2026; 2 |] in
+  let budget =
+    Accel.Config.sram_budget_bytes
+      (Accel.Config.make ~style:Accel.Config.Lcmm Tensor.Dtype.I16)
+  in
+  let caps_per_model = 16 in
+  List.iter
+    (fun _ ->
+      for _ = 1 to caps_per_model do
+        ignore (Random.State.int st (budget / 2))
+      done)
+    Models.Zoo.all;
+  let sizes =
+    List.concat
+      (List.init 5 (fun _ -> [ 64; 128; 64; 256; 128; 64; 512; 128; 64; 256; 64 ]))
+    @ [ 1024; 1024 ]
+  in
+  (* The graphs are drawn in the workload's order up to the first one of
+     [inline_codec_nodes] that is a compile (graph [i] is one when [i]
+     is even), so the state moves as the workload's does. *)
+  let rec draw i = function
+    | [] -> failwith "bench perf: no inline compile graph"
+    | nodes :: rest ->
+      let g = Check.Gen.sized_graph ~family:Check.Gen.Mixed st ~nodes in
+      if nodes = inline_codec_nodes && i mod 2 = 0 then (i, g)
+      else draw (i + 1) rest
+  in
+  let i, g = draw 0 sizes in
+  let line =
+    Json.to_string
+      (Json.Obj
+         [ ("op", Json.String "compile");
+           ("id", Json.Int ((List.length Models.Zoo.all * caps_per_model) + i));
+           ("graph", Dnn_serial.Codec.graph_to_json g);
+           ( "options",
+             Json.Obj
+               [ ("capacity_override", Json.Int (budget / 4));
+                 ("fusion", Json.Bool false) ] ) ])
+  in
+  let ok = function Ok v -> v | Error msg -> failwith ("bench perf: " ^ msg) in
+  let graph_v = ok (Json.member "graph" (ok (Json.of_string line))) in
+  let words f =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. w0
+  in
+  let per_byte f = words f /. float_of_int (String.length line) in
+  let best f =
+    let t = ref infinity in
+    for _ = 1 to 20 do
+      t := Float.min !t (snd (time_us f))
+    done;
+    !t
+  in
+  let scan () = Json.of_string line in
+  let decode () = Dnn_serial.Codec.graph_of_json graph_v in
+  let canonical () = Svc.Cache_key.canonical g in
+  let request () = Svc.Protocol.request_of_line line in
+  ( String.length line,
+    per_byte scan,
+    per_byte request,
+    words canonical,
+    [ ("of_string_us", best scan); ("graph_of_json_us", best decode);
+      ("canonical_us", best canonical); ("request_of_line_us", best request) ] )
+
 let perf_experiment () =
   header
     "Planner throughput: per-pass and tile-DSE wall time on seeded random graphs \
@@ -1378,6 +1456,17 @@ let perf_experiment () =
          words\n%!"
         op minor direct)
     hit_words;
+  let codec_bytes, scan_per_byte, request_per_byte, canonical_words, codec_us =
+    inline_codec ()
+  in
+  Printf.printf
+    "inline graph, mixed %d compile line (%d bytes): Json.of_string %.2f and \
+     request_of_line %.2f minor words per byte, canonical bytes %.0f minor \
+     words; %s\n%!"
+    inline_codec_nodes codec_bytes scan_per_byte request_per_byte
+    canonical_words
+    (String.concat ", "
+       (List.map (fun (k, us) -> Printf.sprintf "%s %.0f" k us) codec_us));
   let stage_words = stage_words () in
   Printf.printf "prepared stage, %s i16: %d words\n%!" cold_sweep_model
     stage_words;
@@ -1403,6 +1492,14 @@ let perf_experiment () =
             ("prepares", Json.Int sweep_prepares);
             ("memo_hits", Json.Int sweep_hits);
             ("stage_words", Json.Int stage_words) ] );
+      ( "inline_codec",
+        Json.Obj
+          ([ ("graph", Json.String (Printf.sprintf "mixed %d compile line" inline_codec_nodes));
+             ("bytes", Json.Int codec_bytes);
+             ("of_string_words_per_byte", Json.Float scan_per_byte);
+             ("request_words_per_byte", Json.Float request_per_byte);
+             ("canonical_words", Json.Float canonical_words) ]
+          @ List.map (fun (k, us) -> (k, Json.Float us)) codec_us) );
       ( "warm_hit",
         Json.Obj
           ([ ("op", Json.String "compile i16"); ("reps", Json.Int 300) ]

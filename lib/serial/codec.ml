@@ -55,125 +55,131 @@ let graph_to_json g =
 
 (* --- decoding --- *)
 
-let ( let* ) = Result.bind
+(* A decoding error, raised inside one graph's decode and returned as
+   [Error] where it ends, so a field costs no [Result.bind] closure. *)
+exception Invalid of string
+
+let invalid msg = raise (Invalid msg)
+
+let get = function Ok x -> x | Error msg -> invalid msg
+
+(* Each reader takes the constructor a parsed document carries and
+   leaves any other value to [Json]'s accessor, which expands a [Raw]
+   and words the error. *)
+let to_int = function Json.Int i -> i | v -> get (Json.to_int v)
+
+let to_str = function Json.String s -> s | v -> get (Json.to_str v)
+
+let to_list = function Json.List l -> l | v -> get (Json.to_list v)
+
+let member key v = get (Json.member key v)
+
+let int_field key v = to_int (member key v)
 
 let rec padding_of_json = function
-  | Json.String "valid" -> Ok Op.Valid
-  | Json.String "same" -> Ok Op.Same
-  | Json.Int p -> Ok (Op.Explicit p)
-  | Json.String other -> Error (Printf.sprintf "unknown padding %S" other)
+  | Json.String "valid" -> Op.Valid
+  | Json.String "same" -> Op.Same
+  | Json.Int p -> Op.Explicit p
+  | Json.String other -> invalid (Printf.sprintf "unknown padding %S" other)
   | Json.Raw _ as v -> padding_of_json (Json.expand v)
   | Json.Null | Json.Bool _ | Json.Float _ | Json.List _ | Json.Obj _ ->
-    Error "invalid padding"
+    invalid "invalid padding"
 
 let pair_of_json v =
-  let* items = Json.to_list v in
-  match items with
+  match to_list v with
   | [ a; b ] ->
-    let* a = Json.to_int a in
-    let* b = Json.to_int b in
-    Ok (a, b)
-  | _ -> Error "expected a two-element array"
-
-let int_field key v =
-  let* field = Json.member key v in
-  Json.to_int field
+    let a = to_int a in
+    let b = to_int b in
+    (a, b)
+  | _ -> invalid "expected a two-element array"
 
 let op_of_json v =
-  let* kind_v = Json.member "kind" v in
-  let* kind = Json.to_str kind_v in
-  match kind with
+  match to_str (member "kind" v) with
   | "input" ->
-    let* channels = int_field "channels" v in
-    let* height = int_field "height" v in
-    let* width = int_field "width" v in
-    Ok (Op.Input { channels; height; width })
+    let channels = int_field "channels" v in
+    let height = int_field "height" v in
+    let width = int_field "width" v in
+    Op.Input { channels; height; width }
   | "conv" ->
-    let* out_channels = int_field "out_channels" v in
-    let* kernel_v = Json.member "kernel" v in
-    let* kernel = pair_of_json kernel_v in
-    let* stride_v = Json.member "stride" v in
-    let* stride = pair_of_json stride_v in
-    let* padding_v = Json.member "padding" v in
-    let* padding = padding_of_json padding_v in
-    let* groups = int_field "groups" v in
-    Ok (Op.Conv { out_channels; kernel; stride; padding; groups })
+    let out_channels = int_field "out_channels" v in
+    let kernel = pair_of_json (member "kernel" v) in
+    let stride = pair_of_json (member "stride" v) in
+    let padding = padding_of_json (member "padding" v) in
+    let groups = int_field "groups" v in
+    Op.Conv { out_channels; kernel; stride; padding; groups }
   | "pool" ->
-    let* kind_v = Json.member "pool_kind" v in
-    let* kind_s = Json.to_str kind_v in
-    let* pool_kind =
-      match kind_s with
-      | "max" -> Ok Op.Max
-      | "avg" -> Ok Op.Avg
-      | other -> Error (Printf.sprintf "unknown pool kind %S" other)
+    let pool_kind =
+      match to_str (member "pool_kind" v) with
+      | "max" -> Op.Max
+      | "avg" -> Op.Avg
+      | other -> invalid (Printf.sprintf "unknown pool kind %S" other)
     in
-    let* kernel_v = Json.member "kernel" v in
-    let* pool_kernel = pair_of_json kernel_v in
-    let* stride_v = Json.member "stride" v in
-    let* pool_stride = pair_of_json stride_v in
-    let* padding_v = Json.member "padding" v in
-    let* pool_padding = padding_of_json padding_v in
-    let* global =
+    let pool_kernel = pair_of_json (member "kernel" v) in
+    let pool_stride = pair_of_json (member "stride" v) in
+    let pool_padding = padding_of_json (member "padding" v) in
+    let global =
       match Json.member_opt "global" v with
-      | Some (Json.Bool b) -> Ok b
-      | Some _ -> Error "invalid global flag"
-      | None -> Ok false
+      | Some (Json.Bool b) -> b
+      | Some _ -> invalid "invalid global flag"
+      | None -> false
     in
-    Ok (Op.Pool { pool_kind; pool_kernel; pool_stride; pool_padding; global })
-  | "add" -> Ok Op.Eltwise_add
-  | "concat" -> Ok Op.Concat
-  | "upsample" ->
-    let* factor = int_field "factor" v in
-    Ok (Op.Upsample { factor })
-  | "dense" ->
-    let* out_features = int_field "out_features" v in
-    Ok (Op.Dense { out_features })
-  | other -> Error (Printf.sprintf "unknown operator kind %S" other)
+    Op.Pool { pool_kind; pool_kernel; pool_stride; pool_padding; global }
+  | "add" -> Op.Eltwise_add
+  | "concat" -> Op.Concat
+  | "upsample" -> Op.Upsample { factor = int_field "factor" v }
+  | "dense" -> Op.Dense { out_features = int_field "out_features" v }
+  | other -> invalid (Printf.sprintf "unknown operator kind %S" other)
 
-let node_of_json v =
-  let* id = int_field "id" v in
-  let* name_v = Json.member "name" v in
-  let* node_name = Json.to_str name_v in
-  let* op_v = Json.member "op" v in
-  let* op = op_of_json op_v in
-  let* preds_v = Json.member "preds" v in
-  let* pred_items = Json.to_list preds_v in
-  let* preds =
-    List.fold_left
-      (fun acc item ->
-        let* acc = acc in
-        let* p = Json.to_int item in
-        Ok (p :: acc))
-      (Ok []) pred_items
-  in
-  let* block =
-    match Json.member_opt "block" v with
-    | None -> Ok None
-    | Some (Json.String b) -> Ok (Some b)
-    | Some _ -> Error "invalid block tag"
-  in
-  Ok { G.id; node_name; op; preds = List.rev preds; block }
+let first seen v = match seen with None -> Some v | Some _ -> seen
+
+let required key = function
+  | Some v -> v
+  | None -> invalid (Printf.sprintf "missing field %S" key)
+
+(* A node's fields in one walk over its object: a repeated key keeps its
+   first value, as [Json.member] finds it.  The values are then read in
+   the order that picks which error a malformed node reports. *)
+let rec node_fields id name op preds block = function
+  | (key, v) :: rest -> (
+    match key with
+    | "id" -> node_fields (first id v) name op preds block rest
+    | "name" -> node_fields id (first name v) op preds block rest
+    | "op" -> node_fields id name (first op v) preds block rest
+    | "preds" -> node_fields id name op (first preds v) block rest
+    | "block" -> node_fields id name op preds (first block v) rest
+    | _ -> node_fields id name op preds block rest)
+  | [] ->
+    let id = to_int (required "id" id) in
+    let node_name = to_str (required "name" name) in
+    let op = op_of_json (required "op" op) in
+    let preds = List.map to_int (to_list (required "preds" preds)) in
+    let block =
+      match block with
+      | None -> None
+      | Some (Json.String b) -> Some b
+      | Some _ -> invalid "invalid block tag"
+    in
+    { G.id; node_name; op; preds; block }
+
+let rec node_of_json = function
+  | Json.Obj fields -> node_fields None None None None None fields
+  | Json.Raw _ as v -> node_of_json (Json.expand v)
+  | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.String _
+  | Json.List _ ->
+    invalid "expected an object with field \"id\""
 
 let graph_of_json v =
-  let* fmt_v = Json.member "format" v in
-  let* fmt = Json.to_str fmt_v in
-  if fmt <> "lcmm-graph" then Error (Printf.sprintf "unknown format %S" fmt)
-  else
-    let* version = int_field "version" v in
+  match
+    let fmt = to_str (member "format" v) in
+    if fmt <> "lcmm-graph" then invalid (Printf.sprintf "unknown format %S" fmt);
+    let version = int_field "version" v in
     if version > format_version then
-      Error (Printf.sprintf "unsupported version %d (max %d)" version format_version)
-    else
-      let* nodes_v = Json.member "nodes" v in
-      let* node_items = Json.to_list nodes_v in
-      let* nodes =
-        List.fold_left
-          (fun acc item ->
-            let* acc = acc in
-            let* nd = node_of_json item in
-            Ok (nd :: acc))
-          (Ok []) node_items
-      in
-      G.create (List.rev nodes)
+      invalid
+        (Printf.sprintf "unsupported version %d (max %d)" version format_version);
+    List.map node_of_json (to_list (member "nodes" v))
+  with
+  | nodes -> G.create nodes
+  | exception Invalid msg -> Error msg
 
 let to_string ?(pretty = true) g =
   Json.to_string ~indent:(if pretty then 2 else 0) (graph_to_json g)
@@ -182,9 +188,7 @@ let digest_string s = Digest.to_hex (Digest.string s)
 
 let digest g = digest_string (to_string ~pretty:false g)
 
-let of_string s =
-  let* v = Json.of_string s in
-  graph_of_json v
+let of_string s = Result.bind (Json.of_string s) graph_of_json
 
 let write_file ~path g =
   let oc = open_out path in

@@ -43,7 +43,9 @@ val expand : t -> t
     as it is, including a [Raw] nested inside it. *)
 
 val of_string : string -> (t, string) result
-(** Parse a complete document; the error carries a byte offset. *)
+(** Parse a complete document; the error carries a byte offset.  A
+    [\u] escape takes exactly four hex digits, and one past [\u007f]
+    reads as ['?']. *)
 
 (* Accessors used by decoders: all return [Error] with a path-qualified
    message rather than raising.  Each one parses a [Raw] it is given. *)

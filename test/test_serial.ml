@@ -375,6 +375,338 @@ let prop_random_graph_roundtrip =
       | Ok g' -> graphs_equal g g'
       | Error _ -> false)
 
+(* --- the scanner, renderer and decoder against their references --- *)
+
+module Ref = Codec_reference
+
+(* A \u escape takes exactly four hex digits.  [int_of_string_opt]
+   once read them and took a '_' among them for a digit separator. *)
+let test_json_unicode_escape_digits () =
+  List.iter
+    (fun (input, want) -> Alcotest.check json_t input want (parse_exn input))
+    [ ({|"\u0041"|}, Json.String "A"); ({|"\u004a\u004A"|}, Json.String "JJ");
+      ({|"x\u000ay"|}, Json.String "x\ny"); ({|"\u00e9"|}, Json.String "?") ];
+  List.iter
+    (fun (input, want) ->
+      Alcotest.(check (result json_t string)) input (Error want)
+        (Json.of_string input))
+    [ ({|"\u0_41"|}, {|JSON error at offset 2: invalid \u escape|});
+      ({|"\u00_A"|}, {|JSON error at offset 2: invalid \u escape|});
+      ({|["\u_041"]|}, {|JSON error at offset 3: invalid \u escape|});
+      ({|"\u004G"|}, {|JSON error at offset 2: invalid \u escape|});
+      ({|"\u+041"|}, {|JSON error at offset 2: invalid \u escape|});
+      ({|"\u004"|}, {|JSON error at offset 2: invalid \u escape|});
+      ({|"\u004|}, {|JSON error at offset 2: truncated \u escape|}) ]
+
+(* Equal trees, floats compared by their bits. *)
+let rec same_tree a b =
+  match (a, b) with
+  | Json.Float x, Json.Float y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.List xs, Json.List ys -> List.equal same_tree xs ys
+  | Json.Obj xs, Json.Obj ys ->
+    List.equal (fun (k, x) (l, y) -> String.equal k l && same_tree x y) xs ys
+  | (Json.Float _ | Json.List _ | Json.Obj _), _ -> false
+  | _ -> a = b
+
+(* The one difference the scanner may show: an error at a \u escape
+   whose four bytes hold a '_', which the reference read as a digit
+   separator. *)
+let underscore_escape input = function
+  | Ok _ -> false
+  | Error msg -> (
+    match
+      Scanf.sscanf_opt msg "JSON error at offset %d: %[^\n]" (fun at m -> (at, m))
+    with
+    | Some (at, {|invalid \u escape|}) ->
+      at + 4 < String.length input
+      && input.[at] = 'u'
+      && String.contains (String.sub input (at + 1) 4) '_'
+    | _ -> false)
+
+let check_scan input =
+  let got = Json.of_string input and want = Ref.of_string input in
+  let same =
+    match (got, want) with
+    | Ok a, Ok b -> same_tree a b
+    | Error a, Error b -> String.equal a b
+    | _ -> false
+  in
+  if not (same || underscore_escape input got) then
+    Alcotest.failf "scanner differs on %S:\n  got  %s\n  want %s" input
+      (match got with Ok v -> Json.to_string v | Error m -> m)
+      (match want with Ok v -> Ref.to_string v | Error m -> m)
+
+(* [Graph.create] itself raises on some hostile operator parameters;
+   both decoders call it, so both must raise the same. *)
+let check_decode v =
+  let show = function
+    | Ok g -> Codec.to_string ~pretty:false g
+    | Error m -> "error: " ^ m
+  in
+  let outcome decode =
+    try decode v with e -> Error ("raised " ^ Printexc.to_string e)
+  in
+  match (outcome Codec.graph_of_json, outcome Ref.graph_of_json) with
+  | Ok a, Ok b when graphs_equal a b -> ()
+  | Error a, Error b when String.equal a b -> ()
+  | got, want ->
+    Alcotest.failf "decoder differs on %s:\n  got  %s\n  want %s"
+      (Ref.to_string v) (show got) (show want)
+
+(* Seeded inputs: the committed field requests, the tier = serve
+   envelopes, every [Gen] family rendered compact and pretty, and
+   hand-made edge cases of the scanner's language. *)
+let scan_corpus () =
+  let envelopes =
+    (* The tier = serve property's 240 envelopes, drawn as it draws them. *)
+    let pools = Test_tier.field_pools () in
+    let st = Random.State.make [| 20261020 |] in
+    List.init 240 (fun _ -> Test_tier.random_line pools st)
+  in
+  let st = Random.State.make [| 43; 1 |] in
+  let graphs =
+    List.concat_map
+      (fun family ->
+        List.concat
+          (List.init 3 (fun i ->
+               let g = Check.Gen.graph ~family st ~max_nodes:(6 + (10 * i)) in
+               [ Codec.to_string ~pretty:false g; Codec.to_string g ])))
+      Check.Gen.families
+  in
+  let nested depth open_ close =
+    String.concat "" (List.init depth (fun _ -> open_))
+    ^ "1"
+    ^ String.concat "" (List.init depth (fun _ -> close))
+  in
+  let edges =
+    [ ""; " "; "0"; "-0"; "007"; "-"; "--1"; "-a"; "1-2"; "1e5"; "1E+5";
+      "-1.5e-3"; "1."; ".5"; "+1"; "1e"; "1 2"; "123456789012345678";
+      "-123456789012345678"; "1234567890123456789"; "4611686018427387903";
+      "4611686018427387904"; "-4611686018427387904"; "-4611686018427387905";
+      "9999999999999999999"; "-999999999999999999";
+      String.make 30 '9'; "true"; "tru"; "nulll"; "falsey"; "[1,]"; "[,]";
+      "[1 2]"; {|{"a" 1}|}; "{,}"; {|{"a":1,}|}; {|{"a":1 "b":2}|};
+      {|{"a":1,"a":2}|}; "{1:2}"; {|"\u0041"|}; {|"\u00e9"|}; {|"\u0_41"|};
+      {|"\u00_A"|}; {|"\uZZZZ"|}; {|"\u12"|}; {|"\u1234|}; {|"\x"|};
+      {|"a\|}; "\"ctrl\001\031\127\255\""; {|"\"\\\/\b\f\n\r\t"|};
+      "\t[ 1 ,\n{ \"k\" :\r[ ] } ]  "; nested 3000 "[" "]";
+      nested 3000 {|{"a":|} "}"; nested 3000 "[" "" ]
+  in
+  List.concat
+    [ Helpers.read_lines "golden/protocol_fields.requests.ndjson"; envelopes;
+      graphs; edges ]
+
+(* One seeded mutation of [s]: a truncation, a byte flip, inserted
+   whitespace, a deleted byte, a key repeated, or more nesting. *)
+let mutate st s =
+  let len = String.length s in
+  let at () = Random.State.int st (len + 1) in
+  let splice i cut extra =
+    String.sub s 0 i ^ extra ^ String.sub s (i + cut) (len - i - cut)
+  in
+  let interesting = "{}[],:\"\\u_0123456789abcdefABCDEF-+.eE tnfrl \t\n\r" in
+  match Random.State.int st 6 with
+  | 0 -> String.sub s 0 (at ())
+  | 1 when len > 0 ->
+    let c =
+      if Random.State.bool st then
+        interesting.[Random.State.int st (String.length interesting)]
+      else Char.chr (Random.State.int st 256)
+    in
+    splice (Random.State.int st len) 1 (String.make 1 c)
+  | 2 -> splice (at ()) 0 (String.make 1 " \t\n\r".[Random.State.int st 4])
+  | 3 when len > 0 -> splice (Random.State.int st len) 1 ""
+  | 4 -> (
+    (* Repeat a field of some object, before or after the original. *)
+    let rec objects acc = function
+      | Json.Obj fields as v ->
+        List.fold_left (fun acc (_, x) -> objects acc x) (v :: acc) fields
+      | Json.List items -> List.fold_left objects acc items
+      | _ -> acc
+    in
+    match Json.of_string s with
+    | Ok v -> (
+      match objects [] v with
+      | [] -> s
+      | objs ->
+        let target = List.nth objs (Random.State.int st (List.length objs)) in
+        let rec rebuild = function
+          | Json.Obj fields as o when o == target && fields <> [] ->
+            let k, x = List.nth fields (Random.State.int st (List.length fields)) in
+            let copy = (k, if Random.State.bool st then x else Json.Int 7) in
+            Json.Obj
+              (if Random.State.bool st then copy :: fields else fields @ [ copy ])
+          | Json.Obj fields ->
+            Json.Obj (List.map (fun (k, x) -> (k, rebuild x)) fields)
+          | Json.List items -> Json.List (List.map rebuild items)
+          | x -> x
+        in
+        Json.to_string (rebuild v))
+    | Error _ -> s)
+  | _ ->
+    let depth = 1 + Random.State.int st 40 in
+    let opens = String.concat "" (List.init depth (fun _ -> {|[{"k":|})) in
+    let closes = String.concat "" (List.init depth (fun _ -> "}]")) in
+    opens ^ s ^ if Random.State.bool st then closes else ""
+
+(* Graph documents whose parse both scanners accept decode alike:
+   whole documents and request targets. *)
+let decode_candidate = function
+  | Ok v -> (
+    match (Json.member_opt "graph" v, Json.member_opt "format" v) with
+    | Some g, _ -> Some g
+    | None, Some _ -> Some v
+    | None, None -> None)
+  | Error _ -> None
+
+let test_scanner_matches_reference () =
+  let corpus = Array.of_list (scan_corpus ()) in
+  let check input =
+    check_scan input;
+    Option.iter check_decode (decode_candidate (Ref.of_string input))
+  in
+  Array.iter check corpus;
+  let st = Random.State.make [| 43; 2 |] in
+  for _ = 1 to 10_000 do
+    let base = corpus.(Random.State.int st (Array.length corpus)) in
+    let once = mutate st base in
+    check (if Random.State.int st 4 = 0 then mutate st once else once)
+  done
+
+(* Malformed graph documents built as trees, [Raw] values among them:
+   a node's field dropped, repeated with another value before or after
+   it, or given a value of the wrong shape, or its op's kind changed. *)
+let test_decoder_matches_reference () =
+  let st = Random.State.make [| 43; 3 |] in
+  let junk () =
+    let pick l = List.nth l (Random.State.int st (List.length l)) in
+    pick
+      [ Json.Null; Json.Bool true; Json.Int (-1); Json.Int 3; Json.Float 2.5;
+        Json.String "x"; Json.String "same"; Json.String "max";
+        Json.String "conv"; Json.String "pool"; Json.List [];
+        Json.List [ Json.Int 1 ]; Json.List [ Json.Int 1; Json.Int 2 ];
+        Json.List [ Json.Int 1; Json.String "2" ]; Json.Obj [];
+        Json.Obj [ ("kind", Json.String "add") ];
+        Json.Raw (Json.compact (Json.Int 3));
+        Json.Raw (Json.compact (Json.String "b"));
+        Json.Raw (Json.compact (Json.List [ Json.Int 3; Json.Int 3 ])) ]
+  in
+  let edit fields =
+    let n = List.length fields in
+    let i = Random.State.int st (max 1 n) in
+    match Random.State.int st 4 with
+    | 0 -> List.filteri (fun j _ -> j <> i) fields
+    | 1 when n > 0 ->
+      let k, _ = List.nth fields i in
+      if Random.State.bool st then (k, junk ()) :: fields
+      else fields @ [ (k, junk ()) ]
+    | 2 when n > 0 -> List.mapi (fun j (k, x) -> (k, if j = i then junk () else x)) fields
+    | _ -> ("kind", junk ()) :: fields
+  in
+  let mutate_node = function
+    | Json.Obj fields ->
+      if Random.State.int st 3 = 0 then
+        Json.Obj
+          (List.map
+             (fun (k, x) ->
+               match (k, x) with
+               | "op", Json.Obj op -> (k, Json.Obj (edit op))
+               | _ -> (k, x))
+             fields)
+      else Json.Obj (edit fields)
+    | v -> v
+  in
+  for round = 1 to 3_000 do
+    let family =
+      List.nth Check.Gen.families (round mod List.length Check.Gen.families)
+    in
+    let doc = Codec.graph_to_json (Check.Gen.graph ~family st ~max_nodes:8) in
+    let doc =
+      match doc with
+      | Json.Obj fields ->
+        Json.Obj
+          (List.map
+             (fun (k, x) ->
+               match (k, x) with
+               | "nodes", Json.List nodes ->
+                 let at = Random.State.int st (List.length nodes) in
+                 let node j nd =
+                   if j <> at then nd
+                   else if Random.State.int st 8 = 0 then junk ()
+                   else mutate_node nd
+                 in
+                 (k, Json.List (List.mapi node nodes))
+               | ("format" | "version"), _ when Random.State.int st 20 = 0 ->
+                 (k, junk ())
+               | _ -> (k, x))
+             fields)
+      | v -> v
+    in
+    check_decode doc;
+    if round mod 10 = 0 then check_decode (Json.Raw (Json.compact doc))
+  done
+
+(* Random trees for the renderer: every escape, ints at the digit and
+   sign boundaries, floats at the 1e15 switch, NaN, the infinities and
+   random bit patterns, [Raw] parts, and empty or nested lists and
+   objects. *)
+let rec render_tree st depth =
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  let text () =
+    String.init (Random.State.int st 8) (fun _ ->
+        if Random.State.bool st then Char.chr (Random.State.int st 256)
+        else pick [| '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\031'; '\127'; 'a'; '/' |])
+  in
+  let leaf () =
+    match Random.State.int st 8 with
+    | 0 -> pick [| Json.Null; Json.Bool true; Json.Bool false |]
+    | 1 ->
+      Json.Int
+        (pick
+           [| 0; 1; 9; 10; -1; -9; -10; 99; 100; -100; 999_999; 1_000_000;
+              999_999_999; 1_000_000_000; -999_999_999; -1_000_000_000;
+              max_int; min_int; max_int - 1; min_int + 1 |])
+    | 2 ->
+      let magnitude = Random.State.int st 19 in
+      let i = Random.State.int st 1_000_000_000 * int_of_float (10. ** float magnitude) in
+      Json.Int (if Random.State.bool st then i else -i)
+    | 3 ->
+      Json.Float
+        (pick
+           [| 1e15; -1e15; Float.pred 1e15; Float.succ 1e15; 999999999999999.;
+              -999999999999999.; 1e15 +. 2.; 0.; -0.; Float.nan; -.Float.nan;
+              Float.infinity; Float.neg_infinity; 5e-324; Float.max_float;
+              Float.min_float; 0.1; 2.5; -1.5; 1e300; 4611686018427387904. |])
+    | 4 -> Json.Float (Int64.float_of_bits (Random.State.bits64 st))
+    | 5 -> Json.Float (float_of_int (Random.State.int st 2_000_001 - 1_000_000) /. 8.)
+    | _ -> Json.String (text ())
+  in
+  if depth = 0 then leaf ()
+  else
+    match Random.State.int st 6 with
+    | 0 | 1 -> leaf ()
+    | 2 -> Json.List (List.init (Random.State.int st 4) (fun _ -> render_tree st (depth - 1)))
+    | 3 ->
+      Json.Obj
+        (List.init (Random.State.int st 4) (fun _ -> (text (), render_tree st (depth - 1))))
+    | 4 -> Json.Raw (Json.compact (render_tree st (depth - 1)))
+    | _ -> pick [| Json.List []; Json.Obj []; Json.List [ Json.List [] ]; Json.Obj [ ("", Json.Obj []) ] |]
+
+let test_render_matches_reference () =
+  let st = Random.State.make [| 43; 4 |] in
+  for _ = 1 to 3_000 do
+    let v = render_tree st 4 in
+    List.iter
+      (fun indent ->
+        Alcotest.(check string)
+          (Printf.sprintf "indent %d" indent)
+          (Ref.to_string ~indent v) (Json.to_string ~indent v))
+      [ 0; 2 ];
+    Alcotest.(check string) "to_line" (Ref.render ~indent:0 ~suffix:"\n" v)
+      (Json.to_line v)
+  done
+
 let suite =
   [ Alcotest.test_case "json values" `Quick test_json_values;
     Alcotest.test_case "json errors" `Quick test_json_errors;
@@ -399,4 +731,12 @@ let suite =
     Alcotest.test_case "graph round-trip zoo" `Quick test_graph_roundtrip_zoo;
     Alcotest.test_case "codec rejects garbage" `Quick test_codec_rejects_garbage;
     Alcotest.test_case "codec file io" `Quick test_codec_file_io;
+    Alcotest.test_case "json \\u escape takes four hex digits" `Quick
+      test_json_unicode_escape_digits;
+    Alcotest.test_case "json scanner matches the reference" `Quick
+      test_scanner_matches_reference;
+    Alcotest.test_case "graph decoder matches the reference" `Quick
+      test_decoder_matches_reference;
+    Alcotest.test_case "json render matches the reference" `Quick
+      test_render_matches_reference;
     prop_random_graph_roundtrip ]
